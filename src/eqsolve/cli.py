@@ -120,19 +120,14 @@ def cmd_equiv(args) -> int:
     rhs = pf.rhs
     if not isinstance(rhs, tuple):
         rhs = (rhs,)
-    witness = separating_substitution(pf.group, pf.lhs, rhs,
-                                      guard=args.guard, backend=args.backend)
+    witness = separating_substitution(pf.group, pf.lhs, rhs)
     if witness is None:
         print("EQUIVALENT")
         return 0
     print("NOT EQUIVALENT")
     _print_witness(witness)
-    left = evaluate_word(pf.group, pf.lhs, witness)
-    right = evaluate_word(pf.group, rhs, witness)
-    print("  lhs value = %r" % left)
-    print("  rhs value = %r" % right)
-    if left == right:
-        raise RuntimeError("internal error: separating substitution failed")
+    print("  lhs value = %r" % evaluate_word(pf.group, pf.lhs, witness))
+    print("  rhs value = %r" % evaluate_word(pf.group, rhs, witness))
     return 1
 
 
@@ -287,9 +282,9 @@ def _build_parser():
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("equiv", help="decide whether lhs and rhs agree "
-                                     "under every substitution")
+                                     "under every substitution (by normal "
+                                     "form: no search, no guard)")
     p.add_argument("path")
-    common(p)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("oracle", help="run only the brute-force oracle")
@@ -312,12 +307,31 @@ def _build_parser():
     return parser
 
 
+def _innermost_layer(exc) -> str:
+    """module.function of the deepest eqsolve frame in exc's traceback."""
+    layer = "eqsolve"
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith("eqsolve."):
+            layer = "%s.%s" % (module[len("eqsolve."):],
+                               tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    return layer
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # the pruned search recurses once per slot variable
+        print("error: recursion limit %d exceeded in %s"
+              % (sys.getrecursionlimit(), _innermost_layer(exc)),
+              file=sys.stderr)
         return 2
 
 

@@ -21,12 +21,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .domains import DomainError, Scalar, subgroup_of_order
-from .solver import Decision, GuardExceeded, SolveStats
+from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
-DEFAULT_GUARD = 10 ** 8
 _TABLE_LIMIT = 4096  # largest group order for which a Cayley table is built
 
 
@@ -292,6 +289,8 @@ def element_list(group: SemipatternGroup):
 @lru_cache(maxsize=None)
 def _cayley(group: SemipatternGroup):
     """(elements, index map, multiplication table) for table-driven evaluation."""
+    import numpy as np  # only the table oracles need numpy
+
     elems = element_list(group)
     n = len(elems)
     index = {el: i for i, el in enumerate(elems)}
@@ -302,8 +301,27 @@ def _cayley(group: SemipatternGroup):
     return elems, index, table
 
 
+def _grid_chunks(nvars, size):
+    """(first flat index, coords) over all size**nvars index tuples in
+    lexicographic order, in chunks; coords[d] holds variable d's indices."""
+    import numpy as np
+
+    space = size ** nvars
+    chunk = 1 << 16
+    for start in range(0, space, chunk):
+        stop = min(space, start + chunk)
+        rest = np.arange(start, stop, dtype=np.int64)
+        coords = np.empty((nvars, stop - start), dtype=np.int64)
+        for d in range(nvars - 1, -1, -1):
+            coords[d] = rest % size
+            rest = rest // size
+        yield start, coords
+
+
 def _word_over_grid(group, word, names, coords, table, index):
     """Evaluate a word over vectorized per-variable element-index arrays."""
+    import numpy as np
+
     pos = {name: i for i, name in enumerate(names)}
     cur = np.full(coords.shape[1], index[group.identity()], dtype=np.int32)
     for letter in word:
@@ -350,16 +368,10 @@ def brute_force_solve(group: SemipatternGroup, word, target,
         return Decision(ok, {} if ok else None, stats)
 
     if size <= _TABLE_LIMIT:
+        import numpy as np
+
         elems, index, table = _cayley(group)
-        chunk = 1 << 16
-        for start in range(0, space, chunk):
-            stop = min(space, start + chunk)
-            flat = np.arange(start, stop, dtype=np.int64)
-            coords = np.empty((v, stop - start), dtype=np.int64)
-            rest = flat
-            for d in range(v - 1, -1, -1):
-                coords[d] = rest % size
-                rest = rest // size
+        for start, coords in _grid_chunks(v, size):
             cur = _word_over_grid(group, word, names, coords, table, index)
             if target_is_word:
                 hits = np.nonzero(cur == _word_over_grid(
@@ -402,16 +414,10 @@ def words_agree_everywhere(group: SemipatternGroup, f, g,
         same = evaluate_word(group, f, {}) == evaluate_word(group, g, {})
         return (same, None if same else {})
     if size <= _TABLE_LIMIT:
+        import numpy as np
+
         elems, index, table = _cayley(group)
-        chunk = 1 << 16
-        for start in range(0, space, chunk):
-            stop = min(space, start + chunk)
-            flat = np.arange(start, stop, dtype=np.int64)
-            coords = np.empty((v, stop - start), dtype=np.int64)
-            rest = flat
-            for d in range(v - 1, -1, -1):
-                coords[d] = rest % size
-                rest = rest // size
+        for _, coords in _grid_chunks(v, size):
             left = _word_over_grid(group, f, names, coords, table, index)
             right = _word_over_grid(group, g, names, coords, table, index)
             diffs = np.nonzero(left != right)[0]

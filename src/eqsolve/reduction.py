@@ -17,16 +17,26 @@ entry polynomials attain the corresponding rhs entries, which is a
 solvability question handed to the system solver.  SAT witnesses are
 reassembled into group elements and re-checked through evaluate_word before
 being returned.
+
+Equivalence needs no solver.  Field slots occur at most once in a monomial
+(an index chain never repeats an above-diagonal position), so cutting each
+diagonal exponent modulo its slot's order d (y^d = 1) leaves every variable
+with an exponent below its domain size.  That is the unique polynomial of
+the function on the slot domains, so two words agree everywhere iff every
+reduced entry of F - G is zero.  A nonzero one is kept nonzero while its
+variables are fixed one at a time, which the Combinatorial Nullstellensatz
+always allows; the values found separate the words.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .domains import Scalar
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
-                     element_list, evaluate_word, word_variables)
+                     evaluate_word, word_variables)
 from .poly import FIELD, SUBGROUP, Polynomial, Variable
 from .solver import Constraint, Decision, PolySystem, SolveRequest, solve
 
@@ -173,22 +183,35 @@ class ReducedSystem:
         Slots that dropped out of the system (cancelled or never constrained)
         default to the identity's entries.
         """
-        group = self.group
-        dom = group.domain
-        out = {}
-        for k, name in enumerate(self.var_names, start=1):
-            rows = [[dom.rzero] * group.m for _ in range(group.m)]
-            for i in range(1, group.m + 1):
-                val = assignment.get(y_variable(i, k))
-                rows[i - 1][i - 1] = val.raw if val is not None else dom.rone
-            for (i, j) in group.pattern:
-                val = assignment.get(x_variable(i, j, k))
-                if val is not None:
-                    rows[i - 1][j - 1] = val.raw
-            element = GroupElement(group, tuple(tuple(r) for r in rows))
-            group._check_membership(element.rows)
-            out[name] = element
-        return out
+        return _assemble_witness(self.group, self.var_names, assignment)
+
+
+def _assemble_witness(group: SemipatternGroup, var_names, assignment) -> dict:
+    dom = group.domain
+    out = {}
+    for k, name in enumerate(var_names, start=1):
+        rows = [[dom.rzero] * group.m for _ in range(group.m)]
+        for i in range(1, group.m + 1):
+            val = assignment.get(y_variable(i, k))
+            rows[i - 1][i - 1] = val.raw if val is not None else dom.rone
+        for (i, j) in group.pattern:
+            val = assignment.get(x_variable(i, j, k))
+            if val is not None:
+                rows[i - 1][j - 1] = val.raw
+        element = GroupElement(group, tuple(tuple(r) for r in rows))
+        group._check_membership(element.rows)
+        out[name] = element
+    return out
+
+
+def _symbolic_words(group: SemipatternGroup, *words):
+    """Variable names, then one symbolic product per word; equal variable
+    names share slot variables across the words."""
+    names = word_variables(itertools.chain(*words))
+    var_index = {name: k for k, name in enumerate(names, start=1)}
+    return (names,) + tuple(
+        symbolic_product(group, symbolic_letters(group, word, var_index))
+        for word in words)
 
 
 def build_system(group: SemipatternGroup, lhs, rhs) -> ReducedSystem:
@@ -200,24 +223,17 @@ def build_system(group: SemipatternGroup, lhs, rhs) -> ReducedSystem:
     subgroup.
     """
     lhs = tuple(lhs)
-    rhs_is_word = not isinstance(rhs, GroupElement)
-    if rhs_is_word:
-        rhs = tuple(rhs)
-        names = word_variables(lhs + rhs)
-    else:
-        names = word_variables(lhs)
-    var_index = {name: k for k, name in enumerate(names, start=1)}
-
-    lhs_matrix = symbolic_product(group, symbolic_letters(group, lhs, var_index))
     rhs_matrix = None
     constraints = []
-    if rhs_is_word:
-        rhs_matrix = symbolic_product(group, symbolic_letters(group, rhs, var_index))
+    if not isinstance(rhs, GroupElement):
+        rhs = tuple(rhs)
+        names, lhs_matrix, rhs_matrix = _symbolic_words(group, lhs, rhs)
         zero = group.domain.zero()
         for (pos, left) in lhs_matrix.upper_entries():
             right = rhs_matrix.entry(*pos)
             constraints.append(Constraint(left - right, zero))
     else:
+        names, lhs_matrix = _symbolic_words(group, lhs)
         if rhs.group != group:
             raise GroupError("right-hand side from a different group")
         for ((i, j), left) in lhs_matrix.upper_entries():
@@ -259,26 +275,94 @@ def decide_equation(group: SemipatternGroup, lhs, rhs, *,
     return Decision(True, witness, decision.stats)
 
 
-def separating_substitution(group: SemipatternGroup, f, g, *,
-                            guard: int = DEFAULT_GUARD, backend: str = "pruned"):
-    """First substitution (by constant order) where f and g differ, or None.
+def _reduced_difference(group: SemipatternGroup, left: Polynomial,
+                        right: Polynomial) -> dict:
+    """left - right with diagonal exponents cut modulo their slot's order.
 
-    f and g agree everywhere iff f = c*g is unsolvable for every c != identity,
-    so each candidate c is tried as a constant prefix of g.
+    Keys are monomials as (Variable, exponent) tuples in name order, values
+    their nonzero raw coefficients; the dict is empty iff left and right are
+    the same function on the slot domains.  Field slots need no cut: their
+    exponent is at most 1 in every product of symbolic letters.
     """
-    identity = group.identity()
-    g = tuple(g)
-    for c in element_list(group):
-        if c == identity:
-            continue
-        decision = decide_equation(group, f, (c,) + g,
-                                   guard=guard, backend=backend)
-        if decision.sat:
-            return decision.witness
-    return None
+    dom = group.domain
+    out = {}
+    for poly, negate in ((left, False), (right, True)):
+        for factors, coeff in poly._terms:
+            mono = []
+            for var, run in itertools.groupby(factors):
+                e = sum(1 for _ in run)
+                if var.sort == SUBGROUP:
+                    e %= group.orders[var.row - 1]
+                if e:
+                    mono.append((var, e))
+            mono = tuple(mono)
+            if negate:
+                coeff = dom.rneg(coeff)
+            acc = out.get(mono)
+            out[mono] = coeff if acc is None else dom.radd(acc, coeff)
+    return {mono: c for mono, c in out.items() if c != dom.rzero}
 
 
-def decide_equivalence(group: SemipatternGroup, f, g, *,
-                       guard: int = DEFAULT_GUARD, backend: str = "pruned") -> bool:
+def _substitute(dom, poly: dict, var: Variable, value) -> dict:
+    """Fix var (the first variable in name order) in a reduced polynomial."""
+    out = {}
+    for mono, coeff in poly.items():
+        if mono and mono[0][0] == var:
+            coeff = dom.rmul(coeff, (value ** mono[0][1]).raw)
+            mono = mono[1:]
+        acc = out.get(mono)
+        out[mono] = coeff if acc is None else dom.radd(acc, coeff)
+    return {mono: c for mono, c in out.items() if c != dom.rzero}
+
+
+def _nonzero_point(group: SemipatternGroup, poly: dict) -> dict:
+    """Slot values, chosen in name order, at which a reduced polynomial is
+    nonzero: each variable takes the first value in canonical domain order
+    that leaves the rest nonzero.  Variables that drop out stay unassigned.
+    """
+    dom = group.domain
+    assignment = {}
+    while True:
+        present = [mono[0][0] for mono in poly if mono]
+        if not present:
+            return assignment
+        var = min(present, key=lambda v: v.name)
+        values = (group.subgroups[var.row - 1].elements
+                  if var.sort == SUBGROUP else dom.elements())
+        for value in values:
+            rest = _substitute(dom, poly, var, value)
+            if rest:
+                break
+        else:
+            raise RuntimeError("internal error: reduced polynomial vanishes "
+                               "on the domain of %s" % var.name)
+        assignment[var] = value
+        poly = rest
+
+
+def separating_substitution(group: SemipatternGroup, f, g):
+    """A substitution where f and g differ, or None if they agree everywhere.
+
+    The first upper entry (in upper_entries() order) whose reduced F - G is
+    nonzero is made nonzero by greedy slot values; slots it does not fix
+    take the identity's entries.  The result is re-checked through
+    evaluate_word.
+    """
+    f, g = tuple(f), tuple(g)
+    names, left, right = _symbolic_words(group, f, g)
+    for pos, entry in left.upper_entries():
+        diff = _reduced_difference(group, entry, right.entry(*pos))
+        if diff:
+            break
+    else:
+        return None
+    witness = _assemble_witness(group, names, _nonzero_point(group, diff))
+    if evaluate_word(group, f, witness) == evaluate_word(group, g, witness):
+        raise RuntimeError("internal error: separating substitution failed "
+                           "re-check")
+    return witness
+
+
+def decide_equivalence(group: SemipatternGroup, f, g) -> bool:
     """True iff f and g take the same value under every substitution."""
-    return separating_substitution(group, f, g, guard=guard, backend=backend) is None
+    return separating_substitution(group, f, g) is None

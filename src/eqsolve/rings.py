@@ -22,10 +22,9 @@ from functools import cached_property, lru_cache
 
 from .domains import ModularRing, is_prime
 from .poly import FIELD, Polynomial, Variable
-from .solver import (Constraint, Decision, GuardExceeded, PolySystem,
-                     SolveRequest, SolveStats, solve)
+from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
+                     PolySystem, SolveRequest, SolveStats, solve)
 
-DEFAULT_GUARD = 10 ** 8
 IDEAL_GUARD = 10 ** 7
 
 

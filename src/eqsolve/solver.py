@@ -101,7 +101,6 @@ class SolveRequest:
     system: PolySystem
     backend: str = "pruned"
     guard: int = DEFAULT_GUARD
-    seed: int = None  # reserved for randomized backends; unused here
 
 
 def _ordered_variables(system: PolySystem):

@@ -72,6 +72,19 @@ def test_guard_error_exit_two(tmp_path):
     assert "guard" in err
 
 
+def test_recursion_limit_exit_two(monkeypatch):
+    import eqsolve.cli
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(eqsolve.cli, "decide_equation", too_deep)
+    code, _, err = run(["decide", str(PROBLEMS / "order54_identity.prob")])
+    assert code == 2
+    assert "error: recursion limit" in err
+    assert "cli.cmd_decide" in err
+
+
 def test_equiv_exit_codes(tmp_path):
     code, out, _ = run(["equiv", str(PROBLEMS / "ut3f2_commute.prob")])
     assert code == 1

@@ -1,5 +1,8 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +297,13 @@ def test_pattern_closure_criterion_is_exact(m, q):
         closed = all(_raw_matmul(domain, a, b, m) in mset
                      for a in matrices for b in matrices)
         assert closed == _pattern_is_closed(pattern), pattern
+
+
+def test_import_loads_no_numpy():
+    """numpy is imported by the table oracles only, not by import eqsolve."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, %r); import eqsolve; "
+             "print('numpy' in sys.modules)" % str(src))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

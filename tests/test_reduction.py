@@ -6,9 +6,11 @@ import pytest
 
 from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      decide_equation, decide_equivalence, element_list,
-                     evaluate_word, exponent_bound, solve, SolveRequest,
+                     evaluate_word, exponent_bound, full_pattern, invert_word,
+                     make_domain, make_group, solve, SolveRequest,
                      separating_substitution, symbolic_letters,
-                     symbolic_product, word_variables)
+                     symbolic_product, unitriangular_group, word_variables,
+                     words_agree_everywhere)
 from eqsolve.reduction import entry_monomial_count, x_variable, y_variable
 from conftest import (random_assignment, random_group_element, random_word)
 
@@ -251,3 +253,88 @@ def test_equivalence_exponent_word(ut3_f2, sparse18):
         for g in element_list(group):
             assert evaluate_word(group, ("x",) * e, {"x": g}) == group.identity()
         assert decide_equivalence(group, ("x",) * e, ())
+
+
+def _check_separator(group, f, g, separator):
+    assert set(separator) == set(word_variables(f + g))
+    assert evaluate_word(group, f, separator) != evaluate_word(group, g, separator)
+
+
+def test_field_slots_occur_at_most_once_per_monomial(group_family):
+    """The equivalence normal form cuts only diagonal exponents: it relies on
+    every field slot having exponent <= 1 in a symbolic product."""
+    rng = random.Random(31)
+    for group in group_family:
+        for _ in range(20):
+            word = random_word(rng, group, max_len=8, max_vars=2)
+            names = word_variables(word)
+            index = {name: k for k, name in enumerate(names, start=1)}
+            matrix = symbolic_product(group,
+                                      symbolic_letters(group, word, index))
+            for _, poly in matrix.upper_entries():
+                for _, factors in poly.monomials():
+                    field = [v for v in factors if v.sort != SUBGROUP]
+                    assert len(field) == len(set(field)), (word, factors)
+
+
+def test_equivalence_agrees_with_exhaustion_beyond_prime_fields():
+    """GF(4) and GF(5) groups with diagonal orders 2..4: the normal form
+    agrees with exhaustion, planted equivalent pairs included."""
+    f4, f5 = make_domain(2, 2), make_domain(5)
+    family = (make_group(f4, 3, ((1, 2),), (3, 3, 1)),
+              make_group(f5, 3, ((1, 2), (1, 3)), (2, 4, 1)))
+    rng = random.Random(2024)
+    equivalent = 0
+    for group in family:
+        e = exponent_bound(group)
+        pairs = [(random_word(rng, group, max_len=5, max_vars=2),
+                  random_word(rng, group, max_len=5, max_vars=2))
+                 for _ in range(30)]
+        pairs += [(("v1",) * e, ()), ((), ("v1",) * e)]
+        for _ in range(3):
+            w = random_word(rng, group, max_len=3, max_vars=2)
+            u = random_word(rng, group, max_len=2, max_vars=3)
+            pairs.append((w + u + invert_word(group, u), w))
+        for f, g in pairs:
+            verdict = decide_equivalence(group, f, g)
+            agree, _ = words_agree_everywhere(group, f, g)
+            assert verdict == agree, (group, f, g)
+            separator = separating_substitution(group, f, g)
+            assert (separator is None) == agree
+            if separator is not None:
+                _check_separator(group, f, g, separator)
+            equivalent += agree
+    assert equivalent >= 10
+
+
+def test_equivalence_eight_variables_beyond_guard(ut4_f2):
+    """The space 64^8 is far beyond any guard; the normal form needs none."""
+    word = tuple("v%d" % i for i in range(1, 9))
+    assert exponent_bound(ut4_f2) == 4
+    assert decide_equivalence(ut4_f2, word, word + ("v8",) * 4)
+    rotated = word[1:] + word[:1]
+    separator = separating_substitution(ut4_f2, word, rotated)
+    assert separator is not None
+    _check_separator(ut4_f2, word, rotated, separator)
+
+
+def test_separator_is_deterministic(order54):
+    f, g = ("x", "y", "x"), ("y", "x", "x")
+    first = separating_substitution(order54, f, g)
+    assert first is not None
+    assert separating_substitution(order54, f, g) == first
+    _check_separator(order54, f, g, first)
+
+
+def test_equivalence_calls_no_solver(monkeypatch, order54):
+    import eqsolve.reduction
+    import eqsolve.solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("equivalence called the solver")
+
+    monkeypatch.setattr(eqsolve.solver, "solve", refuse)
+    monkeypatch.setattr(eqsolve.reduction, "solve", refuse)
+    e = exponent_bound(order54)
+    assert decide_equivalence(order54, ("x",) * e, ())
+    assert not decide_equivalence(order54, ("x", "y"), ("y", "x"))
