@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .domains import DomainError, Scalar, subgroup_of_order
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
@@ -69,14 +69,24 @@ class SemipatternGroup:
         self._check_membership(raw)
         return GroupElement(self, raw)
 
+    @cached_property
+    def _pattern_set(self):
+        return frozenset(self.pattern)
+
+    @cached_property
+    def _diagonal_raws(self):
+        """Per row, the raw values of its diagonal subgroup."""
+        return tuple(frozenset(s.raw for s in sub) for sub in self.subgroups)
+
     def _check_membership(self, raw):
         dom = self.domain
-        pat = set(self.pattern)
+        pat = self._pattern_set
+        diagonal = self._diagonal_raws
         for i in range(self.m):
             for j in range(self.m):
                 v = raw[i][j]
                 if i == j:
-                    if Scalar(dom, v) not in self.subgroups[i]:
+                    if v not in diagonal[i]:
                         raise GroupError(
                             "diagonal entry %d = %r outside its subgroup of "
                             "order %d" % (i + 1, Scalar(dom, v), self.orders[i]))

@@ -1,0 +1,410 @@
+"""Nilpotent matrix rings and expressions over them.
+
+A ring M(m, Z_{p^a}) holds the m x m matrices over Z_{p^a} with every entry
+on or below the main diagonal a multiple of p.  It is nilpotent of class at
+most m*a: along any index chain through a product, each on-or-below-diagonal
+step contributes a factor p and at most m - 1 consecutive strictly-above
+steps can occur, so products of m*a elements vanish.  Expressions are trees
+of variables, constants, sums, products, negations and integer multiples;
+sigma_expand distributes them into sums of monomials with that truncation
+applied, and eval_ring_expr evaluates them directly.  The equation layer on
+top of this module is eqsolve.rings, which also re-exports every name here.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+from .domains import ModularRing, is_prime
+
+
+class RingError(ValueError):
+    """Invalid ring description, element, or expression."""
+
+
+@dataclass(frozen=True)
+class NilpotentMatrixRing:
+    """Descriptor of the ring; build via make_ring()."""
+
+    p: int
+    alpha: int
+    m: int
+
+    @property
+    def modulus(self) -> int:
+        return self.p ** self.alpha
+
+    @property
+    def nilpotency_bound(self) -> int:
+        """Every product of this many elements is zero."""
+        return self.m * self.alpha
+
+    @property
+    def cardinality(self) -> int:
+        above = self.m * (self.m - 1) // 2
+        on_below = self.m * (self.m + 1) // 2
+        return (self.p ** self.alpha) ** above * (self.p ** (self.alpha - 1)) ** on_below
+
+    @cached_property
+    def domain(self) -> ModularRing:
+        return ModularRing(self.p, self.alpha)
+
+    def zero(self) -> "RingElement":
+        row = (0,) * self.m
+        return RingElement(self, (row,) * self.m)
+
+    def element(self, rows) -> "RingElement":
+        """Build a validated element from an m x m grid of residues."""
+        if len(rows) != self.m or any(len(r) != self.m for r in rows):
+            raise RingError("element grid must be %d x %d" % (self.m, self.m))
+        n = self.modulus
+        raw = tuple(tuple(int(v) % n for v in r) for r in rows)
+        for i in range(self.m):
+            for j in range(self.m):
+                if i >= j and raw[i][j] % self.p != 0:
+                    raise RingError(
+                        "entry (%d,%d) = %d must be a multiple of %d"
+                        % (i + 1, j + 1, raw[i][j], self.p))
+        return RingElement(self, raw)
+
+    def elements(self):
+        """All elements in canonical (row-major slot) order."""
+        n = self.modulus
+        above = tuple(range(n))
+        on_below = tuple(v * self.p for v in range(self.p ** (self.alpha - 1)))
+        slot_ranges = []
+        for i in range(self.m):
+            for j in range(self.m):
+                slot_ranges.append(above if i < j else on_below)
+        shared = {}  # equal rows share one tuple across the elements
+        m = self.m
+        for combo in itertools.product(*slot_ranges):
+            rows = tuple(shared.setdefault(row, row) for row in
+                         (combo[i * m:(i + 1) * m] for i in range(m)))
+            yield RingElement(self, rows)
+
+    def __repr__(self):
+        return "M(%d, Z(%d))" % (self.m, self.modulus)
+
+
+class RingElement:
+    """Matrix over Z_{p^a} with p | entry on or below the diagonal; immutable."""
+
+    __slots__ = ("ring", "rows")
+
+    def __init__(self, ring, rows):
+        self.ring = ring
+        self.rows = rows
+
+    def _check(self, other):
+        if not isinstance(other, RingElement) or other.ring != self.ring:
+            raise RingError("elements of different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        n = self.ring.modulus
+        return RingElement(self.ring, tuple(
+            tuple((a + b) % n for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)))
+
+    def __sub__(self, other):
+        self._check(other)
+        n = self.ring.modulus
+        return RingElement(self.ring, tuple(
+            tuple((a - b) % n for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)))
+
+    def __neg__(self):
+        n = self.ring.modulus
+        return RingElement(self.ring, tuple(
+            tuple((-a) % n for a in ra) for ra in self.rows))
+
+    def __mul__(self, other):
+        self._check(other)
+        m = self.ring.m
+        n = self.ring.modulus
+        ra, rb = self.rows, other.rows
+        return RingElement(self.ring, tuple(
+            tuple(sum(ra[i][l] * rb[l][j] for l in range(m)) % n
+                  for j in range(m))
+            for i in range(m)))
+
+    def scale(self, c: int) -> "RingElement":
+        n = self.ring.modulus
+        return RingElement(self.ring, tuple(
+            tuple((c * a) % n for a in ra) for ra in self.rows))
+
+    def is_zero(self) -> bool:
+        return all(v == 0 for row in self.rows for v in row)
+
+    def key(self):
+        return tuple(v for row in self.rows for v in row)
+
+    def __eq__(self, other):
+        return (isinstance(other, RingElement)
+                and self.ring == other.ring and self.rows == other.rows)
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return "[%s]" % ",".join(
+            "[%s]" % ",".join(str(v) for v in row) for row in self.rows)
+
+
+def make_ring(p: int, alpha: int, m: int) -> NilpotentMatrixRing:
+    if not is_prime(p):
+        raise RingError("p = %d is not prime" % p)
+    if alpha < 1 or m < 1:
+        raise RingError("need alpha >= 1 and m >= 1")
+    return NilpotentMatrixRing(p, alpha, m)
+
+
+@lru_cache(maxsize=None)
+def ring_elements(ring: NilpotentMatrixRing):
+    """Canonically ordered tuple of all elements (cached)."""
+    return tuple(ring.elements())
+
+
+# -- expressions and the sum-of-monomials (sigma) form -------------------------
+
+class RingExpr:
+    def __add__(self, other):
+        return RSum((self, other))
+
+    def __sub__(self, other):
+        return RSum((self, RNeg(other)))
+
+    def __mul__(self, other):
+        return RProd((self, other))
+
+    def __neg__(self):
+        return RNeg(self)
+
+
+@dataclass(frozen=True)
+class RVar(RingExpr):
+    name: str
+
+
+@dataclass(frozen=True)
+class RConst(RingExpr):
+    value: RingElement
+
+
+@dataclass(frozen=True)
+class RSum(RingExpr):
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class RProd(RingExpr):
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class RNeg(RingExpr):
+    part: RingExpr
+
+
+@dataclass(frozen=True)
+class RScale(RingExpr):
+    """Integer multiple of an expression (repeated addition)."""
+
+    coeff: int
+    part: RingExpr
+
+
+@dataclass(frozen=True)
+class RingMonomial:
+    """coeff * letters, the letters being variable names or constant elements."""
+
+    coeff: int
+    letters: tuple
+
+    def degree(self) -> int:
+        return len(self.letters)
+
+
+def _letter_key(letter):
+    if isinstance(letter, str):
+        return (0, letter)
+    return (1, letter.key())
+
+
+def _monomial_key(mono: RingMonomial):
+    return (len(mono.letters), tuple(_letter_key(l) for l in mono.letters))
+
+
+@dataclass(frozen=True)
+class SigmaForm:
+    """Sum of monomials over the ring, truncated at the nilpotency bound."""
+
+    ring: NilpotentMatrixRing
+    monomials: tuple
+
+    def variables(self):
+        seen = {}
+        for mono in self.monomials:
+            for letter in mono.letters:
+                if isinstance(letter, str):
+                    seen.setdefault(letter, None)
+        return tuple(seen)
+
+    def evaluate(self, assignment) -> RingElement:
+        total = self.ring.zero()
+        for mono in self.monomials:
+            acc = None
+            for letter in mono.letters:
+                value = _letter_value(self.ring, letter, assignment)
+                acc = value if acc is None else acc * value
+            total = total + acc.scale(mono.coeff)
+        return total
+
+    def __repr__(self):
+        if not self.monomials:
+            return "0"
+        parts = []
+        for mono in self.monomials:
+            names = [l if isinstance(l, str) else repr(l) for l in mono.letters]
+            if mono.coeff == 1:
+                parts.append("*".join(names))
+            else:
+                parts.append("*".join([str(mono.coeff)] + names))
+        return " + ".join(parts)
+
+
+def _letter_value(ring, letter, assignment):
+    if isinstance(letter, str):
+        try:
+            value = assignment[letter]
+        except KeyError:
+            raise RingError("no value for ring variable %r" % letter) from None
+        if not isinstance(value, RingElement) or value.ring != ring:
+            raise RingError("value for %r is not an element of %s" % (letter, ring))
+        return value
+    return letter
+
+
+def _normalize_monomials(ring, raw):
+    cutoff = ring.nilpotency_bound
+    n = ring.modulus
+    merged = {}
+    for coeff, letters in raw:
+        coeff %= n
+        if coeff == 0 or len(letters) >= cutoff:
+            continue
+        if any(isinstance(l, RingElement) and l.is_zero() for l in letters):
+            continue
+        acc = merged.get(letters)
+        merged[letters] = (acc + coeff) % n if acc is not None else coeff
+    monos = [RingMonomial(c, letters) for letters, c in merged.items() if c]
+    monos.sort(key=_monomial_key)
+    return SigmaForm(ring, tuple(monos))
+
+
+def sigma_expand(expr, ring: NilpotentMatrixRing) -> SigmaForm:
+    """Expand an expression into a sum of monomials.
+
+    Products are distributed over sums, and every monomial with at least
+    m*alpha letter factors is dropped: such a product of ring elements is
+    already the zero matrix.
+    """
+    if isinstance(expr, SigmaForm):
+        if expr.ring != ring:
+            raise RingError("expression over a different ring")
+        return _normalize_monomials(
+            ring, ((mono.coeff, mono.letters) for mono in expr.monomials))
+    return _normalize_monomials(ring, _expand(expr, ring))
+
+
+def _expand(expr, ring):
+    if isinstance(expr, RVar):
+        return [(1, (expr.name,))]
+    if isinstance(expr, RConst):
+        if expr.value.ring != ring:
+            raise RingError("constant from a different ring")
+        return [(1, (expr.value,))]
+    if isinstance(expr, RingElement):
+        if expr.ring != ring:
+            raise RingError("constant from a different ring")
+        return [(1, (expr,))]
+    if isinstance(expr, str):
+        return [(1, (expr,))]
+    if isinstance(expr, RNeg):
+        return [(-c, letters) for c, letters in _expand(expr.part, ring)]
+    if isinstance(expr, RScale):
+        return [(expr.coeff * c, letters)
+                for c, letters in _expand(expr.part, ring)]
+    if isinstance(expr, RSum):
+        out = []
+        for part in expr.parts:
+            out.extend(_expand(part, ring))
+        return out
+    if isinstance(expr, RProd):
+        if not expr.parts:
+            raise RingError("empty product has no meaning in a non-unital ring")
+        out = [(1, ())]
+        cutoff = ring.nilpotency_bound
+        for part in expr.parts:
+            expanded = _expand(part, ring)
+            # partial products only ever grow, so pruning at the bound is safe
+            out = [(c1 * c2, l1 + l2)
+                   for c1, l1 in out for c2, l2 in expanded
+                   if len(l1) + len(l2) < cutoff]
+        return [t for t in out if t[1]]
+    raise RingError("not a ring expression: %r" % (expr,))
+
+
+def eval_ring_expr(expr, assignment, ring) -> RingElement:
+    """Evaluate an expression tree directly, without expanding it."""
+    if isinstance(expr, SigmaForm):
+        return expr.evaluate(assignment)
+    if isinstance(expr, (RingElement, str)):
+        return _letter_value(ring, expr, assignment)
+    if isinstance(expr, RVar):
+        return _letter_value(ring, expr.name, assignment)
+    if isinstance(expr, RConst):
+        return _letter_value(ring, expr.value, assignment)
+    if isinstance(expr, RNeg):
+        return -eval_ring_expr(expr.part, assignment, ring)
+    if isinstance(expr, RScale):
+        return eval_ring_expr(expr.part, assignment, ring).scale(expr.coeff)
+    if isinstance(expr, RSum):
+        total = ring.zero()
+        for part in expr.parts:
+            total = total + eval_ring_expr(part, assignment, ring)
+        return total
+    if isinstance(expr, RProd):
+        acc = None
+        for part in expr.parts:
+            value = eval_ring_expr(part, assignment, ring)
+            acc = value if acc is None else acc * value
+        if acc is None:
+            raise RingError("empty product has no meaning in a non-unital ring")
+        return acc
+    raise RingError("not a ring expression: %r" % (expr,))
+
+
+def expr_variables(expr):
+    """Distinct variable names in order of first occurrence."""
+    seen = {}
+
+    def walk(e):
+        if isinstance(e, SigmaForm):
+            for name in e.variables():
+                seen.setdefault(name, None)
+        elif isinstance(e, str):
+            seen.setdefault(e, None)
+        elif isinstance(e, RVar):
+            seen.setdefault(e.name, None)
+        elif isinstance(e, (RNeg, RScale)):
+            walk(e.part)
+        elif isinstance(e, (RSum, RProd)):
+            for part in e.parts:
+                walk(part)
+
+    walk(expr)
+    return tuple(seen)

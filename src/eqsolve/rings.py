@@ -1,35 +1,37 @@
-"""Nilpotent matrix rings: m x m matrices over Z_{p^a} with every entry on or
-below the main diagonal a multiple of p.
+"""Equations over nilpotent matrix rings, their factor rings, and the
+brute-force oracle.
 
-Such a ring is nilpotent of class at most m*a: along any index chain through
-a product, each on-or-below-diagonal step contributes a factor p and at most
-m - 1 consecutive strictly-above steps can occur, so products of m*a elements
-vanish.  Expressions are expanded to sums of monomials with that truncation
-applied, then every matrix entry of each monomial is rewritten as a scalar
-polynomial in the letters' slot variables: s[i][j][k] for above-diagonal
-slots (full range) and a[i][j][k] for on/below slots, whose entry value is
-p * a[i][j][k].  Coefficients are tracked exactly, so any chain accumulating
-a p-power of at least a dies on its own; surviving monomials have at most
-m*a - 1 factors.  An equation F = rhs reduces to the solvability of the m^2
-entry constraints over Z_{p^a}.
+The rings and their expressions live in eqsolve.ringexpr (see there for the
+nilpotency bound that truncates expansions); this module re-exports those
+names.  After expansion to sums of monomials, every matrix entry of each
+monomial is rewritten as a scalar polynomial in the letters' slot
+variables: s[i][j][k] for above-diagonal slots (full range) and a[i][j][k]
+for on/below slots, whose entry value is p * a[i][j][k].  Coefficients are
+tracked exactly, so any chain accumulating a p-power of at least a dies on
+its own; surviving monomials have at most m*a - 1 factors.  An equation
+F = rhs reduces to the solvability of the m^2 entry constraints over
+Z_{p^a}.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
-from .domains import ModularRing, is_prime
 from .poly import FIELD, Polynomial, Variable
+# rings is the public module for every ring name, so it re-exports the
+# structure layer in full
+from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
+                       RingExpr, RingMonomial, RNeg, RProd, RScale, RSum,
+                       RVar, SigmaForm, eval_ring_expr, expr_variables,
+                       make_ring, ring_elements, sigma_expand)
 from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
                      PolySystem, SolveRequest, SolveStats, solve)
 
 IDEAL_GUARD = 10 ** 7
-
-
-class RingError(ValueError):
-    """Invalid ring description, element, or expression."""
+_TABLE_LIMIT = 256  # largest ring for which the oracle builds +/* tables
 
 
 def s_variable(i: int, j: int, k: int) -> Variable:
@@ -38,390 +40,6 @@ def s_variable(i: int, j: int, k: int) -> Variable:
 
 def a_variable(i: int, j: int, k: int) -> Variable:
     return Variable("a[%d][%d][%d]" % (i, j, k), FIELD)
-
-
-@dataclass(frozen=True)
-class NilpotentMatrixRing:
-    """Descriptor of the ring; build via make_ring()."""
-
-    p: int
-    alpha: int
-    m: int
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.alpha
-
-    @property
-    def nilpotency_bound(self) -> int:
-        """Every product of this many elements is zero."""
-        return self.m * self.alpha
-
-    @property
-    def cardinality(self) -> int:
-        above = self.m * (self.m - 1) // 2
-        on_below = self.m * (self.m + 1) // 2
-        return (self.p ** self.alpha) ** above * (self.p ** (self.alpha - 1)) ** on_below
-
-    @cached_property
-    def domain(self) -> ModularRing:
-        return ModularRing(self.p, self.alpha)
-
-    def zero(self) -> "RingElement":
-        row = (0,) * self.m
-        return RingElement(self, (row,) * self.m)
-
-    def element(self, rows) -> "RingElement":
-        """Build a validated element from an m x m grid of residues."""
-        if len(rows) != self.m or any(len(r) != self.m for r in rows):
-            raise RingError("element grid must be %d x %d" % (self.m, self.m))
-        n = self.modulus
-        raw = tuple(tuple(int(v) % n for v in r) for r in rows)
-        for i in range(self.m):
-            for j in range(self.m):
-                if i >= j and raw[i][j] % self.p != 0:
-                    raise RingError(
-                        "entry (%d,%d) = %d must be a multiple of %d"
-                        % (i + 1, j + 1, raw[i][j], self.p))
-        return RingElement(self, raw)
-
-    def elements(self):
-        """All elements in canonical (row-major slot) order."""
-        n = self.modulus
-        above = tuple(range(n))
-        on_below = tuple(v * self.p for v in range(self.p ** (self.alpha - 1)))
-        slot_ranges = []
-        for i in range(self.m):
-            for j in range(self.m):
-                slot_ranges.append(above if i < j else on_below)
-        for combo in itertools.product(*slot_ranges):
-            rows = tuple(tuple(combo[i * self.m + j] for j in range(self.m))
-                         for i in range(self.m))
-            yield RingElement(self, rows)
-
-    def __repr__(self):
-        return "M(%d, Z(%d))" % (self.m, self.modulus)
-
-
-class RingElement:
-    """Matrix over Z_{p^a} with p | entry on or below the diagonal; immutable."""
-
-    __slots__ = ("ring", "rows")
-
-    def __init__(self, ring, rows):
-        self.ring = ring
-        self.rows = rows
-
-    def _check(self, other):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
-            raise RingError("elements of different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        n = self.ring.modulus
-        return RingElement(self.ring, tuple(
-            tuple((a + b) % n for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
-    def __sub__(self, other):
-        self._check(other)
-        n = self.ring.modulus
-        return RingElement(self.ring, tuple(
-            tuple((a - b) % n for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
-    def __neg__(self):
-        n = self.ring.modulus
-        return RingElement(self.ring, tuple(
-            tuple((-a) % n for a in ra) for ra in self.rows))
-
-    def __mul__(self, other):
-        self._check(other)
-        m = self.ring.m
-        n = self.ring.modulus
-        ra, rb = self.rows, other.rows
-        return RingElement(self.ring, tuple(
-            tuple(sum(ra[i][l] * rb[l][j] for l in range(m)) % n
-                  for j in range(m))
-            for i in range(m)))
-
-    def scale(self, c: int) -> "RingElement":
-        n = self.ring.modulus
-        return RingElement(self.ring, tuple(
-            tuple((c * a) % n for a in ra) for ra in self.rows))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
-
-    def key(self):
-        return tuple(v for row in self.rows for v in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, RingElement)
-                and self.ring == other.ring and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "[%s]" % ",".join(
-            "[%s]" % ",".join(str(v) for v in row) for row in self.rows)
-
-
-def make_ring(p: int, alpha: int, m: int) -> NilpotentMatrixRing:
-    if not is_prime(p):
-        raise RingError("p = %d is not prime" % p)
-    if alpha < 1 or m < 1:
-        raise RingError("need alpha >= 1 and m >= 1")
-    return NilpotentMatrixRing(p, alpha, m)
-
-
-@lru_cache(maxsize=None)
-def ring_elements(ring: NilpotentMatrixRing):
-    """Canonically ordered tuple of all elements (cached)."""
-    return tuple(ring.elements())
-
-
-# -- expressions and the sum-of-monomials (sigma) form -------------------------
-
-class RingExpr:
-    def __add__(self, other):
-        return RSum((self, other))
-
-    def __sub__(self, other):
-        return RSum((self, RNeg(other)))
-
-    def __mul__(self, other):
-        return RProd((self, other))
-
-    def __neg__(self):
-        return RNeg(self)
-
-
-@dataclass(frozen=True)
-class RVar(RingExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class RConst(RingExpr):
-    value: RingElement
-
-
-@dataclass(frozen=True)
-class RSum(RingExpr):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class RProd(RingExpr):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class RNeg(RingExpr):
-    part: RingExpr
-
-
-@dataclass(frozen=True)
-class RScale(RingExpr):
-    """Integer multiple of an expression (repeated addition)."""
-
-    coeff: int
-    part: RingExpr
-
-
-@dataclass(frozen=True)
-class RingMonomial:
-    """coeff * letters, the letters being variable names or constant elements."""
-
-    coeff: int
-    letters: tuple
-
-    def degree(self) -> int:
-        return len(self.letters)
-
-
-def _letter_key(letter):
-    if isinstance(letter, str):
-        return (0, letter)
-    return (1, letter.key())
-
-
-def _monomial_key(mono: RingMonomial):
-    return (len(mono.letters), tuple(_letter_key(l) for l in mono.letters))
-
-
-@dataclass(frozen=True)
-class SigmaForm:
-    """Sum of monomials over the ring, truncated at the nilpotency bound."""
-
-    ring: NilpotentMatrixRing
-    monomials: tuple
-
-    def variables(self):
-        seen = {}
-        for mono in self.monomials:
-            for letter in mono.letters:
-                if isinstance(letter, str):
-                    seen.setdefault(letter, None)
-        return tuple(seen)
-
-    def evaluate(self, assignment) -> RingElement:
-        total = self.ring.zero()
-        for mono in self.monomials:
-            acc = None
-            for letter in mono.letters:
-                value = _letter_value(self.ring, letter, assignment)
-                acc = value if acc is None else acc * value
-            total = total + acc.scale(mono.coeff)
-        return total
-
-    def __repr__(self):
-        if not self.monomials:
-            return "0"
-        parts = []
-        for mono in self.monomials:
-            names = [l if isinstance(l, str) else repr(l) for l in mono.letters]
-            if mono.coeff == 1:
-                parts.append("*".join(names))
-            else:
-                parts.append("*".join([str(mono.coeff)] + names))
-        return " + ".join(parts)
-
-
-def _letter_value(ring, letter, assignment):
-    if isinstance(letter, str):
-        try:
-            value = assignment[letter]
-        except KeyError:
-            raise RingError("no value for ring variable %r" % letter) from None
-        if not isinstance(value, RingElement) or value.ring != ring:
-            raise RingError("value for %r is not an element of %s" % (letter, ring))
-        return value
-    return letter
-
-
-def _normalize_monomials(ring, raw):
-    cutoff = ring.nilpotency_bound
-    n = ring.modulus
-    merged = {}
-    for coeff, letters in raw:
-        coeff %= n
-        if coeff == 0 or len(letters) >= cutoff:
-            continue
-        if any(isinstance(l, RingElement) and l.is_zero() for l in letters):
-            continue
-        acc = merged.get(letters)
-        merged[letters] = (acc + coeff) % n if acc is not None else coeff
-    monos = [RingMonomial(c, letters) for letters, c in merged.items() if c]
-    monos.sort(key=_monomial_key)
-    return SigmaForm(ring, tuple(monos))
-
-
-def sigma_expand(expr, ring: NilpotentMatrixRing) -> SigmaForm:
-    """Expand an expression into a sum of monomials.
-
-    Products are distributed over sums, and every monomial with at least
-    m*alpha letter factors is dropped: such a product of ring elements is
-    already the zero matrix.
-    """
-    if isinstance(expr, SigmaForm):
-        if expr.ring != ring:
-            raise RingError("expression over a different ring")
-        return _normalize_monomials(
-            ring, ((mono.coeff, mono.letters) for mono in expr.monomials))
-    return _normalize_monomials(ring, _expand(expr, ring))
-
-
-def _expand(expr, ring):
-    if isinstance(expr, RVar):
-        return [(1, (expr.name,))]
-    if isinstance(expr, RConst):
-        if expr.value.ring != ring:
-            raise RingError("constant from a different ring")
-        return [(1, (expr.value,))]
-    if isinstance(expr, RingElement):
-        if expr.ring != ring:
-            raise RingError("constant from a different ring")
-        return [(1, (expr,))]
-    if isinstance(expr, str):
-        return [(1, (expr,))]
-    if isinstance(expr, RNeg):
-        return [(-c, letters) for c, letters in _expand(expr.part, ring)]
-    if isinstance(expr, RScale):
-        return [(expr.coeff * c, letters)
-                for c, letters in _expand(expr.part, ring)]
-    if isinstance(expr, RSum):
-        out = []
-        for part in expr.parts:
-            out.extend(_expand(part, ring))
-        return out
-    if isinstance(expr, RProd):
-        if not expr.parts:
-            raise RingError("empty product has no meaning in a non-unital ring")
-        out = [(1, ())]
-        cutoff = ring.nilpotency_bound
-        for part in expr.parts:
-            expanded = _expand(part, ring)
-            # partial products only ever grow, so pruning at the bound is safe
-            out = [(c1 * c2, l1 + l2)
-                   for c1, l1 in out for c2, l2 in expanded
-                   if len(l1) + len(l2) < cutoff]
-        return [t for t in out if t[1]]
-    raise RingError("not a ring expression: %r" % (expr,))
-
-
-def eval_ring_expr(expr, assignment, ring) -> RingElement:
-    """Evaluate an expression tree directly, without expanding it."""
-    if isinstance(expr, SigmaForm):
-        return expr.evaluate(assignment)
-    if isinstance(expr, (RingElement, str)):
-        return _letter_value(ring, expr, assignment)
-    if isinstance(expr, RVar):
-        return _letter_value(ring, expr.name, assignment)
-    if isinstance(expr, RConst):
-        return _letter_value(ring, expr.value, assignment)
-    if isinstance(expr, RNeg):
-        return -eval_ring_expr(expr.part, assignment, ring)
-    if isinstance(expr, RScale):
-        return eval_ring_expr(expr.part, assignment, ring).scale(expr.coeff)
-    if isinstance(expr, RSum):
-        total = ring.zero()
-        for part in expr.parts:
-            total = total + eval_ring_expr(part, assignment, ring)
-        return total
-    if isinstance(expr, RProd):
-        acc = None
-        for part in expr.parts:
-            value = eval_ring_expr(part, assignment, ring)
-            acc = value if acc is None else acc * value
-        if acc is None:
-            raise RingError("empty product has no meaning in a non-unital ring")
-        return acc
-    raise RingError("not a ring expression: %r" % (expr,))
-
-
-def expr_variables(expr):
-    """Distinct variable names in order of first occurrence."""
-    seen = {}
-
-    def walk(e):
-        if isinstance(e, SigmaForm):
-            for name in e.variables():
-                seen.setdefault(name, None)
-        elif isinstance(e, str):
-            seen.setdefault(e, None)
-        elif isinstance(e, RVar):
-            seen.setdefault(e.name, None)
-        elif isinstance(e, (RNeg, RScale)):
-            walk(e.part)
-        elif isinstance(e, (RSum, RProd)):
-            for part in e.parts:
-                walk(part)
-
-    walk(expr)
-    return tuple(seen)
 
 
 # -- entrywise rewriting -------------------------------------------------------
@@ -547,6 +165,21 @@ class ReducedRingSystem:
             out[name] = ring.element(rows)
         return out
 
+    def retarget(self, rhs: RingElement) -> "ReducedRingSystem":
+        """The same entry polynomials and domains, with targets from rhs."""
+        if rhs.ring != self.ring:
+            raise RingError("right-hand side from a different ring")
+        system = PolySystem(self.ring.domain,
+                            _entry_constraints(self.ring, self.entry_polys, rhs),
+                            self.system.domains)
+        return replace(self, rhs=rhs, system=system)
+
+
+def _entry_constraints(ring, entries, rhs):
+    dom = ring.domain
+    return tuple(Constraint(entries[i][j], dom.scalar(rhs.rows[i][j]))
+                 for i in range(ring.m) for j in range(ring.m))
+
 
 def build_ring_system(ring: NilpotentMatrixRing, expr,
                       rhs: RingElement) -> ReducedRingSystem:
@@ -557,11 +190,7 @@ def build_ring_system(ring: NilpotentMatrixRing, expr,
     var_index = sigma_var_index(sigma)
     entries = entrywise_rewrite(sigma, ring, var_index)
     dom = ring.domain
-    constraints = []
-    for i in range(ring.m):
-        for j in range(ring.m):
-            constraints.append(
-                Constraint(entries[i][j], dom.scalar(rhs.rows[i][j])))
+    constraints = _entry_constraints(ring, entries, rhs)
     s_domain = tuple(dom.elements())
     a_domain = tuple(dom.scalar(v) for v in range(ring.p ** (ring.alpha - 1)))
     domains = {}
@@ -569,8 +198,22 @@ def build_ring_system(ring: NilpotentMatrixRing, expr,
         for v in c.poly.variables():
             if v not in domains:
                 domains[v] = s_domain if v.name.startswith("s") else a_domain
-    system = PolySystem(dom, tuple(constraints), domains)
+    system = PolySystem(dom, constraints, domains)
     return ReducedRingSystem(ring, expr, rhs, tuple(var_index), system, entries)
+
+
+def _decide_reduced(reduced: ReducedRingSystem, guard, backend) -> Decision:
+    """Solve a reduced system; a SAT witness is re-checked on the expression."""
+    ring = reduced.ring
+    decision = solve(SolveRequest(reduced.system, backend=backend, guard=guard))
+    if not decision.sat:
+        return Decision(False, None, decision.stats)
+    witness = reduced.assemble_witness(decision.witness)
+    for name in expr_variables(reduced.expr):
+        witness.setdefault(name, ring.zero())
+    if eval_ring_expr(reduced.expr, witness, ring) != reduced.rhs:
+        raise RuntimeError("internal error: ring witness failed re-check")
+    return Decision(True, witness, decision.stats)
 
 
 def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
@@ -579,16 +222,7 @@ def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
     """Decide solvability of expr = rhs (default rhs: zero) over the ring."""
     if rhs is None:
         rhs = ring.zero()
-    reduced = build_ring_system(ring, expr, rhs)
-    decision = solve(SolveRequest(reduced.system, backend=backend, guard=guard))
-    if not decision.sat:
-        return Decision(False, None, decision.stats)
-    witness = reduced.assemble_witness(decision.witness)
-    for name in expr_variables(expr):
-        witness.setdefault(name, ring.zero())
-    if eval_ring_expr(expr, witness, ring) != rhs:
-        raise RuntimeError("internal error: ring witness failed re-check")
-    return Decision(True, witness, decision.stats)
+    return _decide_reduced(build_ring_system(ring, expr, rhs), guard, backend)
 
 
 # -- ideals and factor rings ---------------------------------------------------
@@ -651,16 +285,119 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
     The image of expr vanishes in M/I for some substitution iff expr = a is
     solvable over M for some ideal element a; candidates are tried in
     canonical order and the successful one is reported on the decision.
+    The system is built once; only its targets change from one to the next.
     """
     stats = SolveStats()
+    reduced = build_ring_system(ring, expr, ring.zero())
     for a in ideal.elements:
-        decision = decide_ring_equation(ring, expr, a, guard=guard,
-                                        backend=backend)
+        decision = _decide_reduced(reduced.retarget(a), guard, backend)
         stats.explored += decision.stats.explored
         stats.prunes += decision.stats.prunes
         if decision.sat:
             return Decision(True, decision.witness, stats, ideal_element=a)
     return Decision(False, None, stats)
+
+
+@lru_cache(maxsize=None)
+def _ring_tables(ring: NilpotentMatrixRing):
+    """(index by rows, add, mul, neg) over canonical element indices."""
+    elems = ring_elements(ring)
+    index = {e.rows: i for i, e in enumerate(elems)}
+    add = [[index[(a + b).rows] for b in elems] for a in elems]
+    mul = [[index[(a * b).rows] for b in elems] for a in elems]
+    neg = [index[(-a).rows] for a in elems]
+    return index, add, mul, neg
+
+
+def _eval_ops(expr) -> int:
+    """Ring operations one eval_ring_expr call spends on expr."""
+    if isinstance(expr, SigmaForm):
+        return sum(len(mono.letters) + 1 for mono in expr.monomials)
+    if isinstance(expr, (RNeg, RScale)):
+        return 1 + _eval_ops(expr.part)
+    if isinstance(expr, (RSum, RProd)):
+        return len(expr.parts) + sum(_eval_ops(part) for part in expr.parts)
+    return 0
+
+
+def _index_evaluator(expr, ring: NilpotentMatrixRing, names):
+    """Compile expr into a function from a tuple of element indices (one per
+    name) to the index of its value.  Subexpressions without variables are
+    folded to their index at compile time."""
+    index, add, mul, neg = _ring_tables(ring)
+    elems = ring_elements(ring)
+    pos = {name: d for d, name in enumerate(names)}
+    scales = {}
+
+    def constant(value):
+        if not isinstance(value, RingElement) or value.ring != ring:
+            raise RingError("constant from a different ring")
+        return index[value.rows]
+
+    def unary(table, f):
+        if isinstance(f, int):
+            return table[f]
+        return lambda combo: table[f(combo)]
+
+    def binary(table, f, g):
+        if isinstance(f, int):
+            if isinstance(g, int):
+                return table[f][g]
+            row = table[f]
+            return lambda combo: row[g(combo)]
+        if isinstance(g, int):
+            col = [row[g] for row in table]
+            return lambda combo: col[f(combo)]
+        return lambda combo: table[f(combo)][g(combo)]
+
+    def fold(table, parts):
+        acc = parts[0]
+        for part in parts[1:]:
+            acc = binary(table, acc, part)
+        return acc
+
+    def scale(coeff, f):
+        coeff %= ring.modulus
+        if coeff == 1:
+            return f
+        if coeff not in scales:
+            scales[coeff] = [index[e.scale(coeff).rows] for e in elems]
+        return unary(scales[coeff], f)
+
+    def compile_(e):
+        if isinstance(e, SigmaForm):
+            if e.ring != ring:
+                raise RingError("expression over a different ring")
+            if not e.monomials:
+                return index[ring.zero().rows]
+            return fold(add, [
+                scale(mono.coeff, fold(mul, [compile_(l) for l in mono.letters]))
+                for mono in e.monomials])
+        if isinstance(e, str):
+            return itemgetter(pos[e])
+        if isinstance(e, RVar):
+            return itemgetter(pos[e.name])
+        if isinstance(e, RingElement):
+            return constant(e)
+        if isinstance(e, RConst):
+            return constant(e.value)
+        if isinstance(e, RNeg):
+            return unary(neg, compile_(e.part))
+        if isinstance(e, RScale):
+            return scale(e.coeff, compile_(e.part))
+        if isinstance(e, RSum):
+            if not e.parts:
+                return index[ring.zero().rows]
+            return fold(add, [compile_(part) for part in e.parts])
+        if isinstance(e, RProd):
+            if not e.parts:
+                raise RingError(
+                    "empty product has no meaning in a non-unital ring")
+            return fold(mul, [compile_(part) for part in e.parts])
+        raise RingError("not a ring expression: %r" % (e,))
+
+    f = compile_(expr)
+    return f if callable(f) else (lambda combo: f)
 
 
 def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
@@ -669,11 +406,27 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     """Exhaustive oracle over the ring, or over M/I when an ideal is given.
 
     Over M/I, assignments range over canonical coset representatives and
-    equality means the difference lands in the ideal.
+    equality means the difference lands in the ideal.  Assignments are
+    scanned lexicographically (variables in first occurrence order, values
+    in canonical order).  On rings of at most _TABLE_LIMIT elements, and
+    when building the +/* tables costs fewer products than evaluating the
+    expression at every assignment, the scan runs on element indices through
+    the tables; otherwise each assignment is evaluated with eval_ring_expr.
+    Both give the same verdict, witness and explored count.
     """
     if rhs is None:
         rhs = ring.zero()
+    if rhs.ring != ring:
+        raise RingError("right-hand side from a different ring")
+    if ideal is not None and ideal.ring != ring:
+        raise RingError("ideal of a different ring")
     names = expr_variables(expr)
+    n = ring.cardinality
+    space = (n if ideal is None else n // len(ideal)) ** len(names)
+    if space > guard:
+        raise GuardExceeded(space, guard)
+    if n <= _TABLE_LIMIT and n * n <= space * _eval_ops(expr):
+        return _table_scan(ring, expr, rhs, ideal, names, space)
     if ideal is not None:
         seen = set()
         carrier = []
@@ -684,10 +437,7 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
             for i in ideal.elements:
                 seen.add(e + i)
     else:
-        carrier = list(ring_elements(ring))
-    space = len(carrier) ** len(names)
-    if space > guard:
-        raise GuardExceeded(space, guard)
+        carrier = ring_elements(ring)
     stats = SolveStats()
     for combo in itertools.product(carrier, repeat=len(names)):
         stats.explored += 1
@@ -699,3 +449,30 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
         elif value == rhs:
             return Decision(True, assignment, stats)
     return Decision(False, None, stats)
+
+
+def _table_scan(ring, expr, rhs, ideal, names, space) -> Decision:
+    """The oracle's scan over element indices; hits are the indices of
+    rhs + I (just rhs without an ideal)."""
+    index, add, _, _ = _ring_tables(ring)
+    elems = ring_elements(ring)
+    evaluate = _index_evaluator(expr, ring, names)
+    target = index[rhs.rows]
+    if ideal is None:
+        carrier = range(len(elems))
+        hits = {target}
+    else:
+        members = [index[i.rows] for i in ideal.elements]
+        hits = {add[target][i] for i in members}
+        carrier = []
+        seen = set()
+        for e in range(len(elems)):
+            if e not in seen:
+                carrier.append(e)
+                seen.update(add[e][i] for i in members)
+    combos = itertools.product(carrier, repeat=len(names))
+    for explored, combo in enumerate(combos, start=1):
+        if evaluate(combo) in hits:
+            witness = {name: elems[i] for name, i in zip(names, combo)}
+            return Decision(True, witness, SolveStats(explored))
+    return Decision(False, None, SolveStats(space))

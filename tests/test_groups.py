@@ -307,3 +307,39 @@ def test_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _member_by_definition(group, raw):
+    """Membership read straight off the definition of N_P*D."""
+    dom = group.domain
+    for i in range(group.m):
+        for j in range(group.m):
+            v = raw[i][j]
+            if i == j:
+                if not any(s.raw == v for s in group.subgroups[i]):
+                    return False
+            elif (i + 1, j + 1) not in group.pattern and v != dom.rzero:
+                return False
+    return True
+
+
+def test_membership_check_matches_definition(sparse18):
+    f4 = make_domain(2, 2)
+    groups = (sparse18, make_group(f4, 2, ((1, 2),), (3, 1)),
+              make_group(make_domain(5), 2, (), (4, 2)))
+    for group in groups:
+        raws = tuple(s.raw for s in group.domain.elements())
+        m = group.m
+        for flat in itertools.product(raws, repeat=m * m):
+            raw = tuple(flat[i * m:(i + 1) * m] for i in range(m))
+            try:
+                group._check_membership(raw)
+                accepted = True
+            except GroupError:
+                accepted = False
+            assert accepted == _member_by_definition(group, raw), raw
+    with pytest.raises(GroupError, match="diagonal entry 2 = 2 outside its "
+                                         "subgroup of order 2"):
+        group._check_membership(((1, 0), (0, 2)))
+    with pytest.raises(GroupError, match=r"entry \(2,1\) must be zero"):
+        group._check_membership(((1, 0), (3, 1)))

@@ -1,13 +1,17 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from eqsolve import (RConst, RProd, RingError, RSum, RVar,
-                     brute_force_ring_solve, decide_factor_ring,
+from eqsolve import (GuardExceeded, RConst, RNeg, RProd, RingError, RScale,
+                     RSum, RVar, brute_force_ring_solve, decide_factor_ring,
                      decide_ring_equation, entrywise_rewrite, enumerate_ideal,
                      eval_ring_expr, expr_variables, make_ring,
                      monomial_entry_polys, ring_elements, sigma_expand)
+from eqsolve import rings
 from eqsolve.rings import RingMonomial, sigma_var_index
 from conftest import random_ring_element, random_ring_expr
 
@@ -285,3 +289,206 @@ def test_nonzero_triple_product_found_by_search(ring_m2z4):
     assert found is not None
     a, b, c = found
     assert not ((a * b) * c).is_zero()
+
+
+# -- the table-driven oracle ---------------------------------------------------
+
+def _plain_oracle(ring, expr, rhs, ideal=None):
+    """(sat, witness, explored) by evaluating every assignment with
+    eval_ring_expr, in the oracle's scan order."""
+    names = expr_variables(expr)
+    carrier = []
+    covered = set()
+    for e in ring_elements(ring):
+        if ideal is None or e not in covered:
+            carrier.append(e)
+            if ideal is not None:
+                covered.update(e + i for i in ideal.elements)
+    explored = 0
+    for combo in itertools.product(carrier, repeat=len(names)):
+        explored += 1
+        assignment = dict(zip(names, combo))
+        value = eval_ring_expr(expr, assignment, ring)
+        if value == rhs if ideal is None else (value - rhs) in ideal:
+            return True, assignment, explored
+    return False, None, explored
+
+
+def _table_oracle(ring, expr, rhs, ideal=None):
+    """The oracle's table scan, whatever its cost rule would choose."""
+    names = expr_variables(expr)
+    carrier_size = ring.cardinality // (1 if ideal is None else len(ideal))
+    d = rings._table_scan(ring, expr, rhs, ideal, names,
+                          carrier_size ** len(names))
+    return d.sat, d.witness, d.stats.explored
+
+
+def _public_oracle(ring, expr, rhs, ideal=None):
+    d = brute_force_ring_solve(ring, expr, rhs, ideal=ideal)
+    return d.sat, d.witness, d.stats.explored
+
+
+def test_table_oracle_matches_plain_enumeration(ring_m2z2, ring_m2z4,
+                                                ring_m3z3):
+    rng = random.Random(20261018)
+    sweep = (ring_m2z2, ring_m2z4, ring_m3z3)
+    for idx in range(90):
+        ring = sweep[idx % 3]
+        expr = random_ring_expr(rng, ring)
+        rhs = random_ring_element(rng, ring)
+        expected = _plain_oracle(ring, expr, rhs)
+        assert _table_oracle(ring, expr, rhs) == expected, (ring, expr, rhs)
+        assert _public_oracle(ring, expr, rhs) == expected, (ring, expr, rhs)
+
+
+def test_table_oracle_matches_plain_enumeration_on_cosets(ring_m2z4,
+                                                          ring_m3z3):
+    rng = random.Random(1018)
+    ideals = (enumerate_ideal(ring_m2z4, [ring_m2z4.element([[0, 2], [0, 0]])]),
+              enumerate_ideal(ring_m2z4, [ring_m2z4.element([[0, 0], [2, 0]])]),
+              enumerate_ideal(ring_m3z3, [ring_m3z3.element(
+                  [[0, 1, 0], [0, 0, 0], [0, 0, 0]])]))
+    for idx in range(60):
+        ideal = ideals[idx % 3]
+        ring = ideal.ring
+        expr = random_ring_expr(rng, ring)
+        rhs = random_ring_element(rng, ring)
+        expected = _plain_oracle(ring, expr, rhs, ideal)
+        assert _table_oracle(ring, expr, rhs, ideal) == expected, expr
+        assert _public_oracle(ring, expr, rhs, ideal) == expected, expr
+
+
+def test_table_oracle_node_kinds(ring_m2z4):
+    c = ring_m2z4.element([[2, 3], [0, 2]])
+    d = ring_m2z4.element([[0, 1], [2, 0]])
+    exprs = (RScale(3, X * Y), RScale(-1, X), RScale(4, X + Y), RNeg(X * Y),
+             RNeg(RSum((X, RConst(c)))), RSum(()), RSum((X,)), RProd((c, Y)),
+             sigma_expand(X * Y + RScale(2, RConst(c) * X), ring_m2z4),
+             sigma_expand(X * Y - Y * X, ring_m2z4), "x",
+             RProd(("x", RConst(d), "y", "x")))
+    for expr in exprs:
+        for rhs in (ring_m2z4.zero(), c, d):
+            expected = _plain_oracle(ring_m2z4, expr, rhs)
+            assert _table_oracle(ring_m2z4, expr, rhs) == expected, expr
+            assert _public_oracle(ring_m2z4, expr, rhs) == expected, expr
+
+
+def test_table_oracle_every_target(ring_m3z3):
+    # factor order and coefficients, checked against every right-hand side
+    # in a noncommutative ring
+    e12 = ring_m3z3.element([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    exprs = (X * Y, RConst(e12) * X, X * RConst(e12),
+             sigma_expand(RScale(2, X * Y) + Y, ring_m3z3))
+    for expr in exprs:
+        for rhs in ring_elements(ring_m3z3):
+            expected = _plain_oracle(ring_m3z3, expr, rhs)
+            assert _table_oracle(ring_m3z3, expr, rhs) == expected, (expr, rhs)
+
+
+def test_table_oracle_without_variables(ring_m2z4):
+    c = ring_m2z4.element([[0, 3], [2, 2]])
+    expr = RSum((RConst(c), RProd((RConst(c), RConst(c)))))
+    value = eval_ring_expr(expr, {}, ring_m2z4)
+    assert value != c
+    assert _table_oracle(ring_m2z4, expr, value) == (True, {}, 1)
+    assert _table_oracle(ring_m2z4, expr, c) == (False, None, 1)
+    assert _public_oracle(ring_m2z4, expr, value) == (True, {}, 1)
+
+
+def test_table_oracle_rejects_foreign_constants(ring_m2z2, ring_m2z4):
+    foreign = ring_elements(ring_m2z2)[1]
+    for expr in (X * RConst(foreign) * Y, RSum((X, foreign)), RConst(foreign),
+                 sigma_expand(X, ring_m2z2)):
+        with pytest.raises(RingError):
+            _table_oracle(ring_m2z4, expr, ring_m2z4.zero())
+    with pytest.raises(RingError):
+        brute_force_ring_solve(ring_m2z4, X * RConst(foreign) * Y)
+    with pytest.raises(RingError):
+        brute_force_ring_solve(ring_m2z4, X * Y, foreign)
+    with pytest.raises(RingError):
+        brute_force_ring_solve(ring_m2z4, sigma_expand(X + Y, ring_m2z2))
+
+
+def test_table_oracle_guard(ring_m2z4):
+    with pytest.raises(GuardExceeded):
+        brute_force_ring_solve(ring_m2z4, X * Y, guard=32 * 32 - 1)
+    m3z4 = make_ring(2, 2, 3)
+    with pytest.raises(GuardExceeded):
+        brute_force_ring_solve(m3z4, X * Y * RVar("z"))
+
+
+def _table_calls():
+    info = rings._ring_tables.cache_info()
+    return info.hits + info.misses
+
+
+def test_table_limit_keeps_large_rings_per_assignment(monkeypatch):
+    m3z4 = make_ring(2, 2, 3)
+    assert m3z4.cardinality > rings._TABLE_LIMIT
+    # make tables look cheap, so that only the size limit keeps them out
+    monkeypatch.setattr(rings, "_eval_ops", lambda expr: 10 ** 12)
+    c = m3z4.element([[2, 1, 0], [0, 0, 3], [0, 0, 2]])
+    target = m3z4.element([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    before = _table_calls()
+    decision = brute_force_ring_solve(m3z4, X * RConst(c), target)
+    assert _table_calls() == before
+    assert decision.sat == any(x * c == target for x in ring_elements(m3z4))
+
+
+def test_table_cost_rule(ring_m2z4):
+    # one bare variable: 32 evaluations cost less than a 32 x 32 table
+    before = _table_calls()
+    assert brute_force_ring_solve(ring_m2z4, X).sat
+    assert _table_calls() == before
+    brute_force_ring_solve(ring_m2z4, X * Y)
+    assert _table_calls() > before
+
+
+def test_ring_oracle_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, %r); "
+             "from eqsolve import RVar, brute_force_ring_solve, make_ring; "
+             "d = brute_force_ring_solve(make_ring(2, 2, 2), "
+             "RVar('x') * RVar('y') + RVar('x')); "
+             "print(d.stats.explored, 'numpy' in sys.modules)" % str(src))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split()[1] == "False"
+
+
+def test_factor_ring_expands_once(monkeypatch, ring_m3z3):
+    ideal = enumerate_ideal(ring_m3z3, [ring_m3z3.element(
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]])])
+    assert len(ideal) == 9
+    calls = []
+    expand = rings.sigma_expand
+
+    def counting(expr, ring):
+        calls.append(expr)
+        return expand(expr, ring)
+
+    rng = random.Random(73)
+    for _ in range(20):
+        expr = random_ring_expr(rng, ring_m3z3) - RConst(
+            random_ring_element(rng, ring_m3z3))
+        # the old path: one full decision per ideal element
+        explored = prunes = 0
+        expected = None
+        for a in ideal.elements:
+            d = decide_ring_equation(ring_m3z3, expr, a)
+            explored += d.stats.explored
+            prunes += d.stats.prunes
+            if d.sat:
+                expected = (a, d.witness)
+                break
+        monkeypatch.setattr(rings, "sigma_expand", counting)
+        calls.clear()
+        decision = decide_factor_ring(ring_m3z3, ideal, expr)
+        monkeypatch.setattr(rings, "sigma_expand", expand)
+        assert len(calls) == 1
+        assert (decision.stats.explored, decision.stats.prunes) == \
+            (explored, prunes)
+        if expected is None:
+            assert not decision.sat
+        else:
+            assert (decision.ideal_element, decision.witness) == expected
