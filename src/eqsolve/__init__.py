@@ -9,8 +9,7 @@ from .groups import (GroupElement, GroupError, PatternError, SemipatternGroup,
                      exponent_bound, full_pattern, invert_word, make_group,
                      multiply, unitriangular_group, word_variables,
                      words_agree_everywhere)
-from .poly import (FIELD, RING, SUBGROUP, PolyError, Polynomial, Variable,
-                   eval_expr, normalize)
+from .poly import FIELD, RING, SUBGROUP, PolyError, Polynomial, Variable
 from .reduction import (ReducedSystem, SymbolicLetter, SymbolicMatrix,
                         build_system, decide_equation, decide_equivalence,
                         entry_monomial_count, separating_substitution,

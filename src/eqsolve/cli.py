@@ -12,12 +12,11 @@ import random
 import sys
 import time
 
-from .domains import DomainError, make_domain
+from .domains import DomainError
 from .groups import (GroupError, brute_force_solve, evaluate_word,
-                     full_pattern, make_group, word_variables)
+                     word_variables)
 from .poly import PolyError
-from .problemfile import (ParseError, ProblemFile, _as_int, _as_list,
-                          _factor_prime_power, _split_sections,
+from .problemfile import (ParseError, ProblemFile, parse_bench_config,
                           parse_problem_file)
 from .reduction import build_system, decide_equation, separating_substitution
 from .rings import (RNeg, RingError, RSum, brute_force_ring_solve,
@@ -148,53 +147,6 @@ BENCH_HEADER = ("family", "m", "q", "n", "variables", "rep",
                 "sym_size_total", "sym_size_top", "reduce_ms", "solve_ms",
                 "verdict", "explored", "prunes", "oracle_ms",
                 "oracle_verdict", "agree")
-
-_FAMILY_KEYS = {"name", "q", "m", "pattern", "orders", "lengths",
-                "variables", "reps"}
-
-
-def parse_bench_config(text: str):
-    """Bench config: repeatable [family] sections describing instance grids."""
-    families = []
-    for name, header_line, entries in _split_sections(text):
-        if name != "family":
-            raise ParseError("unknown section [%s] in bench config" % name,
-                             header_line)
-        table = {}
-        for lineno, key, value in entries:
-            if key not in _FAMILY_KEYS:
-                raise ParseError("unknown key %r" % key, lineno)
-            table[key] = (lineno, value)
-        def need(key):
-            if key not in table:
-                raise ParseError("missing key %r in [family]" % key,
-                                 header_line)
-            return table[key]
-        lineno, value = need("q")
-        p, k = _factor_prime_power(_as_int(value, lineno), lineno)
-        domain = make_domain(p, k, "field")
-        lineno, value = need("m")
-        m = _as_int(value, lineno)
-        lineno, value = need("pattern")
-        pattern = (full_pattern(m) if value.strip() == "full"
-                   else tuple((int(i), int(j))
-                              for i, j in _as_list(value, lineno)))
-        lineno, value = need("orders")
-        orders = _as_list(value, lineno)
-        group = make_group(domain, m, pattern, orders)
-        lineno, value = need("lengths")
-        lengths = tuple(int(n) for n in _as_list(value, lineno))
-        lineno, value = need("variables")
-        variables = _as_int(value, lineno)
-        reps = 1
-        if "reps" in table:
-            reps = _as_int(*reversed(table["reps"]))
-        label = table["name"][1] if "name" in table else "family%d" % (
-            len(families) + 1)
-        families.append((label, group, lengths, variables, reps))
-    if not families:
-        raise ParseError("bench config has no [family] sections")
-    return families
 
 
 def _bench_word(group, n, nvars, rng):

@@ -11,7 +11,7 @@ one), which is the measure the rewriting size bounds are stated in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .domains import Scalar
 
@@ -24,23 +24,58 @@ class PolyError(ValueError):
     """Malformed polynomial expression or evaluation request."""
 
 
-@dataclass(frozen=True)
 class Variable:
-    """A sorted variable; subgroup-valued variables carry their row index."""
+    """A sorted variable; subgroup-valued variables carry their row index.
 
-    name: str
-    sort: str = FIELD
-    row: int = None
+    Immutable and equal by (name, sort, row).  Factor tuples of variables are
+    dict keys on every polynomial operation, so the hash is computed once and
+    equality tests identity first; the slot constructors of the reductions
+    return one shared object per slot, which makes equal factor tuples
+    compare element by element without calling __eq__.
+    """
+
+    __slots__ = ("name", "sort", "row", "_hash")
+
+    def __init__(self, name: str, sort: str = FIELD, row: int = None):
+        setattr_ = object.__setattr__
+        setattr_(self, "name", name)
+        setattr_(self, "sort", sort)
+        setattr_(self, "row", row)
+        setattr_(self, "_hash", hash((name, sort, row)))
+
+    def __setattr__(self, attr, value):
+        raise AttributeError("cannot assign to field %r of Variable" % attr)
+
+    def __delattr__(self, attr):
+        raise AttributeError("cannot delete field %r of Variable" % attr)
+
+    def __reduce__(self):
+        return Variable, (self.name, self.sort, self.row)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Variable):
+            return NotImplemented
+        return ((self.name, self.sort, self.row)
+                == (other.name, other.sort, other.row))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return self.name
 
 
+_by_name = attrgetter("name")
+
+
 def _canon_factors(factors):
     factors = tuple(factors)
-    if any(v.sort == RING for v in factors):
-        return factors
-    return tuple(sorted(factors, key=lambda v: v.name))
+    for v in factors:
+        if v.sort == RING:
+            return factors
+    return tuple(sorted(factors, key=_by_name))
 
 
 def _term_key(factors):
@@ -261,123 +296,3 @@ class Polynomial:
             else:
                 parts.append("*".join([str(coeff)] + names))
         return " + ".join(parts)
-
-
-# -- raw expression trees ----------------------------------------------------
-#
-# The raw form feeds normalize(); keeping it separate from Polynomial gives an
-# evaluation path that is independent of the normal-form arithmetic, which the
-# tests lean on.
-
-class Expr:
-    def __add__(self, other):
-        return EAdd((self, _as_expr(other)))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return EMul((self, _as_expr(other)))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return EAdd((self, ENeg(_as_expr(other))))
-
-    def __neg__(self):
-        return ENeg(self)
-
-
-@dataclass(frozen=True)
-class EConst(Expr):
-    value: Scalar
-
-
-@dataclass(frozen=True)
-class EVar(Expr):
-    var: Variable
-
-
-@dataclass(frozen=True)
-class EAdd(Expr):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class EMul(Expr):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class ENeg(Expr):
-    part: Expr
-
-
-def _as_expr(obj):
-    if isinstance(obj, Expr):
-        return obj
-    if isinstance(obj, Scalar):
-        return EConst(obj)
-    if isinstance(obj, Variable):
-        return EVar(obj)
-    raise PolyError("cannot use %r in a polynomial expression" % (obj,))
-
-
-def normalize(expr, domain) -> Polynomial:
-    """Rewrite a raw expression into sum-of-monomials normal form."""
-    if isinstance(expr, Polynomial):
-        if expr.domain != domain:
-            raise PolyError("mixed domains in expression")
-        return expr
-    if isinstance(expr, Scalar):
-        if expr.domain != domain:
-            raise PolyError("mixed domains in expression")
-        return Polynomial.constant(expr)
-    if isinstance(expr, Variable):
-        return Polynomial.variable(domain, expr)
-    if isinstance(expr, EConst):
-        return normalize(expr.value, domain)
-    if isinstance(expr, EVar):
-        return normalize(expr.var, domain)
-    if isinstance(expr, ENeg):
-        return -normalize(expr.part, domain)
-    if isinstance(expr, EAdd):
-        total = Polynomial.zero(domain)
-        for part in expr.parts:
-            total = total + normalize(part, domain)
-        return total
-    if isinstance(expr, EMul):
-        total = Polynomial.constant(domain.one())
-        for part in expr.parts:
-            total = total * normalize(part, domain)
-        return total
-    raise PolyError("not a polynomial expression: %r" % (expr,))
-
-
-def eval_expr(expr, assignment, domain) -> Scalar:
-    """Evaluate a raw expression tree directly, without normalizing."""
-    if isinstance(expr, Polynomial):
-        return expr.evaluate(assignment)
-    if isinstance(expr, Scalar):
-        return expr
-    if isinstance(expr, Variable):
-        try:
-            return assignment[expr]
-        except KeyError:
-            raise PolyError("no value for variable %s" % expr.name) from None
-    if isinstance(expr, EConst):
-        return expr.value
-    if isinstance(expr, EVar):
-        return eval_expr(expr.var, assignment, domain)
-    if isinstance(expr, ENeg):
-        return -eval_expr(expr.part, assignment, domain)
-    if isinstance(expr, EAdd):
-        total = domain.zero()
-        for part in expr.parts:
-            total = total + eval_expr(part, assignment, domain)
-        return total
-    if isinstance(expr, EMul):
-        total = domain.one()
-        for part in expr.parts:
-            total = total * eval_expr(part, assignment, domain)
-        return total
-    raise PolyError("not a polynomial expression: %r" % (expr,))

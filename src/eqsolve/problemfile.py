@@ -5,7 +5,8 @@ The format is deliberately plain so files stay diffable and trivially
 parseable: bracketed section headers, one `key = value` per line, `#`
 comments, lists in JSON syntax, matrices as row-major residue lists, words as
 whitespace-separated letters.  Unknown sections or keys are rejected, and
-every referenced constant is membership-validated on load.
+every referenced constant is membership-validated on load.  The bench
+configs of `eqsolve bench` use the same section syntax.
 """
 
 from __future__ import annotations
@@ -385,3 +386,53 @@ def render_problem(pf: ProblemFile) -> str:
     lines.append("lhs = %s" % " ".join(pf.lhs_tokens))
     lines.append("rhs = %s" % " ".join(pf.rhs_tokens))
     return "\n".join(lines) + "\n"
+
+
+# -- bench configs -----------------------------------------------------------
+
+_FAMILY_KEYS = {"name", "q", "m", "pattern", "orders", "lengths",
+                "variables", "reps"}
+
+
+def parse_bench_config(text: str):
+    """Bench config: repeatable [family] sections describing instance grids."""
+    families = []
+    for name, header_line, entries in _split_sections(text):
+        if name != "family":
+            raise ParseError("unknown section [%s] in bench config" % name,
+                             header_line)
+        table = {}
+        for lineno, key, value in entries:
+            if key not in _FAMILY_KEYS:
+                raise ParseError("unknown key %r" % key, lineno)
+            table[key] = (lineno, value)
+        def need(key):
+            if key not in table:
+                raise ParseError("missing key %r in [family]" % key,
+                                 header_line)
+            return table[key]
+        lineno, value = need("q")
+        p, k = _factor_prime_power(_as_int(value, lineno), lineno)
+        domain = make_domain(p, k, "field")
+        lineno, value = need("m")
+        m = _as_int(value, lineno)
+        lineno, value = need("pattern")
+        pattern = (full_pattern(m) if value.strip() == "full"
+                   else tuple((int(i), int(j))
+                              for i, j in _as_list(value, lineno)))
+        lineno, value = need("orders")
+        orders = _as_list(value, lineno)
+        group = make_group(domain, m, pattern, orders)
+        lineno, value = need("lengths")
+        lengths = tuple(int(n) for n in _as_list(value, lineno))
+        lineno, value = need("variables")
+        variables = _as_int(value, lineno)
+        reps = 1
+        if "reps" in table:
+            reps = _as_int(*reversed(table["reps"]))
+        label = table["name"][1] if "name" in table else "family%d" % (
+            len(families) + 1)
+        families.append((label, group, lengths, variables, reps))
+    if not families:
+        raise ParseError("bench config has no [family] sections")
+    return families

@@ -33,18 +33,22 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .domains import Scalar
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
                      evaluate_word, word_variables)
-from .poly import FIELD, SUBGROUP, Polynomial, Variable
+from .poly import (FIELD, SUBGROUP, Polynomial, Variable, _canon_factors,
+                   _term_key)
 from .solver import Constraint, Decision, PolySystem, SolveRequest, solve
 
 
+@lru_cache(maxsize=None)
 def x_variable(i: int, j: int, k: int) -> Variable:
     return Variable("x[%d][%d][%d]" % (i, j, k), FIELD)
 
 
+@lru_cache(maxsize=None)
 def y_variable(i: int, k: int) -> Variable:
     return Variable("y[%d][%d]" % (i, k), SUBGROUP, row=i)
 
@@ -130,32 +134,59 @@ def symbolic_product(group: SemipatternGroup, letters) -> SymbolicMatrix:
 
     The empty product is the symbolic identity.  Constants are folded into
     monomial coefficients as the product is formed, and entries at positions
-    forced to zero by the pattern stay structurally zero.
+    forced to zero by the pattern stay structurally zero.  While the letters
+    are multiplied each entry is a {factor tuple: raw coefficient} dict with
+    no zero coefficients; it is sorted into a Polynomial once, at the end.
     """
     m = group.m
     dom = group.domain
-    zero = Polynomial.zero(dom)
-    one = Polynomial.constant(dom.one())
-    grid = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    rzero, radd, rmul = dom.rzero, dom.radd, dom.rmul
+    grid = [[{(): dom.rone} if i == j else {} for j in range(m)]
+            for i in range(m)]
     for letter in letters:
-        new = [[zero] * m for _ in range(m)]
+        slots = letter.slots
+        new = [[{} for _ in range(m)] for _ in range(m)]
         for i in range(m):
+            row = grid[i]
             for j in range(i, m):
-                acc = zero
+                acc = new[i][j]
                 for l in range(i, j + 1):
-                    left = grid[i][l]
-                    if left.is_zero():
+                    left = row[l]
+                    if not left:
                         continue
-                    slot = letter.slot(l + 1, j + 1)
+                    slot = slots.get((l + 1, j + 1))
                     if slot is None:
                         continue
                     if isinstance(slot, Variable):
-                        acc = acc + left.times_variable(slot)
+                        terms = [(_canon_factors(f + (slot,)), c)
+                                 for f, c in left.items()]
                     else:
-                        acc = acc + left.times_scalar(slot)
-                new[i][j] = acc
+                        s = slot.raw
+                        if s == rzero:
+                            continue
+                        # over a field, nonzero times nonzero stays nonzero
+                        terms = [(f, rmul(c, s)) for f, c in left.items()]
+                    if not acc:
+                        # distinct keys of left stay distinct: nothing to merge
+                        acc.update(terms)
+                        continue
+                    for factors, c in terms:
+                        prev = acc.get(factors)
+                        if prev is None:
+                            acc[factors] = c
+                        else:
+                            c = radd(prev, c)
+                            if c == rzero:
+                                del acc[factors]
+                            else:
+                                acc[factors] = c
         grid = new
-    return SymbolicMatrix(group, len(letters), tuple(tuple(r) for r in grid))
+    zero = Polynomial.zero(dom)
+    return SymbolicMatrix(group, len(letters), tuple(
+        tuple(Polynomial._raw(dom, tuple(sorted(
+            grid[i][j].items(), key=lambda t: _term_key(t[0]))))
+              if j >= i else zero for j in range(m))
+        for i in range(m)))
 
 
 def entry_monomial_count(n: int, i: int, j: int) -> int:
@@ -242,13 +273,11 @@ def build_system(group: SemipatternGroup, lhs, rhs) -> ReducedSystem:
     domains = {}
     field_elements = tuple(group.domain.elements())
     for c in constraints:
-        for v in c.poly.variables():
-            if v in domains:
-                continue
-            if v.sort == SUBGROUP:
-                domains[v] = group.subgroups[v.row - 1].elements
-            else:
-                domains[v] = field_elements
+        for factors, _ in c.poly._terms:
+            for v in factors:
+                if v not in domains:
+                    domains[v] = (group.subgroups[v.row - 1].elements
+                                  if v.sort == SUBGROUP else field_elements)
     system = PolySystem(group.domain, tuple(constraints), domains)
     return ReducedSystem(group, lhs, rhs, names, system, lhs_matrix, rhs_matrix)
 

@@ -285,7 +285,10 @@ def _letter_value(ring, letter, assignment):
         if not isinstance(value, RingElement) or value.ring != ring:
             raise RingError("value for %r is not an element of %s" % (letter, ring))
         return value
-    return letter
+    if isinstance(letter, RingElement) and (letter.ring is ring
+                                            or letter.ring == ring):
+        return letter
+    raise RingError("constant from a different ring")
 
 
 def _normalize_monomials(ring, raw):
@@ -361,6 +364,8 @@ def _expand(expr, ring):
 def eval_ring_expr(expr, assignment, ring) -> RingElement:
     """Evaluate an expression tree directly, without expanding it."""
     if isinstance(expr, SigmaForm):
+        if expr.ring is not ring and expr.ring != ring:
+            raise RingError("expression over a different ring")
         return expr.evaluate(assignment)
     if isinstance(expr, (RingElement, str)):
         return _letter_value(ring, expr, assignment)

@@ -34,10 +34,12 @@ IDEAL_GUARD = 10 ** 7
 _TABLE_LIMIT = 256  # largest ring for which the oracle builds +/* tables
 
 
+@lru_cache(maxsize=None)
 def s_variable(i: int, j: int, k: int) -> Variable:
     return Variable("s[%d][%d][%d]" % (i, j, k), FIELD)
 
 
+@lru_cache(maxsize=None)
 def a_variable(i: int, j: int, k: int) -> Variable:
     return Variable("a[%d][%d][%d]" % (i, j, k), FIELD)
 

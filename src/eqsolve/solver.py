@@ -47,23 +47,34 @@ class Constraint:
 
 @dataclass
 class PolySystem:
-    """Constraints plus a per-variable domain map over one scalar domain."""
+    """Constraints plus a per-variable domain map over one scalar domain.
+
+    Construction validates the system and counts, in the same walk over the
+    terms, how often each variable occurs (the solver's variable order).
+    """
 
     domain: object
     constraints: tuple
     domains: dict
+    _occurrences: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
+        occurrences = dict.fromkeys(self.domains, 0)
         for c in self.constraints:
             if c.poly.domain != self.domain or c.target.domain != self.domain:
                 raise SolverError("constraint domain differs from system domain")
-            for v in c.poly.variables():
-                if v not in self.domains:
-                    raise SolverError("variable %s has no domain entry" % v.name)
+            for factors, _ in c.poly._terms:
+                for v in factors:
+                    count = occurrences.get(v)
+                    if count is None:
+                        raise SolverError("variable %s has no domain entry"
+                                          % v.name)
+                    occurrences[v] = count + 1
         for v, values in self.domains.items():
             if not values:
                 raise SolverError("variable %s has an empty domain" % v.name)
+        self._occurrences = occurrences
 
     def variables(self):
         return tuple(self.domains)
@@ -105,11 +116,7 @@ class SolveRequest:
 
 def _ordered_variables(system: PolySystem):
     """Descending total occurrence count, ties by variable name."""
-    occurrences = {v: 0 for v in system.domains}
-    for c in system.constraints:
-        for factors, _ in c.poly._terms:
-            for v in factors:
-                occurrences[v] += 1
+    occurrences = system._occurrences
     return sorted(system.domains, key=lambda v: (-occurrences[v], v.name))
 
 

@@ -1,10 +1,13 @@
+import pickle
 import random
 
 import pytest
 
-from eqsolve import (RING, SUBGROUP, PolyError, Polynomial, Variable,
-                     eval_expr, make_domain, normalize)
-from eqsolve.poly import EAdd, EConst, EMul, EVar
+from eqsolve import (FIELD, RING, SUBGROUP, PolyError, Polynomial, Variable,
+                     make_domain)
+from eqsolve.reduction import x_variable, y_variable
+from eqsolve.rings import a_variable, s_variable
+from polyexpr import EAdd, EConst, EMul, EVar, eval_expr, normalize
 
 F3 = make_domain(3)
 X = Variable("x")
@@ -161,3 +164,47 @@ def test_variables_and_degree():
     assert {v.name for v in f.variables()} == {"x", "y"}
     assert f.degree() == 2
     assert f.monomial_count() == 2
+
+
+def test_variable_equality_and_hash():
+    a = Variable("v", SUBGROUP, row=2)
+    b = Variable("v", sort=SUBGROUP, row=2)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != Variable("v", FIELD, row=2)
+    assert a != Variable("v", SUBGROUP, row=3)
+    assert Variable("x") == Variable("x", FIELD, None) == X
+    assert a != "v"
+    assert repr(a) == "v" and (a.name, a.sort, a.row) == ("v", SUBGROUP, 2)
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_variable_is_immutable():
+    with pytest.raises(AttributeError):
+        X.name = "w"
+    with pytest.raises(AttributeError):
+        X.row = 1
+    with pytest.raises(AttributeError):
+        del X.sort
+    assert X.name == "x" and X.row is None
+
+
+def test_slot_variables_are_shared_objects():
+    assert x_variable(1, 2, 3) is x_variable(1, 2, 3)
+    assert y_variable(2, 5) is y_variable(2, 5)
+    assert s_variable(1, 2, 1) is s_variable(1, 2, 1)
+    assert a_variable(2, 1, 4) is a_variable(2, 1, 4)
+    assert x_variable(1, 2, 3) == Variable("x[1][2][3]")
+    assert y_variable(2, 5) == Variable("y[2][5]", SUBGROUP, row=2)
+    assert y_variable(2, 5) != Variable("y[2][5]")
+
+
+def test_variables_mix_as_dict_keys():
+    slot = x_variable(1, 3, 2)
+    table = {X: 1, slot: 2}
+    assert table[Variable("x")] == 1
+    assert table[Variable("x[1][3][2]", FIELD)] == 2
+    made = Polynomial.variable(F3, Variable("x[1][3][2]"))
+    assert made + Polynomial.variable(F3, slot) == poly(F3, (2, (slot,)))
+    assert (made * X).evaluate({slot: F3.scalar(2), Variable("x"): F3.one()}) \
+        == F3.scalar(2)

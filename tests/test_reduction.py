@@ -10,8 +10,9 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      make_domain, make_group, solve, SolveRequest,
                      separating_substitution, symbolic_letters,
                      symbolic_product, unitriangular_group, word_variables,
-                     words_agree_everywhere)
-from eqsolve.reduction import entry_monomial_count, x_variable, y_variable
+                     Variable, words_agree_everywhere)
+from eqsolve.reduction import (SymbolicLetter, entry_monomial_count,
+                               x_variable, y_variable)
 from conftest import (random_assignment, random_group_element, random_word)
 
 _SLOT = re.compile(r"^([xy])\[(\d+)\](?:\[(\d+)\])?\[(\d+)\]$")
@@ -63,6 +64,55 @@ def test_single_variable_letter_gives_slots(order54):
         else:
             assert poly == Polynomial.variable(order54.domain,
                                                x_variable(i, j, 1))
+
+
+def _fold_product(group, letters):
+    """Reference for symbolic_product: the letter-by-letter fold with
+    Polynomial +, times_variable and times_scalar, every addition merged,
+    zero-filtered and sorted."""
+    m = group.m
+    zero = Polynomial.zero(group.domain)
+    one = Polynomial.constant(group.domain.one())
+    grid = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    for letter in letters:
+        new = [[zero] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                acc = zero
+                for l in range(i, j + 1):
+                    slot = letter.slot(l + 1, j + 1)
+                    if isinstance(slot, Variable):
+                        acc = acc + grid[i][l].times_variable(slot)
+                    elif slot is not None:
+                        acc = acc + grid[i][l].times_scalar(slot)
+                new[i][j] = acc
+        grid = new
+    return grid
+
+
+def test_symbolic_product_matches_per_addition_fold(group_family):
+    gf4 = make_group(make_domain(2, 2), 3, ((1, 2), (1, 3)), (3, 3, 1))
+    rng = random.Random(7321)
+    for group in group_family + (gf4,):
+        words = [()]
+        words += [random_word(rng, group, max_len=5, const_prob=1.0)
+                  for _ in range(5)]
+        words += [random_word(rng, group, max_len=9, max_vars=3)
+                  for _ in range(40)]
+        # a hand-built letter may hold zero constants, unlike a group element
+        zeros = {(i, j): group.domain.zero() for (i, j) in group.pattern}
+        zeros.update(((i, i), group.domain.one())
+                     for i in range(1, group.m + 1))
+        for word in words:
+            letters = symbolic_letters(group, word, index_of(word))
+            if len(word) % 3 == 1:
+                letters.insert(len(word) // 2, SymbolicLetter(group.m, zeros))
+            matrix = symbolic_product(group, letters)
+            reference = _fold_product(group, letters)
+            for i in range(group.m):
+                for j in range(group.m):
+                    assert matrix.grid[i][j]._terms == \
+                        reference[i][j]._terms, (group, word, i, j)
 
 
 def test_entry_monomial_count_values():

@@ -409,6 +409,28 @@ def test_table_oracle_rejects_foreign_constants(ring_m2z2, ring_m2z4):
         brute_force_ring_solve(ring_m2z4, sigma_expand(X + Y, ring_m2z2))
 
 
+def test_foreign_constants_rejected_on_every_path(ring_m2z2, ring_m2z4):
+    # nothing adds or multiplies these constants, so no ring operation
+    # notices that they belong to M(2, Z2)
+    foreign = RConst(ring_elements(ring_m2z2)[1])
+    ideal = enumerate_ideal(ring_m2z4, [ring_m2z4.element([[0, 2], [0, 0]])])
+    exprs = (foreign, RNeg(foreign), RScale(3, foreign), RProd((foreign,)),
+             sigma_expand(foreign, ring_m2z2),
+             sigma_expand(X * Y, ring_m2z2))  # truncated to the zero form
+    for expr in exprs:
+        with pytest.raises(RingError):
+            eval_ring_expr(expr, {}, ring_m2z4)
+        for coset in (None, ideal):
+            with pytest.raises(RingError):
+                _table_oracle(ring_m2z4, expr, ring_m2z4.zero(), coset)
+            # one evaluation is cheaper than the tables: the per-assignment
+            # path runs
+            before = _table_calls()
+            with pytest.raises(RingError):
+                brute_force_ring_solve(ring_m2z4, expr, ideal=coset)
+            assert _table_calls() == before
+
+
 def test_table_oracle_guard(ring_m2z4):
     with pytest.raises(GuardExceeded):
         brute_force_ring_solve(ring_m2z4, X * Y, guard=32 * 32 - 1)
