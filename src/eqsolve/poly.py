@@ -7,6 +7,9 @@ commute and their factor order is preserved.  The length measure ``length()``
 counts one symbol per variable occurrence plus one per coefficient;
 ``product_length()`` counts factor symbols only (a bare constant counts as
 one), which is the measure the rewriting size bounds are stated in.
+
+slot_grid_product is the one matrix product both reductions use: group words
+and ring monomials are products of letters given as matrices of slots.
 """
 
 from __future__ import annotations
@@ -82,6 +85,29 @@ def _term_key(factors):
     return (-len(factors), tuple(v.name for v in factors))
 
 
+def _sort_terms(terms):
+    """Canonical order of (factor tuple, raw coefficient) terms."""
+    return tuple(sorted(terms, key=lambda t: _term_key(t[0])))
+
+
+def _merge(acc, terms, radd, rzero):
+    """Add terms with distinct factor tuples into the raw dict acc, deleting
+    sums that cancel."""
+    if not acc:
+        acc.update(terms)
+        return
+    for factors, c in terms:
+        prev = acc.get(factors)
+        if prev is None:
+            acc[factors] = c
+        else:
+            c = radd(prev, c)
+            if c == rzero:
+                del acc[factors]
+            else:
+                acc[factors] = c
+
+
 class Polynomial:
     """Immutable polynomial; arithmetic keeps the normal form invariant."""
 
@@ -94,9 +120,8 @@ class Polynomial:
             acc = coeffs.get(factors)
             coeffs[factors] = domain.radd(acc, raw) if acc is not None else raw
         self.domain = domain
-        self._terms = tuple(sorted(
-            ((f, c) for f, c in coeffs.items() if c != domain.rzero),
-            key=lambda t: _term_key(t[0])))
+        self._terms = _sort_terms(
+            (f, c) for f, c in coeffs.items() if c != domain.rzero)
 
     @classmethod
     def _raw(cls, domain, terms):
@@ -177,14 +202,10 @@ class Polynomial:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        coeffs = dict(self._terms)
         dom = self.domain
-        for factors, raw in other._terms:
-            acc = coeffs.get(factors)
-            coeffs[factors] = dom.radd(acc, raw) if acc is not None else raw
-        return Polynomial._raw(dom, tuple(sorted(
-            ((f, c) for f, c in coeffs.items() if c != dom.rzero),
-            key=lambda t: _term_key(t[0]))))
+        coeffs = dict(self._terms)
+        _merge(coeffs, other._terms, dom.radd, dom.rzero)
+        return Polynomial._raw(dom, _sort_terms(coeffs.items()))
 
     __radd__ = __add__
 
@@ -214,14 +235,9 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         dom = self.domain
-        coeffs = {}
-        for f1, c1 in self._terms:
-            for f2, c2 in other._terms:
-                factors = _canon_factors(f1 + f2)
-                raw = dom.rmul(c1, c2)
-                acc = coeffs.get(factors)
-                coeffs[factors] = dom.radd(acc, raw) if acc is not None else raw
-        return Polynomial(dom, coeffs.items())
+        return Polynomial(dom, ((f1 + f2, dom.rmul(c1, c2))
+                                for f1, c1 in self._terms
+                                for f2, c2 in other._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Variable)):
@@ -229,17 +245,16 @@ class Polynomial:
         return NotImplemented
 
     def times_scalar(self, s: Scalar) -> "Polynomial":
-        s = self.domain.scalar(s)
-        if s.raw == self.domain.rzero:
-            return Polynomial.zero(self.domain)
         dom = self.domain
+        s = dom.scalar(s).raw
+        # over Z_{p^a} a product of nonzeros can be zero
+        terms = ((f, dom.rmul(c, s)) for f, c in self._terms)
         return Polynomial._raw(
-            dom, tuple((f, dom.rmul(c, s.raw)) for f, c in self._terms))
+            dom, tuple(t for t in terms if t[1] != dom.rzero))
 
     def times_variable(self, var: Variable) -> "Polynomial":
-        dom = self.domain
-        terms = tuple((_canon_factors(f + (var,)), c) for f, c in self._terms)
-        return Polynomial._raw(dom, tuple(sorted(terms, key=lambda t: _term_key(t[0]))))
+        return Polynomial._raw(self.domain, _sort_terms(
+            (_canon_factors(f + (var,)), c) for f, c in self._terms))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -296,3 +311,58 @@ class Polynomial:
             else:
                 parts.append("*".join([str(coeff)] + names))
         return " + ".join(parts)
+
+
+# -- slot-grid products ------------------------------------------------------
+
+def scalar_grid(dom, m: int, raw) -> list:
+    """raw * I as an m x m grid of raw {factor tuple: coefficient} dicts."""
+    entry = {(): raw} if raw != dom.rzero else {}
+    return [[dict(entry) if i == j else {} for j in range(m)]
+            for i in range(m)]
+
+
+def slot_grid_product(dom, grid, letters) -> list:
+    """Multiply a raw grid (left unchanged) by letters, left to right.
+
+    Each letter is one list per row of (column, raw coefficient, Variable or
+    None) slots, 0-based, with no zero coefficient.  Entries stay raw dicts
+    with no zero coefficient; grid_polynomials sorts them once, at the end.
+    """
+    rzero, rone, radd, rmul = dom.rzero, dom.rone, dom.radd, dom.rmul
+    # over a field, nonzero times nonzero stays nonzero
+    zero_divisors = dom.kind != "field"
+    for letter in letters:
+        new = []
+        for row in grid:
+            out = [{} for _ in row]
+            for left, slots in zip(row, letter):
+                if not left:
+                    continue
+                for j, coeff, var in slots:
+                    terms = left.items()
+                    if var is not None:
+                        # distinct keys of left stay distinct
+                        terms = [(_canon_factors(f + (var,)), c)
+                                 for f, c in terms]
+                    if coeff != rone:
+                        terms = [(f, rmul(c, coeff)) for f, c in terms]
+                        if zero_divisors:
+                            terms = [t for t in terms if t[1] != rzero]
+                    _merge(out[j], terms, radd, rzero)
+            new.append(out)
+        grid = new
+    return grid
+
+
+def merge_grid(dom, total, grid) -> None:
+    """Add a raw grid into the raw grid total, entry by entry."""
+    for acc_row, row in zip(total, grid):
+        for acc, entry in zip(acc_row, row):
+            _merge(acc, entry.items(), dom.radd, dom.rzero)
+
+
+def grid_polynomials(dom, grid) -> tuple:
+    """Sort each raw entry of a grid into a Polynomial."""
+    return tuple(tuple(Polynomial._raw(dom, _sort_terms(entry.items()))
+                       for entry in row) for row in grid)

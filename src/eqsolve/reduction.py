@@ -38,8 +38,8 @@ from functools import lru_cache
 from .domains import Scalar
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
                      evaluate_word, word_variables)
-from .poly import (FIELD, SUBGROUP, Polynomial, Variable, _canon_factors,
-                   _term_key)
+from .poly import (FIELD, SUBGROUP, Polynomial, Variable, grid_polynomials,
+                   scalar_grid, slot_grid_product)
 from .solver import Constraint, Decision, PolySystem, SolveRequest, solve
 
 
@@ -91,7 +91,6 @@ class SymbolicMatrix:
     """Entry polynomials of a symbolic letter product; zero below the diagonal."""
 
     group: SemipatternGroup
-    nletters: int
     grid: tuple  # m x m tuple of Polynomial
 
     def entry(self, i: int, j: int) -> Polynomial:
@@ -129,64 +128,28 @@ def symbolic_letters(group: SemipatternGroup, word, var_index):
     return letters
 
 
+def _slot_rows(dom, letter: SymbolicLetter):
+    """A letter's slots per row, as slot_grid_product takes them."""
+    rows = [[] for _ in range(letter.m)]
+    for (i, j), slot in letter.slots.items():
+        if isinstance(slot, Variable):
+            rows[i - 1].append((j - 1, dom.rone, slot))
+        elif slot.raw != dom.rzero:
+            rows[i - 1].append((j - 1, slot.raw, None))
+    return rows
+
+
 def symbolic_product(group: SemipatternGroup, letters) -> SymbolicMatrix:
     """Multiply symbolic letters left to right into entry polynomials.
 
     The empty product is the symbolic identity.  Constants are folded into
     monomial coefficients as the product is formed, and entries at positions
-    forced to zero by the pattern stay structurally zero.  While the letters
-    are multiplied each entry is a {factor tuple: raw coefficient} dict with
-    no zero coefficients; it is sorted into a Polynomial once, at the end.
+    forced to zero by the pattern stay structurally zero.
     """
-    m = group.m
     dom = group.domain
-    rzero, radd, rmul = dom.rzero, dom.radd, dom.rmul
-    grid = [[{(): dom.rone} if i == j else {} for j in range(m)]
-            for i in range(m)]
-    for letter in letters:
-        slots = letter.slots
-        new = [[{} for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            row = grid[i]
-            for j in range(i, m):
-                acc = new[i][j]
-                for l in range(i, j + 1):
-                    left = row[l]
-                    if not left:
-                        continue
-                    slot = slots.get((l + 1, j + 1))
-                    if slot is None:
-                        continue
-                    if isinstance(slot, Variable):
-                        terms = [(_canon_factors(f + (slot,)), c)
-                                 for f, c in left.items()]
-                    else:
-                        s = slot.raw
-                        if s == rzero:
-                            continue
-                        # over a field, nonzero times nonzero stays nonzero
-                        terms = [(f, rmul(c, s)) for f, c in left.items()]
-                    if not acc:
-                        # distinct keys of left stay distinct: nothing to merge
-                        acc.update(terms)
-                        continue
-                    for factors, c in terms:
-                        prev = acc.get(factors)
-                        if prev is None:
-                            acc[factors] = c
-                        else:
-                            c = radd(prev, c)
-                            if c == rzero:
-                                del acc[factors]
-                            else:
-                                acc[factors] = c
-        grid = new
-    zero = Polynomial.zero(dom)
-    return SymbolicMatrix(group, len(letters), tuple(
-        tuple(Polynomial._raw(dom, tuple(sorted(
-            grid[i][j].items(), key=lambda t: _term_key(t[0]))))
-              if j >= i else zero for j in range(m))
-        for i in range(m)))
+    rows = [_slot_rows(dom, letter) for letter in letters]
+    grid = slot_grid_product(dom, scalar_grid(dom, group.m, dom.rone), rows)
+    return SymbolicMatrix(group, grid_polynomials(dom, grid))
 
 
 def entry_monomial_count(n: int, i: int, j: int) -> int:

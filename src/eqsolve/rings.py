@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .poly import FIELD, Polynomial, Variable
+from .poly import (FIELD, Variable, grid_polynomials, merge_grid, scalar_grid,
+                   slot_grid_product)
 # rings is the public module for every ring name, so it re-exports the
 # structure layer in full
 from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
@@ -46,53 +47,31 @@ def a_variable(i: int, j: int, k: int) -> Variable:
 
 # -- entrywise rewriting -------------------------------------------------------
 
-def _letter_grid(ring, letter, k):
-    """Symbolic m x m grid of one letter: entry polynomials over Z_{p^a}.
+def _letter_slots(ring, letter, k):
+    """One letter's slots per row, as slot_grid_product takes them: for a
+    variable letter, s[i][j][k] above the diagonal and p * a[i][j][k] on and
+    below it (nothing for alpha = 1)."""
+    m = ring.m
+    if not isinstance(letter, str):
+        return [[(j, v, None) for j, v in enumerate(row) if v]
+                for row in letter.rows]
+    p = ring.p % ring.modulus
+    return [[(j, 1, s_variable(i + 1, j + 1, k)) if i < j
+             else (j, p, a_variable(i + 1, j + 1, k))
+             for j in range(m) if i < j or p]
+            for i in range(m)]
 
-    For a variable letter, above-diagonal entries are the variables
-    s[i][j][k] and on/below entries are p * a[i][j][k]; for alpha = 1 the
-    latter vanish outright.
-    """
+
+def _monomial_grid(ring, mono: RingMonomial, var_index):
+    """Raw entry grid of one monomial's matrix product, coefficient first."""
+    if not mono.letters:
+        raise RingError("monomial with no letters")
     dom = ring.domain
-    m = ring.m
-    grid = []
-    if isinstance(letter, str):
-        p_scalar = dom.scalar(ring.p)
-        for i in range(1, m + 1):
-            row = []
-            for j in range(1, m + 1):
-                if i < j:
-                    row.append(Polynomial.variable(dom, s_variable(i, j, k)))
-                else:
-                    row.append(Polynomial.variable(
-                        dom, a_variable(i, j, k)).times_scalar(p_scalar))
-            grid.append(tuple(row))
-    else:
-        for i in range(m):
-            row = []
-            for j in range(m):
-                row.append(Polynomial.constant(dom.scalar(letter.rows[i][j])))
-            grid.append(tuple(row))
-    return tuple(grid)
-
-
-def _grid_mul(ring, a, b):
-    m = ring.m
-    zero = Polynomial.zero(ring.domain)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = zero
-            for l in range(m):
-                left = a[i][l]
-                right = b[l][j]
-                if left.is_zero() or right.is_zero():
-                    continue
-                acc = acc + left * right
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    start = scalar_grid(dom, ring.m, mono.coeff % ring.modulus)
+    return slot_grid_product(dom, start, [
+        _letter_slots(ring, letter, var_index[letter]
+                      if isinstance(letter, str) else None)
+        for letter in mono.letters])
 
 
 def monomial_entry_polys(ring: NilpotentMatrixRing, mono: RingMonomial,
@@ -104,17 +83,7 @@ def monomial_entry_polys(ring: NilpotentMatrixRing, mono: RingMonomial,
     disappears from the normal form once b reaches alpha.  Surviving
     monomials therefore have at most m*alpha - 1 factors.
     """
-    grid = None
-    for letter in mono.letters:
-        k = var_index[letter] if isinstance(letter, str) else None
-        lg = _letter_grid(ring, letter, k)
-        grid = lg if grid is None else _grid_mul(ring, grid, lg)
-    if grid is None:
-        raise RingError("monomial with no letters")
-    if mono.coeff != 1:
-        c = ring.domain.scalar(mono.coeff)
-        grid = tuple(tuple(p.times_scalar(c) for p in row) for row in grid)
-    return grid
+    return grid_polynomials(ring.domain, _monomial_grid(ring, mono, var_index))
 
 
 def sigma_var_index(sigma: SigmaForm) -> dict:
@@ -126,15 +95,11 @@ def entrywise_rewrite(sigma: SigmaForm, ring: NilpotentMatrixRing,
     """Rewrite a sum of monomials into m x m scalar entry polynomials."""
     if var_index is None:
         var_index = sigma_var_index(sigma)
-    m = ring.m
-    zero = Polynomial.zero(ring.domain)
-    total = [[zero] * m for _ in range(m)]
+    dom = ring.domain
+    total = scalar_grid(dom, ring.m, dom.rzero)
     for mono in sigma.monomials:
-        grid = monomial_entry_polys(ring, mono, var_index)
-        for i in range(m):
-            for j in range(m):
-                total[i][j] = total[i][j] + grid[i][j]
-    return tuple(tuple(row) for row in total)
+        merge_grid(dom, total, _monomial_grid(ring, mono, var_index))
+    return grid_polynomials(dom, total)
 
 
 # -- deciding equations --------------------------------------------------------
@@ -195,11 +160,8 @@ def build_ring_system(ring: NilpotentMatrixRing, expr,
     constraints = _entry_constraints(ring, entries, rhs)
     s_domain = tuple(dom.elements())
     a_domain = tuple(dom.scalar(v) for v in range(ring.p ** (ring.alpha - 1)))
-    domains = {}
-    for c in constraints:
-        for v in c.poly.variables():
-            if v not in domains:
-                domains[v] = s_domain if v.name.startswith("s") else a_domain
+    domains = {v: s_domain if v.name.startswith("s") else a_domain
+               for c in constraints for v in c.poly.variables()}
     system = PolySystem(dom, constraints, domains)
     return ReducedRingSystem(ring, expr, rhs, tuple(var_index), system, entries)
 
@@ -289,6 +251,8 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
     canonical order and the successful one is reported on the decision.
     The system is built once; only its targets change from one to the next.
     """
+    if ideal.ring != ring:
+        raise RingError("ideal of a different ring")
     stats = SolveStats()
     reduced = build_ring_system(ring, expr, ring.zero())
     for a in ideal.elements:

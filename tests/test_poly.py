@@ -3,10 +3,14 @@ import random
 
 import pytest
 
-from eqsolve import (FIELD, RING, SUBGROUP, PolyError, Polynomial, Variable,
-                     make_domain)
+from eqsolve import (FIELD, RING, SUBGROUP, PolyError, Polynomial, RScale,
+                     RVar, Variable, entrywise_rewrite, make_domain, make_ring,
+                     monomial_entry_polys, sigma_expand, symbolic_letters,
+                     symbolic_product, word_variables)
+from eqsolve.poly import _term_key
 from eqsolve.reduction import x_variable, y_variable
-from eqsolve.rings import a_variable, s_variable
+from eqsolve.rings import a_variable, s_variable, sigma_var_index
+from conftest import random_ring_expr, random_word
 from polyexpr import EAdd, EConst, EMul, EVar, eval_expr, normalize
 
 F3 = make_domain(3)
@@ -145,6 +149,16 @@ def test_ring_sort_preserves_factor_order():
     assert normalize(ab, F3) == ab
 
 
+def test_times_scalar_drops_zero_products():
+    z4 = make_domain(2, 2, kind="modular")
+    twice = Polynomial.variable(z4, X).times_scalar(2).times_scalar(2)
+    assert twice._terms == ()
+    assert twice.is_zero()
+    assert twice == Polynomial.zero(z4)
+    f = Polynomial.from_terms(z4, ((2, (X,)), (1, (Y,)), (3, ())))
+    assert f * 2 == Polynomial.from_terms(z4, ((2, (Y,)), (2, ())))
+
+
 def test_mixed_domains_rejected():
     f5 = make_domain(5)
     with pytest.raises(PolyError):
@@ -208,3 +222,41 @@ def test_variables_mix_as_dict_keys():
     assert made + Polynomial.variable(F3, slot) == poly(F3, (2, (slot,)))
     assert (made * X).evaluate({slot: F3.scalar(2), Variable("x"): F3.one()}) \
         == F3.scalar(2)
+
+
+def _assert_normal_form(entry, where):
+    zero = entry.domain.rzero
+    factors = [f for f, _ in entry._terms]
+    assert all(c != zero for _, c in entry._terms), where
+    assert len(set(factors)) == len(factors), where
+    assert factors == sorted(factors, key=_term_key), where
+
+
+def test_grid_products_are_in_normal_form(group_family):
+    """Every entry from both reductions: no zero coefficient, no repeated
+    factor tuple, terms sorted by _term_key."""
+    rng = random.Random(4093)
+    for group in group_family:
+        for _ in range(30):
+            word = random_word(rng, group, max_len=8, max_vars=3)
+            index = {name: k for k, name in
+                     enumerate(word_variables(word), start=1)}
+            matrix = symbolic_product(group,
+                                      symbolic_letters(group, word, index))
+            for row in matrix.grid:
+                for entry in row:
+                    _assert_normal_form(entry, (group, word))
+    for p, alpha, m in ((2, 2, 2), (3, 1, 3), (2, 2, 3), (3, 2, 2)):
+        ring = make_ring(p, alpha, m)
+        exprs = [RScale(2, RVar("x") * RVar("y"))]
+        exprs += [random_ring_expr(rng, ring) for _ in range(30)]
+        for expr in exprs:
+            sigma = sigma_expand(expr, ring)
+            var_index = sigma_var_index(sigma)
+            grids = [monomial_entry_polys(ring, mono, var_index)
+                     for mono in sigma.monomials]
+            grids.append(entrywise_rewrite(sigma, ring, var_index))
+            for grid in grids:
+                for row in grid:
+                    for entry in row:
+                        _assert_normal_form(entry, (ring, expr))

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from eqsolve import (GuardExceeded, RConst, RNeg, RProd, RingError, RScale,
-                     RSum, RVar, brute_force_ring_solve, decide_factor_ring,
-                     decide_ring_equation, entrywise_rewrite, enumerate_ideal,
-                     eval_ring_expr, expr_variables, make_ring,
-                     monomial_entry_polys, ring_elements, sigma_expand)
+from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
+                     RScale, RSum, RVar, brute_force_ring_solve,
+                     decide_factor_ring, decide_ring_equation,
+                     entrywise_rewrite, enumerate_ideal, eval_ring_expr,
+                     expr_variables, make_ring, monomial_entry_polys,
+                     ring_elements, sigma_expand)
 from eqsolve import rings
 from eqsolve.rings import RingMonomial, sigma_var_index
 from conftest import random_ring_element, random_ring_expr
@@ -143,6 +144,74 @@ def test_entrywise_matches_matrix_evaluation(ring_m2z4, ring_m3z3):
                         assert value.raw == expected.rows[i][j], (expr, i, j)
                 trials += 1
         assert trials == 1000
+
+
+def _fold_monomial(ring, mono, var_index):
+    """Reference for monomial_entry_polys: letter grids of Polynomials
+    multiplied with Polynomial * and +, every addition merged, zero-filtered
+    and sorted, then scaled by the coefficient."""
+    from eqsolve.rings import a_variable, s_variable
+    dom = ring.domain
+    m = ring.m
+    zero = Polynomial.zero(dom)
+    grid = None
+    for letter in mono.letters:
+        if isinstance(letter, str):
+            k = var_index[letter]
+            p = dom.scalar(ring.p)
+            lg = [[Polynomial.variable(dom, s_variable(i + 1, j + 1, k))
+                   if i < j else Polynomial.variable(
+                       dom, a_variable(i + 1, j + 1, k)).times_scalar(p)
+                   for j in range(m)] for i in range(m)]
+        else:
+            lg = [[Polynomial.constant(dom.scalar(v)) for v in row]
+                  for row in letter.rows]
+        if grid is None:
+            grid = lg
+            continue
+        new = [[zero] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                for l in range(m):
+                    new[i][j] = new[i][j] + grid[i][l] * lg[l][j]
+        grid = new
+    c = dom.scalar(mono.coeff)
+    return [[entry.times_scalar(c) for entry in row] for row in grid]
+
+
+def test_entrywise_matches_per_addition_fold():
+    rng = random.Random(4201)
+    for p, alpha, m in ((2, 1, 2), (2, 2, 2), (3, 1, 3), (2, 2, 3),
+                        (3, 2, 2)):
+        ring = make_ring(p, alpha, m)
+        # the coefficient p is a zero divisor over Z4 and Z9
+        exprs = [RScale(p, X * Y), RScale(p, X) + RScale(p, Y * X),
+                 RScale(ring.modulus - 1, X * Y * X)]
+        exprs += [random_ring_expr(rng, ring) for _ in range(40)]
+        for expr in exprs:
+            sigma = sigma_expand(expr, ring)
+            var_index = sigma_var_index(sigma)
+            zero = Polynomial.zero(ring.domain)
+            total = [[zero] * m for _ in range(m)]
+            for mono in sigma.monomials:
+                reference = _fold_monomial(ring, mono, var_index)
+                grid = monomial_entry_polys(ring, mono, var_index)
+                for i in range(m):
+                    for j in range(m):
+                        assert grid[i][j]._terms == reference[i][j]._terms, \
+                            (ring, mono, i, j)
+                        total[i][j] = total[i][j] + reference[i][j]
+            grid = entrywise_rewrite(sigma, ring, var_index)
+            for i in range(m):
+                for j in range(m):
+                    assert grid[i][j]._terms == total[i][j]._terms, \
+                        (ring, expr, i, j)
+
+
+def test_factor_ring_rejects_ideal_of_another_ring(ring_m2z4, ring_m3z3):
+    ideal = enumerate_ideal(ring_m3z3, ())
+    with pytest.raises(RingError, match="ideal of a different ring"):
+        decide_factor_ring(ring_m2z4, ideal, X * Y)
 
 
 def _slot_assignment(ring, assignment, var_index):
