@@ -66,11 +66,11 @@ def cmd_decide(args) -> int:
     if args.dump_system:
         with open(args.dump_system, "w", encoding="utf-8") as handle:
             handle.write(render_system(_problem_system(pf)))
+    ideal = _problem_ideal(pf)
     if pf.kind == "group":
         decision = decide_equation(pf.group, pf.lhs, pf.rhs,
                                    guard=args.guard, backend=args.backend)
-    elif pf.ideal_generators:
-        ideal = enumerate_ideal(pf.ring, pf.ideal_generators)
+    elif ideal is not None:
         expr = RSum((pf.lhs, RNeg(pf.rhs)))
         decision = decide_factor_ring(pf.ring, ideal, expr,
                                       guard=args.guard, backend=args.backend)
@@ -85,7 +85,7 @@ def cmd_decide(args) -> int:
     print("explored %d assignments, %d prunes"
           % (decision.stats.explored, decision.stats.prunes))
     if args.oracle:
-        oracle = _run_oracle(pf, args.guard)
+        oracle = _run_oracle(pf, args.guard, ideal)
         if oracle.sat != decision.sat:
             print("ORACLE DISAGREES: oracle says %s"
                   % ("SAT" if oracle.sat else "UNSAT"))
@@ -94,18 +94,23 @@ def cmd_decide(args) -> int:
     return 0 if decision.sat else 1
 
 
-def _run_oracle(pf: ProblemFile, guard):
+def _problem_ideal(pf: ProblemFile):
+    """The ideal of a factor-ring problem; None for any other problem."""
+    if not pf.ideal_generators:
+        return None
+    return enumerate_ideal(pf.ring, pf.ideal_generators)
+
+
+def _run_oracle(pf: ProblemFile, guard, ideal):
     if pf.kind == "group":
         return brute_force_solve(pf.group, pf.lhs, pf.rhs, guard=guard)
-    ideal = (enumerate_ideal(pf.ring, pf.ideal_generators)
-             if pf.ideal_generators else None)
     return brute_force_ring_solve(pf.ring, pf.lhs, pf.rhs, ideal=ideal,
                                   guard=guard)
 
 
 def cmd_oracle(args) -> int:
     pf = parse_problem_file(args.path)
-    decision = _run_oracle(pf, args.guard)
+    decision = _run_oracle(pf, args.guard, _problem_ideal(pf))
     print("SAT" if decision.sat else "UNSAT")
     if decision.sat and decision.witness:
         _print_witness(decision.witness)

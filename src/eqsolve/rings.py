@@ -31,7 +31,7 @@ from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
 from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
                      PolySystem, SolveRequest, SolveStats, solve)
 
-IDEAL_GUARD = 10 ** 7
+IDEAL_GUARD = 10 ** 7  # largest ideal enumerate_ideal builds
 _TABLE_LIMIT = 256  # largest ring for which the oracle builds +/* tables
 
 
@@ -213,30 +213,55 @@ class Ideal:
         return len(self.elements)
 
 
+@lru_cache(maxsize=None)
+def _additive_basis(ring: NilpotentMatrixRing) -> tuple:
+    """Elements spanning the ring as an abelian group: E_ij above the
+    diagonal, and p * E_ij on and below it when alpha > 1."""
+    m, p = ring.m, ring.p % ring.modulus
+    basis = []
+    for i in range(m):
+        for j in range(m):
+            value = 1 if i < j else p
+            if value:
+                rows = [[0] * m for _ in range(m)]
+                rows[i][j] = value
+                basis.append(ring.element(rows))
+    return tuple(basis)
+
+
 def enumerate_ideal(ring: NilpotentMatrixRing, generators,
                     guard: int = IDEAL_GUARD) -> Ideal:
-    """Smallest set containing the generators and closed under +, -, and
-    two-sided multiplication by every ring element (fixed-point closure)."""
-    if ring.cardinality > guard:
-        raise GuardExceeded(ring.cardinality, guard)
+    """The two-sided ideal generated by the generators.
+
+    Multiplication is bilinear, so an additive subgroup closed under
+    multiplication on both sides by an additive basis of the ring (at most
+    m^2 elements) is an ideal; the ring's elements are never enumerated.
+    Each queued element not yet in the subgroup joins it one coset at a
+    time, and its products with the basis are queued in turn.
+    GuardExceeded is raised once the subgroup grows past guard elements.
+    """
     gens = tuple(generators)
     for g in gens:
         if not isinstance(g, RingElement) or g.ring != ring:
             raise RingError("generator %r is not an element of %s" % (g, ring))
-    all_elems = ring_elements(ring)
+    basis = _additive_basis(ring)
     closed = {ring.zero()}
     work = list(gens)
     while work:
         a = work.pop()
         if a in closed:
             continue
-        closed.add(a)
-        work.append(-a)
-        for b in list(closed):
-            work.append(a + b)
-        for x in all_elems:
-            work.append(x * a)
-            work.append(a * x)
+        coset = list(closed)
+        while True:
+            coset = [c + a for c in coset]
+            if coset[0] in closed:
+                break
+            closed.update(coset)
+            if len(closed) > guard:
+                raise GuardExceeded(len(closed), guard)
+        for b in basis:
+            work.append(b * a)
+            work.append(a * b)
     elements = sorted(closed, key=RingElement.key)
     return Ideal(ring, gens, tuple(elements))
 

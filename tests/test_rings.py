@@ -13,7 +13,7 @@ from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
                      expr_variables, make_ring, monomial_entry_polys,
                      ring_elements, sigma_expand)
 from eqsolve import rings
-from eqsolve.rings import RingMonomial, sigma_var_index
+from eqsolve.rings import RingElement, RingMonomial, sigma_var_index
 from conftest import random_ring_element, random_ring_expr
 
 X, Y = RVar("x"), RVar("y")
@@ -276,20 +276,86 @@ def test_enumerate_ideal_two_torsion(ring_m2z4):
     assert set(ideal.elements) == {ring_m2z4.zero(), gen}
 
 
-def test_ideal_closure_properties(ring_m2z4):
+def test_ideal_closure_properties(ring_m2z2, ring_m2z4, ring_m3z3):
     rng = random.Random(59)
-    for _ in range(5):
-        gens = [random_ring_element(rng, ring_m2z4) for _ in range(2)]
-        ideal = enumerate_ideal(ring_m2z4, gens)
-        members = set(ideal.elements)
-        for a in members:
-            assert -a in members
-        for a, b in itertools.product(ideal.elements, repeat=2):
-            assert a + b in members
-        for x in ring_elements(ring_m2z4):
-            for a in ideal.elements:
-                assert x * a in members
-                assert a * x in members
+    for ring in (ring_m2z4, ring_m3z3, make_ring(2, 1, 3), ring_m2z2):
+        for _ in range(5):
+            gens = [random_ring_element(rng, ring) for _ in range(2)]
+            ideal = enumerate_ideal(ring, gens)
+            members = set(ideal.elements)
+            assert set(gens) <= members
+            for a in members:
+                assert -a in members
+            for a, b in itertools.product(ideal.elements, repeat=2):
+                assert a + b in members
+            for x in ring_elements(ring):
+                for a in ideal.elements:
+                    assert x * a in members
+                    assert a * x in members
+
+
+def _fixed_point_ideal(ring, generators):
+    """Reference ideal: the element-by-element fixed-point closure under +,
+    - and two-sided multiplication by every ring element."""
+    all_elems = ring_elements(ring)
+    closed = {ring.zero()}
+    work = list(generators)
+    while work:
+        a = work.pop()
+        if a in closed:
+            continue
+        closed.add(a)
+        work.append(-a)
+        for b in list(closed):
+            work.append(a + b)
+        for x in all_elems:
+            work.append(x * a)
+            work.append(a * x)
+    return tuple(sorted(closed, key=RingElement.key))
+
+
+def test_ideal_matches_fixed_point_reference():
+    # (p, alpha, m, scale): each generator is a random element times scale,
+    # which keeps the reference's |I| * |M| products small on M(2,Z8) and
+    # M(3,Z4)
+    rng = random.Random(79)
+    for p, alpha, m, scale in ((2, 1, 2, 1), (2, 2, 2, 1), (3, 1, 3, 1),
+                               (2, 1, 3, 1), (2, 3, 2, 2), (3, 2, 2, 1),
+                               (2, 2, 3, 2)):
+        ring = make_ring(p, alpha, m)
+        for count in range(4):
+            gens = [random_ring_element(rng, ring).scale(scale)
+                    for _ in range(count)]
+            assert enumerate_ideal(ring, gens).elements == \
+                _fixed_point_ideal(ring, gens), (ring, gens)
+
+
+def _unit_matrix(ring, i, j, value):
+    """value * E_ij, with 1-based i and j."""
+    return ring.element([[value if (r, c) == (i, j) else 0
+                          for c in range(1, ring.m + 1)]
+                         for r in range(1, ring.m + 1)])
+
+
+def test_ideal_closes_without_enumerating_the_ring():
+    ring = make_ring(2, 2, 4)  # |M| = 4^6 * 2^10, about 4.2e6
+    before = ring_elements.cache_info()
+    ideal = enumerate_ideal(ring, [_unit_matrix(ring, 1, 4, 1)])
+    assert ring_elements.cache_info() == before
+    assert len(ideal) == 256
+    # a small ideal of a ring far larger than the guard
+    big = make_ring(2, 3, 4)
+    assert big.cardinality > rings.IDEAL_GUARD
+    assert len(enumerate_ideal(big, [_unit_matrix(big, 1, 4, 2)])) == 256
+
+
+def test_ideal_guard_bounds_the_closure(ring_m2z4):
+    gen = _unit_matrix(ring_m2z4, 1, 2, 1)
+    assert len(enumerate_ideal(ring_m2z4, [gen], guard=16)) == 16
+    with pytest.raises(GuardExceeded) as err:
+        enumerate_ideal(ring_m2z4, [gen], guard=15)
+    assert err.value.guard == 15
+    assert err.value.space == 16
 
 
 def test_factor_ring_zero_ideal_matches_plain(ring_m2z4):
