@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 
 class DomainError(ValueError):
@@ -235,6 +236,15 @@ class FiniteField:
         prod = _poly_mul(list(a), list(b), self.p)
         rem = _poly_rem(prod, list(self.modpoly), self.p)
         return tuple(rem + [0] * (self.k - len(rem)))
+
+    def rdot(self, xs, ys):
+        """Sum of the products xs[i] * ys[i]; zero for empty sequences."""
+        if self.k == 1:
+            return sum(map(mul, xs, ys)) % self.p
+        acc = self.rzero
+        for x, y in zip(xs, ys):
+            acc = self.radd(acc, self.rmul(x, y))
+        return acc
 
     def rinv(self, a):
         if a == self.rzero:

@@ -10,8 +10,11 @@ whose entry (i,j) vanishes unless (i,j) is in P.
 Words are sequences of letters; a letter is either a constant element or a
 variable name (equal names denote the same unknown).  The brute-force solver
 here is the reference oracle for the symbolic reduction pipeline: it
-enumerates all assignments through a cached multiplication table and returns
-the first witness in canonical order.
+enumerates assignments in canonical order through a cached multiplication
+table and returns the first witness, re-checked with evaluate_word.  It
+evaluates chunks of assignments that grow from 2^8 to 2^16, so its cost
+follows the assignments explored before the first witness, not the size of
+the space.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from .domains import DomainError, Scalar, subgroup_of_order
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
 _TABLE_LIMIT = 4096  # largest group order for which a Cayley table is built
+# Oracle chunks grow from _FIRST_CHUNK lanes x4 up to _MAX_CHUNK, so a scan
+# that stops early pays for about the lanes it explored, and peak memory
+# stays that of one _MAX_CHUNK chunk.
+_FIRST_CHUNK = 1 << 8
+_MAX_CHUNK = 1 << 16
 
 
 class GroupError(ValueError):
@@ -56,6 +64,11 @@ class SemipatternGroup:
         return (self.domain.size ** len(self.pattern)) * math.prod(self.orders)
 
     def identity(self) -> "GroupElement":
+        """The identity matrix; one shared element, as elements are immutable."""
+        return self._identity
+
+    @cached_property
+    def _identity(self):
         one, zero = self.domain.rone, self.domain.rzero
         rows = tuple(tuple(one if i == j else zero for j in range(self.m))
                      for i in range(self.m))
@@ -70,30 +83,32 @@ class SemipatternGroup:
         return GroupElement(self, raw)
 
     @cached_property
-    def _pattern_set(self):
-        return frozenset(self.pattern)
-
-    @cached_property
-    def _diagonal_raws(self):
-        """Per row, the raw values of its diagonal subgroup."""
-        return tuple(frozenset(s.raw for s in sub) for sub in self.subgroups)
+    def _membership_plan(self):
+        """Row-major (i, j, allowed) for every entry the definition
+        constrains: allowed holds the row's diagonal raws, or is None where
+        the entry must be zero (below the diagonal or outside P)."""
+        pat = frozenset(self.pattern)
+        plan = []
+        for i, sub in enumerate(self.subgroups):
+            for j in range(self.m):
+                if i == j:
+                    plan.append((i, j, frozenset(s.raw for s in sub)))
+                elif i > j or (i + 1, j + 1) not in pat:
+                    plan.append((i, j, None))
+        return tuple(plan)
 
     def _check_membership(self, raw):
-        dom = self.domain
-        pat = self._pattern_set
-        diagonal = self._diagonal_raws
-        for i in range(self.m):
-            for j in range(self.m):
-                v = raw[i][j]
-                if i == j:
-                    if v not in diagonal[i]:
-                        raise GroupError(
-                            "diagonal entry %d = %r outside its subgroup of "
-                            "order %d" % (i + 1, Scalar(dom, v), self.orders[i]))
-                elif i > j or (i + 1, j + 1) not in pat:
-                    if v != dom.rzero:
-                        raise GroupError(
-                            "entry (%d,%d) must be zero" % (i + 1, j + 1))
+        zero = self.domain.rzero
+        for i, j, allowed in self._membership_plan:
+            v = raw[i][j]
+            if allowed is None:
+                if v != zero:
+                    raise GroupError(
+                        "entry (%d,%d) must be zero" % (i + 1, j + 1))
+            elif v not in allowed:
+                raise GroupError(
+                    "diagonal entry %d = %r outside its subgroup of order %d"
+                    % (i + 1, Scalar(self.domain, v), self.orders[i]))
 
     def elements(self):
         """All group elements, in canonical (diagonal, then pattern-slot) order."""
@@ -130,7 +145,8 @@ class GroupElement:
         return Scalar(self.group.domain, self.rows[i - 1][j - 1])
 
     def __mul__(self, other):
-        if not isinstance(other, GroupElement) or other.group != self.group:
+        if (not isinstance(other, GroupElement)
+                or not _same_group(other.group, self.group)):
             return NotImplemented
         return multiply(self, other)
 
@@ -155,7 +171,8 @@ class GroupElement:
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
-                and self.group == other.group and self.rows == other.rows)
+                and _same_group(self.group, other.group)
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash(self.rows)
@@ -205,27 +222,27 @@ def unitriangular_group(domain, m: int) -> SemipatternGroup:
     return make_group(domain, m, full_pattern(m), (1,) * m)
 
 
+def _same_group(g, h) -> bool:
+    """Group equality, with the usual case of one shared descriptor first."""
+    return g is h or g == h
+
+
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Matrix product; validates that the result stays in the group."""
-    if a.group != b.group:
-        raise GroupError("elements of different groups")
     g = a.group
+    if not _same_group(g, b.group):
+        raise GroupError("elements of different groups")
     dom = g.domain
     m = g.m
-    radd, rmul, zero = dom.radd, dom.rmul, dom.rzero
-    ra, rb = a.rows, b.rows
-    rows = []
-    for i in range(m):
-        row = [zero] * m
-        for j in range(i, m):
-            acc = zero
-            for l in range(i, j + 1):
-                acc = radd(acc, rmul(ra[i][l], rb[l][j]))
-            row[j] = acc
-        rows.append(tuple(row))
-    result = GroupElement(g, tuple(rows))
-    g._check_membership(result.rows)
-    return result
+    rdot, zero = dom.rdot, dom.rzero
+    ra = a.rows
+    cols = tuple(zip(*b.rows))
+    # both factors are upper triangular: entry (i, j) sums over i <= l <= j
+    rows = tuple(tuple(rdot(ra[i][i:j + 1], cols[j][i:j + 1]) if j >= i
+                       else zero for j in range(m))
+                 for i in range(m))
+    g._check_membership(rows)
+    return GroupElement(g, rows)
 
 
 # -- words --------------------------------------------------------------------
@@ -251,12 +268,13 @@ def evaluate_word(group: SemipatternGroup, word, assignment) -> GroupElement:
                 value = assignment[letter]
             except KeyError:
                 raise GroupError("no value for word variable %r" % letter) from None
-            if not isinstance(value, GroupElement) or value.group != group:
+            if (not isinstance(value, GroupElement)
+                    or not _same_group(value.group, group)):
                 raise GroupError("value for %r is not an element of the group"
                                  % letter)
         else:
             value = letter
-            if value.group != group:
+            if not _same_group(value.group, group):
                 raise GroupError("constant letter from a different group")
         result = multiply(result, value)
     return result
@@ -313,12 +331,13 @@ def _cayley(group: SemipatternGroup):
 
 def _grid_chunks(nvars, size):
     """(first flat index, coords) over all size**nvars index tuples in
-    lexicographic order, in chunks; coords[d] holds variable d's indices."""
+    lexicographic order, in growing chunks; coords[d] holds variable d's
+    indices."""
     import numpy as np
 
     space = size ** nvars
-    chunk = 1 << 16
-    for start in range(0, space, chunk):
+    start, chunk = 0, _FIRST_CHUNK
+    while start < space:
         stop = min(space, start + chunk)
         rest = np.arange(start, stop, dtype=np.int64)
         coords = np.empty((nvars, stop - start), dtype=np.int64)
@@ -326,6 +345,8 @@ def _grid_chunks(nvars, size):
             coords[d] = rest % size
             rest = rest // size
         yield start, coords
+        start = stop
+        chunk = min(chunk * 4, _MAX_CHUNK)
 
 
 def _word_over_grid(group, word, names, coords, table, index):

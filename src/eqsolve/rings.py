@@ -31,7 +31,11 @@ from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
 from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
                      PolySystem, SolveRequest, SolveStats, solve)
 
-IDEAL_GUARD = 10 ** 7  # largest ideal enumerate_ideal builds
+# Largest ideal enumerate_ideal builds.  The closure keeps every element as a
+# tuple of tuples in a set (about 0.6 KB per element in M(4, Z_8)), so this
+# bound stops a runaway closure within seconds and under 100 MB; a larger
+# ideal would also cost a factor-ring decision one solve per element tried.
+IDEAL_GUARD = 10 ** 5
 _TABLE_LIMIT = 256  # largest ring for which the oracle builds +/* tables
 
 

@@ -10,7 +10,7 @@ from eqsolve import (GroupError, GuardExceeded, PatternError,
                      brute_force_solve, element_list, evaluate_word,
                      exponent_bound, full_pattern, invert_word, make_domain,
                      make_group, multiply, unitriangular_group,
-                     words_agree_everywhere)
+                     word_variables, words_agree_everywhere)
 from conftest import random_assignment, random_word
 
 
@@ -299,6 +299,33 @@ def test_pattern_closure_criterion_is_exact(m, q):
         assert closed == _pattern_is_closed(pattern), pattern
 
 
+def test_multiply_matches_matrix_product():
+    # every entry one dot product: GF(4) takes the k > 1 fold, GF(5) the sum
+    f4, f5 = make_domain(2, 2), make_domain(5)
+    for group in (make_group(f4, 3, ((1, 2), (1, 3)), (3, 1, 1)),
+                  make_group(f5, 3, ((1, 3),), (4, 1, 2))):
+        elems = element_list(group)
+        for a in elems:
+            for b in elems:
+                assert multiply(a, b).rows == _raw_matmul(
+                    group.domain, a.rows, b.rows, group.m)
+
+
+def test_identity_and_group_checks(f3, ut3_f2):
+    group = make_group(f3, 3, full_pattern(3), (1, 2, 1))
+    twin = make_group(f3, 3, full_pattern(3), (1, 2, 1))
+    assert twin is not group and twin == group
+    assert group.identity() == group.identity() == twin.identity()
+    a, b = element_list(group)[31], element_list(twin)[44]
+    product = multiply(a, b)
+    assert product == a * b == multiply(a, element_list(group)[44])
+    assert evaluate_word(group, ("x", b), {"x": a}) == product
+    with pytest.raises(GroupError):
+        multiply(a, ut3_f2.identity())
+    with pytest.raises(GroupError):
+        evaluate_word(group, ("x",), {"x": ut3_f2.identity()})
+
+
 def test_import_loads_no_numpy():
     """numpy is imported by the table oracles only, not by import eqsolve."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -343,3 +370,107 @@ def test_membership_check_matches_definition(sparse18):
         group._check_membership(((1, 0), (0, 2)))
     with pytest.raises(GroupError, match=r"entry \(2,1\) must be zero"):
         group._check_membership(((1, 0), (3, 1)))
+
+
+# -- the table oracle against a plain scan -------------------------------------
+
+def _reference_solve(group, word, target):
+    """(sat, witness, explored) by scanning itertools.product(element_list)
+    with evaluate_word: the order brute_force_solve's chunks must keep."""
+    target_is_word = isinstance(target, tuple)
+    names = word_variables(tuple(word) + (target if target_is_word else ()))
+    explored = 0
+    for combo in itertools.product(element_list(group), repeat=len(names)):
+        explored += 1
+        assignment = dict(zip(names, combo))
+        right = (evaluate_word(group, target, assignment) if target_is_word
+                 else target)
+        if evaluate_word(group, word, assignment) == right:
+            return True, assignment, explored
+    return False, None, explored
+
+
+def _reference_agree(group, f, g):
+    names = word_variables(tuple(f) + tuple(g))
+    for combo in itertools.product(element_list(group), repeat=len(names)):
+        assignment = dict(zip(names, combo))
+        if (evaluate_word(group, f, assignment)
+                != evaluate_word(group, g, assignment)):
+            return False, assignment
+    return True, None
+
+
+def _oracle_outcome(group, word, target):
+    decision = brute_force_solve(group, word, target)
+    return decision.sat, decision.witness, decision.stats.explored
+
+
+def _commutator(group, x, y):
+    return (x, y) + invert_word(group, (x,)) + invert_word(group, (y,))
+
+
+def _oracle_groups(ut4_f2, order54, sparse18):
+    gf4 = make_group(make_domain(2, 2), 2, ((1, 2),), (3, 3))
+    return (ut4_f2, order54, sparse18, gf4)
+
+
+def test_oracle_matches_reference_scan(ut4_f2, order54, sparse18):
+    rng = random.Random(808)
+    for group in _oracle_groups(ut4_f2, order54, sparse18):
+        elems = element_list(group)
+        for trial in range(12):
+            word = random_word(rng, group, max_len=6, max_vars=2)
+            target = (random_word(rng, group, max_len=3, max_vars=2)
+                      if trial % 3 == 2 else rng.choice(elems))
+            assert (_oracle_outcome(group, word, target)
+                    == _reference_solve(group, word, target))
+        # the last element lies outside the derived subgroup of each group:
+        # UNSAT, and every one of the |G|^2 assignments is scanned
+        word = _commutator(group, "x", "y")
+        expected = (False, None, group.order ** 2)
+        assert _reference_solve(group, word, elems[-1]) == expected
+        assert _oracle_outcome(group, word, elems[-1]) == expected
+
+
+def test_separators_match_reference_scan(ut4_f2, order54, sparse18):
+    rng = random.Random(809)
+    for group in _oracle_groups(ut4_f2, order54, sparse18):
+        for _ in range(12):
+            f = random_word(rng, group, max_len=5, max_vars=2)
+            g = random_word(rng, group, max_len=5, max_vars=2)
+            assert (words_agree_everywhere(group, f, g)
+                    == _reference_agree(group, f, g))
+        # agreeing words scan the whole space
+        c = element_list(group)[-1]
+        f = ("x", c, "y") + invert_word(group, ("y",))
+        assert words_agree_everywhere(group, f, ("x", c)) == (True, None)
+        assert _reference_agree(group, f, ("x", c)) == (True, None)
+
+
+def test_oracle_first_hits_at_chunk_boundaries(ut4_f2, sparse18):
+    """Chunks of 256, 1024 and 4096 lanes end after lanes 256, 1280 and
+    5376: first hits on each side of each boundary, and a scan past all."""
+    def cyclic(p):  # GF(p)^*, elements in order of their residues
+        return make_group(make_domain(p), 1, (), (p - 1,))
+
+    def pinned(group, k):  # x = e_k, then a free y: first hit at k*|G| + 1
+        return group, ("x", "y") + invert_word(group, ("y",)), \
+            element_list(group)[k]
+
+    ut4 = element_list(ut4_f2)
+    c79, c127 = cyclic(79), cyclic(127)
+    cases = (
+        ((c79, ("x", "y", "y", "y"), c79.element([[11]])), 256),
+        (pinned(ut4_f2, 4), 257),
+        ((c127, ("x",) + ("y",) * 9, c127.element([[116]])), 1280),
+        (pinned(ut4_f2, 20), 1281),
+        (pinned(unitriangular_group(make_domain(5), 3), 43), 5376),
+        ((ut4_f2, (ut4[61], ut4[29], "x", "y", ut4[11], "y"),
+          (ut4[58],) + ("z",) * 4), 5377),
+        ((sparse18, _commutator(sparse18, "x", "y") + ("z",) * 6,
+          element_list(sparse18)[-1]), 18 ** 3),
+    )
+    for (group, word, target), explored in cases:
+        expected = _reference_solve(group, word, target)
+        assert expected[2] == explored
+        assert _oracle_outcome(group, word, target) == expected

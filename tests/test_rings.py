@@ -358,6 +358,16 @@ def test_ideal_guard_bounds_the_closure(ring_m2z4):
     assert err.value.space == 16
 
 
+def test_default_ideal_guard_stops_a_huge_closure():
+    # E14 generates an ideal of M(4,Z8) far beyond memory; the default guard
+    # must refuse it after one coset step past 10^5, in seconds
+    ring = make_ring(2, 3, 4)
+    with pytest.raises(GuardExceeded) as err:
+        enumerate_ideal(ring, [_unit_matrix(ring, 1, 4, 1)])
+    assert err.value.guard == rings.IDEAL_GUARD
+    assert err.value.space == 131072
+
+
 def test_factor_ring_zero_ideal_matches_plain(ring_m2z4):
     rng = random.Random(61)
     zero_ideal = enumerate_ideal(ring_m2z4, ())
