@@ -11,7 +11,7 @@ structural and cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import mul
 
 
@@ -241,10 +241,7 @@ class FiniteField:
         """Sum of the products xs[i] * ys[i]; zero for empty sequences."""
         if self.k == 1:
             return sum(map(mul, xs, ys)) % self.p
-        acc = self.rzero
-        for x, y in zip(xs, ys):
-            acc = self.radd(acc, self.rmul(x, y))
-        return acc
+        return reduce(self.radd, map(self.rmul, xs, ys), self.rzero)
 
     def rinv(self, a):
         if a == self.rzero:

@@ -322,8 +322,6 @@ def test_identity_and_group_checks(f3, ut3_f2):
     assert evaluate_word(group, ("x", b), {"x": a}) == product
     with pytest.raises(GroupError):
         multiply(a, ut3_f2.identity())
-    with pytest.raises(GroupError):
-        evaluate_word(group, ("x",), {"x": ut3_f2.identity()})
 
 
 def test_import_loads_no_numpy():
@@ -467,7 +465,8 @@ def test_oracle_first_hits_at_chunk_boundaries(ut4_f2, sparse18):
         (pinned(unitriangular_group(make_domain(5), 3), 43), 5376),
         ((ut4_f2, (ut4[61], ut4[29], "x", "y", ut4[11], "y"),
           (ut4[58],) + ("z",) * 4), 5377),
-        ((sparse18, _commutator(sparse18, "x", "y") + ("z",) * 6,
+        # squares have diagonal entry 1: UNSAT, all 18^3 lanes scanned
+        ((sparse18, ("x", "x", "y", "y", "z", "z"),
           element_list(sparse18)[-1]), 18 ** 3),
     )
     for (group, word, target), explored in cases:
