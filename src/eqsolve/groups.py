@@ -261,7 +261,7 @@ def word_variables(word):
 
 def evaluate_word(group: SemipatternGroup, word, assignment) -> GroupElement:
     """Left-to-right product of the letters; the empty word gives the identity."""
-    result = group.identity()
+    result = None
     for letter in word:
         if isinstance(letter, str):
             try:
@@ -276,8 +276,8 @@ def evaluate_word(group: SemipatternGroup, word, assignment) -> GroupElement:
             value = letter
             if not _same_group(value.group, group):
                 raise GroupError("constant letter from a different group")
-        result = multiply(result, value)
-    return result
+        result = value if result is None else multiply(result, value)
+    return group.identity() if result is None else result
 
 
 def exponent_bound(group: SemipatternGroup) -> int:
@@ -350,18 +350,45 @@ def _grid_chunks(nvars, size):
 
 
 def _word_over_grid(group, word, names, coords, table, index):
-    """Evaluate a word over vectorized per-variable element-index arrays."""
-    import numpy as np
-
+    """Evaluate a word over vectorized per-variable element-index arrays; a
+    word without variables gives one index."""
     pos = {name: i for i, name in enumerate(names)}
-    cur = np.full(coords.shape[1], index[group.identity()], dtype=np.int32)
+    cur = None
     for letter in word:
-        if isinstance(letter, str):
-            col = coords[pos[letter]]
-        else:
-            col = index[letter]
-        cur = table[cur, col]
-    return cur
+        col = coords[pos[letter]] if isinstance(letter, str) else index[letter]
+        cur = col if cur is None else table[cur, col]
+    return index[group.identity()] if cur is None else cur
+
+
+def _first_lane(group, names, left, right, equal):
+    """(explored, assignment) for the first assignment in canonical order at
+    which the words left and right evaluate equal (equal=True) or different
+    (equal=False); (space, None) when there is none.  Without variables no
+    Cayley table is built."""
+    v = len(names)
+    size = group.order
+    if v and size <= _TABLE_LIMIT:
+        import numpy as np
+
+        elems, index, table = _cayley(group)
+        for start, coords in _grid_chunks(v, size):
+            same = (_word_over_grid(group, left, names, coords, table, index)
+                    == _word_over_grid(group, right, names, coords, table,
+                                       index))
+            hits = np.nonzero(same == equal)[0]
+            if hits.size:
+                first = int(hits[0])
+                return start + first + 1, {
+                    name: elems[int(coords[d][first])]
+                    for d, name in enumerate(names)}
+        return size ** v, None
+    combos = itertools.product(element_list(group) if v else (), repeat=v)
+    for explored, combo in enumerate(combos, start=1):
+        assignment = dict(zip(names, combo))
+        if (evaluate_word(group, left, assignment)
+                == evaluate_word(group, right, assignment)) == equal:
+            return explored, assignment
+    return size ** v, None
 
 
 def brute_force_solve(group: SemipatternGroup, word, target,
@@ -374,58 +401,19 @@ def brute_force_solve(group: SemipatternGroup, word, target,
     through evaluate_word before it is returned.
     """
     word = tuple(word)
-    target_is_word = not isinstance(target, GroupElement)
-    if target_is_word:
-        target = tuple(target)
-        names = word_variables(word + target)
-    else:
-        names = word_variables(word)
-    v = len(names)
-    size = group.order
-    space = size ** v
+    right = (target,) if isinstance(target, GroupElement) else tuple(target)
+    names = word_variables(word + right)
+    space = group.order ** len(names)
     if space > guard:
         raise GuardExceeded(space, guard)
-    stats = SolveStats()
-
-    def check(assignment):
-        left = evaluate_word(group, word, assignment)
-        right = (evaluate_word(group, target, assignment) if target_is_word
-                 else target)
-        return left == right
-
-    if v == 0:
-        stats.explored = 1
-        ok = check({})
-        return Decision(ok, {} if ok else None, stats)
-
-    if size <= _TABLE_LIMIT:
-        import numpy as np
-
-        elems, index, table = _cayley(group)
-        for start, coords in _grid_chunks(v, size):
-            cur = _word_over_grid(group, word, names, coords, table, index)
-            if target_is_word:
-                hits = np.nonzero(cur == _word_over_grid(
-                    group, target, names, coords, table, index))[0]
-            else:
-                hits = np.nonzero(cur == index[target])[0]
-            if hits.size:
-                first = int(hits[0])
-                stats.explored = start + first + 1
-                witness = {name: elems[int(coords[d][first])]
-                           for d, name in enumerate(names)}
-                if not check(witness):
-                    raise RuntimeError("internal error: oracle witness failed")
-                return Decision(True, witness, stats)
-        stats.explored = space
+    explored, witness = _first_lane(group, names, word, right, True)
+    stats = SolveStats(explored)
+    if witness is None:
         return Decision(False, None, stats)
-
-    for combo in itertools.product(element_list(group), repeat=v):
-        stats.explored += 1
-        witness = dict(zip(names, combo))
-        if check(witness):
-            return Decision(True, witness, stats)
-    return Decision(False, None, stats)
+    if (evaluate_word(group, word, witness)
+            != evaluate_word(group, right, witness)):
+        raise RuntimeError("internal error: oracle witness failed")
+    return Decision(True, witness, stats)
 
 
 def words_agree_everywhere(group: SemipatternGroup, f, g,
@@ -435,31 +423,10 @@ def words_agree_everywhere(group: SemipatternGroup, f, g,
     Returns (True, None) when they agree everywhere, else (False, assignment)
     with the first separating substitution in canonical order.
     """
-    names = word_variables(tuple(f) + tuple(g))
-    v = len(names)
-    size = group.order
-    space = size ** v
+    f, g = tuple(f), tuple(g)
+    names = word_variables(f + g)
+    space = group.order ** len(names)
     if space > guard:
         raise GuardExceeded(space, guard)
-    if v == 0:
-        same = evaluate_word(group, f, {}) == evaluate_word(group, g, {})
-        return (same, None if same else {})
-    if size <= _TABLE_LIMIT:
-        import numpy as np
-
-        elems, index, table = _cayley(group)
-        for _, coords in _grid_chunks(v, size):
-            left = _word_over_grid(group, f, names, coords, table, index)
-            right = _word_over_grid(group, g, names, coords, table, index)
-            diffs = np.nonzero(left != right)[0]
-            if diffs.size:
-                first = int(diffs[0])
-                return False, {name: elems[int(coords[d][first])]
-                               for d, name in enumerate(names)}
-        return True, None
-    for combo in itertools.product(element_list(group), repeat=v):
-        assignment = dict(zip(names, combo))
-        if (evaluate_word(group, f, assignment)
-                != evaluate_word(group, g, assignment)):
-            return False, assignment
-    return True, None
+    _, separator = _first_lane(group, names, f, g, False)
+    return separator is None, separator

@@ -147,7 +147,9 @@ def parse_problem(text: str) -> ProblemFile:
 
     pf = ProblemFile(kind="group" if "group" in by_name else "ring")
     if pf.kind == "group":
-        _parse_group_section(pf, *by_name["group"])
+        lineno, entries = by_name["group"]
+        pf.group = _parse_group(_entries_to_dict(entries, _GROUP_KEYS),
+                                "group", lineno)
     else:
         _parse_ring_section(pf, *by_name["ring"])
     if "constants" in by_name:
@@ -166,20 +168,21 @@ def _entries_to_dict(entries, allowed):
         out[key] = (lineno, value)
     return out
 
-def _require(table, key, section):
+
+def _require(table, key, section, header_line):
     if key not in table:
-        raise ParseError("missing key %r in [%s]" % (key, section))
+        raise ParseError("missing key %r in [%s]" % (key, section), header_line)
     return table[key]
 
 
-def _parse_group_section(pf, header_line, entries):
-    table = _entries_to_dict(entries, _GROUP_KEYS)
-    lineno, value = _require(table, "q", "group")
+def _parse_group(table, section, header_line) -> SemipatternGroup:
+    """The group of a [group] section or of a bench config's [family]."""
+    lineno, value = _require(table, "q", section, header_line)
     p, k = _factor_prime_power(_as_int(value, lineno), lineno)
     domain = make_domain(p, k, "field")
-    lineno, value = _require(table, "m", "group")
+    lineno, value = _require(table, "m", section, header_line)
     m = _as_int(value, lineno)
-    lineno, value = _require(table, "pattern", "group")
+    lineno, value = _require(table, "pattern", section, header_line)
     if value.strip() == "full":
         pattern = full_pattern(m)
     else:
@@ -187,18 +190,18 @@ def _parse_group_section(pf, header_line, entries):
         if any(not isinstance(pos, list) or len(pos) != 2 for pos in raw):
             raise ParseError("pattern must be a list of [i, j] pairs", lineno)
         pattern = tuple((int(i), int(j)) for i, j in raw)
-    lineno, value = _require(table, "orders", "group")
+    lineno, value = _require(table, "orders", section, header_line)
     orders = _as_list(value, lineno)
-    pf.group = make_group(domain, m, pattern, orders)
+    return make_group(domain, m, pattern, orders)
 
 
 def _parse_ring_section(pf, header_line, entries):
     table = _entries_to_dict(entries, _RING_KEYS)
-    lineno, value = _require(table, "p", "ring")
+    lineno, value = _require(table, "p", "ring", header_line)
     p = _as_int(value, lineno)
-    lineno, value = _require(table, "alpha", "ring")
+    lineno, value = _require(table, "alpha", "ring", header_line)
     alpha = _as_int(value, lineno)
-    lineno, value = _require(table, "m", "ring")
+    lineno, value = _require(table, "m", "ring", header_line)
     m = _as_int(value, lineno)
     pf.ring = make_ring(p, alpha, m)
     if "ideal" in table:
@@ -311,9 +314,9 @@ def _parse_equation(pf, header_line, entries):
                 raise ParseError("variable %r collides with a constant" % name,
                                  lineno)
         pf.variables = names
-    lineno, value = _require(table, "lhs", "equation")
+    lineno, value = _require(table, "lhs", "equation", header_line)
     lhs_tokens = tuple(value.split())
-    rhs_lineno, rhs_value = _require(table, "rhs", "equation")
+    rhs_lineno, rhs_value = _require(table, "rhs", "equation", header_line)
     rhs_tokens = tuple(rhs_value.split())
     pf.lhs_tokens, pf.rhs_tokens = lhs_tokens, rhs_tokens
 
@@ -401,31 +404,11 @@ def parse_bench_config(text: str):
         if name != "family":
             raise ParseError("unknown section [%s] in bench config" % name,
                              header_line)
-        table = {}
-        for lineno, key, value in entries:
-            if key not in _FAMILY_KEYS:
-                raise ParseError("unknown key %r" % key, lineno)
-            table[key] = (lineno, value)
-        def need(key):
-            if key not in table:
-                raise ParseError("missing key %r in [family]" % key,
-                                 header_line)
-            return table[key]
-        lineno, value = need("q")
-        p, k = _factor_prime_power(_as_int(value, lineno), lineno)
-        domain = make_domain(p, k, "field")
-        lineno, value = need("m")
-        m = _as_int(value, lineno)
-        lineno, value = need("pattern")
-        pattern = (full_pattern(m) if value.strip() == "full"
-                   else tuple((int(i), int(j))
-                              for i, j in _as_list(value, lineno)))
-        lineno, value = need("orders")
-        orders = _as_list(value, lineno)
-        group = make_group(domain, m, pattern, orders)
-        lineno, value = need("lengths")
+        table = _entries_to_dict(entries, _FAMILY_KEYS)
+        group = _parse_group(table, "family", header_line)
+        lineno, value = _require(table, "lengths", "family", header_line)
         lengths = tuple(int(n) for n in _as_list(value, lineno))
-        lineno, value = need("variables")
+        lineno, value = _require(table, "variables", "family", header_line)
         variables = _as_int(value, lineno)
         reps = 1
         if "reps" in table:

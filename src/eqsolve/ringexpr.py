@@ -5,17 +5,20 @@ on or below the main diagonal a multiple of p.  It is nilpotent of class at
 most m*a: along any index chain through a product, each on-or-below-diagonal
 step contributes a factor p and at most m - 1 consecutive strictly-above
 steps can occur, so products of m*a elements vanish.  Expressions are trees
-of variables, constants, sums, products, negations and integer multiples;
-sigma_expand distributes them into sums of monomials with that truncation
-applied, and eval_ring_expr evaluates them directly.  The equation layer on
-top of this module is eqsolve.rings, which also re-exports every name here.
+of variables, constants, sums, products, negations and integer multiples.
+fold_expr is the one walk that combines their values and the one place
+that checks them: sigma_expand folds them into sums of monomials with that
+truncation applied, and eval_ring_expr evaluates them directly.  The
+equation layer on top of this module is eqsolve.rings, which also
+re-exports every name here.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .domains import ModularRing, is_prime
 
@@ -254,14 +257,7 @@ class SigmaForm:
         return tuple(seen)
 
     def evaluate(self, assignment) -> RingElement:
-        total = self.ring.zero()
-        for mono in self.monomials:
-            acc = None
-            for letter in mono.letters:
-                value = _letter_value(self.ring, letter, assignment)
-                acc = value if acc is None else acc * value
-            total = total + acc.scale(mono.coeff)
-        return total
+        return eval_ring_expr(self, assignment, self.ring)
 
     def __repr__(self):
         if not self.monomials:
@@ -274,21 +270,6 @@ class SigmaForm:
             else:
                 parts.append("*".join([str(mono.coeff)] + names))
         return " + ".join(parts)
-
-
-def _letter_value(ring, letter, assignment):
-    if isinstance(letter, str):
-        try:
-            value = assignment[letter]
-        except KeyError:
-            raise RingError("no value for ring variable %r" % letter) from None
-        if not isinstance(value, RingElement) or value.ring != ring:
-            raise RingError("value for %r is not an element of %s" % (letter, ring))
-        return value
-    if isinstance(letter, RingElement) and (letter.ring is ring
-                                            or letter.ring == ring):
-        return letter
-    raise RingError("constant from a different ring")
 
 
 def _normalize_monomials(ring, raw):
@@ -308,6 +289,62 @@ def _normalize_monomials(ring, raw):
     return SigmaForm(ring, tuple(monos))
 
 
+def fold_expr(expr, ring: NilpotentMatrixRing, ops):
+    """Fold an expression tree bottom-up through
+    ops = (var, const, neg, scale, add, mul, zero).
+
+    var(name) and const(element) give the values of the leaves; neg(x),
+    scale(coeff, x), add(x, y) and mul(x, y) combine values, and zero(ring)
+    is the value of an empty sum.  Sums and products combine their parts
+    left to right; a SigmaForm is the sum of its monomials, each the
+    coefficient times the product of its letters.
+
+    This is the one place that checks an expression: a constant or a
+    SigmaForm of another ring, an empty product (a monomial with no letters
+    among them) and anything that is not an expression node raise RingError.
+    """
+    var, const, neg, scale, add, mul, zero = ops
+    # recursion goes through the module functions, not through a nested
+    # closure, whose reference cycle would leave every call to the collector
+    if isinstance(expr, RVar):
+        return var(expr.name)
+    if isinstance(expr, str):
+        return var(expr)
+    if isinstance(expr, (RConst, RingElement)):
+        value = expr.value if isinstance(expr, RConst) else expr
+        if not isinstance(value, RingElement) or (value.ring is not ring
+                                                  and value.ring != ring):
+            raise RingError("constant %r is not an element of %s"
+                            % (value, ring))
+        return const(value)
+    if isinstance(expr, RProd):
+        return _fold_product(expr.parts, ring, ops)
+    if isinstance(expr, RSum):
+        if not expr.parts:
+            return zero(ring)
+        return reduce(add, [fold_expr(part, ring, ops) for part in expr.parts])
+    if isinstance(expr, RNeg):
+        return neg(fold_expr(expr.part, ring, ops))
+    if isinstance(expr, RScale):
+        return scale(expr.coeff, fold_expr(expr.part, ring, ops))
+    if isinstance(expr, SigmaForm):
+        if expr.ring is not ring and expr.ring != ring:
+            raise RingError("expression over a different ring")
+        if not expr.monomials:
+            return zero(ring)
+        return reduce(add, [scale(mono.coeff,
+                                  _fold_product(mono.letters, ring, ops))
+                            for mono in expr.monomials])
+    raise RingError("not a ring expression: %r" % (expr,))
+
+
+def _fold_product(parts, ring, ops):
+    """The product of the parts under ops' mul, left to right."""
+    if not parts:
+        raise RingError("empty product has no meaning in a non-unital ring")
+    return reduce(ops[5], [fold_expr(part, ring, ops) for part in parts])
+
+
 def sigma_expand(expr, ring: NilpotentMatrixRing) -> SigmaForm:
     """Expand an expression into a sum of monomials.
 
@@ -315,82 +352,41 @@ def sigma_expand(expr, ring: NilpotentMatrixRing) -> SigmaForm:
     m*alpha letter factors is dropped: such a product of ring elements is
     already the zero matrix.
     """
-    if isinstance(expr, SigmaForm):
-        if expr.ring != ring:
-            raise RingError("expression over a different ring")
-        return _normalize_monomials(
-            ring, ((mono.coeff, mono.letters) for mono in expr.monomials))
-    return _normalize_monomials(ring, _expand(expr, ring))
+    cutoff = ring.nilpotency_bound
+
+    def mul(left, right):
+        # partial products only ever grow, so pruning at the bound is safe
+        return [(c1 * c2, l1 + l2) for c1, l1 in left for c2, l2 in right
+                if len(l1) + len(l2) < cutoff]
+
+    return _normalize_monomials(ring, fold_expr(expr, ring, (
+        lambda name: [(1, (name,))],
+        lambda value: [(1, (value,))],
+        lambda terms: [(-c, letters) for c, letters in terms],
+        lambda coeff, terms: [(coeff * c, letters) for c, letters in terms],
+        operator.add, mul, lambda ring: [])))
 
 
-def _expand(expr, ring):
-    if isinstance(expr, RVar):
-        return [(1, (expr.name,))]
-    if isinstance(expr, RConst):
-        if expr.value.ring != ring:
-            raise RingError("constant from a different ring")
-        return [(1, (expr.value,))]
-    if isinstance(expr, RingElement):
-        if expr.ring != ring:
-            raise RingError("constant from a different ring")
-        return [(1, (expr,))]
-    if isinstance(expr, str):
-        return [(1, (expr,))]
-    if isinstance(expr, RNeg):
-        return [(-c, letters) for c, letters in _expand(expr.part, ring)]
-    if isinstance(expr, RScale):
-        return [(expr.coeff * c, letters)
-                for c, letters in _expand(expr.part, ring)]
-    if isinstance(expr, RSum):
-        out = []
-        for part in expr.parts:
-            out.extend(_expand(part, ring))
-        return out
-    if isinstance(expr, RProd):
-        if not expr.parts:
-            raise RingError("empty product has no meaning in a non-unital ring")
-        out = [(1, ())]
-        cutoff = ring.nilpotency_bound
-        for part in expr.parts:
-            expanded = _expand(part, ring)
-            # partial products only ever grow, so pruning at the bound is safe
-            out = [(c1 * c2, l1 + l2)
-                   for c1, l1 in out for c2, l2 in expanded
-                   if len(l1) + len(l2) < cutoff]
-        return [t for t in out if t[1]]
-    raise RingError("not a ring expression: %r" % (expr,))
+# RingElement operations for eval_ring_expr, which adds the variable lookup
+_ELEMENT_OPS = (lambda value: value, operator.neg,
+                lambda coeff, value: value.scale(coeff), operator.add,
+                operator.mul, NilpotentMatrixRing.zero)
 
 
 def eval_ring_expr(expr, assignment, ring) -> RingElement:
     """Evaluate an expression tree directly, without expanding it."""
-    if isinstance(expr, SigmaForm):
-        if expr.ring is not ring and expr.ring != ring:
-            raise RingError("expression over a different ring")
-        return expr.evaluate(assignment)
-    if isinstance(expr, (RingElement, str)):
-        return _letter_value(ring, expr, assignment)
-    if isinstance(expr, RVar):
-        return _letter_value(ring, expr.name, assignment)
-    if isinstance(expr, RConst):
-        return _letter_value(ring, expr.value, assignment)
-    if isinstance(expr, RNeg):
-        return -eval_ring_expr(expr.part, assignment, ring)
-    if isinstance(expr, RScale):
-        return eval_ring_expr(expr.part, assignment, ring).scale(expr.coeff)
-    if isinstance(expr, RSum):
-        total = ring.zero()
-        for part in expr.parts:
-            total = total + eval_ring_expr(part, assignment, ring)
-        return total
-    if isinstance(expr, RProd):
-        acc = None
-        for part in expr.parts:
-            value = eval_ring_expr(part, assignment, ring)
-            acc = value if acc is None else acc * value
-        if acc is None:
-            raise RingError("empty product has no meaning in a non-unital ring")
-        return acc
-    raise RingError("not a ring expression: %r" % (expr,))
+
+    def var(name):
+        try:
+            value = assignment[name]
+        except KeyError:
+            raise RingError("no value for ring variable %r" % name) from None
+        if not isinstance(value, RingElement) or value.ring != ring:
+            raise RingError("value for %r is not an element of %s"
+                            % (name, ring))
+        return value
+
+    return fold_expr(expr, ring, (var,) + _ELEMENT_OPS)
 
 
 def expr_variables(expr):

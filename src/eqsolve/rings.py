@@ -27,7 +27,7 @@ from .poly import (FIELD, Variable, grid_polynomials, merge_grid, scalar_grid,
 from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
                        RingExpr, RingMonomial, RNeg, RProd, RScale, RSum,
                        RVar, SigmaForm, eval_ring_expr, expr_variables,
-                       make_ring, ring_elements, sigma_expand)
+                       fold_expr, make_ring, ring_elements, sigma_expand)
 from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
                      PolySystem, SolveRequest, SolveStats, solve)
 
@@ -304,17 +304,6 @@ def _ring_tables(ring: NilpotentMatrixRing):
     return index, add, mul, neg
 
 
-def _eval_ops(expr) -> int:
-    """Ring operations one eval_ring_expr call spends on expr."""
-    if isinstance(expr, SigmaForm):
-        return sum(len(mono.letters) + 1 for mono in expr.monomials)
-    if isinstance(expr, (RNeg, RScale)):
-        return 1 + _eval_ops(expr.part)
-    if isinstance(expr, (RSum, RProd)):
-        return len(expr.parts) + sum(_eval_ops(part) for part in expr.parts)
-    return 0
-
-
 def _index_evaluator(expr, ring: NilpotentMatrixRing, names):
     """Compile expr into a function from a tuple of element indices (one per
     name) to the index of its value.  Subexpressions without variables are
@@ -323,11 +312,6 @@ def _index_evaluator(expr, ring: NilpotentMatrixRing, names):
     elems = ring_elements(ring)
     pos = {name: d for d, name in enumerate(names)}
     scales = {}
-
-    def constant(value):
-        if not isinstance(value, RingElement) or value.ring != ring:
-            raise RingError("constant from a different ring")
-        return index[value.rows]
 
     def unary(table, f):
         if isinstance(f, int):
@@ -345,12 +329,6 @@ def _index_evaluator(expr, ring: NilpotentMatrixRing, names):
             return lambda combo: col[f(combo)]
         return lambda combo: table[f(combo)][g(combo)]
 
-    def fold(table, parts):
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = binary(table, acc, part)
-        return acc
-
     def scale(coeff, f):
         coeff %= ring.modulus
         if coeff == 1:
@@ -359,39 +337,10 @@ def _index_evaluator(expr, ring: NilpotentMatrixRing, names):
             scales[coeff] = [index[e.scale(coeff).rows] for e in elems]
         return unary(scales[coeff], f)
 
-    def compile_(e):
-        if isinstance(e, SigmaForm):
-            if e.ring != ring:
-                raise RingError("expression over a different ring")
-            if not e.monomials:
-                return index[ring.zero().rows]
-            return fold(add, [
-                scale(mono.coeff, fold(mul, [compile_(l) for l in mono.letters]))
-                for mono in e.monomials])
-        if isinstance(e, str):
-            return itemgetter(pos[e])
-        if isinstance(e, RVar):
-            return itemgetter(pos[e.name])
-        if isinstance(e, RingElement):
-            return constant(e)
-        if isinstance(e, RConst):
-            return constant(e.value)
-        if isinstance(e, RNeg):
-            return unary(neg, compile_(e.part))
-        if isinstance(e, RScale):
-            return scale(e.coeff, compile_(e.part))
-        if isinstance(e, RSum):
-            if not e.parts:
-                return index[ring.zero().rows]
-            return fold(add, [compile_(part) for part in e.parts])
-        if isinstance(e, RProd):
-            if not e.parts:
-                raise RingError(
-                    "empty product has no meaning in a non-unital ring")
-            return fold(mul, [compile_(part) for part in e.parts])
-        raise RingError("not a ring expression: %r" % (e,))
-
-    f = compile_(expr)
+    f = fold_expr(expr, ring, (
+        lambda name: itemgetter(pos[name]), lambda value: index[value.rows],
+        lambda f: unary(neg, f), scale, lambda f, g: binary(add, f, g),
+        lambda f, g: binary(mul, f, g), lambda ring: index[ring.zero().rows]))
     return f if callable(f) else (lambda combo: f)
 
 
@@ -403,11 +352,10 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     Over M/I, assignments range over canonical coset representatives and
     equality means the difference lands in the ideal.  Assignments are
     scanned lexicographically (variables in first occurrence order, values
-    in canonical order).  On rings of at most _TABLE_LIMIT elements, and
-    when building the +/* tables costs fewer products than evaluating the
-    expression at every assignment, the scan runs on element indices through
-    the tables; otherwise each assignment is evaluated with eval_ring_expr.
-    Both give the same verdict, witness and explored count.
+    in canonical order).  On rings of at most _TABLE_LIMIT elements the
+    scan runs on element indices through the cached +/* tables; on larger
+    rings each assignment is evaluated with eval_ring_expr.  Both give the
+    same verdict, witness and explored count.
     """
     if rhs is None:
         rhs = ring.zero()
@@ -420,7 +368,7 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     space = (n if ideal is None else n // len(ideal)) ** len(names)
     if space > guard:
         raise GuardExceeded(space, guard)
-    if n <= _TABLE_LIMIT and n * n <= space * _eval_ops(expr):
+    if n <= _TABLE_LIMIT:
         return _table_scan(ring, expr, rhs, ideal, names, space)
     if ideal is not None:
         seen = set()

@@ -11,6 +11,7 @@ from eqsolve import (GroupError, GuardExceeded, PatternError,
                      exponent_bound, full_pattern, invert_word, make_domain,
                      make_group, multiply, unitriangular_group,
                      word_variables, words_agree_everywhere)
+from eqsolve import groups
 from conftest import random_assignment, random_word
 
 
@@ -138,6 +139,22 @@ def test_evaluate_word_empty_and_single(order54):
     assert evaluate_word(order54, ("x",), {"x": c}) == c
 
 
+def test_evaluate_word_multiplies_once_per_extra_letter(monkeypatch, order54):
+    calls = []
+    product = groups.multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(groups, "multiply", counting)
+    c = element_list(order54)[7]
+    for n in range(4):
+        calls.clear()
+        evaluate_word(order54, ("x", c) * n, {"x": c})
+        assert len(calls) == max(2 * n - 1, 0)
+
+
 def test_evaluate_word_matches_fold(order54):
     rng = random.Random(12)
     for _ in range(50):
@@ -250,6 +267,18 @@ def test_words_agree_everywhere(ut3_f2):
     left = evaluate_word(ut3_f2, ("x", "y"), separator)
     right = evaluate_word(ut3_f2, ("y", "x"), separator)
     assert left != right
+
+
+def test_oracles_without_variables_build_no_table(f3):
+    # a group no other test uses, so that its table is not already cached
+    group = make_group(f3, 2, (), (2, 2))
+    a, b = element_list(group)[1:3]
+    before = groups._cayley.cache_info()
+    assert brute_force_solve(group, (a, b), multiply(a, b)).stats.explored == 1
+    assert not brute_force_solve(group, (a, b), a).sat
+    assert words_agree_everywhere(group, (a, b), (b, a)) == (True, None)
+    assert words_agree_everywhere(group, (a,), ()) == (False, {})
+    assert groups._cayley.cache_info() == before
 
 
 def _raw_matmul(domain, a, b, m):

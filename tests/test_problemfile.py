@@ -3,8 +3,9 @@ from pathlib import Path
 import pytest
 
 from eqsolve import GroupElement, RingElement
-from eqsolve.problemfile import (ParseError, parse_problem,
-                                 parse_problem_file, render_problem)
+from eqsolve.problemfile import (ParseError, parse_bench_config,
+                                 parse_problem, parse_problem_file,
+                                 render_problem)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -133,4 +134,36 @@ def test_group_and_ring_both_present_rejected():
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_problem("[group]\nq 3\n")
+    assert err.value.line == 2
+
+
+FAMILY_TEXT = """
+[family]
+q = 2
+m = 3
+pattern = full
+orders = [1, 1, 1]
+lengths = [2, 4]
+variables = 2
+"""
+
+
+def test_bench_config_duplicate_key_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_bench_config(FAMILY_TEXT.replace("q = 2", "q = 2\nq = 3"))
+    assert "duplicate" in str(err.value)
+    assert err.value.line == 4
+
+
+def test_bench_config_pattern_needs_pairs():
+    with pytest.raises(ParseError) as err:
+        parse_bench_config(FAMILY_TEXT.replace("full", "[[1,2,3]]"))
+    assert "pairs" in str(err.value)
+    assert err.value.line == 5
+
+
+def test_missing_key_reports_its_section():
+    with pytest.raises(ParseError) as err:
+        parse_bench_config(FAMILY_TEXT.replace("variables = 2", ""))
+    assert "'variables'" in str(err.value)
     assert err.value.line == 2

@@ -13,7 +13,8 @@ from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
                      expr_variables, make_ring, monomial_entry_polys,
                      ring_elements, sigma_expand)
 from eqsolve import rings
-from eqsolve.rings import RingElement, RingMonomial, sigma_var_index
+from eqsolve.rings import (RingElement, RingMonomial, SigmaForm,
+                           sigma_var_index)
 from conftest import random_ring_element, random_ring_expr
 
 X, Y = RVar("x"), RVar("y")
@@ -559,21 +560,44 @@ def test_foreign_constants_rejected_on_every_path(ring_m2z2, ring_m2z4):
     # notices that they belong to M(2, Z2)
     foreign = RConst(ring_elements(ring_m2z2)[1])
     ideal = enumerate_ideal(ring_m2z4, [ring_m2z4.element([[0, 2], [0, 0]])])
+    # M(3, Z4) is too large for the tables: its oracle evaluates each
+    # assignment
+    m3z4 = make_ring(2, 2, 3)
+    m3z4_ideal = enumerate_ideal(m3z4, [m3z4.element(
+        [[0, 0, 2], [0, 0, 0], [0, 0, 0]])])
     exprs = (foreign, RNeg(foreign), RScale(3, foreign), RProd((foreign,)),
              sigma_expand(foreign, ring_m2z2),
              sigma_expand(X * Y, ring_m2z2))  # truncated to the zero form
     for expr in exprs:
-        with pytest.raises(RingError):
-            eval_ring_expr(expr, {}, ring_m2z4)
+        for ring in (ring_m2z4, m3z4):
+            with pytest.raises(RingError):
+                eval_ring_expr(expr, {}, ring)
         for coset in (None, ideal):
             with pytest.raises(RingError):
                 _table_oracle(ring_m2z4, expr, ring_m2z4.zero(), coset)
-            # one evaluation is cheaper than the tables: the per-assignment
-            # path runs
+        for coset in (None, m3z4_ideal):
             before = _table_calls()
             with pytest.raises(RingError):
-                brute_force_ring_solve(ring_m2z4, expr, ideal=coset)
+                brute_force_ring_solve(m3z4, expr, ideal=coset)
             assert _table_calls() == before
+
+
+def test_malformed_nodes_rejected_on_every_path(ring_m2z4):
+    # a monomial with no letters is an empty product; 5 is no ring element
+    for ring in (ring_m2z4, make_ring(2, 2, 3)):
+        tables = ring.cardinality <= rings._TABLE_LIMIT
+        for bad in (SigmaForm(ring, (RingMonomial(1, ()),)), RConst(5)):
+            for expr in (bad, X + bad):
+                with pytest.raises(RingError):
+                    eval_ring_expr(expr, {"x": ring.zero()}, ring)
+                with pytest.raises(RingError):
+                    sigma_expand(expr, ring)
+                with pytest.raises(RingError):
+                    decide_ring_equation(ring, expr)
+                before = _table_calls()
+                with pytest.raises(RingError):
+                    brute_force_ring_solve(ring, expr)
+                assert (_table_calls() > before) == tables
 
 
 def test_table_oracle_guard(ring_m2z4):
@@ -589,26 +613,15 @@ def _table_calls():
     return info.hits + info.misses
 
 
-def test_table_limit_keeps_large_rings_per_assignment(monkeypatch):
+def test_table_limit_keeps_large_rings_per_assignment():
     m3z4 = make_ring(2, 2, 3)
     assert m3z4.cardinality > rings._TABLE_LIMIT
-    # make tables look cheap, so that only the size limit keeps them out
-    monkeypatch.setattr(rings, "_eval_ops", lambda expr: 10 ** 12)
     c = m3z4.element([[2, 1, 0], [0, 0, 3], [0, 0, 2]])
     target = m3z4.element([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     before = _table_calls()
     decision = brute_force_ring_solve(m3z4, X * RConst(c), target)
     assert _table_calls() == before
     assert decision.sat == any(x * c == target for x in ring_elements(m3z4))
-
-
-def test_table_cost_rule(ring_m2z4):
-    # one bare variable: 32 evaluations cost less than a 32 x 32 table
-    before = _table_calls()
-    assert brute_force_ring_solve(ring_m2z4, X).sat
-    assert _table_calls() == before
-    brute_force_ring_solve(ring_m2z4, X * Y)
-    assert _table_calls() > before
 
 
 def test_ring_oracle_loads_no_numpy():
