@@ -234,7 +234,8 @@ def _build_parser():
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the brute-force oracle")
     p.add_argument("--dump-system", metavar="PATH",
-                   help="write the reduced polynomial system to PATH")
+                   help="write the formal polynomial system, as dump-system "
+                        "prints it, to PATH")
     common(p)
     p.set_defaults(func=cmd_decide)
 
@@ -249,7 +250,10 @@ def _build_parser():
     p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("dump-system", help="print the reduced polynomial system")
+    p = sub.add_parser("dump-system",
+                       help="print the paper's formal reduction: every "
+                            "diagonal slot is a variable (decide and equiv "
+                            "first substitute one-value diagonal slots)")
     p.add_argument("path")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_dump_system)

@@ -365,6 +365,9 @@ def _first_lane(group, names, left, right, equal):
     which the words left and right evaluate equal (equal=True) or different
     (equal=False); (space, None) when there is none.  Without variables no
     Cayley table is built."""
+    for letter in left + right:
+        if not isinstance(letter, str) and not _same_group(letter.group, group):
+            raise GroupError("constant letter from a different group")
     v = len(names)
     size = group.order
     if v and size <= _TABLE_LIMIT:

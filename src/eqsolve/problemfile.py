@@ -78,9 +78,10 @@ def _split_sections(text):
 
 
 def _as_int(value, lineno):
+    """An integer from a key's text or a JSON list entry."""
     try:
         return int(value)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ParseError("expected an integer, got %r" % value, lineno) from None
 
 
@@ -189,9 +190,10 @@ def _parse_group(table, section, header_line) -> SemipatternGroup:
         raw = _as_list(value, lineno)
         if any(not isinstance(pos, list) or len(pos) != 2 for pos in raw):
             raise ParseError("pattern must be a list of [i, j] pairs", lineno)
-        pattern = tuple((int(i), int(j)) for i, j in raw)
+        pattern = tuple((_as_int(i, lineno), _as_int(j, lineno))
+                        for i, j in raw)
     lineno, value = _require(table, "orders", section, header_line)
-    orders = _as_list(value, lineno)
+    orders = [_as_int(d, lineno) for d in _as_list(value, lineno)]
     return make_group(domain, m, pattern, orders)
 
 
@@ -407,7 +409,7 @@ def parse_bench_config(text: str):
         table = _entries_to_dict(entries, _FAMILY_KEYS)
         group = _parse_group(table, "family", header_line)
         lineno, value = _require(table, "lengths", "family", header_line)
-        lengths = tuple(int(n) for n in _as_list(value, lineno))
+        lengths = tuple(_as_int(n, lineno) for n in _as_list(value, lineno))
         lineno, value = _require(table, "variables", "family", header_line)
         variables = _as_int(value, lineno)
         reps = 1

@@ -18,6 +18,17 @@ solvability question handed to the system solver.  SAT witnesses are
 reassembled into group elements and re-checked through evaluate_word before
 being returned.
 
+build_system gives every diagonal slot its variable by default: that is the
+paper's formal reduction, which `eqsolve dump-system` prints.  The two
+decision paths, decide_equation and separating_substitution, build with
+formal=False instead: a diagonal slot whose row subgroup has one element
+can take only that element, so the letter holds it as a constant.  The
+product then folds it into the coefficients, monomials that differed only
+in such slots merge or cancel as they are formed, and the slot never
+reaches the solver; its witness entry is that element.  The witness of
+decide_equation is the lexicographically first solution in the variable
+order of this folded system.
+
 Equivalence needs no solver.  Field slots occur at most once in a monomial
 (an index chain never repeats an above-diagonal position), so cutting each
 diagonal exponent modulo its slot's order d (y^d = 1) leaves every variable
@@ -77,10 +88,13 @@ class SymbolicLetter:
         return cls(group.m, slots)
 
     @classmethod
-    def for_variable(cls, group: SemipatternGroup, k: int):
+    def for_variable(cls, group: SemipatternGroup, k: int, *, formal=True):
+        """Slots of variable k.  With formal=False a diagonal slot whose row
+        subgroup has one element holds that element instead of y[i][k]."""
         slots = {}
-        for i in range(1, group.m + 1):
-            slots[(i, i)] = y_variable(i, k)
+        for i, sub in enumerate(group.subgroups, start=1):
+            slots[(i, i)] = (y_variable(i, k) if formal or sub.order > 1
+                             else sub.elements[0])
         for (i, j) in group.pattern:
             slots[(i, j)] = x_variable(i, j, k)
         return cls(group.m, slots)
@@ -115,12 +129,17 @@ class SymbolicMatrix:
         return element
 
 
-def symbolic_letters(group: SemipatternGroup, word, var_index):
-    """Symbolic letter per word position; equal variables share slot variables."""
+def symbolic_letters(group: SemipatternGroup, word, var_index, *,
+                     formal=True):
+    """Symbolic letter per word position; equal variables share slot variables.
+
+    formal=False substitutes one-value diagonal slots (see for_variable).
+    """
     letters = []
     for letter in word:
         if isinstance(letter, str):
-            letters.append(SymbolicLetter.for_variable(group, var_index[letter]))
+            letters.append(SymbolicLetter.for_variable(
+                group, var_index[letter], formal=formal))
         else:
             if letter.group != group:
                 raise GroupError("constant letter from a different group")
@@ -174,8 +193,8 @@ class ReducedSystem:
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: GroupElement}.
 
-        Slots that dropped out of the system (cancelled or never constrained)
-        default to the identity's entries.
+        Slots that dropped out of the system (cancelled, folded or never
+        constrained) default to the identity's entries.
         """
         return _assemble_witness(self.group, self.var_names, assignment)
 
@@ -198,36 +217,40 @@ def _assemble_witness(group: SemipatternGroup, var_names, assignment) -> dict:
     return out
 
 
-def _symbolic_words(group: SemipatternGroup, *words):
+def _symbolic_words(group: SemipatternGroup, *words, formal=True):
     """Variable names, then one symbolic product per word; equal variable
     names share slot variables across the words."""
     names = word_variables(itertools.chain(*words))
     var_index = {name: k for k, name in enumerate(names, start=1)}
     return (names,) + tuple(
-        symbolic_product(group, symbolic_letters(group, word, var_index))
+        symbolic_product(group, symbolic_letters(group, word, var_index,
+                                                 formal=formal))
         for word in words)
 
 
-def build_system(group: SemipatternGroup, lhs, rhs) -> ReducedSystem:
+def build_system(group: SemipatternGroup, lhs, rhs, *,
+                 formal=True) -> ReducedSystem:
     """Reduce the word equation lhs = rhs to a polynomial system over GF(q).
 
     rhs may be a constant element (targets are its entries) or another word
     (the two entry polynomials are equated by moving everything left).
     Domains: x variables range over the field, y variables over their row's
-    subgroup.
+    subgroup.  formal=False folds one-value diagonal slots into the
+    coefficients, so they never become variables.
     """
     lhs = tuple(lhs)
     rhs_matrix = None
     constraints = []
     if not isinstance(rhs, GroupElement):
         rhs = tuple(rhs)
-        names, lhs_matrix, rhs_matrix = _symbolic_words(group, lhs, rhs)
+        names, lhs_matrix, rhs_matrix = _symbolic_words(group, lhs, rhs,
+                                                        formal=formal)
         zero = group.domain.zero()
         for (pos, left) in lhs_matrix.upper_entries():
             right = rhs_matrix.entry(*pos)
             constraints.append(Constraint(left - right, zero))
     else:
-        names, lhs_matrix = _symbolic_words(group, lhs)
+        names, lhs_matrix = _symbolic_words(group, lhs, formal=formal)
         if rhs.group != group:
             raise GroupError("right-hand side from a different group")
         for ((i, j), left) in lhs_matrix.upper_entries():
@@ -249,10 +272,12 @@ def decide_equation(group: SemipatternGroup, lhs, rhs, *,
                     guard: int = DEFAULT_GUARD, backend: str = "pruned") -> Decision:
     """Decide solvability of lhs = rhs over the group via the reduction.
 
-    On SAT the witness maps variable names to group elements and has been
-    re-verified through evaluate_word.
+    The system is built with one-value diagonal slots folded, so on SAT the
+    witness is the lexicographically first solution in the variable order
+    of that folded system.  It maps variable names to group elements and
+    has been re-verified through evaluate_word.
     """
-    reduced = build_system(group, lhs, rhs)
+    reduced = build_system(group, lhs, rhs, formal=False)
     decision = solve(SolveRequest(reduced.system, backend=backend, guard=guard))
     if not decision.sat:
         return Decision(False, None, decision.stats)
@@ -341,7 +366,7 @@ def separating_substitution(group: SemipatternGroup, f, g):
     evaluate_word.
     """
     f, g = tuple(f), tuple(g)
-    names, left, right = _symbolic_words(group, f, g)
+    names, left, right = _symbolic_words(group, f, g, formal=False)
     for pos, entry in left.upper_entries():
         diff = _reduced_difference(group, entry, right.entry(*pos))
         if diff:

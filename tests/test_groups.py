@@ -281,6 +281,20 @@ def test_oracles_without_variables_build_no_table(f3):
     assert groups._cayley.cache_info() == before
 
 
+def test_oracles_reject_constants_from_other_groups(ut3_f2, order54):
+    """A foreign constant letter or target is a GroupError on the table path
+    too, as in evaluate_word, not a KeyError from the Cayley index."""
+    foreign = order54.identity()
+    with pytest.raises(GroupError):
+        brute_force_solve(ut3_f2, ("x",), foreign)
+    with pytest.raises(GroupError):
+        brute_force_solve(ut3_f2, ("x", foreign), ("x",))
+    with pytest.raises(GroupError):
+        words_agree_everywhere(ut3_f2, ("x", foreign), ("x",))
+    with pytest.raises(GroupError):
+        words_agree_everywhere(ut3_f2, ("x",), (foreign, "x"))
+
+
 def _raw_matmul(domain, a, b, m):
     return tuple(tuple(
         _sum_terms(domain, [domain.rmul(a[i][l], b[l][j]) for l in range(m)])

@@ -167,3 +167,26 @@ def test_missing_key_reports_its_section():
         parse_bench_config(FAMILY_TEXT.replace("variables = 2", ""))
     assert "'variables'" in str(err.value)
     assert err.value.line == 2
+
+
+def test_pattern_entry_must_be_an_integer():
+    text = GROUP_TEXT.replace("pattern = full", "pattern = [[1, [2]]]")
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert "expected an integer" in str(err.value)
+    assert err.value.line == 5
+
+
+def test_orders_entry_must_be_an_integer():
+    text = GROUP_TEXT.replace("orders = [1, 2, 1]", 'orders = ["a", 1, 1]')
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert "expected an integer" in str(err.value)
+    assert err.value.line == 6
+
+
+def test_bench_config_lengths_must_be_integers():
+    with pytest.raises(ParseError) as err:
+        parse_bench_config(FAMILY_TEXT.replace("[2, 4]", "[[1]]"))
+    assert "expected an integer" in str(err.value)
+    assert err.value.line == 7

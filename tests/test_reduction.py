@@ -7,7 +7,7 @@ import pytest
 from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      decide_equation, decide_equivalence, element_list,
                      evaluate_word, exponent_bound, full_pattern, invert_word,
-                     make_domain, make_group, solve, SolveRequest,
+                     make_domain, make_group, multiply, solve, SolveRequest,
                      separating_substitution, symbolic_letters,
                      symbolic_product, unitriangular_group, word_variables,
                      Variable, words_agree_everywhere)
@@ -281,6 +281,63 @@ def test_witnesses_are_reverified(order54):
         decision = decide_equation(order54, word, target)
         if decision.sat:
             assert evaluate_word(order54, word, decision.witness) == target
+
+
+def test_folded_identity_word_of_367_letters(f2):
+    """367 distinct letters in UT(2,F2): the formal system has 1101 slot
+    variables, the folded one only the 367 field slots x[1][2][k]."""
+    group = unitriangular_group(f2, 2)
+    word = distinct_word(367)
+    decision = decide_equation(group, word, group.identity(), guard=2 ** 400)
+    assert decision.sat
+    assert evaluate_word(group, word, decision.witness) == group.identity()
+
+
+def test_folded_square_chain_refuted_before_search(ut4_f2):
+    """Over GF(2) the superdiagonal of x^2 cancels once the diagonal slots
+    are folded, so a target outside the subgroup generated by squares is
+    refuted by a constraint without variables."""
+    squares = {multiply(g, g) for g in element_list(ut4_f2)}
+    frontier = list(squares)
+    while frontier:
+        a = frontier.pop()
+        for b in list(squares):
+            for c in (multiply(a, b), multiply(b, a)):
+                if c not in squares:
+                    squares.add(c)
+                    frontier.append(c)
+    target = next(g for g in element_list(ut4_f2) if g not in squares)
+    word = ("x1", "x1", "x2", "x2", "x3", "x3", "x4", "x4")
+    decision = decide_equation(ut4_f2, word, target)
+    assert not decision.sat
+    assert decision.stats.explored == 0
+
+
+def test_folded_system_agrees_with_formal_and_oracle(group_family):
+    """Criterion-1 words (at most two variables, so that the naive scan
+    stays small): the folded decision, the formal system and the oracle give
+    one verdict; the folded system has no one-value domain, and the pruned
+    and naive backends return the same witness on it."""
+    rng = random.Random(1001)
+    for group in group_family:
+        for trial in range(25):
+            word = random_word(rng, group, max_len=8, max_vars=2)
+            if trial % 5 == 4:
+                target = random_word(rng, group, max_len=4, max_vars=2)
+            else:
+                target = random_group_element(rng, group)
+            verdict = decide_equation(group, word, target).sat
+            formal = solve(SolveRequest(build_system(group, word,
+                                                     target).system))
+            assert formal.sat == verdict, (group, word, target)
+            assert brute_force_solve(group, word, target).sat == verdict
+            folded = build_system(group, word, target, formal=False).system
+            assert all(len(values) > 1
+                       for values in folded.domains.values())
+            pruned = solve(SolveRequest(folded))
+            naive = solve(SolveRequest(folded, backend="naive"))
+            assert pruned.sat == naive.sat == verdict
+            assert pruned.witness == naive.witness
 
 
 def test_equivalence_syntactic_identity(ut3_f2):
