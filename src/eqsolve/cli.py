@@ -253,7 +253,7 @@ def _build_parser():
     p = sub.add_parser("dump-system",
                        help="print the paper's formal reduction: every "
                             "diagonal slot is a variable (decide and equiv "
-                            "first substitute one-value diagonal slots)")
+                            "apply y^d = 1 to a slot of row order d)")
     p.add_argument("path")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_dump_system)

@@ -3,7 +3,8 @@
 Domains and their elements are immutable values, so they are safe to share,
 hash, and use as dictionary keys.  Extension fields use a polynomial basis
 modulo a monic irreducible polynomial; a built-in table covers every
-extension field of order <= 32.  Elements are always kept in canonical form
+extension field of order <= 32.  Their products and inverses read per-field
+log/antilog tables over a generator of the multiplicative group.  Elements are always kept in canonical form
 (a residue, or a fixed-length coefficient tuple), which makes equality
 structural and cheap.
 """
@@ -230,12 +231,34 @@ class FiniteField:
             return (-a) % self.p
         return tuple((-x) % self.p for x in a)
 
+    @cached_property
+    def _log_tables(self):
+        """(log, exp) for k > 1, from a generator g of GF(q)*: log maps each
+        nonzero raw value x to the i in [0, q - 1) with g^i = x, and
+        exp[i] = g^(i mod (q - 1)) for i < 2(q - 1), so that a product of two
+        nonzeros is exp[log[a] + log[b]].  Built once per field, by
+        polynomial arithmetic modulo the defining polynomial."""
+        order, p, k = self.size - 1, self.p, self.k
+        for v in range(2, self.size):
+            g, powers = list(self.decode(v)), [self.rone]
+            while len(powers) < order:
+                rem = _poly_rem(_poly_mul(list(powers[-1]), g, p),
+                                list(self.modpoly), p)
+                if rem == [1]:
+                    break
+                powers.append(tuple(rem + [0] * (k - len(rem))))
+            if len(powers) == order:
+                return {x: i for i, x in enumerate(powers)}, powers * 2
+        raise DomainError("%r has no multiplicative generator" % self)
+
     def rmul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        prod = _poly_mul(list(a), list(b), self.p)
-        rem = _poly_rem(prod, list(self.modpoly), self.p)
-        return tuple(rem + [0] * (self.k - len(rem)))
+        log, exp = self._log_tables
+        i, j = log.get(a), log.get(b)
+        if i is None or j is None:
+            return self.rzero
+        return exp[i + j]
 
     def rdot(self, xs, ys):
         """Sum of the products xs[i] * ys[i]; zero for empty sequences."""
@@ -248,13 +271,8 @@ class FiniteField:
             raise DomainError("zero is not invertible in %s" % self)
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        result, base, n = self.rone, a, self.size - 2
-        while n:
-            if n & 1:
-                result = self.rmul(result, base)
-            base = self.rmul(base, base)
-            n >>= 1
-        return result
+        log, exp = self._log_tables
+        return exp[len(log) - log[a]]
 
     def runit(self, a) -> bool:
         return a != self.rzero

@@ -322,12 +322,14 @@ def scalar_grid(dom, m: int, raw) -> list:
             for i in range(m)]
 
 
-def slot_grid_product(dom, grid, letters) -> list:
+def slot_grid_product(dom, grid, letters, orders=None) -> list:
     """Multiply a raw grid (left unchanged) by letters, left to right.
 
     Each letter is one list per row of (column, raw coefficient, Variable or
     None) slots, 0-based, with no zero coefficient.  Entries stay raw dicts
     with no zero coefficient; grid_polynomials sorts them once, at the end.
+    orders maps variables that satisfy var^d = 1 to d; their exponents are
+    cut below d as the product is formed.
     """
     rzero, rone, radd, rmul = dom.rzero, dom.rone, dom.radd, dom.rmul
     # over a field, nonzero times nonzero stays nonzero
@@ -342,8 +344,12 @@ def slot_grid_product(dom, grid, letters) -> list:
                 for j, coeff, var in slots:
                     terms = left.items()
                     if var is not None:
-                        # distinct keys of left stay distinct
-                        terms = [(_canon_factors(f + (var,)), c)
+                        # distinct keys of left stay distinct, also where
+                        # var^d = 1 cancels d copies of var (a unit)
+                        d = orders.get(var) if orders else None
+                        terms = [(_canon_factors(f + (var,))
+                                  if d is None or f.count(var) < d - 1
+                                  else tuple(v for v in f if v != var), c)
                                  for f, c in terms]
                     if coeff != rone:
                         terms = [(f, rmul(c, coeff)) for f, c in terms]

@@ -21,22 +21,24 @@ being returned.
 build_system gives every diagonal slot its variable by default: that is the
 paper's formal reduction, which `eqsolve dump-system` prints.  The two
 decision paths, decide_equation and separating_substitution, build with
-formal=False instead: a diagonal slot whose row subgroup has one element
-can take only that element, so the letter holds it as a constant.  The
-product then folds it into the coefficients, monomials that differed only
-in such slots merge or cancel as they are formed, and the slot never
-reaches the solver; its witness entry is that element.  The witness of
+formal=False instead, which applies one rule inside symbolic_product: a
+diagonal slot y of a row whose subgroup has order d satisfies y^d = 1 on
+its whole domain.  For d = 1 the slot enters the product as the constant
+1, so it never becomes a variable and its witness entry is 1; for d > 1 the
+d copies of y in a monomial cancel once its exponent reaches d.  Monomials
+that then coincide merge or cancel as the product is formed.  The witness of
 decide_equation is the lexicographically first solution in the variable
-order of this folded system.
+order of this reduced system.
 
 Equivalence needs no solver.  Field slots occur at most once in a monomial
-(an index chain never repeats an above-diagonal position), so cutting each
-diagonal exponent modulo its slot's order d (y^d = 1) leaves every variable
-with an exponent below its domain size.  That is the unique polynomial of
+(an index chain never repeats an above-diagonal position), and after the
+cut every diagonal exponent is below its slot's order d, so every variable
+has an exponent below its domain size.  That is the unique polynomial of
 the function on the slot domains, so two words agree everywhere iff every
-reduced entry of F - G is zero.  A nonzero one is kept nonzero while its
-variables are fixed one at a time, which the Combinatorial Nullstellensatz
-always allows; the values found separate the words.
+constraint polynomial of the reduced system F = G is zero.  A nonzero one
+is kept nonzero while its variables are fixed one at a time, which the
+Combinatorial Nullstellensatz always allows; the values found separate the
+words.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .domains import Scalar
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
                      evaluate_word, word_variables)
 from .poly import (FIELD, SUBGROUP, Polynomial, Variable, grid_polynomials,
@@ -88,15 +89,11 @@ class SymbolicLetter:
         return cls(group.m, slots)
 
     @classmethod
-    def for_variable(cls, group: SemipatternGroup, k: int, *, formal=True):
-        """Slots of variable k.  With formal=False a diagonal slot whose row
-        subgroup has one element holds that element instead of y[i][k]."""
-        slots = {}
-        for i, sub in enumerate(group.subgroups, start=1):
-            slots[(i, i)] = (y_variable(i, k) if formal or sub.order > 1
-                             else sub.elements[0])
-        for (i, j) in group.pattern:
-            slots[(i, j)] = x_variable(i, j, k)
+    def for_variable(cls, group: SemipatternGroup, k: int):
+        """Slots of variable k: y[i][k] on the diagonal, x[i][j][k] on the
+        pattern."""
+        slots = {(i, i): y_variable(i, k) for i in range(1, group.m + 1)}
+        slots.update(((i, j), x_variable(i, j, k)) for i, j in group.pattern)
         return cls(group.m, slots)
 
 
@@ -129,17 +126,13 @@ class SymbolicMatrix:
         return element
 
 
-def symbolic_letters(group: SemipatternGroup, word, var_index, *,
-                     formal=True):
-    """Symbolic letter per word position; equal variables share slot variables.
-
-    formal=False substitutes one-value diagonal slots (see for_variable).
-    """
+def symbolic_letters(group: SemipatternGroup, word, var_index):
+    """Symbolic letter per word position; equal variables share slot variables."""
     letters = []
     for letter in word:
         if isinstance(letter, str):
-            letters.append(SymbolicLetter.for_variable(
-                group, var_index[letter], formal=formal))
+            letters.append(SymbolicLetter.for_variable(group,
+                                                       var_index[letter]))
         else:
             if letter.group != group:
                 raise GroupError("constant letter from a different group")
@@ -147,27 +140,41 @@ def symbolic_letters(group: SemipatternGroup, word, var_index, *,
     return letters
 
 
-def _slot_rows(dom, letter: SymbolicLetter):
-    """A letter's slots per row, as slot_grid_product takes them."""
+def _slot_rows(group: SemipatternGroup, letter: SymbolicLetter, orders):
+    """A letter's slots per row, as slot_grid_product takes them.  Unless
+    orders is None, a diagonal slot of row order d = 1 becomes the constant
+    1 and one of order d > 1 is entered in orders as y -> d."""
+    rone, rzero = group.domain.rone, group.domain.rzero
     rows = [[] for _ in range(letter.m)]
     for (i, j), slot in letter.slots.items():
         if isinstance(slot, Variable):
-            rows[i - 1].append((j - 1, dom.rone, slot))
-        elif slot.raw != dom.rzero:
+            if orders is not None and i == j:
+                d = group.orders[i - 1]
+                if d == 1:
+                    slot = None
+                else:
+                    orders[slot] = d
+            rows[i - 1].append((j - 1, rone, slot))
+        elif slot.raw != rzero:
             rows[i - 1].append((j - 1, slot.raw, None))
     return rows
 
 
-def symbolic_product(group: SemipatternGroup, letters) -> SymbolicMatrix:
+def symbolic_product(group: SemipatternGroup, letters, *,
+                     formal=True) -> SymbolicMatrix:
     """Multiply symbolic letters left to right into entry polynomials.
 
     The empty product is the symbolic identity.  Constants are folded into
     monomial coefficients as the product is formed, and entries at positions
-    forced to zero by the pattern stay structurally zero.
+    forced to zero by the pattern stay structurally zero.  formal=False
+    applies y^d = 1 to every diagonal slot of row order d as the product is
+    formed (see the module docstring).
     """
     dom = group.domain
-    rows = [_slot_rows(dom, letter) for letter in letters]
-    grid = slot_grid_product(dom, scalar_grid(dom, group.m, dom.rone), rows)
+    orders = None if formal else {}
+    rows = [_slot_rows(group, letter, orders) for letter in letters]
+    grid = slot_grid_product(dom, scalar_grid(dom, group.m, dom.rone), rows,
+                             orders)
     return SymbolicMatrix(group, grid_polynomials(dom, grid))
 
 
@@ -188,7 +195,6 @@ class ReducedSystem:
     var_names: tuple             # distinct variable names, first occurrence order
     system: PolySystem
     lhs_matrix: SymbolicMatrix
-    rhs_matrix: SymbolicMatrix = None
 
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: GroupElement}.
@@ -196,36 +202,22 @@ class ReducedSystem:
         Slots that dropped out of the system (cancelled, folded or never
         constrained) default to the identity's entries.
         """
-        return _assemble_witness(self.group, self.var_names, assignment)
-
-
-def _assemble_witness(group: SemipatternGroup, var_names, assignment) -> dict:
-    dom = group.domain
-    out = {}
-    for k, name in enumerate(var_names, start=1):
-        rows = [[dom.rzero] * group.m for _ in range(group.m)]
-        for i in range(1, group.m + 1):
-            val = assignment.get(y_variable(i, k))
-            rows[i - 1][i - 1] = val.raw if val is not None else dom.rone
-        for (i, j) in group.pattern:
-            val = assignment.get(x_variable(i, j, k))
-            if val is not None:
-                rows[i - 1][j - 1] = val.raw
-        element = GroupElement(group, tuple(tuple(r) for r in rows))
-        group._check_membership(element.rows)
-        out[name] = element
-    return out
-
-
-def _symbolic_words(group: SemipatternGroup, *words, formal=True):
-    """Variable names, then one symbolic product per word; equal variable
-    names share slot variables across the words."""
-    names = word_variables(itertools.chain(*words))
-    var_index = {name: k for k, name in enumerate(names, start=1)}
-    return (names,) + tuple(
-        symbolic_product(group, symbolic_letters(group, word, var_index,
-                                                 formal=formal))
-        for word in words)
+        group = self.group
+        dom = group.domain
+        out = {}
+        for k, name in enumerate(self.var_names, start=1):
+            rows = [[dom.rzero] * group.m for _ in range(group.m)]
+            for i in range(1, group.m + 1):
+                val = assignment.get(y_variable(i, k))
+                rows[i - 1][i - 1] = val.raw if val is not None else dom.rone
+            for (i, j) in group.pattern:
+                val = assignment.get(x_variable(i, j, k))
+                if val is not None:
+                    rows[i - 1][j - 1] = val.raw
+            element = GroupElement(group, tuple(tuple(r) for r in rows))
+            group._check_membership(element.rows)
+            out[name] = element
+        return out
 
 
 def build_system(group: SemipatternGroup, lhs, rhs, *,
@@ -235,26 +227,27 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     rhs may be a constant element (targets are its entries) or another word
     (the two entry polynomials are equated by moving everything left).
     Domains: x variables range over the field, y variables over their row's
-    subgroup.  formal=False folds one-value diagonal slots into the
-    coefficients, so they never become variables.
+    subgroup.  formal=False applies y^d = 1 in symbolic_product, so every
+    constraint polynomial is the reduced normal form of its entry.
     """
     lhs = tuple(lhs)
-    rhs_matrix = None
-    constraints = []
-    if not isinstance(rhs, GroupElement):
-        rhs = tuple(rhs)
-        names, lhs_matrix, rhs_matrix = _symbolic_words(group, lhs, rhs,
-                                                        formal=formal)
-        zero = group.domain.zero()
-        for (pos, left) in lhs_matrix.upper_entries():
-            right = rhs_matrix.entry(*pos)
-            constraints.append(Constraint(left - right, zero))
+    words = (lhs,) if isinstance(rhs, GroupElement) else (lhs, tuple(rhs))
+    # equal variable names share slot variables across the two words
+    names = word_variables(itertools.chain(*words))
+    var_index = {name: k for k, name in enumerate(names, start=1)}
+    lhs_matrix, *rest = [
+        symbolic_product(group, symbolic_letters(group, word, var_index),
+                         formal=formal)
+        for word in words]
+    if rest:
+        rhs, zero = words[1], group.domain.zero()
+        constraints = [Constraint(left - rest[0].entry(*pos), zero)
+                       for pos, left in lhs_matrix.upper_entries()]
+    elif rhs.group != group:
+        raise GroupError("right-hand side from a different group")
     else:
-        names, lhs_matrix = _symbolic_words(group, lhs, formal=formal)
-        if rhs.group != group:
-            raise GroupError("right-hand side from a different group")
-        for ((i, j), left) in lhs_matrix.upper_entries():
-            constraints.append(Constraint(left, rhs.scalar(i, j)))
+        constraints = [Constraint(left, rhs.scalar(*pos))
+                       for pos, left in lhs_matrix.upper_entries()]
 
     domains = {}
     field_elements = tuple(group.domain.elements())
@@ -265,16 +258,16 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
                     domains[v] = (group.subgroups[v.row - 1].elements
                                   if v.sort == SUBGROUP else field_elements)
     system = PolySystem(group.domain, tuple(constraints), domains)
-    return ReducedSystem(group, lhs, rhs, names, system, lhs_matrix, rhs_matrix)
+    return ReducedSystem(group, lhs, rhs, names, system, lhs_matrix)
 
 
 def decide_equation(group: SemipatternGroup, lhs, rhs, *,
                     guard: int = DEFAULT_GUARD, backend: str = "pruned") -> Decision:
     """Decide solvability of lhs = rhs over the group via the reduction.
 
-    The system is built with one-value diagonal slots folded, so on SAT the
+    The system is built with y^d = 1 applied (formal=False), so on SAT the
     witness is the lexicographically first solution in the variable order
-    of that folded system.  It maps variable names to group elements and
+    of that reduced system.  It maps variable names to group elements and
     has been re-verified through evaluate_word.
     """
     reduced = build_system(group, lhs, rhs, formal=False)
@@ -292,63 +285,24 @@ def decide_equation(group: SemipatternGroup, lhs, rhs, *,
     return Decision(True, witness, decision.stats)
 
 
-def _reduced_difference(group: SemipatternGroup, left: Polynomial,
-                        right: Polynomial) -> dict:
-    """left - right with diagonal exponents cut modulo their slot's order.
-
-    Keys are monomials as (Variable, exponent) tuples in name order, values
-    their nonzero raw coefficients; the dict is empty iff left and right are
-    the same function on the slot domains.  Field slots need no cut: their
-    exponent is at most 1 in every product of symbolic letters.
-    """
-    dom = group.domain
-    out = {}
-    for poly, negate in ((left, False), (right, True)):
-        for factors, coeff in poly._terms:
-            mono = []
-            for var, run in itertools.groupby(factors):
-                e = sum(1 for _ in run)
-                if var.sort == SUBGROUP:
-                    e %= group.orders[var.row - 1]
-                if e:
-                    mono.append((var, e))
-            mono = tuple(mono)
-            if negate:
-                coeff = dom.rneg(coeff)
-            acc = out.get(mono)
-            out[mono] = coeff if acc is None else dom.radd(acc, coeff)
-    return {mono: c for mono, c in out.items() if c != dom.rzero}
-
-
-def _substitute(dom, poly: dict, var: Variable, value) -> dict:
-    """Fix var (the first variable in name order) in a reduced polynomial."""
-    out = {}
-    for mono, coeff in poly.items():
-        if mono and mono[0][0] == var:
-            coeff = dom.rmul(coeff, (value ** mono[0][1]).raw)
-            mono = mono[1:]
-        acc = out.get(mono)
-        out[mono] = coeff if acc is None else dom.radd(acc, coeff)
-    return {mono: c for mono, c in out.items() if c != dom.rzero}
-
-
-def _nonzero_point(group: SemipatternGroup, poly: dict) -> dict:
+def _nonzero_point(poly: Polynomial, domains) -> dict:
     """Slot values, chosen in name order, at which a reduced polynomial is
-    nonzero: each variable takes the first value in canonical domain order
-    that leaves the rest nonzero.  Variables that drop out stay unassigned.
+    nonzero: each variable takes the first value of its domain that leaves
+    the rest nonzero.  Variables that drop out stay unassigned.
     """
-    dom = group.domain
+    dom = poly.domain
     assignment = {}
     while True:
-        present = [mono[0][0] for mono in poly if mono]
+        present = [factors[0] for factors, _ in poly._terms if factors]
         if not present:
             return assignment
         var = min(present, key=lambda v: v.name)
-        values = (group.subgroups[var.row - 1].elements
-                  if var.sort == SUBGROUP else dom.elements())
-        for value in values:
-            rest = _substitute(dom, poly, var, value)
-            if rest:
+        for value in domains[var]:
+            # var, first in name order, leads every monomial it occurs in
+            rest = Polynomial(dom, (
+                (f[f.count(var):], dom.rmul(c, (value ** f.count(var)).raw))
+                for f, c in poly._terms))
+            if not rest.is_zero():
                 break
         else:
             raise RuntimeError("internal error: reduced polynomial vanishes "
@@ -360,21 +314,21 @@ def _nonzero_point(group: SemipatternGroup, poly: dict) -> dict:
 def separating_substitution(group: SemipatternGroup, f, g):
     """A substitution where f and g differ, or None if they agree everywhere.
 
-    The first upper entry (in upper_entries() order) whose reduced F - G is
-    nonzero is made nonzero by greedy slot values; slots it does not fix
-    take the identity's entries.  The result is re-checked through
-    evaluate_word.
+    The first constraint of the reduced system f = g (in upper_entries()
+    order) whose polynomial is nonzero is made nonzero by greedy slot
+    values; slots it does not fix take the identity's entries.  The result
+    is re-checked through evaluate_word.
     """
-    f, g = tuple(f), tuple(g)
-    names, left, right = _symbolic_words(group, f, g, formal=False)
-    for pos, entry in left.upper_entries():
-        diff = _reduced_difference(group, entry, right.entry(*pos))
-        if diff:
+    reduced = build_system(group, f, g, formal=False)
+    system = reduced.system
+    for c in system.constraints:
+        if not c.poly.is_zero():
             break
     else:
         return None
-    witness = _assemble_witness(group, names, _nonzero_point(group, diff))
-    if evaluate_word(group, f, witness) == evaluate_word(group, g, witness):
+    witness = reduced.assemble_witness(_nonzero_point(c.poly, system.domains))
+    if (evaluate_word(group, reduced.lhs, witness)
+            == evaluate_word(group, reduced.rhs, witness)):
         raise RuntimeError("internal error: separating substitution failed "
                            "re-check")
     return witness

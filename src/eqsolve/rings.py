@@ -355,7 +355,8 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     in canonical order).  On rings of at most _TABLE_LIMIT elements the
     scan runs on element indices through the cached +/* tables; on larger
     rings each assignment is evaluated with eval_ring_expr.  Both give the
-    same verdict, witness and explored count.
+    same verdict, witness and explored count.  Without variables nothing is
+    enumerated and explored is 1.
     """
     if rhs is None:
         rhs = ring.zero()
@@ -370,7 +371,9 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
         raise GuardExceeded(space, guard)
     if n <= _TABLE_LIMIT:
         return _table_scan(ring, expr, rhs, ideal, names, space)
-    if ideal is not None:
+    if not names:
+        carrier = ()
+    elif ideal is not None:
         seen = set()
         carrier = []
         for e in ring_elements(ring):

@@ -4,7 +4,8 @@ import pytest
 
 from eqsolve import (DomainError, element_order, make_domain,
                      subgroup_of_order)
-from eqsolve.domains import _BUILTIN_POLYS, is_irreducible
+from eqsolve.domains import (_BUILTIN_POLYS, _poly_mul, _poly_rem,
+                             is_irreducible)
 
 
 def test_prime_field_elements():
@@ -92,6 +93,23 @@ def test_field_axioms_exhaustive(q, exp):
     for a in elems:
         if not a.is_zero():
             assert a * a.inverse() == one
+
+
+@pytest.mark.parametrize("p,k,poly", [(2, 2, None), (2, 5, None),
+                                      (3, 3, None), (5, 2, None),
+                                      (3, 5, (1, 2, 0, 0, 0, 1))])
+def test_log_tables_match_polynomial_arithmetic(p, k, poly):
+    """rmul and rinv read log/antilog tables; they agree with the product
+    modulo the defining polynomial, on built-in and supplied polynomials."""
+    d = make_domain(p, k, irreducible=poly)
+    raws = [e.raw for e in d.elements()]
+    for a, b in itertools.product(raws[:40], raws):
+        rem = _poly_rem(_poly_mul(list(a), list(b), p), list(d.modpoly), p)
+        assert d.rmul(a, b) == tuple(rem + [0] * (k - len(rem)))
+    for a in raws[1:]:
+        assert d.rmul(a, d.rinv(a)) == d.rone
+    log = d._log_tables[0]
+    assert sorted(log.values()) == list(range(d.size - 1))
 
 
 @pytest.mark.parametrize("q,exp", [(2, 1), (3, 1), (4, 2), (5, 1), (7, 1),

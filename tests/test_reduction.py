@@ -313,13 +313,41 @@ def test_folded_square_chain_refuted_before_search(ut4_f2):
     assert decision.stats.explored == 0
 
 
+def test_cut_square_chain_refuted_before_search(sparse18, order54):
+    """x1^2 ... xk^2 has diagonal 1 in a row of order 2, since y^2 = 1 there,
+    so a target holding the non-square 2 in that row is refuted by a
+    constraint without variables.  No diagonal exponent of the cut product
+    reaches its row order."""
+    for group, row in ((sparse18, 1), (order54, 2)):
+        assert group.orders[row - 1] == 2
+        target = next(g for g in element_list(group)
+                      if g.scalar(row, row) == 2)
+        for k in range(1, 5):
+            word = tuple(x for i in range(1, k + 1) for x in ("x%d" % i,) * 2)
+            decision = decide_equation(group, word, target)
+            assert not decision.sat
+            assert decision.stats.explored == 0, (group, k)
+            matrix = symbolic_product(
+                group, symbolic_letters(group, word, index_of(word)),
+                formal=False)
+            for _, poly in matrix.upper_entries():
+                for _, factors in poly.monomials():
+                    for v in factors:
+                        if v.sort == SUBGROUP:
+                            assert factors.count(v) < group.orders[v.row - 1]
+
+
 def test_folded_system_agrees_with_formal_and_oracle(group_family):
     """Criterion-1 words (at most two variables, so that the naive scan
     stays small): the folded decision, the formal system and the oracle give
     one verdict; the folded system has no one-value domain, and the pruned
-    and naive backends return the same witness on it."""
+    and naive backends return the same witness on it.  The GF(4) and GF(5)
+    groups cut diagonal exponents at d = 3 and 4."""
     rng = random.Random(1001)
-    for group in group_family:
+    f4, f5 = make_domain(2, 2), make_domain(5)
+    beyond = (make_group(f4, 3, ((1, 2),), (3, 3, 1)),
+              make_group(f5, 3, ((1, 2), (1, 3)), (2, 4, 1)))
+    for group in group_family + beyond:
         for trial in range(25):
             word = random_word(rng, group, max_len=8, max_vars=2)
             if trial % 5 == 4:

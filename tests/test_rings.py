@@ -624,6 +624,27 @@ def test_table_limit_keeps_large_rings_per_assignment():
     assert decision.sat == any(x * c == target for x in ring_elements(m3z4))
 
 
+def test_large_ring_oracle_without_variables():
+    """|M(4,Z8)| is about 2.7e11: a question without variables enumerates
+    neither the ring nor coset representatives, with or without the
+    256-element ideal of 2*E14, and explores its one assignment."""
+    ring = make_ring(2, 3, 4)
+    e14, twice = _unit_matrix(ring, 1, 4, 1), _unit_matrix(ring, 1, 4, 2)
+    ideal = enumerate_ideal(ring, [twice])
+    assert len(ideal) == 256
+    before = ring_elements.cache_info()
+    for expr, rhs, coset, sat in ((RConst(e14), ring.zero(), None, False),
+                                  (RConst(e14), e14, None, True),
+                                  (RConst(e14), ring.zero(), ideal, False),
+                                  (RConst(twice), ring.zero(), ideal, True)):
+        decision = brute_force_ring_solve(ring, expr, rhs, ideal=coset)
+        assert decision.sat == sat
+        assert decision.stats.explored == 1
+        if sat:
+            assert decision.witness == {}
+    assert ring_elements.cache_info() == before
+
+
 def test_ring_oracle_loads_no_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys; sys.path.insert(0, %r); "
