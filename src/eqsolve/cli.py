@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # the pruned search recurses once per slot variable
+        # ringexpr.fold_expr recurses once per nesting level of an expression
         print("error: recursion limit %d exceeded in %s"
               % (sys.getrecursionlimit(), _innermost_layer(exc)),
               file=sys.stderr)

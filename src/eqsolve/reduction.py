@@ -113,18 +113,6 @@ class SymbolicMatrix:
         return tuple(((i, j), self.grid[i - 1][j - 1])
                      for i in range(1, m + 1) for j in range(i, m + 1))
 
-    def evaluate(self, assignment) -> GroupElement:
-        """Evaluate every entry at a slot assignment and rebuild the element."""
-        dom = self.group.domain
-        m = self.group.m
-        rows = [[dom.rzero] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                rows[i][j] = self.grid[i][j].evaluate(assignment).raw
-        element = GroupElement(self.group, tuple(tuple(r) for r in rows))
-        self.group._check_membership(element.rows)
-        return element
-
 
 def symbolic_letters(group: SemipatternGroup, word, var_index):
     """Symbolic letter per word position; equal variables share slot variables."""

@@ -3,12 +3,22 @@
 The solver is a complete decision procedure on guarded instances, not a
 heuristic: it enumerates assignments variable by variable (variables ordered
 by descending occurrence count, ties broken by name; domain values in
-canonical order) and prunes a branch as soon as any fully-assigned constraint
-is violated.  Constraint evaluation is incremental: each monomial is indexed
-by its deepest variable and evaluated exactly once per branch.  The witness
-is the lexicographically first satisfying assignment in that order, so
-repeated runs are bit-for-bit reproducible.  A "naive" backend without
-pruning backs the prune-safety tests.
+canonical order) on an explicit stack, so the depth of a system is not
+bounded by Python's recursion limit.  Each monomial carries the product of
+its coefficient and its assigned factors, updated as each of its variables
+is assigned.  A monomial whose product is 0 (a zero value, or over Z_{p^a}
+a product of zero divisors) is dead: it adds nothing whatever its other
+variables take.  A dead or completed monomial lowers its constraint's live
+count, and a constraint whose live count reaches 0 is checked at once, not
+at its deepest variable.  A variable that no live monomial reads is pinned:
+only its first domain value is tried (one explored node), since every other
+value would repeat that subtree.  Assigning a value appends each surviving
+monomial to the list of its next variable; a trail per depth undoes this.
+Every dropped branch either holds no solution or differs from the first-value
+branch only in a variable no constraint still reads, so the witness is the
+lexicographically first satisfying assignment in that order and repeated
+runs are bit-for-bit reproducible.  A "naive" backend without pruning backs
+the prune-safety tests.
 """
 
 from __future__ import annotations
@@ -155,68 +165,83 @@ def _solve_pruned(system: PolySystem) -> Decision:
     position = {v: i for i, v in enumerate(variables)}
     domain_raws = [tuple(s.raw for s in system.domains[v]) for v in variables]
     stats = SolveStats()
+    radd, rmul, zero = dom.radd, dom.rmul, dom.rzero
 
     ncons = len(system.constraints)
     targets = [c.target.raw for c in system.constraints]
-    base_sums = [dom.rzero] * ncons
-    buckets = [[] for _ in range(nvars)]     # per depth: (cidx, coeff, positions)
-    completion = [[] for _ in range(nvars)]  # constraints fully assigned at depth
-    completion_depth = [-1] * ncons
-
+    sums = [zero] * ncons   # constant term plus the completed monomials
+    live = [0] * ncons      # monomials neither dead nor completed
+    # waiting[d]: (cidx, partial product, depths, k) for every live monomial
+    # whose next unassigned factor is depths[k] == d; depths holds the sorted
+    # depths of the monomial's factors, a repeated factor once per copy, and
+    # ends in nvars.
+    waiting = [[] for _ in range(nvars)]
+    depth_of = position.__getitem__
     for cidx, c in enumerate(system.constraints):
         for factors, coeff in c.poly._terms:
             if not factors:
-                base_sums[cidx] = dom.radd(base_sums[cidx], coeff)
+                sums[cidx] = radd(sums[cidx], coeff)
                 continue
-            positions = tuple(position[v] for v in factors)
-            depth = max(positions)
-            buckets[depth].append((cidx, coeff, positions))
-            completion_depth[cidx] = max(completion_depth[cidx], depth)
+            depths = sorted(map(depth_of, factors))
+            depths.append(nvars)
+            waiting[depths[0]].append((cidx, coeff, depths, 0))
+            live[cidx] += 1
+    for cidx in range(ncons):
+        if not live[cidx] and sums[cidx] != targets[cidx]:
+            return Decision(False, None, stats)
 
-    for cidx, depth in enumerate(completion_depth):
-        if depth < 0:
-            if base_sums[cidx] != targets[cidx]:
+    tried = [-1] * nvars                     # index of the value at each depth
+    entry = [(sums, live)] + [None] * nvars  # (sums, live) on entering a depth
+    trails = [[] for _ in range(nvars)]      # lists the value appended to
+    depth = 0
+    while depth < nvars:
+        trail = trails[depth]
+        for appended in trail:
+            appended.pop()
+        trail.clear()
+        values = domain_raws[depth]
+        monomials = waiting[depth]
+        index = tried[depth] + 1
+        # pinned: no live monomial reads this variable, so every later value
+        # would repeat the first value's subtree
+        if index == len(values) or (index and not monomials):
+            if depth == 0:
                 return Decision(False, None, stats)
-        else:
-            completion[depth].append(cidx)
-
-    current = [None] * nvars
-    radd, rmul = dom.radd, dom.rmul
-
-    def search(depth, sums):
-        if depth == nvars:
-            return {v: Scalar(dom, current[i]) for i, v in enumerate(variables)}
-        bucket = buckets[depth]
-        checks = completion[depth]
-        for raw in domain_raws[depth]:
-            current[depth] = raw
-            stats.explored += 1
-            if bucket:
-                new_sums = sums[:]
-                for cidx, coeff, positions in bucket:
-                    val = coeff
-                    for pos in positions:
-                        val = rmul(val, current[pos])
-                    new_sums[cidx] = radd(new_sums[cidx], val)
-            else:
-                new_sums = sums
-            if checks:
-                violated = False
-                for cidx in checks:
-                    if new_sums[cidx] != targets[cidx]:
-                        violated = True
-                        break
-                if violated:
-                    stats.prunes += 1
+            tried[depth] = -1
+            depth -= 1
+            continue
+        tried[depth] = index
+        raw = values[index]
+        stats.explored += 1
+        sums, live = entry[depth]
+        if monomials:
+            sums, live = sums[:], live[:]
+            violated = False
+            for cidx, prod, depths, k in monomials:
+                prod = rmul(prod, raw)
+                k += 1
+                while depths[k] == depth:   # a repeated factor
+                    prod = rmul(prod, raw)
+                    k += 1
+                following = depths[k]
+                if prod != zero and following != nvars:
+                    queue = waiting[following]
+                    queue.append((cidx, prod, depths, k))
+                    trail.append(queue)
                     continue
-            found = search(depth + 1, new_sums)
-            if found is not None:
-                return found
-        return None
-
-    witness = search(0, base_sums)
-    if witness is None:
-        return Decision(False, None, stats)
+                if prod != zero:
+                    sums[cidx] = radd(sums[cidx], prod)
+                live[cidx] -= 1   # completed or dead
+                if not live[cidx] and sums[cidx] != targets[cidx]:
+                    violated = True
+                    break
+            if violated:
+                stats.prunes += 1
+                continue
+        depth += 1
+        entry[depth] = (sums, live)
+    witness = {v: Scalar(dom, domain_raws[d][tried[d]])
+               for d, v in enumerate(variables)}
     return Decision(True, witness, stats)
 
 

@@ -25,6 +25,7 @@ from eqsolve.reduction import entry_monomial_count, x_variable, y_variable
 from eqsolve.rings import monomial_entry_polys, sigma_var_index
 from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
+from symbolic import evaluate_matrix
 
 
 def _family():
@@ -108,7 +109,7 @@ def test_criterion_3_symbolic_numeric_commutation():
                         slots[y_variable(i, k)] = element.scalar(i, i)
                     for (i, j) in group.pattern:
                         slots[x_variable(i, j, k)] = element.scalar(i, j)
-                assert matrix.evaluate(slots) == \
+                assert evaluate_matrix(matrix, slots) == \
                     evaluate_word(group, word, assignment)
                 pairs += 1
         assert pairs == 1000

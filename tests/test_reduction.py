@@ -14,6 +14,7 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
 from eqsolve.reduction import (SymbolicLetter, entry_monomial_count,
                                x_variable, y_variable)
 from conftest import (random_assignment, random_group_element, random_word)
+from symbolic import evaluate_matrix
 
 _SLOT = re.compile(r"^([xy])\[(\d+)\](?:\[(\d+)\])?\[(\d+)\]$")
 
@@ -210,7 +211,8 @@ def test_symbolic_numeric_commutation_random(group_family):
             sm = symbolic_product(group, symbolic_letters(group, word,
                                                           index_of(word)))
             slots = slot_assignment(group, word, assignment)
-            assert sm.evaluate(slots) == evaluate_word(group, word, assignment)
+            assert evaluate_matrix(sm, slots) == evaluate_word(group, word,
+                                                              assignment)
 
 
 def test_build_system_empty_word(order54):
@@ -291,6 +293,51 @@ def test_folded_identity_word_of_367_letters(f2):
     decision = decide_equation(group, word, group.identity(), guard=2 ** 400)
     assert decision.sat
     assert evaluate_word(group, word, decision.witness) == group.identity()
+
+
+def test_identity_word_of_1000_letters_searched_without_recursion(f2):
+    """1000 slot variables: the search runs on an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit."""
+    group = unitriangular_group(f2, 2)
+    word = distinct_word(1000)
+    decision = decide_equation(group, word, group.identity(), guard=10 ** 400)
+    assert decision.sat
+    assert evaluate_word(group, word, decision.witness) == group.identity()
+
+
+def _corner(group, c):
+    """E + c*E_{1m}."""
+    m = group.m
+    return group.element([[1 if i == j else (c if (i, j) == (0, m - 1) else 0)
+                           for j in range(m)] for i in range(m)])
+
+
+def test_cube_chain_decided_in_linear_nodes(f3):
+    """x1^3 ... xk^3 = E + 2*E14 in UT(4,F3): once a variable's slots are 0,
+    its monomials are dead and the next variables read by no live monomial
+    are pinned, so the nodes grow linearly in k, not by x9 per k."""
+    group = unitriangular_group(f3, 4)
+    target = _corner(group, 2)
+    for k in range(2, 6):
+        word = tuple(x for i in range(1, k + 1) for x in ("x%d" % i,) * 3)
+        decision = decide_equation(group, word, target, guard=10 ** 400)
+        assert decision.sat
+        assert decision.stats.explored <= 3 * k + 4, (k, decision.stats)
+
+
+def test_commutator_chain_decided_in_linear_nodes(f2):
+    """[x1,y1] ... [xk,yk] = E + E14 in UT(4,F2), inverses by invert_word."""
+    group = unitriangular_group(f2, 4)
+    target = _corner(group, 1)
+    for k in range(2, 5):
+        word = ()
+        for i in range(1, k + 1):
+            x, y = "x%d" % i, "y%d" % i
+            word += (invert_word(group, (x,)) + invert_word(group, (y,))
+                     + (x, y))
+        decision = decide_equation(group, word, target, guard=10 ** 400)
+        assert decision.sat
+        assert decision.stats.explored <= 10 * k + 2, (k, decision.stats)
 
 
 def test_folded_square_chain_refuted_before_search(ut4_f2):

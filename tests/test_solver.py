@@ -109,6 +109,55 @@ def test_pruned_equals_naive_on_random_systems():
             assert pruned.witness == naive.witness, trial
 
 
+_U = Variable("u")
+
+
+def _restricted_system(rng, domain):
+    """Random system whose variables range over random subsets of the domain
+    in random order; factors repeat, and u is in the domain map but in no
+    constraint."""
+    read = [X, Y, Z, _W][:rng.randint(1, 4)]
+    elements = full_domain(domain)
+    constraints = []
+    for _ in range(rng.randint(1, 3)):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            factors = [rng.choice(read) for _ in range(rng.randint(0, 3))]
+            if factors and rng.random() < 0.5:
+                factors.append(rng.choice(factors))
+            terms.append((rng.randrange(domain.size), tuple(factors)))
+        constraints.append(Constraint(
+            Polynomial.from_terms(domain, terms),
+            domain.scalar(rng.randrange(domain.size))))
+    domains = {v: tuple(rng.sample(elements, rng.randint(1, 4)))
+               for v in read + [_U]}
+    return PolySystem(domain, tuple(constraints), domains)
+
+
+def test_pruned_equals_naive_on_restricted_domains():
+    """Dead monomials, early checks and pinning drop only branches without a
+    solution or copies of a first-value branch: over Z8, Z9 and GF(4), with
+    restricted domains whose first value is often not 0, repeated factors
+    and an unread variable, pruned and naive agree witness for witness."""
+    rng = random.Random(12)
+    domains = [make_domain(2, 3, "modular"), make_domain(3, 2, "modular"),
+               make_domain(2, 2)]
+    nonzero_first = repeated = sat = 0
+    for trial in range(900):
+        system = _restricted_system(rng, domains[trial % 3])
+        nonzero_first += not system.domains[_U][0].is_zero()
+        repeated += any(len(set(factors)) < len(factors)
+                        for c in system.constraints
+                        for factors, _ in c.poly._terms)
+        pruned = solve(SolveRequest(system, backend="pruned"))
+        naive = solve(SolveRequest(system, backend="naive"))
+        assert pruned.sat == naive.sat, trial
+        if pruned.sat:
+            sat += 1
+            assert pruned.witness == naive.witness, trial
+    assert min(nonzero_first, repeated, sat, 900 - sat) >= 100
+
+
 def test_guard_exceeded():
     system = PolySystem(F3, (Constraint(poly(F3, (1, (X,))), F3.zero()),),
                         {X: full_domain(F3)})
