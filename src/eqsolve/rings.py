@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import add, getitem, itemgetter, mul
 
 from .poly import (FIELD, Variable, grid_polynomials, merge_grid, scalar_grid,
                    slot_grid_product)
@@ -36,7 +36,9 @@ from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
 # bound stops a runaway closure within seconds and under 100 MB; a larger
 # ideal would also cost a factor-ring decision one solve per element tried.
 IDEAL_GUARD = 10 ** 5
-_TABLE_LIMIT = 256  # largest ring for which the oracle builds +/* tables
+# Largest ring for which the oracle builds +/* tables.  Its rows hold element
+# indices as bytes, so this must stay at or below 256.
+_TABLE_LIMIT = 256
 
 
 @lru_cache(maxsize=None)
@@ -295,53 +297,87 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
 
 @lru_cache(maxsize=None)
 def _ring_tables(ring: NilpotentMatrixRing):
-    """(index by rows, add, mul, neg) over canonical element indices."""
+    """(index by rows, add, mul) over canonical element indices.  add and
+    mul are each (rows, cols) with rows[a][b] = cols[b][a] = a op b, as
+    256-byte rows padded with zeros, so any of them translates a lane."""
     elems = ring_elements(ring)
     index = {e.rows: i for i, e in enumerate(elems)}
-    add = [[index[(a + b).rows] for b in elems] for a in elems]
-    mul = [[index[(a * b).rows] for b in elems] for a in elems]
-    neg = [index[(-a).rows] for a in elems]
-    return index, add, mul, neg
+    pad = bytes(256 - len(elems))
+
+    def table(op):
+        rows = [bytes(index[op(a, b).rows] for b in elems) for a in elems]
+        cols = [bytes(row[b] for row in rows) + pad for b in range(len(elems))]
+        return [row + pad for row in rows], cols
+
+    return index, table(add), table(mul)
 
 
-def _index_evaluator(expr, ring: NilpotentMatrixRing, names):
-    """Compile expr into a function from a tuple of element indices (one per
-    name) to the index of its value.  Subexpressions without variables are
-    folded to their index at compile time."""
-    index, add, mul, neg = _ring_tables(ring)
+@lru_cache(maxsize=None)
+def _scale_table(ring: NilpotentMatrixRing, coeff: int) -> bytes:
+    """x -> coeff * x over element indices, as a padded 256-byte row."""
+    index = _ring_tables(ring)[0]
     elems = ring_elements(ring)
-    pos = {name: d for d, name in enumerate(names)}
-    scales = {}
+    return (bytes(index[e.scale(coeff).rows] for e in elems)
+            + bytes(256 - len(elems)))
 
-    def unary(table, f):
-        if isinstance(f, int):
-            return table[f]
-        return lambda combo: table[f(combo)]
 
-    def binary(table, f, g):
-        if isinstance(f, int):
-            if isinstance(g, int):
-                return table[f][g]
-            row = table[f]
-            return lambda combo: row[g(combo)]
-        if isinstance(g, int):
-            col = [row[g] for row in table]
-            return lambda combo: col[f(combo)]
-        return lambda combo: table[f(combo)][g(combo)]
+def _row_evaluator(expr, ring: NilpotentMatrixRing, names, lane: bytes):
+    """Compile expr into row(prefix): the indices of its values at the
+    element indices prefix of every name but the last, one per index of
+    the last name in lane, as bytes.  Without names the row holds one
+    index.
 
-    def scale(coeff, f):
+    Nodes are (value, is_lane): a value is an index, or a lane (bytes) once
+    it depends on the last name.  A value that depends on no prefix name is
+    computed here, once; any other is a function of the prefix."""
+    index, plus, times = _ring_tables(ring)
+    pos = {name: d for d, name in enumerate(names[:-1])}
+
+    def var(name):
+        return (itemgetter(pos[name]), False) if name in pos else (lane, True)
+
+    def lift(fn, f, g):
+        """fn(f, g) now if neither is a function of the prefix, else the
+        function of the prefix that computes it."""
+        if callable(f):
+            if callable(g):
+                return lambda p: fn(f(p), g(p))
+            return lambda p: fn(f(p), g)
+        if callable(g):
+            return lambda p: fn(f, g(p))
+        return fn(f, g)
+
+    def scale(coeff, node):
         coeff %= ring.modulus
         if coeff == 1:
-            return f
-        if coeff not in scales:
-            scales[coeff] = [index[e.scale(coeff).rows] for e in elems]
-        return unary(scales[coeff], f)
+            return node
+        table = _scale_table(ring, coeff)
+        f, is_lane = node
+        if is_lane:
+            return lift(bytes.translate, f, table), True
+        return lift(getitem, table, f), False
 
-    f = fold_expr(expr, ring, (
-        lambda name: itemgetter(pos[name]), lambda value: index[value.rows],
-        lambda f: unary(neg, f), scale, lambda f, g: binary(add, f, g),
-        lambda f, g: binary(mul, f, g), lambda ring: index[ring.zero().rows]))
-    return f if callable(f) else (lambda combo: f)
+    def binary(op, x, y):
+        (f, f_lane), (g, g_lane) = x, y
+        rows, cols = op
+        if f_lane and g_lane:
+            return lift(lambda a, b: bytes(map(getitem, map(rows.__getitem__,
+                                                            a), b)), f, g), True
+        if f_lane:
+            return lift(lambda a, b: a.translate(cols[b]), f, g), True
+        if g_lane:
+            return lift(lambda a, b: b.translate(rows[a]), f, g), True
+        return lift(lambda a, b: rows[a][b], f, g), False
+
+    f, is_lane = fold_expr(expr, ring, (
+        var, lambda value: (index[value.rows], False),
+        lambda node: scale(-1, node), scale,
+        lambda x, y: binary(plus, x, y), lambda x, y: binary(times, x, y),
+        lambda ring: (index[ring.zero().rows], False)))
+    if callable(f):
+        return f
+    row = f if is_lane else bytes((f,))
+    return lambda prefix: row
 
 
 def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
@@ -353,10 +389,12 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     equality means the difference lands in the ideal.  Assignments are
     scanned lexicographically (variables in first occurrence order, values
     in canonical order).  On rings of at most _TABLE_LIMIT elements the
-    scan runs on element indices through the cached +/* tables; on larger
-    rings each assignment is evaluated with eval_ring_expr.  Both give the
-    same verdict, witness and explored count.  Without variables nothing is
-    enumerated and explored is 1.
+    expression is compiled once per call and evaluated a row at a time:
+    each value of the last variable at once, as a lane of element indices
+    in bytes, through +, * and scale tables built once per ring (see
+    _table_scan).  Larger rings evaluate each assignment with
+    eval_ring_expr.  Both give the same verdict, witness and explored
+    count.  Without variables nothing is enumerated and explored is 1.
     """
     if rhs is None:
         rhs = ring.zero()
@@ -398,27 +436,36 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
 
 
 def _table_scan(ring, expr, rhs, ideal, names, space) -> Decision:
-    """The oracle's scan over element indices; hits are the indices of
-    rhs + I (just rhs without an ideal)."""
-    index, add, _, _ = _ring_tables(ring)
+    """The oracle's scan over element indices, one row per assignment of
+    every name but the last (in scan order), holding expr's value indices
+    for each value of the last name; the j-th entry of row k is the
+    (k * width + j + 1)-th assignment explored.  A 0/1 mask marks the
+    indices of rhs + I (just rhs without an ideal), and translating a row
+    through it finds the first hit."""
+    index, (plus, _), _ = _ring_tables(ring)
     elems = ring_elements(ring)
-    evaluate = _index_evaluator(expr, ring, names)
     target = index[rhs.rows]
+    mask = bytearray(256)
     if ideal is None:
         carrier = range(len(elems))
-        hits = {target}
+        mask[target] = 1
     else:
         members = [index[i.rows] for i in ideal.elements]
-        hits = {add[target][i] for i in members}
+        for i in members:
+            mask[plus[target][i]] = 1
         carrier = []
         seen = set()
         for e in range(len(elems)):
             if e not in seen:
                 carrier.append(e)
-                seen.update(add[e][i] for i in members)
-    combos = itertools.product(carrier, repeat=len(names))
-    for explored, combo in enumerate(combos, start=1):
-        if evaluate(combo) in hits:
-            witness = {name: elems[i] for name, i in zip(names, combo)}
-            return Decision(True, witness, SolveStats(explored))
+                seen.update(plus[e][i] for i in members)
+    lane = bytes(carrier)
+    row = _row_evaluator(expr, ring, names, lane)
+    prefixes = itertools.product(carrier, repeat=len(names[:-1]))
+    for k, prefix in enumerate(prefixes):
+        j = row(prefix).translate(mask).find(1)
+        if j >= 0:
+            values = prefix + (lane[j],)
+            witness = {name: elems[i] for name, i in zip(names, values)}
+            return Decision(True, witness, SolveStats(k * len(lane) + j + 1))
     return Decision(False, None, SolveStats(space))

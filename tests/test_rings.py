@@ -531,6 +531,97 @@ def test_table_oracle_every_target(ring_m3z3):
             assert _table_oracle(ring_m3z3, expr, rhs) == expected, (expr, rhs)
 
 
+Z = RVar("z")
+
+
+def _three_variable_exprs(ring):
+    """Nodes with two names ahead of the last one: products and constants
+    around z, z squared, every scale of z*x, negations, and sums whose both
+    sides read the last name."""
+    c = ring_elements(ring)[-2]
+    d = ring_elements(ring)[5]
+    return ((RProd((X, Z, Y, Z)), RSum((Z * Z, X * Y)), RSum((X * Y, Z * Z)),
+             RNeg(X * Z * Y), RNeg(RSum((X * Z, Y))),
+             RSum((X, RConst(c) * Z * RConst(d), Y)),
+             RProd((X, RConst(c), Z, RConst(d), Y)),
+             RSum((X * Y, Z)) * RSum((Z, Y)))
+            + tuple(RSum((RScale(k, Z * X), X * Y))
+                    for k in range(ring.modulus)))
+
+
+def _three_variable_targets(ring, expr):
+    """Zero, a value planted past the first row, and the last element,
+    which most of these expressions never reach."""
+    elems = ring_elements(ring)
+    planted = eval_ring_expr(expr, {"x": elems[2], "y": elems[7],
+                                    "z": elems[5]}, ring)
+    return ring.zero(), planted, elems[-1]
+
+
+def test_table_oracle_three_variable_node_kinds(ring_m2z4):
+    unsat = 0
+    for n, expr in enumerate(_three_variable_exprs(ring_m2z4)):
+        targets = _three_variable_targets(ring_m2z4, expr)
+        # a plain scan of all 32^3 assignments takes about a second, so only
+        # x*z*y*z meets the unreachable target here; the coset test meets it
+        # with every expression
+        for rhs in targets if n == 0 else targets[:2]:
+            expected = _plain_oracle(ring_m2z4, expr, rhs)
+            assert _table_oracle(ring_m2z4, expr, rhs) == expected, (expr, rhs)
+            assert _public_oracle(ring_m2z4, expr, rhs) == expected, (expr, rhs)
+            unsat += not expected[0]
+    assert unsat >= 1
+
+
+def test_table_oracle_three_variables_on_cosets(ring_m2z4, ring_m3z3):
+    ideals = (enumerate_ideal(ring_m2z4, [ring_m2z4.element([[0, 2], [0, 0]])]),
+              enumerate_ideal(ring_m3z3, [ring_m3z3.element(
+                  [[0, 1, 0], [0, 0, 0], [0, 0, 0]])]))
+    unsat = 0
+    for ideal in ideals:
+        ring = ideal.ring
+        for expr in _three_variable_exprs(ring):
+            for rhs in _three_variable_targets(ring, expr):
+                expected = _plain_oracle(ring, expr, rhs, ideal)
+                assert _table_oracle(ring, expr, rhs, ideal) == expected, expr
+                unsat += not expected[0]
+    assert unsat >= 10
+
+
+def test_scale_tables_built_once_per_ring(monkeypatch, ring_m2z4):
+    expr = RSum((RScale(3, X * Y), RScale(2, X), RNeg(Y), RScale(-1, Y * X)))
+    rhs = ring_m2z4.element([[0, 1], [0, 0]])
+    first = _public_oracle(ring_m2z4, expr, rhs)
+    calls = []
+    scale = RingElement.scale
+
+    def counting(self, coeff):
+        calls.append(coeff)
+        return scale(self, coeff)
+
+    monkeypatch.setattr(RingElement, "scale", counting)
+    assert _public_oracle(ring_m2z4, expr, rhs) == first
+    assert calls == []
+
+
+def test_table_oracle_on_a_ring_of_256_elements():
+    # rows are bytes: the last index, 255, must survive every translation
+    ring = make_ring(2, 9, 1)
+    assert ring.cardinality == rings._TABLE_LIMIT == 256
+    elems = ring_elements(ring)
+    last, two = elems[-1], elems[1]
+    cases = ((X, last), (RNeg(X), elems[1]), (RScale(3, X) + RConst(two), last),
+             (X * X, two), (X * X, elems[128]), (X * RConst(last), elems[4]),
+             (RSum((X, Y)), last), (X * Y + Y, elems[-3]),
+             (RConst(last), last), (RConst(last), two))
+    for expr, rhs in cases:
+        expected = _plain_oracle(ring, expr, rhs)
+        assert _table_oracle(ring, expr, rhs) == expected, (expr, rhs)
+        assert _public_oracle(ring, expr, rhs) == expected, (expr, rhs)
+    assert _table_oracle(ring, X, last)[1:] == ({"x": last}, 256)
+    assert not _table_oracle(ring, X * X, two)[0]
+
+
 def test_table_oracle_without_variables(ring_m2z4):
     c = ring_m2z4.element([[0, 3], [2, 2]])
     expr = RSum((RConst(c), RProd((RConst(c), RConst(c)))))
