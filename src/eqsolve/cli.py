@@ -68,15 +68,13 @@ def cmd_decide(args) -> int:
             handle.write(render_system(_problem_system(pf)))
     ideal = _problem_ideal(pf)
     if pf.kind == "group":
-        decision = decide_equation(pf.group, pf.lhs, pf.rhs,
-                                   guard=args.guard, backend=args.backend)
+        decision = decide_equation(pf.group, pf.lhs, pf.rhs, guard=args.guard)
     elif ideal is not None:
         expr = RSum((pf.lhs, RNeg(pf.rhs)))
-        decision = decide_factor_ring(pf.ring, ideal, expr,
-                                      guard=args.guard, backend=args.backend)
+        decision = decide_factor_ring(pf.ring, ideal, expr, guard=args.guard)
     else:
         decision = decide_ring_equation(pf.ring, pf.lhs, pf.rhs,
-                                        guard=args.guard, backend=args.backend)
+                                        guard=args.guard)
     print("SAT" if decision.sat else "UNSAT")
     if decision.sat and decision.witness is not None:
         _print_witness(decision.witness)
@@ -223,12 +221,6 @@ def _build_parser():
                     "groups and nilpotent matrix rings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                       help="max search-space size (default %d)" % DEFAULT_GUARD)
-        p.add_argument("--backend", default="pruned",
-                       choices=("pruned", "naive"), help="solver backend")
-
     p = sub.add_parser("decide", help="decide solvability of a problem file")
     p.add_argument("path")
     p.add_argument("--oracle", action="store_true",
@@ -236,7 +228,8 @@ def _build_parser():
     p.add_argument("--dump-system", metavar="PATH",
                    help="write the formal polynomial system, as dump-system "
                         "prints it, to PATH")
-    common(p)
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+                   help="max search-space size (default %d)" % DEFAULT_GUARD)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("equiv", help="decide whether lhs and rhs agree "

@@ -10,11 +10,12 @@ whose entry (i,j) vanishes unless (i,j) is in P.
 Words are sequences of letters; a letter is either a constant element or a
 variable name (equal names denote the same unknown).  The brute-force solver
 here is the reference oracle for the symbolic reduction pipeline: it
-enumerates assignments in canonical order through a cached multiplication
-table and returns the first witness, re-checked with evaluate_word.  It
-evaluates chunks of assignments that grow from 2^8 to 2^16, so its cost
-follows the assignments explored before the first witness, not the size of
-the space.
+enumerates assignments in canonical order and returns the first witness,
+re-checked with evaluate_word.  On groups of at most 256 elements it scans
+a row at a time on byte lanes (eqsolve.lanes) through a multiplication
+table built once per group: every value of the last variable at once, so
+its cost follows the rows explored before the first witness, not the size
+of the space.  Larger groups evaluate each assignment with evaluate_word.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 
+from . import lanes
 from .domains import DomainError, Scalar, subgroup_of_order
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
-_TABLE_LIMIT = 4096  # largest group order for which a Cayley table is built
-# Oracle chunks grow from _FIRST_CHUNK lanes x4 up to _MAX_CHUNK, so a scan
-# that stops early pays for about the lanes it explored, and peak memory
-# stays that of one _MAX_CHUNK chunk.
-_FIRST_CHUNK = 1 << 8
-_MAX_CHUNK = 1 << 16
+_TABLE_LIMIT = lanes.LIMIT  # largest group order for which a table is built
 
 
 class GroupError(ValueError):
@@ -316,75 +313,64 @@ def element_list(group: SemipatternGroup):
 
 @lru_cache(maxsize=None)
 def _cayley(group: SemipatternGroup):
-    """(elements, index map, multiplication table) for table-driven evaluation."""
-    import numpy as np  # only the table oracles need numpy
-
+    """(elements, index map, multiplication table, inverse row) over
+    canonical element indices, for the lane scan: the table is
+    lanes.op_table's (rows, cols), the inverse row is padded like them."""
     elems = element_list(group)
-    n = len(elems)
     index = {el: i for i, el in enumerate(elems)}
-    table = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = index[multiply(a, b)]
-    return elems, index, table
+    table = lanes.op_table(len(elems),
+                           lambda a, b: index[multiply(elems[a], elems[b])])
+    one = index[group.identity()]
+    # each row holds the identity once within the group, before the padding
+    inverse = bytes(row.index(one) for row in table[0])
+    return elems, index, table, inverse + bytes(lanes.LIMIT - len(elems))
 
 
-def _grid_chunks(nvars, size):
-    """(first flat index, coords) over all size**nvars index tuples in
-    lexicographic order, in growing chunks; coords[d] holds variable d's
-    indices."""
-    import numpy as np
+def _word_node(word, leaves, index, table, last):
+    """The lanes node of a word's product.  Each run of letters that does
+    not read the last variable is multiplied out first, so that a row is
+    translated once per run, not once per letter."""
+    def leaf(letter):
+        return leaves[letter] if isinstance(letter, str) else (index[letter],
+                                                               False)
 
-    space = size ** nvars
-    start, chunk = 0, _FIRST_CHUNK
-    while start < space:
-        stop = min(space, start + chunk)
-        rest = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((nvars, stop - start), dtype=np.int64)
-        for d in range(nvars - 1, -1, -1):
-            coords[d] = rest % size
-            rest = rest // size
-        yield start, coords
-        start = stop
-        chunk = min(chunk * 4, _MAX_CHUNK)
-
-
-def _word_over_grid(group, word, names, coords, table, index):
-    """Evaluate a word over vectorized per-variable element-index arrays; a
-    word without variables gives one index."""
-    pos = {name: i for i, name in enumerate(names)}
-    cur = None
-    for letter in word:
-        col = coords[pos[letter]] if isinstance(letter, str) else index[letter]
-        cur = col if cur is None else table[cur, col]
-    return index[group.identity()] if cur is None else cur
+    node = None
+    for _, run in itertools.groupby(word, lambda letter: letter == last):
+        part = reduce(partial(lanes.binary, table), map(leaf, run))
+        node = part if node is None else lanes.binary(table, node, part)
+    return node
 
 
 def _first_lane(group, names, left, right, equal):
     """(explored, assignment) for the first assignment in canonical order at
     which the words left and right evaluate equal (equal=True) or different
     (equal=False); (space, None) when there is none.  Without variables no
-    Cayley table is built."""
+    Cayley table is built.  On groups of at most _TABLE_LIMIT elements both
+    words compile into lanes nodes: a right side that folds to a constant
+    is the mask's own index, any other is scanned as left * right^-1
+    against the identity, and separators use the complement mask."""
     for letter in left + right:
         if not isinstance(letter, str) and not _same_group(letter.group, group):
             raise GroupError("constant letter from a different group")
     v = len(names)
     size = group.order
     if v and size <= _TABLE_LIMIT:
-        import numpy as np
-
-        elems, index, table = _cayley(group)
-        for start, coords in _grid_chunks(v, size):
-            same = (_word_over_grid(group, left, names, coords, table, index)
-                    == _word_over_grid(group, right, names, coords, table,
-                                       index))
-            hits = np.nonzero(same == equal)[0]
-            if hits.size:
-                first = int(hits[0])
-                return start + first + 1, {
-                    name: elems[int(coords[d][first])]
-                    for d, name in enumerate(names)}
-        return size ** v, None
+        elems, index, table, inverse = _cayley(group)
+        lane = bytes(range(size))
+        leaves = lanes.variables(names, lane)
+        identity = (index[group.identity()], False)
+        node = _word_node(left, leaves, index, table, names[-1]) or identity
+        other = _word_node(right, leaves, index, table, names[-1]) or identity
+        target, other_lane = other
+        if callable(target) or other_lane:
+            node = lanes.binary(table, node, lanes.unary(inverse, other))
+            target = identity[0]
+        mask = bytearray((not equal,)) * lanes.LIMIT
+        mask[target] = equal
+        explored, values = lanes.first_hit(lane, v, node, mask)
+        if values is None:
+            return explored, None
+        return explored, {name: elems[i] for name, i in zip(names, values)}
     combos = itertools.product(element_list(group) if v else (), repeat=v)
     for explored, combo in enumerate(combos, start=1):
         assignment = dict(zip(names, combo))

@@ -1,0 +1,88 @@
+"""Byte-lane scans: the evaluation engine of both brute-force oracles.
+
+An oracle compiles its question once into a node over element indices.  A
+node is (value, is_lane): a value is an index, or a lane (bytes) holding
+one index per value of the last variable once it depends on that variable.
+A value that depends on no other (prefix) variable is computed at compile
+time; any other is a function of the prefix's indices.  Operations are
+tables padded to 256-byte rows, so a lane goes through a unary operation,
+or a binary one with one lane operand, in one bytes.translate.
+"""
+
+import itertools
+from operator import getitem, itemgetter
+
+# Lanes are bytes, so a carrier holds at most 256 element indices.
+LIMIT = 256
+
+
+def op_table(n, op):
+    """(rows, cols) over indices 0..n-1 with rows[a][b] = cols[b][a] =
+    op(a, b), each a 256-byte row padded with zeros."""
+    pad = bytes(LIMIT - n)
+    rows = [bytes(op(a, b) for b in range(n)) for a in range(n)]
+    cols = [bytes(row[b] for row in rows) + pad for b in range(n)]
+    return [row + pad for row in rows], cols
+
+
+def variables(names, lane):
+    """name -> node: the prefix's index for every name but the last, the
+    lane for the last."""
+    nodes = {name: (itemgetter(d), False)
+             for d, name in enumerate(names[:-1])}
+    if names:
+        nodes[names[-1]] = (lane, True)
+    return nodes
+
+
+def lift(fn, f, g):
+    """fn(f, g) now if neither is a function of the prefix, else the
+    function of the prefix that computes it."""
+    if callable(f):
+        if callable(g):
+            return lambda p: fn(f(p), g(p))
+        return lambda p: fn(f(p), g)
+    if callable(g):
+        return lambda p: fn(f, g(p))
+    return fn(f, g)
+
+
+def unary(table, node):
+    """The node mapped through a padded 256-byte table."""
+    f, is_lane = node
+    if is_lane:
+        return lift(bytes.translate, f, table), True
+    return lift(getitem, table, f), False
+
+
+def binary(op, x, y):
+    """x op y for op = (rows, cols) from op_table."""
+    (f, f_lane), (g, g_lane) = x, y
+    rows, cols = op
+    if f_lane and g_lane:
+        return lift(lambda a, b: bytes(map(getitem, map(rows.__getitem__, a),
+                                           b)), f, g), True
+    if f_lane:
+        return lift(lambda a, b: a.translate(cols[b]), f, g), True
+    if g_lane:
+        return lift(lambda a, b: b.translate(rows[a]), f, g), True
+    return lift(lambda a, b: rows[a][b], f, g), False
+
+
+def first_hit(carrier, nvars, node, mask):
+    """Scan node over every assignment of nvars variables to the carrier
+    (bytes, in scan order), one row per prefix, for the first value the 0/1
+    mask marks: (k * width + j + 1, indices) for the j-th entry of row k,
+    or (width ** nvars, None).  Without variables the row is one index."""
+    value, is_lane = node
+    if callable(value):
+        row_at = value
+    else:
+        row = value if is_lane else bytes((value,))
+        row_at = lambda prefix: row
+    prefixes = itertools.product(carrier, repeat=max(nvars - 1, 0))
+    for k, prefix in enumerate(prefixes):
+        j = row_at(prefix).translate(mask).find(1)
+        if j >= 0:
+            return k * len(carrier) + j + 1, prefix + (carrier[j],)
+    return len(carrier) ** nvars, None

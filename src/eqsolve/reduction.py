@@ -250,7 +250,7 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
 
 
 def decide_equation(group: SemipatternGroup, lhs, rhs, *,
-                    guard: int = DEFAULT_GUARD, backend: str = "pruned") -> Decision:
+                    guard: int = DEFAULT_GUARD) -> Decision:
     """Decide solvability of lhs = rhs over the group via the reduction.
 
     The system is built with y^d = 1 applied (formal=False), so on SAT the
@@ -259,7 +259,7 @@ def decide_equation(group: SemipatternGroup, lhs, rhs, *,
     has been re-verified through evaluate_word.
     """
     reduced = build_system(group, lhs, rhs, formal=False)
-    decision = solve(SolveRequest(reduced.system, backend=backend, guard=guard))
+    decision = solve(SolveRequest(reduced.system, guard=guard))
     if not decision.sat:
         return Decision(False, None, decision.stats)
     witness = reduced.assemble_witness(decision.witness)

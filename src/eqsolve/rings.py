@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from operator import add, getitem, itemgetter, mul
+from functools import cached_property, lru_cache, partial
+from operator import add, mul
 
+from . import lanes
 from .poly import (FIELD, Variable, grid_polynomials, merge_grid, scalar_grid,
                    slot_grid_product)
 # rings is the public module for every ring name, so it re-exports the
@@ -36,9 +37,8 @@ from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
 # bound stops a runaway closure within seconds and under 100 MB; a larger
 # ideal would also cost a factor-ring decision one solve per element tried.
 IDEAL_GUARD = 10 ** 5
-# Largest ring for which the oracle builds +/* tables.  Its rows hold element
-# indices as bytes, so this must stay at or below 256.
-_TABLE_LIMIT = 256
+# Largest ring for which the oracle builds +/* tables: the byte-lane limit.
+_TABLE_LIMIT = lanes.LIMIT
 
 
 @lru_cache(maxsize=None)
@@ -172,10 +172,10 @@ def build_ring_system(ring: NilpotentMatrixRing, expr,
     return ReducedRingSystem(ring, expr, rhs, tuple(var_index), system, entries)
 
 
-def _decide_reduced(reduced: ReducedRingSystem, guard, backend) -> Decision:
+def _decide_reduced(reduced: ReducedRingSystem, guard) -> Decision:
     """Solve a reduced system; a SAT witness is re-checked on the expression."""
     ring = reduced.ring
-    decision = solve(SolveRequest(reduced.system, backend=backend, guard=guard))
+    decision = solve(SolveRequest(reduced.system, guard=guard))
     if not decision.sat:
         return Decision(False, None, decision.stats)
     witness = reduced.assemble_witness(decision.witness)
@@ -187,12 +187,11 @@ def _decide_reduced(reduced: ReducedRingSystem, guard, backend) -> Decision:
 
 
 def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
-                         guard: int = DEFAULT_GUARD,
-                         backend: str = "pruned") -> Decision:
+                         guard: int = DEFAULT_GUARD) -> Decision:
     """Decide solvability of expr = rhs (default rhs: zero) over the ring."""
     if rhs is None:
         rhs = ring.zero()
-    return _decide_reduced(build_ring_system(ring, expr, rhs), guard, backend)
+    return _decide_reduced(build_ring_system(ring, expr, rhs), guard)
 
 
 # -- ideals and factor rings ---------------------------------------------------
@@ -273,8 +272,7 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
 
 
 def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
-                       guard: int = DEFAULT_GUARD,
-                       backend: str = "pruned") -> Decision:
+                       guard: int = DEFAULT_GUARD) -> Decision:
     """Decide solvability of expr = 0 over the factor ring M/I.
 
     The image of expr vanishes in M/I for some substitution iff expr = a is
@@ -287,7 +285,7 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
     stats = SolveStats()
     reduced = build_ring_system(ring, expr, ring.zero())
     for a in ideal.elements:
-        decision = _decide_reduced(reduced.retarget(a), guard, backend)
+        decision = _decide_reduced(reduced.retarget(a), guard)
         stats.explored += decision.stats.explored
         stats.prunes += decision.stats.prunes
         if decision.sat:
@@ -297,17 +295,14 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
 
 @lru_cache(maxsize=None)
 def _ring_tables(ring: NilpotentMatrixRing):
-    """(index by rows, add, mul) over canonical element indices.  add and
-    mul are each (rows, cols) with rows[a][b] = cols[b][a] = a op b, as
-    256-byte rows padded with zeros, so any of them translates a lane."""
+    """(index by rows, add, mul) over canonical element indices; add and
+    mul are lanes.op_table's (rows, cols)."""
     elems = ring_elements(ring)
     index = {e.rows: i for i, e in enumerate(elems)}
-    pad = bytes(256 - len(elems))
 
     def table(op):
-        rows = [bytes(index[op(a, b).rows] for b in elems) for a in elems]
-        cols = [bytes(row[b] for row in rows) + pad for b in range(len(elems))]
-        return [row + pad for row in rows], cols
+        return lanes.op_table(
+            len(elems), lambda a, b: index[op(elems[a], elems[b]).rows])
 
     return index, table(add), table(mul)
 
@@ -318,66 +313,27 @@ def _scale_table(ring: NilpotentMatrixRing, coeff: int) -> bytes:
     index = _ring_tables(ring)[0]
     elems = ring_elements(ring)
     return (bytes(index[e.scale(coeff).rows] for e in elems)
-            + bytes(256 - len(elems)))
+            + bytes(lanes.LIMIT - len(elems)))
 
 
-def _row_evaluator(expr, ring: NilpotentMatrixRing, names, lane: bytes):
-    """Compile expr into row(prefix): the indices of its values at the
-    element indices prefix of every name but the last, one per index of
-    the last name in lane, as bytes.  Without names the row holds one
-    index.
-
-    Nodes are (value, is_lane): a value is an index, or a lane (bytes) once
-    it depends on the last name.  A value that depends on no prefix name is
-    computed here, once; any other is a function of the prefix."""
+def _lane_node(expr, ring: NilpotentMatrixRing, names, lane: bytes):
+    """expr compiled into a lanes node over element indices, with lane as
+    the values of the last name (see eqsolve.lanes)."""
     index, plus, times = _ring_tables(ring)
-    pos = {name: d for d, name in enumerate(names[:-1])}
 
-    def var(name):
-        return (itemgetter(pos[name]), False) if name in pos else (lane, True)
-
-    def lift(fn, f, g):
-        """fn(f, g) now if neither is a function of the prefix, else the
-        function of the prefix that computes it."""
-        if callable(f):
-            if callable(g):
-                return lambda p: fn(f(p), g(p))
-            return lambda p: fn(f(p), g)
-        if callable(g):
-            return lambda p: fn(f, g(p))
-        return fn(f, g)
+    def const(value):
+        return index[value.rows], False
 
     def scale(coeff, node):
         coeff %= ring.modulus
         if coeff == 1:
             return node
-        table = _scale_table(ring, coeff)
-        f, is_lane = node
-        if is_lane:
-            return lift(bytes.translate, f, table), True
-        return lift(getitem, table, f), False
+        return lanes.unary(_scale_table(ring, coeff), node)
 
-    def binary(op, x, y):
-        (f, f_lane), (g, g_lane) = x, y
-        rows, cols = op
-        if f_lane and g_lane:
-            return lift(lambda a, b: bytes(map(getitem, map(rows.__getitem__,
-                                                            a), b)), f, g), True
-        if f_lane:
-            return lift(lambda a, b: a.translate(cols[b]), f, g), True
-        if g_lane:
-            return lift(lambda a, b: b.translate(rows[a]), f, g), True
-        return lift(lambda a, b: rows[a][b], f, g), False
-
-    f, is_lane = fold_expr(expr, ring, (
-        var, lambda value: (index[value.rows], False),
-        lambda node: scale(-1, node), scale,
-        lambda x, y: binary(plus, x, y), lambda x, y: binary(times, x, y),
-        lambda ring: (index[ring.zero().rows], False)))
-    if callable(f):
-        return f
-    row = f if is_lane else bytes((f,))
-    return lambda prefix: row
+    return fold_expr(expr, ring, (
+        lanes.variables(names, lane).__getitem__, const,
+        partial(scale, -1), scale, partial(lanes.binary, plus),
+        partial(lanes.binary, times), lambda ring: const(ring.zero())))
 
 
 def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
@@ -436,16 +392,15 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
 
 
 def _table_scan(ring, expr, rhs, ideal, names, space) -> Decision:
-    """The oracle's scan over element indices, one row per assignment of
-    every name but the last (in scan order), holding expr's value indices
-    for each value of the last name; the j-th entry of row k is the
-    (k * width + j + 1)-th assignment explored.  A 0/1 mask marks the
-    indices of rhs + I (just rhs without an ideal), and translating a row
-    through it finds the first hit."""
+    """The oracle's lane scan (lanes.first_hit) over element indices: every
+    value of the last name at once, for each assignment of the others in
+    scan order, so SAT reports explored = k * width + j + 1 for the j-th
+    entry of row k, and UNSAT the full space.  A 0/1 mask marks the
+    indices of rhs + I (just rhs without an ideal)."""
     index, (plus, _), _ = _ring_tables(ring)
     elems = ring_elements(ring)
     target = index[rhs.rows]
-    mask = bytearray(256)
+    mask = bytearray(lanes.LIMIT)
     if ideal is None:
         carrier = range(len(elems))
         mask[target] = 1
@@ -460,12 +415,9 @@ def _table_scan(ring, expr, rhs, ideal, names, space) -> Decision:
                 carrier.append(e)
                 seen.update(plus[e][i] for i in members)
     lane = bytes(carrier)
-    row = _row_evaluator(expr, ring, names, lane)
-    prefixes = itertools.product(carrier, repeat=len(names[:-1]))
-    for k, prefix in enumerate(prefixes):
-        j = row(prefix).translate(mask).find(1)
-        if j >= 0:
-            values = prefix + (lane[j],)
-            witness = {name: elems[i] for name, i in zip(names, values)}
-            return Decision(True, witness, SolveStats(k * len(lane) + j + 1))
-    return Decision(False, None, SolveStats(space))
+    explored, values = lanes.first_hit(
+        lane, len(names), _lane_node(expr, ring, names, lane), mask)
+    if values is None:
+        return Decision(False, None, SolveStats(space))
+    witness = {name: elems[i] for name, i in zip(names, values)}
+    return Decision(True, witness, SolveStats(explored))

@@ -17,13 +17,11 @@ monomial to the list of its next variable; a trail per depth undoes this.
 Every dropped branch either holds no solution or differs from the first-value
 branch only in a variable no constraint still reads, so the witness is the
 lexicographically first satisfying assignment in that order and repeated
-runs are bit-for-bit reproducible.  A "naive" backend without pruning backs
-the prune-safety tests.
+runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -120,7 +118,6 @@ class Decision:
 @dataclass
 class SolveRequest:
     system: PolySystem
-    backend: str = "pruned"
     guard: int = DEFAULT_GUARD
 
 
@@ -147,12 +144,7 @@ def solve(request: SolveRequest) -> Decision:
     space = system.search_space()
     if space > request.guard:
         raise GuardExceeded(space, request.guard)
-    if request.backend == "pruned":
-        decision = _solve_pruned(system)
-    elif request.backend == "naive":
-        decision = _solve_naive(system)
-    else:
-        raise SolverError("unknown backend %r" % request.backend)
+    decision = _solve_pruned(system)
     if decision.sat and not verify_witness(system, decision.witness):
         raise RuntimeError("internal error: unverified witness returned")
     return decision
@@ -244,15 +236,3 @@ def _solve_pruned(system: PolySystem) -> Decision:
                for d, v in enumerate(variables)}
     return Decision(True, witness, stats)
 
-
-def _solve_naive(system: PolySystem) -> Decision:
-    variables = _ordered_variables(system)
-    value_lists = [system.domains[v] for v in variables]
-    stats = SolveStats()
-    for combo in itertools.product(*value_lists):
-        stats.explored += 1
-        assignment = dict(zip(variables, combo))
-        if all(c.poly.evaluate(assignment) == c.target
-               for c in system.constraints):
-            return Decision(True, assignment, stats)
-    return Decision(False, None, stats)

@@ -4,6 +4,8 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from eqsolve.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -70,6 +72,14 @@ def test_guard_error_exit_two(tmp_path):
                         "--guard", "1"])
     assert code == 2
     assert "guard" in err
+
+
+def test_backend_flag_rejected():
+    # the solver has one search; the naive reference lives in the tests
+    with pytest.raises(SystemExit) as exc:
+        run(["decide", str(PROBLEMS / "order54_identity.prob"),
+             "--backend", "naive"])
+    assert exc.value.code == 2
 
 
 def test_recursion_limit_exit_two(monkeypatch):

@@ -516,3 +516,96 @@ def test_oracle_first_hits_at_chunk_boundaries(ut4_f2, sparse18):
         expected = _reference_solve(group, word, target)
         assert expected[2] == explored
         assert _oracle_outcome(group, word, target) == expected
+
+
+def test_oracle_at_the_byte_lane_limit():
+    """GF(257)^* has exactly 256 elements, the largest group the lane scan
+    takes: index 255 must survive every translation, as a lane value and as
+    a prefix value.  GF(263)^* has 262 and is scanned per assignment,
+    without a table."""
+    c257 = make_group(make_domain(257), 1, (), (256,))
+    elems = element_list(c257)   # in order of residues: elems[255] = -1
+    assert c257.order == groups._TABLE_LIMIT == 256
+    last, three = elems[255], elems[2]
+    cases = (
+        (("x",), last, 256),                         # lane index 255
+        (("x", "y"), last, 256),                     # last lane of row 0
+        (("x", "y", "z"), ("x", last, "y"), 256),    # a word target
+        (("x", "y"), ("y", last), 255 * 256 + 1),    # prefix index 255
+        (("x", "x"), three, 256),                    # 3 is no square mod 257
+        (("x", three, "y"), ("y", "x"), 256 ** 2),   # UNSAT: 3 is not 1
+    )
+    for word, target, explored in cases:
+        expected = _reference_solve(c257, word, target)
+        assert expected[2] == explored
+        assert _oracle_outcome(c257, word, target) == expected, word
+    assert words_agree_everywhere(c257, ("x", "y"), ("y", "x")) == (True,
+                                                                     None)
+    assert words_agree_everywhere(c257, ("x", "x"), ("x", last)) == (
+        False, {"x": elems[0]})
+
+    c263 = make_group(make_domain(263), 1, (), (262,))
+    before = groups._cayley.cache_info()
+    elems = element_list(c263)
+    for word, target in ((("x",), elems[-1]), (("x", "x"), elems[-1]),
+                         (("x", "y"), (elems[5], "y"))):
+        assert (_oracle_outcome(c263, word, target)
+                == _reference_solve(c263, word, target))
+    assert words_agree_everywhere(c263, ("x", "x"), ("x", elems[-1])) == (
+        False, {"x": elems[0]})
+    assert groups._cayley.cache_info() == before
+
+
+def test_oracles_run_without_numpy():
+    """Both oracles and `decide --oracle` work where numpy cannot be
+    imported."""
+    root = Path(__file__).resolve().parent.parent
+    probe = """
+import sys
+sys.modules["numpy"] = None
+sys.path.insert(0, %r)
+from eqsolve import (RVar, brute_force_ring_solve, brute_force_solve,
+                     element_list, make_domain, make_group, make_ring,
+                     unitriangular_group, words_agree_everywhere)
+from eqsolve.cli import main
+ut3 = unitriangular_group(make_domain(2), 3)
+order54 = make_group(make_domain(3), 3, [(1, 2), (1, 3), (2, 3)], (1, 2, 1))
+e8, e54 = element_list(ut3), element_list(order54)
+
+def show(decision):
+    witness = sorted((k, e54.index(v)) for k, v in decision.witness.items())
+    return decision.sat, witness, decision.stats.explored
+
+print(show(brute_force_solve(order54, ("x", "x", e54[7]), e54[14])))
+print(show(brute_force_solve(order54, ("x", e54[1], "y"), ("y", "x"))))
+agree, separator = words_agree_everywhere(ut3, ("x", "y"), ("y", "x"))
+print(agree, sorted((k, e8.index(v)) for k, v in separator.items()))
+ring = brute_force_ring_solve(make_ring(2, 2, 2),
+                              RVar("x") * RVar("y") + RVar("x"))
+print(ring.sat, ring.stats.explored)
+code = main(["decide", "problems/order54_identity.prob", "--oracle"])
+print("exit", code)
+""" % str(root / "src")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=root,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    order54 = make_group(make_domain(3), 3, full_pattern(3), (1, 2, 1))
+    ut3 = unitriangular_group(make_domain(2), 3)
+    e8, e54 = element_list(ut3), element_list(order54)
+
+    def shown(outcome):
+        sat, witness, explored = outcome
+        witness = sorted((k, e54.index(v)) for k, v in witness.items())
+        return str((sat, witness, explored))
+
+    assert lines[0] == shown(_reference_solve(
+        order54, ("x", "x", e54[7]), e54[14]))
+    assert lines[1] == shown(_reference_solve(
+        order54, ("x", e54[1], "y"), ("y", "x")))
+    agree, separator = _reference_agree(ut3, ("x", "y"), ("y", "x"))
+    assert lines[2] == "%s %s" % (agree, sorted(
+        (k, e8.index(v)) for k, v in separator.items()))
+    assert lines[3].split()[0] == "True"
+    assert "oracle agrees (SAT)" in lines
+    assert lines[-1] == "exit 0"

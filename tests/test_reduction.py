@@ -14,6 +14,7 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
 from eqsolve.reduction import (SymbolicLetter, entry_monomial_count,
                                x_variable, y_variable)
 from conftest import (random_assignment, random_group_element, random_word)
+from naive import solve_naive
 from symbolic import evaluate_matrix
 
 _SLOT = re.compile(r"^([xy])\[(\d+)\](?:\[(\d+)\])?\[(\d+)\]$")
@@ -410,7 +411,7 @@ def test_folded_system_agrees_with_formal_and_oracle(group_family):
             assert all(len(values) > 1
                        for values in folded.domains.values())
             pruned = solve(SolveRequest(folded))
-            naive = solve(SolveRequest(folded, backend="naive"))
+            naive = solve_naive(folded)
             assert pruned.sat == naive.sat == verdict
             assert pruned.witness == naive.witness
 

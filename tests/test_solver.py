@@ -7,6 +7,8 @@ from eqsolve import (Constraint, GuardExceeded, PolySystem, Polynomial,
                      SolveRequest, SolverError, Variable, make_domain, solve,
                      verify_witness)
 
+from naive import solve_naive
+
 F2 = make_domain(2)
 F3 = make_domain(3)
 X = Variable("x")
@@ -102,8 +104,8 @@ def test_pruned_equals_naive_on_random_systems():
     domains = [F2, F3, make_domain(2, 2, "modular")]
     for trial in range(200):
         system = _random_system(rng, domains[trial % 3])
-        pruned = solve(SolveRequest(system, backend="pruned"))
-        naive = solve(SolveRequest(system, backend="naive"))
+        pruned = solve(SolveRequest(system))
+        naive = solve_naive(system)
         assert pruned.sat == naive.sat, trial
         if pruned.sat:
             assert pruned.witness == naive.witness, trial
@@ -149,8 +151,8 @@ def test_pruned_equals_naive_on_restricted_domains():
         repeated += any(len(set(factors)) < len(factors)
                         for c in system.constraints
                         for factors, _ in c.poly._terms)
-        pruned = solve(SolveRequest(system, backend="pruned"))
-        naive = solve(SolveRequest(system, backend="naive"))
+        pruned = solve(SolveRequest(system))
+        naive = solve_naive(system)
         assert pruned.sat == naive.sat, trial
         if pruned.sat:
             sat += 1
@@ -175,12 +177,6 @@ def test_determinism():
     assert first.witness == second.witness
     assert (first.stats.explored, first.stats.prunes) == \
            (second.stats.explored, second.stats.prunes)
-
-
-def test_unknown_backend():
-    system = PolySystem(F3, (), {})
-    with pytest.raises(SolverError):
-        solve(SolveRequest(system, backend="mystery"))
 
 
 def test_empty_domain_rejected():
