@@ -13,9 +13,10 @@ here is the reference oracle for the symbolic reduction pipeline: it
 enumerates assignments in canonical order and returns the first witness,
 re-checked with evaluate_word.  On groups of at most 256 elements it scans
 a row at a time on byte lanes (eqsolve.lanes) through a multiplication
-table built once per group: every value of the last variable at once, so
-its cost follows the rows explored before the first witness, not the size
-of the space.  Larger groups evaluate each assignment with evaluate_word.
+table built once per group, closed from at most log2|G| generator rows:
+every value of the last variable at once, so its cost follows the rows
+explored before the first witness, not the size of the space.  Larger
+groups evaluate each assignment with evaluate_word.
 """
 
 from __future__ import annotations
@@ -314,16 +315,18 @@ def element_list(group: SemipatternGroup):
 @lru_cache(maxsize=None)
 def _cayley(group: SemipatternGroup):
     """(elements, index map, multiplication table, inverse row) over
-    canonical element indices, for the lane scan: the table is
-    lanes.op_table's (rows, cols), the inverse row is padded like them."""
+    canonical element indices, for the lane scan: the table is lanes.table's
+    (rows, cols), the inverse row is padded like them.  The rows are closed
+    from greedy generator rows (lanes.closure), so the build costs at most
+    |G| * log2|G| calls of multiply, not |G|^2."""
     elems = element_list(group)
     index = {el: i for i, el in enumerate(elems)}
-    table = lanes.op_table(len(elems),
-                           lambda a, b: index[multiply(elems[a], elems[b])])
-    one = index[group.identity()]
+    n, one = len(elems), index[group.identity()]
+    rows, _ = lanes.closure(n, one, range(n), lambda g: bytes(
+        index[multiply(elems[g], b)] for b in elems))
     # each row holds the identity once within the group, before the padding
-    inverse = bytes(row.index(one) for row in table[0])
-    return elems, index, table, inverse + bytes(lanes.LIMIT - len(elems))
+    inverse = bytes(row.index(one) for row in rows)
+    return elems, index, lanes.table(rows), inverse + bytes(lanes.LIMIT - n)
 
 
 def _word_node(word, leaves, index, table, last):

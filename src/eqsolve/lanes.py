@@ -6,7 +6,8 @@ one index per value of the last variable once it depends on that variable.
 A value that depends on no other (prefix) variable is computed at compile
 time; any other is a function of the prefix's indices.  Operations are
 tables padded to 256-byte rows, so a lane goes through a unary operation,
-or a binary one with one lane operand, in one bytes.translate.
+or a binary one with one lane operand, in one bytes.translate.  A table
+is closed from a few generator rows the same way, by translating rows.
 """
 
 import itertools
@@ -16,13 +17,36 @@ from operator import getitem, itemgetter
 LIMIT = 256
 
 
-def op_table(n, op):
-    """(rows, cols) over indices 0..n-1 with rows[a][b] = cols[b][a] =
-    op(a, b), each a 256-byte row padded with zeros."""
+def closure(n, identity, candidates, generator_row):
+    """(rows, steps): padded rows, rows[a][b] = a.b, of a group operation
+    over indices 0..n-1, closed breadth-first from the identity.  Each
+    candidate not yet reached is a generator g with row generator_row(g),
+    and row(a.g) = row(g).translate(row(a)) by associativity; steps lists
+    (a.g, a, g) in the order reached.  Candidates range(n) give greedy
+    generators, each at least doubling the reached subgroup: <= log2(n)."""
     pad = bytes(LIMIT - n)
-    rows = [bytes(op(a, b) for b in range(n)) for a in range(n)]
-    cols = [bytes(row[b] for row in rows) + pad for b in range(n)]
-    return [row + pad for row in rows], cols
+    rows = [None] * n
+    rows[identity] = bytes(range(n)) + pad
+    reached, generators, steps = [identity], {}, []
+    for g in candidates:
+        if rows[g] is not None:
+            continue
+        generators[g] = generator_row(g)
+        for a in reached:
+            for h, row in generators.items():
+                c = rows[a][h]
+                if rows[c] is None:
+                    rows[c] = row.translate(rows[a]) + pad
+                    reached.append(c)
+                    steps.append((c, a, h))
+    return rows, steps
+
+
+def table(rows):
+    """(rows, cols) with cols[b][a] = rows[a][b], padded like the rows."""
+    n = len(rows)
+    pad = bytes(LIMIT - n)
+    return rows, [bytes(col) + pad for col in itertools.islice(zip(*rows), n)]
 
 
 def variables(names, lane):
@@ -56,7 +80,7 @@ def unary(table, node):
 
 
 def binary(op, x, y):
-    """x op y for op = (rows, cols) from op_table."""
+    """x op y for op = (rows, cols) from table."""
     (f, f_lane), (g, g_lane) = x, y
     rows, cols = op
     if f_lane and g_lane:

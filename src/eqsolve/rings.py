@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
-from operator import add, mul
+from operator import add, getitem, mul
 
 from . import lanes
 from .poly import (FIELD, Variable, grid_polynomials, merge_grid, scalar_grid,
@@ -296,15 +296,27 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
 @lru_cache(maxsize=None)
 def _ring_tables(ring: NilpotentMatrixRing):
     """(index by rows, add, mul) over canonical element indices; add and
-    mul are lanes.op_table's (rows, cols)."""
+    mul are lanes.table's (rows, cols).  Addition is closed from the rows
+    of _additive_basis (lanes.closure); each product row is its closure
+    parent's plus a basis row, (a + e) * b = a * b + e * b, in one lane
+    sum.  So the build costs |basis| * n ring sums and products, not n^2."""
     elems = ring_elements(ring)
     index = {e.rows: i for i, e in enumerate(elems)}
+    n, zero = len(elems), index[ring.zero().rows]
+    pad = bytes(lanes.LIMIT - n)
 
-    def table(op):
-        return lanes.op_table(
-            len(elems), lambda a, b: index[op(elems[a], elems[b]).rows])
+    def row(op, g):
+        return bytes(index[op(elems[g], b).rows] for b in elems)
 
-    return index, table(add), table(mul)
+    basis = [index[e.rows] for e in _additive_basis(ring)]
+    plus, steps = lanes.closure(n, zero, basis, partial(row, add))
+    generators = {e: row(mul, e) for e in {e for _, _, e in steps}}
+    times = [None] * n
+    times[zero] = bytes((zero,)) * n + pad
+    for c, a, e in steps:
+        times[c] = bytes(map(getitem, map(plus.__getitem__, times[a][:n]),
+                             generators[e])) + pad
+    return index, lanes.table(plus), lanes.table(times)
 
 
 @lru_cache(maxsize=None)

@@ -417,7 +417,8 @@ def test_membership_check_matches_definition(sparse18):
 
 def _reference_solve(group, word, target):
     """(sat, witness, explored) by scanning itertools.product(element_list)
-    with evaluate_word: the order brute_force_solve's chunks must keep."""
+    with evaluate_word: the canonical order in which brute_force_solve must
+    find the same first hit."""
     target_is_word = isinstance(target, tuple)
     names = word_variables(tuple(word) + (target if target_is_word else ()))
     explored = 0
@@ -488,9 +489,11 @@ def test_separators_match_reference_scan(ut4_f2, order54, sparse18):
         assert _reference_agree(group, f, ("x", c)) == (True, None)
 
 
-def test_oracle_first_hits_at_chunk_boundaries(ut4_f2, sparse18):
-    """Chunks of 256, 1024 and 4096 lanes end after lanes 256, 1280 and
-    5376: first hits on each side of each boundary, and a scan past all."""
+def test_oracle_first_hits_at_row_and_lane_offsets(ut4_f2, sparse18):
+    """The lane scan reports explored = k * |G| + j + 1 for a first hit in
+    lane j of row k: hits inside a row (lane 21 of row 3, lane 19 of row
+    10) and in the first lane of rows 4, 20, 43 and 84 of two- and
+    three-variable scans, and an UNSAT scan past every row."""
     def cyclic(p):  # GF(p)^*, elements in order of their residues
         return make_group(make_domain(p), 1, (), (p - 1,))
 
