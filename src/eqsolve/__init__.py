@@ -10,17 +10,16 @@ from .groups import (GroupElement, GroupError, PatternError, SemipatternGroup,
                      multiply, unitriangular_group, word_variables,
                      words_agree_everywhere)
 from .poly import FIELD, RING, SUBGROUP, PolyError, Polynomial, Variable
-from .reduction import (ReducedSystem, SymbolicLetter, SymbolicMatrix,
-                        build_system, decide_equation, decide_equivalence,
-                        entry_monomial_count, separating_substitution,
-                        symbolic_letters, symbolic_product)
+from .reduction import (ReducedSystem, SymbolicMatrix, build_system,
+                        decide_equation, decide_equivalence,
+                        separating_substitution, symbolic_letters,
+                        symbolic_product)
 from .rings import (Ideal, NilpotentMatrixRing, RConst, RingElement,
                     RingError, RingMonomial, RNeg, RProd, RScale, RSum, RVar,
                     SigmaForm, brute_force_ring_solve, build_ring_system,
                     decide_factor_ring, decide_ring_equation, enumerate_ideal,
                     entrywise_rewrite, eval_ring_expr, expr_variables,
-                    make_ring, monomial_entry_polys, ring_elements,
-                    sigma_expand)
+                    make_ring, ring_elements, sigma_expand)
 from .solver import (Constraint, Decision, GuardExceeded, PolySystem,
                      SolveRequest, SolveStats, SolverError, solve,
                      verify_witness)

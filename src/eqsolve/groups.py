@@ -16,7 +16,7 @@ a row at a time on byte lanes (eqsolve.lanes) through a multiplication
 table built once per group, closed from at most log2|G| generator rows:
 every value of the last variable at once, so its cost follows the rows
 explored before the first witness, not the size of the space.  Larger
-groups evaluate each assignment with evaluate_word.
+groups multiply out each assignment, without membership checks.
 """
 
 from __future__ import annotations
@@ -225,11 +225,10 @@ def _same_group(g, h) -> bool:
     return g is h or g == h
 
 
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Matrix product; validates that the result stays in the group."""
+def _product(a: GroupElement, b: GroupElement) -> GroupElement:
+    """Matrix product of two elements of one group, unchecked: members of a
+    closed pattern (make_group checks closure) multiply to members."""
     g = a.group
-    if not _same_group(g, b.group):
-        raise GroupError("elements of different groups")
     dom = g.domain
     m = g.m
     rdot, zero = dom.rdot, dom.rzero
@@ -239,8 +238,16 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     rows = tuple(tuple(rdot(ra[i][i:j + 1], cols[j][i:j + 1]) if j >= i
                        else zero for j in range(m))
                  for i in range(m))
-    g._check_membership(rows)
     return GroupElement(g, rows)
+
+
+def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
+    """Matrix product; validates that the result stays in the group."""
+    if not _same_group(a.group, b.group):
+        raise GroupError("elements of different groups")
+    product = _product(a, b)
+    a.group._check_membership(product.rows)
+    return product
 
 
 # -- words --------------------------------------------------------------------
@@ -374,11 +381,15 @@ def _first_lane(group, names, left, right, equal):
         if values is None:
             return explored, None
         return explored, {name: elems[i] for name, i in zip(names, values)}
+
+    def value(word, assignment):
+        return reduce(_product, [assignment[x] if isinstance(x, str) else x
+                                 for x in word] or [group.identity()])
+
     combos = itertools.product(element_list(group) if v else (), repeat=v)
     for explored, combo in enumerate(combos, start=1):
         assignment = dict(zip(names, combo))
-        if (evaluate_word(group, left, assignment)
-                == evaluate_word(group, right, assignment)) == equal:
+        if (value(left, assignment) == value(right, assignment)) == equal:
             return explored, assignment
     return size ** v, None
 

@@ -9,7 +9,7 @@ counts one symbol per variable occurrence plus one per coefficient;
 one), which is the measure the rewriting size bounds are stated in.
 
 slot_grid_product is the one matrix product both reductions use: group words
-and ring monomials are products of letters given as matrices of slots.
+and ring monomials are products of slot_letter matrices of slots.
 """
 
 from __future__ import annotations
@@ -320,6 +320,18 @@ def scalar_grid(dom, m: int, raw) -> list:
     entry = {(): raw} if raw != dom.rzero else {}
     return [[dict(entry) if i == j else {} for j in range(m)]
             for i in range(m)]
+
+
+def slot_letter(dom, rows, slots=()) -> list:
+    """A matrix as a letter of slot_grid_product: the nonzero entries of
+    the raw rows as constants, except that each slot (i, j, coeff, var,
+    values), 0-based, puts coeff * var at (i, j)."""
+    zero = dom.rzero
+    letter = [[(j, raw, None) for j, raw in enumerate(row) if raw != zero]
+              for row in rows]
+    for i, j, coeff, var, _ in slots:
+        letter[i] = [s for s in letter[i] if s[0] != j] + [(j, coeff, var)]
+    return letter
 
 
 def slot_grid_product(dom, grid, letters, orders=None) -> list:

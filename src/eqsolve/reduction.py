@@ -1,9 +1,9 @@
 """Reduction of group word equations to polynomial systems over the field.
 
 Every letter of a word becomes a symbolic upper triangular matrix: constant
-letters carry their concrete entries, and each distinct variable gets one
-diagonal slot variable y[i][k] per row (ranging over the row's subgroup) and
-one slot variable x[i][j][k] per pattern position (ranging over the field).
+letters carry their entries, and the k-th distinct variable is the identity
+with a diagonal slot y[i][k] per row (over the row's subgroup) and a slot
+x[i][j][k] per pattern position (over the field), laid out by _variable_slots.
 Multiplying the symbolic letters left to right yields an m x m grid of entry
 polynomials: the diagonal entries are single monomials (products of the y
 slots) and each above-diagonal entry is a sum of products, one per
@@ -14,18 +14,18 @@ within its O(n^m) size bound instead of enumerating chains up front.
 
 A word equation F = rhs then holds for a substitution exactly when all the
 entry polynomials attain the corresponding rhs entries, which is a
-solvability question handed to the system solver.  SAT witnesses are
-reassembled into group elements and re-checked through evaluate_word before
-being returned.
+solvability question decided by solver.SlotSystem, the path ring equations
+share: SAT witnesses are reassembled from the layout into group elements
+and re-checked through evaluate_word before being returned.
 
 build_system gives every diagonal slot its variable by default: that is the
 paper's formal reduction, which `eqsolve dump-system` prints.  The two
 decision paths, decide_equation and separating_substitution, build with
-formal=False instead, which applies one rule inside symbolic_product: a
-diagonal slot y of a row whose subgroup has order d satisfies y^d = 1 on
-its whole domain.  For d = 1 the slot enters the product as the constant
-1, so it never becomes a variable and its witness entry is 1; for d > 1 the
-d copies of y in a monomial cancel once its exponent reaches d.  Monomials
+formal=False instead, which applies one rule: a diagonal slot y of a row
+whose subgroup has order d satisfies y^d = 1 on its whole domain.  For
+d = 1 the layout has no slot there, so the identity's 1 enters the product
+as a constant and is the witness entry; for d > 1 symbolic_product cancels
+the d copies of y in a monomial once its exponent reaches d.  Monomials
 that then coincide merge or cancel as the product is formed.  The witness of
 decide_equation is the lexicographically first solution in the variable
 order of this reduced system.
@@ -44,15 +44,14 @@ words.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
                      evaluate_word, word_variables)
 from .poly import (FIELD, SUBGROUP, Polynomial, Variable, grid_polynomials,
-                   scalar_grid, slot_grid_product)
-from .solver import Constraint, Decision, PolySystem, SolveRequest, solve
+                   scalar_grid, slot_grid_product, slot_letter)
+from .solver import Constraint, Decision, SlotSystem
 
 
 @lru_cache(maxsize=None)
@@ -65,36 +64,18 @@ def y_variable(i: int, k: int) -> Variable:
     return Variable("y[%d][%d]" % (i, k), SUBGROUP, row=i)
 
 
-class SymbolicLetter:
-    """One word letter as a grid of slots: Scalars, Variables, or zero (None)."""
-
-    __slots__ = ("m", "slots")
-
-    def __init__(self, m, slots):
-        self.m = m
-        self.slots = slots  # dict (i, j) -> Scalar | Variable, 1-based, i <= j
-
-    def slot(self, i, j):
-        return self.slots.get((i, j))
-
-    @classmethod
-    def from_constant(cls, group: SemipatternGroup, element: GroupElement):
-        slots = {}
-        for i in range(1, group.m + 1):
-            slots[(i, i)] = element.scalar(i, i)
-        for (i, j) in group.pattern:
-            v = element.scalar(i, j)
-            if not v.is_zero():
-                slots[(i, j)] = v
-        return cls(group.m, slots)
-
-    @classmethod
-    def for_variable(cls, group: SemipatternGroup, k: int):
-        """Slots of variable k: y[i][k] on the diagonal, x[i][j][k] on the
-        pattern."""
-        slots = {(i, i): y_variable(i, k) for i in range(1, group.m + 1)}
-        slots.update(((i, j), x_variable(i, j, k)) for i, j in group.pattern)
-        return cls(group.m, slots)
+def _variable_slots(group: SemipatternGroup, k: int, formal) -> tuple:
+    """Unknown k's layout over the identity, every coefficient 1: y[i][k]
+    over row i's subgroup on the diagonal, except in a row of order 1
+    unless formal (y^1 = 1 leaves the identity's 1 there), and x[i][j][k]
+    over the field at each pattern position."""
+    rone, field = group.domain.rone, group.domain.elements()
+    slots = [(i, i, rone, y_variable(i + 1, k), sub.elements)
+             for i, (sub, d) in enumerate(zip(group.subgroups, group.orders))
+             if formal or d > 1]
+    slots += [(i - 1, j - 1, rone, x_variable(i, j, k), field)
+              for i, j in group.pattern]
+    return tuple(slots)
 
 
 @dataclass(frozen=True)
@@ -114,38 +95,26 @@ class SymbolicMatrix:
                      for i in range(1, m + 1) for j in range(i, m + 1))
 
 
-def symbolic_letters(group: SemipatternGroup, word, var_index):
-    """Symbolic letter per word position; equal variables share slot variables."""
+def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
+    """Letter per word position: unknowns[name] or a constant's entries."""
     letters = []
     for letter in word:
         if isinstance(letter, str):
-            letters.append(SymbolicLetter.for_variable(group,
-                                                       var_index[letter]))
+            letters.append(unknowns[letter])
+        elif letter.group != group:
+            raise GroupError("constant letter from a different group")
         else:
-            if letter.group != group:
-                raise GroupError("constant letter from a different group")
-            letters.append(SymbolicLetter.from_constant(group, letter))
+            letters.append(slot_letter(group.domain, letter.rows))
     return letters
 
 
-def _slot_rows(group: SemipatternGroup, letter: SymbolicLetter, orders):
-    """A letter's slots per row, as slot_grid_product takes them.  Unless
-    orders is None, a diagonal slot of row order d = 1 becomes the constant
-    1 and one of order d > 1 is entered in orders as y -> d."""
-    rone, rzero = group.domain.rone, group.domain.rzero
-    rows = [[] for _ in range(letter.m)]
-    for (i, j), slot in letter.slots.items():
-        if isinstance(slot, Variable):
-            if orders is not None and i == j:
-                d = group.orders[i - 1]
-                if d == 1:
-                    slot = None
-                else:
-                    orders[slot] = d
-            rows[i - 1].append((j - 1, rone, slot))
-        elif slot.raw != rzero:
-            rows[i - 1].append((j - 1, slot.raw, None))
-    return rows
+def symbolic_letters(group: SemipatternGroup, word, var_index) -> list:
+    """slot_grid_product letter per word position, variable var_index[name]
+    in its formal layout; equal variables share slot variables."""
+    base = group.identity().rows
+    return _word_letters(group, word, {
+        name: slot_letter(group.domain, base, _variable_slots(group, k, True))
+        for name, k in var_index.items()})
 
 
 def symbolic_product(group: SemipatternGroup, letters, *,
@@ -159,53 +128,38 @@ def symbolic_product(group: SemipatternGroup, letters, *,
     formed (see the module docstring).
     """
     dom = group.domain
-    orders = None if formal else {}
-    rows = [_slot_rows(group, letter, orders) for letter in letters]
-    grid = slot_grid_product(dom, scalar_grid(dom, group.m, dom.rone), rows,
-                             orders)
+    orders = None if formal else {
+        var: group.orders[var.row - 1] for letter in letters
+        for row in letter for _, _, var in row
+        if var is not None and var.sort == SUBGROUP}
+    grid = slot_grid_product(dom, scalar_grid(dom, group.m, dom.rone),
+                             letters, orders)
     return SymbolicMatrix(group, grid_polynomials(dom, grid))
 
 
-def entry_monomial_count(n: int, i: int, j: int) -> int:
-    """Products contributing to entry (i, j) of an n-letter all-variable word."""
-    if not 1 <= i < j:
-        raise ValueError("need 1 <= i < j")
-    return math.comb(n + j - i - 1, j - i)
+class ReducedSystem(SlotSystem):
+    """The system of lhs = rhs (a GroupElement or a word tuple) over the
+    group, whose unknowns are laid out over the identity by _variable_slots;
+    build_system sets lhs_matrix, the SymbolicMatrix of lhs."""
 
-
-@dataclass
-class ReducedSystem:
-    """Polynomial system for one word equation, plus the witness bookkeeping."""
-
-    group: SemipatternGroup
-    lhs: tuple
-    rhs: object                  # GroupElement or word tuple
-    var_names: tuple             # distinct variable names, first occurrence order
-    system: PolySystem
-    lhs_matrix: SymbolicMatrix
+    def __init__(self, group: SemipatternGroup, lhs: tuple, rhs, slots):
+        super().__init__(group.domain, group.identity().rows, slots)
+        self.group, self.lhs, self.rhs = group, lhs, rhs
+        self.lhs_matrix = None
 
     def assemble_witness(self, assignment) -> dict:
-        """Slot assignment -> {variable name: GroupElement}.
-
-        Slots that dropped out of the system (cancelled, folded or never
-        constrained) default to the identity's entries.
-        """
+        """Slot assignment -> {variable name: GroupElement}."""
         group = self.group
-        dom = group.domain
         out = {}
-        for k, name in enumerate(self.var_names, start=1):
-            rows = [[dom.rzero] * group.m for _ in range(group.m)]
-            for i in range(1, group.m + 1):
-                val = assignment.get(y_variable(i, k))
-                rows[i - 1][i - 1] = val.raw if val is not None else dom.rone
-            for (i, j) in group.pattern:
-                val = assignment.get(x_variable(i, j, k))
-                if val is not None:
-                    rows[i - 1][j - 1] = val.raw
-            element = GroupElement(group, tuple(tuple(r) for r in rows))
-            group._check_membership(element.rows)
-            out[name] = element
+        for name, rows in self.witness_rows(assignment):
+            group._check_membership(rows)
+            out[name] = GroupElement(group, rows)
         return out
+
+    def holds(self, witness) -> bool:
+        right = (self.rhs if isinstance(self.rhs, GroupElement)
+                 else evaluate_word(self.group, self.rhs, witness))
+        return evaluate_word(self.group, self.lhs, witness) == right
 
 
 def build_system(group: SemipatternGroup, lhs, rhs, *,
@@ -219,16 +173,20 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     constraint polynomial is the reduced normal form of its entry.
     """
     lhs = tuple(lhs)
-    words = (lhs,) if isinstance(rhs, GroupElement) else (lhs, tuple(rhs))
+    if not isinstance(rhs, GroupElement):
+        rhs = tuple(rhs)
+    words = (lhs, rhs) if isinstance(rhs, tuple) else (lhs,)
     # equal variable names share slot variables across the two words
     names = word_variables(itertools.chain(*words))
-    var_index = {name: k for k, name in enumerate(names, start=1)}
+    reduced = ReducedSystem(group, lhs, rhs, {
+        name: _variable_slots(group, k, formal)
+        for k, name in enumerate(names, start=1)})
     lhs_matrix, *rest = [
-        symbolic_product(group, symbolic_letters(group, word, var_index),
+        symbolic_product(group, _word_letters(group, word, reduced.letters),
                          formal=formal)
         for word in words]
     if rest:
-        rhs, zero = words[1], group.domain.zero()
+        zero = group.domain.zero()
         constraints = [Constraint(left - rest[0].entry(*pos), zero)
                        for pos, left in lhs_matrix.upper_entries()]
     elif rhs.group != group:
@@ -236,17 +194,9 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     else:
         constraints = [Constraint(left, rhs.scalar(*pos))
                        for pos, left in lhs_matrix.upper_entries()]
-
-    domains = {}
-    field_elements = tuple(group.domain.elements())
-    for c in constraints:
-        for factors, _ in c.poly._terms:
-            for v in factors:
-                if v not in domains:
-                    domains[v] = (group.subgroups[v.row - 1].elements
-                                  if v.sort == SUBGROUP else field_elements)
-    system = PolySystem(group.domain, tuple(constraints), domains)
-    return ReducedSystem(group, lhs, rhs, names, system, lhs_matrix)
+    reduced.lhs_matrix = lhs_matrix
+    reduced.constrain(constraints)
+    return reduced
 
 
 def decide_equation(group: SemipatternGroup, lhs, rhs, *,
@@ -258,19 +208,7 @@ def decide_equation(group: SemipatternGroup, lhs, rhs, *,
     of that reduced system.  It maps variable names to group elements and
     has been re-verified through evaluate_word.
     """
-    reduced = build_system(group, lhs, rhs, formal=False)
-    decision = solve(SolveRequest(reduced.system, guard=guard))
-    if not decision.sat:
-        return Decision(False, None, decision.stats)
-    witness = reduced.assemble_witness(decision.witness)
-    left = evaluate_word(group, reduced.lhs, witness)
-    if isinstance(reduced.rhs, GroupElement):
-        right = reduced.rhs
-    else:
-        right = evaluate_word(group, reduced.rhs, witness)
-    if left != right:
-        raise RuntimeError("internal error: reduction witness failed re-check")
-    return Decision(True, witness, decision.stats)
+    return build_system(group, lhs, rhs, formal=False).decide(guard)
 
 
 def _nonzero_point(poly: Polynomial, domains) -> dict:
@@ -315,8 +253,7 @@ def separating_substitution(group: SemipatternGroup, f, g):
     else:
         return None
     witness = reduced.assemble_witness(_nonzero_point(c.poly, system.domains))
-    if (evaluate_word(group, reduced.lhs, witness)
-            == evaluate_word(group, reduced.rhs, witness)):
+    if reduced.holds(witness):
         raise RuntimeError("internal error: separating substitution failed "
                            "re-check")
     return witness

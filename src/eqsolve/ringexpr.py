@@ -391,21 +391,21 @@ def eval_ring_expr(expr, assignment, ring) -> RingElement:
 
 def expr_variables(expr):
     """Distinct variable names in order of first occurrence."""
+    # an explicit stack: build_ring_system calls this on every build, and a
+    # recursive closure would leave a reference cycle per call
     seen = {}
-
-    def walk(e):
-        if isinstance(e, SigmaForm):
-            for name in e.variables():
-                seen.setdefault(name, None)
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, RVar):
+            seen.setdefault(e.name, None)
+        elif isinstance(e, (RSum, RProd)):
+            stack.extend(reversed(e.parts))
+        elif isinstance(e, (RNeg, RScale)):
+            stack.append(e.part)
         elif isinstance(e, str):
             seen.setdefault(e, None)
-        elif isinstance(e, RVar):
-            seen.setdefault(e.name, None)
-        elif isinstance(e, (RNeg, RScale)):
-            walk(e.part)
-        elif isinstance(e, (RSum, RProd)):
-            for part in e.parts:
-                walk(part)
-
-    walk(expr)
+        elif isinstance(e, SigmaForm):
+            for name in e.variables():
+                seen.setdefault(name, None)
     return tuple(seen)

@@ -5,24 +5,24 @@ The rings and their expressions live in eqsolve.ringexpr (see there for the
 nilpotency bound that truncates expansions); this module re-exports those
 names.  After expansion to sums of monomials, every matrix entry of each
 monomial is rewritten as a scalar polynomial in the letters' slot
-variables: s[i][j][k] for above-diagonal slots (full range) and a[i][j][k]
-for on/below slots, whose entry value is p * a[i][j][k].  Coefficients are
-tracked exactly, so any chain accumulating a p-power of at least a dies on
-its own; surviving monomials have at most m*a - 1 factors.  An equation
-F = rhs reduces to the solvability of the m^2 entry constraints over
-Z_{p^a}.
+variables: the k-th unknown is zero with s[i][j][k] above the diagonal
+(full range) and p * a[i][j][k] on and below it (_variable_slots).
+Coefficients are tracked exactly, so any chain accumulating a p-power of
+at least a dies on its own; surviving monomials have at most m*a - 1
+factors.  An equation F = rhs reduces to the m^2 entry constraints over
+Z_{p^a}, decided by solver.SlotSystem as group equations are.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import add, getitem, mul
 
 from . import lanes
 from .poly import (FIELD, Variable, grid_polynomials, merge_grid, scalar_grid,
-                   slot_grid_product)
+                   slot_grid_product, slot_letter)
 # rings is the public module for every ring name, so it re-exports the
 # structure layer in full
 from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
@@ -30,7 +30,7 @@ from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
                        RVar, SigmaForm, eval_ring_expr, expr_variables,
                        fold_expr, make_ring, ring_elements, sigma_expand)
 from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
-                     PolySystem, SolveRequest, SolveStats, solve)
+                     SlotSystem, SolveStats)
 
 # Largest ideal enumerate_ideal builds.  The closure keeps every element as a
 # tuple of tuples in a set (about 0.6 KB per element in M(4, Z_8)), so this
@@ -51,46 +51,26 @@ def a_variable(i: int, j: int, k: int) -> Variable:
     return Variable("a[%d][%d][%d]" % (i, j, k), FIELD)
 
 
-# -- entrywise rewriting -------------------------------------------------------
-
-def _letter_slots(ring, letter, k):
-    """One letter's slots per row, as slot_grid_product takes them: for a
-    variable letter, s[i][j][k] above the diagonal and p * a[i][j][k] on and
-    below it (nothing for alpha = 1)."""
-    m = ring.m
-    if not isinstance(letter, str):
-        return [[(j, v, None) for j, v in enumerate(row) if v]
-                for row in letter.rows]
+@lru_cache(maxsize=None)
+def _variable_slots(ring: NilpotentMatrixRing, k: int) -> tuple:
+    """Unknown k's layout over zero: s[i][j][k] over the whole of Z_{p^a}
+    above the diagonal, and p * a[i][j][k] with a[i][j][k] below p^(a-1)
+    on and below it (no such slots for alpha = 1)."""
+    dom, m = ring.domain, ring.m
     p = ring.p % ring.modulus
-    return [[(j, 1, s_variable(i + 1, j + 1, k)) if i < j
-             else (j, p, a_variable(i + 1, j + 1, k))
-             for j in range(m) if i < j or p]
-            for i in range(m)]
+    small = tuple(dom.scalar(v) for v in range(ring.p ** (ring.alpha - 1)))
+    return tuple((i, j, 1, s_variable(i + 1, j + 1, k), dom.elements())
+                 if i < j else (i, j, p, a_variable(i + 1, j + 1, k), small)
+                 for i in range(m) for j in range(m) if i < j or p)
 
 
-def _monomial_grid(ring, mono: RingMonomial, var_index):
-    """Raw entry grid of one monomial's matrix product, coefficient first."""
-    if not mono.letters:
-        raise RingError("monomial with no letters")
-    dom = ring.domain
-    start = scalar_grid(dom, ring.m, mono.coeff % ring.modulus)
-    return slot_grid_product(dom, start, [
-        _letter_slots(ring, letter, var_index[letter]
-                      if isinstance(letter, str) else None)
-        for letter in mono.letters])
+@lru_cache(maxsize=None)
+def _variable_letter(ring: NilpotentMatrixRing, k: int) -> list:
+    """Unknown k as a letter of slot_grid_product."""
+    return slot_letter(ring.domain, ring.zero().rows, _variable_slots(ring, k))
 
 
-def monomial_entry_polys(ring: NilpotentMatrixRing, mono: RingMonomial,
-                         var_index) -> tuple:
-    """Entry polynomials of one monomial's matrix product.
-
-    Exact coefficient tracking performs the pruning: a chain picking up b
-    on/below-diagonal factors carries a coefficient divisible by p^b, so it
-    disappears from the normal form once b reaches alpha.  Surviving
-    monomials therefore have at most m*alpha - 1 factors.
-    """
-    return grid_polynomials(ring.domain, _monomial_grid(ring, mono, var_index))
-
+# -- entrywise rewriting -------------------------------------------------------
 
 def sigma_var_index(sigma: SigmaForm) -> dict:
     return {name: k for k, name in enumerate(sigma.variables(), start=1)}
@@ -98,92 +78,76 @@ def sigma_var_index(sigma: SigmaForm) -> dict:
 
 def entrywise_rewrite(sigma: SigmaForm, ring: NilpotentMatrixRing,
                       var_index=None) -> tuple:
-    """Rewrite a sum of monomials into m x m scalar entry polynomials."""
+    """Rewrite a sum of monomials into m x m scalar entry polynomials.
+
+    Each monomial's grid is the product of its letters, coefficient first.
+    Exact coefficient tracking performs the pruning: a chain picking up b
+    on/below-diagonal factors carries a coefficient divisible by p^b, so it
+    disappears from the normal form once b reaches alpha.  Surviving
+    monomials therefore have at most m*alpha - 1 factors.
+    """
     if var_index is None:
         var_index = sigma_var_index(sigma)
     dom = ring.domain
+    unknowns = {name: _variable_letter(ring, k)
+                for name, k in var_index.items()}
     total = scalar_grid(dom, ring.m, dom.rzero)
     for mono in sigma.monomials:
-        merge_grid(dom, total, _monomial_grid(ring, mono, var_index))
+        if not mono.letters:
+            raise RingError("monomial with no letters")
+        merge_grid(dom, total, slot_grid_product(
+            dom, scalar_grid(dom, ring.m, mono.coeff % ring.modulus),
+            [unknowns[letter] if isinstance(letter, str)
+             else slot_letter(dom, letter.rows) for letter in mono.letters]))
     return grid_polynomials(dom, total)
 
 
 # -- deciding equations --------------------------------------------------------
 
-@dataclass
-class ReducedRingSystem:
-    ring: NilpotentMatrixRing
-    expr: object
-    rhs: RingElement
-    var_names: tuple
-    system: PolySystem
-    entry_polys: tuple
+class ReducedRingSystem(SlotSystem):
+    """The system of expr = rhs over the ring: its m^2 entry polynomials
+    equal rhs's entries, and its unknowns are laid out over zero by
+    _variable_slots."""
+
+    def __init__(self, ring: NilpotentMatrixRing, expr, rhs: RingElement,
+                 slots, entry_polys: tuple):
+        if rhs.ring != ring:
+            raise RingError("right-hand side from a different ring")
+        super().__init__(ring.domain, ring.zero().rows, slots)
+        self.ring, self.expr, self.rhs = ring, expr, rhs
+        self.entry_polys = entry_polys
+        self.constrain(tuple(
+            Constraint(entry_polys[i][j], ring.domain.scalar(rhs.rows[i][j]))
+            for i in range(ring.m) for j in range(ring.m)))
 
     def assemble_witness(self, assignment) -> dict:
+        """Slot assignment -> {variable name: RingElement}."""
         ring = self.ring
-        n = ring.modulus
-        out = {}
-        for k, name in enumerate(self.var_names, start=1):
-            rows = []
-            for i in range(1, ring.m + 1):
-                row = []
-                for j in range(1, ring.m + 1):
-                    if i < j:
-                        val = assignment.get(s_variable(i, j, k))
-                        row.append(val.raw if val is not None else 0)
-                    else:
-                        val = assignment.get(a_variable(i, j, k))
-                        row.append((ring.p * val.raw) % n if val is not None else 0)
-                rows.append(tuple(row))
-            out[name] = ring.element(rows)
-        return out
+        return {name: ring.element(rows)
+                for name, rows in self.witness_rows(assignment)}
+
+    def holds(self, witness) -> bool:
+        return eval_ring_expr(self.expr, witness, self.ring) == self.rhs
 
     def retarget(self, rhs: RingElement) -> "ReducedRingSystem":
-        """The same entry polynomials and domains, with targets from rhs."""
-        if rhs.ring != self.ring:
-            raise RingError("right-hand side from a different ring")
-        system = PolySystem(self.ring.domain,
-                            _entry_constraints(self.ring, self.entry_polys, rhs),
-                            self.system.domains)
-        return replace(self, rhs=rhs, system=system)
-
-
-def _entry_constraints(ring, entries, rhs):
-    dom = ring.domain
-    return tuple(Constraint(entries[i][j], dom.scalar(rhs.rows[i][j]))
-                 for i in range(ring.m) for j in range(ring.m))
+        """The same entry polynomials and layout, with targets from rhs."""
+        return ReducedRingSystem(self.ring, self.expr, rhs, self.slots,
+                                 self.entry_polys)
 
 
 def build_ring_system(ring: NilpotentMatrixRing, expr,
                       rhs: RingElement) -> ReducedRingSystem:
-    """Reduce F = rhs over the ring to the m^2 entry constraints over Z_{p^a}."""
-    if rhs.ring != ring:
-        raise RingError("right-hand side from a different ring")
+    """Reduce F = rhs over the ring to the m^2 entry constraints over Z_{p^a}.
+
+    A variable of expr that the truncation drops still gets a layout, so
+    that it comes back as zero in a witness."""
     sigma = sigma_expand(expr, ring)
     var_index = sigma_var_index(sigma)
-    entries = entrywise_rewrite(sigma, ring, var_index)
-    dom = ring.domain
-    constraints = _entry_constraints(ring, entries, rhs)
-    s_domain = tuple(dom.elements())
-    a_domain = tuple(dom.scalar(v) for v in range(ring.p ** (ring.alpha - 1)))
-    domains = {v: s_domain if v.name.startswith("s") else a_domain
-               for c in constraints for v in c.poly.variables()}
-    system = PolySystem(dom, constraints, domains)
-    return ReducedRingSystem(ring, expr, rhs, tuple(var_index), system, entries)
-
-
-def _decide_reduced(reduced: ReducedRingSystem, guard) -> Decision:
-    """Solve a reduced system; a SAT witness is re-checked on the expression."""
-    ring = reduced.ring
-    decision = solve(SolveRequest(reduced.system, guard=guard))
-    if not decision.sat:
-        return Decision(False, None, decision.stats)
-    witness = reduced.assemble_witness(decision.witness)
-    for name in expr_variables(reduced.expr):
-        witness.setdefault(name, ring.zero())
-    if eval_ring_expr(reduced.expr, witness, ring) != reduced.rhs:
-        raise RuntimeError("internal error: ring witness failed re-check")
-    return Decision(True, witness, decision.stats)
+    names = dict.fromkeys(itertools.chain(var_index, expr_variables(expr)))
+    return ReducedRingSystem(ring, expr, rhs, {
+        name: _variable_slots(ring, k)
+        for k, name in enumerate(names, start=1)},
+        entrywise_rewrite(sigma, ring, var_index))
 
 
 def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
@@ -191,7 +155,7 @@ def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
     """Decide solvability of expr = rhs (default rhs: zero) over the ring."""
     if rhs is None:
         rhs = ring.zero()
-    return _decide_reduced(build_ring_system(ring, expr, rhs), guard)
+    return build_ring_system(ring, expr, rhs).decide(guard)
 
 
 # -- ideals and factor rings ---------------------------------------------------
@@ -285,7 +249,7 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
     stats = SolveStats()
     reduced = build_ring_system(ring, expr, ring.zero())
     for a in ideal.elements:
-        decision = _decide_reduced(reduced.retarget(a), guard)
+        decision = reduced.retarget(a).decide(guard)
         stats.explored += decision.stats.explored
         stats.prunes += decision.stats.prunes
         if decision.sat:

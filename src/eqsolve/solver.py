@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .domains import Scalar
-from .poly import Polynomial
+from .poly import Polynomial, slot_letter
 
 DEFAULT_GUARD = 10 ** 8
 
@@ -148,6 +149,61 @@ def solve(request: SolveRequest) -> Decision:
     if decision.sat and not verify_witness(system, decision.witness):
         raise RuntimeError("internal error: unverified witness returned")
     return decision
+
+
+class SlotSystem:
+    """An equation's system whose unknowns are matrices of slots, and the
+    one path that decides it.
+
+    Every unknown is the base matrix (raw rows) with entries replaced by
+    its slots (i, j, coeff, var, values), 0-based: entry (i, j) is
+    coeff * var, var ranging over values.  base[i][j] == coeff * values[0],
+    so a slot no constraint reads keeps base's entry, the value the search
+    pins an unread variable to.  A subclass calls constrain() and says how
+    rows become elements (assemble_witness) and if a witness holds.
+    """
+
+    def __init__(self, domain, base, slots):
+        self.domain = domain
+        self.base = base
+        self.slots = slots    # {name: slot tuple}, in first-occurrence order
+        self.names = tuple(slots)
+
+    @cached_property
+    def letters(self) -> dict:
+        """{name: the unknown as a letter of poly.slot_grid_product}."""
+        return {name: slot_letter(self.domain, self.base, layout)
+                for name, layout in self.slots.items()}
+
+    def constrain(self, constraints) -> None:
+        """system := constraints over the domains of the slots they read."""
+        values = {var: vals for layout in self.slots.values()
+                  for _, _, _, var, vals in layout}
+        domains = {v: values[v] for c in constraints
+                   for factors, _ in c.poly._terms for v in factors}
+        self.system = PolySystem(self.domain, constraints, domains)
+
+    def witness_rows(self, assignment):
+        """(name, raw rows) per unknown; unassigned slots keep base's."""
+        rmul = self.domain.rmul
+        for name, layout in self.slots.items():
+            rows = [list(row) for row in self.base]
+            for i, j, coeff, var, _ in layout:
+                value = assignment.get(var)
+                if value is not None:
+                    rows[i][j] = rmul(coeff, value.raw)
+            yield name, tuple(map(tuple, rows))
+
+    def decide(self, guard: int = DEFAULT_GUARD) -> Decision:
+        """Solve the system; on SAT the witness maps names to elements and
+        has been re-checked on the original equation."""
+        decision = solve(SolveRequest(self.system, guard=guard))
+        if not decision.sat:
+            return Decision(False, None, decision.stats)
+        witness = self.assemble_witness(decision.witness)
+        if not self.holds(witness):
+            raise RuntimeError("internal error: witness failed re-check")
+        return Decision(True, witness, decision.stats)
 
 
 def _solve_pruned(system: PolySystem) -> Decision:

@@ -1,0 +1,26 @@
+"""Counts and per-monomial grids of the reductions' entry polynomials,
+kept apart from eqsolve.
+
+entry_monomial_count() is the binomial law for an entry of an all-variable
+group word; monomial_entry_polys() rewrites one ring monomial on its own,
+which the ring tests compare with a per-addition fold.
+"""
+
+from __future__ import annotations
+
+import math
+
+from eqsolve.rings import SigmaForm, entrywise_rewrite
+
+
+def entry_monomial_count(n: int, i: int, j: int) -> int:
+    """Products contributing to entry (i, j) of an n-letter all-variable word."""
+    if not 1 <= i < j:
+        raise ValueError("need 1 <= i < j")
+    return math.comb(n + j - i - 1, j - i)
+
+
+def monomial_entry_polys(ring, mono, var_index) -> tuple:
+    """Entry polynomials of one monomial's matrix product: the rewrite of
+    the sum whose only monomial it is."""
+    return entrywise_rewrite(SigmaForm(ring, (mono,)), ring, var_index)

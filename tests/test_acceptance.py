@@ -21,10 +21,11 @@ from eqsolve import (GuardExceeded, brute_force_ring_solve, brute_force_solve,
                      make_ring, ring_elements, sigma_expand, symbolic_letters,
                      symbolic_product, unitriangular_group, word_variables,
                      words_agree_everywhere)
-from eqsolve.reduction import entry_monomial_count, x_variable, y_variable
-from eqsolve.rings import monomial_entry_polys, sigma_var_index
+from eqsolve.reduction import x_variable, y_variable
+from eqsolve.rings import sigma_var_index
 from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
+from entries import entry_monomial_count, monomial_entry_polys
 from symbolic import evaluate_matrix
 
 

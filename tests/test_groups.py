@@ -612,3 +612,28 @@ print("exit", code)
     assert lines[3].split()[0] == "True"
     assert "oracle agrees (SAT)" in lines
     assert lines[-1] == "exit 0"
+
+
+def test_per_assignment_scan_makes_no_membership_checks(monkeypatch):
+    """Groups over 256 elements are scanned per assignment with unchecked
+    products: the outcome equals the evaluate_word reference, and the only
+    membership checks left are those of the SAT witness's re-check."""
+    c263 = make_group(make_domain(263), 1, (), (262,))
+    ut4f3 = unitriangular_group(make_domain(3), 4)
+    c, u = element_list(c263), element_list(ut4f3)
+    cases = ((c263, ("x", "x"), c[-1]),            # -1 is no square mod 263
+             (c263, ("x", c[5], "x"), c[130] * c[5] * c[130]),  # x = 131
+             (ut4f3, ("x", "x", "x"), u[-1]),       # UNSAT, 729 explored
+             (ut4f3, ("x", u[5], "x"), u[-1]))
+    checks = []
+    check = groups.SemipatternGroup._check_membership
+    for group, word, target in cases:
+        expected = _reference_solve(group, word, target)
+        assert expected[2] > 100
+        monkeypatch.setattr(groups.SemipatternGroup, "_check_membership",
+                            lambda self, raw: checks.append(raw)
+                            or check(self, raw))
+        checks.clear()
+        assert _oracle_outcome(group, word, target) == expected, word
+        monkeypatch.undo()
+        assert len(checks) == (len(word) - 1 if expected[0] else 0), word

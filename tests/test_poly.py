@@ -5,12 +5,13 @@ import pytest
 
 from eqsolve import (FIELD, RING, SUBGROUP, PolyError, Polynomial, RScale,
                      RVar, Variable, entrywise_rewrite, make_domain, make_ring,
-                     monomial_entry_polys, sigma_expand, symbolic_letters,
-                     symbolic_product, word_variables)
+                     sigma_expand, symbolic_letters, symbolic_product,
+                     word_variables)
 from eqsolve.poly import _term_key
 from eqsolve.reduction import x_variable, y_variable
 from eqsolve.rings import a_variable, s_variable, sigma_var_index
 from conftest import random_ring_expr, random_word
+from entries import monomial_entry_polys
 from polyexpr import EAdd, EConst, EMul, EVar, eval_expr, normalize
 
 F3 = make_domain(3)

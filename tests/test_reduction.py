@@ -10,10 +10,12 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      make_domain, make_group, multiply, solve, SolveRequest,
                      separating_substitution, symbolic_letters,
                      symbolic_product, unitriangular_group, word_variables,
-                     Variable, words_agree_everywhere)
-from eqsolve.reduction import (SymbolicLetter, entry_monomial_count,
-                               x_variable, y_variable)
+                     words_agree_everywhere)
+from eqsolve.domains import Scalar
+from eqsolve.poly import slot_letter
+from eqsolve.reduction import x_variable, y_variable
 from conftest import (random_assignment, random_group_element, random_word)
+from entries import entry_monomial_count
 from naive import solve_naive
 from symbolic import evaluate_matrix
 
@@ -82,11 +84,14 @@ def _fold_product(group, letters):
             for j in range(i, m):
                 acc = zero
                 for l in range(i, j + 1):
-                    slot = letter.slot(l + 1, j + 1)
-                    if isinstance(slot, Variable):
-                        acc = acc + grid[i][l].times_variable(slot)
-                    elif slot is not None:
-                        acc = acc + grid[i][l].times_scalar(slot)
+                    for col, coeff, var in letter[l]:
+                        if col != j:
+                            continue
+                        term = grid[i][l].times_scalar(
+                            Scalar(group.domain, coeff))
+                        if var is not None:
+                            term = term.times_variable(var)
+                        acc = acc + term
                 new[i][j] = acc
         grid = new
     return grid
@@ -101,14 +106,12 @@ def test_symbolic_product_matches_per_addition_fold(group_family):
                   for _ in range(5)]
         words += [random_word(rng, group, max_len=9, max_vars=3)
                   for _ in range(40)]
-        # a hand-built letter may hold zero constants, unlike a group element
-        zeros = {(i, j): group.domain.zero() for (i, j) in group.pattern}
-        zeros.update(((i, i), group.domain.one())
-                     for i in range(1, group.m + 1))
+        # slot_letter drops zero constants of every constant letter
+        identity = slot_letter(group.domain, group.identity().rows)
         for word in words:
             letters = symbolic_letters(group, word, index_of(word))
             if len(word) % 3 == 1:
-                letters.insert(len(word) // 2, SymbolicLetter(group.m, zeros))
+                letters.insert(len(word) // 2, identity)
             matrix = symbolic_product(group, letters)
             reference = _fold_product(group, letters)
             for i in range(group.m):
@@ -510,14 +513,30 @@ def test_separator_is_deterministic(order54):
 
 
 def test_equivalence_calls_no_solver(monkeypatch, order54):
-    import eqsolve.reduction
     import eqsolve.solver
 
     def refuse(*args, **kwargs):
         raise AssertionError("equivalence called the solver")
 
     monkeypatch.setattr(eqsolve.solver, "solve", refuse)
-    monkeypatch.setattr(eqsolve.reduction, "solve", refuse)
     e = exponent_bound(order54)
     assert decide_equivalence(order54, ("x",) * e, ())
     assert not decide_equivalence(order54, ("x", "y"), ("y", "x"))
+
+
+def test_unknown_whose_slots_cancel_comes_back_identity(group_family):
+    """x y y^(E-1) reduces to x: no constraint reads a slot of y, so y
+    takes its layout's base, the identity."""
+    rng = random.Random(5077)
+    for group in group_family:
+        word = ("x", "y") + invert_word(group, ("y",))
+        identity = group.identity()
+        decision = decide_equation(group, word, ("x",))
+        assert decision.sat
+        assert decision.witness == {"x": identity, "y": identity}
+        c = random_group_element(rng, group)
+        system = build_system(group, word, c, formal=False).system
+        assert not any(v.name.endswith("[2]") for v in system.domains)
+        decision = decide_equation(group, word, c)
+        assert decision.sat
+        assert decision.witness == {"x": c, "y": identity}

@@ -10,12 +10,13 @@ from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
                      RScale, RSum, RVar, brute_force_ring_solve,
                      decide_factor_ring, decide_ring_equation,
                      entrywise_rewrite, enumerate_ideal, eval_ring_expr,
-                     expr_variables, make_ring, monomial_entry_polys,
-                     ring_elements, sigma_expand)
+                     expr_variables, make_ring, ring_elements,
+                     sigma_expand)
 from eqsolve import rings
 from eqsolve.rings import (RingElement, RingMonomial, SigmaForm,
                            sigma_var_index)
 from conftest import random_ring_element, random_ring_expr
+from entries import monomial_entry_polys
 
 X, Y = RVar("x"), RVar("y")
 
@@ -784,3 +785,18 @@ def test_factor_ring_expands_once(monkeypatch, ring_m3z3):
             assert not decision.sat
         else:
             assert (decision.ideal_element, decision.witness) == expected
+
+
+def test_unknown_dropped_by_truncation_comes_back_zero(ring_m2z4):
+    """x0...x3 reaches the nilpotency bound of M(2,Z4), so the expansion
+    keeps only u; the dropped unknowns take their layout's base, zero."""
+    ring = ring_m2z4
+    names = ["x%d" % i for i in range(ring.nilpotency_bound)]
+    expr = RProd(tuple(map(RVar, names))) + RVar("u")
+    assert sigma_expand(expr, ring).variables() == ("u",)
+    c = ring.element([[2, 3], [0, 2]])
+    decision = decide_ring_equation(ring, expr, c)
+    assert decision.sat
+    assert decision.witness == dict({"u": c}, **dict.fromkeys(names,
+                                                               ring.zero()))
+    assert list(decision.witness) == ["u"] + names

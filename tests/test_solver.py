@@ -197,3 +197,27 @@ def test_variable_order_by_occurrence():
         Constraint(poly(F3, (1, (Z, X))), F3.zero()),
     ), {X: full_domain(F3), Y: full_domain(F3), Z: full_domain(F3)})
     assert [v.name for v in _ordered_variables(system)] == ["z", "x", "y"]
+
+
+def test_every_slot_starts_at_its_base_entry(group_family):
+    """base[i][j] == coeff * values[0] for every slot of every layout: an
+    unread slot keeps base's entry, so the witness agrees with the value
+    the search pins an unread variable to."""
+    from eqsolve import make_group, make_ring
+    from eqsolve.reduction import _variable_slots as group_slots
+    from eqsolve.rings import _variable_slots as ring_slots
+    f4 = make_domain(2, 2)
+    groups = group_family + (make_group(f4, 2, ((1, 2),), (3, 3)),
+                             make_group(f4, 3, ((1, 2), (1, 3)), (3, 3, 1)))
+    layouts = [(group.domain, group.identity().rows,
+                group_slots(group, 2, formal))
+               for group in groups for formal in (True, False)]
+    # M(2,Z2), M(2,Z4), M(3,Z3), M(3,Z4), M(2,Z9)
+    for p, alpha, m in ((2, 1, 2), (2, 2, 2), (3, 1, 3), (2, 2, 3),
+                        (3, 2, 2)):
+        ring = make_ring(p, alpha, m)
+        layouts.append((ring.domain, ring.zero().rows, ring_slots(ring, 2)))
+    for dom, base, slots in layouts:
+        assert slots
+        for i, j, coeff, var, values in slots:
+            assert base[i][j] == dom.rmul(coeff, values[0].raw), (dom, var)
