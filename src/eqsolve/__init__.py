@@ -12,8 +12,7 @@ from .groups import (GroupElement, GroupError, PatternError, SemipatternGroup,
 from .poly import FIELD, RING, SUBGROUP, PolyError, Polynomial, Variable
 from .reduction import (ReducedSystem, SymbolicMatrix, build_system,
                         decide_equation, decide_equivalence,
-                        separating_substitution, symbolic_letters,
-                        symbolic_product)
+                        separating_substitution, symbolic_product)
 from .rings import (Ideal, NilpotentMatrixRing, RConst, RingElement,
                     RingError, RingMonomial, RNeg, RProd, RScale, RSum, RVar,
                     SigmaForm, brute_force_ring_solve, build_ring_system,

@@ -6,14 +6,16 @@ modulo a monic irreducible polynomial; a built-in table covers every
 extension field of order <= 32.  Their products and inverses read per-field
 log/antilog tables over a generator of the multiplicative group.  Elements are always kept in canonical form
 (a residue, or a fixed-length coefficient tuple), which makes equality
-structural and cheap.
+structural and cheap.  Square matrices of residues, the group elements over
+GF(p) and the ring elements over Z_{p^a}, multiply and add through kernels
+compiled once per modulus, size and operation (residue_matmul,
+residue_matadd).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import mul
+from functools import cached_property, lru_cache, reduce
 
 
 class DomainError(ValueError):
@@ -262,8 +264,6 @@ class FiniteField:
 
     def rdot(self, xs, ys):
         """Sum of the products xs[i] * ys[i]; zero for empty sequences."""
-        if self.k == 1:
-            return sum(map(mul, xs, ys)) % self.p
         return reduce(self.radd, map(self.rmul, xs, ys), self.rzero)
 
     def rinv(self, a):
@@ -490,3 +490,58 @@ def subgroup_of_order(domain, d: int) -> MultSubgroup:
         raise DomainError("expected %d solutions of x^%d = 1, found %d"
                           % (d, d, len(members)))
     return MultSubgroup(domain, d, tuple(members))
+
+
+# -- unrolled residue-matrix kernels -------------------------------------------
+#
+# A kernel takes two matrices as tuples of row tuples.  Its source spells
+# out every entry, so a product costs one arithmetic expression per entry
+# and no Python-level loop.  The source is formatted with %d from integers
+# checked here; its only other text is fixed.
+
+def _grid_kernel(n, m, entry):
+    """Compile def kernel(a, b) over the row tuples of two m x m matrices of
+    residues mod n: it unpacks their entries into locals a<i>_<j> and
+    b<i>_<j> and returns the m x m tuple of the expressions entry(i, j)."""
+    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
+        raise DomainError("kernel needs a positive modulus and size, got %r, %r"
+                          % (n, m))
+
+    def rows(cell):
+        return "".join("(%s,), " % ", ".join(cell(i, j) for j in range(m))
+                       for i in range(m))
+
+    source = "def kernel(a, b):\n    %s= a\n    %s= b\n    return %s\n" % (
+        rows(lambda i, j: "a%d_%d" % (i, j)),
+        rows(lambda i, j: "b%d_%d" % (i, j)), rows(entry))
+    namespace = {}
+    exec(compile(source, "<residue kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+@lru_cache(maxsize=None)
+def residue_matmul(n: int, m: int, upper: bool):
+    """kernel(a, b): the product of two m x m matrices of residues mod n,
+    each entry one unrolled (a[i][l] * b[l][j] + ...) % n.  With upper the
+    factors are read as upper triangular: entry (i, j) sums over
+    i <= l <= j only, and every entry below the diagonal is a literal 0.
+    Compiling costs about 0.3 ms at m = 4 and grows as m^3."""
+    def entry(i, j):
+        if upper and j < i:
+            return "0"
+        return "(%s) %% %d" % (" + ".join(
+            "a%d_%d * b%d_%d" % (i, l, l, j)
+            for l in (range(i, j + 1) if upper else range(m))), n)
+
+    return _grid_kernel(n, m, entry)
+
+
+@lru_cache(maxsize=None)
+def residue_matadd(n: int, m: int, sign: int):
+    """kernel(a, b): a + b (sign 1) or a - b (sign -1) for two m x m
+    matrices of residues mod n, each entry one (a[i][j] +/- b[i][j]) % n."""
+    if sign not in (1, -1):
+        raise DomainError("kernel sign must be 1 or -1, got %r" % (sign,))
+    op = "+" if sign == 1 else "-"
+    return _grid_kernel(n, m, lambda i, j: "(a%d_%d %s b%d_%d) %% %d"
+                        % (i, j, op, i, j, n))

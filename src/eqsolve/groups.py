@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
 from . import lanes
-from .domains import DomainError, Scalar, subgroup_of_order
+from .domains import DomainError, Scalar, residue_matmul, subgroup_of_order
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
 _TABLE_LIMIT = lanes.LIMIT  # largest group order for which a table is built
@@ -94,6 +94,14 @@ class SemipatternGroup:
                 elif i > j or (i + 1, j + 1) not in pat:
                     plan.append((i, j, None))
         return tuple(plan)
+
+    @cached_property
+    def _matmul(self):
+        """The upper triangular residue kernel over GF(p), or None over
+        GF(p^k), k > 1, whose raws are coefficient tuples."""
+        if self.domain.k > 1:
+            return None
+        return residue_matmul(self.domain.p, self.m, True)
 
     def _check_membership(self, raw):
         zero = self.domain.rzero
@@ -227,8 +235,12 @@ def _same_group(g, h) -> bool:
 
 def _product(a: GroupElement, b: GroupElement) -> GroupElement:
     """Matrix product of two elements of one group, unchecked: members of a
-    closed pattern (make_group checks closure) multiply to members."""
+    closed pattern (make_group checks closure) multiply to members.  Over
+    GF(p) it is the group's unrolled residue kernel; over GF(p^k), k > 1,
+    each entry is one rdot fold."""
     g = a.group
+    if g._matmul is not None:
+        return GroupElement(g, g._matmul(a.rows, b.rows))
     dom = g.domain
     m = g.m
     rdot, zero = dom.rdot, dom.rzero

@@ -108,15 +108,6 @@ def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
     return letters
 
 
-def symbolic_letters(group: SemipatternGroup, word, var_index) -> list:
-    """slot_grid_product letter per word position, variable var_index[name]
-    in its formal layout; equal variables share slot variables."""
-    base = group.identity().rows
-    return _word_letters(group, word, {
-        name: slot_letter(group.domain, base, _variable_slots(group, k, True))
-        for name, k in var_index.items()})
-
-
 def symbolic_product(group: SemipatternGroup, letters, *,
                      formal=True) -> SymbolicMatrix:
     """Multiply symbolic letters left to right into entry polynomials.

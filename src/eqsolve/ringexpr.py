@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
-from .domains import ModularRing, is_prime
+from .domains import ModularRing, is_prime, residue_matadd, residue_matmul
 
 
 class RingError(ValueError):
@@ -53,6 +53,19 @@ class NilpotentMatrixRing:
     @cached_property
     def domain(self) -> ModularRing:
         return ModularRing(self.p, self.alpha)
+
+    # the unrolled residue kernels of RingElement's *, + and -
+    @cached_property
+    def _matmul(self):
+        return residue_matmul(self.modulus, self.m, False)
+
+    @cached_property
+    def _matadd(self):
+        return residue_matadd(self.modulus, self.m, 1)
+
+    @cached_property
+    def _matsub(self):
+        return residue_matadd(self.modulus, self.m, -1)
 
     def zero(self) -> "RingElement":
         row = (0,) * self.m
@@ -102,22 +115,18 @@ class RingElement:
         self.rows = rows
 
     def _check(self, other):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
+        # one shared descriptor is the usual case, and cheaper than ==
+        if not isinstance(other, RingElement) or (other.ring is not self.ring
+                                                  and other.ring != self.ring):
             raise RingError("elements of different rings")
 
     def __add__(self, other):
         self._check(other)
-        n = self.ring.modulus
-        return RingElement(self.ring, tuple(
-            tuple((a + b) % n for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        return RingElement(self.ring, self.ring._matadd(self.rows, other.rows))
 
     def __sub__(self, other):
         self._check(other)
-        n = self.ring.modulus
-        return RingElement(self.ring, tuple(
-            tuple((a - b) % n for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        return RingElement(self.ring, self.ring._matsub(self.rows, other.rows))
 
     def __neg__(self):
         n = self.ring.modulus
@@ -126,13 +135,7 @@ class RingElement:
 
     def __mul__(self, other):
         self._check(other)
-        m = self.ring.m
-        n = self.ring.modulus
-        ra, rb = self.rows, other.rows
-        return RingElement(self.ring, tuple(
-            tuple(sum(ra[i][l] * rb[l][j] for l in range(m)) % n
-                  for j in range(m))
-            for i in range(m)))
+        return RingElement(self.ring, self.ring._matmul(self.rows, other.rows))
 
     def scale(self, c: int) -> "RingElement":
         n = self.ring.modulus

@@ -1,13 +1,27 @@
-"""Numeric evaluation of a symbolic matrix product, kept apart from eqsolve.
+"""Symbolic letters and the numeric evaluation of their product, kept apart
+from eqsolve.
 
-evaluate_matrix() evaluates every entry polynomial of a
-reduction.SymbolicMatrix at a slot assignment and rebuilds the group element;
-the commutation tests compare it with evaluate_word.
+symbolic_letters() lays out a word's letters in the formal reduction, for
+reduction.symbolic_product; evaluate_matrix() evaluates every entry
+polynomial of the resulting reduction.SymbolicMatrix at a slot assignment
+and rebuilds the group element.  The commutation tests compare it with
+evaluate_word.
 """
 
 from __future__ import annotations
 
 from eqsolve.groups import GroupElement
+from eqsolve.poly import slot_letter
+from eqsolve.reduction import _variable_slots, _word_letters
+
+
+def symbolic_letters(group, word, var_index) -> list:
+    """slot_grid_product letter per word position, variable var_index[name]
+    in its formal layout; equal variables share slot variables."""
+    base = group.identity().rows
+    return _word_letters(group, word, {
+        name: slot_letter(group.domain, base, _variable_slots(group, k, True))
+        for name, k in var_index.items()})
 
 
 def evaluate_matrix(matrix, assignment) -> GroupElement:

@@ -18,11 +18,12 @@ from eqsolve import (GuardExceeded, brute_force_ring_solve, brute_force_solve,
                      decide_equation, decide_equivalence, decide_factor_ring,
                      decide_ring_equation, element_list, enumerate_ideal,
                      evaluate_word, full_pattern, make_domain, make_group,
-                     make_ring, ring_elements, sigma_expand, symbolic_letters,
-                     symbolic_product, unitriangular_group, word_variables,
+                     make_ring, ring_elements, sigma_expand, symbolic_product,
+                     unitriangular_group, word_variables,
                      words_agree_everywhere)
 from eqsolve.reduction import x_variable, y_variable
 from eqsolve.rings import sigma_var_index
+from symbolic import symbolic_letters
 from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
 from entries import entry_monomial_count, monomial_entry_polys

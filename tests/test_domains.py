@@ -5,7 +5,7 @@ import pytest
 from eqsolve import (DomainError, element_order, make_domain,
                      subgroup_of_order)
 from eqsolve.domains import (_BUILTIN_POLYS, _poly_mul, _poly_rem,
-                             is_irreducible)
+                             is_irreducible, residue_matadd, residue_matmul)
 
 
 def test_prime_field_elements():
@@ -165,3 +165,14 @@ def test_scalar_mixed_domain_rejected():
     b = make_domain(5).one()
     with pytest.raises(DomainError):
         a + b
+
+
+def test_residue_kernels_reject_bad_shapes():
+    """Kernel source is formatted from checked integers only."""
+    for n, m in ((0, 2), (2, 0), ("2", 2), (2, 1.5)):
+        with pytest.raises(DomainError):
+            residue_matmul(n, m, True)
+        with pytest.raises(DomainError):
+            residue_matadd(n, m, 1)
+    with pytest.raises(DomainError):
+        residue_matadd(4, 2, 0)

@@ -342,16 +342,36 @@ def test_pattern_closure_criterion_is_exact(m, q):
         assert closed == _pattern_is_closed(pattern), pattern
 
 
-def test_multiply_matches_matrix_product():
-    # every entry one dot product: GF(4) takes the k > 1 fold, GF(5) the sum
-    f4, f5 = make_domain(2, 2), make_domain(5)
+def _random_element(rng, group):
+    """A uniform element of a group too large to list."""
+    dom, m = group.domain, group.m
+    rows = [[dom.rzero] * m for _ in range(m)]
+    for i, sub in enumerate(group.subgroups):
+        rows[i][i] = rng.choice(sub.elements).raw
+    for i, j in group.pattern:
+        rows[i - 1][j - 1] = rng.randrange(dom.size)
+    return group.element(rows)
+
+
+def test_multiply_matches_matrix_product(ut3_f2, order54, sparse18):
+    # every entry one dot product: GF(4) takes the k > 1 fold, the prime
+    # fields the group's residue kernel
+    f3, f4, f5 = make_domain(3), make_domain(2, 2), make_domain(5)
     for group in (make_group(f4, 3, ((1, 2), (1, 3)), (3, 1, 1)),
-                  make_group(f5, 3, ((1, 3),), (4, 1, 2))):
+                  make_group(f5, 3, ((1, 3),), (4, 1, 2)),
+                  ut3_f2, order54, sparse18, make_group(f3, 1, (), (2,))):
         elems = element_list(group)
         for a in elems:
             for b in elems:
                 assert multiply(a, b).rows == _raw_matmul(
                     group.domain, a.rows, b.rows, group.m)
+    rng = random.Random(17)
+    for group in (unitriangular_group(make_domain(2), 6),
+                  unitriangular_group(make_domain(7), 5)):
+        for _ in range(200):
+            a, b = _random_element(rng, group), _random_element(rng, group)
+            assert multiply(a, b).rows == _raw_matmul(
+                group.domain, a.rows, b.rows, group.m)
 
 
 def test_identity_and_group_checks(f3, ut3_f2):

@@ -8,8 +8,8 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      decide_equation, decide_equivalence, element_list,
                      evaluate_word, exponent_bound, full_pattern, invert_word,
                      make_domain, make_group, multiply, solve, SolveRequest,
-                     separating_substitution, symbolic_letters,
-                     symbolic_product, unitriangular_group, word_variables,
+                     separating_substitution, symbolic_product,
+                     unitriangular_group, word_variables,
                      words_agree_everywhere)
 from eqsolve.domains import Scalar
 from eqsolve.poly import slot_letter
@@ -17,7 +17,7 @@ from eqsolve.reduction import x_variable, y_variable
 from conftest import (random_assignment, random_group_element, random_word)
 from entries import entry_monomial_count
 from naive import solve_naive
-from symbolic import evaluate_matrix
+from symbolic import evaluate_matrix, symbolic_letters
 
 _SLOT = re.compile(r"^([xy])\[(\d+)\](?:\[(\d+)\])?\[(\d+)\]$")
 

@@ -13,6 +13,7 @@ from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
                      expr_variables, make_ring, ring_elements,
                      sigma_expand)
 from eqsolve import rings
+from eqsolve.domains import residue_matadd, residue_matmul
 from eqsolve.rings import (RingElement, RingMonomial, SigmaForm,
                            sigma_var_index)
 from conftest import random_ring_element, random_ring_expr
@@ -57,6 +58,44 @@ def test_membership_validation(ring_m2z4):
         ring_m2z4.element([[0, 0], [1, 0]])  # odd below the diagonal
     e = ring_m2z4.element([[2, 3], [0, 2]])
     assert e.rows == ((2, 3), (0, 2))
+
+
+def _reference_ops(ring, a, b):
+    """a * b, a + b and a - b by plain loops over the entries."""
+    m, n = ring.m, ring.modulus
+    product = tuple(tuple(sum(a[i][l] * b[l][j] for l in range(m)) % n
+                          for j in range(m)) for i in range(m))
+    total = tuple(tuple((a[i][j] + b[i][j]) % n for j in range(m))
+                  for i in range(m))
+    difference = tuple(tuple((a[i][j] - b[i][j]) % n for j in range(m))
+                       for i in range(m))
+    return product, total, difference
+
+
+def test_ring_operations_match_entry_loops():
+    """*, + and - go through one compiled residue kernel per (modulus,
+    size, operation), shared by every descriptor of the same ring."""
+    residue_matmul.cache_clear()
+    residue_matadd.cache_clear()
+    rng = random.Random(23)
+    shapes = ((2, 3, 1), (2, 2, 2), (3, 2, 3), (2, 3, 4))  # (p, alpha, m)
+    for p, alpha, m in shapes:
+        ring = make_ring(p, alpha, m)
+        n = ring.modulus
+        for _ in range(60):
+            a, b = (ring.element([[rng.randrange(n) if i < j
+                                   else p * rng.randrange(n // p)
+                                   for j in range(m)] for i in range(m)])
+                    for _ in range(2))
+            assert ((a * b).rows, (a + b).rows, (a - b).rows) == \
+                _reference_ops(ring, a.rows, b.rows)
+        twin = make_ring(p, alpha, m)
+        assert twin is not ring
+        assert (twin.zero() * twin.zero()).rows == ring.zero().rows
+    assert residue_matmul.cache_info().misses == len(shapes)
+    assert residue_matmul.cache_info().hits == len(shapes)
+    assert residue_matadd.cache_info().misses == 2 * len(shapes)
+    assert residue_matadd.cache_info().currsize == 2 * len(shapes)
 
 
 def test_sigma_of_sigma_is_normal_form(ring_m2z4):
