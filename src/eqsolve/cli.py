@@ -11,6 +11,7 @@ import csv
 import random
 import sys
 import time
+from functools import lru_cache
 
 from .domains import DomainError
 from .groups import (GroupError, brute_force_solve, evaluate_word,
@@ -214,7 +215,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main() call parses as a fresh process would."""
     parser = argparse.ArgumentParser(
         prog="eqsolve",
         description="Decide equation solvability over semipattern matrix "

@@ -7,9 +7,9 @@ extension field of order <= 32.  Their products and inverses read per-field
 log/antilog tables over a generator of the multiplicative group.  Elements are always kept in canonical form
 (a residue, or a fixed-length coefficient tuple), which makes equality
 structural and cheap.  Square matrices of residues, the group elements over
-GF(p) and the ring elements over Z_{p^a}, multiply and add through kernels
-compiled once per modulus, size and operation (residue_matmul,
-residue_matadd).
+GF(p) and the ring elements over Z_{p^a}, multiply, add and scale through
+kernels compiled once per modulus, size and operation (residue_matmul,
+residue_matadd, residue_matscale).
 """
 
 from __future__ import annotations
@@ -494,15 +494,17 @@ def subgroup_of_order(domain, d: int) -> MultSubgroup:
 
 # -- unrolled residue-matrix kernels -------------------------------------------
 #
-# A kernel takes two matrices as tuples of row tuples.  Its source spells
-# out every entry, so a product costs one arithmetic expression per entry
-# and no Python-level loop.  The source is formatted with %d from integers
-# checked here; its only other text is fixed.
+# A kernel takes two matrices as tuples of row tuples (or, to scale, one
+# matrix and an integer).  Its source spells out every entry, so a product
+# costs one arithmetic expression per entry and no Python-level loop.  The
+# source is formatted with %d from integers checked here; its only other
+# text is fixed.
 
-def _grid_kernel(n, m, entry):
-    """Compile def kernel(a, b) over the row tuples of two m x m matrices of
-    residues mod n: it unpacks their entries into locals a<i>_<j> and
-    b<i>_<j> and returns the m x m tuple of the expressions entry(i, j)."""
+def _grid_kernel(n, m, entry, scalar=False):
+    """Compile def kernel(a, b) over the row tuples of an m x m matrix a of
+    residues mod n and b, another such matrix or, with scalar, one integer:
+    it unpacks the matrices' entries into locals a<i>_<j> (and b<i>_<j>)
+    and returns the m x m tuple of the expressions entry(i, j)."""
     if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
         raise DomainError("kernel needs a positive modulus and size, got %r, %r"
                           % (n, m))
@@ -511,9 +513,11 @@ def _grid_kernel(n, m, entry):
         return "".join("(%s,), " % ", ".join(cell(i, j) for j in range(m))
                        for i in range(m))
 
-    source = "def kernel(a, b):\n    %s= a\n    %s= b\n    return %s\n" % (
-        rows(lambda i, j: "a%d_%d" % (i, j)),
-        rows(lambda i, j: "b%d_%d" % (i, j)), rows(entry))
+    def unpack(x):
+        return "    %s= %s\n" % (rows(lambda i, j: "%s%d_%d" % (x, i, j)), x)
+
+    source = "def kernel(a, b):\n%s%s    return %s\n" % (
+        unpack("a"), "" if scalar else unpack("b"), rows(entry))
     namespace = {}
     exec(compile(source, "<residue kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -545,3 +549,11 @@ def residue_matadd(n: int, m: int, sign: int):
     op = "+" if sign == 1 else "-"
     return _grid_kernel(n, m, lambda i, j: "(a%d_%d %s b%d_%d) %% %d"
                         % (i, j, op, i, j, n))
+
+
+@lru_cache(maxsize=None)
+def residue_matscale(n: int, m: int):
+    """kernel(a, c): c * a for an m x m matrix a of residues mod n and an
+    integer c, each entry one (a[i][j] * c) % n."""
+    return _grid_kernel(n, m, lambda i, j: "(a%d_%d * b) %% %d" % (i, j, n),
+                        scalar=True)

@@ -49,13 +49,25 @@ class PatternError(GroupError):
 
 @dataclass(frozen=True)
 class SemipatternGroup:
-    """Validated descriptor of N_P*D; build via make_group()."""
+    """Validated descriptor of N_P*D; build via make_group().
+
+    The descriptor keys the per-group caches (the oracle's tables, the
+    reduction's unknown layouts), so its hash, which walks the nested
+    subgroup tuples, is computed once."""
 
     domain: object
     m: int
     pattern: tuple           # sorted (i, j) pairs, 1-based, i < j
     orders: tuple            # diagonal subgroup orders d_1..d_m
     subgroups: tuple         # MultSubgroup per row
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.domain, self.m, self.pattern, self.orders,
+                     self.subgroups))
 
     @property
     def order(self) -> int:

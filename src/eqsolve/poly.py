@@ -380,7 +380,12 @@ def merge_grid(dom, total, grid) -> None:
             _merge(acc, entry.items(), dom.radd, dom.rzero)
 
 
+def entry_polynomial(dom, entry) -> Polynomial:
+    """Sort one raw entry of a grid into a Polynomial."""
+    return Polynomial._raw(dom, _sort_terms(entry.items()))
+
+
 def grid_polynomials(dom, grid) -> tuple:
     """Sort each raw entry of a grid into a Polynomial."""
-    return tuple(tuple(Polynomial._raw(dom, _sort_terms(entry.items()))
-                       for entry in row) for row in grid)
+    return tuple(tuple(entry_polynomial(dom, entry) for entry in row)
+                 for row in grid)

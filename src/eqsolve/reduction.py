@@ -4,19 +4,25 @@ Every letter of a word becomes a symbolic upper triangular matrix: constant
 letters carry their entries, and the k-th distinct variable is the identity
 with a diagonal slot y[i][k] per row (over the row's subgroup) and a slot
 x[i][j][k] per pattern position (over the field), laid out by _variable_slots.
+The layout and its letter (_variable_letter) depend only on the group, k and
+formal, so they are built once per process and shared by every equation.
 Multiplying the symbolic letters left to right yields an m x m grid of entry
 polynomials: the diagonal entries are single monomials (products of the y
 slots) and each above-diagonal entry is a sum of products, one per
 non-decreasing index chain through the pattern, with constants folded into
 the coefficients.  Positions outside the pattern hold the constant zero, so
 chains through them vanish as the product is formed; this keeps the grid
-within its O(n^m) size bound instead of enumerating chains up front.
+within its O(n^m) size bound instead of enumerating chains up front.  The
+grid stays raw (unsorted monomial dicts) until an entry is read.
 
 A word equation F = rhs then holds for a substitution exactly when all the
 entry polynomials attain the corresponding rhs entries, which is a
 solvability question decided by solver.SlotSystem, the path ring equations
 share: SAT witnesses are reassembled from the layout into group elements
-and re-checked through evaluate_word before being returned.
+and re-checked through evaluate_word before being returned.  For a word
+right side G, the raw grid of -G takes in F's grid entry by entry, as
+rings.entrywise_rewrite sums its monomials, and only the m(m+1)/2 upper
+entries of F - G are sorted into constraint polynomials.
 
 build_system gives every diagonal slot its variable by default: that is the
 paper's formal reduction, which `eqsolve dump-system` prints.  The two
@@ -44,13 +50,13 @@ words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
-                     evaluate_word, word_variables)
-from .poly import (FIELD, SUBGROUP, Polynomial, Variable, grid_polynomials,
-                   scalar_grid, slot_grid_product, slot_letter)
+                     _same_group, evaluate_word, word_variables)
+from .poly import (FIELD, SUBGROUP, Polynomial, Variable, entry_polynomial,
+                   grid_polynomials, merge_grid, scalar_grid,
+                   slot_grid_product, slot_letter)
 from .solver import Constraint, Decision, SlotSystem
 
 
@@ -64,6 +70,7 @@ def y_variable(i: int, k: int) -> Variable:
     return Variable("y[%d][%d]" % (i, k), SUBGROUP, row=i)
 
 
+@lru_cache(maxsize=None)
 def _variable_slots(group: SemipatternGroup, k: int, formal) -> tuple:
     """Unknown k's layout over the identity, every coefficient 1: y[i][k]
     over row i's subgroup on the diagonal, except in a row of order 1
@@ -78,20 +85,38 @@ def _variable_slots(group: SemipatternGroup, k: int, formal) -> tuple:
     return tuple(slots)
 
 
-@dataclass(frozen=True)
-class SymbolicMatrix:
-    """Entry polynomials of a symbolic letter product; zero below the diagonal."""
+@lru_cache(maxsize=None)
+def _variable_letter(group: SemipatternGroup, k: int, formal) -> list:
+    """Unknown k as a letter of slot_grid_product; one list per (group, k,
+    formal), shared by every product that reads it."""
+    return slot_letter(group.domain, group.identity().rows,
+                       _variable_slots(group, k, formal))
 
-    group: SemipatternGroup
-    grid: tuple  # m x m tuple of Polynomial
+
+class SymbolicMatrix:
+    """Entry polynomials of a symbolic letter product; zero below the diagonal.
+
+    raw is slot_grid_product's m x m grid of raw {factor tuple: coefficient}
+    dicts and is never changed; an entry is sorted into a Polynomial each
+    time it is read, the whole grid once (grid).
+    """
+
+    def __init__(self, group: SemipatternGroup, raw: list):
+        self.group = group
+        self.raw = raw
 
     def entry(self, i: int, j: int) -> Polynomial:
-        return self.grid[i - 1][j - 1]
+        return entry_polynomial(self.group.domain, self.raw[i - 1][j - 1])
+
+    @cached_property
+    def grid(self) -> tuple:
+        """m x m tuple of Polynomial."""
+        return grid_polynomials(self.group.domain, self.raw)
 
     def upper_entries(self):
         """((i, j), polynomial) for all 1 <= i <= j <= m."""
         m = self.group.m
-        return tuple(((i, j), self.grid[i - 1][j - 1])
+        return tuple(((i, j), self.entry(i, j))
                      for i in range(1, m + 1) for j in range(i, m + 1))
 
 
@@ -101,7 +126,7 @@ def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
     for letter in word:
         if isinstance(letter, str):
             letters.append(unknowns[letter])
-        elif letter.group != group:
+        elif not _same_group(letter.group, group):
             raise GroupError("constant letter from a different group")
         else:
             letters.append(slot_letter(group.domain, letter.rows))
@@ -123,9 +148,8 @@ def symbolic_product(group: SemipatternGroup, letters, *,
         var: group.orders[var.row - 1] for letter in letters
         for row in letter for _, _, var in row
         if var is not None and var.sort == SUBGROUP}
-    grid = slot_grid_product(dom, scalar_grid(dom, group.m, dom.rone),
-                             letters, orders)
-    return SymbolicMatrix(group, grid_polynomials(dom, grid))
+    return SymbolicMatrix(group, slot_grid_product(
+        dom, scalar_grid(dom, group.m, dom.rone), letters, orders))
 
 
 class ReducedSystem(SlotSystem):
@@ -158,7 +182,8 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     """Reduce the word equation lhs = rhs to a polynomial system over GF(q).
 
     rhs may be a constant element (targets are its entries) or another word
-    (the two entry polynomials are equated by moving everything left).
+    (the two entry polynomials are equated by moving everything left: the
+    raw grid of -rhs takes in lhs's, which lhs_matrix keeps unchanged).
     Domains: x variables range over the field, y variables over their row's
     subgroup.  formal=False applies y^d = 1 in symbolic_product, so every
     constraint polynomial is the reduced normal form of its entry.
@@ -172,15 +197,22 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     reduced = ReducedSystem(group, lhs, rhs, {
         name: _variable_slots(group, k, formal)
         for k, name in enumerate(names, start=1)})
+    unknowns = {name: _variable_letter(group, k, formal)
+                for k, name in enumerate(names, start=1)}
     lhs_matrix, *rest = [
-        symbolic_product(group, _word_letters(group, word, reduced.letters),
+        symbolic_product(group, _word_letters(group, word, unknowns),
                          formal=formal)
         for word in words]
     if rest:
-        zero = group.domain.zero()
-        constraints = [Constraint(left - rest[0].entry(*pos), zero)
-                       for pos, left in lhs_matrix.upper_entries()]
-    elif rhs.group != group:
+        dom = group.domain
+        rneg = dom.rneg
+        total = [[{f: rneg(c) for f, c in entry.items()} for entry in row]
+                 for row in rest[0].raw]
+        merge_grid(dom, total, lhs_matrix.raw)
+        zero = dom.zero()
+        constraints = [Constraint(entry_polynomial(dom, total[i][j]), zero)
+                       for i in range(group.m) for j in range(i, group.m)]
+    elif not _same_group(rhs.group, group):
         raise GroupError("right-hand side from a different group")
     else:
         constraints = [Constraint(left, rhs.scalar(*pos))

@@ -20,7 +20,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
-from .domains import ModularRing, is_prime, residue_matadd, residue_matmul
+from .domains import (ModularRing, is_prime, residue_matadd, residue_matmul,
+                      residue_matscale)
 
 
 class RingError(ValueError):
@@ -54,7 +55,7 @@ class NilpotentMatrixRing:
     def domain(self) -> ModularRing:
         return ModularRing(self.p, self.alpha)
 
-    # the unrolled residue kernels of RingElement's *, + and -
+    # the unrolled residue kernels of RingElement's *, +, - and scale
     @cached_property
     def _matmul(self):
         return residue_matmul(self.modulus, self.m, False)
@@ -66,6 +67,10 @@ class NilpotentMatrixRing:
     @cached_property
     def _matsub(self):
         return residue_matadd(self.modulus, self.m, -1)
+
+    @cached_property
+    def _matscale(self):
+        return residue_matscale(self.modulus, self.m)
 
     def zero(self) -> "RingElement":
         row = (0,) * self.m
@@ -129,18 +134,14 @@ class RingElement:
         return RingElement(self.ring, self.ring._matsub(self.rows, other.rows))
 
     def __neg__(self):
-        n = self.ring.modulus
-        return RingElement(self.ring, tuple(
-            tuple((-a) % n for a in ra) for ra in self.rows))
+        return self.scale(-1)
 
     def __mul__(self, other):
         self._check(other)
         return RingElement(self.ring, self.ring._matmul(self.rows, other.rows))
 
     def scale(self, c: int) -> "RingElement":
-        n = self.ring.modulus
-        return RingElement(self.ring, tuple(
-            tuple((c * a) % n for a in ra) for ra in self.rows))
+        return RingElement(self.ring, self.ring._matscale(self.rows, c))
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)

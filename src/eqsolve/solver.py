@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .domains import Scalar
-from .poly import Polynomial, slot_letter
+from .poly import Polynomial
 
 DEFAULT_GUARD = 10 ** 8
 
@@ -159,8 +158,11 @@ class SlotSystem:
     its slots (i, j, coeff, var, values), 0-based: entry (i, j) is
     coeff * var, var ranging over values.  base[i][j] == coeff * values[0],
     so a slot no constraint reads keeps base's entry, the value the search
-    pins an unread variable to.  A subclass calls constrain() and says how
-    rows become elements (assemble_witness) and if a witness holds.
+    pins an unread variable to.  The layouts and the letters that the
+    subclass multiplies out are cached per structure (_variable_slots and
+    _variable_letter in reduction and rings); this class only reads the
+    layouts.  A subclass calls constrain() and says how rows become
+    elements (assemble_witness) and if a witness holds.
     """
 
     def __init__(self, domain, base, slots):
@@ -168,12 +170,6 @@ class SlotSystem:
         self.base = base
         self.slots = slots    # {name: slot tuple}, in first-occurrence order
         self.names = tuple(slots)
-
-    @cached_property
-    def letters(self) -> dict:
-        """{name: the unknown as a letter of poly.slot_grid_product}."""
-        return {name: slot_letter(self.domain, self.base, layout)
-                for name, layout in self.slots.items()}
 
     def constrain(self, constraints) -> None:
         """system := constraints over the domains of the slots they read."""

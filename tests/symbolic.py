@@ -11,16 +11,14 @@ evaluate_word.
 from __future__ import annotations
 
 from eqsolve.groups import GroupElement
-from eqsolve.poly import slot_letter
-from eqsolve.reduction import _variable_slots, _word_letters
+from eqsolve.reduction import _variable_letter, _word_letters
 
 
 def symbolic_letters(group, word, var_index) -> list:
     """slot_grid_product letter per word position, variable var_index[name]
     in its formal layout; equal variables share slot variables."""
-    base = group.identity().rows
     return _word_letters(group, word, {
-        name: slot_letter(group.domain, base, _variable_slots(group, k, True))
+        name: _variable_letter(group, k, True)
         for name, k in var_index.items()})
 
 

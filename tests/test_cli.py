@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -80,6 +83,30 @@ def test_backend_flag_rejected():
         run(["decide", str(PROBLEMS / "order54_identity.prob"),
              "--backend", "naive"])
     assert exc.value.code == 2
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of argv in a new eqsolve process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(HERE.parent / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "eqsolve", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reused_across_calls_parses_as_fresh():
+    """main() builds its parser once per process: an argparse error, then a
+    decide in the same process, each print what a fresh process prints."""
+    path = str(PROBLEMS / "order54_identity.prob")
+    bad = ["decide", path, "--guard", "many"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert (exc.value.code, out.getvalue(), err.getvalue()) == _fresh(bad)
+    assert exc.value.code == 2
+    good = ["decide", path, "--oracle"]
+    assert run(good) == _fresh(good)
 
 
 def test_recursion_limit_exit_two(monkeypatch):

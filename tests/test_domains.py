@@ -5,7 +5,8 @@ import pytest
 from eqsolve import (DomainError, element_order, make_domain,
                      subgroup_of_order)
 from eqsolve.domains import (_BUILTIN_POLYS, _poly_mul, _poly_rem,
-                             is_irreducible, residue_matadd, residue_matmul)
+                             is_irreducible, residue_matadd, residue_matmul,
+                             residue_matscale)
 
 
 def test_prime_field_elements():
@@ -174,5 +175,7 @@ def test_residue_kernels_reject_bad_shapes():
             residue_matmul(n, m, True)
         with pytest.raises(DomainError):
             residue_matadd(n, m, 1)
+        with pytest.raises(DomainError):
+            residue_matscale(n, m)
     with pytest.raises(DomainError):
         residue_matadd(4, 2, 0)

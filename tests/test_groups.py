@@ -387,6 +387,25 @@ def test_identity_and_group_checks(f3, ut3_f2):
         multiply(a, ut3_f2.identity())
 
 
+def test_equal_descriptors_hash_equal_and_share_caches():
+    """Equal groups from separate make_group calls hash equal, so the
+    reduction's unknown letters and the oracle's table are built once."""
+    from eqsolve.reduction import _variable_letter
+
+    # a group no other test uses, so that neither cache holds it yet
+    group, twin = (make_group(make_domain(5), 2, ((1, 2),), (2, 4))
+                   for _ in range(2))
+    assert twin is not group and twin == group
+    assert hash(twin) == hash(group)
+    for cache, args in ((_variable_letter, (1, False)), (groups._cayley, ())):
+        before = cache.cache_info()
+        built = cache(group, *args)
+        assert cache(twin, *args) is built
+        after = cache.cache_info()
+        assert (after.misses - before.misses,
+                after.hits - before.hits) == (1, 1), cache
+
+
 def test_import_loads_no_numpy():
     """numpy is imported by the table oracles only, not by import eqsolve."""
     src = Path(__file__).resolve().parent.parent / "src"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -13,7 +14,9 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      words_agree_everywhere)
 from eqsolve.domains import Scalar
 from eqsolve.poly import slot_letter
-from eqsolve.reduction import x_variable, y_variable
+from eqsolve.reduction import (_variable_slots, _word_letters, x_variable,
+                               y_variable)
+from eqsolve.solver import Constraint
 from conftest import (random_assignment, random_group_element, random_word)
 from entries import entry_monomial_count
 from naive import solve_naive
@@ -118,6 +121,46 @@ def test_symbolic_product_matches_per_addition_fold(group_family):
                 for j in range(group.m):
                     assert matrix.grid[i][j]._terms == \
                         reference[i][j]._terms, (group, word, i, j)
+
+
+def _reference_constraints(group, lhs, rhs, formal):
+    """The constraints of lhs = rhs built the plain way: each word's product
+    sorted in full, then Polynomial subtraction entry by entry."""
+    words = (lhs, rhs) if isinstance(rhs, tuple) else (lhs,)
+    base = group.identity().rows
+    letters = {name: slot_letter(group.domain, base,
+                                 _variable_slots(group, k, formal))
+               for k, name in enumerate(
+                   word_variables(itertools.chain(*words)), start=1)}
+    left, *rest = [symbolic_product(group, _word_letters(group, w, letters),
+                                    formal=formal).grid for w in words]
+    zero = group.domain.zero()
+    upper = [(i, j) for i in range(group.m) for j in range(i, group.m)]
+    if rest:
+        return tuple(Constraint(left[i][j] - rest[0][i][j], zero)
+                     for i, j in upper)
+    return tuple(Constraint(left[i][j], rhs.scalar(i + 1, j + 1))
+                 for i, j in upper)
+
+
+def test_build_system_matches_plain_subtraction(group_family):
+    """build_system merges raw grids and sorts each constraint once; its
+    constraints equal the plain construction's, and lhs_matrix is the
+    product of lhs alone."""
+    gf4 = make_group(make_domain(2, 2), 3, ((1, 2), (1, 3)), (3, 3, 1))
+    rng = random.Random(6151)
+    for group in group_family + (gf4,):
+        for n in range(40):
+            lhs = random_word(rng, group, max_len=7, max_vars=3)
+            rhs = (random_word(rng, group, max_len=5, max_vars=3)
+                   if n % 2 else random_group_element(rng, group))
+            for formal in (True, False):
+                reduced = build_system(group, lhs, rhs, formal=formal)
+                assert reduced.system.constraints == _reference_constraints(
+                    group, lhs, rhs, formal), (group, lhs, rhs, formal)
+                alone = build_system(group, lhs, group.identity(),
+                                     formal=formal)
+                assert reduced.lhs_matrix.grid == alone.lhs_matrix.grid
 
 
 def test_entry_monomial_count_values():

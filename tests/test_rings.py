@@ -13,7 +13,7 @@ from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
                      expr_variables, make_ring, ring_elements,
                      sigma_expand)
 from eqsolve import rings
-from eqsolve.domains import residue_matadd, residue_matmul
+from eqsolve.domains import residue_matadd, residue_matmul, residue_matscale
 from eqsolve.rings import (RingElement, RingMonomial, SigmaForm,
                            sigma_var_index)
 from conftest import random_ring_element, random_ring_expr
@@ -73,10 +73,12 @@ def _reference_ops(ring, a, b):
 
 
 def test_ring_operations_match_entry_loops():
-    """*, + and - go through one compiled residue kernel per (modulus,
-    size, operation), shared by every descriptor of the same ring."""
+    """*, +, -, negation and scaling go through one compiled residue
+    kernel per (modulus, size, operation), shared by every descriptor of
+    the same ring; -a and c*a are checked and then fed back in as inputs."""
     residue_matmul.cache_clear()
     residue_matadd.cache_clear()
+    residue_matscale.cache_clear()
     rng = random.Random(23)
     shapes = ((2, 3, 1), (2, 2, 2), (3, 2, 3), (2, 3, 4))  # (p, alpha, m)
     for p, alpha, m in shapes:
@@ -89,6 +91,14 @@ def test_ring_operations_match_entry_loops():
                     for _ in range(2))
             assert ((a * b).rows, (a + b).rows, (a - b).rows) == \
                 _reference_ops(ring, a.rows, b.rows)
+            for c in (0, 1, -1, 3, n + 2):
+                assert a.scale(c).rows == tuple(
+                    tuple(c * v % n for v in row) for row in a.rows)
+            assert (-a).rows == tuple(tuple(-v % n for v in row)
+                                      for row in a.rows)
+            for x in (-a, a.scale(3)):
+                assert ((x * b).rows, (x + b).rows, (x - b).rows) == \
+                    _reference_ops(ring, x.rows, b.rows)
         twin = make_ring(p, alpha, m)
         assert twin is not ring
         assert (twin.zero() * twin.zero()).rows == ring.zero().rows
@@ -96,6 +106,7 @@ def test_ring_operations_match_entry_loops():
     assert residue_matmul.cache_info().hits == len(shapes)
     assert residue_matadd.cache_info().misses == 2 * len(shapes)
     assert residue_matadd.cache_info().currsize == 2 * len(shapes)
+    assert residue_matscale.cache_info().misses == len(shapes)
 
 
 def test_sigma_of_sigma_is_normal_form(ring_m2z4):

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -32,3 +34,24 @@ def test_tracer_hooks_resolve():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_tracer_sees_the_expansion_inside_build_system(order54):
+    """build_system multiplies out each word through the module attribute
+    symbolic_product, so its time is attributed to that span, nested in
+    build_system's."""
+    from eqsolve import reduction
+
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        reduction.build_system(order54, ("x", "y"), ("y", "x"))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["reduction.build_system"] == 1
+    assert tracer.calls["reduction.symbolic_product"] == 2
+    # build_system's child time is exactly its two products
+    child = (tracer.total["reduction.build_system"]
+             - tracer.self_time["reduction.build_system"])
+    assert child == pytest.approx(tracer.total["reduction.symbolic_product"])
