@@ -100,6 +100,11 @@ def is_irreducible(coeffs, p) -> bool:
     return True
 
 
+def _same_domain(a, b) -> bool:
+    """Domain equality, with the usual case of one shared descriptor first."""
+    return a is b or a == b
+
+
 class Scalar:
     """An element of a ScalarDomain, stored as a canonical raw value."""
 
@@ -111,7 +116,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.domain != self.domain:
+            if not _same_domain(other.domain, self.domain):
                 raise DomainError("mixed scalar domains: %s vs %s"
                                   % (self.domain, other.domain))
             return other
@@ -177,7 +182,8 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.domain == other.domain and self.raw == other.raw
+            return (self.raw == other.raw
+                    and _same_domain(self.domain, other.domain))
         if isinstance(other, int):
             try:
                 return self.raw == self.domain.scalar(other).raw
@@ -298,7 +304,7 @@ class FiniteField:
 
     def scalar(self, value) -> Scalar:
         if isinstance(value, Scalar):
-            if value.domain != self:
+            if not _same_domain(value.domain, self):
                 raise DomainError("scalar belongs to %s, not %s" % (value.domain, self))
             return value
         if isinstance(value, int):
@@ -378,7 +384,7 @@ class ModularRing:
 
     def scalar(self, value) -> Scalar:
         if isinstance(value, Scalar):
-            if value.domain != self:
+            if not _same_domain(value.domain, self):
                 raise DomainError("scalar belongs to %s, not %s" % (value.domain, self))
             return value
         if isinstance(value, int):

@@ -14,9 +14,9 @@ and ring monomials are products of slot_letter matrices of slots.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 
-from .domains import Scalar
+from .domains import Scalar, _same_domain
 
 FIELD = "field"
 SUBGROUP = "subgroup"
@@ -27,50 +27,41 @@ class PolyError(ValueError):
     """Malformed polynomial expression or evaluation request."""
 
 
-class Variable:
+class Variable(tuple):
     """A sorted variable; subgroup-valued variables carry their row index.
 
-    Immutable and equal by (name, sort, row).  Factor tuples of variables are
-    dict keys on every polynomial operation, so the hash is computed once and
-    equality tests identity first; the slot constructors of the reductions
-    return one shared object per slot, which makes equal factor tuples
-    compare element by element without calling __eq__.
+    The tuple (name, sort, row), so hashing a factor tuple of variables runs
+    in C; the slot constructors of the reductions return one shared object
+    per slot, so equal factor tuples also compare in C, element by element
+    by identity, without calling __eq__.  Equal variables need not be one
+    object, and a Variable never equals a plain tuple.
     """
 
-    __slots__ = ("name", "sort", "row", "_hash")
+    __slots__ = ()
 
-    def __init__(self, name: str, sort: str = FIELD, row: int = None):
-        setattr_ = object.__setattr__
-        setattr_(self, "name", name)
-        setattr_(self, "sort", sort)
-        setattr_(self, "row", row)
-        setattr_(self, "_hash", hash((name, sort, row)))
+    def __new__(cls, name: str, sort: str = FIELD, row: int = None):
+        return tuple.__new__(cls, (name, sort, row))
 
-    def __setattr__(self, attr, value):
-        raise AttributeError("cannot assign to field %r of Variable" % attr)
-
-    def __delattr__(self, attr):
-        raise AttributeError("cannot delete field %r of Variable" % attr)
+    name = property(itemgetter(0))
+    sort = property(itemgetter(1))
+    row = property(itemgetter(2))
 
     def __reduce__(self):
-        return Variable, (self.name, self.sort, self.row)
+        return Variable, tuple(self)
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Variable):
-            return NotImplemented
-        return ((self.name, self.sort, self.row)
-                == (other.name, other.sort, other.row))
+        return isinstance(other, Variable) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return self._hash
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self):
         return self.name
 
 
-_by_name = attrgetter("name")
+_by_name = itemgetter(0)
 
 
 def _canon_factors(factors):
@@ -109,9 +100,16 @@ def _merge(acc, terms, radd, rzero):
 
 
 class Polynomial:
-    """Immutable polynomial; arithmetic keeps the normal form invariant."""
+    """Immutable polynomial; arithmetic keeps the normal form invariant.
 
-    __slots__ = ("domain", "_terms")
+    The terms are the raw {factor tuple: coefficient} dict the polynomial
+    was built from, held as it is and never changed.  items()
+    reads them in no particular order, which is all that evaluation, the
+    solver, equality and hashing need; _terms sorts them into the canonical
+    order on first read, for printing and monomials().
+    """
+
+    __slots__ = ("domain", "_coeffs", "_sorted")
 
     def __init__(self, domain, terms=()):
         coeffs = {}
@@ -120,30 +118,32 @@ class Polynomial:
             acc = coeffs.get(factors)
             coeffs[factors] = domain.radd(acc, raw) if acc is not None else raw
         self.domain = domain
-        self._terms = _sort_terms(
-            (f, c) for f, c in coeffs.items() if c != domain.rzero)
+        self._coeffs = {f: c for f, c in coeffs.items() if c != domain.rzero}
+        self._sorted = None
 
     @classmethod
-    def _raw(cls, domain, terms):
-        """Internal: terms already canonical, merged, zero-free, sorted."""
+    def _raw(cls, domain, coeffs):
+        """Internal: a dict of canonical factor tuples and nonzero raw
+        coefficients, which the polynomial now owns."""
         self = cls.__new__(cls)
         self.domain = domain
-        self._terms = terms
+        self._coeffs = coeffs
+        self._sorted = None
         return self
 
     @classmethod
     def zero(cls, domain):
-        return cls._raw(domain, ())
+        return cls._raw(domain, {})
 
     @classmethod
     def constant(cls, value: Scalar):
         if value.raw == value.domain.rzero:
             return cls.zero(value.domain)
-        return cls._raw(value.domain, (((), value.raw),))
+        return cls._raw(value.domain, {(): value.raw})
 
     @classmethod
     def variable(cls, domain, var: Variable):
-        return cls._raw(domain, (((var,), domain.rone),))
+        return cls._raw(domain, {(var,): domain.rone})
 
     @classmethod
     def from_terms(cls, domain, terms):
@@ -156,15 +156,27 @@ class Polynomial:
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def _terms(self):
+        """(factor tuple, raw coefficient) pairs in canonical order."""
+        terms = self._sorted
+        if terms is None:
+            terms = self._sorted = _sort_terms(self._coeffs.items())
+        return terms
+
+    def items(self):
+        """(factor tuple, raw coefficient) pairs, in no particular order."""
+        return self._coeffs.items()
+
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def monomials(self):
         """(coefficient Scalar, factor tuple) pairs in canonical order."""
         return tuple((Scalar(self.domain, c), f) for f, c in self._terms)
 
     def monomial_count(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs)
 
     def variables(self):
         seen = {}
@@ -174,21 +186,21 @@ class Polynomial:
         return tuple(seen)
 
     def degree(self) -> int:
-        return max((len(f) for f, _ in self._terms), default=0)
+        return max(map(len, self._coeffs), default=0)
 
     def length(self) -> int:
         """Symbol count: each variable occurrence and each coefficient is 1."""
-        return sum(len(f) + 1 for f, _ in self._terms)
+        return sum(len(f) + 1 for f in self._coeffs)
 
     def product_length(self) -> int:
         """Factor-symbol count: a monomial of d factors counts max(d, 1)."""
-        return sum(max(len(f), 1) for f, _ in self._terms)
+        return sum(max(len(f), 1) for f in self._coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _lift(self, other):
         if isinstance(other, Polynomial):
-            if other.domain != self.domain:
+            if not _same_domain(other.domain, self.domain):
                 raise PolyError("mixed polynomial domains: %s vs %s"
                                 % (self.domain, other.domain))
             return other
@@ -203,16 +215,16 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         dom = self.domain
-        coeffs = dict(self._terms)
-        _merge(coeffs, other._terms, dom.radd, dom.rzero)
-        return Polynomial._raw(dom, _sort_terms(coeffs.items()))
+        coeffs = dict(self._coeffs)
+        _merge(coeffs, other.items(), dom.radd, dom.rzero)
+        return Polynomial._raw(dom, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        dom = self.domain
+        rneg = self.domain.rneg
         return Polynomial._raw(
-            dom, tuple((f, dom.rneg(c)) for f, c in self._terms))
+            self.domain, {f: rneg(c) for f, c in self._coeffs.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -236,8 +248,8 @@ class Polynomial:
             return NotImplemented
         dom = self.domain
         return Polynomial(dom, ((f1 + f2, dom.rmul(c1, c2))
-                                for f1, c1 in self._terms
-                                for f2, c2 in other._terms))
+                                for f1, c1 in self.items()
+                                for f2, c2 in other.items()))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Variable)):
@@ -248,13 +260,12 @@ class Polynomial:
         dom = self.domain
         s = dom.scalar(s).raw
         # over Z_{p^a} a product of nonzeros can be zero
-        terms = ((f, dom.rmul(c, s)) for f, c in self._terms)
-        return Polynomial._raw(
-            dom, tuple(t for t in terms if t[1] != dom.rzero))
+        terms = ((f, dom.rmul(c, s)) for f, c in self.items())
+        return Polynomial._raw(dom, {f: c for f, c in terms if c != dom.rzero})
 
     def times_variable(self, var: Variable) -> "Polynomial":
-        return Polynomial._raw(self.domain, _sort_terms(
-            (_canon_factors(f + (var,)), c) for f, c in self._terms))
+        return Polynomial._raw(self.domain, {
+            _canon_factors(f + (var,)): c for f, c in self.items()})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -275,30 +286,31 @@ class Polynomial:
                                     % (assignment[v], v.name))
         total = dom.rzero
         try:
-            for factors, raw in self._terms:
+            for factors, raw in self.items():
                 acc = raw
                 for v in factors:
                     acc = dom.rmul(acc, assignment[v].raw)
                 total = dom.radd(total, acc)
         except KeyError as exc:
-            raise PolyError("no value for variable %s" % exc.args[0]) from None
+            raise PolyError("no value for variable %s"
+                            % exc.args[0].name) from None
         return Scalar(dom, total)
 
     # -- comparison / rendering --------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.domain == other.domain and self._terms == other._terms
+            return (_same_domain(self.domain, other.domain)
+                    and self._coeffs == other._coeffs)
         if isinstance(other, (Scalar, int)):
-            lifted = self._lift(other)
-            return self._terms == lifted._terms
+            return self._coeffs == self._lift(other)._coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.domain, self._terms))
+        return hash((self.domain, frozenset(self._coeffs.items())))
 
     def __repr__(self):
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
         for factors, raw in self._terms:
@@ -339,7 +351,7 @@ def slot_grid_product(dom, grid, letters, orders=None) -> list:
 
     Each letter is one list per row of (column, raw coefficient, Variable or
     None) slots, 0-based, with no zero coefficient.  Entries stay raw dicts
-    with no zero coefficient; grid_polynomials sorts them once, at the end.
+    with no zero coefficient; entry_polynomial wraps them unsorted.
     orders maps variables that satisfy var^d = 1 to d; their exponents are
     cut below d as the product is formed.
     """
@@ -381,11 +393,12 @@ def merge_grid(dom, total, grid) -> None:
 
 
 def entry_polynomial(dom, entry) -> Polynomial:
-    """Sort one raw entry of a grid into a Polynomial."""
-    return Polynomial._raw(dom, _sort_terms(entry.items()))
+    """One raw entry of a grid as a Polynomial, which owns the dict: no
+    product or merge may change the entry afterwards."""
+    return Polynomial._raw(dom, entry)
 
 
 def grid_polynomials(dom, grid) -> tuple:
-    """Sort each raw entry of a grid into a Polynomial."""
+    """Each raw entry of a grid as a Polynomial (see entry_polynomial)."""
     return tuple(tuple(entry_polynomial(dom, entry) for entry in row)
                  for row in grid)

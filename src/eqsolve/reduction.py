@@ -13,7 +13,8 @@ non-decreasing index chain through the pattern, with constants folded into
 the coefficients.  Positions outside the pattern hold the constant zero, so
 chains through them vanish as the product is formed; this keeps the grid
 within its O(n^m) size bound instead of enumerating chains up front.  The
-grid stays raw (unsorted monomial dicts) until an entry is read.
+grid stays raw (unsorted monomial dicts): an entry polynomial holds its
+dict as it is, and the solver reads it unordered.
 
 A word equation F = rhs then holds for a substitution exactly when all the
 entry polynomials attain the corresponding rhs entries, which is a
@@ -22,7 +23,7 @@ share: SAT witnesses are reassembled from the layout into group elements
 and re-checked through evaluate_word before being returned.  For a word
 right side G, the raw grid of -G takes in F's grid entry by entry, as
 rings.entrywise_rewrite sums its monomials, and only the m(m+1)/2 upper
-entries of F - G are sorted into constraint polynomials.
+entries of F - G become constraint polynomials.
 
 build_system gives every diagonal slot its variable by default: that is the
 paper's formal reduction, which `eqsolve dump-system` prints.  The two
@@ -97,8 +98,8 @@ class SymbolicMatrix:
     """Entry polynomials of a symbolic letter product; zero below the diagonal.
 
     raw is slot_grid_product's m x m grid of raw {factor tuple: coefficient}
-    dicts and is never changed; an entry is sorted into a Polynomial each
-    time it is read, the whole grid once (grid).
+    dicts and is never changed; each entry read is a Polynomial holding its
+    dict, and grid holds them all.
     """
 
     def __init__(self, group: SemipatternGroup, raw: list):
@@ -242,7 +243,7 @@ def _nonzero_point(poly: Polynomial, domains) -> dict:
     dom = poly.domain
     assignment = {}
     while True:
-        present = [factors[0] for factors, _ in poly._terms if factors]
+        present = [factors[0] for factors, _ in poly.items() if factors]
         if not present:
             return assignment
         var = min(present, key=lambda v: v.name)
@@ -250,7 +251,7 @@ def _nonzero_point(poly: Polynomial, domains) -> dict:
             # var, first in name order, leads every monomial it occurs in
             rest = Polynomial(dom, (
                 (f[f.count(var):], dom.rmul(c, (value ** f.count(var)).raw))
-                for f, c in poly._terms))
+                for f, c in poly.items()))
             if not rest.is_zero():
                 break
         else:

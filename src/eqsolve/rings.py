@@ -15,6 +15,7 @@ Z_{p^a}, decided by solver.SlotSystem as group equations are.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -111,14 +112,18 @@ class ReducedRingSystem(SlotSystem):
 
     def __init__(self, ring: NilpotentMatrixRing, expr, rhs: RingElement,
                  slots, entry_polys: tuple):
-        if rhs.ring != ring:
-            raise RingError("right-hand side from a different ring")
         super().__init__(ring.domain, ring.zero().rows, slots)
         self.ring, self.expr, self.rhs = ring, expr, rhs
-        self.entry_polys = entry_polys
         self.constrain(tuple(
-            Constraint(entry_polys[i][j], ring.domain.scalar(rhs.rows[i][j]))
-            for i in range(ring.m) for j in range(ring.m)))
+            Constraint(poly, target) for poly, target
+            in zip(itertools.chain(*entry_polys), self._targets(rhs))))
+
+    def _targets(self, rhs: RingElement) -> list:
+        """rhs's entries, row by row: the targets of the m^2 constraints."""
+        if rhs.ring is not self.ring and rhs.ring != self.ring:
+            raise RingError("right-hand side from a different ring")
+        scalar = self.ring.domain.scalar
+        return [scalar(raw) for row in rhs.rows for raw in row]
 
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: RingElement}."""
@@ -130,9 +135,12 @@ class ReducedRingSystem(SlotSystem):
         return eval_ring_expr(self.expr, witness, self.ring) == self.rhs
 
     def retarget(self, rhs: RingElement) -> "ReducedRingSystem":
-        """The same entry polynomials and layout, with targets from rhs."""
-        return ReducedRingSystem(self.ring, self.expr, rhs, self.slots,
-                                 self.entry_polys)
+        """The same entry polynomials, layout and validated domain map, with
+        targets from rhs."""
+        system = self.system.retarget(self._targets(rhs))
+        reduced = copy.copy(self)
+        reduced.rhs, reduced.system = rhs, system
+        return reduced
 
 
 def build_ring_system(ring: NilpotentMatrixRing, expr,
@@ -242,7 +250,8 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
     The image of expr vanishes in M/I for some substitution iff expr = a is
     solvable over M for some ideal element a; candidates are tried in
     canonical order and the successful one is reported on the decision.
-    The system is built once; only its targets change from one to the next.
+    The system is built and validated once; only its targets change from
+    one to the next (ReducedRingSystem.retarget).
     """
     if ideal.ring != ring:
         raise RingError("ideal of a different ring")

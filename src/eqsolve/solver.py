@@ -22,10 +22,11 @@ runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
-from .domains import Scalar
+from .domains import Scalar, _same_domain
 from .poly import Polynomial
 
 DEFAULT_GUARD = 10 ** 8
@@ -70,9 +71,10 @@ class PolySystem:
         self.constraints = tuple(self.constraints)
         occurrences = dict.fromkeys(self.domains, 0)
         for c in self.constraints:
-            if c.poly.domain != self.domain or c.target.domain != self.domain:
+            if not (_same_domain(c.poly.domain, self.domain)
+                    and _same_domain(c.target.domain, self.domain)):
                 raise SolverError("constraint domain differs from system domain")
-            for factors, _ in c.poly._terms:
+            for factors, _ in c.poly.items():
                 for v in factors:
                     count = occurrences.get(v)
                     if count is None:
@@ -86,6 +88,18 @@ class PolySystem:
 
     def variables(self):
         return tuple(self.domains)
+
+    def retarget(self, targets) -> "PolySystem":
+        """The same polynomials and domains with new targets, one per
+        constraint; only the targets' domain is validated again."""
+        constraints = []
+        for c, target in zip(self.constraints, targets, strict=True):
+            if not _same_domain(target.domain, self.domain):
+                raise SolverError("constraint domain differs from system domain")
+            constraints.append(Constraint(c.poly, target))
+        system = copy.copy(self)
+        system.constraints = tuple(constraints)
+        return system
 
     def search_space(self) -> int:
         return math.prod(len(vals) for vals in self.domains.values())
@@ -128,15 +142,32 @@ def _ordered_variables(system: PolySystem):
 
 
 def verify_witness(system: PolySystem, assignment: dict) -> bool:
-    """True iff every constraint holds exactly; domain violations raise."""
+    """True iff every constraint holds exactly; domain violations raise.
+
+    Every variable of the domain map needs a Scalar of the system's domain
+    whose raw value is that of one of the variable's domain values; the
+    constraints are then evaluated on raw values."""
+    dom = system.domain
+    raws = {}
     for v, values in system.domains.items():
         if v not in assignment:
             raise SolverError("witness is missing variable %s" % v.name)
-        if not any(assignment[v] == allowed for allowed in values):
+        value = assignment[v]
+        if not (isinstance(value, Scalar) and _same_domain(value.domain, dom)
+                and value.raw in {s.raw for s in values}):
             raise SolverError("witness value %r outside the domain of %s"
-                              % (assignment[v], v.name))
-    return all(c.poly.evaluate(assignment) == c.target
-               for c in system.constraints)
+                              % (value, v.name))
+        raws[v] = value.raw
+    radd, rmul, zero = dom.radd, dom.rmul, dom.rzero
+    for c in system.constraints:
+        total = zero
+        for factors, acc in c.poly.items():
+            for v in factors:
+                acc = rmul(acc, raws[v])
+            total = radd(total, acc)
+        if total != c.target.raw:
+            return False
+    return True
 
 
 def solve(request: SolveRequest) -> Decision:
@@ -176,7 +207,7 @@ class SlotSystem:
         values = {var: vals for layout in self.slots.values()
                   for _, _, _, var, vals in layout}
         domains = {v: values[v] for c in constraints
-                   for factors, _ in c.poly._terms for v in factors}
+                   for factors, _ in c.poly.items() for v in factors}
         self.system = PolySystem(self.domain, constraints, domains)
 
     def witness_rows(self, assignment):
@@ -222,7 +253,7 @@ def _solve_pruned(system: PolySystem) -> Decision:
     waiting = [[] for _ in range(nvars)]
     depth_of = position.__getitem__
     for cidx, c in enumerate(system.constraints):
-        for factors, coeff in c.poly._terms:
+        for factors, coeff in c.poly.items():
             if not factors:
                 sums[cidx] = radd(sums[cidx], coeff)
                 continue

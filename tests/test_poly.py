@@ -4,9 +4,14 @@ import random
 import pytest
 
 from eqsolve import (FIELD, RING, SUBGROUP, PolyError, Polynomial, RScale,
-                     RVar, Variable, entrywise_rewrite, make_domain, make_ring,
-                     sigma_expand, symbolic_product, word_variables)
-from eqsolve.poly import _term_key
+                     RVar, Variable, build_system, decide_equation,
+                     decide_equivalence, decide_factor_ring,
+                     decide_ring_equation, element_list, entrywise_rewrite,
+                     enumerate_ideal, make_domain, make_group, make_ring,
+                     ring_elements, sigma_expand, symbolic_product,
+                     word_variables)
+from eqsolve import poly as poly_module
+from eqsolve.poly import _term_key, entry_polynomial
 from eqsolve.reduction import x_variable, y_variable
 from eqsolve.rings import a_variable, s_variable, sigma_var_index
 from conftest import random_ring_expr, random_word
@@ -194,6 +199,29 @@ def test_variable_equality_and_hash():
     assert pickle.loads(pickle.dumps(a)) == a
 
 
+def test_variable_never_equals_its_plain_tuple():
+    for v in (X, Variable("y[1][1]", SUBGROUP, row=1), Variable("a", RING),
+              x_variable(1, 2, 3)):
+        plain = tuple(v)
+        assert plain == (v.name, v.sort, v.row)
+        assert v != plain and plain != v
+        assert not v == plain and not plain == v
+        assert plain not in {v: 1} and v not in {plain: 1}
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(v, protocol))
+            assert type(back) is Variable and back is not v
+            assert back == v and hash(back) == hash(v)
+            assert (back.name, back.sort, back.row) == (v.name, v.sort, v.row)
+
+
+def test_evaluate_names_the_missing_variable():
+    f = poly(F3, (1, (X, Y)), (2, (x_variable(1, 2, 3),)))
+    with pytest.raises(PolyError, match=r"^no value for variable y$"):
+        f.evaluate({X: F3.one(), x_variable(1, 2, 3): F3.one()})
+    with pytest.raises(PolyError, match=r"^no value for variable x\[1\]"):
+        f.evaluate({X: F3.one(), Y: F3.one()})
+
+
 def test_variable_is_immutable():
     with pytest.raises(AttributeError):
         X.name = "w"
@@ -261,3 +289,75 @@ def test_grid_products_are_in_normal_form(group_family):
                 for row in grid:
                     for entry in row:
                         _assert_normal_form(entry, (ring, expr))
+
+
+def test_raw_entries_equal_their_sorted_polynomials(group_family):
+    """entry_polynomial wraps a raw grid entry as it is; its repr, ==, hash
+    and monomials() are those of the Polynomial built from the same terms
+    in another order."""
+    rng = random.Random(4099)
+    f4 = make_domain(2, 2)
+    entries = []
+    for group in group_family + (make_group(f4, 3, ((1, 2), (1, 3)),
+                                            (3, 3, 1)),):
+        for _ in range(20):
+            word = random_word(rng, group, max_len=8, max_vars=3)
+            index = {name: k for k, name in
+                     enumerate(word_variables(word), start=1)}
+            matrix = symbolic_product(group, symbolic_letters(
+                group, word, index), formal=rng.random() < 0.5)
+            entries += [(group.domain, e) for row in matrix.raw for e in row]
+    for p, alpha, m in ((2, 2, 2), (3, 1, 3), (3, 2, 2)):
+        ring = make_ring(p, alpha, m)
+        for _ in range(20):
+            grid = entrywise_rewrite(sigma_expand(
+                random_ring_expr(rng, ring), ring), ring)
+            entries += [(ring.domain, dict(e.items()))
+                        for row in grid for e in row]
+    assert sum(len(e) > 1 for _, e in entries) >= 100
+    for dom, entry in entries:
+        terms = list(entry.items())
+        rng.shuffle(terms)
+        kept = entry_polynomial(dom, entry)
+        sorted_ = Polynomial(dom, terms)
+        assert kept._coeffs is entry
+        assert repr(kept) == repr(sorted_)
+        assert kept == sorted_ and hash(kept) == hash(sorted_)
+        assert kept.monomials() == sorted_.monomials()
+
+
+def test_decide_paths_never_sort(monkeypatch, group_family, ring_m2z4,
+                                 ring_m3z3):
+    """Deciding an equation, an equivalence or a factor-ring question reads
+    entry polynomials unordered: no _sort_terms call."""
+    calls = []
+    sort = poly_module._sort_terms
+
+    def counting(terms):
+        calls.append(terms)
+        return sort(terms)
+
+    monkeypatch.setattr(poly_module, "_sort_terms", counting)
+    rng = random.Random(4111)
+    sat = 0
+    for group in group_family:
+        for trial in range(25):
+            lhs = random_word(rng, group)
+            rhs = (random_word(rng, group, max_len=4) if trial % 5 == 4
+                   else rng.choice(element_list(group)))
+            sat += decide_equation(group, lhs, rhs).sat
+            decide_equivalence(group, random_word(rng, group, max_len=5),
+                               random_word(rng, group, max_len=5))
+    for ring, generator in ((ring_m2z4, [[0, 2], [0, 0]]),
+                            (ring_m3z3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])):
+        ideal = enumerate_ideal(ring, [ring.element(generator)])
+        for _ in range(20):
+            expr = random_ring_expr(rng, ring)
+            sat += decide_ring_equation(ring, expr,
+                                        rng.choice(ring_elements(ring))).sat
+            sat += decide_factor_ring(ring, ideal, expr).sat
+    assert sat >= 50
+    assert calls == []
+    repr(build_system(group_family[2], ("v1", "v1"), ("v2",)).system
+         .constraints[0].poly)
+    assert calls

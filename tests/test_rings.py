@@ -12,7 +12,7 @@ from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
                      entrywise_rewrite, enumerate_ideal, eval_ring_expr,
                      expr_variables, make_ring, ring_elements,
                      sigma_expand)
-from eqsolve import rings
+from eqsolve import rings, solver
 from eqsolve.domains import residue_matadd, residue_matmul, residue_matscale
 from eqsolve.rings import (RingElement, RingMonomial, SigmaForm,
                            sigma_var_index)
@@ -835,6 +835,46 @@ def test_factor_ring_expands_once(monkeypatch, ring_m3z3):
             assert not decision.sat
         else:
             assert (decision.ideal_element, decision.witness) == expected
+
+
+def test_factor_ring_validates_one_system(monkeypatch, ring_m3z3):
+    """retarget keeps the parent's validated domain map and occurrence
+    counts and swaps only the targets: it decides as a fresh build for that
+    right side does, and decide_factor_ring validates one system per
+    question, however many ideal elements it tries."""
+    ring = ring_m3z3
+    ideal = enumerate_ideal(ring, [ring.element(
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]])])
+    validated = []
+    post_init = solver.PolySystem.__post_init__
+
+    def counting(system):
+        validated.append(system)
+        post_init(system)
+
+    rng = random.Random(79)
+    for _ in range(15):
+        expr = random_ring_expr(rng, ring) - RConst(
+            random_ring_element(rng, ring))
+        reduced = rings.build_ring_system(ring, expr, ring.zero())
+        for a in ideal.elements:
+            moved = reduced.retarget(a)
+            fresh = rings.build_ring_system(ring, expr, a)
+            assert moved.rhs == a and reduced.rhs == ring.zero()
+            assert moved.system.domains is reduced.system.domains
+            assert moved.system._occurrences is reduced.system._occurrences
+            assert moved.system.constraints == fresh.system.constraints
+            assert moved.system.domains == fresh.system.domains
+            got, want = moved.decide(), fresh.decide()
+            assert (got.sat, got.witness, got.stats) == \
+                (want.sat, want.witness, want.stats)
+        monkeypatch.setattr(solver.PolySystem, "__post_init__", counting)
+        validated.clear()
+        decide_factor_ring(ring, ideal, expr)
+        monkeypatch.setattr(solver.PolySystem, "__post_init__", post_init)
+        assert len(validated) == 1
+    with pytest.raises(RingError):
+        reduced.retarget(make_ring(3, 1, 2).zero())
 
 
 def test_unknown_dropped_by_truncation_comes_back_zero(ring_m2z4):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from eqsolve import (Constraint, GuardExceeded, PolySystem, Polynomial,
                      SolveRequest, SolverError, Variable, make_domain, solve,
                      verify_witness)
 
+from eqsolve.domains import Scalar
 from naive import solve_naive
 
 F2 = make_domain(2)
@@ -158,6 +160,96 @@ def test_pruned_equals_naive_on_restricted_domains():
             sat += 1
             assert pruned.witness == naive.witness, trial
     assert min(nonzero_first, repeated, sat, 900 - sat) >= 100
+
+
+def _scalar_verify_witness(system, assignment):
+    """verify_witness as it was before raw evaluation: domain membership by
+    Scalar ==, constraints evaluated in Scalar arithmetic."""
+    for v, values in system.domains.items():
+        if v not in assignment:
+            raise SolverError("witness is missing variable %s" % v.name)
+        if not any(assignment[v] == allowed for allowed in values):
+            raise SolverError("witness value %r outside the domain of %s"
+                              % (assignment[v], v.name))
+    for c in system.constraints:
+        total = c.poly.domain.zero()
+        for coeff, factors in c.poly.monomials():
+            for v in factors:
+                coeff = coeff * assignment[v]
+            total = total + coeff
+        if not total == c.target:
+            return False
+    return True
+
+
+def _outcome(check, system, assignment):
+    try:
+        return "value", check(system, assignment)
+    except SolverError as exc:
+        return "error", str(exc)
+
+
+def test_verify_witness_matches_scalar_evaluation():
+    """Raw evaluation gives the old verdicts and messages over Z8, Z9 and
+    GF(4): on solver witnesses and altered ones, with a variable missing, a
+    value outside its domain or from another domain, and a value from an
+    equal domain that is another object."""
+    rng = random.Random(19)
+    specs = ((2, 3, "modular"), (3, 2, "modular"), (2, 2, "field"))
+    doms = [make_domain(*spec) for spec in specs]
+    twins = [make_domain(*spec) for spec in specs]
+    others = [make_domain(2, 2, "modular"), make_domain(3), make_domain(2)]
+    seen = collections.Counter()
+    for trial in range(900):
+        dom, twin, other = doms[trial % 3], twins[trial % 3], others[trial % 3]
+        assert twin == dom and twin is not dom
+        system = _restricted_system(rng, dom)
+        decision = solve(SolveRequest(system))
+        assignment = dict(decision.witness) if decision.sat else {
+            v: rng.choice(values) for v, values in system.domains.items()}
+        v = rng.choice(list(system.domains))
+        case = rng.choice(("kept", "missing", "outside", "other", "twin",
+                           "moved"))
+        outside = [s for s in full_domain(dom)
+                   if s not in system.domains[v]]
+        if case == "missing":
+            del assignment[v]
+        elif case == "outside" and outside:
+            assignment[v] = rng.choice(outside)
+        elif case == "other":
+            assignment[v] = rng.choice(full_domain(other))
+        elif case == "twin":
+            assignment[v] = Scalar(twin, assignment[v].raw)
+        elif case == "moved":
+            assignment[v] = rng.choice(system.domains[v])
+        expected = _outcome(_scalar_verify_witness, system, assignment)
+        assert _outcome(verify_witness, system, assignment) == expected, trial
+        seen[case, expected[0] if expected[0] == "error" else expected[1]] += 1
+    assert min(seen["kept", True], seen["moved", False], seen["twin", True],
+               seen["missing", "error"], seen["outside", "error"],
+               seen["other", "error"]) >= 20, seen
+
+
+def test_retarget_swaps_only_the_targets():
+    rng = random.Random(23)
+    z9 = make_domain(3, 2, "modular")
+    for _ in range(50):
+        system = _restricted_system(rng, z9)
+        targets = [z9.scalar(rng.randrange(9)) for _ in system.constraints]
+        moved = system.retarget(targets)
+        fresh = PolySystem(z9, tuple(
+            Constraint(c.poly, t)
+            for c, t in zip(system.constraints, targets)), system.domains)
+        assert moved.constraints == fresh.constraints
+        assert moved.domains is system.domains
+        assert moved._occurrences is system._occurrences
+        assert moved._occurrences == fresh._occurrences
+        assert [c.target for c in moved.constraints] == targets
+        got, want = solve(SolveRequest(moved)), solve(SolveRequest(fresh))
+        assert (got.sat, got.witness, got.stats) == \
+            (want.sat, want.witness, want.stats)
+    with pytest.raises(SolverError):
+        system.retarget([F3.zero()] * len(system.constraints))
 
 
 def test_guard_exceeded():
