@@ -16,7 +16,6 @@ from functools import lru_cache
 from .domains import DomainError
 from .groups import (GroupError, brute_force_solve, evaluate_word,
                      word_variables)
-from .poly import PolyError
 from .problemfile import (ParseError, ProblemFile, parse_bench_config,
                           parse_problem_file)
 from .reduction import build_system, decide_equation, separating_substitution
@@ -26,7 +25,7 @@ from .rings import (RNeg, RingError, RSum, brute_force_ring_solve,
 from .solver import DEFAULT_GUARD, GuardExceeded, PolySystem, SolverError
 
 _ERRORS = (ParseError, GuardExceeded, DomainError, GroupError, RingError,
-           PolyError, SolverError, OSError, ValueError)
+           SolverError, OSError, ValueError)
 
 
 def render_system(system: PolySystem) -> str:

@@ -208,7 +208,7 @@ class FiniteField:
 
     kind = "field"
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.p ** self.k
 
@@ -216,11 +216,11 @@ class FiniteField:
     def exponent(self) -> int:
         return self.k
 
-    @property
+    @cached_property
     def rzero(self):
         return 0 if self.k == 1 else (0,) * self.k
 
-    @property
+    @cached_property
     def rone(self):
         return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
 
@@ -348,7 +348,7 @@ class ModularRing:
     rzero = 0
     rone = 1
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.p ** self.alpha
 

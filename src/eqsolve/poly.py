@@ -1,12 +1,12 @@
-"""Multivariate polynomials over a scalar domain, in sum-of-monomials normal form.
+"""Read-only entry polynomials, and the slot-grid product that makes them.
 
-Normal form means: no two monomials share a factor list and no monomial has a
-zero coefficient.  Field- and subgroup-sorted variables commute, so their
-factor lists are kept sorted by variable name; ring-sorted variables do not
-commute and their factor order is preserved.  The length measure ``length()``
-counts one symbol per variable occurrence plus one per coefficient;
-``product_length()`` counts factor symbols only (a bare constant counts as
-one), which is the measure the rewriting size bounds are stated in.
+An entry polynomial is a read-only view of one raw {factor tuple: raw
+coefficient} dict: no two monomials share a factor tuple, no monomial has a
+zero coefficient, and variables commute, so each factor tuple is sorted by
+variable name.  The solver reads the terms unordered (items()); only
+printing sorts them into the canonical order.  product_length() counts
+factor symbols (a bare constant counts as one), which is the measure the
+rewriting size bounds are stated in.
 
 slot_grid_product is the one matrix product both reductions use: group words
 and ring monomials are products of slot_letter matrices of slots.
@@ -16,15 +16,10 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .domains import Scalar, _same_domain
+from .domains import _same_domain
 
 FIELD = "field"
 SUBGROUP = "subgroup"
-RING = "ring"
-
-
-class PolyError(ValueError):
-    """Malformed polynomial expression or evaluation request."""
 
 
 class Variable(tuple):
@@ -64,14 +59,6 @@ class Variable(tuple):
 _by_name = itemgetter(0)
 
 
-def _canon_factors(factors):
-    factors = tuple(factors)
-    for v in factors:
-        if v.sort == RING:
-            return factors
-    return tuple(sorted(factors, key=_by_name))
-
-
 def _term_key(factors):
     return (-len(factors), tuple(v.name for v in factors))
 
@@ -100,26 +87,25 @@ def _merge(acc, terms, radd, rzero):
 
 
 class Polynomial:
-    """Immutable polynomial; arithmetic keeps the normal form invariant.
+    """Read-only polynomial: the raw {factor tuple: coefficient} dict it was
+    built from, held as it is and never changed.
 
-    The terms are the raw {factor tuple: coefficient} dict the polynomial
-    was built from, held as it is and never changed.  items()
-    reads them in no particular order, which is all that evaluation, the
-    solver, equality and hashing need; _terms sorts them into the canonical
-    order on first read, for printing and monomials().
+    items() reads the terms in no particular order, which is all the solver,
+    equality and hashing need; repr sorts them into the canonical order.
     """
 
-    __slots__ = ("domain", "_coeffs", "_sorted")
+    __slots__ = ("domain", "_coeffs")
 
     def __init__(self, domain, terms=()):
+        """Sum (factor iterable, raw coefficient) terms: factors are sorted
+        by name, equal factor tuples merged and zero sums dropped."""
         coeffs = {}
         for factors, raw in terms:
-            factors = _canon_factors(factors)
+            factors = tuple(sorted(factors, key=_by_name))
             acc = coeffs.get(factors)
             coeffs[factors] = domain.radd(acc, raw) if acc is not None else raw
         self.domain = domain
         self._coeffs = {f: c for f, c in coeffs.items() if c != domain.rzero}
-        self._sorted = None
 
     @classmethod
     def _raw(cls, domain, coeffs):
@@ -128,41 +114,7 @@ class Polynomial:
         self = cls.__new__(cls)
         self.domain = domain
         self._coeffs = coeffs
-        self._sorted = None
         return self
-
-    @classmethod
-    def zero(cls, domain):
-        return cls._raw(domain, {})
-
-    @classmethod
-    def constant(cls, value: Scalar):
-        if value.raw == value.domain.rzero:
-            return cls.zero(value.domain)
-        return cls._raw(value.domain, {(): value.raw})
-
-    @classmethod
-    def variable(cls, domain, var: Variable):
-        return cls._raw(domain, {(var,): domain.rone})
-
-    @classmethod
-    def from_terms(cls, domain, terms):
-        """Build from (coefficient Scalar, factor iterable) pairs."""
-        raw_terms = []
-        for coeff, factors in terms:
-            coeff = domain.scalar(coeff)
-            raw_terms.append((tuple(factors), coeff.raw))
-        return cls(domain, raw_terms)
-
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def _terms(self):
-        """(factor tuple, raw coefficient) pairs in canonical order."""
-        terms = self._sorted
-        if terms is None:
-            terms = self._sorted = _sort_terms(self._coeffs.items())
-        return terms
 
     def items(self):
         """(factor tuple, raw coefficient) pairs, in no particular order."""
@@ -171,140 +123,18 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def monomials(self):
-        """(coefficient Scalar, factor tuple) pairs in canonical order."""
-        return tuple((Scalar(self.domain, c), f) for f, c in self._terms)
-
     def monomial_count(self) -> int:
         return len(self._coeffs)
-
-    def variables(self):
-        seen = {}
-        for factors, _ in self._terms:
-            for v in factors:
-                seen[v] = None
-        return tuple(seen)
-
-    def degree(self) -> int:
-        return max(map(len, self._coeffs), default=0)
-
-    def length(self) -> int:
-        """Symbol count: each variable occurrence and each coefficient is 1."""
-        return sum(len(f) + 1 for f in self._coeffs)
 
     def product_length(self) -> int:
         """Factor-symbol count: a monomial of d factors counts max(d, 1)."""
         return sum(max(len(f), 1) for f in self._coeffs)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _lift(self, other):
-        if isinstance(other, Polynomial):
-            if not _same_domain(other.domain, self.domain):
-                raise PolyError("mixed polynomial domains: %s vs %s"
-                                % (self.domain, other.domain))
-            return other
-        if isinstance(other, Variable):
-            return Polynomial.variable(self.domain, other)
-        if isinstance(other, (Scalar, int)):
-            return Polynomial.constant(self.domain.scalar(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        dom = self.domain
-        coeffs = dict(self._coeffs)
-        _merge(coeffs, other.items(), dom.radd, dom.rzero)
-        return Polynomial._raw(dom, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        rneg = self.domain.rneg
-        return Polynomial._raw(
-            self.domain, {f: rneg(c) for f, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, Variable):
-            return self.times_variable(other)
-        if isinstance(other, (Scalar, int)):
-            return self.times_scalar(self.domain.scalar(other))
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        dom = self.domain
-        return Polynomial(dom, ((f1 + f2, dom.rmul(c1, c2))
-                                for f1, c1 in self.items()
-                                for f2, c2 in other.items()))
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Variable)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def times_scalar(self, s: Scalar) -> "Polynomial":
-        dom = self.domain
-        s = dom.scalar(s).raw
-        # over Z_{p^a} a product of nonzeros can be zero
-        terms = ((f, dom.rmul(c, s)) for f, c in self.items())
-        return Polynomial._raw(dom, {f: c for f, c in terms if c != dom.rzero})
-
-    def times_variable(self, var: Variable) -> "Polynomial":
-        return Polynomial._raw(self.domain, {
-            _canon_factors(f + (var,)): c for f, c in self.items()})
-
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, assignment, domains=None) -> Scalar:
-        """Exact value under a {Variable: Scalar} assignment.
-
-        When a per-variable domain map is supplied, values are checked
-        against it (subgroup-valued variables must receive subgroup members).
-        """
-        dom = self.domain
-        if domains is not None:
-            for v in self.variables():
-                if v not in assignment:
-                    raise PolyError("no value for variable %s" % v.name)
-                allowed = domains.get(v)
-                if allowed is not None and assignment[v] not in allowed:
-                    raise PolyError("value %r outside the domain of %s"
-                                    % (assignment[v], v.name))
-        total = dom.rzero
-        try:
-            for factors, raw in self.items():
-                acc = raw
-                for v in factors:
-                    acc = dom.rmul(acc, assignment[v].raw)
-                total = dom.radd(total, acc)
-        except KeyError as exc:
-            raise PolyError("no value for variable %s"
-                            % exc.args[0].name) from None
-        return Scalar(dom, total)
-
-    # -- comparison / rendering --------------------------------------------
-
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return (_same_domain(self.domain, other.domain)
-                    and self._coeffs == other._coeffs)
-        if isinstance(other, (Scalar, int)):
-            return self._coeffs == self._lift(other)._coeffs
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return (_same_domain(self.domain, other.domain)
+                and self._coeffs == other._coeffs)
 
     def __hash__(self):
         return hash((self.domain, frozenset(self._coeffs.items())))
@@ -313,7 +143,7 @@ class Polynomial:
         if not self._coeffs:
             return "0"
         parts = []
-        for factors, raw in self._terms:
+        for factors, raw in _sort_terms(self._coeffs.items()):
             coeff = self.domain.encode(raw)
             names = [v.name for v in factors]
             if not names:
@@ -371,7 +201,7 @@ def slot_grid_product(dom, grid, letters, orders=None) -> list:
                         # distinct keys of left stay distinct, also where
                         # var^d = 1 cancels d copies of var (a unit)
                         d = orders.get(var) if orders else None
-                        terms = [(_canon_factors(f + (var,))
+                        terms = [(tuple(sorted(f + (var,), key=_by_name))
                                   if d is None or f.count(var) < d - 1
                                   else tuple(v for v in f if v != var), c)
                                  for f, c in terms]

@@ -51,13 +51,12 @@ words.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
                      _same_group, evaluate_word, word_variables)
 from .poly import (FIELD, SUBGROUP, Polynomial, Variable, entry_polynomial,
-                   grid_polynomials, merge_grid, scalar_grid,
-                   slot_grid_product, slot_letter)
+                   merge_grid, scalar_grid, slot_grid_product, slot_letter)
 from .solver import Constraint, Decision, SlotSystem
 
 
@@ -99,7 +98,7 @@ class SymbolicMatrix:
 
     raw is slot_grid_product's m x m grid of raw {factor tuple: coefficient}
     dicts and is never changed; each entry read is a Polynomial holding its
-    dict, and grid holds them all.
+    dict.
     """
 
     def __init__(self, group: SemipatternGroup, raw: list):
@@ -108,11 +107,6 @@ class SymbolicMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return entry_polynomial(self.group.domain, self.raw[i - 1][j - 1])
-
-    @cached_property
-    def grid(self) -> tuple:
-        """m x m tuple of Polynomial."""
-        return grid_polynomials(self.group.domain, self.raw)
 
     def upper_entries(self):
         """((i, j), polynomial) for all 1 <= i <= j <= m."""

@@ -36,7 +36,7 @@ class NilpotentMatrixRing:
     alpha: int
     m: int
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p ** self.alpha
 

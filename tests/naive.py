@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from eqsolve.solver import Decision, SolveStats, _ordered_variables
+from polyexpr import evaluate
 
 
 def solve_naive(system) -> Decision:
@@ -21,7 +22,7 @@ def solve_naive(system) -> Decision:
     for combo in itertools.product(*value_lists):
         stats.explored += 1
         assignment = dict(zip(variables, combo))
-        if all(c.poly.evaluate(assignment) == c.target
+        if all(evaluate(c.poly, assignment) == c.target
                for c in system.constraints):
             return Decision(True, assignment, stats)
     return Decision(False, None, stats)

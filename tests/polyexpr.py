@@ -1,6 +1,12 @@
-"""Raw polynomial expression trees, kept apart from eqsolve.poly.
+"""Polynomial arithmetic, evaluation and raw expression trees, kept apart
+from eqsolve.poly.
 
-normalize() rewrites a tree into eqsolve's sum-of-monomials normal form, and
+eqsolve's entry polynomials are read-only; the references here build
+polynomials through the one constructor, Polynomial(domain, terms), which
+sorts factors, merges equal factor tuples and drops zero sums.  A sum passes
+both term lists to it, a product the pairwise concatenated terms, and a
+negation the negated coefficients; evaluate() computes a value on raw
+values.  normalize() rewrites an expression tree into that normal form and
 eval_expr() evaluates the tree directly; comparing the two gives the poly
 tests an evaluation path that is independent of the normal-form arithmetic.
 """
@@ -10,7 +16,59 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from eqsolve.domains import Scalar
-from eqsolve.poly import PolyError, Polynomial, Variable
+from eqsolve.poly import Polynomial, Variable, _sort_terms
+
+
+def poly(domain, *terms) -> Polynomial:
+    """The polynomial of (coefficient, factor tuple) pairs; a coefficient
+    is anything domain.scalar takes."""
+    return Polynomial(domain, [(tuple(factors), domain.scalar(coeff).raw)
+                               for coeff, factors in terms])
+
+
+def constant(domain, value) -> Polynomial:
+    return poly(domain, (value, ()))
+
+
+def variable(domain, var: Variable) -> Polynomial:
+    return Polynomial(domain, [((var,), domain.rone)])
+
+
+def add(f: Polynomial, g: Polynomial) -> Polynomial:
+    return Polynomial(f.domain, [*f.items(), *g.items()])
+
+
+def neg(f: Polynomial) -> Polynomial:
+    rneg = f.domain.rneg
+    return Polynomial(f.domain, [(fs, rneg(c)) for fs, c in f.items()])
+
+
+def mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    rmul = f.domain.rmul
+    return Polynomial(f.domain, [(f1 + f2, rmul(c1, c2))
+                                 for f1, c1 in f.items()
+                                 for f2, c2 in g.items()])
+
+
+def evaluate(f: Polynomial, assignment) -> Scalar:
+    """Value under a {Variable: Scalar} assignment, summed on raw values."""
+    dom = f.domain
+    total = dom.rzero
+    for factors, acc in f.items():
+        for v in factors:
+            acc = dom.rmul(acc, assignment[v].raw)
+        total = dom.radd(total, acc)
+    return Scalar(dom, total)
+
+
+def sorted_terms(f: Polynomial) -> tuple:
+    """(factor tuple, raw coefficient) pairs in the canonical order."""
+    return _sort_terms(f.items())
+
+
+def length(f: Polynomial) -> int:
+    """Symbol count: each variable occurrence and each coefficient is 1."""
+    return sum(len(factors) + 1 for factors, _ in f.items())
 
 
 class Expr:
@@ -63,51 +121,48 @@ def _as_expr(obj):
         return EConst(obj)
     if isinstance(obj, Variable):
         return EVar(obj)
-    raise PolyError("cannot use %r in a polynomial expression" % (obj,))
+    raise ValueError("cannot use %r in a polynomial expression" % (obj,))
 
 
 def normalize(expr, domain) -> Polynomial:
     """Rewrite a raw expression into sum-of-monomials normal form."""
     if isinstance(expr, Polynomial):
         if expr.domain != domain:
-            raise PolyError("mixed domains in expression")
+            raise ValueError("mixed domains in expression")
         return expr
     if isinstance(expr, Scalar):
         if expr.domain != domain:
-            raise PolyError("mixed domains in expression")
-        return Polynomial.constant(expr)
+            raise ValueError("mixed domains in expression")
+        return constant(domain, expr)
     if isinstance(expr, Variable):
-        return Polynomial.variable(domain, expr)
+        return variable(domain, expr)
     if isinstance(expr, EConst):
         return normalize(expr.value, domain)
     if isinstance(expr, EVar):
         return normalize(expr.var, domain)
     if isinstance(expr, ENeg):
-        return -normalize(expr.part, domain)
+        return neg(normalize(expr.part, domain))
     if isinstance(expr, EAdd):
-        total = Polynomial.zero(domain)
+        total = Polynomial(domain)
         for part in expr.parts:
-            total = total + normalize(part, domain)
+            total = add(total, normalize(part, domain))
         return total
     if isinstance(expr, EMul):
-        total = Polynomial.constant(domain.one())
+        total = constant(domain, 1)
         for part in expr.parts:
-            total = total * normalize(part, domain)
+            total = mul(total, normalize(part, domain))
         return total
-    raise PolyError("not a polynomial expression: %r" % (expr,))
+    raise ValueError("not a polynomial expression: %r" % (expr,))
 
 
 def eval_expr(expr, assignment, domain) -> Scalar:
     """Evaluate a raw expression tree directly, without normalizing."""
     if isinstance(expr, Polynomial):
-        return expr.evaluate(assignment)
+        return evaluate(expr, assignment)
     if isinstance(expr, Scalar):
         return expr
     if isinstance(expr, Variable):
-        try:
-            return assignment[expr]
-        except KeyError:
-            raise PolyError("no value for variable %s" % expr.name) from None
+        return assignment[expr]
     if isinstance(expr, EConst):
         return expr.value
     if isinstance(expr, EVar):
@@ -124,4 +179,4 @@ def eval_expr(expr, assignment, domain) -> Scalar:
         for part in expr.parts:
             total = total * eval_expr(part, assignment, domain)
         return total
-    raise PolyError("not a polynomial expression: %r" % (expr,))
+    raise ValueError("not a polynomial expression: %r" % (expr,))

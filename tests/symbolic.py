@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from eqsolve.groups import GroupElement
 from eqsolve.reduction import _variable_letter, _word_letters
+from polyexpr import evaluate
 
 
 def symbolic_letters(group, word, var_index) -> list:
@@ -29,7 +30,8 @@ def evaluate_matrix(matrix, assignment) -> GroupElement:
     rows = [[group.domain.rzero] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            rows[i][j] = matrix.grid[i][j].evaluate(assignment).raw
+            rows[i][j] = evaluate(matrix.entry(i + 1, j + 1),
+                                  assignment).raw
     element = GroupElement(group, tuple(tuple(r) for r in rows))
     group._check_membership(element.rows)
     return element

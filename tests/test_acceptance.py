@@ -27,6 +27,7 @@ from symbolic import symbolic_letters
 from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
 from entries import entry_monomial_count, monomial_entry_polys
+from polyexpr import length
 from symbolic import evaluate_matrix
 
 
@@ -169,12 +170,12 @@ def test_criterion_5_entry_length_bounds():
             grid = monomial_entry_polys(ring, mono, var_index)
             for row in grid:
                 for poly in row:
-                    for _, factors in poly.monomials():
+                    for factors, _ in poly.items():
                         assert len(factors) <= cutoff - 1
                     assert poly.product_length() <= factor_bound
                     # same bound in the coefficient-counting measure: each
                     # monomial carries one extra symbol
-                    assert poly.length() <= cutoff * ring.m ** (cutoff - 2)
+                    assert length(poly) <= cutoff * ring.m ** (cutoff - 2)
                     checked += 1
     assert checked > 0
     print("criterion 5: PASS - length bounds hold on %d entry polynomials, "

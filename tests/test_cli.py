@@ -162,15 +162,19 @@ def test_oracle_command():
 
 
 def test_dump_system_golden_group():
-    code, out, _ = run(["dump-system", str(PROBLEMS / "ut3f2_square.prob")])
-    assert code == 0
-    assert out == (HERE / "data" / "dump_ut3f2_square.txt").read_text()
+    # ut3f2_commute has a word right side, order54_identity subgroup domains
+    for name in ("ut3f2_square", "ut3f2_commute", "order54_identity"):
+        code, out, _ = run(["dump-system", str(PROBLEMS / (name + ".prob"))])
+        assert code == 0
+        assert out == (HERE / "data" / ("dump_%s.txt" % name)).read_text()
 
 
 def test_dump_system_golden_ring():
-    code, out, _ = run(["dump-system", str(PROBLEMS / "ring_m2z4.prob")])
-    assert code == 0
-    assert out == (HERE / "data" / "dump_ring_m2z4.txt").read_text()
+    # ring_factor is the factor-ring system lhs - rhs
+    for name in ("ring_m2z4", "ring_factor"):
+        code, out, _ = run(["dump-system", str(PROBLEMS / (name + ".prob"))])
+        assert code == 0
+        assert out == (HERE / "data" / ("dump_%s.txt" % name)).read_text()
 
 
 def test_decide_dump_flag(tmp_path):

@@ -13,13 +13,14 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      unitriangular_group, word_variables,
                      words_agree_everywhere)
 from eqsolve.domains import Scalar
-from eqsolve.poly import slot_letter
+from eqsolve.poly import grid_polynomials, slot_letter
 from eqsolve.reduction import (_variable_slots, _word_letters, x_variable,
                                y_variable)
 from eqsolve.solver import Constraint
 from conftest import (random_assignment, random_group_element, random_word)
 from entries import entry_monomial_count
 from naive import solve_naive
+from polyexpr import add, constant, length, mul, neg, sorted_terms, variable
 from symbolic import evaluate_matrix, symbolic_letters
 
 _SLOT = re.compile(r"^([xy])\[(\d+)\](?:\[(\d+)\])?\[(\d+)\]$")
@@ -57,7 +58,7 @@ def test_empty_product_is_identity(order54):
     sm = symbolic_product(order54, ())
     for (i, j), poly in sm.upper_entries():
         if i == j:
-            assert poly == Polynomial.constant(order54.domain.one())
+            assert poly == constant(order54.domain, 1)
         else:
             assert poly.is_zero()
 
@@ -67,19 +68,18 @@ def test_single_variable_letter_gives_slots(order54):
     sm = symbolic_product(order54, symbolic_letters(order54, word, {"x": 1}))
     for (i, j), poly in sm.upper_entries():
         if i == j:
-            assert poly == Polynomial.variable(order54.domain, y_variable(i, 1))
+            assert poly == variable(order54.domain, y_variable(i, 1))
         else:
-            assert poly == Polynomial.variable(order54.domain,
-                                               x_variable(i, j, 1))
+            assert poly == variable(order54.domain, x_variable(i, j, 1))
 
 
 def _fold_product(group, letters):
     """Reference for symbolic_product: the letter-by-letter fold with
-    Polynomial +, times_variable and times_scalar, every addition merged,
-    zero-filtered and sorted."""
+    polynomial sums and products, every addition merged, zero-filtered and
+    sorted."""
     m = group.m
-    zero = Polynomial.zero(group.domain)
-    one = Polynomial.constant(group.domain.one())
+    zero = Polynomial(group.domain)
+    one = constant(group.domain, 1)
     grid = [[one if i == j else zero for j in range(m)] for i in range(m)]
     for letter in letters:
         new = [[zero] * m for _ in range(m)]
@@ -90,11 +90,11 @@ def _fold_product(group, letters):
                     for col, coeff, var in letter[l]:
                         if col != j:
                             continue
-                        term = grid[i][l].times_scalar(
-                            Scalar(group.domain, coeff))
+                        term = mul(grid[i][l], constant(
+                            group.domain, Scalar(group.domain, coeff)))
                         if var is not None:
-                            term = term.times_variable(var)
-                        acc = acc + term
+                            term = mul(term, variable(group.domain, var))
+                        acc = add(acc, term)
                 new[i][j] = acc
         grid = new
     return grid
@@ -119,25 +119,26 @@ def test_symbolic_product_matches_per_addition_fold(group_family):
             reference = _fold_product(group, letters)
             for i in range(group.m):
                 for j in range(group.m):
-                    assert matrix.grid[i][j]._terms == \
-                        reference[i][j]._terms, (group, word, i, j)
+                    assert sorted_terms(matrix.entry(i + 1, j + 1)) == \
+                        sorted_terms(reference[i][j]), (group, word, i, j)
 
 
 def _reference_constraints(group, lhs, rhs, formal):
     """The constraints of lhs = rhs built the plain way: each word's product
-    sorted in full, then Polynomial subtraction entry by entry."""
+    sorted in full, then polynomial subtraction entry by entry."""
     words = (lhs, rhs) if isinstance(rhs, tuple) else (lhs,)
     base = group.identity().rows
     letters = {name: slot_letter(group.domain, base,
                                  _variable_slots(group, k, formal))
                for k, name in enumerate(
                    word_variables(itertools.chain(*words)), start=1)}
-    left, *rest = [symbolic_product(group, _word_letters(group, w, letters),
-                                    formal=formal).grid for w in words]
+    left, *rest = [grid_polynomials(group.domain, symbolic_product(
+        group, _word_letters(group, w, letters), formal=formal).raw)
+        for w in words]
     zero = group.domain.zero()
     upper = [(i, j) for i in range(group.m) for j in range(i, group.m)]
     if rest:
-        return tuple(Constraint(left[i][j] - rest[0][i][j], zero)
+        return tuple(Constraint(add(left[i][j], neg(rest[0][i][j])), zero)
                      for i, j in upper)
     return tuple(Constraint(left[i][j], rhs.scalar(i + 1, j + 1))
                  for i, j in upper)
@@ -160,7 +161,9 @@ def test_build_system_matches_plain_subtraction(group_family):
                     group, lhs, rhs, formal), (group, lhs, rhs, formal)
                 alone = build_system(group, lhs, group.identity(),
                                      formal=formal)
-                assert reduced.lhs_matrix.grid == alone.lhs_matrix.grid
+                assert grid_polynomials(group.domain,
+                                        reduced.lhs_matrix.raw) == \
+                    grid_polynomials(group.domain, alone.lhs_matrix.raw)
 
 
 def test_entry_monomial_count_values():
@@ -177,9 +180,9 @@ def test_entry_count_m3_n4(f3):
     sm = symbolic_product(group, symbolic_letters(group, word, index_of(word)))
     entry = sm.entry(1, 3)
     assert entry.monomial_count() == 10
-    assert all(len(factors) == 4 for _, factors in entry.monomials())
+    assert all(len(factors) == 4 for factors, _ in entry.items())
     assert entry.product_length() == 40
-    assert entry.length() == 50
+    assert length(entry) == 50
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -207,7 +210,7 @@ def test_monomial_structure(f2):
     for (i, j), poly in sm.upper_entries():
         if i == j:
             continue
-        for _, factors in poly.monomials():
+        for factors, _ in poly.items():
             chain = sorted((_parse_slot(v.name) for v in factors),
                            key=lambda slot: slot[3])
             assert len(chain) == n
@@ -228,7 +231,7 @@ def test_diagonal_entries_are_single_monomials(group_family):
             for i in range(1, group.m + 1):
                 entry = sm.entry(i, i)
                 assert entry.monomial_count() <= 1
-                for _, factors in entry.monomials():
+                for factors, _ in entry.items():
                     assert all(v.sort == SUBGROUP for v in factors)
 
 
@@ -425,7 +428,7 @@ def test_cut_square_chain_refuted_before_search(sparse18, order54):
                 group, symbolic_letters(group, word, index_of(word)),
                 formal=False)
             for _, poly in matrix.upper_entries():
-                for _, factors in poly.monomials():
+                for factors, _ in poly.items():
                     for v in factors:
                         if v.sort == SUBGROUP:
                             assert factors.count(v) < group.orders[v.row - 1]
@@ -501,7 +504,7 @@ def test_field_slots_occur_at_most_once_per_monomial(group_family):
             matrix = symbolic_product(group,
                                       symbolic_letters(group, word, index))
             for _, poly in matrix.upper_entries():
-                for _, factors in poly.monomials():
+                for factors, _ in poly.items():
                     field = [v for v in factors if v.sort != SUBGROUP]
                     assert len(field) == len(set(field)), (word, factors)
 

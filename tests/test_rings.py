@@ -18,6 +18,7 @@ from eqsolve.rings import (RingElement, RingMonomial, SigmaForm,
                            sigma_var_index)
 from conftest import random_ring_element, random_ring_expr
 from entries import monomial_entry_polys
+from polyexpr import add, constant, evaluate, mul, sorted_terms, variable
 
 X, Y = RVar("x"), RVar("y")
 
@@ -151,7 +152,7 @@ def test_entrywise_constant(ring_m2z4):
     dom = ring_m2z4.domain
     for i in range(2):
         for j in range(2):
-            assert grid[i][j].evaluate({}) == dom.scalar(c.rows[i][j])
+            assert evaluate(grid[i][j], {}) == dom.scalar(c.rows[i][j])
 
 
 def test_entrywise_xy_vanishes_in_class_two(ring_m2z2):
@@ -171,7 +172,7 @@ def test_entrywise_three_letter_chains(ring_m2z4):
     bound = (ring_m2z4.nilpotency_bound - 1)
     for i in range(2):
         for j in range(2):
-            for _, factors in grid[i][j].monomials():
+            for factors, _ in grid[i][j].items():
                 assert len(factors) <= bound
             assert grid[i][j].product_length() <= bound * 2 ** (4 - 2)
 
@@ -192,7 +193,7 @@ def test_entrywise_matches_matrix_evaluation(ring_m2z4, ring_m3z3):
                 slots = _slot_assignment(ring, assignment, var_index)
                 for i in range(ring.m):
                     for j in range(ring.m):
-                        value = grid[i][j].evaluate(slots)
+                        value = evaluate(grid[i][j], slots)
                         assert value.raw == expected.rows[i][j], (expr, i, j)
                 trials += 1
         assert trials == 1000
@@ -200,23 +201,23 @@ def test_entrywise_matches_matrix_evaluation(ring_m2z4, ring_m3z3):
 
 def _fold_monomial(ring, mono, var_index):
     """Reference for monomial_entry_polys: letter grids of Polynomials
-    multiplied with Polynomial * and +, every addition merged, zero-filtered
-    and sorted, then scaled by the coefficient."""
+    multiplied with polynomial products and sums, every addition merged,
+    zero-filtered and sorted, then scaled by the coefficient."""
     from eqsolve.rings import a_variable, s_variable
     dom = ring.domain
     m = ring.m
-    zero = Polynomial.zero(dom)
+    zero = Polynomial(dom)
     grid = None
     for letter in mono.letters:
         if isinstance(letter, str):
             k = var_index[letter]
-            p = dom.scalar(ring.p)
-            lg = [[Polynomial.variable(dom, s_variable(i + 1, j + 1, k))
-                   if i < j else Polynomial.variable(
-                       dom, a_variable(i + 1, j + 1, k)).times_scalar(p)
+            p = constant(dom, ring.p)
+            lg = [[variable(dom, s_variable(i + 1, j + 1, k))
+                   if i < j else mul(variable(
+                       dom, a_variable(i + 1, j + 1, k)), p)
                    for j in range(m)] for i in range(m)]
         else:
-            lg = [[Polynomial.constant(dom.scalar(v)) for v in row]
+            lg = [[constant(dom, v) for v in row]
                   for row in letter.rows]
         if grid is None:
             grid = lg
@@ -225,10 +226,10 @@ def _fold_monomial(ring, mono, var_index):
         for i in range(m):
             for j in range(m):
                 for l in range(m):
-                    new[i][j] = new[i][j] + grid[i][l] * lg[l][j]
+                    new[i][j] = add(new[i][j], mul(grid[i][l], lg[l][j]))
         grid = new
-    c = dom.scalar(mono.coeff)
-    return [[entry.times_scalar(c) for entry in row] for row in grid]
+    c = constant(dom, mono.coeff)
+    return [[mul(entry, c) for entry in row] for row in grid]
 
 
 def test_entrywise_matches_per_addition_fold():
@@ -243,21 +244,21 @@ def test_entrywise_matches_per_addition_fold():
         for expr in exprs:
             sigma = sigma_expand(expr, ring)
             var_index = sigma_var_index(sigma)
-            zero = Polynomial.zero(ring.domain)
+            zero = Polynomial(ring.domain)
             total = [[zero] * m for _ in range(m)]
             for mono in sigma.monomials:
                 reference = _fold_monomial(ring, mono, var_index)
                 grid = monomial_entry_polys(ring, mono, var_index)
                 for i in range(m):
                     for j in range(m):
-                        assert grid[i][j]._terms == reference[i][j]._terms, \
-                            (ring, mono, i, j)
-                        total[i][j] = total[i][j] + reference[i][j]
+                        assert sorted_terms(grid[i][j]) == \
+                            sorted_terms(reference[i][j]), (ring, mono, i, j)
+                        total[i][j] = add(total[i][j], reference[i][j])
             grid = entrywise_rewrite(sigma, ring, var_index)
             for i in range(m):
                 for j in range(m):
-                    assert grid[i][j]._terms == total[i][j]._terms, \
-                        (ring, expr, i, j)
+                    assert sorted_terms(grid[i][j]) == \
+                        sorted_terms(total[i][j]), (ring, expr, i, j)
 
 
 def test_factor_ring_rejects_ideal_of_another_ring(ring_m2z4, ring_m3z3):

@@ -4,22 +4,18 @@ import random
 
 import pytest
 
-from eqsolve import (Constraint, GuardExceeded, PolySystem, Polynomial,
-                     SolveRequest, SolverError, Variable, make_domain, solve,
-                     verify_witness)
+from eqsolve import (Constraint, GuardExceeded, PolySystem, SolveRequest,
+                     SolverError, Variable, make_domain, solve, verify_witness)
 
 from eqsolve.domains import Scalar
 from naive import solve_naive
+from polyexpr import poly
 
 F2 = make_domain(2)
 F3 = make_domain(3)
 X = Variable("x")
 Y = Variable("y")
 Z = Variable("z")
-
-
-def poly(domain, *terms):
-    return Polynomial.from_terms(domain, terms)
 
 
 def full_domain(d):
@@ -95,7 +91,7 @@ def _random_system(rng, domain):
                             for _ in range(rng.randint(0, 3)))
             terms.append((rng.randrange(domain.size), factors))
         constraints.append(Constraint(
-            Polynomial.from_terms(domain, terms),
+            poly(domain, *terms),
             domain.scalar(rng.randrange(domain.size))))
     domains = {v: full_domain(domain) for v in variables}
     return PolySystem(domain, tuple(constraints), domains)
@@ -131,7 +127,7 @@ def _restricted_system(rng, domain):
                 factors.append(rng.choice(factors))
             terms.append((rng.randrange(domain.size), tuple(factors)))
         constraints.append(Constraint(
-            Polynomial.from_terms(domain, terms),
+            poly(domain, *terms),
             domain.scalar(rng.randrange(domain.size))))
     domains = {v: tuple(rng.sample(elements, rng.randint(1, 4)))
                for v in read + [_U]}
@@ -152,7 +148,7 @@ def test_pruned_equals_naive_on_restricted_domains():
         nonzero_first += not system.domains[_U][0].is_zero()
         repeated += any(len(set(factors)) < len(factors)
                         for c in system.constraints
-                        for factors, _ in c.poly._terms)
+                        for factors, _ in c.poly.items())
         pruned = solve(SolveRequest(system))
         naive = solve_naive(system)
         assert pruned.sat == naive.sat, trial
@@ -173,7 +169,8 @@ def _scalar_verify_witness(system, assignment):
                               % (assignment[v], v.name))
     for c in system.constraints:
         total = c.poly.domain.zero()
-        for coeff, factors in c.poly.monomials():
+        for factors, raw in c.poly.items():
+            coeff = Scalar(c.poly.domain, raw)
             for v in factors:
                 coeff = coeff * assignment[v]
             total = total + coeff
