@@ -1,4 +1,4 @@
-"""Command-line front end: decide, equiv, oracle, dump-system, and bench.
+"""Command-line front end: decide, equiv, oracle and dump-system.
 
 Exit codes are the machine contract: 0 = SAT / equivalent, 1 = UNSAT / not
 equivalent, 2 = error (parse, validation, guard), 3 = oracle disagreement.
@@ -7,17 +7,12 @@ equivalent, 2 = error (parse, validation, guard), 3 = oracle disagreement.
 from __future__ import annotations
 
 import argparse
-import csv
-import random
 import sys
-import time
 from functools import lru_cache
 
 from .domains import DomainError
-from .groups import (GroupError, brute_force_solve, evaluate_word,
-                     word_variables)
-from .problemfile import (ParseError, ProblemFile, parse_bench_config,
-                          parse_problem_file)
+from .groups import GroupError, brute_force_solve, evaluate_word
+from .problemfile import ParseError, ProblemFile, parse_problem_file
 from .reduction import build_system, decide_equation, separating_substitution
 from .rings import (RNeg, RingError, RSum, brute_force_ring_solve,
                     build_ring_system, decide_factor_ring,
@@ -144,76 +139,6 @@ def cmd_dump_system(args) -> int:
     return 0
 
 
-# -- bench ----------------------------------------------------------------
-
-BENCH_HEADER = ("family", "m", "q", "n", "variables", "rep",
-                "sym_size_total", "sym_size_top", "reduce_ms", "solve_ms",
-                "verdict", "explored", "prunes", "oracle_ms",
-                "oracle_verdict", "agree")
-
-
-def _bench_word(group, n, nvars, rng):
-    """All-distinct variables when enough are allowed, else seeded choices."""
-    names = ["v%d" % (i + 1) for i in range(nvars)]
-    if nvars >= n:
-        return tuple(names[:n])
-    return tuple(rng.choice(names) for _ in range(n))
-
-
-def cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        families = parse_bench_config(handle.read())
-    rng = random.Random(args.seed)
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out \
-        else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(BENCH_HEADER)
-        for label, group, lengths, nvars, reps in families:
-            identity = group.identity()
-            for n in lengths:
-                for rep in range(reps):
-                    word = _bench_word(group, n, nvars, rng)
-                    t0 = time.perf_counter()
-                    reduced = build_system(group, word, identity)
-                    reduce_ms = 1000 * (time.perf_counter() - t0)
-                    top = reduced.lhs_matrix.entry(1, group.m)
-                    total = sum(poly.product_length() for (i, j), poly
-                                in reduced.lhs_matrix.upper_entries() if i < j)
-                    t0 = time.perf_counter()
-                    explored = prunes = ""
-                    try:
-                        decision = decide_equation(group, word, identity,
-                                                   guard=args.guard)
-                        verdict = "SAT" if decision.sat else "UNSAT"
-                        explored = decision.stats.explored
-                        prunes = decision.stats.prunes
-                    except GuardExceeded:
-                        verdict = "guard-exceeded"
-                    solve_ms = 1000 * (time.perf_counter() - t0)
-                    space = group.order ** len(word_variables(word))
-                    if space <= args.guard:
-                        t0 = time.perf_counter()
-                        oracle = brute_force_solve(group, word, identity,
-                                                   guard=args.guard)
-                        oracle_ms = "%.3f" % (1000 * (time.perf_counter() - t0))
-                        oracle_verdict = "SAT" if oracle.sat else "UNSAT"
-                        agree = "yes" if oracle_verdict == verdict else "no"
-                    else:
-                        oracle_ms = "skipped"
-                        oracle_verdict = "skipped"
-                        agree = ""
-                    writer.writerow([
-                        label, group.m, group.domain.size, n, nvars, rep,
-                        total, top.product_length(),
-                        "%.3f" % reduce_ms, "%.3f" % solve_ms, verdict,
-                        explored, prunes, oracle_ms, oracle_verdict, agree])
-    finally:
-        if args.out:
-            out.close()
-    return 0
-
-
 @lru_cache(maxsize=1)
 def _build_parser():
     """The argument parser, built once per process: parse_args leaves it
@@ -253,13 +178,6 @@ def _build_parser():
     p.add_argument("path")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_dump_system)
-
-    p = sub.add_parser("bench", help="run a benchmark family grid, CSV output")
-    p.add_argument("config")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -106,7 +106,8 @@ def _same_domain(a, b) -> bool:
 
 
 class Scalar:
-    """An element of a ScalarDomain, stored as a canonical raw value."""
+    """An element of a FiniteField or ModularRing, stored as a canonical raw
+    value."""
 
     __slots__ = ("domain", "raw")
 
@@ -211,10 +212,6 @@ class FiniteField:
     @cached_property
     def size(self) -> int:
         return self.p ** self.k
-
-    @property
-    def exponent(self) -> int:
-        return self.k
 
     @cached_property
     def rzero(self):
@@ -352,10 +349,6 @@ class ModularRing:
     def size(self) -> int:
         return self.p ** self.alpha
 
-    @property
-    def exponent(self) -> int:
-        return self.alpha
-
     def radd(self, a, b):
         return (a + b) % self.size
 
@@ -411,9 +404,6 @@ class ModularRing:
         return "Z(%d)" % self.size
 
 
-ScalarDomain = (FiniteField, ModularRing)
-
-
 def make_domain(p: int, exponent: int = 1, kind: str = "field",
                 irreducible=None):
     """Build a validated GF(p^exponent) or Z_{p^exponent} domain.
@@ -447,19 +437,6 @@ def make_domain(p: int, exponent: int = 1, kind: str = "field",
         raise DomainError("defining polynomial %r is reducible over GF(%d)"
                           % (list(coeffs), p))
     return FiniteField(p, exponent, coeffs)
-
-
-def element_order(x: Scalar) -> int:
-    """Least e >= 1 with x^e = 1; x must be a unit."""
-    if not x.is_unit():
-        raise DomainError("%r is not a unit in %s" % (x, x.domain))
-    one = x.domain.rone
-    acc = x.raw
-    e = 1
-    while acc != one:
-        acc = x.domain.rmul(acc, x.raw)
-        e += 1
-    return e
 
 
 @dataclass(frozen=True)

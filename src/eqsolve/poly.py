@@ -4,9 +4,7 @@ An entry polynomial is a read-only view of one raw {factor tuple: raw
 coefficient} dict: no two monomials share a factor tuple, no monomial has a
 zero coefficient, and variables commute, so each factor tuple is sorted by
 variable name.  The solver reads the terms unordered (items()); only
-printing sorts them into the canonical order.  product_length() counts
-factor symbols (a bare constant counts as one), which is the measure the
-rewriting size bounds are stated in.
+printing sorts them into the canonical order.
 
 slot_grid_product is the one matrix product both reductions use: group words
 and ring monomials are products of slot_letter matrices of slots.
@@ -125,10 +123,6 @@ class Polynomial:
 
     def monomial_count(self) -> int:
         return len(self._coeffs)
-
-    def product_length(self) -> int:
-        """Factor-symbol count: a monomial of d factors counts max(d, 1)."""
-        return sum(max(len(f), 1) for f in self._coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -5,8 +5,7 @@ The format is deliberately plain so files stay diffable and trivially
 parseable: bracketed section headers, one `key = value` per line, `#`
 comments, lists in JSON syntax, matrices as row-major residue lists, words as
 whitespace-separated letters.  Unknown sections or keys are rejected, and
-every referenced constant is membership-validated on load.  The bench
-configs of `eqsolve bench` use the same section syntax.
+every referenced constant is membership-validated on load.
 """
 
 from __future__ import annotations
@@ -150,7 +149,7 @@ def parse_problem(text: str) -> ProblemFile:
     if pf.kind == "group":
         lineno, entries = by_name["group"]
         pf.group = _parse_group(_entries_to_dict(entries, _GROUP_KEYS),
-                                "group", lineno)
+                                lineno)
     else:
         _parse_ring_section(pf, *by_name["ring"])
     if "constants" in by_name:
@@ -176,14 +175,14 @@ def _require(table, key, section, header_line):
     return table[key]
 
 
-def _parse_group(table, section, header_line) -> SemipatternGroup:
-    """The group of a [group] section or of a bench config's [family]."""
-    lineno, value = _require(table, "q", section, header_line)
+def _parse_group(table, header_line) -> SemipatternGroup:
+    """The group of a [group] section."""
+    lineno, value = _require(table, "q", "group", header_line)
     p, k = _factor_prime_power(_as_int(value, lineno), lineno)
     domain = make_domain(p, k, "field")
-    lineno, value = _require(table, "m", section, header_line)
+    lineno, value = _require(table, "m", "group", header_line)
     m = _as_int(value, lineno)
-    lineno, value = _require(table, "pattern", section, header_line)
+    lineno, value = _require(table, "pattern", "group", header_line)
     if value.strip() == "full":
         pattern = full_pattern(m)
     else:
@@ -192,7 +191,7 @@ def _parse_group(table, section, header_line) -> SemipatternGroup:
             raise ParseError("pattern must be a list of [i, j] pairs", lineno)
         pattern = tuple((_as_int(i, lineno), _as_int(j, lineno))
                         for i, j in raw)
-    lineno, value = _require(table, "orders", section, header_line)
+    lineno, value = _require(table, "orders", "group", header_line)
     orders = [_as_int(d, lineno) for d in _as_list(value, lineno)]
     return make_group(domain, m, pattern, orders)
 
@@ -350,74 +349,3 @@ def _parse_equation(pf, header_line, entries):
 def parse_problem_file(path) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_problem(handle.read())
-
-
-def _flat(element) -> str:
-    return json.dumps([v for row in element.rows for v in row],
-                      separators=(",", ","))
-
-
-def render_problem(pf: ProblemFile) -> str:
-    """Canonical text for a parsed problem; parse(render(p)) == p."""
-    lines = []
-    if pf.kind == "group":
-        g = pf.group
-        lines += ["[group]",
-                  "q = %d" % g.domain.size,
-                  "m = %d" % g.m,
-                  "pattern = %s" % json.dumps([list(pos) for pos in g.pattern],
-                                              separators=(",", ",")),
-                  "orders = %s" % json.dumps(list(g.orders),
-                                             separators=(",", ","))]
-    else:
-        r = pf.ring
-        lines += ["[ring]",
-                  "p = %d" % r.p,
-                  "alpha = %d" % r.alpha,
-                  "m = %d" % r.m]
-        if pf.ideal_generators:
-            gens = [[v for row in g.rows for v in row]
-                    for g in pf.ideal_generators]
-            lines.append("ideal = %s" % json.dumps(gens, separators=(",", ",")))
-    if pf.constants:
-        lines.append("")
-        lines.append("[constants]")
-        for name in sorted(pf.constants):
-            lines.append("%s = %s" % (name, _flat(pf.constants[name])))
-    lines.append("")
-    lines.append("[equation]")
-    if pf.variables:
-        lines.append("vars = %s" % " ".join(pf.variables))
-    lines.append("lhs = %s" % " ".join(pf.lhs_tokens))
-    lines.append("rhs = %s" % " ".join(pf.rhs_tokens))
-    return "\n".join(lines) + "\n"
-
-
-# -- bench configs -----------------------------------------------------------
-
-_FAMILY_KEYS = {"name", "q", "m", "pattern", "orders", "lengths",
-                "variables", "reps"}
-
-
-def parse_bench_config(text: str):
-    """Bench config: repeatable [family] sections describing instance grids."""
-    families = []
-    for name, header_line, entries in _split_sections(text):
-        if name != "family":
-            raise ParseError("unknown section [%s] in bench config" % name,
-                             header_line)
-        table = _entries_to_dict(entries, _FAMILY_KEYS)
-        group = _parse_group(table, "family", header_line)
-        lineno, value = _require(table, "lengths", "family", header_line)
-        lengths = tuple(_as_int(n, lineno) for n in _as_list(value, lineno))
-        lineno, value = _require(table, "variables", "family", header_line)
-        variables = _as_int(value, lineno)
-        reps = 1
-        if "reps" in table:
-            reps = _as_int(*reversed(table["reps"]))
-        label = table["name"][1] if "name" in table else "family%d" % (
-            len(families) + 1)
-        families.append((label, group, lengths, variables, reps))
-    if not families:
-        raise ParseError("bench config has no [family] sections")
-    return families

@@ -231,9 +231,6 @@ class RingMonomial:
     coeff: int
     letters: tuple
 
-    def degree(self) -> int:
-        return len(self.letters)
-
 
 def _letter_key(letter):
     if isinstance(letter, str):
@@ -259,9 +256,6 @@ class SigmaForm:
                 if isinstance(letter, str):
                     seen.setdefault(letter, None)
         return tuple(seen)
-
-    def evaluate(self, assignment) -> RingElement:
-        return eval_ring_expr(self, assignment, self.ring)
 
     def __repr__(self):
         if not self.monomials:

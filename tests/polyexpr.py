@@ -6,9 +6,11 @@ polynomials through the one constructor, Polynomial(domain, terms), which
 sorts factors, merges equal factor tuples and drops zero sums.  A sum passes
 both term lists to it, a product the pairwise concatenated terms, and a
 negation the negated coefficients; evaluate() computes a value on raw
-values.  normalize() rewrites an expression tree into that normal form and
-eval_expr() evaluates the tree directly; comparing the two gives the poly
-tests an evaluation path that is independent of the normal-form arithmetic.
+values.  length() and product_length() are two size measures; the paper's
+rewriting size bounds are stated in product_length().  normalize() rewrites
+an expression tree into that normal form and eval_expr() evaluates the tree
+directly; comparing the two gives the poly tests an evaluation path that is
+independent of the normal-form arithmetic.
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ def sorted_terms(f: Polynomial) -> tuple:
 def length(f: Polynomial) -> int:
     """Symbol count: each variable occurrence and each coefficient is 1."""
     return sum(len(factors) + 1 for factors, _ in f.items())
+
+
+def product_length(f: Polynomial) -> int:
+    """Factor-symbol count: a monomial of d factors counts max(d, 1), so a
+    bare constant counts as one."""
+    return sum(max(len(factors), 1) for factors, _ in f.items())
 
 
 class Expr:

@@ -27,7 +27,7 @@ from symbolic import symbolic_letters
 from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
 from entries import entry_monomial_count, monomial_entry_polys
-from polyexpr import length
+from polyexpr import length, product_length
 from symbolic import evaluate_matrix
 
 
@@ -172,7 +172,7 @@ def test_criterion_5_entry_length_bounds():
                 for poly in row:
                     for factors, _ in poly.items():
                         assert len(factors) <= cutoff - 1
-                    assert poly.product_length() <= factor_bound
+                    assert product_length(poly) <= factor_bound
                     # same bound in the coefficient-counting measure: each
                     # monomial carries one extra symbol
                     assert length(poly) <= cutoff * ring.m ** (cutoff - 2)

@@ -1,6 +1,5 @@
-import csv
+import argparse
 import io
-import math
 import os
 import subprocess
 import sys
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eqsolve.cli import main
+from eqsolve.cli import _build_parser, main
 
 HERE = Path(__file__).resolve().parent
 PROBLEMS = HERE.parent / "problems"
@@ -109,6 +108,23 @@ def test_parser_reused_across_calls_parses_as_fresh():
     assert run(good) == _fresh(good)
 
 
+def test_subcommands_match_readme():
+    """README's CLI block shows exactly the parser's subcommands, and a
+    retired subcommand is refused like any unknown one."""
+    readme = (HERE.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    shown = {line.split()[1] for line in block.splitlines()
+             if line.startswith("eqsolve ")}
+    (commands,) = [action.choices for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert shown == set(commands) == {"decide", "equiv", "oracle",
+                                      "dump-system"}
+    code, out, err = _fresh(["bench", "x"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'bench'" in err
+
+
 def test_recursion_limit_exit_two(monkeypatch):
     import eqsolve.cli
 
@@ -184,52 +200,6 @@ def test_decide_dump_flag(tmp_path):
     assert code == 0
     assert target.read_text() == \
         (HERE / "data" / "dump_ut3f2_square.txt").read_text()
-
-
-def test_bench_csv_and_size_law(tmp_path):
-    out_path = tmp_path / "bench.csv"
-    code, _, _ = run(["bench", str(PROBLEMS / "bench_small.cfg"),
-                      "--seed", "3", "--out", str(out_path)])
-    assert code == 0
-    with open(out_path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows, "no bench rows"
-    for row in rows:
-        assert row["agree"] in ("yes", "")
-        assert row["explored"] != ""
-        if row["family"] == "full-m3-f2":
-            n = int(row["n"])
-            # top-right entry of a full-pattern all-distinct-variable word
-            assert int(row["sym_size_top"]) == n * math.comb(n + 1, 2)
-            if n == 0:
-                assert int(row["sym_size_total"]) == 0
-    lengths = sorted(int(r["n"]) for r in rows if r["family"] == "full-m3-f2")
-    assert lengths == [0, 2, 4, 6]
-
-
-def test_bench_oracle_skipped_under_guard(tmp_path):
-    config = tmp_path / "b.cfg"
-    config.write_text("""
-[family]
-name = tiny
-q = 2
-m = 3
-pattern = full
-orders = [1,1,1]
-lengths = [4]
-variables = 4
-reps = 1
-""")
-    out_path = tmp_path / "bench.csv"
-    code, _, _ = run(["bench", str(config), "--guard", "100",
-                      "--out", str(out_path)])
-    assert code == 0
-    with open(out_path, newline="") as handle:
-        (row,) = list(csv.DictReader(handle))
-    assert row["oracle_verdict"] == "skipped"
-    assert row["oracle_ms"] == "skipped"
-    assert row["verdict"] == "guard-exceeded"
-    assert row["agree"] == ""
 
 
 def test_empty_word_lhs(tmp_path):

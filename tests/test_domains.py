@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from eqsolve import (DomainError, element_order, make_domain,
-                     subgroup_of_order)
+from eqsolve import DomainError, make_domain, subgroup_of_order
 from eqsolve.domains import (_BUILTIN_POLYS, _poly_mul, _poly_rem,
                              is_irreducible, residue_matadd, residue_matmul,
                              residue_matscale)
@@ -137,18 +136,6 @@ def test_modular_units_are_coprime_residues():
         assert u * u.inverse() == d.one()
     with pytest.raises(DomainError):
         d.scalar(2).inverse()
-
-
-def test_element_order_examples():
-    assert element_order(make_domain(7).one()) == 1
-    two = make_domain(5).scalar(2)
-    # oracle: repeated multiplication gives 2, 4, 3, 1
-    powers = [two, two * two, two * two * two, two * two * two * two]
-    assert [s.key() for s in powers] == [2, 4, 3, 1]
-    assert element_order(two) == 4
-    assert element_order(make_domain(2, 2, "modular").scalar(3)) == 2
-    with pytest.raises(DomainError):
-        element_order(make_domain(2, 2, "modular").scalar(2))
 
 
 def test_extension_field_encode_decode_roundtrip():

@@ -3,9 +3,8 @@ from pathlib import Path
 import pytest
 
 from eqsolve import GroupElement, RingElement
-from eqsolve.problemfile import (ParseError, parse_bench_config,
-                                 parse_problem, parse_problem_file,
-                                 render_problem)
+from eqsolve.problemfile import ParseError, parse_problem, parse_problem_file
+from problemtext import render_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -137,35 +136,24 @@ def test_parse_error_reports_position():
     assert err.value.line == 2
 
 
-FAMILY_TEXT = """
-[family]
-q = 2
-m = 3
-pattern = full
-orders = [1, 1, 1]
-lengths = [2, 4]
-variables = 2
-"""
-
-
 def test_bench_config_duplicate_key_rejected():
     with pytest.raises(ParseError) as err:
-        parse_bench_config(FAMILY_TEXT.replace("q = 2", "q = 2\nq = 3"))
+        parse_problem(GROUP_TEXT.replace("q = 3", "q = 3\nq = 2"))
     assert "duplicate" in str(err.value)
     assert err.value.line == 4
 
 
 def test_bench_config_pattern_needs_pairs():
     with pytest.raises(ParseError) as err:
-        parse_bench_config(FAMILY_TEXT.replace("full", "[[1,2,3]]"))
+        parse_problem(GROUP_TEXT.replace("full", "[[1,2,3]]"))
     assert "pairs" in str(err.value)
     assert err.value.line == 5
 
 
 def test_missing_key_reports_its_section():
     with pytest.raises(ParseError) as err:
-        parse_bench_config(FAMILY_TEXT.replace("variables = 2", ""))
-    assert "'variables'" in str(err.value)
+        parse_problem(GROUP_TEXT.replace("orders = [1, 2, 1]", ""))
+    assert "'orders'" in str(err.value) and "[group]" in str(err.value)
     assert err.value.line == 2
 
 
@@ -183,10 +171,3 @@ def test_orders_entry_must_be_an_integer():
         parse_problem(text)
     assert "expected an integer" in str(err.value)
     assert err.value.line == 6
-
-
-def test_bench_config_lengths_must_be_integers():
-    with pytest.raises(ParseError) as err:
-        parse_bench_config(FAMILY_TEXT.replace("[2, 4]", "[[1]]"))
-    assert "expected an integer" in str(err.value)
-    assert err.value.line == 7

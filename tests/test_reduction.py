@@ -20,7 +20,8 @@ from eqsolve.solver import Constraint
 from conftest import (random_assignment, random_group_element, random_word)
 from entries import entry_monomial_count
 from naive import solve_naive
-from polyexpr import add, constant, length, mul, neg, sorted_terms, variable
+from polyexpr import (add, constant, length, mul, neg, product_length,
+                      sorted_terms, variable)
 from symbolic import evaluate_matrix, symbolic_letters
 
 _SLOT = re.compile(r"^([xy])\[(\d+)\](?:\[(\d+)\])?\[(\d+)\]$")
@@ -181,8 +182,22 @@ def test_entry_count_m3_n4(f3):
     entry = sm.entry(1, 3)
     assert entry.monomial_count() == 10
     assert all(len(factors) == 4 for factors, _ in entry.items())
-    assert entry.product_length() == 40
+    assert product_length(entry) == 40
     assert length(entry) == 50
+
+
+def test_size_law(f2):
+    """The paper's size law: the top-right entry of a full-pattern word of n
+    distinct variables over UT(3, F2) has n*C(n+1, 2) factor symbols, and
+    the empty word has none above the diagonal."""
+    group = make_group(f2, 3, full_pattern(3), (1, 1, 1))
+    for n in (0, 2, 4, 6):
+        matrix = build_system(group, distinct_word(n),
+                              group.identity()).lhs_matrix
+        assert product_length(matrix.entry(1, 3)) == n * math.comb(n + 1, 2)
+        if n == 0:
+            assert sum(product_length(poly) for (i, j), poly
+                       in matrix.upper_entries() if i < j) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
