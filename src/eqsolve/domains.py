@@ -1,20 +1,21 @@
-"""Exact scalar arithmetic: small finite fields GF(p^k) and modular rings Z_{p^a}.
+"""Exact scalar arithmetic: residue rings Z_{p^a} and finite fields GF(p^k).
 
-Domains and their elements are immutable values, so they are safe to share,
-hash, and use as dictionary keys.  Extension fields use a polynomial basis
-modulo a monic irreducible polynomial; a built-in table covers every
-extension field of order <= 32.  Their products and inverses read per-field
-log/antilog tables over a generator of the multiplicative group.  Elements are always kept in canonical form
-(a residue, or a fixed-length coefficient tuple), which makes equality
-structural and cheap.  Square matrices of residues, the group elements over
-GF(p) and the ring elements over Z_{p^a}, multiply, add and scale through
-kernels compiled once per modulus, size and operation (residue_matmul,
-residue_matadd, residue_matscale).
+Domains and their elements are immutable values, safe to share, hash and use
+as dictionary keys.  ModularRing is residue arithmetic mod p^a; PrimeField,
+GF(p), is the same arithmetic mod p as a field, differing from Z_p only in
+kind and repr.  FiniteField is GF(p^k) for k >= 2, in a polynomial basis
+modulo a monic irreducible polynomial (built in up to order 32), with
+products and inverses read from per-field log/antilog tables.  A Scalar is
+a canonical raw value (a residue, or a coefficient tuple) with its domain;
+arithmetic works on raw values through the domain's r* methods.  Square
+matrices of residues (group elements over GF(p), ring elements over
+Z_{p^a}) multiply, add and scale through kernels compiled once per modulus,
+size and operation (residue_matmul, residue_matadd, residue_matscale).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 
@@ -106,8 +107,7 @@ def _same_domain(a, b) -> bool:
 
 
 class Scalar:
-    """An element of a FiniteField or ModularRing, stored as a canonical raw
-    value."""
+    """An element of a domain, stored as its canonical raw value."""
 
     __slots__ = ("domain", "raw")
 
@@ -115,50 +115,9 @@ class Scalar:
         self.domain = domain
         self.raw = raw
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if not _same_domain(other.domain, self.domain):
-                raise DomainError("mixed scalar domains: %s vs %s"
-                                  % (self.domain, other.domain))
-            return other
-        if isinstance(other, int):
-            return self.domain.scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.domain, self.domain.radd(self.raw, other.raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.domain, self.domain.rsub(self.raw, other.raw))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.domain, self.domain.rsub(other.raw, self.raw))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.domain, self.domain.rmul(self.raw, other.raw))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(self.domain, self.domain.rneg(self.raw))
-
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise DomainError("negative power %d of a scalar" % n)
         result = self.domain.rone
         base = self.raw
         while n:
@@ -168,29 +127,15 @@ class Scalar:
             n >>= 1
         return Scalar(self.domain, result)
 
-    def inverse(self) -> "Scalar":
-        return Scalar(self.domain, self.domain.rinv(self.raw))
-
-    def is_unit(self) -> bool:
-        return self.domain.runit(self.raw)
-
-    def is_zero(self) -> bool:
-        return self.raw == self.domain.rzero
-
     def key(self) -> int:
         """Canonical integer encoding, used for deterministic ordering."""
         return self.domain.encode(self.raw)
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return (self.raw == other.raw
-                    and _same_domain(self.domain, other.domain))
-        if isinstance(other, int):
-            try:
-                return self.raw == self.domain.scalar(other).raw
-            except DomainError:
-                return False
-        return NotImplemented
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return (self.raw == other.raw
+                and _same_domain(self.domain, other.domain))
 
     def __hash__(self):
         return hash((self.domain, self.raw))
@@ -199,15 +144,29 @@ class Scalar:
         return str(self.domain.encode(self.raw))
 
 
+def _own_scalar(domain, value) -> Scalar:
+    """value itself, if it is a Scalar of domain; DomainError otherwise."""
+    if not isinstance(value, Scalar):
+        raise DomainError("cannot interpret %r as an element of %s"
+                          % (value, domain))
+    if not _same_domain(value.domain, domain):
+        raise DomainError("scalar belongs to %s, not %s" % (value.domain, domain))
+    return value
+
+
 @dataclass(frozen=True)
 class FiniteField:
-    """GF(p^k); raw values are residues (k = 1) or coefficient tuples (k > 1)."""
+    """GF(p^k) for k >= 2; raw values are coefficient tuples."""
 
     p: int
-    k: int = 1
-    modpoly: tuple = None  # defining polynomial, low degree first, monic
+    k: int
+    modpoly: tuple  # defining polynomial, low degree first, monic
 
     kind = "field"
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise DomainError("FiniteField needs k >= 2, got k = %d" % self.k)
 
     @cached_property
     def size(self) -> int:
@@ -215,31 +174,22 @@ class FiniteField:
 
     @cached_property
     def rzero(self):
-        return 0 if self.k == 1 else (0,) * self.k
+        return (0,) * self.k
 
     @cached_property
     def rone(self):
-        return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
+        return (1,) + (0,) * (self.k - 1)
 
     def radd(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def rsub(self, a, b):
-        if self.k == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def rneg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
         return tuple((-x) % self.p for x in a)
 
     @cached_property
     def _log_tables(self):
-        """(log, exp) for k > 1, from a generator g of GF(q)*: log maps each
-        nonzero raw value x to the i in [0, q - 1) with g^i = x, and
+        """(log, exp) from a generator g of GF(q)*: log maps each nonzero raw
+        value x to the i in [0, q - 1) with g^i = x, and
         exp[i] = g^(i mod (q - 1)) for i < 2(q - 1), so that a product of two
         nonzeros is exp[log[a] + log[b]].  Built once per field, by
         polynomial arithmetic modulo the defining polynomial."""
@@ -257,8 +207,6 @@ class FiniteField:
         raise DomainError("%r has no multiplicative generator" % self)
 
     def rmul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
         log, exp = self._log_tables
         i, j = log.get(a), log.get(b)
         if i is None or j is None:
@@ -272,25 +220,16 @@ class FiniteField:
     def rinv(self, a):
         if a == self.rzero:
             raise DomainError("zero is not invertible in %s" % self)
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
         log, exp = self._log_tables
         return exp[len(log) - log[a]]
 
-    def runit(self, a) -> bool:
-        return a != self.rzero
-
     def encode(self, raw) -> int:
-        if self.k == 1:
-            return raw
         total = 0
         for c in reversed(raw):
             total = total * self.p + c
         return total
 
     def decode(self, value: int):
-        if self.k == 1:
-            return value % self.p
         if not 0 <= value < self.size:
             raise DomainError("value %d out of range for %s" % (value, self))
         digits = []
@@ -300,25 +239,17 @@ class FiniteField:
         return tuple(digits)
 
     def scalar(self, value) -> Scalar:
-        if isinstance(value, Scalar):
-            if not _same_domain(value.domain, self):
-                raise DomainError("scalar belongs to %s, not %s" % (value.domain, self))
-            return value
         if isinstance(value, int):
-            if self.k == 1:
-                return Scalar(self, value % self.p)
             return Scalar(self, self.decode(value))
         if isinstance(value, (tuple, list)):
-            if self.k == 1 or len(value) != self.k:
-                raise DomainError("coefficient vector of length %d expected" % self.k)
+            if len(value) != self.k:
+                raise DomainError("coefficient vector of length %d expected"
+                                  % self.k)
             return Scalar(self, tuple(int(c) % self.p for c in value))
-        raise DomainError("cannot interpret %r as an element of %s" % (value, self))
+        return _own_scalar(self, value)
 
     def zero(self) -> Scalar:
         return Scalar(self, self.rzero)
-
-    def one(self) -> Scalar:
-        return Scalar(self, self.rone)
 
     @cached_property
     def _element_tuple(self):
@@ -352,9 +283,6 @@ class ModularRing:
     def radd(self, a, b):
         return (a + b) % self.size
 
-    def rsub(self, a, b):
-        return (a - b) % self.size
-
     def rneg(self, a):
         return (-a) % self.size
 
@@ -366,29 +294,16 @@ class ModularRing:
             raise DomainError("%d is not a unit in %s" % (a, self))
         return pow(a, -1, self.size)
 
-    def runit(self, a) -> bool:
-        return a % self.p != 0
-
     def encode(self, raw) -> int:
         return raw
 
-    def decode(self, value: int):
-        return value % self.size
-
     def scalar(self, value) -> Scalar:
-        if isinstance(value, Scalar):
-            if not _same_domain(value.domain, self):
-                raise DomainError("scalar belongs to %s, not %s" % (value.domain, self))
-            return value
         if isinstance(value, int):
             return Scalar(self, value % self.size)
-        raise DomainError("cannot interpret %r as an element of %s" % (value, self))
+        return _own_scalar(self, value)
 
     def zero(self) -> Scalar:
         return Scalar(self, 0)
-
-    def one(self) -> Scalar:
-        return Scalar(self, 1)
 
     @cached_property
     def _element_tuple(self):
@@ -398,10 +313,22 @@ class ModularRing:
         return self._element_tuple
 
     def units(self):
-        return tuple(s for s in self._element_tuple if self.runit(s.raw))
+        return tuple(s for s in self._element_tuple if s.raw % self.p)
 
     def __repr__(self):
         return "Z(%d)" % self.size
+
+
+@dataclass(frozen=True)
+class PrimeField(ModularRing):
+    """GF(p): the residues mod p, with Z_p's arithmetic, as a field."""
+
+    alpha: int = field(default=1, init=False)
+
+    kind = "field"
+
+    def __repr__(self):
+        return "GF(%d)" % self.p
 
 
 def make_domain(p: int, exponent: int = 1, kind: str = "field",
@@ -423,7 +350,7 @@ def make_domain(p: int, exponent: int = 1, kind: str = "field",
     if kind != "field":
         raise DomainError("unknown domain kind %r" % kind)
     if exponent == 1:
-        return FiniteField(p, 1, None)
+        return PrimeField(p)
     if irreducible is None:
         q = p ** exponent
         if q not in _BUILTIN_POLYS:
@@ -443,21 +370,12 @@ def make_domain(p: int, exponent: int = 1, kind: str = "field",
 class MultSubgroup:
     """The unique order-d subgroup {x : x^d = 1} of the cyclic group GF(q)*."""
 
-    domain: FiniteField
+    domain: object  # a PrimeField or FiniteField
     order: int
     elements: tuple
 
-    def __contains__(self, x) -> bool:
-        return any(x == e for e in self.elements)
-
     def __iter__(self):
         return iter(self.elements)
-
-    def __len__(self):
-        return self.order
-
-    def __repr__(self):
-        return "{%s}" % ", ".join(repr(e) for e in self.elements)
 
 
 def subgroup_of_order(domain, d: int) -> MultSubgroup:

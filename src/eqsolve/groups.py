@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
 from . import lanes
-from .domains import DomainError, Scalar, residue_matmul, subgroup_of_order
+from .domains import (DomainError, PrimeField, Scalar, residue_matmul,
+                      subgroup_of_order)
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
 _TABLE_LIMIT = lanes.LIMIT  # largest group order for which a table is built
@@ -109,9 +110,9 @@ class SemipatternGroup:
 
     @cached_property
     def _matmul(self):
-        """The upper triangular residue kernel over GF(p), or None over
-        GF(p^k), k > 1, whose raws are coefficient tuples."""
-        if self.domain.k > 1:
+        """The upper triangular residue kernel over a PrimeField, or None
+        over a FiniteField GF(p^k), whose raws are coefficient tuples."""
+        if not isinstance(self.domain, PrimeField):
             return None
         return residue_matmul(self.domain.p, self.m, True)
 
@@ -247,9 +248,9 @@ def _same_group(g, h) -> bool:
 
 def _product(a: GroupElement, b: GroupElement) -> GroupElement:
     """Matrix product of two elements of one group, unchecked: members of a
-    closed pattern (make_group checks closure) multiply to members.  Over
-    GF(p) it is the group's unrolled residue kernel; over GF(p^k), k > 1,
-    each entry is one rdot fold."""
+    closed pattern (make_group checks closure) multiply to members.  Over a
+    PrimeField it is the group's unrolled residue kernel; over a
+    FiniteField GF(p^k), each entry is one rdot fold."""
     g = a.group
     if g._matmul is not None:
         return GroupElement(g, g._matmul(a.rows, b.rows))

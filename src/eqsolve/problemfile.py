@@ -37,20 +37,8 @@ class ProblemFile:
     ideal_generators: tuple = ()
     constants: dict = field(default_factory=dict)
     variables: tuple = ()
-    lhs_tokens: tuple = ()
-    rhs_tokens: tuple = ()
     lhs: object = None
     rhs: object = None
-
-    def __eq__(self, other):
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        return (self.kind, self.group, self.ring, self.ideal_generators,
-                self.constants, self.variables, self.lhs_tokens,
-                self.rhs_tokens) == \
-               (other.kind, other.group, other.ring, other.ideal_generators,
-                other.constants, other.variables, other.lhs_tokens,
-                other.rhs_tokens)
 
 
 def _split_sections(text):
@@ -319,7 +307,6 @@ def _parse_equation(pf, header_line, entries):
     lhs_tokens = tuple(value.split())
     rhs_lineno, rhs_value = _require(table, "rhs", "equation", header_line)
     rhs_tokens = tuple(rhs_value.split())
-    pf.lhs_tokens, pf.rhs_tokens = lhs_tokens, rhs_tokens
 
     if pf.kind == "group":
         pf.lhs = _resolve_word(pf, lhs_tokens, lineno)

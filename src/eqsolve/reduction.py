@@ -149,13 +149,11 @@ def symbolic_product(group: SemipatternGroup, letters, *,
 
 class ReducedSystem(SlotSystem):
     """The system of lhs = rhs (a GroupElement or a word tuple) over the
-    group, whose unknowns are laid out over the identity by _variable_slots;
-    build_system sets lhs_matrix, the SymbolicMatrix of lhs."""
+    group, whose unknowns are laid out over the identity by _variable_slots."""
 
     def __init__(self, group: SemipatternGroup, lhs: tuple, rhs, slots):
         super().__init__(group.domain, group.identity().rows, slots)
         self.group, self.lhs, self.rhs = group, lhs, rhs
-        self.lhs_matrix = None
 
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: GroupElement}."""
@@ -178,7 +176,7 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
 
     rhs may be a constant element (targets are its entries) or another word
     (the two entry polynomials are equated by moving everything left: the
-    raw grid of -rhs takes in lhs's, which lhs_matrix keeps unchanged).
+    raw grid of -rhs takes in lhs's).
     Domains: x variables range over the field, y variables over their row's
     subgroup.  formal=False applies y^d = 1 in symbolic_product, so every
     constraint polynomial is the reduced normal form of its entry.
@@ -212,7 +210,6 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     else:
         constraints = [Constraint(left, rhs.scalar(*pos))
                        for pos, left in lhs_matrix.upper_entries()]
-    reduced.lhs_matrix = lhs_matrix
     reduced.constrain(constraints)
     return reduced
 

@@ -173,7 +173,6 @@ class Ideal:
     """A two-sided ideal given by its full element set."""
 
     ring: NilpotentMatrixRing
-    generators: tuple
     elements: tuple
 
     def __contains__(self, x) -> bool:
@@ -240,7 +239,7 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
             work.append(b * a)
             work.append(a * b)
     elements = sorted(closed, key=RingElement.key)
-    return Ideal(ring, gens, tuple(elements))
+    return Ideal(ring, tuple(elements))
 
 
 def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,

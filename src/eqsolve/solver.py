@@ -200,7 +200,6 @@ class SlotSystem:
         self.domain = domain
         self.base = base
         self.slots = slots    # {name: slot tuple}, in first-occurrence order
-        self.names = tuple(slots)
 
     def constrain(self, constraints) -> None:
         """system := constraints over the domains of the slots they read."""

@@ -176,15 +176,12 @@ def eval_expr(expr, assignment, domain) -> Scalar:
     if isinstance(expr, EVar):
         return eval_expr(expr.var, assignment, domain)
     if isinstance(expr, ENeg):
-        return -eval_expr(expr.part, assignment, domain)
-    if isinstance(expr, EAdd):
-        total = domain.zero()
+        return Scalar(domain, domain.rneg(
+            eval_expr(expr.part, assignment, domain).raw))
+    if isinstance(expr, (EAdd, EMul)):
+        op, total = ((domain.radd, domain.rzero) if isinstance(expr, EAdd)
+                     else (domain.rmul, domain.rone))
         for part in expr.parts:
-            total = total + eval_expr(part, assignment, domain)
-        return total
-    if isinstance(expr, EMul):
-        total = domain.one()
-        for part in expr.parts:
-            total = total * eval_expr(part, assignment, domain)
-        return total
+            total = op(total, eval_expr(part, assignment, domain).raw)
+        return Scalar(domain, total)
     raise ValueError("not a polynomial expression: %r" % (expr,))

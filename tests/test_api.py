@@ -1,7 +1,9 @@
 """No production code that only tests use: every public name that a module
-of eqsolve defines is read by production code under src/ or perfbench/."""
+of eqsolve defines, and every public member of its classes, is read by
+production code under src/ or perfbench/."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,20 +22,29 @@ def _bound(statement):
     return set()
 
 
+def _read_at(node, bare=True):
+    """The name one node reads, or None: a loaded attribute, a string that
+    is an identifier (perfbench rebinds eqsolve functions and methods by
+    name) and, if bare, a loaded name."""
+    if bare and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and node.value.isidentifier():
+        return node.value
+    return None
+
+
+def _reads(tree, bare=True) -> Counter:
+    """How often tree reads each name."""
+    return Counter(name for node in ast.walk(tree)
+                   if (name := _read_at(node, bare)))
+
+
 def _read(statement):
-    """Names a statement reads: loaded names and attributes, and strings
-    that are identifiers (perfbench rebinds eqsolve functions by name)."""
-    names = set()
-    for node in ast.walk(statement):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and \
-                isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant) and \
-                isinstance(node.value, str) and node.value.isidentifier():
-            names.add(node.value)
-    return names
+    """Names a statement reads."""
+    return set(_reads(statement))
 
 
 def unread_public_names(package, readers):
@@ -59,8 +70,68 @@ def unread_public_names(package, readers):
     return unread
 
 
-def test_public_names_are_read_in_production():
-    readers = sorted(PACKAGE.glob("*.py")) + \
+# Read by callers outside the program: the position of a parse error and the
+# payloads of a pattern or guard error.
+EXCEPTION_PAYLOADS = {("ParseError", "line"), ("ParseError", "col"),
+                      ("PatternError", "triple"), ("GuardExceeded", "space"),
+                      ("GuardExceeded", "guard")}
+
+
+def _members(cls):
+    """(name, defining node) for each member of a class: methods and
+    properties, class attributes and dataclass fields, and the self.x
+    attributes __init__ sets."""
+    for statement in cls.body:
+        if isinstance(statement, ast.FunctionDef):
+            yield statement.name, statement
+            if statement.name == "__init__":
+                yield from ((node.attr, node) for node in ast.walk(statement)
+                            if isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self")
+        else:
+            yield from ((name, statement) for name in _bound(statement))
+
+
+def unread_public_members(package, readers):
+    """(class, member) for every public member of a class that a module of
+    package defines and that no statement of the reader files reads, apart
+    from the member's own definition; __init__.py counts neither way, as in
+    unread_public_names.  A read is a loaded attribute or an identifier
+    string, not a bare name, and reads are matched by name alone: a member
+    that shares its name with another class's member passes if either is
+    read."""
+    trees = {path: ast.parse(path.read_text()) for path in readers
+             if path.name != "__init__.py"}
+    reads = sum((_reads(tree, bare=False) for tree in trees.values()),
+                Counter())
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            unread += [(cls.name, name) for name, node in _members(cls)
+                       if not name.startswith("_")
+                       and (cls.name, name) not in EXCEPTION_PAYLOADS
+                       and reads[name] == _reads(node, bare=False)[name]]
+    return unread
+
+
+def _readers():
+    return sorted(PACKAGE.glob("*.py")) + \
         sorted((ROOT / "perfbench").rglob("*.py"))
+
+
+def test_public_names_are_read_in_production():
+    readers = _readers()
     assert len(readers) > 10
     assert unread_public_names(PACKAGE, readers) == []
+
+
+def test_public_members_are_read_in_production():
+    """Exception payloads that callers outside the program read are exempt;
+    a member whose name another class's read member shares passes."""
+    assert unread_public_members(PACKAGE, _readers()) == []

@@ -61,6 +61,15 @@ def test_decide_with_oracle_agrees():
         assert "oracle agrees" in out
 
 
+def test_decide_gf4_square_with_oracle():
+    code, out, _ = run(["decide", str(PROBLEMS / "gf4_square.prob"),
+                        "--oracle"])
+    assert code == 0
+    assert out.splitlines() == ["SAT", "  x = [[3,3],[0,1]]",
+                                "explored 7 assignments, 5 prunes",
+                                "oracle agrees (SAT)"]
+
+
 def test_parse_error_exit_two(tmp_path):
     path = tmp_path / "broken.prob"
     path.write_text("[group]\nq = six\n")
@@ -178,8 +187,10 @@ def test_oracle_command():
 
 
 def test_dump_system_golden_group():
-    # ut3f2_commute has a word right side, order54_identity subgroup domains
-    for name in ("ut3f2_square", "ut3f2_commute", "order54_identity"):
+    # ut3f2_commute has a word right side, order54_identity subgroup domains,
+    # gf4_square an extension field
+    for name in ("ut3f2_square", "ut3f2_commute", "order54_identity",
+                 "gf4_square"):
         code, out, _ = run(["dump-system", str(PROBLEMS / (name + ".prob"))])
         assert code == 0
         assert out == (HERE / "data" / ("dump_%s.txt" % name)).read_text()

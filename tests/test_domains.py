@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from eqsolve import DomainError, make_domain, subgroup_of_order
+from eqsolve import (DomainError, FiniteField, ModularRing, PrimeField,
+                     make_domain, subgroup_of_order)
 from eqsolve.domains import (_BUILTIN_POLYS, _poly_mul, _poly_rem,
                              is_irreducible, residue_matadd, residue_matmul,
                              residue_matscale)
@@ -12,6 +13,24 @@ def test_prime_field_elements():
     d = make_domain(3, 1, "field")
     assert d.size == 3
     assert [s.key() for s in d.elements()] == [0, 1, 2]
+
+
+def test_prime_field_is_z_p_as_a_field():
+    """GF(p) has Z_p's residue arithmetic but is a distinct field domain;
+    FiniteField is for k >= 2 only."""
+    f5, z5 = make_domain(5), make_domain(5, 1, "modular")
+    assert f5 == PrimeField(5) and isinstance(f5, ModularRing)
+    assert (f5.kind, repr(f5), z5.kind, repr(z5)) == \
+        ("field", "GF(5)", "modular", "Z(5)")
+    assert f5 != z5 and f5.scalar(2) != z5.scalar(2)
+    for a, b in itertools.product(range(5), repeat=2):
+        assert (f5.radd(a, b), f5.rmul(a, b)) == (z5.radd(a, b), z5.rmul(a, b))
+    assert f5.units() == f5.elements()[1:]
+    assert f5.scalar(2) ** 4 == f5.scalar(1)
+    with pytest.raises(DomainError):
+        f5.scalar(2) ** -1
+    with pytest.raises(DomainError):
+        FiniteField(5, 1, None)
 
 
 def test_f3_units_form_full_multiplicative_group():
@@ -25,7 +44,7 @@ def test_z4_inverse_of_three():
     d = make_domain(2, 2, "modular")
     assert d.size == 4
     three = d.scalar(3)
-    assert three.inverse() == three  # 3 * 3 = 9 = 1 mod 4
+    assert d.rinv(three.raw) == three.raw  # 3 * 3 = 9 = 1 mod 4
 
 
 def test_non_prime_p_rejected():
@@ -65,7 +84,8 @@ def test_subgroup_examples():
     assert [s.key() for s in subgroup_of_order(make_domain(7), 1)] == [1]
     # oracle: enumerate x in GF(5) with x^2 = 1
     d5 = make_domain(5)
-    expected = sorted(x.key() for x in d5.units() if (x * x) == 1)
+    expected = sorted(x.key() for x in d5.units()
+                      if d5.rmul(x.raw, x.raw) == d5.rone)
     assert expected == [1, 4]
     assert [s.key() for s in subgroup_of_order(d5, 2)] == expected
 
@@ -82,17 +102,17 @@ def test_subgroup_errors():
 def test_field_axioms_exhaustive(q, exp):
     p = 2 if q % 2 == 0 else (3 if q % 3 == 0 else q)
     d = make_domain(p, exp, "field")
-    elems = d.elements()
-    one = d.one()
+    elems = [e.raw for e in d.elements()]
+    add, mul = d.radd, d.rmul
     for a, b in itertools.product(elems, repeat=2):
-        assert a * b == b * a
-        assert a + b == b + a
+        assert mul(a, b) == mul(b, a)
+        assert add(a, b) == add(b, a)
     for a, b, c in itertools.product(elems, repeat=3):
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     for a in elems:
-        if not a.is_zero():
-            assert a * a.inverse() == one
+        if a != d.rzero:
+            assert mul(a, d.rinv(a)) == d.rone
 
 
 @pytest.mark.parametrize("p,k,poly", [(2, 2, None), (2, 5, None),
@@ -123,9 +143,9 @@ def test_subgroup_closure_and_order(q, exp):
         sub = subgroup_of_order(d, order)
         assert len(sub.elements) == order
         for a, b in itertools.product(sub.elements, repeat=2):
-            assert (a * b) in sub
+            assert d.scalar(d.rmul(a.raw, b.raw)) in sub.elements
         for a in sub.elements:
-            assert a ** order == d.one()
+            assert a ** order == d.scalar(1)
 
 
 def test_modular_units_are_coprime_residues():
@@ -133,9 +153,9 @@ def test_modular_units_are_coprime_residues():
     units = [s.key() for s in d.units()]
     assert units == [1, 3, 5, 7]
     for u in d.units():
-        assert u * u.inverse() == d.one()
+        assert d.rmul(u.raw, d.rinv(u.raw)) == d.rone
     with pytest.raises(DomainError):
-        d.scalar(2).inverse()
+        d.rinv(d.scalar(2).raw)
 
 
 def test_extension_field_encode_decode_roundtrip():
@@ -145,14 +165,7 @@ def test_extension_field_encode_decode_roundtrip():
     x = d.scalar(3)
     assert x == d.scalar((0, 1))  # encoding 3 is the basis element z
     # z^2 = -1 = 2 for the defining polynomial z^2 + 1
-    assert (x * x).key() == 2
-
-
-def test_scalar_mixed_domain_rejected():
-    a = make_domain(3).one()
-    b = make_domain(5).one()
-    with pytest.raises(DomainError):
-        a + b
+    assert d.encode(d.rmul(x.raw, x.raw)) == 2
 
 
 def test_residue_kernels_reject_bad_shapes():

@@ -14,8 +14,8 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      words_agree_everywhere)
 from eqsolve.domains import Scalar
 from eqsolve.poly import grid_polynomials, slot_letter
-from eqsolve.reduction import (_variable_slots, _word_letters, x_variable,
-                               y_variable)
+from eqsolve.reduction import (_variable_letter, _variable_slots,
+                               _word_letters, x_variable, y_variable)
 from eqsolve.solver import Constraint
 from conftest import (random_assignment, random_group_element, random_word)
 from entries import entry_monomial_count
@@ -147,8 +147,8 @@ def _reference_constraints(group, lhs, rhs, formal):
 
 def test_build_system_matches_plain_subtraction(group_family):
     """build_system merges raw grids and sorts each constraint once; its
-    constraints equal the plain construction's, and lhs_matrix is the
-    product of lhs alone."""
+    constraints equal the plain construction's, and the product of lhs,
+    read again after it, is the product of lhs alone."""
     gf4 = make_group(make_domain(2, 2), 3, ((1, 2), (1, 3)), (3, 3, 1))
     rng = random.Random(6151)
     for group in group_family + (gf4,):
@@ -162,9 +162,13 @@ def test_build_system_matches_plain_subtraction(group_family):
                     group, lhs, rhs, formal), (group, lhs, rhs, formal)
                 alone = build_system(group, lhs, group.identity(),
                                      formal=formal)
-                assert grid_polynomials(group.domain,
-                                        reduced.lhs_matrix.raw) == \
-                    grid_polynomials(group.domain, alone.lhs_matrix.raw)
+                unknowns = {name: _variable_letter(group, k, formal)
+                            for k, name in enumerate(
+                                word_variables(lhs), start=1)}
+                product = symbolic_product(
+                    group, _word_letters(group, lhs, unknowns), formal=formal)
+                assert [c.poly for c in alone.system.constraints] == \
+                    [poly for _, poly in product.upper_entries()]
 
 
 def test_entry_monomial_count_values():
@@ -192,12 +196,16 @@ def test_size_law(f2):
     the empty word has none above the diagonal."""
     group = make_group(f2, 3, full_pattern(3), (1, 1, 1))
     for n in (0, 2, 4, 6):
-        matrix = build_system(group, distinct_word(n),
-                              group.identity()).lhs_matrix
-        assert product_length(matrix.entry(1, 3)) == n * math.comb(n + 1, 2)
+        reduced = build_system(group, distinct_word(n), group.identity())
+        # one constraint per entry (i, j), i <= j, in row-major order
+        assert len(reduced.system.constraints) == 6
+        entries = dict(zip(
+            [(i, j) for i in range(1, 4) for j in range(i, 4)],
+            [c.poly for c in reduced.system.constraints]))
+        assert product_length(entries[1, 3]) == n * math.comb(n + 1, 2)
         if n == 0:
             assert sum(product_length(poly) for (i, j), poly
-                       in matrix.upper_entries() if i < j) == 0
+                       in entries.items() if i < j) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -433,7 +441,7 @@ def test_cut_square_chain_refuted_before_search(sparse18, order54):
     for group, row in ((sparse18, 1), (order54, 2)):
         assert group.orders[row - 1] == 2
         target = next(g for g in element_list(group)
-                      if g.scalar(row, row) == 2)
+                      if g.scalar(row, row).raw == 2)
         for k in range(1, 5):
             word = tuple(x for i in range(1, k + 1) for x in ("x%d" % i,) * 2)
             decision = decide_equation(group, word, target)
