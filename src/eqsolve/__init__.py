@@ -3,7 +3,7 @@ rings, decided by symbolic reduction to polynomial systems over the scalars,
 with brute-force oracles for cross-checking."""
 
 from .domains import (DomainError, FiniteField, ModularRing, MultSubgroup,
-                      PrimeField, Scalar, make_domain, subgroup_of_order)
+                      PrimeField, make_domain, subgroup_of_order)
 from .groups import (GroupElement, GroupError, PatternError, SemipatternGroup,
                      brute_force_solve, element_list, evaluate_word,
                      exponent_bound, full_pattern, invert_word, make_group,

@@ -25,18 +25,17 @@ _ERRORS = (ParseError, GuardExceeded, DomainError, GroupError, RingError,
 
 def render_system(system: PolySystem) -> str:
     """Stable text dump of a polynomial system plus its domain table."""
+    dom = system.domain
     lines = ["# system over %r: %d constraints, %d variables"
-             % (system.domain, len(system.constraints), len(system.domains))]
-    for c in system.constraints:
-        lines.append("constraint %r = %r" % (c.poly, c.target))
-    full = tuple(system.domain.elements())
+             % (dom, len(system.constraints), len(system.domains))]
+    lines += ["constraint %r" % (c,) for c in system.constraints]
     for v in sorted(system.domains, key=lambda v: v.name):
         values = system.domains[v]
-        if tuple(values) == full:
-            lines.append("domain %s = %r" % (v.name, system.domain))
+        if values == dom.elements():
+            lines.append("domain %s = %r" % (v.name, dom))
         else:
-            lines.append("domain %s = {%s}"
-                         % (v.name, ", ".join(repr(s) for s in values)))
+            lines.append("domain %s = {%s}" % (
+                v.name, ", ".join(str(dom.encode(x)) for x in values)))
     return "\n".join(lines) + "\n"
 
 
@@ -45,15 +44,17 @@ def _print_witness(witness):
         print("  %s = %r" % (name, witness[name]))
 
 
+def _ring_question(pf: ProblemFile):
+    """(expr, rhs) of a ring problem; over a factor ring, lhs - rhs = 0."""
+    if pf.ideal_generators:
+        return RSum((pf.lhs, RNeg(pf.rhs))), pf.ring.zero()
+    return pf.lhs, pf.rhs
+
+
 def _problem_system(pf: ProblemFile):
     if pf.kind == "group":
         return build_system(pf.group, pf.lhs, pf.rhs).system
-    rhs = pf.rhs
-    expr = pf.lhs
-    if pf.ideal_generators:
-        expr = RSum((expr, RNeg(rhs)))
-        rhs = pf.ring.zero()
-    return build_ring_system(pf.ring, expr, rhs).system
+    return build_ring_system(pf.ring, *_ring_question(pf)).system
 
 
 def cmd_decide(args) -> int:
@@ -65,10 +66,10 @@ def cmd_decide(args) -> int:
     if pf.kind == "group":
         decision = decide_equation(pf.group, pf.lhs, pf.rhs, guard=args.guard)
     elif ideal is not None:
-        expr = RSum((pf.lhs, RNeg(pf.rhs)))
-        decision = decide_factor_ring(pf.ring, ideal, expr, guard=args.guard)
+        decision = decide_factor_ring(pf.ring, ideal, _ring_question(pf)[0],
+                                      guard=args.guard)
     else:
-        decision = decide_ring_equation(pf.ring, pf.lhs, pf.rhs,
+        decision = decide_ring_equation(pf.ring, *_ring_question(pf),
                                         guard=args.guard)
     print("SAT" if decision.sat else "UNSAT")
     if decision.sat and decision.witness is not None:

@@ -1,14 +1,16 @@
 """Exact scalar arithmetic: residue rings Z_{p^a} and finite fields GF(p^k).
 
-Domains and their elements are immutable values, safe to share, hash and use
-as dictionary keys.  ModularRing is residue arithmetic mod p^a; PrimeField,
-GF(p), is the same arithmetic mod p as a field, differing from Z_p only in
-kind and repr.  FiniteField is GF(p^k) for k >= 2, in a polynomial basis
-modulo a monic irreducible polynomial (built in up to order 32), with
-products and inverses read from per-field log/antilog tables.  A Scalar is
-a canonical raw value (a residue, or a coefficient tuple) with its domain;
-arithmetic works on raw values through the domain's r* methods.  Square
-matrices of residues (group elements over GF(p), ring elements over
+Domains are immutable values, safe to share, hash and use as dictionary
+keys.  ModularRing is residue arithmetic mod p^a; PrimeField, GF(p), is the
+same arithmetic mod p as a field, differing from Z_p only in kind and repr.
+FiniteField is GF(p^k) for k >= 2, in a polynomial basis modulo a built-in
+monic irreducible polynomial (orders up to 32), with products, powers and
+inverses read from per-field log/antilog tables.  Every layer computes on
+raw values: a residue int, or a coefficient tuple over GF(p^k).  A domain's
+r* methods are its arithmetic, elements() and units() list its raw values
+in canonical order, encode() gives a raw value's canonical integer (for
+printing and ordering), and coerce() is the one conversion of user input.
+Square matrices of residues (group elements over GF(p), ring elements over
 Z_{p^a}) multiply, add and scale through kernels compiled once per modulus,
 size and operation (residue_matmul, residue_matadd, residue_matscale).
 """
@@ -75,83 +77,9 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _monic_polys(p, degree):
-    """All monic polynomials of the given degree over Z_p."""
-    def rec(prefix, left):
-        if left == 0:
-            yield prefix + [1]
-            return
-        for c in range(p):
-            yield from rec(prefix + [c], left - 1)
-    yield from rec([], degree)
-
-
-def is_irreducible(coeffs, p) -> bool:
-    """Trial-division irreducibility test for a monic polynomial over Z_p."""
-    c = _poly_trim([x % p for x in coeffs])
-    deg = len(c) - 1
-    if deg < 1 or c[-1] != 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            if not _poly_rem(c, cand, p):
-                return False
-    return True
-
-
 def _same_domain(a, b) -> bool:
     """Domain equality, with the usual case of one shared descriptor first."""
     return a is b or a == b
-
-
-class Scalar:
-    """An element of a domain, stored as its canonical raw value."""
-
-    __slots__ = ("domain", "raw")
-
-    def __init__(self, domain, raw):
-        self.domain = domain
-        self.raw = raw
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative power %d of a scalar" % n)
-        result = self.domain.rone
-        base = self.raw
-        while n:
-            if n & 1:
-                result = self.domain.rmul(result, base)
-            base = self.domain.rmul(base, base)
-            n >>= 1
-        return Scalar(self.domain, result)
-
-    def key(self) -> int:
-        """Canonical integer encoding, used for deterministic ordering."""
-        return self.domain.encode(self.raw)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self.raw == other.raw
-                and _same_domain(self.domain, other.domain))
-
-    def __hash__(self):
-        return hash((self.domain, self.raw))
-
-    def __repr__(self):
-        return str(self.domain.encode(self.raw))
-
-
-def _own_scalar(domain, value) -> Scalar:
-    """value itself, if it is a Scalar of domain; DomainError otherwise."""
-    if not isinstance(value, Scalar):
-        raise DomainError("cannot interpret %r as an element of %s"
-                          % (value, domain))
-    if not _same_domain(value.domain, domain):
-        raise DomainError("scalar belongs to %s, not %s" % (value.domain, domain))
-    return value
 
 
 @dataclass(frozen=True)
@@ -223,6 +151,13 @@ class FiniteField:
         log, exp = self._log_tables
         return exp[len(log) - log[a]]
 
+    def rpow(self, a, n: int):
+        """a^n for n >= 0, read from the log tables."""
+        if a == self.rzero:
+            return self.rone if n == 0 else self.rzero
+        log, exp = self._log_tables
+        return exp[log[a] * n % len(log)]
+
     def encode(self, raw) -> int:
         total = 0
         for c in reversed(raw):
@@ -238,22 +173,21 @@ class FiniteField:
             value //= self.p
         return tuple(digits)
 
-    def scalar(self, value) -> Scalar:
+    def coerce(self, value):
+        """The raw value of an encoded integer or a coefficient vector."""
         if isinstance(value, int):
-            return Scalar(self, self.decode(value))
+            return self.decode(value)
         if isinstance(value, (tuple, list)):
             if len(value) != self.k:
                 raise DomainError("coefficient vector of length %d expected"
                                   % self.k)
-            return Scalar(self, tuple(int(c) % self.p for c in value))
-        return _own_scalar(self, value)
-
-    def zero(self) -> Scalar:
-        return Scalar(self, self.rzero)
+            return tuple(int(c) % self.p for c in value)
+        raise DomainError("cannot interpret %r as an element of %s"
+                          % (value, self))
 
     @cached_property
     def _element_tuple(self):
-        return tuple(Scalar(self, self.decode(v)) for v in range(self.size))
+        return tuple(self.decode(v) for v in range(self.size))
 
     def elements(self):
         return self._element_tuple
@@ -294,26 +228,29 @@ class ModularRing:
             raise DomainError("%d is not a unit in %s" % (a, self))
         return pow(a, -1, self.size)
 
+    def rpow(self, a, n: int):
+        """a^n for n >= 0."""
+        return pow(a, n, self.size)
+
     def encode(self, raw) -> int:
         return raw
 
-    def scalar(self, value) -> Scalar:
+    def coerce(self, value):
+        """The residue of an integer."""
         if isinstance(value, int):
-            return Scalar(self, value % self.size)
-        return _own_scalar(self, value)
-
-    def zero(self) -> Scalar:
-        return Scalar(self, 0)
+            return value % self.size
+        raise DomainError("cannot interpret %r as an element of %s"
+                          % (value, self))
 
     @cached_property
     def _element_tuple(self):
-        return tuple(Scalar(self, v) for v in range(self.size))
+        return tuple(range(self.size))
 
     def elements(self):
         return self._element_tuple
 
     def units(self):
-        return tuple(s for s in self._element_tuple if s.raw % self.p)
+        return tuple(v for v in self._element_tuple if v % self.p)
 
     def __repr__(self):
         return "Z(%d)" % self.size
@@ -331,44 +268,29 @@ class PrimeField(ModularRing):
         return "GF(%d)" % self.p
 
 
-def make_domain(p: int, exponent: int = 1, kind: str = "field",
-                irreducible=None):
-    """Build a validated GF(p^exponent) or Z_{p^exponent} domain.
-
-    For extension fields a monic irreducible defining polynomial may be
-    supplied (coefficients, lowest degree first); otherwise a built-in one
-    is used for orders up to 32.
-    """
+def make_domain(p: int, exponent: int = 1, kind: str = "field"):
+    """Build a validated GF(p^exponent) or Z_{p^exponent} domain; an
+    extension field uses the built-in defining polynomial of its order."""
     if not is_prime(p):
         raise DomainError("p = %d is not prime" % p)
     if exponent < 1:
         raise DomainError("exponent must be positive, got %d" % exponent)
     if kind == "modular":
-        if irreducible is not None:
-            raise DomainError("modular domains take no defining polynomial")
         return ModularRing(p, exponent)
     if kind != "field":
         raise DomainError("unknown domain kind %r" % kind)
     if exponent == 1:
         return PrimeField(p)
-    if irreducible is None:
-        q = p ** exponent
-        if q not in _BUILTIN_POLYS:
-            raise DomainError(
-                "no built-in defining polynomial for GF(%d); supply one" % q)
-        irreducible = _BUILTIN_POLYS[q]
-    coeffs = tuple(int(c) % p for c in irreducible)
-    if len(_poly_trim(coeffs)) - 1 != exponent:
-        raise DomainError("defining polynomial must have degree %d" % exponent)
-    if not is_irreducible(coeffs, p):
-        raise DomainError("defining polynomial %r is reducible over GF(%d)"
-                          % (list(coeffs), p))
-    return FiniteField(p, exponent, coeffs)
+    q = p ** exponent
+    if q not in _BUILTIN_POLYS:
+        raise DomainError("no built-in defining polynomial for GF(%d)" % q)
+    return FiniteField(p, exponent, _BUILTIN_POLYS[q])
 
 
 @dataclass(frozen=True)
 class MultSubgroup:
-    """The unique order-d subgroup {x : x^d = 1} of the cyclic group GF(q)*."""
+    """The unique order-d subgroup {x : x^d = 1} of the cyclic group GF(q)*,
+    its raw values in encode order."""
 
     domain: object  # a PrimeField or FiniteField
     order: int
@@ -385,8 +307,8 @@ def subgroup_of_order(domain, d: int) -> MultSubgroup:
     q = domain.size
     if d < 1 or (q - 1) % d != 0:
         raise DomainError("order %d does not divide q - 1 = %d" % (d, q - 1))
-    members = [x for x in domain.units() if (x ** d).raw == domain.rone]
-    members.sort(key=Scalar.key)
+    members = sorted((x for x in domain.units()
+                      if domain.rpow(x, d) == domain.rone), key=domain.encode)
     if len(members) != d:
         raise DomainError("expected %d solutions of x^%d = 1, found %d"
                           % (d, d, len(members)))

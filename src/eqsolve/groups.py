@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
 from . import lanes
-from .domains import (DomainError, PrimeField, Scalar, residue_matmul,
+from .domains import (DomainError, PrimeField, residue_matmul,
                       subgroup_of_order)
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
@@ -86,10 +86,12 @@ class SemipatternGroup:
         return GroupElement(self, rows)
 
     def element(self, rows) -> "GroupElement":
-        """Build a validated element from an m x m grid of residues/scalars."""
+        """Build a validated element from an m x m grid of entries, each
+        anything the domain's coerce() takes."""
         if len(rows) != self.m or any(len(r) != self.m for r in rows):
             raise GroupError("element grid must be %d x %d" % (self.m, self.m))
-        raw = tuple(tuple(self.domain.scalar(v).raw for v in r) for r in rows)
+        coerce = self.domain.coerce
+        raw = tuple(tuple(map(coerce, r)) for r in rows)
         self._check_membership(raw)
         return GroupElement(self, raw)
 
@@ -103,7 +105,7 @@ class SemipatternGroup:
         for i, sub in enumerate(self.subgroups):
             for j in range(self.m):
                 if i == j:
-                    plan.append((i, j, frozenset(s.raw for s in sub)))
+                    plan.append((i, j, frozenset(sub.elements)))
                 elif i > j or (i + 1, j + 1) not in pat:
                     plan.append((i, j, None))
         return tuple(plan)
@@ -126,16 +128,16 @@ class SemipatternGroup:
                         "entry (%d,%d) must be zero" % (i + 1, j + 1))
             elif v not in allowed:
                 raise GroupError(
-                    "diagonal entry %d = %r outside its subgroup of order %d"
-                    % (i + 1, Scalar(self.domain, v), self.orders[i]))
+                    "diagonal entry %d = %d outside its subgroup of order %d"
+                    % (i + 1, self.domain.encode(v), self.orders[i]))
 
     def elements(self):
         """All group elements, in canonical (diagonal, then pattern-slot) order."""
         dom = self.domain
         zero = dom.rzero
         slots = list(self.pattern)
-        diag_choices = [tuple(s.raw for s in sub) for sub in self.subgroups]
-        slot_values = tuple(s.raw for s in dom.elements())
+        diag_choices = [sub.elements for sub in self.subgroups]
+        slot_values = dom.elements()
         for diag in itertools.product(*diag_choices):
             for fill in itertools.product(slot_values, repeat=len(slots)):
                 rows = [[zero] * self.m for _ in range(self.m)]
@@ -157,11 +159,7 @@ class GroupElement:
 
     def __init__(self, group, rows):
         self.group = group
-        self.rows = rows  # raw scalar values, tuple of tuples
-
-    def scalar(self, i, j) -> Scalar:
-        """Entry at 1-based position (i, j)."""
-        return Scalar(self.group.domain, self.rows[i - 1][j - 1])
+        self.rows = rows  # raw values of the field, tuple of tuples
 
     def __mul__(self, other):
         if (not isinstance(other, GroupElement)

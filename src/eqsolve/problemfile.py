@@ -213,29 +213,29 @@ def _parse_constants(pf, header_line, entries):
         pf.constants[key] = structure.element(rows)
 
 
-def _builtin_constant(pf, token):
+def _constant(pf, token):
+    """The element a token names: I in a group, 0 in a ring, or a
+    [constants] entry; None for any other token."""
     if pf.kind == "group" and token == "I":
         return pf.group.identity()
     if pf.kind == "ring" and token == "0":
         return pf.ring.zero()
-    return None
+    return pf.constants.get(token)
+
+
+def _letter(pf, token, lineno):
+    """A declared variable's name, else the element the token names."""
+    if token in pf.variables:
+        return token
+    value = _constant(pf, token)
+    if value is None:
+        raise ParseError("unknown letter %r (not a declared variable or "
+                         "constant)" % token, lineno)
+    return value
 
 
 def _resolve_word(pf, tokens, lineno):
-    word = []
-    for token in tokens:
-        if token in pf.variables:
-            word.append(token)
-            continue
-        builtin = _builtin_constant(pf, token)
-        if builtin is not None:
-            word.append(builtin)
-        elif token in pf.constants:
-            word.append(pf.constants[token])
-        else:
-            raise ParseError("unknown letter %r (not a declared variable or "
-                             "constant)" % token, lineno)
-    return tuple(word)
+    return tuple(_letter(pf, token, lineno) for token in tokens)
 
 
 def _resolve_ring_expr(pf, tokens, lineno):
@@ -258,16 +258,9 @@ def _resolve_ring_expr(pf, tokens, lineno):
                                      % letter_token, lineno)
                 coeff = int(letter_token)
                 continue
-            builtin = _builtin_constant(pf, letter_token)
-            if letter_token in pf.variables:
-                letters.append(RVar(letter_token))
-            elif builtin is not None:
-                letters.append(RConst(builtin))
-            elif letter_token in pf.constants:
-                letters.append(RConst(pf.constants[letter_token]))
-            else:
-                raise ParseError("unknown letter %r (not a declared variable "
-                                 "or constant)" % letter_token, lineno)
+            letter = _letter(pf, letter_token, lineno)
+            letters.append(RVar(letter) if isinstance(letter, str)
+                           else RConst(letter))
         if not letters:
             raise ParseError("a term needs at least one letter", lineno)
         term = letters[0] if len(letters) == 1 else RProd(tuple(letters))
@@ -299,7 +292,7 @@ def _parse_equation(pf, header_line, entries):
             if not name.isidentifier():
                 raise ParseError("variable name %r is not an identifier"
                                  % name, lineno)
-            if name in pf.constants or _builtin_constant(pf, name) is not None:
+            if _constant(pf, name) is not None:
                 raise ParseError("variable %r collides with a constant" % name,
                                  lineno)
         pf.variables = names
@@ -317,20 +310,15 @@ def _parse_equation(pf, header_line, entries):
             pf.rhs = rhs_word
     else:
         pf.lhs = _resolve_ring_expr(pf, lhs_tokens, lineno)
-        if len(rhs_tokens) == 1:
-            token = rhs_tokens[0]
-            builtin = _builtin_constant(pf, token)
-            if builtin is not None:
-                pf.rhs = builtin
-            elif token in pf.constants:
-                pf.rhs = pf.constants[token]
-            elif token.startswith("["):
-                pf.rhs = pf.ring.element(
-                    _matrix_rows(token, pf.ring.m, rhs_lineno))
-            else:
-                raise ParseError("ring rhs must be a constant", rhs_lineno)
-        else:
+        if len(rhs_tokens) != 1:
             raise ParseError("ring rhs must be a single constant", rhs_lineno)
+        token = rhs_tokens[0]
+        pf.rhs = _constant(pf, token)
+        if pf.rhs is None:
+            if not token.startswith("["):
+                raise ParseError("ring rhs must be a constant", rhs_lineno)
+            pf.rhs = pf.ring.element(
+                _matrix_rows(token, pf.ring.m, rhs_lineno))
 
 
 def parse_problem_file(path) -> ProblemFile:

@@ -202,14 +202,14 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
         total = [[{f: rneg(c) for f, c in entry.items()} for entry in row]
                  for row in rest[0].raw]
         merge_grid(dom, total, lhs_matrix.raw)
-        zero = dom.zero()
-        constraints = [Constraint(entry_polynomial(dom, total[i][j]), zero)
+        constraints = [Constraint(entry_polynomial(dom, total[i][j]),
+                                  dom.rzero)
                        for i in range(group.m) for j in range(i, group.m)]
     elif not _same_group(rhs.group, group):
         raise GroupError("right-hand side from a different group")
     else:
-        constraints = [Constraint(left, rhs.scalar(*pos))
-                       for pos, left in lhs_matrix.upper_entries()]
+        constraints = [Constraint(left, rhs.rows[i - 1][j - 1])
+                       for (i, j), left in lhs_matrix.upper_entries()]
     reduced.constrain(constraints)
     return reduced
 
@@ -241,7 +241,7 @@ def _nonzero_point(poly: Polynomial, domains) -> dict:
         for value in domains[var]:
             # var, first in name order, leads every monomial it occurs in
             rest = Polynomial(dom, (
-                (f[f.count(var):], dom.rmul(c, (value ** f.count(var)).raw))
+                (f[f.count(var):], dom.rmul(c, dom.rpow(value, f.count(var))))
                 for f, c in poly.items()))
             if not rest.is_zero():
                 break

@@ -59,7 +59,7 @@ def _variable_slots(ring: NilpotentMatrixRing, k: int) -> tuple:
     on and below it (no such slots for alpha = 1)."""
     dom, m = ring.domain, ring.m
     p = ring.p % ring.modulus
-    small = tuple(dom.scalar(v) for v in range(ring.p ** (ring.alpha - 1)))
+    small = tuple(range(ring.p ** (ring.alpha - 1)))
     return tuple((i, j, 1, s_variable(i + 1, j + 1, k), dom.elements())
                  if i < j else (i, j, p, a_variable(i + 1, j + 1, k), small)
                  for i in range(m) for j in range(m) if i < j or p)
@@ -122,8 +122,7 @@ class ReducedRingSystem(SlotSystem):
         """rhs's entries, row by row: the targets of the m^2 constraints."""
         if rhs.ring is not self.ring and rhs.ring != self.ring:
             raise RingError("right-hand side from a different ring")
-        scalar = self.ring.domain.scalar
-        return [scalar(raw) for row in rhs.rows for raw in row]
+        return list(itertools.chain(*rhs.rows))
 
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: RingElement}."""

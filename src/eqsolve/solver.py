@@ -26,7 +26,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 
-from .domains import Scalar, _same_domain
+from .domains import _same_domain
 from .poly import Polynomial
 
 DEFAULT_GUARD = 10 ** 8
@@ -45,18 +45,25 @@ class SolverError(ValueError):
     """Malformed system or witness."""
 
 
+def _check_target(domain, target) -> None:
+    if target not in domain.elements():
+        raise SolverError("target %r is not an element of %s"
+                          % (target, domain))
+
+
 @dataclass(frozen=True)
 class Constraint:
     poly: Polynomial
-    target: Scalar
+    target: object  # a raw value of the polynomial's domain
 
     def __repr__(self):
-        return "%r = %r" % (self.poly, self.target)
+        return "%r = %d" % (self.poly, self.poly.domain.encode(self.target))
 
 
 @dataclass
 class PolySystem:
-    """Constraints plus a per-variable domain map over one scalar domain.
+    """Constraints plus a per-variable domain map over one scalar domain;
+    targets and domain values are raw values of that domain.
 
     Construction validates the system and counts, in the same walk over the
     terms, how often each variable occurs (the solver's variable order).
@@ -71,9 +78,9 @@ class PolySystem:
         self.constraints = tuple(self.constraints)
         occurrences = dict.fromkeys(self.domains, 0)
         for c in self.constraints:
-            if not (_same_domain(c.poly.domain, self.domain)
-                    and _same_domain(c.target.domain, self.domain)):
+            if not _same_domain(c.poly.domain, self.domain):
                 raise SolverError("constraint domain differs from system domain")
+            _check_target(self.domain, c.target)
             for factors, _ in c.poly.items():
                 for v in factors:
                     count = occurrences.get(v)
@@ -91,11 +98,10 @@ class PolySystem:
 
     def retarget(self, targets) -> "PolySystem":
         """The same polynomials and domains with new targets, one per
-        constraint; only the targets' domain is validated again."""
+        constraint; only the targets are validated again."""
         constraints = []
         for c, target in zip(self.constraints, targets, strict=True):
-            if not _same_domain(target.domain, self.domain):
-                raise SolverError("constraint domain differs from system domain")
+            _check_target(self.domain, target)
             constraints.append(Constraint(c.poly, target))
         system = copy.copy(self)
         system.constraints = tuple(constraints)
@@ -144,28 +150,23 @@ def _ordered_variables(system: PolySystem):
 def verify_witness(system: PolySystem, assignment: dict) -> bool:
     """True iff every constraint holds exactly; domain violations raise.
 
-    Every variable of the domain map needs a Scalar of the system's domain
-    whose raw value is that of one of the variable's domain values; the
-    constraints are then evaluated on raw values."""
-    dom = system.domain
-    raws = {}
+    Every variable of the domain map needs one of its domain's raw values;
+    the constraints are then evaluated on them."""
     for v, values in system.domains.items():
         if v not in assignment:
             raise SolverError("witness is missing variable %s" % v.name)
-        value = assignment[v]
-        if not (isinstance(value, Scalar) and _same_domain(value.domain, dom)
-                and value.raw in {s.raw for s in values}):
+        if assignment[v] not in values:
             raise SolverError("witness value %r outside the domain of %s"
-                              % (value, v.name))
-        raws[v] = value.raw
+                              % (assignment[v], v.name))
+    dom = system.domain
     radd, rmul, zero = dom.radd, dom.rmul, dom.rzero
     for c in system.constraints:
         total = zero
         for factors, acc in c.poly.items():
             for v in factors:
-                acc = rmul(acc, raws[v])
+                acc = rmul(acc, assignment[v])
             total = radd(total, acc)
-        if total != c.target.raw:
+        if total != c.target:
             return False
     return True
 
@@ -210,14 +211,15 @@ class SlotSystem:
         self.system = PolySystem(self.domain, constraints, domains)
 
     def witness_rows(self, assignment):
-        """(name, raw rows) per unknown; unassigned slots keep base's."""
+        """(name, raw rows) per unknown from a {Variable: raw value}
+        assignment; unassigned slots keep base's."""
         rmul = self.domain.rmul
         for name, layout in self.slots.items():
             rows = [list(row) for row in self.base]
             for i, j, coeff, var, _ in layout:
                 value = assignment.get(var)
                 if value is not None:
-                    rows[i][j] = rmul(coeff, value.raw)
+                    rows[i][j] = rmul(coeff, value)
             yield name, tuple(map(tuple, rows))
 
     def decide(self, guard: int = DEFAULT_GUARD) -> Decision:
@@ -237,12 +239,12 @@ def _solve_pruned(system: PolySystem) -> Decision:
     variables = _ordered_variables(system)
     nvars = len(variables)
     position = {v: i for i, v in enumerate(variables)}
-    domain_raws = [tuple(s.raw for s in system.domains[v]) for v in variables]
+    domain_raws = [system.domains[v] for v in variables]
     stats = SolveStats()
     radd, rmul, zero = dom.radd, dom.rmul, dom.rzero
 
     ncons = len(system.constraints)
-    targets = [c.target.raw for c in system.constraints]
+    targets = [c.target for c in system.constraints]
     sums = [zero] * ncons   # constant term plus the completed monomials
     live = [0] * ncons      # monomials neither dead nor completed
     # waiting[d]: (cidx, partial product, depths, k) for every live monomial
@@ -314,7 +316,6 @@ def _solve_pruned(system: PolySystem) -> Decision:
                 continue
         depth += 1
         entry[depth] = (sums, live)
-    witness = {v: Scalar(dom, domain_raws[d][tried[d]])
-               for d, v in enumerate(variables)}
+    witness = {v: domain_raws[d][tried[d]] for d, v in enumerate(variables)}
     return Decision(True, witness, stats)
 

@@ -5,8 +5,8 @@ eqsolve's entry polynomials are read-only; the references here build
 polynomials through the one constructor, Polynomial(domain, terms), which
 sorts factors, merges equal factor tuples and drops zero sums.  A sum passes
 both term lists to it, a product the pairwise concatenated terms, and a
-negation the negated coefficients; evaluate() computes a value on raw
-values.  length() and product_length() are two size measures; the paper's
+negation the negated coefficients; evaluate() computes a raw value from
+raw values.  length() and product_length() are two size measures; the paper's
 rewriting size bounds are stated in product_length().  normalize() rewrites
 an expression tree into that normal form and eval_expr() evaluates the tree
 directly; comparing the two gives the poly tests an evaluation path that is
@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from eqsolve.domains import Scalar
 from eqsolve.poly import Polynomial, Variable, _sort_terms
 
 
 def poly(domain, *terms) -> Polynomial:
     """The polynomial of (coefficient, factor tuple) pairs; a coefficient
-    is anything domain.scalar takes."""
-    return Polynomial(domain, [(tuple(factors), domain.scalar(coeff).raw)
+    is anything domain.coerce takes."""
+    return Polynomial(domain, [(tuple(factors), domain.coerce(coeff))
                                for coeff, factors in terms])
 
 
@@ -52,15 +51,15 @@ def mul(f: Polynomial, g: Polynomial) -> Polynomial:
                                  for f2, c2 in g.items()])
 
 
-def evaluate(f: Polynomial, assignment) -> Scalar:
-    """Value under a {Variable: Scalar} assignment, summed on raw values."""
+def evaluate(f: Polynomial, assignment):
+    """Raw value under a {Variable: raw value} assignment."""
     dom = f.domain
     total = dom.rzero
     for factors, acc in f.items():
         for v in factors:
-            acc = dom.rmul(acc, assignment[v].raw)
+            acc = dom.rmul(acc, assignment[v])
         total = dom.radd(total, acc)
-    return Scalar(dom, total)
+    return total
 
 
 def sorted_terms(f: Polynomial) -> tuple:
@@ -99,7 +98,7 @@ class Expr:
 
 @dataclass(frozen=True)
 class EConst(Expr):
-    value: Scalar
+    value: object  # a raw value
 
 
 @dataclass(frozen=True)
@@ -125,11 +124,9 @@ class ENeg(Expr):
 def _as_expr(obj):
     if isinstance(obj, Expr):
         return obj
-    if isinstance(obj, Scalar):
-        return EConst(obj)
     if isinstance(obj, Variable):
         return EVar(obj)
-    raise ValueError("cannot use %r in a polynomial expression" % (obj,))
+    return EConst(obj)
 
 
 def normalize(expr, domain) -> Polynomial:
@@ -138,14 +135,10 @@ def normalize(expr, domain) -> Polynomial:
         if expr.domain != domain:
             raise ValueError("mixed domains in expression")
         return expr
-    if isinstance(expr, Scalar):
-        if expr.domain != domain:
-            raise ValueError("mixed domains in expression")
-        return constant(domain, expr)
     if isinstance(expr, Variable):
         return variable(domain, expr)
     if isinstance(expr, EConst):
-        return normalize(expr.value, domain)
+        return constant(domain, expr.value)
     if isinstance(expr, EVar):
         return normalize(expr.var, domain)
     if isinstance(expr, ENeg):
@@ -163,12 +156,10 @@ def normalize(expr, domain) -> Polynomial:
     raise ValueError("not a polynomial expression: %r" % (expr,))
 
 
-def eval_expr(expr, assignment, domain) -> Scalar:
+def eval_expr(expr, assignment, domain):
     """Evaluate a raw expression tree directly, without normalizing."""
     if isinstance(expr, Polynomial):
         return evaluate(expr, assignment)
-    if isinstance(expr, Scalar):
-        return expr
     if isinstance(expr, Variable):
         return assignment[expr]
     if isinstance(expr, EConst):
@@ -176,12 +167,11 @@ def eval_expr(expr, assignment, domain) -> Scalar:
     if isinstance(expr, EVar):
         return eval_expr(expr.var, assignment, domain)
     if isinstance(expr, ENeg):
-        return Scalar(domain, domain.rneg(
-            eval_expr(expr.part, assignment, domain).raw))
+        return domain.rneg(eval_expr(expr.part, assignment, domain))
     if isinstance(expr, (EAdd, EMul)):
         op, total = ((domain.radd, domain.rzero) if isinstance(expr, EAdd)
                      else (domain.rmul, domain.rone))
         for part in expr.parts:
-            total = op(total, eval_expr(part, assignment, domain).raw)
-        return Scalar(domain, total)
+            total = op(total, eval_expr(part, assignment, domain))
+        return total
     raise ValueError("not a polynomial expression: %r" % (expr,))

@@ -30,8 +30,7 @@ def evaluate_matrix(matrix, assignment) -> GroupElement:
     rows = [[group.domain.rzero] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            rows[i][j] = evaluate(matrix.entry(i + 1, j + 1),
-                                  assignment).raw
+            rows[i][j] = evaluate(matrix.entry(i + 1, j + 1), assignment)
     element = GroupElement(group, tuple(tuple(r) for r in rows))
     group._check_membership(element.rows)
     return element

@@ -109,9 +109,9 @@ def test_criterion_3_symbolic_numeric_commutation():
                 for name, k in index.items():
                     element = assignment[name]
                     for i in range(1, group.m + 1):
-                        slots[y_variable(i, k)] = element.scalar(i, i)
+                        slots[y_variable(i, k)] = element.rows[i - 1][i - 1]
                     for (i, j) in group.pattern:
-                        slots[x_variable(i, j, k)] = element.scalar(i, j)
+                        slots[x_variable(i, j, k)] = element.rows[i - 1][j - 1]
                 assert evaluate_matrix(matrix, slots) == \
                     evaluate_word(group, word, assignment)
                 pairs += 1

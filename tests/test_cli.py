@@ -1,5 +1,6 @@
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -230,3 +231,30 @@ rhs = I
     code, out, _ = run(["decide", str(path)])
     assert code == 0
     assert out.splitlines()[0] == "SAT"
+
+
+# every command of the CLI contract on every committed problem file;
+# `PYTHONPATH=src python tests/test_cli.py` rewrites the golden from the
+# current code
+TRANSCRIPT_COMMANDS = (("decide",), ("decide", "--oracle"), ("equiv",),
+                       ("oracle",))
+TRANSCRIPTS = HERE / "data" / "cli_transcripts.json"
+
+
+def record_transcripts():
+    """{"<command> <file>": [stdout, stderr, exit code]} over problems/."""
+    out = {}
+    for path in sorted(PROBLEMS.glob("*.prob")):
+        for command in TRANSCRIPT_COMMANDS:
+            argv = [command[0], str(path), *command[1:]]
+            code, stdout, stderr = run(argv)
+            out[" ".join(command + (path.name,))] = [stdout, stderr, code]
+    return out
+
+
+def test_cli_transcripts_golden():
+    assert record_transcripts() == json.loads(TRANSCRIPTS.read_text())
+
+
+if __name__ == "__main__":
+    TRANSCRIPTS.write_text(json.dumps(record_transcripts(), indent=1) + "\n")

@@ -5,14 +5,40 @@ import pytest
 from eqsolve import (DomainError, FiniteField, ModularRing, PrimeField,
                      make_domain, subgroup_of_order)
 from eqsolve.domains import (_BUILTIN_POLYS, _poly_mul, _poly_rem,
-                             is_irreducible, residue_matadd, residue_matmul,
+                             _poly_trim, residue_matadd, residue_matmul,
                              residue_matscale)
+
+
+def _monic_polys(p, degree):
+    """All monic polynomials of the given degree over Z_p."""
+    def rec(prefix, left):
+        if left == 0:
+            yield prefix + [1]
+            return
+        for c in range(p):
+            yield from rec(prefix + [c], left - 1)
+    yield from rec([], degree)
+
+
+def is_irreducible(coeffs, p) -> bool:
+    """Trial-division irreducibility test for a monic polynomial over Z_p."""
+    c = _poly_trim([x % p for x in coeffs])
+    deg = len(c) - 1
+    if deg < 1 or c[-1] != 1:
+        return False
+    if deg == 1:
+        return True
+    for d in range(1, deg // 2 + 1):
+        for cand in _monic_polys(p, d):
+            if not _poly_rem(c, cand, p):
+                return False
+    return True
 
 
 def test_prime_field_elements():
     d = make_domain(3, 1, "field")
     assert d.size == 3
-    assert [s.key() for s in d.elements()] == [0, 1, 2]
+    assert list(d.elements()) == [0, 1, 2]
 
 
 def test_prime_field_is_z_p_as_a_field():
@@ -22,13 +48,11 @@ def test_prime_field_is_z_p_as_a_field():
     assert f5 == PrimeField(5) and isinstance(f5, ModularRing)
     assert (f5.kind, repr(f5), z5.kind, repr(z5)) == \
         ("field", "GF(5)", "modular", "Z(5)")
-    assert f5 != z5 and f5.scalar(2) != z5.scalar(2)
+    assert f5 != z5
     for a, b in itertools.product(range(5), repeat=2):
         assert (f5.radd(a, b), f5.rmul(a, b)) == (z5.radd(a, b), z5.rmul(a, b))
     assert f5.units() == f5.elements()[1:]
-    assert f5.scalar(2) ** 4 == f5.scalar(1)
-    with pytest.raises(DomainError):
-        f5.scalar(2) ** -1
+    assert f5.rpow(2, 4) == 1
     with pytest.raises(DomainError):
         FiniteField(5, 1, None)
 
@@ -36,15 +60,14 @@ def test_prime_field_is_z_p_as_a_field():
 def test_f3_units_form_full_multiplicative_group():
     # the scalar domain of the order-54 group: units {1, 2}, a,b,c free
     d = make_domain(3)
-    assert tuple(s.key() for s in d.units()) == (1, 2)
+    assert d.units() == (1, 2)
     assert subgroup_of_order(d, 2).elements == d.units()
 
 
 def test_z4_inverse_of_three():
     d = make_domain(2, 2, "modular")
     assert d.size == 4
-    three = d.scalar(3)
-    assert d.rinv(three.raw) == three.raw  # 3 * 3 = 9 = 1 mod 4
+    assert d.rinv(3) == 3  # 3 * 3 = 9 = 1 mod 4
 
 
 def test_non_prime_p_rejected():
@@ -59,17 +82,11 @@ def test_bad_exponent_rejected():
         make_domain(3, 0)
 
 
-def test_reducible_defining_polynomial_rejected():
-    # z^2 + 1 = (z + 1)^2 over GF(2)
-    with pytest.raises(DomainError):
-        make_domain(2, 2, "field", irreducible=(1, 0, 1))
-
-
 def test_unsupported_extension_degree_without_polynomial():
     with pytest.raises(DomainError):
         make_domain(2, 6, "field")
-    # but an explicit irreducible polynomial works: z^6 + z + 1 over GF(2)
-    d = make_domain(2, 6, "field", irreducible=(1, 1, 0, 0, 0, 0, 1))
+    # but the field of an irreducible polynomial works: z^6 + z + 1 over GF(2)
+    d = FiniteField(2, 6, (1, 1, 0, 0, 0, 0, 1))
     assert d.size == 64
 
 
@@ -80,14 +97,13 @@ def test_builtin_polynomials_are_irreducible():
 
 
 def test_subgroup_examples():
-    assert [s.key() for s in subgroup_of_order(make_domain(3), 2)] == [1, 2]
-    assert [s.key() for s in subgroup_of_order(make_domain(7), 1)] == [1]
+    assert list(subgroup_of_order(make_domain(3), 2)) == [1, 2]
+    assert list(subgroup_of_order(make_domain(7), 1)) == [1]
     # oracle: enumerate x in GF(5) with x^2 = 1
     d5 = make_domain(5)
-    expected = sorted(x.key() for x in d5.units()
-                      if d5.rmul(x.raw, x.raw) == d5.rone)
+    expected = sorted(x for x in d5.units() if d5.rmul(x, x) == d5.rone)
     assert expected == [1, 4]
-    assert [s.key() for s in subgroup_of_order(d5, 2)] == expected
+    assert list(subgroup_of_order(d5, 2)) == expected
 
 
 def test_subgroup_errors():
@@ -102,7 +118,7 @@ def test_subgroup_errors():
 def test_field_axioms_exhaustive(q, exp):
     p = 2 if q % 2 == 0 else (3 if q % 3 == 0 else q)
     d = make_domain(p, exp, "field")
-    elems = [e.raw for e in d.elements()]
+    elems = d.elements()
     add, mul = d.radd, d.rmul
     for a, b in itertools.product(elems, repeat=2):
         assert mul(a, b) == mul(b, a)
@@ -121,8 +137,8 @@ def test_field_axioms_exhaustive(q, exp):
 def test_log_tables_match_polynomial_arithmetic(p, k, poly):
     """rmul and rinv read log/antilog tables; they agree with the product
     modulo the defining polynomial, on built-in and supplied polynomials."""
-    d = make_domain(p, k, irreducible=poly)
-    raws = [e.raw for e in d.elements()]
+    d = make_domain(p, k) if poly is None else FiniteField(p, k, poly)
+    raws = d.elements()
     for a, b in itertools.product(raws[:40], raws):
         rem = _poly_rem(_poly_mul(list(a), list(b), p), list(d.modpoly), p)
         assert d.rmul(a, b) == tuple(rem + [0] * (k - len(rem)))
@@ -143,29 +159,47 @@ def test_subgroup_closure_and_order(q, exp):
         sub = subgroup_of_order(d, order)
         assert len(sub.elements) == order
         for a, b in itertools.product(sub.elements, repeat=2):
-            assert d.scalar(d.rmul(a.raw, b.raw)) in sub.elements
+            assert d.rmul(a, b) in sub.elements
         for a in sub.elements:
-            assert a ** order == d.scalar(1)
+            assert d.rpow(a, order) == d.rone
 
 
 def test_modular_units_are_coprime_residues():
     d = make_domain(2, 3, "modular")  # Z_8
-    units = [s.key() for s in d.units()]
-    assert units == [1, 3, 5, 7]
+    assert d.units() == (1, 3, 5, 7)
     for u in d.units():
-        assert d.rmul(u.raw, d.rinv(u.raw)) == d.rone
+        assert d.rmul(u, d.rinv(u)) == d.rone
     with pytest.raises(DomainError):
-        d.rinv(d.scalar(2).raw)
+        d.rinv(2)
+
+
+@pytest.mark.parametrize("d", [make_domain(2, 2), make_domain(3, 2),
+                               make_domain(2, 3), make_domain(5),
+                               make_domain(2, 3, "modular")])
+def test_rpow_matches_repeated_products(d):
+    for a in d.elements():
+        power = d.rone
+        for n in range(d.size + 2):
+            assert d.rpow(a, n) == power, (a, n)
+            power = d.rmul(power, a)
+
+
+def test_coerce_rejects_what_it_cannot_read():
+    for d, bad in ((make_domain(5), 1.5), (make_domain(2, 2), (1, 0, 1)),
+                   (make_domain(2, 2), 4), (make_domain(2, 2), "1")):
+        with pytest.raises(DomainError):
+            d.coerce(bad)
+    assert make_domain(2, 3, "modular").coerce(-1) == 7
 
 
 def test_extension_field_encode_decode_roundtrip():
     d = make_domain(3, 2, "field")
     for v in range(9):
-        assert d.scalar(v).key() == v
-    x = d.scalar(3)
-    assert x == d.scalar((0, 1))  # encoding 3 is the basis element z
+        assert d.encode(d.coerce(v)) == v
+    x = d.coerce(3)
+    assert x == d.coerce((0, 1))  # encoding 3 is the basis element z
     # z^2 = -1 = 2 for the defining polynomial z^2 + 1
-    assert d.encode(d.rmul(x.raw, x.raw)) == 2
+    assert d.encode(d.rmul(x, x)) == 2
 
 
 def test_residue_kernels_reject_bad_shapes():

@@ -43,7 +43,7 @@ def test_pattern_closure_violation_reported(f3):
     full = unitriangular_group(f3, 3)
     a = elem(full, (1, 1, 0), (0, 1, 0), (0, 0, 1))
     b = elem(full, (1, 0, 0), (0, 1, 1), (0, 0, 1))
-    assert (a * b).scalar(1, 3) == f3.scalar(1)
+    assert (a * b).rows[0][2] == 1
 
 
 def test_bad_subgroup_order(f3):
@@ -86,7 +86,7 @@ def test_multiply_closure_random(order54):
         a, b = rng.choice(elems), rng.choice(elems)
         product = multiply(a, b)  # membership-checked internally
         for i in range(1, 4):
-            assert product.scalar(i, i) in order54.subgroups[i - 1]
+            assert product.rows[i - 1][i - 1] in order54.subgroups[i - 1]
 
 
 def test_group_axioms_sampled(group_family):
@@ -109,18 +109,18 @@ def test_conjugation_stability(group_family):
         if group.order > 100:
             continue
         unipotent = [g for g in element_list(group)
-                     if all(g.scalar(i, i) == group.domain.scalar(1)
-                            for i in range(1, group.m + 1))]
+                     if all(g.rows[i][i] == group.domain.rone
+                            for i in range(group.m))]
         diagonal = [g for g in element_list(group)
-                    if all(g.scalar(i, j).raw == group.domain.rzero
-                           for i in range(1, group.m + 1)
-                           for j in range(i + 1, group.m + 1))]
+                    if all(g.rows[i][j] == group.domain.rzero
+                           for i in range(group.m)
+                           for j in range(i + 1, group.m))]
         for d in diagonal:
             dinv = d.inverse()
             for u in unipotent:
                 conj = multiply(multiply(d, u), dinv)
-                assert all(conj.scalar(i, i) == group.domain.scalar(1)
-                           for i in range(1, group.m + 1))
+                assert all(conj.rows[i][i] == group.domain.rone
+                           for i in range(group.m))
 
 
 def test_order_matches_enumeration(group_family, f3):
@@ -316,7 +316,7 @@ def _pattern_is_closed(pattern):
 
 def _unipotent_set(domain, m, pattern):
     """All matrices I + sum of arbitrary entries at the pattern positions."""
-    values = [s.raw for s in domain.elements()]
+    values = domain.elements()
     zero, one = domain.rzero, domain.rone
     out = []
     for fill in itertools.product(values, repeat=len(pattern)):
@@ -347,7 +347,7 @@ def _random_element(rng, group):
     dom, m = group.domain, group.m
     rows = [[dom.rzero] * m for _ in range(m)]
     for i, sub in enumerate(group.subgroups):
-        rows[i][i] = rng.choice(sub.elements).raw
+        rows[i][i] = rng.choice(sub.elements)
     for i, j in group.pattern:
         rows[i - 1][j - 1] = rng.randrange(dom.size)
     return group.element(rows)
@@ -423,7 +423,7 @@ def _member_by_definition(group, raw):
         for j in range(group.m):
             v = raw[i][j]
             if i == j:
-                if not any(s.raw == v for s in group.subgroups[i]):
+                if not any(s == v for s in group.subgroups[i]):
                     return False
             elif (i + 1, j + 1) not in group.pattern and v != dom.rzero:
                 return False
@@ -435,7 +435,7 @@ def test_membership_check_matches_definition(sparse18):
     groups = (sparse18, make_group(f4, 2, ((1, 2),), (3, 1)),
               make_group(make_domain(5), 2, (), (4, 2)))
     for group in groups:
-        raws = tuple(s.raw for s in group.domain.elements())
+        raws = group.domain.elements()
         m = group.m
         for flat in itertools.product(raws, repeat=m * m):
             raw = tuple(flat[i * m:(i + 1) * m] for i in range(m))
@@ -450,6 +450,11 @@ def test_membership_check_matches_definition(sparse18):
         group._check_membership(((1, 0), (0, 2)))
     with pytest.raises(GroupError, match=r"entry \(2,1\) must be zero"):
         group._check_membership(((1, 0), (3, 1)))
+    # over GF(4) the message encodes the raw coefficient tuple of z
+    gf4 = make_group(f4, 2, ((1, 2),), (1, 1))
+    with pytest.raises(GroupError, match="diagonal entry 1 = 2 outside its "
+                                         "subgroup of order 1"):
+        gf4.element([[2, 0], [0, 1]])
 
 
 # -- the table oracle against a plain scan -------------------------------------

@@ -12,7 +12,6 @@ from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
                      separating_substitution, symbolic_product,
                      unitriangular_group, word_variables,
                      words_agree_everywhere)
-from eqsolve.domains import Scalar
 from eqsolve.poly import grid_polynomials, slot_letter
 from eqsolve.reduction import (_variable_letter, _variable_slots,
                                _word_letters, x_variable, y_variable)
@@ -49,9 +48,9 @@ def slot_assignment(group, word, assignment):
     for name, k in index_of(word).items():
         element = assignment[name]
         for i in range(1, group.m + 1):
-            out[y_variable(i, k)] = element.scalar(i, i)
+            out[y_variable(i, k)] = element.rows[i - 1][i - 1]
         for (i, j) in group.pattern:
-            out[x_variable(i, j, k)] = element.scalar(i, j)
+            out[x_variable(i, j, k)] = element.rows[i - 1][j - 1]
     return out
 
 
@@ -91,8 +90,7 @@ def _fold_product(group, letters):
                     for col, coeff, var in letter[l]:
                         if col != j:
                             continue
-                        term = mul(grid[i][l], constant(
-                            group.domain, Scalar(group.domain, coeff)))
+                        term = mul(grid[i][l], constant(group.domain, coeff))
                         if var is not None:
                             term = mul(term, variable(group.domain, var))
                         acc = add(acc, term)
@@ -136,12 +134,12 @@ def _reference_constraints(group, lhs, rhs, formal):
     left, *rest = [grid_polynomials(group.domain, symbolic_product(
         group, _word_letters(group, w, letters), formal=formal).raw)
         for w in words]
-    zero = group.domain.zero()
+    zero = group.domain.rzero
     upper = [(i, j) for i in range(group.m) for j in range(i, group.m)]
     if rest:
         return tuple(Constraint(add(left[i][j], neg(rest[0][i][j])), zero)
                      for i, j in upper)
-    return tuple(Constraint(left[i][j], rhs.scalar(i + 1, j + 1))
+    return tuple(Constraint(left[i][j], rhs.rows[i][j])
                  for i, j in upper)
 
 
@@ -441,7 +439,7 @@ def test_cut_square_chain_refuted_before_search(sparse18, order54):
     for group, row in ((sparse18, 1), (order54, 2)):
         assert group.orders[row - 1] == 2
         target = next(g for g in element_list(group)
-                      if g.scalar(row, row).raw == 2)
+                      if g.rows[row - 1][row - 1] == 2)
         for k in range(1, 5):
             word = tuple(x for i in range(1, k + 1) for x in ("x%d" % i,) * 2)
             decision = decide_equation(group, word, target)

@@ -7,7 +7,6 @@ import pytest
 from eqsolve import (Constraint, GuardExceeded, PolySystem, SolveRequest,
                      SolverError, Variable, make_domain, solve, verify_witness)
 
-from eqsolve.domains import Scalar
 from naive import solve_naive
 from polyexpr import poly
 
@@ -23,29 +22,29 @@ def full_domain(d):
 
 
 def test_constant_system_sat():
-    system = PolySystem(F3, (Constraint(poly(F3, (1, ())), F3.scalar(1)),), {})
+    system = PolySystem(F3, (Constraint(poly(F3, (1, ())), 1),), {})
     decision = solve(SolveRequest(system))
     assert decision.sat and decision.witness == {}
 
 
 def test_constant_system_unsat():
-    system = PolySystem(F3, (Constraint(poly(F3, (1, ())), F3.zero()),), {})
+    system = PolySystem(F3, (Constraint(poly(F3, (1, ())), 0),), {})
     assert not solve(SolveRequest(system)).sat
 
 
 def test_subgroup_restricted_variable():
-    sub = (F3.scalar(1), F3.scalar(2))
-    system = PolySystem(F3, (Constraint(poly(F3, (1, (Y,))), F3.scalar(2)),),
+    sub = (1, 2)
+    system = PolySystem(F3, (Constraint(poly(F3, (1, (Y,))), 2),),
                         {Y: sub})
     decision = solve(SolveRequest(system))
-    assert decision.sat and decision.witness[Y] == F3.scalar(2)
+    assert decision.sat and decision.witness[Y] == 2
 
 
 def test_two_constraint_example():
     # x*y + 1 = 0 and x + y = 0 over GF(3)
     system = PolySystem(F3, (
-        Constraint(poly(F3, (1, (X, Y)), (1, ())), F3.zero()),
-        Constraint(poly(F3, (1, (X,)), (1, (Y,))), F3.zero()),
+        Constraint(poly(F3, (1, (X, Y)), (1, ())), 0),
+        Constraint(poly(F3, (1, (X,)), (1, (Y,))), 0),
     ), {X: full_domain(F3), Y: full_domain(F3)})
     # oracle: first (x, y) pair in scan order satisfying both
     expected = None
@@ -56,26 +55,26 @@ def test_two_constraint_example():
     assert expected == (1, 2)
     decision = solve(SolveRequest(system))
     assert decision.sat
-    assert decision.witness[X] == F3.scalar(1)
-    assert decision.witness[Y] == F3.scalar(2)
+    assert decision.witness[X] == 1
+    assert decision.witness[Y] == 2
 
 
 def test_verify_witness():
-    system = PolySystem(F2, (Constraint(poly(F2, (1, (X,))), F2.scalar(1)),),
+    system = PolySystem(F2, (Constraint(poly(F2, (1, (X,))), 1),),
                         {X: full_domain(F2)})
-    assert verify_witness(system, {X: F2.scalar(1)})
-    assert not verify_witness(system, {X: F2.zero()})
+    assert verify_witness(system, {X: 1})
+    assert not verify_witness(system, {X: 0})
     with pytest.raises(SolverError):
         verify_witness(system, {})
     assert verify_witness(PolySystem(F2, (), {}), {})
 
 
 def test_witness_domain_violation_raises():
-    sub = (F3.scalar(1),)
-    system = PolySystem(F3, (Constraint(poly(F3, (1, (Y,))), F3.scalar(1)),),
+    sub = (1,)
+    system = PolySystem(F3, (Constraint(poly(F3, (1, (Y,))), 1),),
                         {Y: sub})
     with pytest.raises(SolverError):
-        verify_witness(system, {Y: F3.scalar(2)})
+        verify_witness(system, {Y: 2})
 
 
 _W = Variable("w")
@@ -92,7 +91,7 @@ def _random_system(rng, domain):
             terms.append((rng.randrange(domain.size), factors))
         constraints.append(Constraint(
             poly(domain, *terms),
-            domain.scalar(rng.randrange(domain.size))))
+            domain.coerce(rng.randrange(domain.size))))
     domains = {v: full_domain(domain) for v in variables}
     return PolySystem(domain, tuple(constraints), domains)
 
@@ -128,7 +127,7 @@ def _restricted_system(rng, domain):
             terms.append((rng.randrange(domain.size), tuple(factors)))
         constraints.append(Constraint(
             poly(domain, *terms),
-            domain.scalar(rng.randrange(domain.size))))
+            domain.coerce(rng.randrange(domain.size))))
     domains = {v: tuple(rng.sample(elements, rng.randint(1, 4)))
                for v in read + [_U]}
     return PolySystem(domain, tuple(constraints), domains)
@@ -144,9 +143,9 @@ def test_pruned_equals_naive_on_restricted_domains():
                make_domain(2, 2)]
     nonzero_first = repeated = sat = 0
     for trial in range(900):
-        system = _restricted_system(rng, domains[trial % 3])
-        first = system.domains[_U][0]
-        nonzero_first += first.raw != first.domain.rzero
+        domain = domains[trial % 3]
+        system = _restricted_system(rng, domain)
+        nonzero_first += system.domains[_U][0] != domain.rzero
         repeated += any(len(set(factors)) < len(factors)
                         for c in system.constraints
                         for factors, _ in c.poly.items())
@@ -160,8 +159,8 @@ def test_pruned_equals_naive_on_restricted_domains():
 
 
 def _scalar_verify_witness(system, assignment):
-    """verify_witness as it was before raw evaluation: domain membership by
-    Scalar ==, constraints evaluated term by term and compared by Scalar ==."""
+    """verify_witness as a term-by-term reference: domain membership by
+    ==, each constraint evaluated monomial by monomial and compared by ==."""
     for v, values in system.domains.items():
         if v not in assignment:
             raise SolverError("witness is missing variable %s" % v.name)
@@ -173,9 +172,9 @@ def _scalar_verify_witness(system, assignment):
         total = dom.rzero
         for factors, coeff in c.poly.items():
             for v in factors:
-                coeff = dom.rmul(coeff, assignment[v].raw)
+                coeff = dom.rmul(coeff, assignment[v])
             total = dom.radd(total, coeff)
-        if not Scalar(dom, total) == c.target:
+        if not total == c.target:
             return False
     return True
 
@@ -188,44 +187,34 @@ def _outcome(check, system, assignment):
 
 
 def test_verify_witness_matches_scalar_evaluation():
-    """Raw evaluation gives the old verdicts and messages over Z8, Z9 and
-    GF(4): on solver witnesses and altered ones, with a variable missing, a
-    value outside its domain or from another domain, and a value from an
-    equal domain that is another object."""
+    """verify_witness gives the reference's verdicts and messages over Z8,
+    Z9 and GF(4): on solver witnesses and altered ones, with a variable
+    missing or a value outside its domain."""
     rng = random.Random(19)
     specs = ((2, 3, "modular"), (3, 2, "modular"), (2, 2, "field"))
     doms = [make_domain(*spec) for spec in specs]
-    twins = [make_domain(*spec) for spec in specs]
-    others = [make_domain(2, 2, "modular"), make_domain(3), make_domain(2)]
     seen = collections.Counter()
     for trial in range(900):
-        dom, twin, other = doms[trial % 3], twins[trial % 3], others[trial % 3]
-        assert twin == dom and twin is not dom
+        dom = doms[trial % 3]
         system = _restricted_system(rng, dom)
         decision = solve(SolveRequest(system))
         assignment = dict(decision.witness) if decision.sat else {
             v: rng.choice(values) for v, values in system.domains.items()}
         v = rng.choice(list(system.domains))
-        case = rng.choice(("kept", "missing", "outside", "other", "twin",
-                           "moved"))
+        case = rng.choice(("kept", "missing", "outside", "moved"))
         outside = [s for s in full_domain(dom)
                    if s not in system.domains[v]]
         if case == "missing":
             del assignment[v]
         elif case == "outside" and outside:
             assignment[v] = rng.choice(outside)
-        elif case == "other":
-            assignment[v] = rng.choice(full_domain(other))
-        elif case == "twin":
-            assignment[v] = Scalar(twin, assignment[v].raw)
         elif case == "moved":
             assignment[v] = rng.choice(system.domains[v])
         expected = _outcome(_scalar_verify_witness, system, assignment)
         assert _outcome(verify_witness, system, assignment) == expected, trial
         seen[case, expected[0] if expected[0] == "error" else expected[1]] += 1
-    assert min(seen["kept", True], seen["moved", False], seen["twin", True],
-               seen["missing", "error"], seen["outside", "error"],
-               seen["other", "error"]) >= 20, seen
+    assert min(seen["kept", True], seen["moved", False],
+               seen["missing", "error"], seen["outside", "error"]) >= 20, seen
 
 
 def test_retarget_swaps_only_the_targets():
@@ -233,7 +222,7 @@ def test_retarget_swaps_only_the_targets():
     z9 = make_domain(3, 2, "modular")
     for _ in range(50):
         system = _restricted_system(rng, z9)
-        targets = [z9.scalar(rng.randrange(9)) for _ in system.constraints]
+        targets = [rng.randrange(9) for _ in system.constraints]
         moved = system.retarget(targets)
         fresh = PolySystem(z9, tuple(
             Constraint(c.poly, t)
@@ -246,12 +235,26 @@ def test_retarget_swaps_only_the_targets():
         got, want = solve(SolveRequest(moved)), solve(SolveRequest(fresh))
         assert (got.sat, got.witness, got.stats) == \
             (want.sat, want.witness, want.stats)
-    with pytest.raises(SolverError):
-        system.retarget([F3.zero()] * len(system.constraints))
+
+
+def test_targets_outside_the_domain_rejected():
+    """A target must be one of the domain's raw values, in a new system and
+    on retarget alike."""
+    z9 = make_domain(3, 2, "modular")
+    system = _restricted_system(random.Random(29), z9)
+    for bad in (9, (0, 1)):
+        targets = [0] * len(system.constraints)
+        targets[-1] = bad
+        with pytest.raises(SolverError):
+            PolySystem(z9, tuple(Constraint(c.poly, t) for c, t
+                                 in zip(system.constraints, targets)),
+                       system.domains)
+        with pytest.raises(SolverError):
+            system.retarget(targets)
 
 
 def test_guard_exceeded():
-    system = PolySystem(F3, (Constraint(poly(F3, (1, (X,))), F3.zero()),),
+    system = PolySystem(F3, (Constraint(poly(F3, (1, (X,))), 0),),
                         {X: full_domain(F3)})
     with pytest.raises(GuardExceeded) as err:
         solve(SolveRequest(system, guard=2))
@@ -271,20 +274,20 @@ def test_determinism():
 
 def test_empty_domain_rejected():
     with pytest.raises(SolverError):
-        PolySystem(F3, (Constraint(poly(F3, (1, (X,))), F3.zero()),), {X: ()})
+        PolySystem(F3, (Constraint(poly(F3, (1, (X,))), 0),), {X: ()})
 
 
 def test_missing_domain_entry_rejected():
     with pytest.raises(SolverError):
-        PolySystem(F3, (Constraint(poly(F3, (1, (X,))), F3.zero()),), {})
+        PolySystem(F3, (Constraint(poly(F3, (1, (X,))), 0),), {})
 
 
 def test_variable_order_by_occurrence():
     # z appears three times, x twice, y once: order z, x, y
     from eqsolve.solver import _ordered_variables
     system = PolySystem(F3, (
-        Constraint(poly(F3, (1, (Z, Z, X)), (1, (Y,))), F3.zero()),
-        Constraint(poly(F3, (1, (Z, X))), F3.zero()),
+        Constraint(poly(F3, (1, (Z, Z, X)), (1, (Y,))), 0),
+        Constraint(poly(F3, (1, (Z, X))), 0),
     ), {X: full_domain(F3), Y: full_domain(F3), Z: full_domain(F3)})
     assert [v.name for v in _ordered_variables(system)] == ["z", "x", "y"]
 
@@ -310,4 +313,4 @@ def test_every_slot_starts_at_its_base_entry(group_family):
     for dom, base, slots in layouts:
         assert slots
         for i, j, coeff, var, values in slots:
-            assert base[i][j] == dom.rmul(coeff, values[0].raw), (dom, var)
+            assert base[i][j] == dom.rmul(coeff, values[0]), (dom, var)
