@@ -2,14 +2,14 @@
 rings, decided by symbolic reduction to polynomial systems over the scalars,
 with brute-force oracles for cross-checking."""
 
-from .domains import (DomainError, FiniteField, ModularRing, MultSubgroup,
-                      PrimeField, make_domain, subgroup_of_order)
+from .domains import (DomainError, FiniteField, ModularRing, PrimeField,
+                      make_domain, subgroup_of_order)
 from .groups import (GroupElement, GroupError, PatternError, SemipatternGroup,
                      brute_force_solve, element_list, evaluate_word,
                      exponent_bound, full_pattern, invert_word, make_group,
                      multiply, unitriangular_group, word_variables,
                      words_agree_everywhere)
-from .poly import FIELD, SUBGROUP, Polynomial, Variable
+from .poly import Polynomial
 from .reduction import (ReducedSystem, SymbolicMatrix, build_system,
                         decide_equation, decide_equivalence,
                         separating_substitution, symbolic_product)

@@ -29,13 +29,13 @@ def render_system(system: PolySystem) -> str:
     lines = ["# system over %r: %d constraints, %d variables"
              % (dom, len(system.constraints), len(system.domains))]
     lines += ["constraint %r" % (c,) for c in system.constraints]
-    for v in sorted(system.domains, key=lambda v: v.name):
+    for v in sorted(system.domains):
         values = system.domains[v]
         if values == dom.elements():
-            lines.append("domain %s = %r" % (v.name, dom))
+            lines.append("domain %s = %r" % (v, dom))
         else:
             lines.append("domain %s = {%s}" % (
-                v.name, ", ".join(str(dom.encode(x)) for x in values)))
+                v, ", ".join(str(dom.encode(x)) for x in values)))
     return "\n".join(lines) + "\n"
 
 

@@ -19,10 +19,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from itertools import islice
 
 
 class DomainError(ValueError):
     """Bad domain description or out-of-domain operand."""
+
+
+# Construction limits, checked before anything is built: a slot over a whole
+# scalar domain holds every residue in one tuple, and a structure's size m
+# sets the grids, layouts and unrolled kernels it builds.
+DOMAIN_LIMIT = 2 ** 20   # most residues in one scalar domain
+MATRIX_LIMIT = 64        # largest matrix size m
+
+
+def exceeds_domain_limit(p: int, exponent: int) -> bool:
+    """p^exponent > DOMAIN_LIMIT, for exponent >= 1.  exponent * log2(p),
+    rounded down, is compared first, so a huge power is never computed."""
+    return (exponent * (p.bit_length() - 1) >= DOMAIN_LIMIT.bit_length()
+            or p ** exponent > DOMAIN_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -271,10 +286,14 @@ class PrimeField(ModularRing):
 def make_domain(p: int, exponent: int = 1, kind: str = "field"):
     """Build a validated GF(p^exponent) or Z_{p^exponent} domain; an
     extension field uses the built-in defining polynomial of its order."""
-    if not is_prime(p):
-        raise DomainError("p = %d is not prime" % p)
     if exponent < 1:
         raise DomainError("exponent must be positive, got %d" % exponent)
+    # before the primality test, whose trial division grows with p
+    if exceeds_domain_limit(p, exponent):
+        raise DomainError("%d^%d residues exceed the limit of 2^20 per domain"
+                          % (p, exponent))
+    if not is_prime(p):
+        raise DomainError("p = %d is not prime" % p)
     if kind == "modular":
         return ModularRing(p, exponent)
     if kind != "field":
@@ -287,32 +306,22 @@ def make_domain(p: int, exponent: int = 1, kind: str = "field"):
     return FiniteField(p, exponent, _BUILTIN_POLYS[q])
 
 
-@dataclass(frozen=True)
-class MultSubgroup:
+def subgroup_of_order(domain, d: int) -> tuple:
     """The unique order-d subgroup {x : x^d = 1} of the cyclic group GF(q)*,
-    its raw values in encode order."""
-
-    domain: object  # a PrimeField or FiniteField
-    order: int
-    elements: tuple
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def subgroup_of_order(domain, d: int) -> MultSubgroup:
-    """Multiplicative subgroup of GF(q)* of order d; requires d | q - 1."""
+    its raw values in encode order; requires d | q - 1."""
     if getattr(domain, "kind", None) != "field":
         raise DomainError("multiplicative subgroups require a field domain")
     q = domain.size
     if d < 1 or (q - 1) % d != 0:
         raise DomainError("order %d does not divide q - 1 = %d" % (d, q - 1))
-    members = sorted((x for x in domain.units()
-                      if domain.rpow(x, d) == domain.rone), key=domain.encode)
+    # units() lists GF(q)* in encode order, and x^d - 1 has at most d roots,
+    # so the scan stops at the d-th
+    members = tuple(islice((x for x in domain.units()
+                            if domain.rpow(x, d) == domain.rone), d))
     if len(members) != d:
         raise DomainError("expected %d solutions of x^%d = 1, found %d"
                           % (d, d, len(members)))
-    return MultSubgroup(domain, d, tuple(members))
+    return members
 
 
 # -- unrolled residue-matrix kernels -------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
 from . import lanes
-from .domains import (DomainError, PrimeField, residue_matmul,
+from .domains import (MATRIX_LIMIT, DomainError, PrimeField, residue_matmul,
                       subgroup_of_order)
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
@@ -60,7 +60,7 @@ class SemipatternGroup:
     m: int
     pattern: tuple           # sorted (i, j) pairs, 1-based, i < j
     orders: tuple            # diagonal subgroup orders d_1..d_m
-    subgroups: tuple         # MultSubgroup per row
+    subgroups: tuple         # per row, subgroup_of_order's raw values
 
     def __hash__(self):
         return self._hash
@@ -105,7 +105,7 @@ class SemipatternGroup:
         for i, sub in enumerate(self.subgroups):
             for j in range(self.m):
                 if i == j:
-                    plan.append((i, j, frozenset(sub.elements)))
+                    plan.append((i, j, frozenset(sub)))
                 elif i > j or (i + 1, j + 1) not in pat:
                     plan.append((i, j, None))
         return tuple(plan)
@@ -136,9 +136,8 @@ class SemipatternGroup:
         dom = self.domain
         zero = dom.rzero
         slots = list(self.pattern)
-        diag_choices = [sub.elements for sub in self.subgroups]
         slot_values = dom.elements()
-        for diag in itertools.product(*diag_choices):
+        for diag in itertools.product(*self.subgroups):
             for fill in itertools.product(slot_values, repeat=len(slots)):
                 rows = [[zero] * self.m for _ in range(self.m)]
                 for i in range(self.m):
@@ -211,6 +210,9 @@ def make_group(domain, m: int, pattern, orders) -> SemipatternGroup:
         raise GroupError("semipattern groups live over a field domain")
     if m < 1:
         raise GroupError("matrix size must be positive")
+    if m > MATRIX_LIMIT:
+        raise GroupError("matrix size %d exceeds the limit of %d"
+                         % (m, MATRIX_LIMIT))
     pat = set()
     for i, j in pattern:
         if not (1 <= i < j <= m):

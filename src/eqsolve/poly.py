@@ -2,9 +2,9 @@
 
 An entry polynomial is a read-only view of one raw {factor tuple: raw
 coefficient} dict: no two monomials share a factor tuple, no monomial has a
-zero coefficient, and variables commute, so each factor tuple is sorted by
-variable name.  The solver reads the terms unordered (items()); only
-printing sorts them into the canonical order.
+zero coefficient, and variables, which are their name strings, commute, so
+each factor tuple is sorted.  The solver reads the terms unordered (items());
+only printing sorts them into the canonical order.
 
 slot_grid_product is the one matrix product both reductions use: group words
 and ring monomials are products of slot_letter matrices of slots.
@@ -12,53 +12,11 @@ and ring monomials are products of slot_letter matrices of slots.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .domains import _same_domain
-
-FIELD = "field"
-SUBGROUP = "subgroup"
-
-
-class Variable(tuple):
-    """A sorted variable; subgroup-valued variables carry their row index.
-
-    The tuple (name, sort, row), so hashing a factor tuple of variables runs
-    in C; the slot constructors of the reductions return one shared object
-    per slot, so equal factor tuples also compare in C, element by element
-    by identity, without calling __eq__.  Equal variables need not be one
-    object, and a Variable never equals a plain tuple.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, sort: str = FIELD, row: int = None):
-        return tuple.__new__(cls, (name, sort, row))
-
-    name = property(itemgetter(0))
-    sort = property(itemgetter(1))
-    row = property(itemgetter(2))
-
-    def __reduce__(self):
-        return Variable, tuple(self)
-
-    def __eq__(self, other):
-        return isinstance(other, Variable) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = tuple.__hash__
-
-    def __repr__(self):
-        return self.name
-
-
-_by_name = itemgetter(0)
 
 
 def _term_key(factors):
-    return (-len(factors), tuple(v.name for v in factors))
+    return (-len(factors), factors)
 
 
 def _sort_terms(terms):
@@ -99,7 +57,7 @@ class Polynomial:
         by name, equal factor tuples merged and zero sums dropped."""
         coeffs = {}
         for factors, raw in terms:
-            factors = tuple(sorted(factors, key=_by_name))
+            factors = tuple(sorted(factors))
             acc = coeffs.get(factors)
             coeffs[factors] = domain.radd(acc, raw) if acc is not None else raw
         self.domain = domain
@@ -139,13 +97,12 @@ class Polynomial:
         parts = []
         for factors, raw in _sort_terms(self._coeffs.items()):
             coeff = self.domain.encode(raw)
-            names = [v.name for v in factors]
-            if not names:
+            if not factors:
                 parts.append(str(coeff))
             elif coeff == 1:
-                parts.append("*".join(names))
+                parts.append("*".join(factors))
             else:
-                parts.append("*".join([str(coeff)] + names))
+                parts.append("*".join((str(coeff),) + factors))
         return " + ".join(parts)
 
 
@@ -173,8 +130,8 @@ def slot_letter(dom, rows, slots=()) -> list:
 def slot_grid_product(dom, grid, letters, orders=None) -> list:
     """Multiply a raw grid (left unchanged) by letters, left to right.
 
-    Each letter is one list per row of (column, raw coefficient, Variable or
-    None) slots, 0-based, with no zero coefficient.  Entries stay raw dicts
+    Each letter is one list per row of (column, raw coefficient, variable
+    or None) slots, 0-based, with no zero coefficient.  Entries stay raw dicts
     with no zero coefficient; entry_polynomial wraps them unsorted.
     orders maps variables that satisfy var^d = 1 to d; their exponents are
     cut below d as the product is formed.
@@ -195,7 +152,7 @@ def slot_grid_product(dom, grid, letters, orders=None) -> list:
                         # distinct keys of left stay distinct, also where
                         # var^d = 1 cancels d copies of var (a unit)
                         d = orders.get(var) if orders else None
-                        terms = [(tuple(sorted(f + (var,), key=_by_name))
+                        terms = [(tuple(sorted(f + (var,)))
                                   if d is None or f.count(var) < d - 1
                                   else tuple(v for v in f if v != var), c)
                                  for f, c in terms]

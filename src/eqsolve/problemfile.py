@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .domains import make_domain
+from .domains import DOMAIN_LIMIT, MATRIX_LIMIT, make_domain
 from .groups import GroupElement, SemipatternGroup, full_pattern, make_group
 from .rings import (NilpotentMatrixRing, RConst, RNeg, RProd, RScale,
                     RSum, RVar, make_ring)
@@ -65,11 +65,19 @@ def _split_sections(text):
 
 
 def _as_int(value, lineno):
-    """An integer from a key's text or a JSON list entry."""
+    """An integer from a key's text."""
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ParseError("expected an integer, got %r" % value, lineno) from None
+
+
+def _entry_int(entry, lineno):
+    """A JSON list entry that is an integer: never a float or a bool."""
+    if isinstance(entry, bool) or not isinstance(entry, int):
+        raise ParseError("expected an integer, got %s" % json.dumps(entry),
+                         lineno)
+    return entry
 
 
 def _as_list(value, lineno):
@@ -92,14 +100,18 @@ def _matrix_rows(value, m, lineno):
         if len(data) != m * m or any(isinstance(v, list) for v in data):
             raise ParseError("expected %d row-major entries" % (m * m), lineno)
         rows = [data[i * m:(i + 1) * m] for i in range(m)]
-    if any(len(r) != m or any(not isinstance(v, int) for v in r) for r in rows):
+    if any(len(r) != m for r in rows):
         raise ParseError("matrix rows must hold %d integers each" % m, lineno)
-    return rows
+    return [[_entry_int(v, lineno) for v in r] for r in rows]
 
 
 def _factor_prime_power(q, lineno):
     if q < 2:
         raise ParseError("q must be at least 2", lineno)
+    # before trial division, which grows with q's least prime factor
+    if q > DOMAIN_LIMIT:
+        raise ParseError("q = %d exceeds the limit of 2^20 residues per "
+                         "domain" % q, lineno)
     p = 2
     while q % p != 0:
         p += 1
@@ -170,6 +182,9 @@ def _parse_group(table, header_line) -> SemipatternGroup:
     domain = make_domain(p, k, "field")
     lineno, value = _require(table, "m", "group", header_line)
     m = _as_int(value, lineno)
+    if m > MATRIX_LIMIT:
+        raise ParseError("matrix size %d exceeds the limit of %d"
+                         % (m, MATRIX_LIMIT), lineno)
     lineno, value = _require(table, "pattern", "group", header_line)
     if value.strip() == "full":
         pattern = full_pattern(m)
@@ -177,10 +192,10 @@ def _parse_group(table, header_line) -> SemipatternGroup:
         raw = _as_list(value, lineno)
         if any(not isinstance(pos, list) or len(pos) != 2 for pos in raw):
             raise ParseError("pattern must be a list of [i, j] pairs", lineno)
-        pattern = tuple((_as_int(i, lineno), _as_int(j, lineno))
+        pattern = tuple((_entry_int(i, lineno), _entry_int(j, lineno))
                         for i, j in raw)
     lineno, value = _require(table, "orders", "group", header_line)
-    orders = [_as_int(d, lineno) for d in _as_list(value, lineno)]
+    orders = [_entry_int(d, lineno) for d in _as_list(value, lineno)]
     return make_group(domain, m, pattern, orders)
 
 
@@ -252,7 +267,10 @@ def _resolve_ring_expr(pf, tokens, lineno):
         coeff = 1
         letters = []
         for idx, letter_token in enumerate(current):
-            if letter_token.lstrip("-").isdigit():
+            # a constant is a letter, also the ring's 0, which looks like a
+            # coefficient
+            if (_constant(pf, letter_token) is None
+                    and letter_token.lstrip("-").isdigit()):
                 if idx != 0:
                     raise ParseError("coefficient %r must lead its term"
                                      % letter_token, lineno)

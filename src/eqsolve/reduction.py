@@ -55,19 +55,19 @@ from functools import lru_cache
 
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
                      _same_group, evaluate_word, word_variables)
-from .poly import (FIELD, SUBGROUP, Polynomial, Variable, entry_polynomial,
-                   merge_grid, scalar_grid, slot_grid_product, slot_letter)
+from .poly import (Polynomial, entry_polynomial, merge_grid, scalar_grid,
+                   slot_grid_product, slot_letter)
 from .solver import Constraint, Decision, SlotSystem
 
 
 @lru_cache(maxsize=None)
-def x_variable(i: int, j: int, k: int) -> Variable:
-    return Variable("x[%d][%d][%d]" % (i, j, k), FIELD)
+def x_variable(i: int, j: int, k: int) -> str:
+    return "x[%d][%d][%d]" % (i, j, k)
 
 
 @lru_cache(maxsize=None)
-def y_variable(i: int, k: int) -> Variable:
-    return Variable("y[%d][%d]" % (i, k), SUBGROUP, row=i)
+def y_variable(i: int, k: int) -> str:
+    return "y[%d][%d]" % (i, k)
 
 
 @lru_cache(maxsize=None)
@@ -75,9 +75,10 @@ def _variable_slots(group: SemipatternGroup, k: int, formal) -> tuple:
     """Unknown k's layout over the identity, every coefficient 1: y[i][k]
     over row i's subgroup on the diagonal, except in a row of order 1
     unless formal (y^1 = 1 leaves the identity's 1 there), and x[i][j][k]
-    over the field at each pattern position."""
+    over the field at each pattern position: the diagonal holds exactly the
+    subgroup slots, which symbolic_product's y^d = 1 cut reads."""
     rone, field = group.domain.rone, group.domain.elements()
-    slots = [(i, i, rone, y_variable(i + 1, k), sub.elements)
+    slots = [(i, i, rone, y_variable(i + 1, k), sub)
              for i, (sub, d) in enumerate(zip(group.subgroups, group.orders))
              if formal or d > 1]
     slots += [(i - 1, j - 1, rone, x_variable(i, j, k), field)
@@ -139,10 +140,10 @@ def symbolic_product(group: SemipatternGroup, letters, *,
     formed (see the module docstring).
     """
     dom = group.domain
+    # (i, i) holds row i's subgroup slot, or None in a constant letter
     orders = None if formal else {
-        var: group.orders[var.row - 1] for letter in letters
-        for row in letter for _, _, var in row
-        if var is not None and var.sort == SUBGROUP}
+        var: group.orders[i] for letter in letters
+        for i, row in enumerate(letter) for j, _, var in row if j == i}
     return SymbolicMatrix(group, slot_grid_product(
         dom, scalar_grid(dom, group.m, dom.rone), letters, orders))
 
@@ -237,7 +238,7 @@ def _nonzero_point(poly: Polynomial, domains) -> dict:
         present = [factors[0] for factors, _ in poly.items() if factors]
         if not present:
             return assignment
-        var = min(present, key=lambda v: v.name)
+        var = min(present)
         for value in domains[var]:
             # var, first in name order, leads every monomial it occurs in
             rest = Polynomial(dom, (
@@ -247,7 +248,7 @@ def _nonzero_point(poly: Polynomial, domains) -> dict:
                 break
         else:
             raise RuntimeError("internal error: reduced polynomial vanishes "
-                               "on the domain of %s" % var.name)
+                               "on the domain of %s" % var)
         assignment[var] = value
         poly = rest
 

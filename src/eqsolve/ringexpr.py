@@ -20,7 +20,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
-from .domains import (ModularRing, is_prime, residue_matadd, residue_matmul,
+from .domains import (MATRIX_LIMIT, ModularRing, exceeds_domain_limit,
+                      is_prime, residue_matadd, residue_matmul,
                       residue_matscale)
 
 
@@ -162,10 +163,16 @@ class RingElement:
 
 
 def make_ring(p: int, alpha: int, m: int) -> NilpotentMatrixRing:
-    if not is_prime(p):
-        raise RingError("p = %d is not prime" % p)
     if alpha < 1 or m < 1:
         raise RingError("need alpha >= 1 and m >= 1")
+    if m > MATRIX_LIMIT:
+        raise RingError("matrix size %d exceeds the limit of %d"
+                        % (m, MATRIX_LIMIT))
+    if exceeds_domain_limit(p, alpha):
+        raise RingError("Z_(%d^%d) exceeds the limit of 2^20 residues per "
+                        "domain" % (p, alpha))
+    if not is_prime(p):
+        raise RingError("p = %d is not prime" % p)
     return NilpotentMatrixRing(p, alpha, m)
 
 

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache, partial
 from operator import add, getitem, mul
 
 from . import lanes
-from .poly import (FIELD, Variable, grid_polynomials, merge_grid, scalar_grid,
+from .poly import (grid_polynomials, merge_grid, scalar_grid,
                    slot_grid_product, slot_letter)
 # rings is the public module for every ring name, so it re-exports the
 # structure layer in full
@@ -43,13 +43,13 @@ _TABLE_LIMIT = lanes.LIMIT
 
 
 @lru_cache(maxsize=None)
-def s_variable(i: int, j: int, k: int) -> Variable:
-    return Variable("s[%d][%d][%d]" % (i, j, k), FIELD)
+def s_variable(i: int, j: int, k: int) -> str:
+    return "s[%d][%d][%d]" % (i, j, k)
 
 
 @lru_cache(maxsize=None)
-def a_variable(i: int, j: int, k: int) -> Variable:
-    return Variable("a[%d][%d][%d]" % (i, j, k), FIELD)
+def a_variable(i: int, j: int, k: int) -> str:
+    return "a[%d][%d][%d]" % (i, j, k)
 
 
 @lru_cache(maxsize=None)

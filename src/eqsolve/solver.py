@@ -86,15 +86,12 @@ class PolySystem:
                     count = occurrences.get(v)
                     if count is None:
                         raise SolverError("variable %s has no domain entry"
-                                          % v.name)
+                                          % v)
                     occurrences[v] = count + 1
         for v, values in self.domains.items():
             if not values:
-                raise SolverError("variable %s has an empty domain" % v.name)
+                raise SolverError("variable %s has an empty domain" % v)
         self._occurrences = occurrences
-
-    def variables(self):
-        return tuple(self.domains)
 
     def retarget(self, targets) -> "PolySystem":
         """The same polynomials and domains with new targets, one per
@@ -144,7 +141,7 @@ class SolveRequest:
 def _ordered_variables(system: PolySystem):
     """Descending total occurrence count, ties by variable name."""
     occurrences = system._occurrences
-    return sorted(system.domains, key=lambda v: (-occurrences[v], v.name))
+    return sorted(system.domains, key=lambda v: (-occurrences[v], v))
 
 
 def verify_witness(system: PolySystem, assignment: dict) -> bool:
@@ -154,10 +151,10 @@ def verify_witness(system: PolySystem, assignment: dict) -> bool:
     the constraints are then evaluated on them."""
     for v, values in system.domains.items():
         if v not in assignment:
-            raise SolverError("witness is missing variable %s" % v.name)
+            raise SolverError("witness is missing variable %s" % v)
         if assignment[v] not in values:
             raise SolverError("witness value %r outside the domain of %s"
-                              % (assignment[v], v.name))
+                              % (assignment[v], v))
     dom = system.domain
     radd, rmul, zero = dom.radd, dom.rmul, dom.rzero
     for c in system.constraints:
@@ -211,7 +208,7 @@ class SlotSystem:
         self.system = PolySystem(self.domain, constraints, domains)
 
     def witness_rows(self, assignment):
-        """(name, raw rows) per unknown from a {Variable: raw value}
+        """(name, raw rows) per unknown from a {variable name: raw value}
         assignment; unassigned slots keep base's."""
         rmul = self.domain.rmul
         for name, layout in self.slots.items():

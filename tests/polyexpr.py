@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from eqsolve.poly import Polynomial, Variable, _sort_terms
+from eqsolve.poly import Polynomial, _sort_terms
 
 
 def poly(domain, *terms) -> Polynomial:
@@ -31,7 +31,7 @@ def constant(domain, value) -> Polynomial:
     return poly(domain, (value, ()))
 
 
-def variable(domain, var: Variable) -> Polynomial:
+def variable(domain, var: str) -> Polynomial:
     return Polynomial(domain, [((var,), domain.rone)])
 
 
@@ -52,7 +52,7 @@ def mul(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def evaluate(f: Polynomial, assignment):
-    """Raw value under a {Variable: raw value} assignment."""
+    """Raw value under a {variable name: raw value} assignment."""
     dom = f.domain
     total = dom.rzero
     for factors, acc in f.items():
@@ -103,7 +103,7 @@ class EConst(Expr):
 
 @dataclass(frozen=True)
 class EVar(Expr):
-    var: Variable
+    var: str
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class ENeg(Expr):
 def _as_expr(obj):
     if isinstance(obj, Expr):
         return obj
-    if isinstance(obj, Variable):
+    if isinstance(obj, str):
         return EVar(obj)
     return EConst(obj)
 
@@ -135,7 +135,7 @@ def normalize(expr, domain) -> Polynomial:
         if expr.domain != domain:
             raise ValueError("mixed domains in expression")
         return expr
-    if isinstance(expr, Variable):
+    if isinstance(expr, str):
         return variable(domain, expr)
     if isinstance(expr, EConst):
         return constant(domain, expr.value)
@@ -160,7 +160,7 @@ def eval_expr(expr, assignment, domain):
     """Evaluate a raw expression tree directly, without normalizing."""
     if isinstance(expr, Polynomial):
         return evaluate(expr, assignment)
-    if isinstance(expr, Variable):
+    if isinstance(expr, str):
         return assignment[expr]
     if isinstance(expr, EConst):
         return expr.value

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -258,3 +259,77 @@ def test_cli_transcripts_golden():
 
 if __name__ == "__main__":
     TRANSCRIPTS.write_text(json.dumps(record_transcripts(), indent=1) + "\n")
+
+
+RING_ZERO = """
+[ring]
+p = 2
+alpha = 2
+m = 2
+
+[constants]
+c = [0,2, 0,0]
+
+[equation]
+vars = x
+lhs = %s
+rhs = c
+"""
+
+
+def test_ring_zero_in_the_lhs(tmp_path):
+    """The ring's 0 is a letter on the left too: x + 0 = c is x = c, and
+    x*0 = c has only the zero product on the left."""
+    path = tmp_path / "zero.prob"
+    path.write_text(RING_ZERO % "x + 0")
+    code, out, _ = run(["decide", str(path), "--oracle"])
+    assert code == 0 and "x = [[0,2],[0,0]]" in out and "oracle agrees" in out
+    path.write_text(RING_ZERO % "x*0")
+    code, out, _ = run(["decide", str(path), "--oracle"])
+    assert code == 1 and "oracle agrees" in out
+
+
+# Each replaces the value of one `key = value` line of a problem file.
+MUTANTS = ("1.5", "true", "null", "[]", "{}", "[1.5]", "[true]", "-1", "0",
+           "40", "1000003", "99999999999999999999", "x", "x + 0", "*", "+",
+           "")
+
+
+class _Overtime(BaseException):
+    """Raised by the alarm: not an error that main() may report."""
+
+
+def _overtime(signum, frame):
+    raise _Overtime()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        PROBLEMS.glob("*.prob")))
+def test_mutated_problem_files_end_in_an_exit_code(name, tmp_path):
+    """With each key's value replaced by each of MUTANTS, decide --oracle,
+    equiv and dump-system return an exit code 0-3 within a few seconds and
+    raise nothing."""
+    lines = (PROBLEMS / name).read_text().splitlines()
+    path = tmp_path / name
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    try:
+        for n, line in enumerate(lines):
+            key, equals, _ = line.partition("=")
+            if not equals or line.lstrip().startswith("#"):
+                continue
+            for value in MUTANTS:
+                mutated = "%s= %s" % (key, value)
+                path.write_text("\n".join(lines[:n] + [mutated]
+                                          + lines[n + 1:]) + "\n")
+                for command in ("decide --oracle", "equiv", "dump-system"):
+                    signal.alarm(5)
+                    try:
+                        code = run(command.split() + [str(path)])[0]
+                    except (Exception, _Overtime) as exc:
+                        pytest.fail("%s with %r raised %r"
+                                    % (command, mutated, exc))
+                    finally:
+                        signal.alarm(0)
+                    assert code in (0, 1, 2, 3), (command, mutated, code)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -61,7 +61,7 @@ def test_f3_units_form_full_multiplicative_group():
     # the scalar domain of the order-54 group: units {1, 2}, a,b,c free
     d = make_domain(3)
     assert d.units() == (1, 2)
-    assert subgroup_of_order(d, 2).elements == d.units()
+    assert subgroup_of_order(d, 2) == d.units()
 
 
 def test_z4_inverse_of_three():
@@ -113,6 +113,16 @@ def test_subgroup_errors():
         subgroup_of_order(make_domain(2, 2, "modular"), 1)
 
 
+def test_domain_size_limit():
+    """At most 2^20 residues; a huge exponent is refused without computing
+    the power, and a huge p without the primality test."""
+    assert make_domain(2, 20, "modular").size == 2 ** 20
+    for p, exponent in ((2, 21), (1048583, 1), (2, 10 ** 20),
+                        (2 ** 61 - 1, 1), (1000003, 2)):
+        with pytest.raises(DomainError, match=r"limit of 2\^20"):
+            make_domain(p, exponent, "modular")
+
+
 @pytest.mark.parametrize("q,exp", [(2, 1), (3, 1), (4, 2), (5, 1), (7, 1),
                                    (8, 3), (9, 2)])
 def test_field_axioms_exhaustive(q, exp):
@@ -157,10 +167,10 @@ def test_subgroup_closure_and_order(q, exp):
         if (q - 1) % order != 0:
             continue
         sub = subgroup_of_order(d, order)
-        assert len(sub.elements) == order
-        for a, b in itertools.product(sub.elements, repeat=2):
-            assert d.rmul(a, b) in sub.elements
-        for a in sub.elements:
+        assert len(sub) == order
+        for a, b in itertools.product(sub, repeat=2):
+            assert d.rmul(a, b) in sub
+        for a in sub:
             assert d.rpow(a, order) == d.rone
 
 

@@ -51,6 +51,11 @@ def test_bad_subgroup_order(f3):
         make_group(f3, 2, ((1, 2),), (3, 1))  # 3 does not divide q - 1 = 2
 
 
+def test_matrix_size_limit(f3):
+    with pytest.raises(GroupError, match="limit of 64"):
+        make_group(f3, 65, (), (1,) * 65)
+
+
 def test_bad_pattern_position(f3):
     with pytest.raises(GroupError):
         make_group(f3, 2, ((2, 1),), (1, 1))
@@ -347,7 +352,7 @@ def _random_element(rng, group):
     dom, m = group.domain, group.m
     rows = [[dom.rzero] * m for _ in range(m)]
     for i, sub in enumerate(group.subgroups):
-        rows[i][i] = rng.choice(sub.elements)
+        rows[i][i] = rng.choice(sub)
     for i, j in group.pattern:
         rows[i - 1][j - 1] = rng.randrange(dom.size)
     return group.element(rows)

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from eqsolve import GroupElement, RingElement
+from eqsolve import (GroupElement, RConst, RingElement, RNeg, RProd, RScale,
+                     RSum, RVar)
 from eqsolve.problemfile import ParseError, parse_problem, parse_problem_file
 from problemtext import render_problem
 
@@ -171,3 +172,45 @@ def test_orders_entry_must_be_an_integer():
         parse_problem(text)
     assert "expected an integer" in str(err.value)
     assert err.value.line == 6
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("pattern = full", "pattern = [[1.0, 2.9], [true, 3]]", 5),
+    ("pattern = full", "pattern = [[1, 2.0], [1, 3]]", 5),
+    ("pattern = full", "pattern = [[true, 2], [1, 3]]", 5),
+    ("orders = [1, 2, 1]", "orders = [1.9, 2, 1]", 6),
+    ("orders = [1, 2, 1]", "orders = [1, true, 1]", 6),
+    ("c = [1,0,1,", "c = [true,0,1,", 9),
+])
+def test_list_entries_are_ints_not_floats_or_bools(old, new, line):
+    """A float or a bool in a list is refused, not truncated to an int:
+    every text here used to parse into a valid group or constant."""
+    with pytest.raises(ParseError) as err:
+        parse_problem(GROUP_TEXT.replace(old, new))
+    assert "expected an integer" in str(err.value)
+    assert err.value.line == line
+
+
+def test_ring_zero_is_a_letter_in_the_lhs():
+    pf = parse_problem(RING_TEXT.replace("lhs = x*y + 2*x - c",
+                                         "lhs = x + 0 - 0*y + x*0 - -1*x"))
+    zero = RConst(pf.ring.zero())
+    assert pf.lhs == RSum((RVar("x"), zero,
+                           RNeg(RProd((zero, RVar("y")))),
+                           RProd((RVar("x"), zero)),
+                           RNeg(RScale(-1, RVar("x")))))
+    assert parse_problem(RING_TEXT).lhs.parts[1] == RScale(2, RVar("x"))
+    assert parse_problem(render_problem(pf)) == pf
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("m = 3", "m = 1000003", 4),
+    ("q = 3", "q = 1048583", 3),
+    ("q = 3", "q = 2305843009213693951", 3),
+])
+def test_construction_limits_name_the_line(old, new, line):
+    """m is refused before the full pattern is built, and q before its
+    trial division."""
+    with pytest.raises(ParseError, match="limit") as err:
+        parse_problem(GROUP_TEXT.replace(old, new))
+    assert err.value.line == line

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from eqsolve import (SUBGROUP, Polynomial, brute_force_solve, build_system,
+from eqsolve import (Polynomial, brute_force_solve, build_system,
                      decide_equation, decide_equivalence, element_list,
                      evaluate_word, exponent_bound, full_pattern, invert_word,
                      make_domain, make_group, multiply, solve, SolveRequest,
@@ -40,6 +40,13 @@ def distinct_word(n):
 
 def index_of(word):
     return {name: k for k, name in enumerate(word_variables(word), start=1)}
+
+
+def subgroup_rows(group, ks):
+    """{slot: row, 1-based} for the subgroup slots of unknowns ks: the
+    diagonal slots of their formal layouts."""
+    return {var: i + 1 for k in ks
+            for i, j, _, var, _ in _variable_slots(group, k, True) if i == j}
 
 
 def slot_assignment(group, word, assignment):
@@ -232,7 +239,7 @@ def test_monomial_structure(f2):
         if i == j:
             continue
         for factors, _ in poly.items():
-            chain = sorted((_parse_slot(v.name) for v in factors),
+            chain = sorted((_parse_slot(v) for v in factors),
                            key=lambda slot: slot[3])
             assert len(chain) == n
             assert [slot[3] for slot in chain] == list(range(1, n + 1))
@@ -249,11 +256,12 @@ def test_diagonal_entries_are_single_monomials(group_family):
             word = random_word(rng, group, max_len=8, max_vars=3)
             sm = symbolic_product(group, symbolic_letters(group, word,
                                                           index_of(word)))
+            subgroup = subgroup_rows(group, index_of(word).values())
             for i in range(1, group.m + 1):
                 entry = sm.entry(i, i)
                 assert entry.monomial_count() <= 1
                 for factors, _ in entry.items():
-                    assert all(v.sort == SUBGROUP for v in factors)
+                    assert all(v in subgroup for v in factors)
 
 
 def test_pipeline_over_extension_field():
@@ -302,9 +310,10 @@ def test_build_system_single_variable_pins_entries(order54):
 
 def test_build_system_domains(order54):
     reduced = build_system(order54, ("x", "y"), order54.identity())
+    rows = subgroup_rows(order54, (1, 2))
     for var, values in reduced.system.domains.items():
-        if var.sort == SUBGROUP:
-            assert values == order54.subgroups[var.row - 1].elements
+        if var in rows:
+            assert values == order54.subgroups[rows[var] - 1]
         else:
             assert values == tuple(order54.domain.elements())
 
@@ -448,11 +457,12 @@ def test_cut_square_chain_refuted_before_search(sparse18, order54):
             matrix = symbolic_product(
                 group, symbolic_letters(group, word, index_of(word)),
                 formal=False)
+            rows = subgroup_rows(group, index_of(word).values())
             for _, poly in matrix.upper_entries():
                 for factors, _ in poly.items():
                     for v in factors:
-                        if v.sort == SUBGROUP:
-                            assert factors.count(v) < group.orders[v.row - 1]
+                        if v in rows:
+                            assert factors.count(v) < group.orders[rows[v] - 1]
 
 
 def test_folded_system_agrees_with_formal_and_oracle(group_family):
@@ -524,9 +534,10 @@ def test_field_slots_occur_at_most_once_per_monomial(group_family):
             index = {name: k for k, name in enumerate(names, start=1)}
             matrix = symbolic_product(group,
                                       symbolic_letters(group, word, index))
+            subgroup = subgroup_rows(group, index.values())
             for _, poly in matrix.upper_entries():
                 for factors, _ in poly.items():
-                    field = [v for v in factors if v.sort != SUBGROUP]
+                    field = [v for v in factors if v not in subgroup]
                     assert len(field) == len(set(field)), (word, factors)
 
 
@@ -603,7 +614,7 @@ def test_unknown_whose_slots_cancel_comes_back_identity(group_family):
         assert decision.witness == {"x": identity, "y": identity}
         c = random_group_element(rng, group)
         system = build_system(group, word, c, formal=False).system
-        assert not any(v.name.endswith("[2]") for v in system.domains)
+        assert not any(v.endswith("[2]") for v in system.domains)
         decision = decide_equation(group, word, c)
         assert decision.sat
         assert decision.witness == {"x": c, "y": identity}

@@ -53,6 +53,15 @@ def test_make_ring_errors():
         make_ring(2, 0, 2)
 
 
+
+def test_make_ring_limits():
+    assert make_ring(2, 20, 64).modulus == 2 ** 20
+    for args in ((2, 40, 2), (2, 10 ** 20, 2), (2 ** 61 - 1, 1, 2),
+                 (2, 1, 65)):
+        with pytest.raises(RingError, match="limit"):
+            make_ring(*args)
+
+
 def test_membership_validation(ring_m2z4):
     with pytest.raises(RingError):
         ring_m2z4.element([[1, 0], [0, 0]])  # odd on the diagonal

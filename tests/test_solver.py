@@ -5,16 +5,16 @@ import random
 import pytest
 
 from eqsolve import (Constraint, GuardExceeded, PolySystem, SolveRequest,
-                     SolverError, Variable, make_domain, solve, verify_witness)
+                     SolverError, make_domain, solve, verify_witness)
 
 from naive import solve_naive
 from polyexpr import poly
 
 F2 = make_domain(2)
 F3 = make_domain(3)
-X = Variable("x")
-Y = Variable("y")
-Z = Variable("z")
+X = "x"
+Y = "y"
+Z = "z"
 
 
 def full_domain(d):
@@ -77,7 +77,7 @@ def test_witness_domain_violation_raises():
         verify_witness(system, {Y: 2})
 
 
-_W = Variable("w")
+_W = "w"
 
 
 def _random_system(rng, domain):
@@ -108,7 +108,7 @@ def test_pruned_equals_naive_on_random_systems():
             assert pruned.witness == naive.witness, trial
 
 
-_U = Variable("u")
+_U = "u"
 
 
 def _restricted_system(rng, domain):
@@ -163,10 +163,10 @@ def _scalar_verify_witness(system, assignment):
     ==, each constraint evaluated monomial by monomial and compared by ==."""
     for v, values in system.domains.items():
         if v not in assignment:
-            raise SolverError("witness is missing variable %s" % v.name)
+            raise SolverError("witness is missing variable %s" % v)
         if not any(assignment[v] == allowed for allowed in values):
             raise SolverError("witness value %r outside the domain of %s"
-                              % (assignment[v], v.name))
+                              % (assignment[v], v))
     for c in system.constraints:
         dom = c.poly.domain
         total = dom.rzero
@@ -289,7 +289,7 @@ def test_variable_order_by_occurrence():
         Constraint(poly(F3, (1, (Z, Z, X)), (1, (Y,))), 0),
         Constraint(poly(F3, (1, (Z, X))), 0),
     ), {X: full_domain(F3), Y: full_domain(F3), Z: full_domain(F3)})
-    assert [v.name for v in _ordered_variables(system)] == ["z", "x", "y"]
+    assert _ordered_variables(system) == ["z", "x", "y"]
 
 
 def test_every_slot_starts_at_its_base_entry(group_family):
