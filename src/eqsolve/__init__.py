@@ -10,12 +10,12 @@ from .groups import (GroupElement, GroupError, PatternError, SemipatternGroup,
                      multiply, unitriangular_group, word_variables,
                      words_agree_everywhere)
 from .poly import Polynomial
-from .reduction import (ReducedSystem, SymbolicMatrix, build_system,
-                        decide_equation, decide_equivalence,
-                        separating_substitution, symbolic_product)
+from .reduction import (ReducedSystem, build_system, decide_equation,
+                        decide_equivalence, separating_substitution,
+                        symbolic_product)
 from .rings import (Ideal, NilpotentMatrixRing, RConst, RingElement,
-                    RingError, RingMonomial, RNeg, RProd, RScale, RSum, RVar,
-                    SigmaForm, brute_force_ring_solve, build_ring_system,
+                    RingError, RNeg, RProd, RScale, RSum, RVar, SigmaForm,
+                    brute_force_ring_solve, build_ring_system,
                     decide_factor_ring, decide_ring_equation, enumerate_ideal,
                     entrywise_rewrite, eval_ring_expr, expr_variables,
                     make_ring, ring_elements, sigma_expand)

@@ -63,15 +63,6 @@ class Polynomial:
         self.domain = domain
         self._coeffs = {f: c for f, c in coeffs.items() if c != domain.rzero}
 
-    @classmethod
-    def _raw(cls, domain, coeffs):
-        """Internal: a dict of canonical factor tuples and nonzero raw
-        coefficients, which the polynomial now owns."""
-        self = cls.__new__(cls)
-        self.domain = domain
-        self._coeffs = coeffs
-        return self
-
     def items(self):
         """(factor tuple, raw coefficient) pairs, in no particular order."""
         return self._coeffs.items()
@@ -176,7 +167,9 @@ def merge_grid(dom, total, grid) -> None:
 def entry_polynomial(dom, entry) -> Polynomial:
     """One raw entry of a grid as a Polynomial, which owns the dict: no
     product or merge may change the entry afterwards."""
-    return Polynomial._raw(dom, entry)
+    poly = Polynomial.__new__(Polynomial)
+    poly.domain, poly._coeffs = dom, entry
+    return poly
 
 
 def grid_polynomials(dom, grid) -> tuple:

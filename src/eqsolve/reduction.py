@@ -94,28 +94,6 @@ def _variable_letter(group: SemipatternGroup, k: int, formal) -> list:
                        _variable_slots(group, k, formal))
 
 
-class SymbolicMatrix:
-    """Entry polynomials of a symbolic letter product; zero below the diagonal.
-
-    raw is slot_grid_product's m x m grid of raw {factor tuple: coefficient}
-    dicts and is never changed; each entry read is a Polynomial holding its
-    dict.
-    """
-
-    def __init__(self, group: SemipatternGroup, raw: list):
-        self.group = group
-        self.raw = raw
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return entry_polynomial(self.group.domain, self.raw[i - 1][j - 1])
-
-    def upper_entries(self):
-        """((i, j), polynomial) for all 1 <= i <= j <= m."""
-        m = self.group.m
-        return tuple(((i, j), self.entry(i, j))
-                     for i in range(1, m + 1) for j in range(i, m + 1))
-
-
 def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
     """Letter per word position: unknowns[name] or a constant's entries."""
     letters = []
@@ -130,8 +108,9 @@ def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
 
 
 def symbolic_product(group: SemipatternGroup, letters, *,
-                     formal=True) -> SymbolicMatrix:
-    """Multiply symbolic letters left to right into entry polynomials.
+                     formal=True) -> list:
+    """Multiply symbolic letters left to right into slot_grid_product's
+    m x m grid of raw entry dicts, zero below the diagonal.
 
     The empty product is the symbolic identity.  Constants are folded into
     monomial coefficients as the product is formed, and entries at positions
@@ -144,8 +123,8 @@ def symbolic_product(group: SemipatternGroup, letters, *,
     orders = None if formal else {
         var: group.orders[i] for letter in letters
         for i, row in enumerate(letter) for j, _, var in row if j == i}
-    return SymbolicMatrix(group, slot_grid_product(
-        dom, scalar_grid(dom, group.m, dom.rone), letters, orders))
+    return slot_grid_product(dom, scalar_grid(dom, group.m, dom.rone),
+                             letters, orders)
 
 
 class ReducedSystem(SlotSystem):
@@ -193,25 +172,24 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
         for k, name in enumerate(names, start=1)})
     unknowns = {name: _variable_letter(group, k, formal)
                 for k, name in enumerate(names, start=1)}
-    lhs_matrix, *rest = [
+    grid, *rest = [
         symbolic_product(group, _word_letters(group, word, unknowns),
                          formal=formal)
         for word in words]
+    dom, m = group.domain, group.m
     if rest:
-        dom = group.domain
         rneg = dom.rneg
         total = [[{f: rneg(c) for f, c in entry.items()} for entry in row]
-                 for row in rest[0].raw]
-        merge_grid(dom, total, lhs_matrix.raw)
-        constraints = [Constraint(entry_polynomial(dom, total[i][j]),
-                                  dom.rzero)
-                       for i in range(group.m) for j in range(i, group.m)]
+                 for row in rest[0]]
+        merge_grid(dom, total, grid)
+        grid, targets = total, ((dom.rzero,) * m,) * m
     elif not _same_group(rhs.group, group):
         raise GroupError("right-hand side from a different group")
     else:
-        constraints = [Constraint(left, rhs.rows[i - 1][j - 1])
-                       for (i, j), left in lhs_matrix.upper_entries()]
-    reduced.constrain(constraints)
+        targets = rhs.rows
+    reduced.constrain([Constraint(entry_polynomial(dom, grid[i][j]),
+                                  targets[i][j])
+                       for i in range(m) for j in range(i, m)])
     return reduced
 
 
@@ -256,10 +234,10 @@ def _nonzero_point(poly: Polynomial, domains) -> dict:
 def separating_substitution(group: SemipatternGroup, f, g):
     """A substitution where f and g differ, or None if they agree everywhere.
 
-    The first constraint of the reduced system f = g (in upper_entries()
-    order) whose polynomial is nonzero is made nonzero by greedy slot
-    values; slots it does not fix take the identity's entries.  The result
-    is re-checked through evaluate_word.
+    The first constraint of the reduced system f = g (in row-major upper
+    triangle order) whose polynomial is nonzero is made nonzero by greedy
+    slot values; slots it does not fix take the identity's entries.  The
+    result is re-checked through evaluate_word.
     """
     reduced = build_system(group, f, g, formal=False)
     system = reduced.system

@@ -231,35 +231,30 @@ class RScale(RingExpr):
     part: RingExpr
 
 
-@dataclass(frozen=True)
-class RingMonomial:
-    """coeff * letters, the letters being variable names or constant elements."""
-
-    coeff: int
-    letters: tuple
-
-
 def _letter_key(letter):
     if isinstance(letter, str):
         return (0, letter)
     return (1, letter.key())
 
 
-def _monomial_key(mono: RingMonomial):
-    return (len(mono.letters), tuple(_letter_key(l) for l in mono.letters))
+def _monomial_key(mono):
+    letters = mono[1]
+    return (len(letters), tuple(_letter_key(l) for l in letters))
 
 
 @dataclass(frozen=True)
 class SigmaForm:
-    """Sum of monomials over the ring, truncated at the nilpotency bound."""
+    """Sum of monomials over the ring, truncated at the nilpotency bound:
+    each monomial is a (coeff, letters) pair, the letters being variable
+    names or constant elements."""
 
     ring: NilpotentMatrixRing
     monomials: tuple
 
     def variables(self):
         seen = {}
-        for mono in self.monomials:
-            for letter in mono.letters:
+        for _, letters in self.monomials:
+            for letter in letters:
                 if isinstance(letter, str):
                     seen.setdefault(letter, None)
         return tuple(seen)
@@ -268,12 +263,12 @@ class SigmaForm:
         if not self.monomials:
             return "0"
         parts = []
-        for mono in self.monomials:
-            names = [l if isinstance(l, str) else repr(l) for l in mono.letters]
-            if mono.coeff == 1:
+        for coeff, letters in self.monomials:
+            names = [l if isinstance(l, str) else repr(l) for l in letters]
+            if coeff == 1:
                 parts.append("*".join(names))
             else:
-                parts.append("*".join([str(mono.coeff)] + names))
+                parts.append("*".join([str(coeff)] + names))
         return " + ".join(parts)
 
 
@@ -289,7 +284,7 @@ def _normalize_monomials(ring, raw):
             continue
         acc = merged.get(letters)
         merged[letters] = (acc + coeff) % n if acc is not None else coeff
-    monos = [RingMonomial(c, letters) for letters, c in merged.items() if c]
+    monos = [(c, letters) for letters, c in merged.items() if c]
     monos.sort(key=_monomial_key)
     return SigmaForm(ring, tuple(monos))
 
@@ -337,9 +332,8 @@ def fold_expr(expr, ring: NilpotentMatrixRing, ops):
             raise RingError("expression over a different ring")
         if not expr.monomials:
             return zero(ring)
-        return reduce(add, [scale(mono.coeff,
-                                  _fold_product(mono.letters, ring, ops))
-                            for mono in expr.monomials])
+        return reduce(add, [scale(coeff, _fold_product(letters, ring, ops))
+                            for coeff, letters in expr.monomials])
     raise RingError("not a ring expression: %r" % (expr,))
 
 

@@ -27,9 +27,9 @@ from .poly import (grid_polynomials, merge_grid, scalar_grid,
 # rings is the public module for every ring name, so it re-exports the
 # structure layer in full
 from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
-                       RingExpr, RingMonomial, RNeg, RProd, RScale, RSum,
-                       RVar, SigmaForm, eval_ring_expr, expr_variables,
-                       fold_expr, make_ring, ring_elements, sigma_expand)
+                       RingExpr, RNeg, RProd, RScale, RSum, RVar, SigmaForm,
+                       eval_ring_expr, expr_variables, fold_expr, make_ring,
+                       ring_elements, sigma_expand)
 from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
                      SlotSystem, SolveStats)
 
@@ -93,13 +93,13 @@ def entrywise_rewrite(sigma: SigmaForm, ring: NilpotentMatrixRing,
     unknowns = {name: _variable_letter(ring, k)
                 for name, k in var_index.items()}
     total = scalar_grid(dom, ring.m, dom.rzero)
-    for mono in sigma.monomials:
-        if not mono.letters:
+    for coeff, letters in sigma.monomials:
+        if not letters:
             raise RingError("monomial with no letters")
         merge_grid(dom, total, slot_grid_product(
-            dom, scalar_grid(dom, ring.m, mono.coeff % ring.modulus),
+            dom, scalar_grid(dom, ring.m, coeff % ring.modulus),
             [unknowns[letter] if isinstance(letter, str)
-             else slot_letter(dom, letter.rows) for letter in mono.letters]))
+             else slot_letter(dom, letter.rows) for letter in letters]))
     return grid_polynomials(dom, total)
 
 

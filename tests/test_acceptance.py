@@ -23,12 +23,11 @@ from eqsolve import (GuardExceeded, brute_force_ring_solve, brute_force_solve,
                      words_agree_everywhere)
 from eqsolve.reduction import x_variable, y_variable
 from eqsolve.rings import sigma_var_index
-from symbolic import symbolic_letters
 from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
 from entries import entry_monomial_count, monomial_entry_polys
 from polyexpr import length, product_length
-from symbolic import evaluate_matrix
+from symbolic import entry, evaluate_matrix, symbolic_letters
 
 
 def _family():
@@ -84,8 +83,8 @@ def test_criterion_2_product_count_law():
                 for j in range(i + 1, m + 1):
                     expected = entry_monomial_count(n, i, j)
                     assert expected == math.comb(n + j - i - 1, j - i)
-                    assert matrix.entry(i, j).monomial_count() == expected, \
-                        (m, n, i, j)
+                    assert entry(group, matrix, i, j).monomial_count() \
+                        == expected, (m, n, i, j)
                     checked += 1
     print("criterion 2: PASS - %d entry counts match the binomial law"
           % checked)
@@ -112,7 +111,7 @@ def test_criterion_3_symbolic_numeric_commutation():
                         slots[y_variable(i, k)] = element.rows[i - 1][i - 1]
                     for (i, j) in group.pattern:
                         slots[x_variable(i, j, k)] = element.rows[i - 1][j - 1]
-                assert evaluate_matrix(matrix, slots) == \
+                assert evaluate_matrix(group, matrix, slots) == \
                     evaluate_word(group, word, assignment)
                 pairs += 1
         assert pairs == 1000

@@ -182,7 +182,7 @@ def test_grid_products_are_in_normal_form(group_family):
                      enumerate(word_variables(word), start=1)}
             matrix = symbolic_product(group,
                                       symbolic_letters(group, word, index))
-            for row in matrix.raw:
+            for row in matrix:
                 for entry in row:
                     _assert_normal_form(entry_polynomial(group.domain, entry),
                                         (group, word))
@@ -217,7 +217,7 @@ def test_raw_entries_equal_their_sorted_polynomials(group_family):
                      enumerate(word_variables(word), start=1)}
             matrix = symbolic_product(group, symbolic_letters(
                 group, word, index), formal=rng.random() < 0.5)
-            entries += [(group.domain, e) for row in matrix.raw for e in row]
+            entries += [(group.domain, e) for row in matrix for e in row]
     for p, alpha, m in ((2, 2, 2), (3, 1, 3), (3, 2, 2)):
         ring = make_ring(p, alpha, m)
         for _ in range(20):

@@ -21,7 +21,8 @@ from entries import entry_monomial_count
 from naive import solve_naive
 from polyexpr import (add, constant, length, mul, neg, product_length,
                       sorted_terms, variable)
-from symbolic import evaluate_matrix, symbolic_letters
+from symbolic import (entry, evaluate_matrix, symbolic_letters,
+                      upper_entries)
 
 _SLOT = re.compile(r"^([xy])\[(\d+)\](?:\[(\d+)\])?\[(\d+)\]$")
 
@@ -63,7 +64,7 @@ def slot_assignment(group, word, assignment):
 
 def test_empty_product_is_identity(order54):
     sm = symbolic_product(order54, ())
-    for (i, j), poly in sm.upper_entries():
+    for (i, j), poly in upper_entries(order54, sm):
         if i == j:
             assert poly == constant(order54.domain, 1)
         else:
@@ -73,7 +74,7 @@ def test_empty_product_is_identity(order54):
 def test_single_variable_letter_gives_slots(order54):
     word = ("x",)
     sm = symbolic_product(order54, symbolic_letters(order54, word, {"x": 1}))
-    for (i, j), poly in sm.upper_entries():
+    for (i, j), poly in upper_entries(order54, sm):
         if i == j:
             assert poly == variable(order54.domain, y_variable(i, 1))
         else:
@@ -125,8 +126,8 @@ def test_symbolic_product_matches_per_addition_fold(group_family):
             reference = _fold_product(group, letters)
             for i in range(group.m):
                 for j in range(group.m):
-                    assert sorted_terms(matrix.entry(i + 1, j + 1)) == \
-                        sorted_terms(reference[i][j]), (group, word, i, j)
+                    assert sorted_terms(entry(group, matrix, i + 1, j + 1)) \
+                        == sorted_terms(reference[i][j]), (group, word, i, j)
 
 
 def _reference_constraints(group, lhs, rhs, formal):
@@ -139,7 +140,7 @@ def _reference_constraints(group, lhs, rhs, formal):
                for k, name in enumerate(
                    word_variables(itertools.chain(*words)), start=1)}
     left, *rest = [grid_polynomials(group.domain, symbolic_product(
-        group, _word_letters(group, w, letters), formal=formal).raw)
+        group, _word_letters(group, w, letters), formal=formal))
         for w in words]
     zero = group.domain.rzero
     upper = [(i, j) for i in range(group.m) for j in range(i, group.m)]
@@ -173,7 +174,7 @@ def test_build_system_matches_plain_subtraction(group_family):
                 product = symbolic_product(
                     group, _word_letters(group, lhs, unknowns), formal=formal)
                 assert [c.poly for c in alone.system.constraints] == \
-                    [poly for _, poly in product.upper_entries()]
+                    [poly for _, poly in upper_entries(group, product)]
 
 
 def test_entry_monomial_count_values():
@@ -188,11 +189,11 @@ def test_entry_count_m3_n4(f3):
     group = make_group(f3, 3, full_pattern(3), (1, 1, 1))
     word = distinct_word(4)
     sm = symbolic_product(group, symbolic_letters(group, word, index_of(word)))
-    entry = sm.entry(1, 3)
-    assert entry.monomial_count() == 10
-    assert all(len(factors) == 4 for factors, _ in entry.items())
-    assert product_length(entry) == 40
-    assert length(entry) == 50
+    poly = entry(group, sm, 1, 3)
+    assert poly.monomial_count() == 10
+    assert all(len(factors) == 4 for factors, _ in poly.items())
+    assert product_length(poly) == 40
+    assert length(poly) == 50
 
 
 def test_size_law(f2):
@@ -223,7 +224,7 @@ def test_monomial_count_law(m, f2):
                                                       index_of(word)))
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
-                assert sm.entry(i, j).monomial_count() == \
+                assert entry(group, sm, i, j).monomial_count() == \
                     entry_monomial_count(n, i, j), (m, n, i, j)
 
 
@@ -235,7 +236,7 @@ def test_monomial_structure(f2):
     n = 5
     word = distinct_word(n)
     sm = symbolic_product(group, symbolic_letters(group, word, index_of(word)))
-    for (i, j), poly in sm.upper_entries():
+    for (i, j), poly in upper_entries(group, sm):
         if i == j:
             continue
         for factors, _ in poly.items():
@@ -258,9 +259,9 @@ def test_diagonal_entries_are_single_monomials(group_family):
                                                           index_of(word)))
             subgroup = subgroup_rows(group, index_of(word).values())
             for i in range(1, group.m + 1):
-                entry = sm.entry(i, i)
-                assert entry.monomial_count() <= 1
-                for factors, _ in entry.items():
+                poly = entry(group, sm, i, i)
+                assert poly.monomial_count() <= 1
+                for factors, _ in poly.items():
                     assert all(v in subgroup for v in factors)
 
 
@@ -290,8 +291,8 @@ def test_symbolic_numeric_commutation_random(group_family):
             sm = symbolic_product(group, symbolic_letters(group, word,
                                                           index_of(word)))
             slots = slot_assignment(group, word, assignment)
-            assert evaluate_matrix(sm, slots) == evaluate_word(group, word,
-                                                              assignment)
+            assert evaluate_matrix(group, sm, slots) == evaluate_word(
+                group, word, assignment)
 
 
 def test_build_system_empty_word(order54):
@@ -458,7 +459,7 @@ def test_cut_square_chain_refuted_before_search(sparse18, order54):
                 group, symbolic_letters(group, word, index_of(word)),
                 formal=False)
             rows = subgroup_rows(group, index_of(word).values())
-            for _, poly in matrix.upper_entries():
+            for _, poly in upper_entries(group, matrix):
                 for factors, _ in poly.items():
                     for v in factors:
                         if v in rows:
@@ -535,7 +536,7 @@ def test_field_slots_occur_at_most_once_per_monomial(group_family):
             matrix = symbolic_product(group,
                                       symbolic_letters(group, word, index))
             subgroup = subgroup_rows(group, index.values())
-            for _, poly in matrix.upper_entries():
+            for _, poly in upper_entries(group, matrix):
                 for factors, _ in poly.items():
                     field = [v for v in factors if v not in subgroup]
                     assert len(field) == len(set(field)), (word, factors)

@@ -14,8 +14,7 @@ from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
                      sigma_expand)
 from eqsolve import rings, solver
 from eqsolve.domains import residue_matadd, residue_matmul, residue_matscale
-from eqsolve.rings import (RingElement, RingMonomial, SigmaForm,
-                           sigma_var_index)
+from eqsolve.rings import RingElement, SigmaForm, sigma_var_index
 from conftest import random_ring_element, random_ring_expr
 from entries import monomial_entry_polys
 from polyexpr import (add, constant, evaluate, mul, product_length,
@@ -124,20 +123,19 @@ def test_sigma_of_sigma_is_normal_form(ring_m2z4):
     sigma = sigma_expand(X * Y + X * Y, ring_m2z4)
     again = sigma_expand(sigma, ring_m2z4)
     assert again == sigma
-    assert sigma.monomials == (RingMonomial(2, ("x", "y")),)
+    assert sigma.monomials == ((2, ("x", "y")),)
 
 
 def test_sigma_distributes(ring_m2z4):
     sigma = sigma_expand(RProd((RSum((X, Y)), RVar("z"))), ring_m2z4)
-    assert sigma.monomials == (RingMonomial(1, ("x", "z")),
-                               RingMonomial(1, ("y", "z")))
+    assert sigma.monomials == ((1, ("x", "z")), (1, ("y", "z")))
 
 
 def test_sigma_cube_truncation(ring_m2z4, ring_m2z2):
     cube = RProd((RSum((X, Y)),) * 3)
     sigma = sigma_expand(cube, ring_m2z4)  # bound 4: length-3 products stay
     assert len(sigma.monomials) == 8
-    assert all(len(m.letters) == 3 for m in sigma.monomials)
+    assert all(len(letters) == 3 for _, letters in sigma.monomials)
     sigma2 = sigma_expand(cube, ring_m2z2)  # bound 2: everything dies
     assert sigma2.monomials == ()
 
@@ -216,8 +214,9 @@ def _fold_monomial(ring, mono, var_index):
     dom = ring.domain
     m = ring.m
     zero = Polynomial(dom)
+    coeff, letters = mono
     grid = None
-    for letter in mono.letters:
+    for letter in letters:
         if isinstance(letter, str):
             k = var_index[letter]
             p = constant(dom, ring.p)
@@ -237,7 +236,7 @@ def _fold_monomial(ring, mono, var_index):
                 for l in range(m):
                     new[i][j] = add(new[i][j], mul(grid[i][l], lg[l][j]))
         grid = new
-    c = constant(dom, mono.coeff)
+    c = constant(dom, coeff)
     return [[mul(entry, c) for entry in row] for row in grid]
 
 
@@ -737,7 +736,7 @@ def test_malformed_nodes_rejected_on_every_path(ring_m2z4):
     # a monomial with no letters is an empty product; 5 is no ring element
     for ring in (ring_m2z4, make_ring(2, 2, 3)):
         tables = ring.cardinality <= rings._TABLE_LIMIT
-        for bad in (SigmaForm(ring, (RingMonomial(1, ()),)), RConst(5)):
+        for bad in (SigmaForm(ring, ((1, ()),)), RConst(5)):
             for expr in (bad, X + bad):
                 with pytest.raises(RingError):
                     eval_ring_expr(expr, {"x": ring.zero()}, ring)
