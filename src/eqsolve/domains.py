@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import islice
 
 
 class DomainError(ValueError):
@@ -264,8 +263,12 @@ class ModularRing:
     def elements(self):
         return self._element_tuple
 
-    def units(self):
+    @cached_property
+    def _unit_tuple(self):
         return tuple(v for v in self._element_tuple if v % self.p)
+
+    def units(self):
+        return self._unit_tuple
 
     def __repr__(self):
         return "Z(%d)" % self.size
@@ -314,10 +317,14 @@ def subgroup_of_order(domain, d: int) -> tuple:
     q = domain.size
     if d < 1 or (q - 1) % d != 0:
         raise DomainError("order %d does not divide q - 1 = %d" % (d, q - 1))
-    # units() lists GF(q)* in encode order, and x^d - 1 has at most d roots,
-    # so the scan stops at the d-th
-    members = tuple(islice((x for x in domain.units()
-                            if domain.rpow(x, d) == domain.rone), d))
+    # GF(q)* is cyclic, so x -> x^((q-1)/d) maps the units onto the d roots
+    e = (q - 1) // d
+    roots = set()
+    for x in domain.units():
+        roots.add(domain.rpow(x, e))
+        if len(roots) == d:
+            break
+    members = tuple(sorted(roots, key=domain.encode))
     if len(members) != d:
         raise DomainError("expected %d solutions of x^%d = 1, found %d"
                           % (d, d, len(members)))

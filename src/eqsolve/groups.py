@@ -218,9 +218,14 @@ def make_group(domain, m: int, pattern, orders) -> SemipatternGroup:
         if not (1 <= i < j <= m):
             raise GroupError("pattern position (%d,%d) out of range" % (i, j))
         pat.add((i, j))
+    # the positions of each row, columns ascending: the first violation
+    # found is the least (i, j), then the least k
+    by_row = {}
+    for i, j in sorted(pat):
+        by_row.setdefault(i, []).append(j)
     for (i, j) in sorted(pat):
-        for (j2, k) in sorted(pat):
-            if j2 == j and (i, k) not in pat:
+        for k in by_row.get(j, ()):
+            if (i, k) not in pat:
                 raise PatternError(i, j, k)
     orders = tuple(int(d) for d in orders)
     if len(orders) != m:

@@ -32,11 +32,18 @@ from .poly import Polynomial
 DEFAULT_GUARD = 10 ** 8
 
 
+def _magnitude(n: int) -> str:
+    """n exactly below 10^15, else 10^ and its log10 to one decimal."""
+    return str(n) if n < 10 ** 15 else "10^%.1f" % math.log10(n)
+
+
 class GuardExceeded(RuntimeError):
-    """Search space larger than the configured guard."""
+    """Search space larger than the configured guard; space and guard are
+    kept exact, and the message writes a huge one as a power of ten."""
 
     def __init__(self, space: int, guard: int):
-        super().__init__("search space %d exceeds guard %d" % (space, guard))
+        super().__init__("search space %s exceeds guard %s"
+                         % (_magnitude(space), _magnitude(guard)))
         self.space = space
         self.guard = guard
 

@@ -87,6 +87,17 @@ def test_guard_error_exit_two(tmp_path):
     assert "guard" in err
 
 
+def test_guard_error_on_a_huge_space_is_one_short_line(tmp_path):
+    # UT(64, GF(2)) has 2016 field slots per unknown: a space of 2^2016
+    path = tmp_path / "ut64.prob"
+    path.write_text("[group]\nq = 2\nm = 64\npattern = full\norders = %s\n"
+                    "\n[equation]\nvars = x\nlhs = x\nrhs = I\n"
+                    % ([1] * 64))
+    code, _, err = run(["decide", str(path)])
+    assert code == 2
+    assert err == "error: search space 10^606.9 exceeds guard 100000000\n"
+
+
 def test_backend_flag_rejected():
     # the solver has one search; the naive reference lives in the tests
     with pytest.raises(SystemExit) as exc:

@@ -106,6 +106,21 @@ def test_subgroup_examples():
     assert list(subgroup_of_order(d5, 2)) == expected
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+                         + sorted(_BUILTIN_POLYS))
+def test_subgroup_equals_root_scan(q):
+    """For every d | q - 1, the order-d subgroup is {x : x^d = 1}, in
+    encode order."""
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    k = next(k for k in range(1, q) if p ** k == q)
+    d = make_domain(p, k)
+    for order in range(1, q):
+        if (q - 1) % order == 0:
+            roots = tuple(x for x in d.units()
+                          if d.rpow(x, order) == d.rone)
+            assert subgroup_of_order(d, order) == roots, (q, order)
+
+
 def test_subgroup_errors():
     with pytest.raises(DomainError):
         subgroup_of_order(make_domain(5), 3)  # 3 does not divide 4

@@ -46,6 +46,35 @@ def test_pattern_closure_violation_reported(f3):
     assert (a * b).rows[0][2] == 1
 
 
+def _first_open_triple(pattern):
+    """The closure check's former double loop over the sorted pattern: the
+    reference for the triple that make_group reports."""
+    pat = set(pattern)
+    for (i, j) in sorted(pat):
+        for (j2, k) in sorted(pat):
+            if j2 == j and (i, k) not in pat:
+                return ((i, j), (j, k), (i, k))
+    return None
+
+
+def test_pattern_violation_triple_matches_double_loop(f2):
+    rng = random.Random(5407)
+    violations = 0
+    for _ in range(300):
+        m = rng.randint(3, 6)
+        pattern = [p for p in full_pattern(m) if rng.random() < 0.5]
+        rng.shuffle(pattern)
+        expected = _first_open_triple(pattern)
+        if expected is None:
+            make_group(f2, m, pattern, (1,) * m)
+            continue
+        with pytest.raises(PatternError) as err:
+            make_group(f2, m, pattern, (1,) * m)
+        assert err.value.triple == expected, (m, pattern)
+        violations += 1
+    assert violations >= 100
+
+
 def test_bad_subgroup_order(f3):
     with pytest.raises(GroupError):
         make_group(f3, 2, ((1, 2),), (3, 1))  # 3 does not divide q - 1 = 2

@@ -261,6 +261,14 @@ def test_guard_exceeded():
     assert err.value.space == 3
 
 
+def test_guard_message_writes_huge_numbers_as_powers_of_ten():
+    assert str(GuardExceeded(3, 2)) == "search space 3 exceeds guard 2"
+    err = GuardExceeded(2 ** 2016, 10 ** 8)
+    assert len(str(err)) < 80
+    assert "10^606.9" in str(err)
+    assert (err.space, err.guard) == (2 ** 2016, 10 ** 8)
+
+
 def test_determinism():
     rng = random.Random(7)
     system = _random_system(rng, F3)
