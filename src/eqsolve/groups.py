@@ -218,13 +218,14 @@ def make_group(domain, m: int, pattern, orders) -> SemipatternGroup:
         if not (1 <= i < j <= m):
             raise GroupError("pattern position (%d,%d) out of range" % (i, j))
         pat.add((i, j))
-    # the positions of each row, columns ascending: the first violation
-    # found is the least (i, j), then the least k
-    by_row = {}
-    for i, j in sorted(pat):
-        by_row.setdefault(i, []).append(j)
-    for (i, j) in sorted(pat):
-        for k in by_row.get(j, ()):
+    positions = tuple(sorted(pat))
+    # each row's columns, ascending: the first violation found is the least
+    # (i, j), then the least k
+    columns = {}
+    for i, j in positions:
+        columns.setdefault(i, []).append(j)
+    for i, j in positions:
+        for k in columns.get(j, ()):
             if (i, k) not in pat:
                 raise PatternError(i, j, k)
     orders = tuple(int(d) for d in orders)
@@ -234,7 +235,7 @@ def make_group(domain, m: int, pattern, orders) -> SemipatternGroup:
         subgroups = tuple(subgroup_of_order(domain, d) for d in orders)
     except DomainError as exc:
         raise GroupError("bad diagonal subgroup order: %s" % exc) from exc
-    return SemipatternGroup(domain, m, tuple(sorted(pat)), orders, subgroups)
+    return SemipatternGroup(domain, m, positions, orders, subgroups)
 
 
 def full_pattern(m: int):

@@ -238,7 +238,7 @@ def _letter_key(letter):
 
 
 def _monomial_key(mono):
-    letters = mono[1]
+    _, letters = mono
     return (len(letters), tuple(_letter_key(l) for l in letters))
 
 
