@@ -10,17 +10,14 @@ import argparse
 import sys
 from functools import lru_cache
 
-from .domains import DomainError
-from .groups import GroupError, brute_force_solve, evaluate_word
+from .groups import brute_force_solve, evaluate_word
 from .problemfile import ParseError, ProblemFile, parse_problem_file
 from .reduction import build_system, decide_equation, separating_substitution
-from .rings import (RNeg, RingError, RSum, brute_force_ring_solve,
-                    build_ring_system, decide_factor_ring,
-                    decide_ring_equation, enumerate_ideal)
-from .solver import DEFAULT_GUARD, GuardExceeded, PolySystem, SolverError
+from .rings import (RNeg, RSum, brute_force_ring_solve, build_ring_system,
+                    decide_factor_ring, decide_ring_equation, enumerate_ideal)
+from .solver import DEFAULT_GUARD, GuardExceeded, PolySystem
 
-_ERRORS = (ParseError, GuardExceeded, DomainError, GroupError, RingError,
-           SolverError, OSError, ValueError)
+_ERRORS = (ValueError, GuardExceeded, OSError)
 
 
 def render_system(system: PolySystem) -> str:

@@ -206,6 +206,10 @@ class FiniteField:
     def elements(self):
         return self._element_tuple
 
+    def __contains__(self, raw) -> bool:   # raw in elements(), digitwise
+        return (isinstance(raw, tuple) and len(raw) == self.k
+                and all(c in range(self.p) for c in raw))
+
     def units(self):
         return self._element_tuple[1:]
 
@@ -262,6 +266,9 @@ class ModularRing:
 
     def elements(self):
         return self._element_tuple
+
+    def __contains__(self, raw) -> bool:   # raw in elements(), no scan
+        return raw in range(self.size)
 
     @cached_property
     def _unit_tuple(self):

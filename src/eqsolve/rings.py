@@ -10,12 +10,12 @@ variables: the k-th unknown is zero with s[i][j][k] above the diagonal
 Coefficients are tracked exactly, so any chain accumulating a p-power of
 at least a dies on its own; surviving monomials have at most m*a - 1
 factors.  An equation F = rhs reduces to the m^2 entry constraints over
-Z_{p^a}, decided by solver.SlotSystem as group equations are.
+Z_{p^a}, decided by solver.SlotSystem as group equations are; over M/I
+it is F - rhs in I, one system over I's coset coordinates as well.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -35,8 +35,7 @@ from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
 
 # Largest ideal enumerate_ideal builds.  The closure keeps every element as a
 # tuple of tuples in a set (about 0.6 KB per element in M(4, Z_8)), so this
-# bound stops a runaway closure within seconds and under 100 MB; a larger
-# ideal would also cost a factor-ring decision one solve per element tried.
+# bound stops a runaway closure within seconds and under 100 MB.
 IDEAL_GUARD = 10 ** 5
 # Largest ring for which the oracle builds +/* tables: the byte-lane limit.
 _TABLE_LIMIT = lanes.LIMIT
@@ -50,6 +49,11 @@ def s_variable(i: int, j: int, k: int) -> str:
 @lru_cache(maxsize=None)
 def a_variable(i: int, j: int, k: int) -> str:
     return "a[%d][%d][%d]" % (i, j, k)
+
+
+@lru_cache(maxsize=None)
+def t_variable(k: int) -> str:
+    return "t[%d]" % k
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +82,9 @@ def sigma_var_index(sigma: SigmaForm) -> dict:
 
 
 def entrywise_rewrite(sigma: SigmaForm, ring: NilpotentMatrixRing,
-                      var_index=None) -> tuple:
-    """Rewrite a sum of monomials into m x m scalar entry polynomials.
+                      var_index=None, cosets=()) -> tuple:
+    """Rewrite a sum of monomials, minus t[k] * a_k per coset (a_k, r_k)
+    of an ideal, into m x m scalar entry polynomials.
 
     Each monomial's grid is the product of its letters, coefficient first.
     Exact coefficient tracking performs the pruning: a chain picking up b
@@ -100,29 +105,32 @@ def entrywise_rewrite(sigma: SigmaForm, ring: NilpotentMatrixRing,
             dom, scalar_grid(dom, ring.m, coeff % ring.modulus),
             [unknowns[letter] if isinstance(letter, str)
              else slot_letter(dom, letter.rows) for letter in letters]))
+    for k, (a, _) in enumerate(cosets, start=1):
+        for entries, row in zip(total, a.rows):
+            for entry, raw in zip(entries, row):
+                if raw:
+                    entry[(t_variable(k),)] = dom.rneg(raw)
     return grid_polynomials(dom, total)
 
 
 # -- deciding equations --------------------------------------------------------
 
 class ReducedRingSystem(SlotSystem):
-    """The system of expr = rhs over the ring: its m^2 entry polynomials
-    equal rhs's entries, and its unknowns are laid out over zero by
-    _variable_slots."""
+    """The system of expr = rhs over the ring, or over M/I given the ideal:
+    its m^2 entry polynomials (less t[k] * a_k over M/I) equal rhs's entries,
+    and its unknowns are laid out over zero by _variable_slots."""
 
     def __init__(self, ring: NilpotentMatrixRing, expr, rhs: RingElement,
-                 slots, entry_polys: tuple):
+                 slots, entry_polys: tuple, ideal=None):
         super().__init__(ring.domain, ring.zero().rows, slots)
-        self.ring, self.expr, self.rhs = ring, expr, rhs
+        if rhs.ring is not ring and rhs.ring != ring:
+            raise RingError("right-hand side from a different ring")
+        self.ring, self.expr, self.rhs, self.ideal = ring, expr, rhs, ideal
         self.constrain(tuple(
             Constraint(poly, target) for poly, target
-            in zip(itertools.chain(*entry_polys), self._targets(rhs))))
-
-    def _targets(self, rhs: RingElement) -> list:
-        """rhs's entries, row by row: the targets of the m^2 constraints."""
-        if rhs.ring is not self.ring and rhs.ring != self.ring:
-            raise RingError("right-hand side from a different ring")
-        return list(itertools.chain(*rhs.rows))
+            in zip(itertools.chain(*entry_polys), itertools.chain(*rhs.rows))),
+            {t_variable(k): tuple(range(r)) for k, (_, r)
+             in enumerate(ideal.cosets if ideal else (), start=1)})
 
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: RingElement}."""
@@ -131,20 +139,14 @@ class ReducedRingSystem(SlotSystem):
                 for name, rows in self.witness_rows(assignment)}
 
     def holds(self, witness) -> bool:
-        return eval_ring_expr(self.expr, witness, self.ring) == self.rhs
-
-    def retarget(self, rhs: RingElement) -> "ReducedRingSystem":
-        """The same entry polynomials, layout and validated domain map, with
-        targets from rhs."""
-        system = self.system.retarget(self._targets(rhs))
-        reduced = copy.copy(self)
-        reduced.rhs, reduced.system = rhs, system
-        return reduced
+        diff = eval_ring_expr(self.expr, witness, self.ring) - self.rhs
+        return diff in self.ideal if self.ideal else diff.is_zero()
 
 
-def build_ring_system(ring: NilpotentMatrixRing, expr,
-                      rhs: RingElement) -> ReducedRingSystem:
-    """Reduce F = rhs over the ring to the m^2 entry constraints over Z_{p^a}.
+def build_ring_system(ring: NilpotentMatrixRing, expr, rhs: RingElement,
+                      ideal=None) -> ReducedRingSystem:
+    """Reduce F = rhs over the ring, or over M/I given the ideal, to the m^2
+    entry constraints over Z_{p^a}.
 
     A variable of expr that the truncation drops still gets a layout, so
     that it comes back as zero in a witness."""
@@ -154,7 +156,8 @@ def build_ring_system(ring: NilpotentMatrixRing, expr,
     return ReducedRingSystem(ring, expr, rhs, {
         name: _variable_slots(ring, k)
         for k, name in enumerate(names, start=1)},
-        entrywise_rewrite(sigma, ring, var_index))
+        entrywise_rewrite(sigma, ring, var_index,
+                          ideal.cosets if ideal else ()), ideal)
 
 
 def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
@@ -169,10 +172,12 @@ def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
 
 @dataclass(frozen=True)
 class Ideal:
-    """A two-sided ideal given by its full element set."""
+    """A two-sided ideal: its full element set, and the cosets (a_k, r_k)
+    by which enumerate_ideal grew it."""
 
     ring: NilpotentMatrixRing
     elements: tuple
+    cosets: tuple
 
     def __contains__(self, x) -> bool:
         return x in self._element_set
@@ -211,8 +216,10 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
     Multiplication is bilinear, so an additive subgroup closed under
     multiplication on both sides by an additive basis of the ring (at most
     m^2 elements) is an ideal; the ring's elements are never enumerated.
-    Each queued element not yet in the subgroup joins it one coset at a
-    time, and its products with the basis are queued in turn.
+    Each queued element a_k not yet in the subgroup joins it one coset at a
+    time, r_k cosets until r_k * a_k is in it, and its products with the
+    basis are queued in turn.  So each element of the ideal is exactly one
+    sum of c_k * a_k with 0 <= c_k < r_k, over the (a_k, r_k) of cosets.
     GuardExceeded is raised once the subgroup grows past guard elements.
     """
     gens = tuple(generators)
@@ -221,11 +228,13 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
             raise RingError("generator %r is not an element of %s" % (g, ring))
     basis = _additive_basis(ring)
     closed = {ring.zero()}
+    cosets = []
     work = list(gens)
     while work:
         a = work.pop()
         if a in closed:
             continue
+        size = len(closed)
         coset = list(closed)
         while True:
             coset = [c + a for c in coset]
@@ -234,34 +243,34 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
             closed.update(coset)
             if len(closed) > guard:
                 raise GuardExceeded(len(closed), guard)
+        cosets.append((a, len(closed) // size))
         for b in basis:
             work.append(b * a)
             work.append(a * b)
     elements = sorted(closed, key=RingElement.key)
-    return Ideal(ring, tuple(elements))
+    return Ideal(ring, tuple(elements), tuple(cosets))
 
 
 def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
                        guard: int = DEFAULT_GUARD) -> Decision:
     """Decide solvability of expr = 0 over the factor ring M/I.
 
-    The image of expr vanishes in M/I for some substitution iff expr = a is
-    solvable over M for some ideal element a; candidates are tried in
-    canonical order and the successful one is reported on the decision.
-    The system is built and validated once; only its targets change from
-    one to the next (ReducedRingSystem.retarget).
+    The image of expr vanishes in M/I for some substitution iff expr is
+    some sum of c_k * a_k over I's cosets, so one system, expr - sum of
+    t[k] * a_k = 0 with t[k] in range(r_k), decides it.  The witness is its
+    lexicographically first solution, and the ideal element reported is
+    expr there.  The guard bounds the space of the slots alone, as over M.
     """
     if ideal.ring != ring:
         raise RingError("ideal of a different ring")
-    stats = SolveStats()
-    reduced = build_ring_system(ring, expr, ring.zero())
-    for a in ideal.elements:
-        decision = reduced.retarget(a).decide(guard)
-        stats.explored += decision.stats.explored
-        stats.prunes += decision.stats.prunes
-        if decision.sat:
-            return Decision(True, decision.witness, stats, ideal_element=a)
-    return Decision(False, None, stats)
+    reduced = build_ring_system(ring, expr, ring.zero(), ideal)
+    space = reduced.system.search_space() // len(ideal)
+    if space > guard:
+        raise GuardExceeded(space, guard)
+    decision = reduced.decide(guard * len(ideal))
+    if decision.sat:
+        decision.ideal_element = eval_ring_expr(expr, decision.witness, ring)
+    return decision
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,6 @@ runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -50,12 +49,6 @@ class GuardExceeded(RuntimeError):
 
 class SolverError(ValueError):
     """Malformed system or witness."""
-
-
-def _check_target(domain, target) -> None:
-    if target not in domain.elements():
-        raise SolverError("target %r is not an element of %s"
-                          % (target, domain))
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,9 @@ class PolySystem:
         for c in self.constraints:
             if not _same_domain(c.poly.domain, self.domain):
                 raise SolverError("constraint domain differs from system domain")
-            _check_target(self.domain, c.target)
+            if c.target not in self.domain:
+                raise SolverError("target %r is not an element of %s"
+                                  % (c.target, self.domain))
             for factors, _ in c.poly.items():
                 for v in factors:
                     count = occurrences.get(v)
@@ -99,17 +94,6 @@ class PolySystem:
             if not values:
                 raise SolverError("variable %s has an empty domain" % v)
         self._occurrences = occurrences
-
-    def retarget(self, targets) -> "PolySystem":
-        """The same polynomials and domains with new targets, one per
-        constraint; only the targets are validated again."""
-        constraints = []
-        for c, target in zip(self.constraints, targets, strict=True):
-            _check_target(self.domain, target)
-            constraints.append(Constraint(c.poly, target))
-        system = copy.copy(self)
-        system.constraints = tuple(constraints)
-        return system
 
     def search_space(self) -> int:
         return math.prod(len(vals) for vals in self.domains.values())
@@ -206,10 +190,13 @@ class SlotSystem:
         self.base = base
         self.slots = slots    # {name: slot tuple}, in first-occurrence order
 
-    def constrain(self, constraints) -> None:
-        """system := constraints over the domains of the slots they read."""
+    def constrain(self, constraints, scalars=()) -> None:
+        """system := constraints over the domains of the slots they read,
+        and of the scalars they read: variables outside the unknowns, given
+        as a {var: values} map."""
         values = {var: vals for layout in self.slots.values()
                   for _, _, _, var, vals in layout}
+        values.update(scalars)
         domains = {v: values[v] for c in constraints
                    for factors, _ in c.poly.items() for v in factors}
         self.system = PolySystem(self.domain, constraints, domains)

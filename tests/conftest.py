@@ -1,5 +1,6 @@
 """Shared fixtures: the standing family of test groups and rings, plus
-seeded random generators for words, expressions, and assignments."""
+seeded random generators for words, expressions, and assignments, and the
+failure message of a golden comparison."""
 
 from __future__ import annotations
 
@@ -117,3 +118,12 @@ def random_ring_expr(rng: random.Random, ring, max_monomials=3, max_vars=2,
 
 def random_ring_element(rng: random.Random, ring):
     return rng.choice(ring_elements(ring))
+
+
+def golden_diff(got: dict, want: dict) -> str:
+    """Which labels of a {label: record} golden changed, went missing or
+    are extra."""
+    changed = sorted(k for k in got.keys() & want.keys() if got[k] != want[k])
+    return "changed %s; missing %s; extra %s" % (
+        changed, sorted(want.keys() - got.keys()),
+        sorted(got.keys() - want.keys()))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import golden_diff
 from eqsolve.cli import _build_parser, main
 
 HERE = Path(__file__).resolve().parent
@@ -265,7 +266,8 @@ def record_transcripts():
 
 
 def test_cli_transcripts_golden():
-    assert record_transcripts() == json.loads(TRANSCRIPTS.read_text())
+    got, want = record_transcripts(), json.loads(TRANSCRIPTS.read_text())
+    assert got == want, golden_diff(got, want)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from eqsolve import (GroupElement, RNeg, RSum, brute_force_ring_solve,
                      full_pattern, make_domain, make_group, make_ring,
                      separating_substitution, unitriangular_group,
                      words_agree_everywhere)
-from conftest import (random_group_element, random_ring_element,
+from conftest import (golden_diff, random_group_element, random_ring_element,
                       random_ring_expr, random_word)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "decision_golden.json"
@@ -112,7 +112,8 @@ def record_decisions():
 
 
 def test_decisions_golden():
-    assert record_decisions() == json.loads(GOLDEN.read_text())
+    got, want = record_decisions(), json.loads(GOLDEN.read_text())
+    assert got == want, golden_diff(got, want)
 
 
 if __name__ == "__main__":

@@ -807,6 +807,23 @@ def test_ring_oracle_loads_no_numpy():
     assert out.stdout.split()[1] == "False"
 
 
+def _per_element_factor(ring, ideal, expr):
+    """Reference factor-ring verdict: one ring equation expr = a per ideal
+    element a, in canonical order, until one is solvable."""
+    return any(decide_ring_equation(ring, expr, a).sat
+               for a in ideal.elements)
+
+
+def _check_factor_decision(ring, ideal, expr, decision):
+    """A factor decision's verdict is the per-element reference's, and a
+    SAT witness sends expr to the reported ideal element."""
+    assert decision.sat == _per_element_factor(ring, ideal, expr), expr
+    if decision.sat:
+        assert decision.ideal_element in ideal
+        assert eval_ring_expr(expr, decision.witness, ring) == \
+            decision.ideal_element
+
+
 def test_factor_ring_expands_once(monkeypatch, ring_m3z3):
     ideal = enumerate_ideal(ring_m3z3, [ring_m3z3.element(
         [[0, 1, 0], [0, 0, 0], [0, 0, 0]])])
@@ -822,67 +839,99 @@ def test_factor_ring_expands_once(monkeypatch, ring_m3z3):
     for _ in range(20):
         expr = random_ring_expr(rng, ring_m3z3) - RConst(
             random_ring_element(rng, ring_m3z3))
-        # the old path: one full decision per ideal element
-        explored = prunes = 0
-        expected = None
-        for a in ideal.elements:
-            d = decide_ring_equation(ring_m3z3, expr, a)
-            explored += d.stats.explored
-            prunes += d.stats.prunes
-            if d.sat:
-                expected = (a, d.witness)
-                break
         monkeypatch.setattr(rings, "sigma_expand", counting)
         calls.clear()
         decision = decide_factor_ring(ring_m3z3, ideal, expr)
         monkeypatch.setattr(rings, "sigma_expand", expand)
         assert len(calls) == 1
-        assert (decision.stats.explored, decision.stats.prunes) == \
-            (explored, prunes)
-        if expected is None:
-            assert not decision.sat
-        else:
-            assert (decision.ideal_element, decision.witness) == expected
+        _check_factor_decision(ring_m3z3, ideal, expr, decision)
 
 
 def test_factor_ring_validates_one_system(monkeypatch, ring_m3z3):
-    """retarget keeps the parent's validated domain map and occurrence
-    counts and swaps only the targets: it decides as a fresh build for that
-    right side does, and decide_factor_ring validates one system per
-    question, however many ideal elements it tries."""
+    """decide_factor_ring validates one system and calls solve once per
+    question, whatever the size of the ideal."""
     ring = ring_m3z3
     ideal = enumerate_ideal(ring, [ring.element(
         [[0, 1, 0], [0, 0, 0], [0, 0, 0]])])
-    validated = []
-    post_init = solver.PolySystem.__post_init__
+    validated, solved = [], []
+    post_init, solve = solver.PolySystem.__post_init__, solver.solve
 
     def counting(system):
         validated.append(system)
         post_init(system)
 
+    def counting_solve(request):
+        solved.append(request)
+        return solve(request)
+
+    monkeypatch.setattr(solver.PolySystem, "__post_init__", counting)
+    monkeypatch.setattr(solver, "solve", counting_solve)
     rng = random.Random(79)
     for _ in range(15):
         expr = random_ring_expr(rng, ring) - RConst(
             random_ring_element(rng, ring))
-        reduced = rings.build_ring_system(ring, expr, ring.zero())
-        for a in ideal.elements:
-            moved = reduced.retarget(a)
-            fresh = rings.build_ring_system(ring, expr, a)
-            assert moved.rhs == a and reduced.rhs == ring.zero()
-            assert moved.system.domains is reduced.system.domains
-            assert moved.system._occurrences is reduced.system._occurrences
-            assert moved.system.constraints == fresh.system.constraints
-            assert moved.system.domains == fresh.system.domains
-            got, want = moved.decide(), fresh.decide()
-            assert (got.sat, got.witness, got.stats) == \
-                (want.sat, want.witness, want.stats)
-        monkeypatch.setattr(solver.PolySystem, "__post_init__", counting)
         validated.clear()
+        solved.clear()
         decide_factor_ring(ring, ideal, expr)
-        monkeypatch.setattr(solver.PolySystem, "__post_init__", post_init)
-        assert len(validated) == 1
-    with pytest.raises(RingError):
-        reduced.retarget(make_ring(3, 1, 2).zero())
+        assert len(validated) == len(solved) == 1
+
+
+def _factor_rings():
+    """M(2,Z4), M(2,Z8), M(3,Z3), M(2,Z9) and M(3,Z4)."""
+    return (make_ring(2, 2, 2), make_ring(2, 3, 2), make_ring(3, 1, 3),
+            make_ring(3, 2, 2), make_ring(2, 2, 3))
+
+
+def _seeded_ideals(rng, ring, count):
+    """count ideals of the ring by 0-3 random generators each."""
+    return [enumerate_ideal(ring, [random_ring_element(rng, ring)
+                                   for _ in range(rng.randint(0, 3))])
+            for _ in range(count)]
+
+
+def test_cosets_decompose_the_ideal_bijectively():
+    """Each element of an ideal is exactly one sum of c_k * a_k over its
+    cosets (a_k, r_k), 0 <= c_k < r_k."""
+    rng = random.Random(83)
+    for ring in _factor_rings():
+        for ideal in _seeded_ideals(rng, ring, 8):
+            sums = [ring.zero()]
+            for a, r in ideal.cosets:
+                assert r >= 2 and a in ideal
+                sums = [s + a.scale(c) for s in sums for c in range(r)]
+            assert len(sums) == len(ideal)
+            assert set(sums) == set(ideal.elements)
+
+
+def test_factor_ring_guard_bounds_the_slots_alone():
+    """A factor question is refused iff the space of the slots of expr = 0
+    over M exceeds the guard, with that space; the t's never count."""
+    rng = random.Random(89)
+    for ring in _factor_rings():
+        for ideal in _seeded_ideals(rng, ring, 3):
+            expr = random_ring_expr(rng, ring)
+            space = rings.build_ring_system(
+                ring, expr, ring.zero()).system.search_space()
+            decide_factor_ring(ring, ideal, expr, guard=space)
+            with pytest.raises(GuardExceeded) as err:
+                decide_factor_ring(ring, ideal, expr, guard=space - 1)
+            assert (err.value.space, err.value.guard) == (space, space - 1)
+
+
+def test_factor_ring_matches_per_element_reference(ring_m2z4, ring_m3z3):
+    rng = random.Random(97)
+    unsat = 0
+    for ring in (ring_m2z4, ring_m3z3, make_ring(3, 2, 2)):
+        for ideal in _seeded_ideals(rng, ring, 6):
+            if len(ideal) > 81:
+                continue
+            for _ in range(5):
+                expr = random_ring_expr(rng, ring) - RConst(
+                    random_ring_element(rng, ring))
+                decision = decide_factor_ring(ring, ideal, expr)
+                _check_factor_decision(ring, ideal, expr, decision)
+                unsat += not decision.sat
+    assert unsat >= 5
 
 
 def test_unknown_dropped_by_truncation_comes_back_zero(ring_m2z4):
