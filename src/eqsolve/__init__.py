@@ -14,7 +14,7 @@ from .reduction import (ReducedSystem, build_system, decide_equation,
                         decide_equivalence, separating_substitution,
                         symbolic_product)
 from .rings import (Ideal, NilpotentMatrixRing, RConst, RingElement,
-                    RingError, RNeg, RProd, RScale, RSum, RVar, SigmaForm,
+                    RingError, RNeg, RProd, RScale, RSum, RVar,
                     brute_force_ring_solve, build_ring_system,
                     decide_factor_ring, decide_ring_equation, enumerate_ideal,
                     entrywise_rewrite, eval_ring_expr, expr_variables,

@@ -368,18 +368,18 @@ def _cayley(group: SemipatternGroup):
 
 
 def _word_node(word, leaves, index, table, last):
-    """The lanes node of a word's product.  Each run of letters that does
-    not read the last variable is multiplied out first, so that a row is
-    translated once per run, not once per letter."""
+    """The lanes node of a word's product, None for the empty word.  Each
+    run of letters that does not read the last variable is multiplied out
+    first, so that a row is translated once per run, not once per letter;
+    runs and letters are folded as balanced trees (lanes.fold)."""
     def leaf(letter):
         return leaves[letter] if isinstance(letter, str) else (index[letter],
                                                                False)
 
-    node = None
-    for _, run in itertools.groupby(word, lambda letter: letter == last):
-        part = reduce(partial(lanes.binary, table), map(leaf, run))
-        node = part if node is None else lanes.binary(table, node, part)
-    return node
+    product = partial(lanes.fold, partial(lanes.binary, table))
+    runs = [product(map(leaf, run)) for _, run
+            in itertools.groupby(word, lambda letter: letter == last)]
+    return product(runs) if runs else None
 
 
 def _first_lane(group, names, left, right, equal):

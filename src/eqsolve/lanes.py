@@ -4,7 +4,8 @@ An oracle compiles its question once into a node over element indices.  A
 node is (value, is_lane): a value is an index, or a lane (bytes) holding
 one index per value of the last variable once it depends on that variable.
 A value that depends on no other (prefix) variable is computed at compile
-time; any other is a function of the prefix's indices.  Operations are
+time; any other is a function of the prefix's indices, nested about
+log2(n) calls deep for n operations, as fold builds it.  Operations are
 tables padded to 256-byte rows, so a lane goes through a unary operation,
 or a binary one with one lane operand, in one bytes.translate.  A table
 is closed from a few generator rows the same way, by translating rows.
@@ -69,6 +70,17 @@ def lift(fn, f, g):
     if callable(g):
         return lambda p: fn(f, g(p))
     return fn(f, g)
+
+
+def fold(fn, nodes):
+    """fn folded over the nodes (at least one) as a balanced tree, so that
+    a compiled node nests about log2(len(nodes)) calls deep, not one per
+    operation; for an associative fn the value is the left fold's."""
+    nodes = list(nodes)
+    while len(nodes) > 1:
+        pairs = [fn(x, y) for x, y in zip(nodes[::2], nodes[1::2])]
+        nodes = pairs + nodes[-1:] if len(nodes) % 2 else pairs
+    return nodes[0]
 
 
 def unary(table, node):

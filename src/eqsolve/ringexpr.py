@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 from .domains import (MATRIX_LIMIT, ModularRing, exceeds_domain_limit,
                       is_prime, residue_matadd, residue_matmul,
@@ -242,74 +242,24 @@ def _monomial_key(mono):
     return (len(letters), tuple(_letter_key(l) for l in letters))
 
 
-@dataclass(frozen=True)
-class SigmaForm:
-    """Sum of monomials over the ring, truncated at the nilpotency bound:
-    each monomial is a (coeff, letters) pair, the letters being variable
-    names or constant elements."""
-
-    ring: NilpotentMatrixRing
-    monomials: tuple
-
-    def variables(self):
-        seen = {}
-        for _, letters in self.monomials:
-            for letter in letters:
-                if isinstance(letter, str):
-                    seen.setdefault(letter, None)
-        return tuple(seen)
-
-    def __repr__(self):
-        if not self.monomials:
-            return "0"
-        parts = []
-        for coeff, letters in self.monomials:
-            names = [l if isinstance(l, str) else repr(l) for l in letters]
-            if coeff == 1:
-                parts.append("*".join(names))
-            else:
-                parts.append("*".join([str(coeff)] + names))
-        return " + ".join(parts)
-
-
-def _normalize_monomials(ring, raw):
-    cutoff = ring.nilpotency_bound
-    n = ring.modulus
-    merged = {}
-    for coeff, letters in raw:
-        coeff %= n
-        if coeff == 0 or len(letters) >= cutoff:
-            continue
-        if any(isinstance(l, RingElement) and l.is_zero() for l in letters):
-            continue
-        acc = merged.get(letters)
-        merged[letters] = (acc + coeff) % n if acc is not None else coeff
-    monos = [(c, letters) for letters, c in merged.items() if c]
-    monos.sort(key=_monomial_key)
-    return SigmaForm(ring, tuple(monos))
-
-
 def fold_expr(expr, ring: NilpotentMatrixRing, ops):
     """Fold an expression tree bottom-up through
     ops = (var, const, neg, scale, add, mul, zero).
 
-    var(name) and const(element) give the values of the leaves; neg(x),
-    scale(coeff, x), add(x, y) and mul(x, y) combine values, and zero(ring)
-    is the value of an empty sum.  Sums and products combine their parts
-    left to right; a SigmaForm is the sum of its monomials, each the
-    coefficient times the product of its letters.
+    var(name) and const(element) give the values of the leaves (a bare
+    element is a constant); neg(x) and scale(coeff, x) map a value, add and
+    mul combine the list of a sum's or a product's part values, in order,
+    and zero(ring) is the value of an empty sum.
 
-    This is the one place that checks an expression: a constant or a
-    SigmaForm of another ring, an empty product (a monomial with no letters
-    among them) and anything that is not an expression node raise RingError.
+    This is the one place that checks an expression: a constant of another
+    ring, an empty product and anything that is not an expression node
+    raise RingError.
     """
     var, const, neg, scale, add, mul, zero = ops
-    # recursion goes through the module functions, not through a nested
+    # recursion goes through the module function, not through a nested
     # closure, whose reference cycle would leave every call to the collector
     if isinstance(expr, RVar):
         return var(expr.name)
-    if isinstance(expr, str):
-        return var(expr)
     if isinstance(expr, (RConst, RingElement)):
         value = expr.value if isinstance(expr, RConst) else expr
         if not isinstance(value, RingElement) or (value.ring is not ring
@@ -318,58 +268,64 @@ def fold_expr(expr, ring: NilpotentMatrixRing, ops):
                             % (value, ring))
         return const(value)
     if isinstance(expr, RProd):
-        return _fold_product(expr.parts, ring, ops)
+        if not expr.parts:
+            raise RingError(
+                "empty product has no meaning in a non-unital ring")
+        return mul([fold_expr(part, ring, ops) for part in expr.parts])
     if isinstance(expr, RSum):
         if not expr.parts:
             return zero(ring)
-        return reduce(add, [fold_expr(part, ring, ops) for part in expr.parts])
+        return add([fold_expr(part, ring, ops) for part in expr.parts])
     if isinstance(expr, RNeg):
         return neg(fold_expr(expr.part, ring, ops))
     if isinstance(expr, RScale):
         return scale(expr.coeff, fold_expr(expr.part, ring, ops))
-    if isinstance(expr, SigmaForm):
-        if expr.ring is not ring and expr.ring != ring:
-            raise RingError("expression over a different ring")
-        if not expr.monomials:
-            return zero(ring)
-        return reduce(add, [scale(coeff, _fold_product(letters, ring, ops))
-                            for coeff, letters in expr.monomials])
     raise RingError("not a ring expression: %r" % (expr,))
 
 
-def _fold_product(parts, ring, ops):
-    """The product of the parts under ops' mul, left to right."""
-    if not parts:
-        raise RingError("empty product has no meaning in a non-unital ring")
-    return reduce(ops[5], [fold_expr(part, ring, ops) for part in parts])
-
-
-def sigma_expand(expr, ring: NilpotentMatrixRing) -> SigmaForm:
-    """Expand an expression into a sum of monomials.
+def sigma_expand(expr, ring: NilpotentMatrixRing) -> tuple:
+    """Expand an expression into a sum of monomials: a tuple of
+    (coeff, letters) pairs, the letters being variable names or constant
+    elements.
 
     Products are distributed over sums, and every monomial with at least
     m*alpha letter factors is dropped: such a product of ring elements is
-    already the zero matrix.
+    already the zero matrix.  Equal letter tuples are merged, coefficients
+    reduced mod p^a, zero terms and terms with a zero constant dropped, and
+    the pairs sorted by length, then letters, names before constants.
     """
     cutoff = ring.nilpotency_bound
+    n = ring.modulus
 
     def mul(left, right):
         # partial products only ever grow, so pruning at the bound is safe
         return [(c1 * c2, l1 + l2) for c1, l1 in left for c2, l2 in right
                 if len(l1) + len(l2) < cutoff]
 
-    return _normalize_monomials(ring, fold_expr(expr, ring, (
-        lambda name: [(1, (name,))],
-        lambda value: [(1, (value,))],
-        lambda terms: [(-c, letters) for c, letters in terms],
-        lambda coeff, terms: [(coeff * c, letters) for c, letters in terms],
-        operator.add, mul, lambda ring: [])))
+    merged = {}
+    for coeff, letters in fold_expr(expr, ring, (
+            lambda name: [(1, (name,))],
+            lambda value: [(1, (value,))],
+            lambda terms: [(-c, letters) for c, letters in terms],
+            lambda coeff, terms: [(coeff * c, l) for c, l in terms],
+            partial(reduce, operator.add), partial(reduce, mul),
+            lambda ring: [])):
+        coeff %= n
+        if coeff == 0 or len(letters) >= cutoff:
+            continue
+        if any(isinstance(l, RingElement) and l.is_zero() for l in letters):
+            continue
+        acc = merged.get(letters)
+        merged[letters] = (acc + coeff) % n if acc is not None else coeff
+    return tuple(sorted(((c, letters) for letters, c in merged.items() if c),
+                        key=_monomial_key))
 
 
 # RingElement operations for eval_ring_expr, which adds the variable lookup
 _ELEMENT_OPS = (lambda value: value, operator.neg,
-                lambda coeff, value: value.scale(coeff), operator.add,
-                operator.mul, NilpotentMatrixRing.zero)
+                lambda coeff, value: value.scale(coeff),
+                partial(reduce, operator.add), partial(reduce, operator.mul),
+                NilpotentMatrixRing.zero)
 
 
 def eval_ring_expr(expr, assignment, ring) -> RingElement:
@@ -402,9 +358,4 @@ def expr_variables(expr):
             stack.extend(reversed(e.parts))
         elif isinstance(e, (RNeg, RScale)):
             stack.append(e.part)
-        elif isinstance(e, str):
-            seen.setdefault(e, None)
-        elif isinstance(e, SigmaForm):
-            for name in e.variables():
-                seen.setdefault(name, None)
     return tuple(seen)

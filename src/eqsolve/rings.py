@@ -3,10 +3,11 @@ brute-force oracle.
 
 The rings and their expressions live in eqsolve.ringexpr (see there for the
 nilpotency bound that truncates expansions); this module re-exports those
-names.  After expansion to sums of monomials, every matrix entry of each
-monomial is rewritten as a scalar polynomial in the letters' slot
-variables: the k-th unknown is zero with s[i][j][k] above the diagonal
-(full range) and p * a[i][j][k] on and below it (_variable_slots).
+names.  After expansion to a sum of monomials (sigma_expand's
+(coeff, letters) pairs), every matrix entry of each monomial is rewritten
+as a scalar polynomial in the letters' slot variables: the k-th unknown is
+zero with s[i][j][k] above the diagonal (full range) and p * a[i][j][k] on
+and below it (_variable_slots).
 Coefficients are tracked exactly, so any chain accumulating a p-power of
 at least a dies on its own; surviving monomials have at most m*a - 1
 factors.  An equation F = rhs reduces to the m^2 entry constraints over
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from operator import add, getitem, mul
 
 from . import lanes
@@ -27,15 +28,15 @@ from .poly import (grid_polynomials, merge_grid, scalar_grid,
 # rings is the public module for every ring name, so it re-exports the
 # structure layer in full
 from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
-                       RingExpr, RNeg, RProd, RScale, RSum, RVar, SigmaForm,
+                       RingExpr, RNeg, RProd, RScale, RSum, RVar,
                        eval_ring_expr, expr_variables, fold_expr, make_ring,
                        ring_elements, sigma_expand)
 from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
                      SlotSystem, SolveStats)
 
-# Largest ideal enumerate_ideal builds.  The closure keeps every element as a
-# tuple of tuples in a set (about 0.6 KB per element in M(4, Z_8)), so this
-# bound stops a runaway closure within seconds and under 100 MB.
+# Largest ideal enumerate_ideal builds.  The ideal keeps every element, its
+# rows a tuple of tuples, in one set (about 0.6 KB per element in M(4, Z_8)),
+# so this bound stops a runaway closure within seconds and under 100 MB.
 IDEAL_GUARD = 10 ** 5
 # Largest ring for which the oracle builds +/* tables: the byte-lane limit.
 _TABLE_LIMIT = lanes.LIMIT
@@ -77,14 +78,19 @@ def _variable_letter(ring: NilpotentMatrixRing, k: int) -> list:
 
 # -- entrywise rewriting -------------------------------------------------------
 
-def sigma_var_index(sigma: SigmaForm) -> dict:
-    return {name: k for k, name in enumerate(sigma.variables(), start=1)}
+def sigma_var_index(monomials) -> dict:
+    """Variable name -> unknown number, from 1 in order of first occurrence
+    in sigma_expand's sorted monomials."""
+    names = dict.fromkeys(letter for _, letters in monomials
+                          for letter in letters if isinstance(letter, str))
+    return {name: k for k, name in enumerate(names, start=1)}
 
 
-def entrywise_rewrite(sigma: SigmaForm, ring: NilpotentMatrixRing,
-                      var_index=None, cosets=()) -> tuple:
-    """Rewrite a sum of monomials, minus t[k] * a_k per coset (a_k, r_k)
-    of an ideal, into m x m scalar entry polynomials.
+def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, var_index,
+                      cosets=()) -> tuple:
+    """Rewrite a sum of monomials, sigma_expand's (coeff, letters) pairs,
+    minus t[k] * a_k per coset (a_k, r_k) of an ideal, into m x m scalar
+    entry polynomials; var_index numbers the variables' unknowns.
 
     Each monomial's grid is the product of its letters, coefficient first.
     Exact coefficient tracking performs the pruning: a chain picking up b
@@ -92,13 +98,11 @@ def entrywise_rewrite(sigma: SigmaForm, ring: NilpotentMatrixRing,
     disappears from the normal form once b reaches alpha.  Surviving
     monomials therefore have at most m*alpha - 1 factors.
     """
-    if var_index is None:
-        var_index = sigma_var_index(sigma)
     dom = ring.domain
     unknowns = {name: _variable_letter(ring, k)
                 for name, k in var_index.items()}
     total = scalar_grid(dom, ring.m, dom.rzero)
-    for coeff, letters in sigma.monomials:
+    for coeff, letters in monomials:
         if not letters:
             raise RingError("monomial with no letters")
         merge_grid(dom, total, slot_grid_product(
@@ -150,13 +154,13 @@ def build_ring_system(ring: NilpotentMatrixRing, expr, rhs: RingElement,
 
     A variable of expr that the truncation drops still gets a layout, so
     that it comes back as zero in a witness."""
-    sigma = sigma_expand(expr, ring)
-    var_index = sigma_var_index(sigma)
+    monomials = sigma_expand(expr, ring)
+    var_index = sigma_var_index(monomials)
     names = dict.fromkeys(itertools.chain(var_index, expr_variables(expr)))
     return ReducedRingSystem(ring, expr, rhs, {
         name: _variable_slots(ring, k)
         for k, name in enumerate(names, start=1)},
-        entrywise_rewrite(sigma, ring, var_index,
+        entrywise_rewrite(monomials, ring, var_index,
                           ideal.cosets if ideal else ()), ideal)
 
 
@@ -172,19 +176,15 @@ def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
 
 @dataclass(frozen=True)
 class Ideal:
-    """A two-sided ideal: its full element set, and the cosets (a_k, r_k)
-    by which enumerate_ideal grew it."""
+    """A two-sided ideal: its elements (a frozenset), and the cosets
+    (a_k, r_k) by which enumerate_ideal grew it."""
 
     ring: NilpotentMatrixRing
-    elements: tuple
+    elements: frozenset
     cosets: tuple
 
     def __contains__(self, x) -> bool:
-        return x in self._element_set
-
-    @cached_property
-    def _element_set(self):
-        return frozenset(self.elements)
+        return x in self.elements
 
     def __iter__(self):
         return iter(self.elements)
@@ -247,8 +247,7 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
         for b in basis:
             work.append(b * a)
             work.append(a * b)
-    elements = sorted(closed, key=RingElement.key)
-    return Ideal(ring, tuple(elements), tuple(cosets))
+    return Ideal(ring, frozenset(closed), tuple(cosets))
 
 
 def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
@@ -310,7 +309,9 @@ def _scale_table(ring: NilpotentMatrixRing, coeff: int) -> bytes:
 
 def _lane_node(expr, ring: NilpotentMatrixRing, names, lane: bytes):
     """expr compiled into a lanes node over element indices, with lane as
-    the values of the last name (see eqsolve.lanes)."""
+    the values of the last name (see eqsolve.lanes).  Sums and products
+    fold as balanced trees (lanes.fold), so a long expression compiles to
+    a shallow node."""
     index, plus, times = _ring_tables(ring)
 
     def const(value):
@@ -324,8 +325,10 @@ def _lane_node(expr, ring: NilpotentMatrixRing, names, lane: bytes):
 
     return fold_expr(expr, ring, (
         lanes.variables(names, lane).__getitem__, const,
-        partial(scale, -1), scale, partial(lanes.binary, plus),
-        partial(lanes.binary, times), lambda ring: const(ring.zero())))
+        partial(scale, -1), scale,
+        partial(lanes.fold, partial(lanes.binary, plus)),
+        partial(lanes.fold, partial(lanes.binary, times)),
+        lambda ring: const(ring.zero())))
 
 
 def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,

@@ -165,7 +165,7 @@ def test_criterion_5_entry_length_bounds():
         var_index = sigma_var_index(sigma)
         cutoff = ring.nilpotency_bound
         factor_bound = (cutoff - 1) * ring.m ** (cutoff - 2)
-        for mono in sigma.monomials:
+        for mono in sigma:
             grid = monomial_entry_polys(ring, mono, var_index)
             for row in grid:
                 for poly in row:

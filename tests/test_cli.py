@@ -161,6 +161,38 @@ def test_recursion_limit_exit_two(monkeypatch):
     assert "cli.cmd_decide" in err
 
 
+LONG_RING = """
+[ring]
+p = 2
+alpha = 1
+m = 2
+
+[constants]
+c = [0,1, 0,0]
+
+[equation]
+vars = x y
+lhs = %s
+rhs = c
+"""
+
+
+def test_oracles_decide_long_inputs(tmp_path):
+    # 64 and 4 assignments, but a 3000-letter word ((xy)^1500 = 1 in
+    # UT(3,F2)) and a 1200-term sum (x*y = 0 in M(2,Z2)): both UNSAT
+    long_word = UNSAT_GROUP.replace("vars = x\n", "vars = x y\n").replace(
+        "lhs = x x", "lhs = " + "x y " * 1500)
+    long_sum = LONG_RING % " + ".join(["x*y"] * 1200)
+    for name, text in (("word", long_word), ("sum", long_sum)):
+        path = tmp_path / (name + ".prob")
+        path.write_text(text)
+        assert run(["oracle", str(path)]) == (1, "UNSAT\n", ""), name
+        code, out, err = run(["decide", str(path), "--oracle"])
+        assert (code, err) == (1, ""), name
+        assert out.splitlines()[0] == "UNSAT"
+        assert out.splitlines()[-1] == "oracle agrees (UNSAT)"
+
+
 def test_equiv_exit_codes(tmp_path):
     code, out, _ = run(["equiv", str(PROBLEMS / "ut3f2_commute.prob")])
     assert code == 1

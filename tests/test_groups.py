@@ -288,6 +288,25 @@ def test_brute_force_word_target(ut3_f2):
             == evaluate_word(ut3_f2, ("y", "x"), witness))
 
 
+def test_oracles_on_long_words(ut3_f2):
+    # UT(3,F2) has exponent 4, so (xy)^600 = 1, (xy)^601 = xy and
+    # x^1501 y = xy: on words of over a thousand letters both oracles give
+    # the short words' verdicts, witnesses and explored counts
+    identity = ut3_f2.identity()
+    decision = brute_force_solve(ut3_f2, ("x", "y") * 600, identity)
+    assert (decision.sat, decision.stats.explored) == (True, 1)
+    for long in (("x", "y") * 601, ("x",) * 1501 + ("y",)):
+        for target in element_list(ut3_f2):
+            got = brute_force_solve(ut3_f2, long, target)
+            want = brute_force_solve(ut3_f2, ("x", "y"), target)
+            assert ((got.sat, got.witness, got.stats.explored)
+                    == (want.sat, want.witness, want.stats.explored))
+        assert words_agree_everywhere(ut3_f2, long, ("x", "y")) == (True,
+                                                                   None)
+        assert (words_agree_everywhere(ut3_f2, long, ("y", "x"))
+                == words_agree_everywhere(ut3_f2, ("x", "y"), ("y", "x")))
+
+
 def test_brute_force_guard(order54):
     with pytest.raises(GuardExceeded):
         brute_force_solve(order54, tuple("abcdef"), order54.identity())

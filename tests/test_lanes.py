@@ -117,3 +117,15 @@ def test_ring_tables_build_basis_times_n_products(monkeypatch, ring):
     rings._ring_tables.__wrapped__(ring)   # a fresh build, past the cache
     assert 0 < counts["__add__"] <= bound
     assert 0 < counts["__mul__"] <= bound
+
+
+def test_fold_is_a_balanced_left_to_right_tree():
+    pair = lambda x, y: (x, y)  # noqa: E731
+    assert lanes.fold(pair, [0]) == 0
+    assert lanes.fold(pair, range(5)) == (((0, 1), (2, 3)), 4)
+    assert lanes.fold(str.__add__, "abcdefg") == "abcdefg"
+
+    def depth(tree):
+        return 1 + max(map(depth, tree)) if isinstance(tree, tuple) else 0
+
+    assert depth(lanes.fold(pair, range(3000))) == 12  # ceil(log2(3000))

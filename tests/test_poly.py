@@ -194,7 +194,7 @@ def test_grid_products_are_in_normal_form(group_family):
             sigma = sigma_expand(expr, ring)
             var_index = sigma_var_index(sigma)
             grids = [monomial_entry_polys(ring, mono, var_index)
-                     for mono in sigma.monomials]
+                     for mono in sigma]
             grids.append(entrywise_rewrite(sigma, ring, var_index))
             for grid in grids:
                 for row in grid:
@@ -221,8 +221,8 @@ def test_raw_entries_equal_their_sorted_polynomials(group_family):
     for p, alpha, m in ((2, 2, 2), (3, 1, 3), (3, 2, 2)):
         ring = make_ring(p, alpha, m)
         for _ in range(20):
-            grid = entrywise_rewrite(sigma_expand(
-                random_ring_expr(rng, ring), ring), ring)
+            sigma = sigma_expand(random_ring_expr(rng, ring), ring)
+            grid = entrywise_rewrite(sigma, ring, sigma_var_index(sigma))
             entries += [(ring.domain, dict(e.items()))
                         for row in grid for e in row]
     assert sum(len(e) > 1 for _, e in entries) >= 100
