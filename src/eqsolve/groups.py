@@ -31,8 +31,6 @@ from .domains import (MATRIX_LIMIT, DomainError, PrimeField, residue_matmul,
                       subgroup_of_order)
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
-_TABLE_LIMIT = lanes.LIMIT  # largest group order for which a table is built
-
 
 class GroupError(ValueError):
     """Invalid group description, element, or word."""
@@ -386,7 +384,7 @@ def _first_lane(group, names, left, right, equal):
     """(explored, assignment) for the first assignment in canonical order at
     which the words left and right evaluate equal (equal=True) or different
     (equal=False); (space, None) when there is none.  Without variables no
-    Cayley table is built.  On groups of at most _TABLE_LIMIT elements both
+    Cayley table is built.  On groups of at most lanes.LIMIT elements both
     words compile into lanes nodes: a right side that folds to a constant
     is the mask's own index, any other is scanned as left * right^-1
     against the identity, and separators use the complement mask."""
@@ -395,7 +393,7 @@ def _first_lane(group, names, left, right, equal):
             raise GroupError("constant letter from a different group")
     v = len(names)
     size = group.order
-    if v and size <= _TABLE_LIMIT:
+    if v and size <= lanes.LIMIT:
         elems, index, table, inverse = _cayley(group)
         lane = bytes(range(size))
         leaves = lanes.variables(names, lane)

@@ -12,8 +12,6 @@ and ring monomials are products of slot_letter matrices of slots.
 
 from __future__ import annotations
 
-from .domains import _same_domain
-
 
 def _term_key(factors):
     return (-len(factors), factors)
@@ -46,8 +44,9 @@ class Polynomial:
     """Read-only polynomial: the raw {factor tuple: coefficient} dict it was
     built from, held as it is and never changed.
 
-    items() reads the terms in no particular order, which is all the solver,
-    equality and hashing need; repr sorts them into the canonical order.
+    items() reads the terms in no particular order, which is all the solver
+    needs; repr sorts them into the canonical order.  Polynomials compare
+    and hash by identity: compare dict(p.items()) for equal terms.
     """
 
     __slots__ = ("domain", "_coeffs")
@@ -72,15 +71,6 @@ class Polynomial:
 
     def monomial_count(self) -> int:
         return len(self._coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (_same_domain(self.domain, other.domain)
-                and self._coeffs == other._coeffs)
-
-    def __hash__(self):
-        return hash((self.domain, frozenset(self._coeffs.items())))
 
     def __repr__(self):
         if not self._coeffs:

@@ -328,15 +328,17 @@ def _parse_equation(pf, header_line, entries):
             pf.rhs = rhs_word
     else:
         pf.lhs = _resolve_ring_expr(pf, lhs_tokens, lineno)
-        if len(rhs_tokens) != 1:
-            raise ParseError("ring rhs must be a single constant", rhs_lineno)
-        token = rhs_tokens[0]
-        pf.rhs = _constant(pf, token)
-        if pf.rhs is None:
-            if not token.startswith("["):
-                raise ParseError("ring rhs must be a constant", rhs_lineno)
+        # an inline matrix is the whole value, spaces and all, as in
+        # [constants]
+        if rhs_value.startswith("["):
             pf.rhs = pf.ring.element(
-                _matrix_rows(token, pf.ring.m, rhs_lineno))
+                _matrix_rows(rhs_value, pf.ring.m, rhs_lineno))
+        elif len(rhs_tokens) != 1:
+            raise ParseError("ring rhs must be a single constant", rhs_lineno)
+        else:
+            pf.rhs = _constant(pf, rhs_tokens[0])
+            if pf.rhs is None:
+                raise ParseError("ring rhs must be a constant", rhs_lineno)
 
 
 def parse_problem_file(path) -> ProblemFile:

@@ -147,9 +147,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
 
-    def key(self):
-        return tuple(v for row in self.rows for v in row)
-
     def __eq__(self, other):
         return (isinstance(other, RingElement)
                 and self.ring == other.ring and self.rows == other.rows)
@@ -231,17 +228,6 @@ class RScale(RingExpr):
     part: RingExpr
 
 
-def _letter_key(letter):
-    if isinstance(letter, str):
-        return (0, letter)
-    return (1, letter.key())
-
-
-def _monomial_key(mono):
-    _, letters = mono
-    return (len(letters), tuple(_letter_key(l) for l in letters))
-
-
 def fold_expr(expr, ring: NilpotentMatrixRing, ops):
     """Fold an expression tree bottom-up through
     ops = (var, const, neg, scale, add, mul, zero).
@@ -291,8 +277,9 @@ def sigma_expand(expr, ring: NilpotentMatrixRing) -> tuple:
     Products are distributed over sums, and every monomial with at least
     m*alpha letter factors is dropped: such a product of ring elements is
     already the zero matrix.  Equal letter tuples are merged, coefficients
-    reduced mod p^a, zero terms and terms with a zero constant dropped, and
-    the pairs sorted by length, then letters, names before constants.
+    reduced mod p^a, and zero terms and terms with a zero constant dropped;
+    the pairs keep the order in which their letters first appear in the
+    expansion.
     """
     cutoff = ring.nilpotency_bound
     n = ring.modulus
@@ -317,8 +304,7 @@ def sigma_expand(expr, ring: NilpotentMatrixRing) -> tuple:
             continue
         acc = merged.get(letters)
         merged[letters] = (acc + coeff) % n if acc is not None else coeff
-    return tuple(sorted(((c, letters) for letters, c in merged.items() if c),
-                        key=_monomial_key))
+    return tuple((c, letters) for letters, c in merged.items() if c)
 
 
 # RingElement operations for eval_ring_expr, which adds the variable lookup

@@ -5,9 +5,10 @@ The rings and their expressions live in eqsolve.ringexpr (see there for the
 nilpotency bound that truncates expansions); this module re-exports those
 names.  After expansion to a sum of monomials (sigma_expand's
 (coeff, letters) pairs), every matrix entry of each monomial is rewritten
-as a scalar polynomial in the letters' slot variables: the k-th unknown is
-zero with s[i][j][k] above the diagonal (full range) and p * a[i][j][k] on
-and below it (_variable_slots).
+as a scalar polynomial in the letters' slot variables.  Unknown k is the
+k-th variable in order of first occurrence in the expression, as in a group
+word; it is zero with s[i][j][k] above the diagonal (full range) and
+p * a[i][j][k] on and below it (_variable_slots).
 Coefficients are tracked exactly, so any chain accumulating a p-power of
 at least a dies on its own; surviving monomials have at most m*a - 1
 factors.  An equation F = rhs reduces to the m^2 entry constraints over
@@ -38,8 +39,6 @@ from .solver import (DEFAULT_GUARD, Constraint, Decision, GuardExceeded,
 # rows a tuple of tuples, in one set (about 0.6 KB per element in M(4, Z_8)),
 # so this bound stops a runaway closure within seconds and under 100 MB.
 IDEAL_GUARD = 10 ** 5
-# Largest ring for which the oracle builds +/* tables: the byte-lane limit.
-_TABLE_LIMIT = lanes.LIMIT
 
 
 @lru_cache(maxsize=None)
@@ -78,19 +77,11 @@ def _variable_letter(ring: NilpotentMatrixRing, k: int) -> list:
 
 # -- entrywise rewriting -------------------------------------------------------
 
-def sigma_var_index(monomials) -> dict:
-    """Variable name -> unknown number, from 1 in order of first occurrence
-    in sigma_expand's sorted monomials."""
-    names = dict.fromkeys(letter for _, letters in monomials
-                          for letter in letters if isinstance(letter, str))
-    return {name: k for k, name in enumerate(names, start=1)}
-
-
-def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, var_index,
+def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
                       cosets=()) -> tuple:
     """Rewrite a sum of monomials, sigma_expand's (coeff, letters) pairs,
     minus t[k] * a_k per coset (a_k, r_k) of an ideal, into m x m scalar
-    entry polynomials; var_index numbers the variables' unknowns.
+    entry polynomials; the k-th of names (from 1) is unknown k.
 
     Each monomial's grid is the product of its letters, coefficient first.
     Exact coefficient tracking performs the pruning: a chain picking up b
@@ -100,7 +91,7 @@ def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, var_index,
     """
     dom = ring.domain
     unknowns = {name: _variable_letter(ring, k)
-                for name, k in var_index.items()}
+                for k, name in enumerate(names, start=1)}
     total = scalar_grid(dom, ring.m, dom.rzero)
     for coeff, letters in monomials:
         if not letters:
@@ -152,15 +143,14 @@ def build_ring_system(ring: NilpotentMatrixRing, expr, rhs: RingElement,
     """Reduce F = rhs over the ring, or over M/I given the ideal, to the m^2
     entry constraints over Z_{p^a}.
 
-    A variable of expr that the truncation drops still gets a layout, so
-    that it comes back as zero in a witness."""
-    monomials = sigma_expand(expr, ring)
-    var_index = sigma_var_index(monomials)
-    names = dict.fromkeys(itertools.chain(var_index, expr_variables(expr)))
+    Unknowns are numbered by first occurrence in expr, as group words
+    number theirs, so a variable that the truncation drops still gets a
+    layout and comes back as zero in a witness."""
+    names = expr_variables(expr)
     return ReducedRingSystem(ring, expr, rhs, {
         name: _variable_slots(ring, k)
         for k, name in enumerate(names, start=1)},
-        entrywise_rewrite(monomials, ring, var_index,
+        entrywise_rewrite(sigma_expand(expr, ring), ring, names,
                           ideal.cosets if ideal else ()), ideal)
 
 
@@ -339,7 +329,7 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     Over M/I, assignments range over canonical coset representatives and
     equality means the difference lands in the ideal.  Assignments are
     scanned lexicographically (variables in first occurrence order, values
-    in canonical order).  On rings of at most _TABLE_LIMIT elements the
+    in canonical order).  On rings of at most lanes.LIMIT elements the
     expression is compiled once per call and evaluated a row at a time:
     each value of the last variable at once, as a lane of element indices
     in bytes, through +, * and scale tables built once per ring (see
@@ -358,19 +348,12 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     space = (n if ideal is None else n // len(ideal)) ** len(names)
     if space > guard:
         raise GuardExceeded(space, guard)
-    if n <= _TABLE_LIMIT:
+    if n <= lanes.LIMIT:
         return _table_scan(ring, expr, rhs, ideal, names, space)
     if not names:
         carrier = ()
     elif ideal is not None:
-        seen = set()
-        carrier = []
-        for e in ring_elements(ring):
-            if e in seen:
-                continue
-            carrier.append(e)
-            for i in ideal.elements:
-                seen.add(e + i)
+        carrier = _transversal(ring_elements(ring), ideal.elements, add)
     else:
         carrier = ring_elements(ring)
     stats = SolveStats()
@@ -384,6 +367,18 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
         elif value == rhs:
             return Decision(True, assignment, stats)
     return Decision(False, None, stats)
+
+
+def _transversal(elements, members, plus) -> list:
+    """The first of elements in each coset of the additive subgroup
+    members, in elements' order; plus(e, i) adds a member to an element."""
+    seen = set()
+    firsts = []
+    for e in elements:
+        if e not in seen:
+            firsts.append(e)
+            seen.update(plus(e, i) for i in members)
+    return firsts
 
 
 def _table_scan(ring, expr, rhs, ideal, names, space) -> Decision:
@@ -403,12 +398,8 @@ def _table_scan(ring, expr, rhs, ideal, names, space) -> Decision:
         members = [index[i.rows] for i in ideal.elements]
         for i in members:
             mask[plus[target][i]] = 1
-        carrier = []
-        seen = set()
-        for e in range(len(elems)):
-            if e not in seen:
-                carrier.append(e)
-                seen.update(plus[e][i] for i in members)
+        carrier = _transversal(range(len(elems)), members,
+                               lambda e, i: plus[e][i])
     lane = bytes(carrier)
     explored, values = lanes.first_hit(
         lane, len(names), _lane_node(expr, ring, names, lane), mask)

@@ -120,10 +120,26 @@ def random_ring_element(rng: random.Random, ring):
     return rng.choice(ring_elements(ring))
 
 
+def moved_fields(got, want, path=""):
+    """Dotted paths of the fields in which two records differ: dicts are
+    compared key by key, any other value as a whole."""
+    if not (isinstance(got, dict) and isinstance(want, dict)):
+        return [] if got == want else [path]
+    fields = []
+    for key in sorted(got.keys() | want.keys()):
+        where = path + "." + key if path else key
+        if key in got and key in want:
+            fields += moved_fields(got[key], want[key], where)
+        else:
+            fields.append(where)
+    return fields
+
+
 def golden_diff(got: dict, want: dict) -> str:
-    """Which labels of a {label: record} golden changed, went missing or
-    are extra."""
-    changed = sorted(k for k in got.keys() & want.keys() if got[k] != want[k])
-    return "changed %s; missing %s; extra %s" % (
-        changed, sorted(want.keys() - got.keys()),
+    """Which labels of a {label: record} golden changed, with the fields
+    that moved in each, and which went missing or are extra."""
+    changed = ["%s: %s" % (k, ", ".join(moved_fields(got[k], want[k])))
+               for k in sorted(got.keys() & want.keys()) if got[k] != want[k]]
+    return "changed [%s]; missing %s; extra %s" % (
+        "; ".join(changed), sorted(want.keys() - got.keys()),
         sorted(got.keys() - want.keys()))

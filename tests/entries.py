@@ -22,10 +22,10 @@ def entry_monomial_count(n: int, i: int, j: int) -> int:
     return math.comb(n + j - i - 1, j - i)
 
 
-def monomial_entry_polys(ring, mono, var_index) -> tuple:
+def monomial_entry_polys(ring, mono, names) -> tuple:
     """Entry polynomials of one monomial's matrix product: the rewrite of
     the sum whose only monomial it is."""
-    return entrywise_rewrite((mono,), ring, var_index)
+    return entrywise_rewrite((mono,), ring, names)
 
 
 def as_expr(monomials):

@@ -17,12 +17,11 @@ import pytest
 from eqsolve import (GuardExceeded, brute_force_ring_solve, brute_force_solve,
                      decide_equation, decide_equivalence, decide_factor_ring,
                      decide_ring_equation, element_list, enumerate_ideal,
-                     evaluate_word, full_pattern, make_domain, make_group,
+                     evaluate_word, expr_variables, full_pattern, make_domain, make_group,
                      make_ring, ring_elements, sigma_expand, symbolic_product,
                      unitriangular_group, word_variables,
                      words_agree_everywhere)
 from eqsolve.reduction import x_variable, y_variable
-from eqsolve.rings import sigma_var_index
 from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
 from entries import entry_monomial_count, monomial_entry_polys
@@ -162,11 +161,11 @@ def test_criterion_5_entry_length_bounds():
     checked = 0
     for ring, expr, _ in _ring_sweep():
         sigma = sigma_expand(expr, ring)
-        var_index = sigma_var_index(sigma)
+        names = expr_variables(expr)
         cutoff = ring.nilpotency_bound
         factor_bound = (cutoff - 1) * ring.m ** (cutoff - 2)
         for mono in sigma:
-            grid = monomial_entry_polys(ring, mono, var_index)
+            grid = monomial_entry_polys(ring, mono, names)
             for row in grid:
                 for poly in row:
                     for factors, _ in poly.items():

@@ -116,6 +116,18 @@ def test_decisions_golden():
     assert got == want, golden_diff(got, want)
 
 
+def test_golden_diff_names_the_moved_fields():
+    want = {"q": {"decide": {"explored": 3, "sat": True,
+                             "witness": {"u": [[1]], "v": [[0]]}}},
+            "same": {"sat": False}, "gone": {}}
+    got = {"q": {"decide": {"explored": 4, "sat": True,
+                            "witness": {"u": [[2]], "v": [[0]]}}},
+           "same": {"sat": False}, "new": {}}
+    assert golden_diff(got, want) == (
+        "changed [q: decide.explored, decide.witness.u]; missing ['gone']; "
+        "extra ['new']")
+
+
 if __name__ == "__main__":
     # one question per line
     GOLDEN.write_text("{\n%s\n}\n" % ",\n".join(

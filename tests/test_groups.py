@@ -11,7 +11,7 @@ from eqsolve import (GroupError, GuardExceeded, PatternError,
                      exponent_bound, full_pattern, invert_word, make_domain,
                      make_group, multiply, unitriangular_group,
                      word_variables, words_agree_everywhere)
-from eqsolve import groups
+from eqsolve import groups, lanes
 from conftest import random_assignment, random_word
 
 
@@ -625,7 +625,7 @@ def test_oracle_at_the_byte_lane_limit():
     without a table."""
     c257 = make_group(make_domain(257), 1, (), (256,))
     elems = element_list(c257)   # in order of residues: elems[255] = -1
-    assert c257.order == groups._TABLE_LIMIT == 256
+    assert c257.order == lanes.LIMIT == 256
     last, three = elems[255], elems[2]
     cases = (
         (("x",), last, 256),                         # lane index 255

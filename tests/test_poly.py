@@ -5,13 +5,13 @@ from pathlib import Path
 from eqsolve import (Polynomial, RScale, RVar, build_system, decide_equation,
                      decide_equivalence, decide_factor_ring,
                      decide_ring_equation, element_list, entrywise_rewrite,
-                     enumerate_ideal, make_domain, make_group, make_ring,
-                     ring_elements, sigma_expand, symbolic_product,
-                     word_variables)
+                     enumerate_ideal, expr_variables, make_domain,
+                     make_group, make_ring, ring_elements, sigma_expand,
+                     symbolic_product, word_variables)
 from eqsolve import poly as poly_module
 from eqsolve.poly import entry_polynomial
 from eqsolve.reduction import x_variable, y_variable
-from eqsolve.rings import a_variable, s_variable, sigma_var_index
+from eqsolve.rings import a_variable, s_variable
 from conftest import random_ring_expr, random_word
 from entries import monomial_entry_polys
 from polyexpr import (EAdd, EConst, EMul, EVar, add, eval_expr, evaluate,
@@ -27,21 +27,22 @@ Z = "z"
 
 def test_normalize_doubles_coefficient():
     e = EVar(X) + EVar(X)
-    assert normalize(e, F3) == poly(F3, (2, (X,)))
+    assert dict(normalize(e, F3).items()) == dict(poly(F3, (2, (X,))).items())
 
 
 def test_normalize_characteristic_three():
     e = EVar(X) + EVar(X) + EVar(X)
     result = normalize(e, F3)
     assert result.is_zero()
-    assert result == Polynomial(F3)
+    assert dict(result.items()) == dict(Polynomial(F3).items())
     assert length(result) == 0
 
 
 def test_normalize_product_mod_three():
     # (x + 1)(x + 2) = x^2 + 3x + 2 = x^2 + 2 over GF(3)
     e = (EVar(X) + EConst(1)) * (EVar(X) + EConst(2))
-    assert normalize(e, F3) == poly(F3, (1, (X, X)), (2, ()))
+    assert dict(normalize(e, F3).items()) == \
+        dict(poly(F3, (1, (X, X)), (2, ())).items())
 
 
 def test_normalize_idempotent():
@@ -49,7 +50,7 @@ def test_normalize_idempotent():
     for _ in range(50):
         e = _random_expr(rng, depth=3)
         once = normalize(e, F3)
-        assert normalize(once, F3) == once
+        assert dict(normalize(once, F3).items()) == dict(once.items())
 
 
 def _random_expr(rng, depth):
@@ -131,9 +132,10 @@ def test_times_scalar_drops_zero_products():
     twice = mul(mul(variable(z4, X), two), two)
     assert sorted_terms(twice) == ()
     assert twice.is_zero()
-    assert twice == Polynomial(z4)
+    assert dict(twice.items()) == dict(Polynomial(z4).items())
     f = poly(z4, (2, (X,)), (1, (Y,)), (3, ()))
-    assert mul(f, two) == poly(z4, (2, (Y,)), (2, ()))
+    assert dict(mul(f, two).items()) == \
+        dict(poly(z4, (2, (Y,)), (2, ())).items())
 
 
 def test_render_stable():
@@ -157,7 +159,8 @@ def test_variables_mix_as_dict_keys():
     assert table["x"] == 1
     assert table["x[1][3][2]"] == 2
     made = variable(F3, "x[1][3][2]")
-    assert add(made, variable(F3, slot)) == poly(F3, (2, (slot,)))
+    assert dict(add(made, variable(F3, slot)).items()) == \
+        dict(poly(F3, (2, (slot,))).items())
     assert evaluate(mul(made, variable(F3, X)),
                     {slot: 2, "x": 1}) == 2
 
@@ -192,10 +195,10 @@ def test_grid_products_are_in_normal_form(group_family):
         exprs += [random_ring_expr(rng, ring) for _ in range(30)]
         for expr in exprs:
             sigma = sigma_expand(expr, ring)
-            var_index = sigma_var_index(sigma)
-            grids = [monomial_entry_polys(ring, mono, var_index)
+            names = expr_variables(expr)
+            grids = [monomial_entry_polys(ring, mono, names)
                      for mono in sigma]
-            grids.append(entrywise_rewrite(sigma, ring, var_index))
+            grids.append(entrywise_rewrite(sigma, ring, names))
             for grid in grids:
                 for row in grid:
                     for entry in row:
@@ -203,7 +206,7 @@ def test_grid_products_are_in_normal_form(group_family):
 
 
 def test_raw_entries_equal_their_sorted_polynomials(group_family):
-    """entry_polynomial wraps a raw grid entry as it is; its repr, ==, hash
+    """entry_polynomial wraps a raw grid entry as it is; its repr, terms
     and sorted terms are those of the Polynomial built from the same terms
     in another order."""
     rng = random.Random(4099)
@@ -221,8 +224,9 @@ def test_raw_entries_equal_their_sorted_polynomials(group_family):
     for p, alpha, m in ((2, 2, 2), (3, 1, 3), (3, 2, 2)):
         ring = make_ring(p, alpha, m)
         for _ in range(20):
-            sigma = sigma_expand(random_ring_expr(rng, ring), ring)
-            grid = entrywise_rewrite(sigma, ring, sigma_var_index(sigma))
+            expr = random_ring_expr(rng, ring)
+            grid = entrywise_rewrite(sigma_expand(expr, ring), ring,
+                                     expr_variables(expr))
             entries += [(ring.domain, dict(e.items()))
                         for row in grid for e in row]
     assert sum(len(e) > 1 for _, e in entries) >= 100
@@ -233,7 +237,7 @@ def test_raw_entries_equal_their_sorted_polynomials(group_family):
         sorted_ = Polynomial(dom, terms)
         assert kept._coeffs is entry
         assert repr(kept) == repr(sorted_)
-        assert kept == sorted_ and hash(kept) == hash(sorted_)
+        assert dict(kept.items()) == dict(sorted_.items())
         assert sorted_terms(kept) == sorted_terms(sorted_)
 
 

@@ -62,6 +62,24 @@ def test_parse_ring_problem():
     assert set(pf.variables) == {"x", "y"}
 
 
+@pytest.mark.parametrize("rhs", ["[0, 2, 0, 0]", "[0,2,0,0]",
+                                 "[[0, 2], [0, 0]]", "c"])
+def test_ring_rhs_inline_matrix_may_hold_spaces(rhs):
+    pf = parse_problem(RING_TEXT.replace("rhs = 0", "rhs = " + rhs))
+    assert pf.rhs == pf.ring.element([[0, 2], [0, 0]])
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("c c", "single constant"), ("c [0,2,0,0]", "single constant"),
+    ("x", "must be a constant"), ("[0, 2, 0]", "row-major"),
+    ("[0, 2, 0, 0] c", "list syntax"),
+])
+def test_ring_rhs_must_be_one_constant(rhs, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_problem(RING_TEXT.replace("rhs = 0", "rhs = " + rhs))
+    assert err.value.line == 14
+
+
 def test_sample_problem_files_parse():
     for path in sorted(PROBLEMS.glob("*.prob")):
         pf = parse_problem_file(path)

@@ -12,9 +12,9 @@ from eqsolve import (GuardExceeded, Polynomial, RConst, RNeg, RProd, RingError,
                      entrywise_rewrite, enumerate_ideal, eval_ring_expr,
                      expr_variables, make_ring, ring_elements,
                      sigma_expand)
-from eqsolve import rings, solver
+from eqsolve import lanes, rings, solver
 from eqsolve.domains import residue_matadd, residue_matmul, residue_matscale
-from eqsolve.rings import RingElement, sigma_var_index
+from eqsolve.rings import RingElement
 from conftest import random_ring_element, random_ring_expr
 from entries import as_expr, monomial_entry_polys
 from polyexpr import (add, constant, evaluate, mul, product_length,
@@ -131,6 +131,15 @@ def test_sigma_distributes(ring_m2z4):
     assert sigma == ((1, ("x", "z")), (1, ("y", "z")))
 
 
+def test_sigma_keeps_the_order_of_first_appearance(ring_m2z4):
+    """Monomials are merged, not sorted: yx comes first as it does in the
+    expression, and a shorter later monomial stays later."""
+    assert sigma_expand(Y * X + X * Y, ring_m2z4) == \
+        ((1, ("y", "x")), (1, ("x", "y")))
+    assert sigma_expand(Y * X + X + RScale(3, Y * X), ring_m2z4) == \
+        ((1, ("x",)),)
+
+
 def test_sigma_cube_truncation(ring_m2z4, ring_m2z2):
     cube = RProd((RSum((X, Y)),) * 3)
     sigma = sigma_expand(cube, ring_m2z4)  # bound 4: length-3 products stay
@@ -155,16 +164,16 @@ def test_sigma_semantics_exhaustive(ring_m2z2, ring_m2z4):
 
 def test_entrywise_constant(ring_m2z4):
     c = ring_m2z4.element([[2, 3], [0, 2]])
-    sigma = sigma_expand(RConst(c), ring_m2z4)
-    grid = entrywise_rewrite(sigma, ring_m2z4, sigma_var_index(sigma))
+    grid = entrywise_rewrite(sigma_expand(RConst(c), ring_m2z4), ring_m2z4,
+                             ())
     for i in range(2):
         for j in range(2):
             assert evaluate(grid[i][j], {}) == c.rows[i][j]
 
 
 def test_entrywise_xy_vanishes_in_class_two(ring_m2z2):
-    sigma = sigma_expand(X * Y, ring_m2z2)
-    grid = entrywise_rewrite(sigma, ring_m2z2, sigma_var_index(sigma))
+    grid = entrywise_rewrite(sigma_expand(X * Y, ring_m2z2), ring_m2z2,
+                             expr_variables(X * Y))
     assert all(grid[i][j].is_zero() for i in range(2) for j in range(2))
 
 
@@ -172,8 +181,7 @@ def test_entrywise_three_letter_chains(ring_m2z4):
     word = RProd((RVar("x"), RVar("y"), RVar("z")))
     sigma = sigma_expand(word, ring_m2z4)
     assert len(sigma) == 1
-    grid = monomial_entry_polys(ring_m2z4, sigma[0],
-                                sigma_var_index(sigma))
+    grid = monomial_entry_polys(ring_m2z4, sigma[0], expr_variables(word))
     # only the chain 1 -> 2 -> 1 -> 2 survives in the top-right entry
     assert repr(grid[0][1]) == "2*a[2][1][2]*s[1][2][1]*s[1][2][3]"
     bound = (ring_m2z4.nilpotency_bound - 1)
@@ -191,13 +199,13 @@ def test_entrywise_matches_matrix_evaluation(ring_m2z4, ring_m3z3):
         for _ in range(100):
             expr = random_ring_expr(rng, ring)
             sigma = sigma_expand(expr, ring)
-            var_index = sigma_var_index(sigma)
-            grid = entrywise_rewrite(sigma, ring, var_index)
+            names = expr_variables(expr)
+            grid = entrywise_rewrite(sigma, ring, names)
             for _ in range(10):
                 assignment = {name: random_ring_element(rng, ring)
-                              for name in expr_variables(expr)}
+                              for name in names}
                 expected = eval_ring_expr(expr, assignment, ring)
-                slots = _slot_assignment(ring, assignment, var_index)
+                slots = _slot_assignment(ring, assignment, names)
                 for i in range(ring.m):
                     for j in range(ring.m):
                         value = evaluate(grid[i][j], slots)
@@ -206,7 +214,7 @@ def test_entrywise_matches_matrix_evaluation(ring_m2z4, ring_m3z3):
         assert trials == 1000
 
 
-def _fold_monomial(ring, mono, var_index):
+def _fold_monomial(ring, mono, names):
     """Reference for monomial_entry_polys: letter grids of Polynomials
     multiplied with polynomial products and sums, every addition merged,
     zero-filtered and sorted, then scaled by the coefficient."""
@@ -218,7 +226,7 @@ def _fold_monomial(ring, mono, var_index):
     grid = None
     for letter in letters:
         if isinstance(letter, str):
-            k = var_index[letter]
+            k = names.index(letter) + 1
             p = constant(dom, ring.p)
             lg = [[variable(dom, s_variable(i + 1, j + 1, k))
                    if i < j else mul(variable(
@@ -251,18 +259,18 @@ def test_entrywise_matches_per_addition_fold():
         exprs += [random_ring_expr(rng, ring) for _ in range(40)]
         for expr in exprs:
             sigma = sigma_expand(expr, ring)
-            var_index = sigma_var_index(sigma)
+            names = expr_variables(expr)
             zero = Polynomial(ring.domain)
             total = [[zero] * m for _ in range(m)]
             for mono in sigma:
-                reference = _fold_monomial(ring, mono, var_index)
-                grid = monomial_entry_polys(ring, mono, var_index)
+                reference = _fold_monomial(ring, mono, names)
+                grid = monomial_entry_polys(ring, mono, names)
                 for i in range(m):
                     for j in range(m):
                         assert sorted_terms(grid[i][j]) == \
                             sorted_terms(reference[i][j]), (ring, mono, i, j)
                         total[i][j] = add(total[i][j], reference[i][j])
-            grid = entrywise_rewrite(sigma, ring, var_index)
+            grid = entrywise_rewrite(sigma, ring, names)
             for i in range(m):
                 for j in range(m):
                     assert sorted_terms(grid[i][j]) == \
@@ -275,10 +283,10 @@ def test_factor_ring_rejects_ideal_of_another_ring(ring_m2z4, ring_m3z3):
         decide_factor_ring(ring_m2z4, ideal, X * Y)
 
 
-def _slot_assignment(ring, assignment, var_index):
+def _slot_assignment(ring, assignment, names):
     from eqsolve.rings import a_variable, s_variable
     slots = {}
-    for name, k in var_index.items():
+    for k, name in enumerate(names, start=1):
         element = assignment[name]
         for i in range(1, ring.m + 1):
             for j in range(1, ring.m + 1):
@@ -371,7 +379,7 @@ def _fixed_point_ideal(ring, generators):
         for x in all_elems:
             work.append(x * a)
             work.append(a * x)
-    return tuple(sorted(closed, key=RingElement.key))
+    return closed
 
 
 def test_ideal_matches_fixed_point_reference():
@@ -387,7 +395,7 @@ def test_ideal_matches_fixed_point_reference():
             gens = [random_ring_element(rng, ring).scale(scale)
                     for _ in range(count)]
             assert enumerate_ideal(ring, gens).elements == \
-                set(_fixed_point_ideal(ring, gens)), (ring, gens)
+                _fixed_point_ideal(ring, gens), (ring, gens)
 
 
 def _unit_matrix(ring, i, j, value):
@@ -667,7 +675,7 @@ def test_scale_tables_built_once_per_ring(monkeypatch, ring_m2z4):
 def test_table_oracle_on_a_ring_of_256_elements():
     # rows are bytes: the last index, 255, must survive every translation
     ring = make_ring(2, 9, 1)
-    assert ring.cardinality == rings._TABLE_LIMIT == 256
+    assert ring.cardinality == lanes.LIMIT == 256
     elems = ring_elements(ring)
     last, two = elems[-1], elems[1]
     cases = ((X, last), (RNeg(X), elems[1]), (RScale(3, X) + RConst(two), last),
@@ -753,7 +761,7 @@ def test_foreign_constants_rejected_on_every_path(ring_m2z2, ring_m2z4):
 def test_malformed_nodes_rejected_on_every_path(ring_m2z4):
     # an empty product has no meaning; 5 is no ring element
     for ring in (ring_m2z4, make_ring(2, 2, 3)):
-        tables = ring.cardinality <= rings._TABLE_LIMIT
+        tables = ring.cardinality <= lanes.LIMIT
         for bad in (RProd(()), RConst(5)):
             for expr in (bad, X + bad):
                 with pytest.raises(RingError):
@@ -783,7 +791,7 @@ def _table_calls():
 
 def test_table_limit_keeps_large_rings_per_assignment():
     m3z4 = make_ring(2, 2, 3)
-    assert m3z4.cardinality > rings._TABLE_LIMIT
+    assert m3z4.cardinality > lanes.LIMIT
     c = m3z4.element([[2, 1, 0], [0, 0, 3], [0, 0, 2]])
     target = m3z4.element([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     before = _table_calls()
@@ -952,16 +960,37 @@ def test_factor_ring_matches_per_element_reference(ring_m2z4, ring_m3z3):
     assert unsat >= 5
 
 
+def test_witness_names_follow_the_expression(ring_m2z4, ring_m3z3):
+    """A ring decision's witness lists the unknowns in order of first
+    occurrence in the expression, as the oracle's does, also when the
+    expansion meets them in another order."""
+    rng = random.Random(3307)
+    cases = [(ring_m2z4, Y * X * X + X), (ring_m3z3, Y * RVar("z") + X)]
+    for ring in (ring_m2z4, ring_m3z3):
+        cases += [(ring, random_ring_expr(rng, ring, max_vars=2))
+                  for _ in range(20)]
+    sat = 0
+    for ring, expr in cases:
+        decision = decide_ring_equation(ring, expr)
+        oracle = brute_force_ring_solve(ring, expr)
+        assert decision.sat == oracle.sat
+        if decision.sat:
+            assert tuple(decision.witness) == expr_variables(expr) == \
+                tuple(oracle.witness), expr
+            sat += 1
+    assert sat >= 20
+
+
 def test_unknown_dropped_by_truncation_comes_back_zero(ring_m2z4):
     """x0...x3 reaches the nilpotency bound of M(2,Z4), so the expansion
     keeps only u; the dropped unknowns take their layout's base, zero."""
     ring = ring_m2z4
     names = ["x%d" % i for i in range(ring.nilpotency_bound)]
     expr = RProd(tuple(map(RVar, names))) + RVar("u")
-    assert tuple(sigma_var_index(sigma_expand(expr, ring))) == ("u",)
+    assert sigma_expand(expr, ring) == ((1, ("u",)),)
     c = ring.element([[2, 3], [0, 2]])
     decision = decide_ring_equation(ring, expr, c)
     assert decision.sat
     assert decision.witness == dict({"u": c}, **dict.fromkeys(names,
                                                                ring.zero()))
-    assert list(decision.witness) == ["u"] + names
+    assert list(decision.witness) == names + ["u"]
