@@ -7,7 +7,8 @@ each factor tuple is sorted.  The solver reads the terms unordered (items());
 only printing sorts them into the canonical order.
 
 slot_grid_product is the one matrix product both reductions use: group words
-and ring monomials are products of slot_letter matrices of slots.
+and ring monomials are products of slot_letter matrices of slots, started
+from the first letter scaled by 1 or by the ring monomial's coefficient.
 """
 
 from __future__ import annotations
@@ -20,24 +21,6 @@ def _term_key(factors):
 def _sort_terms(terms):
     """Canonical order of (factor tuple, raw coefficient) terms."""
     return tuple(sorted(terms, key=lambda t: _term_key(t[0])))
-
-
-def _merge(acc, terms, radd, rzero):
-    """Add terms with distinct factor tuples into the raw dict acc, deleting
-    sums that cancel."""
-    if not acc:
-        acc.update(terms)
-        return
-    for factors, c in terms:
-        prev = acc.get(factors)
-        if prev is None:
-            acc[factors] = c
-        else:
-            c = radd(prev, c)
-            if c == rzero:
-                del acc[factors]
-            else:
-                acc[factors] = c
 
 
 class Polynomial:
@@ -108,19 +91,29 @@ def slot_letter(dom, rows, slots=()) -> list:
     return letter
 
 
-def slot_grid_product(dom, grid, letters, orders=None) -> list:
-    """Multiply a raw grid (left unchanged) by letters, left to right.
+def slot_grid_product(dom, scalar, letters, orders=None) -> list:
+    """scalar times the product of letters (not empty), left to right,
+    started from the first letter.
 
     Each letter is one list per row of (column, raw coefficient, variable
-    or None) slots, 0-based, with no zero coefficient.  Entries stay raw dicts
-    with no zero coefficient; entry_polynomial wraps them unsorted.
-    orders maps variables that satisfy var^d = 1 to d; their exponents are
-    cut below d as the product is formed.
+    or None) slots, 0-based, with no zero coefficient.  Each term is added
+    into its output entry as it is formed, so entries stay raw dicts with
+    no zero coefficient; entry_polynomial wraps them unsorted.  orders maps
+    variables that satisfy var^d = 1 to d; their exponents are cut below d
+    as the product is formed, from the first letter on.
     """
     rzero, rone, radd, rmul = dom.rzero, dom.rone, dom.radd, dom.rmul
-    # over a field, nonzero times nonzero stays nonzero
-    zero_divisors = dom.kind != "field"
-    for letter in letters:
+    orders = orders or {}
+    first, *rest = letters
+    grid = [[{} for _ in first] for _ in first]
+    for out, slots in zip(grid, first):
+        for j, coeff, var in slots:
+            c = rmul(scalar, coeff)
+            if c != rzero:
+                # y^1 = 1 leaves the constant 1
+                out[j][() if var is None or orders.get(var) == 1
+                       else (var,)] = c
+    for letter in rest:
         new = []
         for row in grid:
             out = [{} for _ in row]
@@ -128,30 +121,49 @@ def slot_grid_product(dom, grid, letters, orders=None) -> list:
                 if not left:
                     continue
                 for j, coeff, var in slots:
-                    terms = left.items()
-                    if var is not None:
+                    acc = out[j]
+                    d = orders.get(var)
+                    for f, c in left.items():
                         # distinct keys of left stay distinct, also where
                         # var^d = 1 cancels d copies of var (a unit)
-                        d = orders.get(var) if orders else None
-                        terms = [(tuple(sorted(f + (var,)))
-                                  if d is None or f.count(var) < d - 1
-                                  else tuple(v for v in f if v != var), c)
-                                 for f, c in terms]
-                    if coeff != rone:
-                        terms = [(f, rmul(c, coeff)) for f, c in terms]
-                        if zero_divisors:
-                            terms = [t for t in terms if t[1] != rzero]
-                    _merge(out[j], terms, radd, rzero)
+                        if var is not None:
+                            f = (tuple(sorted(f + (var,)))
+                                 if d is None or f.count(var) < d - 1
+                                 else tuple(v for v in f if v != var))
+                        if coeff != rone:
+                            c = rmul(c, coeff)
+                            if c == rzero:   # a zero divisor's product
+                                continue
+                        prev = acc.get(f)
+                        if prev is None:
+                            acc[f] = c
+                        else:
+                            c = radd(prev, c)
+                            if c == rzero:
+                                del acc[f]
+                            else:
+                                acc[f] = c
             new.append(out)
         grid = new
     return grid
 
 
 def merge_grid(dom, total, grid) -> None:
-    """Add a raw grid into the raw grid total, entry by entry."""
+    """Add a raw grid into the raw grid total, entry by entry, deleting
+    sums that cancel."""
+    radd, rzero = dom.radd, dom.rzero
     for acc_row, row in zip(total, grid):
         for acc, entry in zip(acc_row, row):
-            _merge(acc, entry.items(), dom.radd, dom.rzero)
+            for factors, c in entry.items():
+                prev = acc.get(factors)
+                if prev is None:
+                    acc[factors] = c
+                else:
+                    c = radd(prev, c)
+                    if c == rzero:
+                        del acc[factors]
+                    else:
+                        acc[factors] = c
 
 
 def entry_polynomial(dom, entry) -> Polynomial:

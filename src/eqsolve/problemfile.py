@@ -42,7 +42,8 @@ class ProblemFile:
 
 
 def _split_sections(text):
-    """[(section name, header line, [(line, key, value), ...]), ...]"""
+    """[(section name, header line, [(line, key, value, col), ...]), ...],
+    col being the 1-based column of the value's first character."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -50,17 +51,18 @@ def _split_sections(text):
         if not line.strip():
             continue
         stripped = line.strip()
+        start = len(line) - len(line.lstrip())
         if stripped.startswith("[") and stripped.endswith("]"):
             current = (stripped[1:-1].strip(), lineno, [])
             sections.append(current)
             continue
         if "=" not in stripped:
-            raise ParseError("expected `key = value`", lineno,
-                             raw.find(stripped) + 1)
+            raise ParseError("expected `key = value`", lineno, start + 1)
         if current is None:
             raise ParseError("key outside of any section", lineno)
         key, value = stripped.split("=", 1)
-        current[2].append((lineno, key.strip(), value.strip()))
+        col = start + len(key) + len(value) - len(value.lstrip()) + 2
+        current[2].append((lineno, key.strip(), value.strip(), col))
     return sections
 
 
@@ -80,20 +82,21 @@ def _entry_int(entry, lineno):
     return entry
 
 
-def _as_list(value, lineno):
+def _as_list(value, lineno, col):
+    """The JSON list a value at (lineno, col) spells."""
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError as exc:
         raise ParseError("bad list syntax: %s" % exc.msg, lineno,
-                         exc.colno) from None
+                         col + exc.colno - 1) from None
     if not isinstance(parsed, list):
         raise ParseError("expected a list, got %r" % value, lineno)
     return parsed
 
 
-def _matrix_rows(value, m, lineno):
+def _matrix_rows(value, m, lineno, col):
     """Accept a flat row-major list of m*m residues (or m nested rows)."""
-    data = _as_list(value, lineno)
+    data = _as_list(value, lineno, col)
     if len(data) == m and all(isinstance(r, list) for r in data):
         rows = data
     else:
@@ -160,12 +163,12 @@ def parse_problem(text: str) -> ProblemFile:
 
 def _entries_to_dict(entries, allowed):
     out = {}
-    for lineno, key, value in entries:
+    for lineno, key, value, col in entries:
         if key not in allowed:
             raise ParseError("unknown key %r" % key, lineno)
         if key in out:
             raise ParseError("duplicate key %r" % key, lineno)
-        out[key] = (lineno, value)
+        out[key] = (lineno, value, col)
     return out
 
 
@@ -177,54 +180,55 @@ def _require(table, key, section, header_line):
 
 def _parse_group(table, header_line) -> SemipatternGroup:
     """The group of a [group] section."""
-    lineno, value = _require(table, "q", "group", header_line)
+    lineno, value, _ = _require(table, "q", "group", header_line)
     p, k = _factor_prime_power(_as_int(value, lineno), lineno)
     domain = make_domain(p, k, "field")
-    lineno, value = _require(table, "m", "group", header_line)
+    lineno, value, _ = _require(table, "m", "group", header_line)
     m = _as_int(value, lineno)
     if m > MATRIX_LIMIT:
         raise ParseError("matrix size %d exceeds the limit of %d"
                          % (m, MATRIX_LIMIT), lineno)
-    lineno, value = _require(table, "pattern", "group", header_line)
+    lineno, value, col = _require(table, "pattern", "group", header_line)
     if value.strip() == "full":
         pattern = full_pattern(m)
     else:
-        raw = _as_list(value, lineno)
+        raw = _as_list(value, lineno, col)
         if any(not isinstance(pos, list) or len(pos) != 2 for pos in raw):
             raise ParseError("pattern must be a list of [i, j] pairs", lineno)
         pattern = tuple((_entry_int(i, lineno), _entry_int(j, lineno))
                         for i, j in raw)
-    lineno, value = _require(table, "orders", "group", header_line)
-    orders = [_entry_int(d, lineno) for d in _as_list(value, lineno)]
+    lineno, value, col = _require(table, "orders", "group", header_line)
+    orders = [_entry_int(d, lineno) for d in _as_list(value, lineno, col)]
     return make_group(domain, m, pattern, orders)
 
 
 def _parse_ring_section(pf, header_line, entries):
     table = _entries_to_dict(entries, _RING_KEYS)
-    lineno, value = _require(table, "p", "ring", header_line)
+    lineno, value, _ = _require(table, "p", "ring", header_line)
     p = _as_int(value, lineno)
-    lineno, value = _require(table, "alpha", "ring", header_line)
+    lineno, value, _ = _require(table, "alpha", "ring", header_line)
     alpha = _as_int(value, lineno)
-    lineno, value = _require(table, "m", "ring", header_line)
+    lineno, value, _ = _require(table, "m", "ring", header_line)
     m = _as_int(value, lineno)
     pf.ring = make_ring(p, alpha, m)
     if "ideal" in table:
-        lineno, value = table["ideal"]
+        lineno, value, col = table["ideal"]
         gens = []
-        for entry in _as_list(value, lineno):
-            gens.append(pf.ring.element(_matrix_rows(json.dumps(entry), m, lineno)))
+        for entry in _as_list(value, lineno, col):
+            gens.append(pf.ring.element(
+                _matrix_rows(json.dumps(entry), m, lineno, col)))
         pf.ideal_generators = tuple(gens)
 
 
 def _parse_constants(pf, header_line, entries):
     structure = pf.group if pf.kind == "group" else pf.ring
     m = structure.m
-    for lineno, key, value in entries:
+    for lineno, key, value, col in entries:
         if not key.isidentifier():
             raise ParseError("constant name %r is not an identifier" % key, lineno)
         if key in ("I", "0"):
             raise ParseError("constant name %r is reserved" % key, lineno)
-        rows = _matrix_rows(value, m, lineno)
+        rows = _matrix_rows(value, m, lineno, col)
         pf.constants[key] = structure.element(rows)
 
 
@@ -304,7 +308,7 @@ def _resolve_ring_expr(pf, tokens, lineno):
 def _parse_equation(pf, header_line, entries):
     table = _entries_to_dict(entries, _EQUATION_KEYS)
     if "vars" in table:
-        lineno, value = table["vars"]
+        lineno, value, _ = table["vars"]
         names = tuple(value.split())
         for name in names:
             if not name.isidentifier():
@@ -314,9 +318,10 @@ def _parse_equation(pf, header_line, entries):
                 raise ParseError("variable %r collides with a constant" % name,
                                  lineno)
         pf.variables = names
-    lineno, value = _require(table, "lhs", "equation", header_line)
+    lineno, value, _ = _require(table, "lhs", "equation", header_line)
     lhs_tokens = tuple(value.split())
-    rhs_lineno, rhs_value = _require(table, "rhs", "equation", header_line)
+    rhs_lineno, rhs_value, rhs_col = _require(table, "rhs", "equation",
+                                              header_line)
     rhs_tokens = tuple(rhs_value.split())
 
     if pf.kind == "group":
@@ -332,7 +337,7 @@ def _parse_equation(pf, header_line, entries):
         # [constants]
         if rhs_value.startswith("["):
             pf.rhs = pf.ring.element(
-                _matrix_rows(rhs_value, pf.ring.m, rhs_lineno))
+                _matrix_rows(rhs_value, pf.ring.m, rhs_lineno, rhs_col))
         elif len(rhs_tokens) != 1:
             raise ParseError("ring rhs must be a single constant", rhs_lineno)
         else:

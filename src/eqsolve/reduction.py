@@ -112,19 +112,22 @@ def symbolic_product(group: SemipatternGroup, letters, *,
     """Multiply symbolic letters left to right into slot_grid_product's
     m x m grid of raw entry dicts, zero below the diagonal.
 
-    The empty product is the symbolic identity.  Constants are folded into
-    monomial coefficients as the product is formed, and entries at positions
-    forced to zero by the pattern stay structurally zero.  formal=False
-    applies y^d = 1 to every diagonal slot of row order d as the product is
-    formed (see the module docstring).
+    The product starts from the first letter; only the empty product is
+    the identity (scalar_grid).  Constants are folded into monomial
+    coefficients as the product is formed, and entries at positions forced
+    to zero by the pattern stay structurally zero.  formal=False applies
+    y^d = 1 to every diagonal slot of row order d as the product is formed,
+    from the first letter on, so that a formal letter's slot in a row of
+    order 1 is the constant 1 (see the module docstring).
     """
     dom = group.domain
+    if not letters:
+        return scalar_grid(dom, group.m, dom.rone)
     # (i, i) holds row i's subgroup slot, or None in a constant letter
     orders = None if formal else {
         var: group.orders[i] for letter in letters
         for i, row in enumerate(letter) for j, _, var in row if j == i}
-    return slot_grid_product(dom, scalar_grid(dom, group.m, dom.rone),
-                             letters, orders)
+    return slot_grid_product(dom, dom.rone, letters, orders)
 
 
 class ReducedSystem(SlotSystem):

@@ -83,7 +83,9 @@ def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
     minus t[k] * a_k per coset (a_k, r_k) of an ideal, into m x m scalar
     entry polynomials; the k-th of names (from 1) is unknown k.
 
-    Each monomial's grid is the product of its letters, coefficient first.
+    Each monomial's grid is the product of its letters, started from the
+    first letter scaled by the coefficient mod p^a, so a slot that the
+    coefficient kills (2 * (2 a) over Z4) leaves no term.
     Exact coefficient tracking performs the pruning: a chain picking up b
     on/below-diagonal factors carries a coefficient divisible by p^b, so it
     disappears from the normal form once b reaches alpha.  Surviving
@@ -97,7 +99,7 @@ def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
         if not letters:
             raise RingError("monomial with no letters")
         merge_grid(dom, total, slot_grid_product(
-            dom, scalar_grid(dom, ring.m, coeff % ring.modulus),
+            dom, coeff % ring.modulus,
             [unknowns[letter] if isinstance(letter, str)
              else slot_letter(dom, letter.rows) for letter in letters]))
     for k, (a, _) in enumerate(cosets, start=1):

@@ -51,10 +51,13 @@ class SolverError(ValueError):
     """Malformed system or witness."""
 
 
-@dataclass(frozen=True)
 class Constraint:
-    poly: Polynomial
-    target: object  # a raw value of the polynomial's domain
+    """poly = target, a raw value of poly's domain; compared by identity."""
+
+    __slots__ = ("poly", "target")
+
+    def __init__(self, poly: Polynomial, target):
+        self.poly, self.target = poly, target
 
     def __repr__(self):
         return "%r = %d" % (self.poly, self.poly.domain.encode(self.target))
@@ -65,18 +68,22 @@ class PolySystem:
     """Constraints plus a per-variable domain map over one scalar domain;
     targets and domain values are raw values of that domain.
 
-    Construction validates the system and counts, in the same walk over the
-    terms, how often each variable occurs (the solver's variable order).
+    A read variable that domains does not name takes its domain from the
+    {variable: values} map slot_domains, so domains gains only the slots
+    read.  Construction validates the system and counts, in the same walk
+    over the terms, how often each variable occurs (the variable order).
     """
 
     domain: object
     constraints: tuple
     domains: dict
+    slot_domains: dict = field(default=None, repr=False, compare=False)
     _occurrences: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
-        occurrences = dict.fromkeys(self.domains, 0)
+        domains, lookup = self.domains, self.slot_domains or {}
+        occurrences = dict.fromkeys(domains, 0)
         for c in self.constraints:
             if not _same_domain(c.poly.domain, self.domain):
                 raise SolverError("constraint domain differs from system domain")
@@ -87,10 +94,12 @@ class PolySystem:
                 for v in factors:
                     count = occurrences.get(v)
                     if count is None:
-                        raise SolverError("variable %s has no domain entry"
-                                          % v)
+                        if v not in lookup:
+                            raise SolverError("variable %s has no domain entry"
+                                              % v)
+                        domains[v], count = lookup[v], 0
                     occurrences[v] = count + 1
-        for v, values in self.domains.items():
+        for v, values in domains.items():
             if not values:
                 raise SolverError("variable %s has an empty domain" % v)
         self._occurrences = occurrences
@@ -197,9 +206,7 @@ class SlotSystem:
         values = {var: vals for layout in self.slots.values()
                   for _, _, _, var, vals in layout}
         values.update(scalars)
-        domains = {v: values[v] for c in constraints
-                   for factors, _ in c.poly.items() for v in factors}
-        self.system = PolySystem(self.domain, constraints, domains)
+        self.system = PolySystem(self.domain, constraints, {}, values)
 
     def witness_rows(self, assignment):
         """(name, raw rows) per unknown from a {variable name: raw value}

@@ -5,7 +5,10 @@ symbolic_letters() lays out a word's letters in the formal reduction, for
 reduction.symbolic_product, which returns a raw grid; entry() and
 upper_entries() read its entries as polynomials, and evaluate_matrix()
 evaluates every entry at a slot assignment and rebuilds the group element.
-The commutation tests compare it with evaluate_word.
+The commutation tests compare it with evaluate_word.  reference_product()
+forms a product the way poly.slot_grid_product did before it started from
+its first letter: a starting grid times every letter, each slot's terms
+merged by merge_terms.
 """
 
 from __future__ import annotations
@@ -22,6 +25,48 @@ def symbolic_letters(group, word, var_index) -> list:
     return _word_letters(group, word, {
         name: _variable_letter(group, k, True)
         for name, k in var_index.items()})
+
+
+def merge_terms(acc, terms, radd, rzero):
+    """Add terms with distinct factor tuples into the raw dict acc, deleting
+    sums that cancel."""
+    for factors, c in terms:
+        prev = acc.get(factors)
+        if prev is None:
+            acc[factors] = c
+        else:
+            c = radd(prev, c)
+            if c == rzero:
+                del acc[factors]
+            else:
+                acc[factors] = c
+
+
+def reference_product(dom, grid, letters, orders=None) -> list:
+    """A raw grid (left unchanged, e.g. poly.scalar_grid's c * I) times
+    slot_grid_product letters, left to right, each slot's terms listed and
+    then merged into its output entry; orders cuts exponents as in
+    slot_grid_product."""
+    rzero, rone, radd, rmul = dom.rzero, dom.rone, dom.radd, dom.rmul
+    for letter in letters:
+        new = []
+        for row in grid:
+            out = [{} for _ in row]
+            for left, slots in zip(row, letter):
+                for j, coeff, var in slots:
+                    terms = left.items()
+                    if var is not None:
+                        d = orders.get(var) if orders else None
+                        terms = [(tuple(sorted(f + (var,)))
+                                  if d is None or f.count(var) < d - 1
+                                  else tuple(v for v in f if v != var), c)
+                                 for f, c in terms]
+                    terms = [(f, rmul(c, coeff)) for f, c in terms]
+                    merge_terms(out[j], [t for t in terms if t[1] != rzero],
+                                radd, rzero)
+            new.append(out)
+        grid = new
+    return grid
 
 
 def entry(group, grid, i: int, j: int):

@@ -9,15 +9,18 @@ from eqsolve import (Polynomial, RScale, RVar, build_system, decide_equation,
                      make_group, make_ring, ring_elements, sigma_expand,
                      symbolic_product, word_variables)
 from eqsolve import poly as poly_module
-from eqsolve.poly import entry_polynomial
-from eqsolve.reduction import x_variable, y_variable
+from eqsolve import rings
+from eqsolve.poly import (entry_polynomial, scalar_grid, slot_grid_product,
+                          slot_letter)
+from eqsolve.reduction import (_variable_letter, _word_letters, x_variable,
+                               y_variable)
 from eqsolve.rings import a_variable, s_variable
 from conftest import random_ring_expr, random_word
 from entries import monomial_entry_polys
 from polyexpr import (EAdd, EConst, EMul, EVar, add, eval_expr, evaluate,
                       length, mul, normalize, poly, product_length,
                       sorted_terms, variable)
-from symbolic import symbolic_letters
+from symbolic import merge_terms, reference_product, symbolic_letters
 
 F3 = make_domain(3)
 X = "x"
@@ -203,6 +206,82 @@ def test_grid_products_are_in_normal_form(group_family):
                 for row in grid:
                     for entry in row:
                         _assert_normal_form(entry, (ring, expr))
+
+
+def test_first_letter_start_equals_identity_start(group_family):
+    """slot_grid_product starts from its first letter, scaled; its grids
+    equal, dict for dict, the reference's product of scalar * I by every
+    letter.  Words are empty, single letters or longer, also on the right,
+    and their letters are multiplied formally, in the cut layout with the
+    y^d = 1 cut, and in the formal layout with the cut, so that a y slot
+    of an order-1 row, the first letter's too, becomes the constant key."""
+    rng = random.Random(4127)
+    f4 = make_domain(2, 2)
+    lengths = {0: 0, 1: 0}
+    for group in group_family + (make_group(f4, 3, ((1, 2), (1, 3)),
+                                            (3, 3, 1)),):
+        dom, m = group.domain, group.m
+        identity = scalar_grid(dom, m, dom.rone)
+        for trial in range(45):
+            size = (0, 1, 8)[trial % 3]
+            lhs = random_word(rng, group, max_len=size, min_len=min(size, 1))
+            rhs = random_word(rng, group, max_len=(0, 4)[trial % 2],
+                              min_len=0)
+            names = word_variables(lhs + rhs)
+            orders = {y_variable(i + 1, k): d
+                      for k in range(1, len(names) + 1)
+                      for i, d in enumerate(group.orders)}
+            for layout, formal in ((True, True), (False, False),
+                                   (True, False)):
+                unknowns = {name: _variable_letter(group, k, layout)
+                            for k, name in enumerate(names, start=1)}
+                grids = []
+                for word in (lhs, rhs):
+                    letters = _word_letters(group, word, unknowns)
+                    want = reference_product(dom, identity, letters,
+                                             None if formal else orders)
+                    assert symbolic_product(group, letters,
+                                            formal=formal) == want, word
+                    grids.append(want)
+                    lengths[len(word)] = lengths.get(len(word), 0) + 1
+                if layout != formal:
+                    continue
+                # lhs = rhs: the raw grid of -rhs takes in lhs's
+                want = [[{f: dom.rneg(c) for f, c in entry.items()}
+                         for entry in row] for row in grids[1]]
+                for acc_row, row in zip(want, grids[0]):
+                    for acc, entry in zip(acc_row, row):
+                        merge_terms(acc, entry.items(), dom.radd, dom.rzero)
+                system = build_system(group, lhs, rhs, formal=formal).system
+                assert [dict(c.poly.items()) for c in system.constraints] \
+                    == [want[i][j] for i in range(m) for j in range(i, m)]
+    assert lengths[0] >= 50 and lengths[1] >= 50
+
+
+def test_first_letter_start_drops_zero_divisor_products():
+    """Ring monomials over Z4, Z8 and Z9 whose coefficient is mostly a
+    zero divisor: the first letter's slots scaled to 0 mod p^a, such as
+    2 * (2 a) over Z4, leave no term, as in the reference."""
+    rng = random.Random(4129)
+    vanished = 0
+    for p, alpha, m in ((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)):
+        ring = make_ring(p, alpha, m)
+        dom, q = ring.domain, ring.modulus
+        unknowns = [rings._variable_letter(ring, k) for k in (1, 2)]
+        scalars = [c for c in range(q) if c % p == 0] + [1, q - 1]
+        for _ in range(60):
+            coeff = rng.choice(scalars)
+            letters = [rng.choice(unknowns) if rng.random() < 0.7
+                       else slot_letter(dom, [[rng.randrange(q) * (
+                           1 if i < j else p) % q for j in range(m)]
+                           for i in range(m)])
+                       for _ in range(rng.randint(1, 4))]
+            got = slot_grid_product(dom, coeff, letters)
+            assert got == reference_product(
+                dom, scalar_grid(dom, m, coeff), letters), (ring, coeff)
+            vanished += any(coeff and coeff * c % q == 0
+                            for row in letters[0] for _, c, _ in row)
+    assert vanished >= 50
 
 
 def test_raw_entries_equal_their_sorted_polynomials(group_family):

@@ -155,6 +155,33 @@ def test_parse_error_reports_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("old, new, line, col, rest", [
+    ("c = [1,0,1, 0,1,0, 0,0,1]", "c = [1,0,1, 0,1,0 0,0,1]", 9, 19,
+     "0,0,1]"),
+    ("orders = [1, 2, 1]", "  orders =   [1, 2 1]", 6, 20, "1]"),
+    ("pattern = full", "pattern=[[1, 2] [1, 3]]", 5, 17, "[1, 3]]"),
+    ("c = [1,0,1,", "\tc\t= [1,0,1,,", 9, 13, ", 0,1,0, 0,0,1]"),
+])
+def test_bad_list_syntax_reports_column_in_line(old, new, line, col, rest):
+    """The decoder's column is counted from the start of the line, past
+    the key, its `=` and any indentation or spacing: rest is the line
+    from the reported column on."""
+    text = GROUP_TEXT.replace(old, new)
+    with pytest.raises(ParseError, match="bad list syntax") as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert "(line %d, col %d)" % (line, col) in str(err.value)
+    assert text.splitlines()[line - 1][col - 1:] == rest
+
+
+def test_ring_rhs_bad_list_syntax_reports_column_in_line():
+    text = RING_TEXT.replace("rhs = 0", "rhs =  [0, 2 0, 0]")
+    with pytest.raises(ParseError, match="bad list syntax") as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (14, 14)
+    assert text.splitlines()[13][13:] == "0, 0]"
+
+
 def test_bench_config_duplicate_key_rejected():
     with pytest.raises(ParseError) as err:
         parse_problem(GROUP_TEXT.replace("q = 3", "q = 3\nq = 2"))

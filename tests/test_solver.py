@@ -322,3 +322,101 @@ def test_every_slot_starts_at_its_base_entry(group_family):
         assert slots
         for i, j, coeff, var, values in slots:
             assert base[i][j] == dom.rmul(coeff, values[0]), (dom, var)
+
+
+def _reference_walk(system):
+    """(variables in order of first reading, occurrence counts) of a
+    system's terms."""
+    first = {}
+    counts = collections.Counter()
+    for c in system.constraints:
+        for factors, _ in c.poly.items():
+            for v in factors:
+                first.setdefault(v, None)
+                counts[v] += 1
+    return list(first), dict(counts)
+
+
+def test_slot_systems_keep_exactly_the_variables_they_read(group_family,
+                                                          ring_m2z4,
+                                                          ring_m3z3):
+    """A system that SlotSystem.constrain builds keeps the domain of each
+    variable its constraints read, in order of first reading, and no
+    other, and counts their occurrences in the same walk: group systems
+    (formal or cut, constant or word right side), ring systems, and factor
+    systems, which read the t[k] scalars as well."""
+    from eqsolve import (build_ring_system, build_system, element_list,
+                         enumerate_ideal, ring_elements)
+    from eqsolve.rings import t_variable
+    from conftest import random_ring_expr, random_word
+    rng = random.Random(4133)
+    reduced = []
+    for group in group_family:
+        for trial in range(20):
+            lhs = random_word(rng, group)
+            rhs = (random_word(rng, group, max_len=4, min_len=0)
+                   if trial % 3 == 2 else rng.choice(element_list(group)))
+            reduced.append(build_system(group, lhs, rhs,
+                                        formal=trial % 2 == 0))
+    scalars = 0
+    for ring, generator in ((ring_m2z4, [[0, 2], [0, 0]]),
+                            (ring_m3z3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])):
+        ideal = enumerate_ideal(ring, [ring.element(generator)])
+        for _ in range(20):
+            expr = random_ring_expr(rng, ring)
+            reduced.append(build_ring_system(
+                ring, expr, rng.choice(ring_elements(ring))))
+            factor = build_ring_system(ring, expr, ring.zero(), ideal)
+            reduced.append(factor)
+            scalars += any(v.startswith("t[") for v in factor.system.domains)
+            for k, (_, r) in enumerate(ideal.cosets, start=1):
+                if t_variable(k) in factor.system.domains:
+                    assert factor.system.domains[t_variable(k)] == \
+                        tuple(range(r))
+    unread = 0
+    for red in reduced:
+        system = red.system
+        order, counts = _reference_walk(system)
+        assert list(system.domains) == order
+        assert system._occurrences == counts
+        layouts = {var: values for layout in red.slots.values()
+                   for _, _, _, var, values in layout}
+        for v, values in system.domains.items():
+            assert v.startswith("t[") or values is layouts[v]
+        unread += len(set(layouts) - set(system.domains))
+    assert scalars >= 30 and unread >= 50
+
+
+def test_hand_built_systems_keep_unread_variables():
+    """A domain map given in full is kept in full: u, which no constraint
+    reads, stays with 0 occurrences.  slot_domains only fills in the read
+    variables that the map leaves out."""
+    system = _restricted_system(random.Random(12),
+                                make_domain(3, 2, "modular"))
+    assert _U in system.domains
+    assert system._occurrences[_U] == 0
+    constraint = Constraint(poly(F3, (1, (X, Y)), (2, (Y,))), 0)
+    system = PolySystem(F3, (constraint,), {Y: (1, 2), _U: (0,)},
+                        {X: (0, 1), Y: (0,), Z: (2,)})
+    assert system.domains == {Y: (1, 2), _U: (0,), X: (0, 1)}
+    assert system._occurrences == {Y: 2, _U: 0, X: 1}
+
+
+@pytest.mark.parametrize("lookup", [None, {X: (0, 1)}])
+def test_every_validation_message_is_kept(lookup):
+    """The four malformed-system errors, with or without slot_domains."""
+    good = poly(F3, (1, (X,)))
+    cases = [
+        ((Constraint(poly(F2, (1, (X,))), 0),), {X: (0, 1)},
+         "constraint domain differs from system domain"),
+        ((Constraint(good, 3),), {X: (0, 1)}, "target 3 is not an element"),
+        ((Constraint(poly(F3, (1, (X, Y))), 0),), {X: (0, 1)},
+         "variable y has no domain entry"),
+        ((Constraint(good, 0),), {X: ()}, "variable x has an empty domain"),
+    ]
+    for constraints, domains, message in cases:
+        with pytest.raises(SolverError, match=message):
+            PolySystem(F3, constraints, dict(domains), lookup)
+    if lookup:
+        with pytest.raises(SolverError, match="variable x has an empty"):
+            PolySystem(F3, (Constraint(good, 0),), {}, {X: ()})
