@@ -1,4 +1,4 @@
-"""Read-only entry polynomials, and the slot-grid product that makes them.
+"""Read-only entry polynomials, and the slot-grid sum that makes them.
 
 An entry polynomial is a read-only view of one raw {factor tuple: raw
 coefficient} dict: no two monomials share a factor tuple, no monomial has a
@@ -6,9 +6,10 @@ zero coefficient, and variables, which are their name strings, commute, so
 each factor tuple is sorted.  The solver reads the terms unordered (items());
 only printing sorts them into the canonical order.
 
-slot_grid_product is the one matrix product both reductions use: group words
-and ring monomials are products of slot_letter matrices of slots, started
-from the first letter scaled by 1 or by the ring monomial's coefficient.
+slot_grid_sum is the one grid both reductions build: a signed sum of
+products of slot_letter matrices of slots, F - G for a group equation
+between words and the sum of c * monomial less t[k] * a_k for a ring
+question.  The y^d = 1 cut lives in the letters' slots.
 """
 
 from __future__ import annotations
@@ -70,100 +71,79 @@ class Polynomial:
         return " + ".join(parts)
 
 
-# -- slot-grid products ------------------------------------------------------
+# -- slot-grid sums -----------------------------------------------------------
 
-def scalar_grid(dom, m: int, raw) -> list:
-    """raw * I as an m x m grid of raw {factor tuple: coefficient} dicts."""
-    entry = {(): raw} if raw != dom.rzero else {}
-    return [[dict(entry) if i == j else {} for j in range(m)]
-            for i in range(m)]
-
-
-def slot_letter(dom, rows, slots=()) -> list:
-    """A matrix as a letter of slot_grid_product: the nonzero entries of
-    the raw rows as constants, except that each slot (i, j, coeff, var,
-    values), 0-based, puts coeff * var at (i, j)."""
+def slot_letter(dom, rows, slots=(), row_orders=None) -> list:
+    """A matrix as a letter of slot_grid_sum: one list per row of (column,
+    raw coefficient, variable or None, cut) slots, 0-based, holding the
+    nonzero entries of the raw rows as constants, except that each slot
+    (i, j, coeff, var, values) of a layout puts coeff * var at (i, j).
+    Given the rows' subgroup orders, a diagonal slot in a row of order d
+    has cut d (var^d = 1); every other slot has cut None."""
     zero = dom.rzero
-    letter = [[(j, raw, None) for j, raw in enumerate(row) if raw != zero]
+    letter = [[(j, raw, None, None) for j, raw in enumerate(row) if raw != zero]
               for row in rows]
     for i, j, coeff, var, _ in slots:
-        letter[i] = [s for s in letter[i] if s[0] != j] + [(j, coeff, var)]
+        cut = row_orders[i] if row_orders and i == j else None
+        letter[i] = [s for s in letter[i] if s[0] != j] + [(j, coeff, var, cut)]
     return letter
 
 
-def slot_grid_product(dom, scalar, letters, orders=None) -> list:
-    """scalar times the product of letters (not empty), left to right,
-    started from the first letter.
+def slot_grid_sum(dom, m: int, products) -> list:
+    """The sum of scalar * (product of letters, left to right) over the
+    (scalar, letters) pairs, as one m x m grid of raw {factor tuple:
+    coefficient} dicts.
 
-    Each letter is one list per row of (column, raw coefficient, variable
-    or None) slots, 0-based, with no zero coefficient.  Each term is added
-    into its output entry as it is formed, so entries stay raw dicts with
-    no zero coefficient; entry_polynomial wraps them unsorted.  orders maps
-    variables that satisfy var^d = 1 to d; their exponents are cut below d
-    as the product is formed, from the first letter on.
+    Letters are slot_letter's, with no zero coefficient.  A product starts
+    at its first letter, scaled, and its last letter adds straight into the
+    sum; an empty product is the identity, and a one-letter product adds
+    through the identity.  Each term is added into its output entry as it
+    is formed, deleting sums that cancel, so entries stay raw dicts with no
+    zero coefficient; entry_polynomial wraps them unsorted.  A slot with
+    cut d cuts its variable's exponent below d as the product is formed,
+    from the first letter on: var^d = 1, and var^1 = 1 leaves the constant.
     """
     rzero, rone, radd, rmul = dom.rzero, dom.rone, dom.radd, dom.rmul
-    orders = orders or {}
-    first, *rest = letters
-    grid = [[{} for _ in first] for _ in first]
-    for out, slots in zip(grid, first):
-        for j, coeff, var in slots:
-            c = rmul(scalar, coeff)
-            if c != rzero:
-                # y^1 = 1 leaves the constant 1
-                out[j][() if var is None or orders.get(var) == 1
-                       else (var,)] = c
-    for letter in rest:
-        new = []
-        for row in grid:
-            out = [{} for _ in row]
-            for left, slots in zip(row, letter):
-                if not left:
-                    continue
-                for j, coeff, var in slots:
-                    acc = out[j]
-                    d = orders.get(var)
-                    for f, c in left.items():
-                        # distinct keys of left stay distinct, also where
-                        # var^d = 1 cancels d copies of var (a unit)
-                        if var is not None:
-                            f = (tuple(sorted(f + (var,)))
-                                 if d is None or f.count(var) < d - 1
-                                 else tuple(v for v in f if v != var))
-                        if coeff != rone:
-                            c = rmul(c, coeff)
-                            if c == rzero:   # a zero divisor's product
-                                continue
-                        prev = acc.get(f)
-                        if prev is None:
-                            acc[f] = c
-                        else:
-                            c = radd(prev, c)
-                            if c == rzero:
-                                del acc[f]
-                            else:
+    identity = ([[(i, rone, None, None)] for i in range(m)],)
+    total = [[{} for _ in range(m)] for _ in range(m)]
+    for scalar, letters in products:
+        if scalar == rzero:
+            continue
+        first, *rest = letters or identity
+        # each row as its nonzero (column, entry) pairs
+        rows = [[(j, {() if var is None or cut == 1 else (var,): c})
+                 for j, coeff, var, cut in slots
+                 for c in (rmul(scalar, coeff),) if c != rzero]
+                for slots in first]
+        rest = rest or identity
+        for n, letter in enumerate(rest, 1 - len(rest)):
+            outs = [[{} for _ in range(m)] for _ in range(m)] if n else total
+            for row, out in zip(rows, outs):
+                for col, left in row:
+                    for j, coeff, var, cut in letter[col]:
+                        acc = out[j]
+                        for f, c in left.items():
+                            # distinct keys of left stay distinct, also
+                            # where var^cut = 1 drops cut copies of var
+                            if var is not None:
+                                f = (tuple(sorted(f + (var,)))
+                                     if cut is None or f.count(var) < cut - 1
+                                     else tuple(v for v in f if v != var))
+                            if coeff != rone:
+                                c = rmul(c, coeff)
+                                if c == rzero:   # a zero divisor's product
+                                    continue
+                            prev = acc.get(f)
+                            if prev is None:
                                 acc[f] = c
-            new.append(out)
-        grid = new
-    return grid
-
-
-def merge_grid(dom, total, grid) -> None:
-    """Add a raw grid into the raw grid total, entry by entry, deleting
-    sums that cancel."""
-    radd, rzero = dom.radd, dom.rzero
-    for acc_row, row in zip(total, grid):
-        for acc, entry in zip(acc_row, row):
-            for factors, c in entry.items():
-                prev = acc.get(factors)
-                if prev is None:
-                    acc[factors] = c
-                else:
-                    c = radd(prev, c)
-                    if c == rzero:
-                        del acc[factors]
-                    else:
-                        acc[factors] = c
+                            else:
+                                c = radd(prev, c)
+                                if c == rzero:
+                                    del acc[f]
+                                else:
+                                    acc[f] = c
+            rows = [[(j, e) for j, e in enumerate(out) if e] for out in outs]
+    return total
 
 
 def entry_polynomial(dom, entry) -> Polynomial:

@@ -3,9 +3,9 @@
 Every letter of a word becomes a symbolic upper triangular matrix: constant
 letters carry their entries, and the k-th distinct variable is the identity
 with a diagonal slot y[i][k] per row (over the row's subgroup) and a slot
-x[i][j][k] per pattern position (over the field), laid out by _variable_slots.
-The layout and its letter (_variable_letter) depend only on the group, k and
-formal, so they are built once per process and shared by every equation.
+x[i][j][k] per pattern position (over the field).  Its record from _unknown
+(layout, letter, slot domains) depends only on the group, k and formal, so
+it is built once per process and shared by every equation.
 Multiplying the symbolic letters left to right yields an m x m grid of entry
 polynomials: the diagonal entries are single monomials (products of the y
 slots) and each above-diagonal entry is a sum of products, one per
@@ -21,9 +21,9 @@ entry polynomials attain the corresponding rhs entries, which is a
 solvability question decided by solver.SlotSystem, the path ring equations
 share: SAT witnesses are reassembled from the layout into group elements
 and re-checked through evaluate_word before being returned.  For a word
-right side G, the raw grid of -G takes in F's grid entry by entry, as
+right side G, symbolic_product sums F - G in one grid, as
 rings.entrywise_rewrite sums its monomials, and only the m(m+1)/2 upper
-entries of F - G become constraint polynomials.
+entries become constraint polynomials.
 
 build_system gives every diagonal slot its variable by default: that is the
 paper's formal reduction, which `eqsolve dump-system` prints.  The two
@@ -31,11 +31,12 @@ decision paths, decide_equation and separating_substitution, build with
 formal=False instead, which applies one rule: a diagonal slot y of a row
 whose subgroup has order d satisfies y^d = 1 on its whole domain.  For
 d = 1 the layout has no slot there, so the identity's 1 enters the product
-as a constant and is the witness entry; for d > 1 symbolic_product cancels
-the d copies of y in a monomial once its exponent reaches d.  Monomials
-that then coincide merge or cancel as the product is formed.  The witness of
-decide_equation is the lexicographically first solution in the variable
-order of this reduced system.
+as a constant and is the witness entry; for d > 1 the letter's slot
+carries the cut d, and the product cancels the d copies of y in a
+monomial once its exponent reaches d.  Monomials that then coincide merge
+or cancel as the product is formed.  The witness of decide_equation is the
+lexicographically first solution in the variable order of this reduced
+system.
 
 Equivalence needs no solver.  Field slots occur at most once in a monomial
 (an index chain never repeats an above-diagonal position), and after the
@@ -55,8 +56,7 @@ from functools import lru_cache
 
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
                      _same_group, evaluate_word, word_variables)
-from .poly import (Polynomial, entry_polynomial, merge_grid, scalar_grid,
-                   slot_grid_product, slot_letter)
+from .poly import Polynomial, entry_polynomial, slot_grid_sum, slot_letter
 from .solver import Constraint, Decision, SlotSystem
 
 
@@ -71,27 +71,28 @@ def y_variable(i: int, k: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _variable_slots(group: SemipatternGroup, k: int, formal) -> tuple:
-    """Unknown k's layout over the identity, every coefficient 1: y[i][k]
-    over row i's subgroup on the diagonal, except in a row of order 1
-    unless formal (y^1 = 1 leaves the identity's 1 there), and x[i][j][k]
-    over the field at each pattern position: the diagonal holds exactly the
-    subgroup slots, which symbolic_product's y^d = 1 cut reads."""
-    rone, field = group.domain.rone, group.domain.elements()
-    slots = [(i, i, rone, y_variable(i + 1, k), sub)
-             for i, (sub, d) in enumerate(zip(group.subgroups, group.orders))
-             if formal or d > 1]
-    slots += [(i - 1, j - 1, rone, x_variable(i, j, k), field)
-              for i, j in group.pattern]
-    return tuple(slots)
+def _unknown(group: SemipatternGroup, k: int, formal) -> tuple:
+    """Unknown k's record (layout, letter, slot domains), built once per
+    (group, k, formal) and shared by every equation.
 
-
-@lru_cache(maxsize=None)
-def _variable_letter(group: SemipatternGroup, k: int, formal) -> list:
-    """Unknown k as a letter of slot_grid_product; one list per (group, k,
-    formal), shared by every product that reads it."""
-    return slot_letter(group.domain, group.identity().rows,
-                       _variable_slots(group, k, formal))
+    The layout lies over the identity, every coefficient 1: y[i][k] over
+    row i's subgroup on the diagonal, except in a row of order 1 unless
+    formal (y^1 = 1 leaves the identity's 1 there), and x[i][j][k] over
+    the field at each pattern position.  Unless formal, the letter cuts
+    y^d = 1 in each diagonal slot of a row of order d.  The slot domains
+    map each slot variable to its values."""
+    dom = group.domain
+    rone, field = dom.rone, dom.elements()
+    layout = tuple(
+        [(i, i, rone, y_variable(i + 1, k), sub)
+         for i, (sub, d) in enumerate(zip(group.subgroups, group.orders))
+         if formal or d > 1]
+        + [(i - 1, j - 1, rone, x_variable(i, j, k), field)
+           for i, j in group.pattern])
+    return (layout,
+            slot_letter(dom, group.identity().rows, layout,
+                        None if formal else group.orders),
+            {var: values for _, _, _, var, values in layout})
 
 
 def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
@@ -107,35 +108,23 @@ def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
     return letters
 
 
-def symbolic_product(group: SemipatternGroup, letters, *,
-                     formal=True) -> list:
-    """Multiply symbolic letters left to right into slot_grid_product's
-    m x m grid of raw entry dicts, zero below the diagonal.
+def symbolic_product(group: SemipatternGroup, products) -> list:
+    """Sum (scalar, letters) pairs of symbolic letter products into
+    slot_grid_sum's m x m grid of raw entry dicts, zero below the diagonal.
 
-    The product starts from the first letter; only the empty product is
-    the identity (scalar_grid).  Constants are folded into monomial
-    coefficients as the product is formed, and entries at positions forced
-    to zero by the pattern stay structurally zero.  formal=False applies
-    y^d = 1 to every diagonal slot of row order d as the product is formed,
-    from the first letter on, so that a formal letter's slot in a row of
-    order 1 is the constant 1 (see the module docstring).
+    Constants are folded into monomial coefficients as each product is
+    formed, and entries at positions forced to zero by the pattern stay
+    structurally zero.
     """
-    dom = group.domain
-    if not letters:
-        return scalar_grid(dom, group.m, dom.rone)
-    # (i, i) holds row i's subgroup slot, or None in a constant letter
-    orders = None if formal else {
-        var: group.orders[i] for letter in letters
-        for i, row in enumerate(letter) for j, _, var in row if j == i}
-    return slot_grid_product(dom, dom.rone, letters, orders)
+    return slot_grid_sum(group.domain, group.m, products)
 
 
 class ReducedSystem(SlotSystem):
     """The system of lhs = rhs (a GroupElement or a word tuple) over the
-    group, whose unknowns are laid out over the identity by _variable_slots."""
+    group, whose unknowns are laid out over the identity (_unknown)."""
 
-    def __init__(self, group: SemipatternGroup, lhs: tuple, rhs, slots):
-        super().__init__(group.domain, group.identity().rows, slots)
+    def __init__(self, group: SemipatternGroup, lhs: tuple, rhs, unknowns):
+        super().__init__(group.domain, group.identity().rows, unknowns)
         self.group, self.lhs, self.rhs = group, lhs, rhs
 
     def assemble_witness(self, assignment) -> dict:
@@ -158,10 +147,9 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     """Reduce the word equation lhs = rhs to a polynomial system over GF(q).
 
     rhs may be a constant element (targets are its entries) or another word
-    (the two entry polynomials are equated by moving everything left: the
-    raw grid of -rhs takes in lhs's).
+    (everything moves left: the constraint polynomials are F - G = 0).
     Domains: x variables range over the field, y variables over their row's
-    subgroup.  formal=False applies y^d = 1 in symbolic_product, so every
+    subgroup.  formal=False cuts y^d = 1 in the unknowns' letters, so every
     constraint polynomial is the reduced normal form of its entry.
     """
     lhs = tuple(lhs)
@@ -169,27 +157,21 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
         rhs = tuple(rhs)
     words = (lhs, rhs) if isinstance(rhs, tuple) else (lhs,)
     # equal variable names share slot variables across the two words
-    names = word_variables(itertools.chain(*words))
-    reduced = ReducedSystem(group, lhs, rhs, {
-        name: _variable_slots(group, k, formal)
-        for k, name in enumerate(names, start=1)})
-    unknowns = {name: _variable_letter(group, k, formal)
-                for k, name in enumerate(names, start=1)}
-    grid, *rest = [
-        symbolic_product(group, _word_letters(group, word, unknowns),
-                         formal=formal)
-        for word in words]
+    unknowns = {name: _unknown(group, k, formal) for k, name in
+                enumerate(word_variables(itertools.chain(*words)), start=1)}
+    reduced = ReducedSystem(group, lhs, rhs, unknowns)
+    letters = {name: letter for name, (_, letter, _) in unknowns.items()}
     dom, m = group.domain, group.m
-    if rest:
-        rneg = dom.rneg
-        total = [[{f: rneg(c) for f, c in entry.items()} for entry in row]
-                 for row in rest[0]]
-        merge_grid(dom, total, grid)
-        grid, targets = total, ((dom.rzero,) * m,) * m
+    products = [(dom.rone, _word_letters(group, lhs, letters))]
+    if isinstance(rhs, tuple):
+        products.append((dom.rneg(dom.rone),
+                         _word_letters(group, rhs, letters)))
+        targets = ((dom.rzero,) * m,) * m
     elif not _same_group(rhs.group, group):
         raise GroupError("right-hand side from a different group")
     else:
         targets = rhs.rows
+    grid = symbolic_product(group, products)
     reduced.constrain([Constraint(entry_polynomial(dom, grid[i][j]),
                                   targets[i][j])
                        for i in range(m) for j in range(i, m)])

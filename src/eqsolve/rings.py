@@ -4,12 +4,13 @@ brute-force oracle.
 The rings and their expressions live in eqsolve.ringexpr (see there for the
 nilpotency bound that truncates expansions); this module re-exports those
 names.  After expansion to a sum of monomials (sigma_expand's
-(coeff, letters) pairs), every matrix entry of each monomial is rewritten
-as a scalar polynomial in the letters' slot variables.  Unknown k is the
-k-th variable in order of first occurrence in the expression, as in a group
-word; it is zero with s[i][j][k] above the diagonal (full range) and
-p * a[i][j][k] on and below it (_variable_slots).
-Coefficients are tracked exactly, so any chain accumulating a p-power of
+(coeff, letters) pairs), the monomials, less t[k] * a_k over M/I, are summed
+as products of slot letters into one grid (poly.slot_grid_sum, as group
+words are), whose entries are scalar polynomials in the slot variables.
+Unknown k is the k-th variable in order of first occurrence in the
+expression, as in a group word; its record (_unknown) lays it out over zero
+with s[i][j][k] above the diagonal (full range) and p * a[i][j][k] on and
+below it.  Coefficients are tracked exactly, so any chain accumulating a p-power of
 at least a dies on its own; surviving monomials have at most m*a - 1
 factors.  An equation F = rhs reduces to the m^2 entry constraints over
 Z_{p^a}, decided by solver.SlotSystem as group equations are; over M/I
@@ -24,8 +25,7 @@ from functools import lru_cache, partial
 from operator import add, getitem, mul
 
 from . import lanes
-from .poly import (grid_polynomials, merge_grid, scalar_grid,
-                   slot_grid_product, slot_letter)
+from .poly import grid_polynomials, slot_grid_sum, slot_letter
 # rings is the public module for every ring name, so it re-exports the
 # structure layer in full
 from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
@@ -57,22 +57,20 @@ def t_variable(k: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _variable_slots(ring: NilpotentMatrixRing, k: int) -> tuple:
-    """Unknown k's layout over zero: s[i][j][k] over the whole of Z_{p^a}
-    above the diagonal, and p * a[i][j][k] with a[i][j][k] below p^(a-1)
-    on and below it (no such slots for alpha = 1)."""
+def _unknown(ring: NilpotentMatrixRing, k: int) -> tuple:
+    """Unknown k's record (layout, letter, slot domains), built once per
+    (ring, k).  The layout lies over zero: s[i][j][k] over the whole of
+    Z_{p^a} above the diagonal, and p * a[i][j][k] with a[i][j][k] below
+    p^(a-1) on and below it (no such slots for alpha = 1).  The slot
+    domains map each slot variable to its values."""
     dom, m = ring.domain, ring.m
     p = ring.p % ring.modulus
     small = tuple(range(ring.p ** (ring.alpha - 1)))
-    return tuple((i, j, 1, s_variable(i + 1, j + 1, k), dom.elements())
-                 if i < j else (i, j, p, a_variable(i + 1, j + 1, k), small)
-                 for i in range(m) for j in range(m) if i < j or p)
-
-
-@lru_cache(maxsize=None)
-def _variable_letter(ring: NilpotentMatrixRing, k: int) -> list:
-    """Unknown k as a letter of slot_grid_product."""
-    return slot_letter(ring.domain, ring.zero().rows, _variable_slots(ring, k))
+    layout = tuple((i, j, 1, s_variable(i + 1, j + 1, k), dom.elements())
+                   if i < j else (i, j, p, a_variable(i + 1, j + 1, k), small)
+                   for i in range(m) for j in range(m) if i < j or p)
+    return (layout, slot_letter(dom, ring.zero().rows, layout),
+            {var: values for _, _, _, var, values in layout})
 
 
 # -- entrywise rewriting -------------------------------------------------------
@@ -83,31 +81,31 @@ def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
     minus t[k] * a_k per coset (a_k, r_k) of an ideal, into m x m scalar
     entry polynomials; the k-th of names (from 1) is unknown k.
 
-    Each monomial's grid is the product of its letters, started from the
-    first letter scaled by the coefficient mod p^a, so a slot that the
-    coefficient kills (2 * (2 a) over Z4) leaves no term.
+    slot_grid_sum forms the whole sum: each monomial's product starts at
+    its first letter scaled by the coefficient mod p^a, so a slot that the
+    coefficient kills (2 * (2 a) over Z4) leaves no term, and each coset
+    adds -1 times one letter, a_k's nonzero entries times t[k].
     Exact coefficient tracking performs the pruning: a chain picking up b
     on/below-diagonal factors carries a coefficient divisible by p^b, so it
     disappears from the normal form once b reaches alpha.  Surviving
     monomials therefore have at most m*alpha - 1 factors.
     """
     dom = ring.domain
-    unknowns = {name: _variable_letter(ring, k)
+    unknowns = {name: _unknown(ring, k)[1]
                 for k, name in enumerate(names, start=1)}
-    total = scalar_grid(dom, ring.m, dom.rzero)
+    products = []
     for coeff, letters in monomials:
         if not letters:
             raise RingError("monomial with no letters")
-        merge_grid(dom, total, slot_grid_product(
-            dom, coeff % ring.modulus,
-            [unknowns[letter] if isinstance(letter, str)
-             else slot_letter(dom, letter.rows) for letter in letters]))
+        products.append((coeff % ring.modulus, [
+            unknowns[letter] if isinstance(letter, str)
+            else slot_letter(dom, letter.rows) for letter in letters]))
+    minus_one = dom.rneg(dom.rone)
     for k, (a, _) in enumerate(cosets, start=1):
-        for entries, row in zip(total, a.rows):
-            for entry, raw in zip(entries, row):
-                if raw:
-                    entry[(t_variable(k),)] = dom.rneg(raw)
-    return grid_polynomials(dom, total)
+        products.append((minus_one, ([
+            [(j, raw, t_variable(k), None) for j, raw in enumerate(row) if raw]
+            for row in a.rows],)))
+    return grid_polynomials(dom, slot_grid_sum(dom, ring.m, products))
 
 
 # -- deciding equations --------------------------------------------------------
@@ -115,11 +113,11 @@ def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
 class ReducedRingSystem(SlotSystem):
     """The system of expr = rhs over the ring, or over M/I given the ideal:
     its m^2 entry polynomials (less t[k] * a_k over M/I) equal rhs's entries,
-    and its unknowns are laid out over zero by _variable_slots."""
+    and its unknowns are laid out over zero (_unknown)."""
 
     def __init__(self, ring: NilpotentMatrixRing, expr, rhs: RingElement,
-                 slots, entry_polys: tuple, ideal=None):
-        super().__init__(ring.domain, ring.zero().rows, slots)
+                 unknowns, entry_polys: tuple, ideal=None):
+        super().__init__(ring.domain, ring.zero().rows, unknowns)
         if rhs.ring is not ring and rhs.ring != ring:
             raise RingError("right-hand side from a different ring")
         self.ring, self.expr, self.rhs, self.ideal = ring, expr, rhs, ideal
@@ -150,8 +148,7 @@ def build_ring_system(ring: NilpotentMatrixRing, expr, rhs: RingElement,
     layout and comes back as zero in a witness."""
     names = expr_variables(expr)
     return ReducedRingSystem(ring, expr, rhs, {
-        name: _variable_slots(ring, k)
-        for k, name in enumerate(names, start=1)},
+        name: _unknown(ring, k) for k, name in enumerate(names, start=1)},
         entrywise_rewrite(sigma_expand(expr, ring), ring, names,
                           ideal.cosets if ideal else ()), ideal)
 
@@ -212,7 +209,8 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
     time, r_k cosets until r_k * a_k is in it, and its products with the
     basis are queued in turn.  So each element of the ideal is exactly one
     sum of c_k * a_k with 0 <= c_k < r_k, over the (a_k, r_k) of cosets.
-    GuardExceeded is raised once the subgroup grows past guard elements.
+    GuardExceeded is raised once the subgroup grows past guard elements;
+    its message names the ideal, the size reached and the ideal guard.
     """
     gens = tuple(generators)
     for g in gens:
@@ -234,7 +232,9 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
                 break
             closed.update(coset)
             if len(closed) > guard:
-                raise GuardExceeded(len(closed), guard)
+                raise GuardExceeded(len(closed), guard,
+                                    "ideal of at least %s elements exceeds "
+                                    "the ideal guard %s")
         cosets.append((a, len(closed) // size))
         for b in basis:
             work.append(b * a)

@@ -37,12 +37,13 @@ def _magnitude(n: int) -> str:
 
 
 class GuardExceeded(RuntimeError):
-    """Search space larger than the configured guard; space and guard are
-    kept exact, and the message writes a huge one as a power of ten."""
+    """Search space larger than the configured guard, or, with its own
+    message, another size past its limit; space and guard are kept exact,
+    and the message writes a huge one as a power of ten."""
 
-    def __init__(self, space: int, guard: int):
-        super().__init__("search space %s exceeds guard %s"
-                         % (_magnitude(space), _magnitude(guard)))
+    def __init__(self, space: int, guard: int,
+                 message: str = "search space %s exceeds guard %s"):
+        super().__init__(message % (_magnitude(space), _magnitude(guard)))
         self.space = space
         self.guard = guard
 
@@ -183,28 +184,30 @@ class SlotSystem:
     """An equation's system whose unknowns are matrices of slots, and the
     one path that decides it.
 
-    Every unknown is the base matrix (raw rows) with entries replaced by
-    its slots (i, j, coeff, var, values), 0-based: entry (i, j) is
-    coeff * var, var ranging over values.  base[i][j] == coeff * values[0],
-    so a slot no constraint reads keeps base's entry, the value the search
-    pins an unread variable to.  The layouts and the letters that the
-    subclass multiplies out are cached per structure (_variable_slots and
-    _variable_letter in reduction and rings); this class only reads the
-    layouts.  A subclass calls constrain() and says how rows become
-    elements (assemble_witness) and if a witness holds.
+    Each unknown has one record (layout, letter, slot domains), cached per
+    structure by _unknown in reduction and rings.  Its layout lists its
+    slots (i, j, coeff, var, values), 0-based: entry (i, j) of the base
+    matrix (raw rows) is replaced by coeff * var, var ranging over values,
+    and base[i][j] == coeff * values[0], so a slot no constraint reads keeps
+    base's entry, the value the search pins an unread variable to.  Its
+    letter is what the subclass multiplies out, and its slot domains map
+    each var to its values.  A subclass calls constrain() and says how rows
+    become elements (assemble_witness) and if a witness holds.
     """
 
-    def __init__(self, domain, base, slots):
+    def __init__(self, domain, base, unknowns):
         self.domain = domain
         self.base = base
-        self.slots = slots    # {name: slot tuple}, in first-occurrence order
+        # {name: record}, in first-occurrence order
+        self.unknowns = unknowns
 
     def constrain(self, constraints, scalars=()) -> None:
         """system := constraints over the domains of the slots they read,
         and of the scalars they read: variables outside the unknowns, given
         as a {var: values} map."""
-        values = {var: vals for layout in self.slots.values()
-                  for _, _, _, var, vals in layout}
+        values = {}
+        for _, _, domains in self.unknowns.values():
+            values.update(domains)
         values.update(scalars)
         self.system = PolySystem(self.domain, constraints, {}, values)
 
@@ -212,7 +215,7 @@ class SlotSystem:
         """(name, raw rows) per unknown from a {variable name: raw value}
         assignment; unassigned slots keep base's."""
         rmul = self.domain.rmul
-        for name, layout in self.slots.items():
+        for name, (layout, _, _) in self.unknowns.items():
             rows = [list(row) for row in self.base]
             for i, j, coeff, var, _ in layout:
                 value = assignment.get(var)

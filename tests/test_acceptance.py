@@ -18,7 +18,7 @@ from eqsolve import (GuardExceeded, brute_force_ring_solve, brute_force_solve,
                      decide_equation, decide_equivalence, decide_factor_ring,
                      decide_ring_equation, element_list, enumerate_ideal,
                      evaluate_word, expr_variables, full_pattern, make_domain, make_group,
-                     make_ring, ring_elements, sigma_expand, symbolic_product,
+                     make_ring, ring_elements, sigma_expand,
                      unitriangular_group, word_variables,
                      words_agree_everywhere)
 from eqsolve.reduction import x_variable, y_variable
@@ -26,7 +26,7 @@ from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
 from entries import entry_monomial_count, monomial_entry_polys
 from polyexpr import length, product_length
-from symbolic import entry, evaluate_matrix, symbolic_letters
+from symbolic import entry, evaluate_matrix, symbolic_letters, word_product
 
 
 def _family():
@@ -76,8 +76,8 @@ def test_criterion_2_product_count_law():
         for n in range(0, 7):
             word = tuple("v%d" % (i + 1) for i in range(n))
             index = {name: k for k, name in enumerate(word, start=1)}
-            matrix = symbolic_product(group,
-                                      symbolic_letters(group, word, index))
+            matrix = word_product(group,
+                                  symbolic_letters(group, word, index))
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
                     expected = entry_monomial_count(n, i, j)
@@ -99,8 +99,8 @@ def test_criterion_3_symbolic_numeric_commutation():
             word = random_word(rng, group, max_len=8, max_vars=3)
             index = {name: k for k, name in
                      enumerate(word_variables(word), start=1)}
-            matrix = symbolic_product(group,
-                                      symbolic_letters(group, word, index))
+            matrix = word_product(group,
+                                  symbolic_letters(group, word, index))
             for _ in range(5):
                 assignment = random_assignment(rng, group, word)
                 slots = {}

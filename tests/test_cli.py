@@ -99,6 +99,19 @@ def test_guard_error_on_a_huge_space_is_one_short_line(tmp_path):
     assert err == "error: search space 10^606.9 exceeds guard 100000000\n"
 
 
+def test_ideal_guard_error_names_the_ideal(tmp_path):
+    # E14 generates an ideal of M(4, Z8) past IDEAL_GUARD; the refusal
+    # names the ideal and its own guard, not the search space or --guard
+    path = tmp_path / "e14.prob"
+    path.write_text("[ring]\np = 2\nalpha = 3\nm = 4\n"
+                    "ideal = [[0,0,0,1, 0,0,0,0, 0,0,0,0, 0,0,0,0]]\n"
+                    "\n[equation]\nvars = x\nlhs = x*x\nrhs = 0\n")
+    code, _, err = run(["decide", str(path)])
+    assert code == 2
+    assert err == ("error: ideal of at least 131072 elements exceeds the "
+                   "ideal guard 100000\n")
+
+
 def test_backend_flag_rejected():
     # the solver has one search; the naive reference lives in the tests
     with pytest.raises(SystemExit) as exc:

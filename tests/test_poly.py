@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from pathlib import Path
@@ -10,17 +11,16 @@ from eqsolve import (Polynomial, RScale, RVar, build_system, decide_equation,
                      symbolic_product, word_variables)
 from eqsolve import poly as poly_module
 from eqsolve import rings
-from eqsolve.poly import (entry_polynomial, scalar_grid, slot_grid_product,
-                          slot_letter)
-from eqsolve.reduction import (_variable_letter, _word_letters, x_variable,
-                               y_variable)
-from eqsolve.rings import a_variable, s_variable
+from eqsolve.poly import entry_polynomial, slot_letter
+from eqsolve.reduction import _unknown, _word_letters, x_variable, y_variable
+from eqsolve.rings import a_variable, s_variable, t_variable
 from conftest import random_ring_expr, random_word
 from entries import monomial_entry_polys
 from polyexpr import (EAdd, EConst, EMul, EVar, add, eval_expr, evaluate,
                       length, mul, normalize, poly, product_length,
                       sorted_terms, variable)
-from symbolic import merge_terms, reference_product, symbolic_letters
+from symbolic import (formal_letter, merge_terms, reference_product,
+                      scalar_grid, symbolic_letters, word_product)
 
 F3 = make_domain(3)
 X = "x"
@@ -186,8 +186,7 @@ def test_grid_products_are_in_normal_form(group_family):
             word = random_word(rng, group, max_len=8, max_vars=3)
             index = {name: k for k, name in
                      enumerate(word_variables(word), start=1)}
-            matrix = symbolic_product(group,
-                                      symbolic_letters(group, word, index))
+            matrix = word_product(group, symbolic_letters(group, word, index))
             for row in matrix:
                 for entry in row:
                     _assert_normal_form(entry_polynomial(group.domain, entry),
@@ -209,15 +208,19 @@ def test_grid_products_are_in_normal_form(group_family):
 
 
 def test_first_letter_start_equals_identity_start(group_family):
-    """slot_grid_product starts from its first letter, scaled; its grids
-    equal, dict for dict, the reference's product of scalar * I by every
-    letter.  Words are empty, single letters or longer, also on the right,
-    and their letters are multiplied formally, in the cut layout with the
-    y^d = 1 cut, and in the formal layout with the cut, so that a y slot
-    of an order-1 row, the first letter's too, becomes the constant key."""
+    """slot_grid_sum starts each product at its first letter, scaled, and
+    adds its last letter straight into the sum; its grids equal, dict for
+    dict, the reference's product of I by every letter, and for lhs = rhs
+    the reference F minus the reference G.  Words are empty, single letters
+    or longer, also on the right, and x ... = x ... pairs share a prefix or
+    the whole word, so that terms cancel.  Letters are multiplied formally,
+    in the cut layout, and in the formal layout with the cut (through
+    slot_letter with the row orders), so that a y slot of an order-1 row,
+    the first letter's too, becomes the constant key."""
     rng = random.Random(4127)
     f4 = make_domain(2, 2)
     lengths = {0: 0, 1: 0}
+    cancelled = 0
     for group in group_family + (make_group(f4, 3, ((1, 2), (1, 3)),
                                             (3, 3, 1)),):
         dom, m = group.domain, group.m
@@ -227,61 +230,95 @@ def test_first_letter_start_equals_identity_start(group_family):
             lhs = random_word(rng, group, max_len=size, min_len=min(size, 1))
             rhs = random_word(rng, group, max_len=(0, 4)[trial % 2],
                               min_len=0)
+            if trial % 4 == 3 and lhs:
+                # x ... = x ...: rhs shares a prefix of lhs, or all of it
+                rhs = lhs[:rng.randint(1, len(lhs))] + rhs
             names = word_variables(lhs + rhs)
-            orders = {y_variable(i + 1, k): d
-                      for k in range(1, len(names) + 1)
-                      for i, d in enumerate(group.orders)}
-            for layout, formal in ((True, True), (False, False),
-                                   (True, False)):
-                unknowns = {name: _variable_letter(group, k, layout)
+            for formal, cut in ((True, False), (False, True), (True, True)):
+                unknowns = {name: formal_letter(group, k, cut) if formal
+                            else _unknown(group, k, False)[1]
                             for k, name in enumerate(names, start=1)}
+                words = [_word_letters(group, word, unknowns)
+                         for word in (lhs, rhs)]
                 grids = []
-                for word in (lhs, rhs):
-                    letters = _word_letters(group, word, unknowns)
-                    want = reference_product(dom, identity, letters,
-                                             None if formal else orders)
-                    assert symbolic_product(group, letters,
-                                            formal=formal) == want, word
+                for word, letters in zip((lhs, rhs), words):
+                    want = reference_product(dom, identity, letters)
+                    assert symbolic_product(
+                        group, [(dom.rone, letters)]) == want, word
                     grids.append(want)
                     lengths[len(word)] = lengths.get(len(word), 0) + 1
-                if layout != formal:
-                    continue
-                # lhs = rhs: the raw grid of -rhs takes in lhs's
-                want = [[{f: dom.rneg(c) for f, c in entry.items()}
-                         for entry in row] for row in grids[1]]
-                for acc_row, row in zip(want, grids[0]):
+                # lhs = rhs: the reference F plus -1 times the reference G
+                want = [[dict(entry) for entry in row] for row in grids[0]]
+                for acc_row, row in zip(want, grids[1]):
                     for acc, entry in zip(acc_row, row):
-                        merge_terms(acc, entry.items(), dom.radd, dom.rzero)
+                        merge_terms(acc, [(f, dom.rneg(c))
+                                          for f, c in entry.items()],
+                                    dom.radd, dom.rzero)
+                assert symbolic_product(group, [
+                    (dom.rone, words[0]),
+                    (dom.rneg(dom.rone), words[1])]) == want, (lhs, rhs)
+                cancelled += bool(lhs and rhs) and (
+                    sum(map(len, itertools.chain(*want)))
+                    < sum(len(entry) for grid in grids
+                          for entry in itertools.chain(*grid)))
+                if formal == cut:
+                    continue
                 system = build_system(group, lhs, rhs, formal=formal).system
                 assert [dict(c.poly.items()) for c in system.constraints] \
                     == [want[i][j] for i in range(m) for j in range(i, m)]
     assert lengths[0] >= 50 and lengths[1] >= 50
+    assert cancelled >= 100
 
 
 def test_first_letter_start_drops_zero_divisor_products():
-    """Ring monomials over Z4, Z8 and Z9 whose coefficient is mostly a
-    zero divisor: the first letter's slots scaled to 0 mod p^a, such as
-    2 * (2 a) over Z4, leave no term, as in the reference."""
+    """entrywise_rewrite sums ring monomials over Z4, Z8 and Z9 whose
+    coefficient is mostly a zero divisor, less t[k] * a_k per coset: the
+    first letter's slots scaled to 0 mod p^a, such as 2 * (2 a) over Z4,
+    leave no term, and each entry equals the reference sum of every
+    monomial's c * I times its letters, minus t[k] * a_k."""
     rng = random.Random(4129)
-    vanished = 0
+    vanished = cosets_seen = 0
     for p, alpha, m in ((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)):
         ring = make_ring(p, alpha, m)
         dom, q = ring.domain, ring.modulus
-        unknowns = [rings._variable_letter(ring, k) for k in (1, 2)]
+        names = ("x", "y")
+        unknowns = {name: rings._unknown(ring, k)[1]
+                    for k, name in enumerate(names, start=1)}
         scalars = [c for c in range(q) if c % p == 0] + [1, q - 1]
-        for _ in range(60):
-            coeff = rng.choice(scalars)
-            letters = [rng.choice(unknowns) if rng.random() < 0.7
-                       else slot_letter(dom, [[rng.randrange(q) * (
-                           1 if i < j else p) % q for j in range(m)]
-                           for i in range(m)])
-                       for _ in range(rng.randint(1, 4))]
-            got = slot_grid_product(dom, coeff, letters)
-            assert got == reference_product(
-                dom, scalar_grid(dom, m, coeff), letters), (ring, coeff)
-            vanished += any(coeff and coeff * c % q == 0
-                            for row in letters[0] for _, c, _ in row)
-    assert vanished >= 50
+
+        def element():
+            return ring.element([[rng.randrange(q) * (1 if i < j else p) % q
+                                  for j in range(m)] for i in range(m)])
+
+        for _ in range(30):
+            monomials = [(rng.choice(scalars),
+                          [rng.choice(names) if rng.random() < 0.7
+                           else element()
+                           for _ in range(rng.randint(1, 4))])
+                         for _ in range(rng.randint(1, 3))]
+            cosets = [(element(), 2) for _ in range(rng.randint(0, 2))]
+            want = scalar_grid(dom, m, dom.rzero)
+            for coeff, letters in monomials:
+                letters = [unknowns[letter] if isinstance(letter, str)
+                           else slot_letter(dom, letter.rows)
+                           for letter in letters]
+                product = reference_product(
+                    dom, scalar_grid(dom, m, coeff % q), letters)
+                for acc_row, row in zip(want, product):
+                    for acc, entry in zip(acc_row, row):
+                        merge_terms(acc, entry.items(), dom.radd, dom.rzero)
+                vanished += any(coeff and coeff * c % q == 0
+                                for row in letters[0] for _, c, _, _ in row)
+            for k, (a, _) in enumerate(cosets, start=1):
+                for acc_row, row in zip(want, a.rows):
+                    for acc, raw in zip(acc_row, row):
+                        merge_terms(acc, [((t_variable(k),), dom.rneg(raw))]
+                                    if raw else (), dom.radd, dom.rzero)
+                cosets_seen += any(map(any, a.rows))
+            got = entrywise_rewrite(monomials, ring, names, cosets)
+            assert [[dict(e.items()) for e in row] for row in got] == want, \
+                (ring, monomials, cosets)
+    assert vanished >= 50 and cosets_seen >= 50
 
 
 def test_raw_entries_equal_their_sorted_polynomials(group_family):
@@ -297,8 +334,8 @@ def test_raw_entries_equal_their_sorted_polynomials(group_family):
             word = random_word(rng, group, max_len=8, max_vars=3)
             index = {name: k for k, name in
                      enumerate(word_variables(word), start=1)}
-            matrix = symbolic_product(group, symbolic_letters(
-                group, word, index), formal=rng.random() < 0.5)
+            matrix = word_product(group, symbolic_letters(
+                group, word, index, cut=rng.random() < 0.5))
             entries += [(group.domain, e) for row in matrix for e in row]
     for p, alpha, m in ((2, 2, 2), (3, 1, 3), (3, 2, 2)):
         ring = make_ring(p, alpha, m)

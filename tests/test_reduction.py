@@ -9,12 +9,11 @@ from eqsolve import (Polynomial, brute_force_solve, build_system,
                      decide_equation, decide_equivalence, element_list,
                      evaluate_word, exponent_bound, full_pattern, invert_word,
                      make_domain, make_group, multiply, solve, SolveRequest,
-                     separating_substitution, symbolic_product,
-                     unitriangular_group, word_variables,
+                     separating_substitution, unitriangular_group, word_variables,
                      words_agree_everywhere)
 from eqsolve.poly import grid_polynomials, slot_letter
-from eqsolve.reduction import (_variable_letter, _variable_slots,
-                               _word_letters, x_variable, y_variable)
+from eqsolve.reduction import (_unknown, _word_letters, x_variable,
+                               y_variable)
 from eqsolve.solver import Constraint
 from conftest import (random_assignment, random_group_element, random_word)
 from entries import entry_monomial_count
@@ -22,7 +21,7 @@ from naive import solve_naive
 from polyexpr import (add, constant, length, mul, neg, product_length,
                       sorted_terms, variable)
 from symbolic import (entry, evaluate_matrix, symbolic_letters,
-                      upper_entries)
+                      upper_entries, word_product)
 
 _SLOT = re.compile(r"^([xy])\[(\d+)\](?:\[(\d+)\])?\[(\d+)\]$")
 
@@ -47,7 +46,7 @@ def subgroup_rows(group, ks):
     """{slot: row, 1-based} for the subgroup slots of unknowns ks: the
     diagonal slots of their formal layouts."""
     return {var: i + 1 for k in ks
-            for i, j, _, var, _ in _variable_slots(group, k, True) if i == j}
+            for i, j, _, var, _ in _unknown(group, k, True)[0] if i == j}
 
 
 def slot_assignment(group, word, assignment):
@@ -63,7 +62,7 @@ def slot_assignment(group, word, assignment):
 
 
 def test_empty_product_is_identity(order54):
-    sm = symbolic_product(order54, ())
+    sm = word_product(order54, ())
     for (i, j), poly in upper_entries(order54, sm):
         if i == j:
             assert dict(poly.items()) == \
@@ -74,7 +73,7 @@ def test_empty_product_is_identity(order54):
 
 def test_single_variable_letter_gives_slots(order54):
     word = ("x",)
-    sm = symbolic_product(order54, symbolic_letters(order54, word, {"x": 1}))
+    sm = word_product(order54, symbolic_letters(order54, word, {"x": 1}))
     for (i, j), poly in upper_entries(order54, sm):
         if i == j:
             assert dict(poly.items()) == dict(
@@ -98,7 +97,7 @@ def _fold_product(group, letters):
             for j in range(i, m):
                 acc = zero
                 for l in range(i, j + 1):
-                    for col, coeff, var in letter[l]:
+                    for col, coeff, var, _ in letter[l]:
                         if col != j:
                             continue
                         term = mul(grid[i][l], constant(group.domain, coeff))
@@ -125,7 +124,7 @@ def test_symbolic_product_matches_per_addition_fold(group_family):
             letters = symbolic_letters(group, word, index_of(word))
             if len(word) % 3 == 1:
                 letters.insert(len(word) // 2, identity)
-            matrix = symbolic_product(group, letters)
+            matrix = word_product(group, letters)
             reference = _fold_product(group, letters)
             for i in range(group.m):
                 for j in range(group.m):
@@ -139,12 +138,12 @@ def _reference_constraints(group, lhs, rhs, formal):
     words = (lhs, rhs) if isinstance(rhs, tuple) else (lhs,)
     base = group.identity().rows
     letters = {name: slot_letter(group.domain, base,
-                                 _variable_slots(group, k, formal))
+                                 _unknown(group, k, formal)[0],
+                                 None if formal else group.orders)
                for k, name in enumerate(
                    word_variables(itertools.chain(*words)), start=1)}
-    left, *rest = [grid_polynomials(group.domain, symbolic_product(
-        group, _word_letters(group, w, letters), formal=formal))
-        for w in words]
+    left, *rest = [grid_polynomials(group.domain, word_product(
+        group, _word_letters(group, w, letters))) for w in words]
     zero = group.domain.rzero
     upper = [(i, j) for i in range(group.m) for j in range(i, group.m)]
     if rest:
@@ -174,11 +173,11 @@ def test_build_system_matches_plain_subtraction(group_family):
                     (group, lhs, rhs, formal)
                 alone = build_system(group, lhs, group.identity(),
                                      formal=formal)
-                unknowns = {name: _variable_letter(group, k, formal)
+                unknowns = {name: _unknown(group, k, formal)[1]
                             for k, name in enumerate(
                                 word_variables(lhs), start=1)}
-                product = symbolic_product(
-                    group, _word_letters(group, lhs, unknowns), formal=formal)
+                product = word_product(
+                    group, _word_letters(group, lhs, unknowns))
                 assert [dict(c.poly.items())
                         for c in alone.system.constraints] == \
                     [dict(poly.items())
@@ -196,7 +195,7 @@ def test_entry_count_m3_n4(f3):
     from eqsolve import full_pattern, make_group
     group = make_group(f3, 3, full_pattern(3), (1, 1, 1))
     word = distinct_word(4)
-    sm = symbolic_product(group, symbolic_letters(group, word, index_of(word)))
+    sm = word_product(group, symbolic_letters(group, word, index_of(word)))
     poly = entry(group, sm, 1, 3)
     assert poly.monomial_count() == 10
     assert all(len(factors) == 4 for factors, _ in poly.items())
@@ -228,8 +227,8 @@ def test_monomial_count_law(m, f2):
     group = make_group(f2, m, full_pattern(m), (1,) * m)
     for n in range(0, 7):
         word = distinct_word(n)
-        sm = symbolic_product(group, symbolic_letters(group, word,
-                                                      index_of(word)))
+        sm = word_product(group, symbolic_letters(group, word,
+                                                  index_of(word)))
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
                 assert entry(group, sm, i, j).monomial_count() == \
@@ -243,7 +242,7 @@ def test_monomial_structure(f2):
     group = make_group(f2, 4, full_pattern(4), (1,) * 4)
     n = 5
     word = distinct_word(n)
-    sm = symbolic_product(group, symbolic_letters(group, word, index_of(word)))
+    sm = word_product(group, symbolic_letters(group, word, index_of(word)))
     for (i, j), poly in upper_entries(group, sm):
         if i == j:
             continue
@@ -263,8 +262,8 @@ def test_diagonal_entries_are_single_monomials(group_family):
     for group in group_family:
         for _ in range(20):
             word = random_word(rng, group, max_len=8, max_vars=3)
-            sm = symbolic_product(group, symbolic_letters(group, word,
-                                                          index_of(word)))
+            sm = word_product(group, symbolic_letters(group, word,
+                                                      index_of(word)))
             subgroup = subgroup_rows(group, index_of(word).values())
             for i in range(1, group.m + 1):
                 poly = entry(group, sm, i, i)
@@ -296,8 +295,8 @@ def test_symbolic_numeric_commutation_random(group_family):
         for _ in range(60):
             word = random_word(rng, group, max_len=8, max_vars=3)
             assignment = random_assignment(rng, group, word)
-            sm = symbolic_product(group, symbolic_letters(group, word,
-                                                          index_of(word)))
+            sm = word_product(group, symbolic_letters(group, word,
+                                                      index_of(word)))
             slots = slot_assignment(group, word, assignment)
             assert evaluate_matrix(group, sm, slots) == evaluate_word(
                 group, word, assignment)
@@ -463,9 +462,8 @@ def test_cut_square_chain_refuted_before_search(sparse18, order54):
             decision = decide_equation(group, word, target)
             assert not decision.sat
             assert decision.stats.explored == 0, (group, k)
-            matrix = symbolic_product(
-                group, symbolic_letters(group, word, index_of(word)),
-                formal=False)
+            matrix = word_product(group, symbolic_letters(
+                group, word, index_of(word), cut=True))
             rows = subgroup_rows(group, index_of(word).values())
             for _, poly in upper_entries(group, matrix):
                 for factors, _ in poly.items():
@@ -541,8 +539,8 @@ def test_field_slots_occur_at_most_once_per_monomial(group_family):
             word = random_word(rng, group, max_len=8, max_vars=2)
             names = word_variables(word)
             index = {name: k for k, name in enumerate(names, start=1)}
-            matrix = symbolic_product(group,
-                                      symbolic_letters(group, word, index))
+            matrix = word_product(group,
+                                  symbolic_letters(group, word, index))
             subgroup = subgroup_rows(group, index.values())
             for _, poly in upper_entries(group, matrix):
                 for factors, _ in poly.items():

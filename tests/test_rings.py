@@ -434,6 +434,8 @@ def test_default_ideal_guard_stops_a_huge_closure():
         enumerate_ideal(ring, [_unit_matrix(ring, 1, 4, 1)])
     assert err.value.guard == rings.IDEAL_GUARD
     assert err.value.space == 131072
+    assert str(err.value) == ("ideal of at least 131072 elements exceeds "
+                              "the ideal guard 100000")
 
 
 def test_factor_ring_zero_ideal_matches_plain(ring_m2z4):

@@ -305,23 +305,56 @@ def test_every_slot_starts_at_its_base_entry(group_family):
     unread slot keeps base's entry, so the witness agrees with the value
     the search pins an unread variable to."""
     from eqsolve import make_group, make_ring
-    from eqsolve.reduction import _variable_slots as group_slots
-    from eqsolve.rings import _variable_slots as ring_slots
+    from eqsolve.reduction import _unknown as group_unknown
+    from eqsolve.rings import _unknown as ring_unknown
     f4 = make_domain(2, 2)
     groups = group_family + (make_group(f4, 2, ((1, 2),), (3, 3)),
                              make_group(f4, 3, ((1, 2), (1, 3)), (3, 3, 1)))
     layouts = [(group.domain, group.identity().rows,
-                group_slots(group, 2, formal))
+                group_unknown(group, 2, formal)[0])
                for group in groups for formal in (True, False)]
     # M(2,Z2), M(2,Z4), M(3,Z3), M(3,Z4), M(2,Z9)
     for p, alpha, m in ((2, 1, 2), (2, 2, 2), (3, 1, 3), (2, 2, 3),
                         (3, 2, 2)):
         ring = make_ring(p, alpha, m)
-        layouts.append((ring.domain, ring.zero().rows, ring_slots(ring, 2)))
+        layouts.append((ring.domain, ring.zero().rows,
+                        ring_unknown(ring, 2)[0]))
     for dom, base, slots in layouts:
         assert slots
         for i, j, coeff, var, values in slots:
             assert base[i][j] == dom.rmul(coeff, values[0]), (dom, var)
+
+
+def test_unknown_records_map_each_slot_to_its_layout_values(group_family,
+                                                           ring_m2z4,
+                                                           ring_m3z3):
+    """Each cached _unknown record's slot domains are exactly its layout's
+    {var: values}, in layout order and with the same tuple objects, and a
+    built system holds the cached records themselves, so constrain reads
+    the domains without rebuilding them."""
+    from eqsolve import RVar, build_ring_system, build_system, reduction, rings
+    records = [(reduction._unknown, (group, k, formal))
+               for group in group_family for k in (1, 2, 3)
+               for formal in (True, False)]
+    records += [(rings._unknown, (ring, k))
+                for ring in (ring_m2z4, ring_m3z3) for k in (1, 2, 3)]
+    for cache, args in records:
+        layout, _, domains = cache(*args)
+        assert list(domains) == [var for _, _, _, var, _ in layout], args
+        for _, _, _, var, values in layout:
+            assert domains[var] is values, (args, var)
+    for group in group_family:
+        for formal in (True, False):
+            reduced = build_system(group, ("x", "y", "x"), ("y",),
+                                   formal=formal)
+            assert list(reduced.unknowns) == ["x", "y"]
+            for k, record in enumerate(reduced.unknowns.values(), start=1):
+                assert record is reduction._unknown(group, k, formal)
+    x, y = RVar("x"), RVar("y")
+    reduced = build_ring_system(ring_m2z4, y * x * y, ring_m2z4.zero())
+    assert list(reduced.unknowns) == ["y", "x"]
+    for k, record in enumerate(reduced.unknowns.values(), start=1):
+        assert record is rings._unknown(ring_m2z4, k)
 
 
 def _reference_walk(system):
@@ -379,11 +412,12 @@ def test_slot_systems_keep_exactly_the_variables_they_read(group_family,
         order, counts = _reference_walk(system)
         assert list(system.domains) == order
         assert system._occurrences == counts
-        layouts = {var: values for layout in red.slots.values()
-                   for _, _, _, var, values in layout}
+        records = {}
+        for _, _, domains in red.unknowns.values():
+            records.update(domains)
         for v, values in system.domains.items():
-            assert v.startswith("t[") or values is layouts[v]
-        unread += len(set(layouts) - set(system.domains))
+            assert v.startswith("t[") or values is records[v]
+        unread += len(set(records) - set(system.domains))
     assert scalars >= 30 and unread >= 50
 
 
