@@ -9,7 +9,6 @@ from .groups import (GroupElement, GroupError, PatternError, SemipatternGroup,
                      exponent_bound, full_pattern, invert_word, make_group,
                      multiply, unitriangular_group, word_variables,
                      words_agree_everywhere)
-from .poly import Polynomial
 from .reduction import (ReducedSystem, build_system, decide_equation,
                         decide_equivalence, separating_substitution,
                         symbolic_product)

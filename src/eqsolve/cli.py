@@ -20,12 +20,30 @@ from .solver import DEFAULT_GUARD, GuardExceeded, PolySystem
 _ERRORS = (ValueError, GuardExceeded, OSError)
 
 
+def _term_key(term):
+    """Canonical term order: more factors first, then the factor tuple."""
+    return -len(term[0]), term[0]
+
+
+def _render_poly(dom, poly) -> str:
+    """A polynomial's terms in the canonical order, each its encoded
+    coefficient (left out if 1 and followed by a factor) and its factors."""
+    parts = []
+    for factors, raw in sorted(poly.items(), key=_term_key):
+        coeff = dom.encode(raw)
+        head = () if coeff == 1 and factors else (str(coeff),)
+        parts.append("*".join(head + factors))
+    return " + ".join(parts) or "0"
+
+
 def render_system(system: PolySystem) -> str:
-    """Stable text dump of a polynomial system plus its domain table."""
+    """Stable text dump of a system and its domain table: the one term sort."""
     dom = system.domain
     lines = ["# system over %r: %d constraints, %d variables"
              % (dom, len(system.constraints), len(system.domains))]
-    lines += ["constraint %r" % (c,) for c in system.constraints]
+    lines += ["constraint %s = %d" % (_render_poly(dom, c.poly),
+                                      dom.encode(c.target))
+              for c in system.constraints]
     for v in sorted(system.domains):
         values = system.domains[v]
         if values == dom.elements():
@@ -137,6 +155,17 @@ def cmd_dump_system(args) -> int:
     return 0
 
 
+def _guard(text) -> int:
+    """A --guard value: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 @lru_cache(maxsize=1)
 def _build_parser():
     """The argument parser, built once per process: parse_args leaves it
@@ -154,7 +183,7 @@ def _build_parser():
     p.add_argument("--dump-system", metavar="PATH",
                    help="write the formal polynomial system, as dump-system "
                         "prints it, to PATH")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+    p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD,
                    help="max search-space size (default %d)" % DEFAULT_GUARD)
     p.set_defaults(func=cmd_decide)
 
@@ -166,7 +195,7 @@ def _build_parser():
 
     p = sub.add_parser("oracle", help="run only the brute-force oracle")
     p.add_argument("path")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+    p.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("dump-system",

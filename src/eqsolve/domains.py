@@ -91,11 +91,6 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _same_domain(a, b) -> bool:
-    """Domain equality, with the usual case of one shared descriptor first."""
-    return a is b or a == b
-
-
 @dataclass(frozen=True)
 class FiniteField:
     """GF(p^k) for k >= 2; raw values are coefficient tuples."""

@@ -13,8 +13,8 @@ non-decreasing index chain through the pattern, with constants folded into
 the coefficients.  Positions outside the pattern hold the constant zero, so
 chains through them vanish as the product is formed; this keeps the grid
 within its O(n^m) size bound instead of enumerating chains up front.  The
-grid stays raw (unsorted monomial dicts): an entry polynomial holds its
-dict as it is, and the solver reads it unordered.
+grid stays raw: each entry polynomial is an unsorted monomial dict, which
+the constraints hold as it is and the solver reads unordered.
 
 A word equation F = rhs then holds for a substitution exactly when all the
 entry polynomials attain the corresponding rhs entries, which is a
@@ -56,7 +56,7 @@ from functools import lru_cache
 
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
                      _same_group, evaluate_word, word_variables)
-from .poly import Polynomial, entry_polynomial, slot_grid_sum, slot_letter
+from .poly import slot_grid_sum, slot_letter
 from .solver import Constraint, Decision, SlotSystem
 
 
@@ -172,8 +172,7 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     else:
         targets = rhs.rows
     grid = symbolic_product(group, products)
-    reduced.constrain([Constraint(entry_polynomial(dom, grid[i][j]),
-                                  targets[i][j])
+    reduced.constrain([Constraint(grid[i][j], targets[i][j])
                        for i in range(m) for j in range(i, m)])
     return reduced
 
@@ -190,24 +189,28 @@ def decide_equation(group: SemipatternGroup, lhs, rhs, *,
     return build_system(group, lhs, rhs, formal=False).decide(guard)
 
 
-def _nonzero_point(poly: Polynomial, domains) -> dict:
-    """Slot values, chosen in name order, at which a reduced polynomial is
-    nonzero: each variable takes the first value of its domain that leaves
-    the rest nonzero.  Variables that drop out stay unassigned.
+def _nonzero_point(dom, poly, domains) -> dict:
+    """Slot values, chosen in name order, at which a reduced polynomial over
+    dom is nonzero: each variable takes the first value of its domain that
+    leaves the rest nonzero.  Variables that drop out stay unassigned.
     """
-    dom = poly.domain
+    radd, rmul, rpow, zero = dom.radd, dom.rmul, dom.rpow, dom.rzero
     assignment = {}
     while True:
-        present = [factors[0] for factors, _ in poly.items() if factors]
+        present = [factors[0] for factors in poly if factors]
         if not present:
             return assignment
         var = min(present)
         for value in domains[var]:
-            # var, first in name order, leads every monomial it occurs in
-            rest = Polynomial(dom, (
-                (f[f.count(var):], dom.rmul(c, dom.rpow(value, f.count(var))))
-                for f, c in poly.items()))
-            if not rest.is_zero():
+            # var, first in name order, leads every monomial it occurs in, so
+            # dropping its copies keeps each factor tuple sorted
+            rest = {}
+            for f, c in poly.items():
+                n = f.count(var)
+                rest[f[n:]] = radd(rest.get(f[n:], zero),
+                                   rmul(c, rpow(value, n)))
+            rest = {f: c for f, c in rest.items() if c != zero}
+            if rest:
                 break
         else:
             raise RuntimeError("internal error: reduced polynomial vanishes "
@@ -226,12 +229,11 @@ def separating_substitution(group: SemipatternGroup, f, g):
     """
     reduced = build_system(group, f, g, formal=False)
     system = reduced.system
-    for c in system.constraints:
-        if not c.poly.is_zero():
-            break
-    else:
+    c = next((c for c in system.constraints if c.poly), None)
+    if c is None:
         return None
-    witness = reduced.assemble_witness(_nonzero_point(c.poly, system.domains))
+    witness = reduced.assemble_witness(
+        _nonzero_point(system.domain, c.poly, system.domains))
     if reduced.holds(witness):
         raise RuntimeError("internal error: separating substitution failed "
                            "re-check")

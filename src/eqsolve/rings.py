@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from operator import add, getitem, mul
 
 from . import lanes
-from .poly import grid_polynomials, slot_grid_sum, slot_letter
+from .poly import slot_grid_sum, slot_letter
 # rings is the public module for every ring name, so it re-exports the
 # structure layer in full
 from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
@@ -76,7 +76,7 @@ def _unknown(ring: NilpotentMatrixRing, k: int) -> tuple:
 # -- entrywise rewriting -------------------------------------------------------
 
 def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
-                      cosets=()) -> tuple:
+                      cosets=()) -> list:
     """Rewrite a sum of monomials, sigma_expand's (coeff, letters) pairs,
     minus t[k] * a_k per coset (a_k, r_k) of an ideal, into m x m scalar
     entry polynomials; the k-th of names (from 1) is unknown k.
@@ -105,7 +105,7 @@ def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
         products.append((minus_one, ([
             [(j, raw, t_variable(k), None) for j, raw in enumerate(row) if raw]
             for row in a.rows],)))
-    return grid_polynomials(dom, slot_grid_sum(dom, ring.m, products))
+    return slot_grid_sum(dom, ring.m, products)
 
 
 # -- deciding equations --------------------------------------------------------
@@ -116,7 +116,7 @@ class ReducedRingSystem(SlotSystem):
     and its unknowns are laid out over zero (_unknown)."""
 
     def __init__(self, ring: NilpotentMatrixRing, expr, rhs: RingElement,
-                 unknowns, entry_polys: tuple, ideal=None):
+                 unknowns, entry_polys: list, ideal=None):
         super().__init__(ring.domain, ring.zero().rows, unknowns)
         if rhs.ring is not ring and rhs.ring != ring:
             raise RingError("right-hand side from a different ring")

@@ -25,9 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .domains import _same_domain
-from .poly import Polynomial
-
 DEFAULT_GUARD = 10 ** 8
 
 
@@ -53,21 +50,18 @@ class SolverError(ValueError):
 
 
 class Constraint:
-    """poly = target, a raw value of poly's domain; compared by identity."""
+    """poly = target over its system's domain; compared by identity."""
 
     __slots__ = ("poly", "target")
 
-    def __init__(self, poly: Polynomial, target):
+    def __init__(self, poly, target):
         self.poly, self.target = poly, target
-
-    def __repr__(self):
-        return "%r = %d" % (self.poly, self.poly.domain.encode(self.target))
 
 
 @dataclass
 class PolySystem:
     """Constraints plus a per-variable domain map over one scalar domain;
-    targets and domain values are raw values of that domain.
+    coefficients, targets and domain values are raw values of that domain.
 
     A read variable that domains does not name takes its domain from the
     {variable: values} map slot_domains, so domains gains only the slots
@@ -83,15 +77,17 @@ class PolySystem:
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
-        domains, lookup = self.domains, self.slot_domains or {}
+        dom, domains = self.domain, self.domains
+        lookup = self.slot_domains or {}
         occurrences = dict.fromkeys(domains, 0)
         for c in self.constraints:
-            if not _same_domain(c.poly.domain, self.domain):
-                raise SolverError("constraint domain differs from system domain")
-            if c.target not in self.domain:
+            if c.target not in dom:
                 raise SolverError("target %r is not an element of %s"
-                                  % (c.target, self.domain))
-            for factors, _ in c.poly.items():
+                                  % (c.target, dom))
+            for factors, coeff in c.poly.items():
+                if coeff not in dom:
+                    raise SolverError("coefficient %r is not an element of %s"
+                                      % (coeff, dom))
                 for v in factors:
                     count = occurrences.get(v)
                     if count is None:

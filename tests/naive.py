@@ -22,7 +22,7 @@ def solve_naive(system) -> Decision:
     for combo in itertools.product(*value_lists):
         stats.explored += 1
         assignment = dict(zip(variables, combo))
-        if all(evaluate(c.poly, assignment) == c.target
+        if all(evaluate(system.domain, c.poly, assignment) == c.target
                for c in system.constraints):
             return Decision(True, assignment, stats)
     return Decision(False, None, stats)

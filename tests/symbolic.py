@@ -3,8 +3,8 @@ evaluation, kept apart from eqsolve.
 
 symbolic_letters() lays out a word's letters in the formal reduction, and
 word_product() multiplies them out through reduction.symbolic_product,
-which returns a raw grid; entry() and upper_entries() read its entries as
-polynomials, and evaluate_matrix() evaluates every entry at a slot
+which returns a raw grid; entry() and upper_entries() read its entries,
+and evaluate_matrix() evaluates every entry at a slot
 assignment and rebuilds the group element.  The commutation tests compare
 it with evaluate_word.  reference_product() forms a product the way
 poly.slot_grid_sum did before it started from its first letter: a starting
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from eqsolve import reduction
 from eqsolve.groups import GroupElement
-from eqsolve.poly import entry_polynomial, slot_letter
+from eqsolve.poly import slot_letter
 from polyexpr import evaluate
 
 
@@ -94,8 +94,8 @@ def reference_product(dom, grid, letters) -> list:
 
 
 def entry(group, grid, i: int, j: int):
-    """Entry (i, j), 1-based, of a raw grid as a Polynomial."""
-    return entry_polynomial(group.domain, grid[i - 1][j - 1])
+    """Entry (i, j), 1-based, of a raw grid."""
+    return grid[i - 1][j - 1]
 
 
 def upper_entries(group, grid) -> tuple:
@@ -110,7 +110,7 @@ def evaluate_matrix(group, grid, assignment) -> GroupElement:
     m = group.m
     rows = [[group.domain.rzero] * m for _ in range(m)]
     for (i, j), poly in upper_entries(group, grid):
-        rows[i - 1][j - 1] = evaluate(poly, assignment)
+        rows[i - 1][j - 1] = evaluate(group.domain, poly, assignment)
     element = GroupElement(group, tuple(tuple(r) for r in rows))
     group._check_membership(element.rows)
     return element

@@ -88,6 +88,23 @@ def test_guard_error_exit_two(tmp_path):
     assert "guard" in err
 
 
+def test_guard_below_one_is_rejected():
+    """decide and oracle refuse a guard below 1 when parsing, naming
+    --guard, before they read the problem (guard 0 used to refuse even a
+    space of 1)."""
+    path = str(PROBLEMS / "ut3f2_square.prob")
+    for command in ("decide", "oracle"):
+        for value in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                run([command, path, "--guard", value])
+            assert exc.value.code == 2
+            code, _, err = _fresh([command, path, "--guard", value])
+            assert code == 2
+            assert err.splitlines()[-1] == (
+                "eqsolve %s: error: argument --guard: must be at least 1, "
+                "got %s" % (command, value)), err
+
+
 def test_guard_error_on_a_huge_space_is_one_short_line(tmp_path):
     # UT(64, GF(2)) has 2016 field slots per unknown: a space of 2^2016
     path = tmp_path / "ut64.prob"

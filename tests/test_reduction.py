@@ -5,21 +5,21 @@ import re
 
 import pytest
 
-from eqsolve import (Polynomial, brute_force_solve, build_system,
+from eqsolve import (brute_force_solve, build_system,
                      decide_equation, decide_equivalence, element_list,
                      evaluate_word, exponent_bound, full_pattern, invert_word,
                      make_domain, make_group, multiply, solve, SolveRequest,
                      separating_substitution, unitriangular_group, word_variables,
                      words_agree_everywhere)
-from eqsolve.poly import grid_polynomials, slot_letter
-from eqsolve.reduction import (_unknown, _word_letters, x_variable,
-                               y_variable)
+from eqsolve.poly import slot_letter
+from eqsolve.reduction import (_nonzero_point, _unknown, _word_letters,
+                               x_variable, y_variable)
 from eqsolve.solver import Constraint
 from conftest import (random_assignment, random_group_element, random_word)
 from entries import entry_monomial_count
 from naive import solve_naive
-from polyexpr import (add, constant, length, mul, neg, product_length,
-                      sorted_terms, variable)
+from polyexpr import (Polynomial, add, constant, length, mul, neg,
+                      product_length, sorted_terms, variable)
 from symbolic import (entry, evaluate_matrix, symbolic_letters,
                       upper_entries, word_product)
 
@@ -68,7 +68,7 @@ def test_empty_product_is_identity(order54):
             assert dict(poly.items()) == \
                 dict(constant(order54.domain, 1).items())
         else:
-            assert poly.is_zero()
+            assert not poly
 
 
 def test_single_variable_letter_gives_slots(order54):
@@ -87,9 +87,9 @@ def _fold_product(group, letters):
     """Reference for symbolic_product: the letter-by-letter fold with
     polynomial sums and products, every addition merged, zero-filtered and
     sorted."""
-    m = group.m
-    zero = Polynomial(group.domain)
-    one = constant(group.domain, 1)
+    dom, m = group.domain, group.m
+    zero = Polynomial(dom)
+    one = constant(dom, 1)
     grid = [[one if i == j else zero for j in range(m)] for i in range(m)]
     for letter in letters:
         new = [[zero] * m for _ in range(m)]
@@ -100,10 +100,10 @@ def _fold_product(group, letters):
                     for col, coeff, var, _ in letter[l]:
                         if col != j:
                             continue
-                        term = mul(grid[i][l], constant(group.domain, coeff))
+                        term = mul(dom, grid[i][l], constant(dom, coeff))
                         if var is not None:
-                            term = mul(term, variable(group.domain, var))
-                        acc = add(acc, term)
+                            term = mul(dom, term, variable(dom, var))
+                        acc = add(dom, acc, term)
                 new[i][j] = acc
         grid = new
     return grid
@@ -142,12 +142,13 @@ def _reference_constraints(group, lhs, rhs, formal):
                                  None if formal else group.orders)
                for k, name in enumerate(
                    word_variables(itertools.chain(*words)), start=1)}
-    left, *rest = [grid_polynomials(group.domain, word_product(
-        group, _word_letters(group, w, letters))) for w in words]
-    zero = group.domain.rzero
+    left, *rest = [word_product(group, _word_letters(group, w, letters))
+                   for w in words]
+    dom = group.domain
     upper = [(i, j) for i in range(group.m) for j in range(i, group.m)]
     if rest:
-        return tuple(Constraint(add(left[i][j], neg(rest[0][i][j])), zero)
+        return tuple(Constraint(add(dom, left[i][j],
+                                    neg(dom, rest[0][i][j])), dom.rzero)
                      for i, j in upper)
     return tuple(Constraint(left[i][j], rhs.rows[i][j])
                  for i, j in upper)
@@ -595,6 +596,17 @@ def test_separator_is_deterministic(order54):
     assert first is not None
     assert separating_substitution(order54, f, g) == first
     _check_separator(order54, f, g, first)
+
+
+def test_nonzero_point_merges_the_terms_it_fixes(f3):
+    """a*b + 2*a^2*b over GF(3): a = 0 leaves two zero terms and a = 1
+    merges both into 3*b = 0, so a takes 2 (b + 8*b = 1*b); then b takes
+    1.  Keeping a zero term picks a = 0, and not summing equal factor
+    tuples picks a = 1."""
+    poly = {("a", "b"): 1, ("a", "a", "b"): 2}
+    domains = {"a": f3.elements(), "b": f3.elements()}
+    assert _nonzero_point(f3, poly, domains) == {"a": 2, "b": 1}
+    assert poly == {("a", "b"): 1, ("a", "a", "b"): 2}
 
 
 def test_equivalence_calls_no_solver(monkeypatch, order54):

@@ -167,8 +167,8 @@ def _scalar_verify_witness(system, assignment):
         if not any(assignment[v] == allowed for allowed in values):
             raise SolverError("witness value %r outside the domain of %s"
                               % (assignment[v], v))
+    dom = system.domain
     for c in system.constraints:
-        dom = c.poly.domain
         total = dom.rzero
         for factors, coeff in c.poly.items():
             for v in factors:
@@ -441,8 +441,8 @@ def test_every_validation_message_is_kept(lookup):
     """The four malformed-system errors, with or without slot_domains."""
     good = poly(F3, (1, (X,)))
     cases = [
-        ((Constraint(poly(F2, (1, (X,))), 0),), {X: (0, 1)},
-         "constraint domain differs from system domain"),
+        ((Constraint(poly(make_domain(2, 2), (2, (X,))), 0),), {X: (0, 1)},
+         r"coefficient \(0, 1\) is not an element of GF\(3\)"),
         ((Constraint(good, 3),), {X: (0, 1)}, "target 3 is not an element"),
         ((Constraint(poly(F3, (1, (X, Y))), 0),), {X: (0, 1)},
          "variable y has no domain entry"),

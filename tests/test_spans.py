@@ -55,3 +55,34 @@ def test_tracer_sees_the_expansion_inside_build_system(order54):
     child = (tracer.total["reduction.build_system"]
              - tracer.self_time["reduction.build_system"])
     assert child == pytest.approx(tracer.total["reduction.symbolic_product"])
+
+
+def test_tracer_counts_monomials_and_slots_of_each_build(order54, ring_m2z4):
+    """The benchmark's monomial count, read through
+    Polynomial.monomial_count(), is the number of terms of every constraint
+    of a build, and its slot count the size of the build's domain map: one
+    group build and one factor-ring build (with t[k] coset unknowns)."""
+    from eqsolve import reduction, rings
+
+    spans = _load_spans()
+    ideal = rings.enumerate_ideal(ring_m2z4,
+                                  [ring_m2z4.element([[0, 2], [0, 0]])])
+    rhs = ring_m2z4.element([[0, 2], [0, 0]])
+    expr = rings.RSum((rings.RProd((rings.RVar("x"), rings.RVar("y"))),
+                       rings.RNeg(rings.RConst(rhs))))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        group = reduction.build_system(order54, ("x", "y"), ("y", "x"))
+        ring = rings.build_ring_system(ring_m2z4, expr, ring_m2z4.zero(),
+                                       ideal)
+    finally:
+        tracer.uninstall()
+    for prefix, built in (("reduction", group), ("rings", ring)):
+        system = built.system
+        assert tracer.counts[prefix + ".builds"] == 1
+        assert tracer.counts[prefix + ".monomials"] == sum(
+            len(c.poly) for c in system.constraints) > 0
+        assert tracer.counts[prefix + ".slot_vars"] == \
+            len(system.domains) > 0
+    assert "t[1]" in ring.system.domains
