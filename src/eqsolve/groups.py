@@ -11,12 +11,14 @@ Words are sequences of letters; a letter is either a constant element or a
 variable name (equal names denote the same unknown).  The brute-force solver
 here is the reference oracle for the symbolic reduction pipeline: it
 enumerates assignments in canonical order and returns the first witness,
-re-checked with evaluate_word.  On groups of at most 256 elements it scans
-a row at a time on byte lanes (eqsolve.lanes) through a multiplication
-table built once per group, closed from at most log2|G| generator rows:
-every value of the last variable at once, so its cost follows the rows
-explored before the first witness, not the size of the space.  Larger
-groups multiply out each assignment, without membership checks.
+re-checked with evaluate_word.  Both group oracles admit a question in one
+place (_first_lane) and end in one of the two scans of eqsolve.lanes.  On
+groups of at most 256 elements that is first_hit, a row at a time on byte
+lanes through a multiplication table built once per group, closed from at
+most log2|G| generator rows: every value of the last variable at once, so
+its cost follows the rows explored before the first witness, not the size
+of the space.  Larger groups multiply out each assignment
+(first_assignment), without membership checks.
 """
 
 from __future__ import annotations
@@ -380,20 +382,26 @@ def _word_node(word, leaves, index, table, last):
     return product(runs) if runs else None
 
 
-def _first_lane(group, names, left, right, equal):
+def _first_lane(group, left, right, equal, guard):
     """(explored, assignment) for the first assignment in canonical order at
     which the words left and right evaluate equal (equal=True) or different
-    (equal=False); (space, None) when there is none.  Without variables no
-    Cayley table is built.  On groups of at most lanes.LIMIT elements both
-    words compile into lanes nodes: a right side that folds to a constant
-    is the mask's own index, any other is scanned as left * right^-1
-    against the identity, and separators use the complement mask."""
+    (equal=False); (space, None) when there is none.  GuardExceeded when
+    the space is larger than guard, before any letter is checked or any
+    table or element list built; without variables neither is built.  On
+    groups of at most lanes.LIMIT elements both words compile into lanes
+    nodes for lanes.first_hit: a right side that folds to a constant is
+    the mask's own index, any other is scanned as left * right^-1 against
+    the identity, and separators use the complement mask.  Larger groups
+    use lanes.first_assignment."""
+    names = word_variables(left + right)
+    size = group.order
+    space = size ** len(names)
+    if space > guard:
+        raise GuardExceeded(space, guard)
     for letter in left + right:
         if not isinstance(letter, str) and not _same_group(letter.group, group):
             raise GroupError("constant letter from a different group")
-    v = len(names)
-    size = group.order
-    if v and size <= lanes.LIMIT:
+    if names and size <= lanes.LIMIT:
         elems, index, table, inverse = _cayley(group)
         lane = bytes(range(size))
         leaves = lanes.variables(names, lane)
@@ -406,21 +414,15 @@ def _first_lane(group, names, left, right, equal):
             target = identity[0]
         mask = bytearray((not equal,)) * lanes.LIMIT
         mask[target] = equal
-        explored, values = lanes.first_hit(lane, v, node, mask)
-        if values is None:
-            return explored, None
-        return explored, {name: elems[i] for name, i in zip(names, values)}
+        return lanes.first_hit(lane, names, node, mask, elems)
 
     def value(word, assignment):
         return reduce(_product, [assignment[x] if isinstance(x, str) else x
                                  for x in word] or [group.identity()])
 
-    combos = itertools.product(element_list(group) if v else (), repeat=v)
-    for explored, combo in enumerate(combos, start=1):
-        assignment = dict(zip(names, combo))
-        if (value(left, assignment) == value(right, assignment)) == equal:
-            return explored, assignment
-    return size ** v, None
+    return lanes.first_assignment(
+        element_list(group) if names else (), names,
+        lambda a: (value(left, a) == value(right, a)) == equal)
 
 
 def brute_force_solve(group: SemipatternGroup, word, target,
@@ -434,31 +436,20 @@ def brute_force_solve(group: SemipatternGroup, word, target,
     """
     word = tuple(word)
     right = (target,) if isinstance(target, GroupElement) else tuple(target)
-    names = word_variables(word + right)
-    space = group.order ** len(names)
-    if space > guard:
-        raise GuardExceeded(space, guard)
-    explored, witness = _first_lane(group, names, word, right, True)
-    stats = SolveStats(explored)
-    if witness is None:
-        return Decision(False, None, stats)
-    if (evaluate_word(group, word, witness)
-            != evaluate_word(group, right, witness)):
+    explored, witness = _first_lane(group, word, right, True, guard)
+    if witness is not None and (evaluate_word(group, word, witness)
+                                != evaluate_word(group, right, witness)):
         raise RuntimeError("internal error: oracle witness failed")
-    return Decision(True, witness, stats)
+    return Decision(witness is not None, witness, SolveStats(explored))
 
 
-def words_agree_everywhere(group: SemipatternGroup, f, g,
-                           guard: int = DEFAULT_GUARD):
-    """Exhaustively compare two words at every substitution.
+def words_agree_everywhere(group: SemipatternGroup, f, g):
+    """Exhaustively compare two words at every substitution, refusing
+    spaces past DEFAULT_GUARD.
 
     Returns (True, None) when they agree everywhere, else (False, assignment)
     with the first separating substitution in canonical order.
     """
-    f, g = tuple(f), tuple(g)
-    names = word_variables(f + g)
-    space = group.order ** len(names)
-    if space > guard:
-        raise GuardExceeded(space, guard)
-    _, separator = _first_lane(group, names, f, g, False)
+    _, separator = _first_lane(group, tuple(f), tuple(g), False,
+                               DEFAULT_GUARD)
     return separator is None, separator

@@ -1,5 +1,9 @@
 """Byte-lane scans: the evaluation engine of both brute-force oracles.
 
+Every oracle ends in one of two scans here, both in canonical order and
+giving the same (explored, witness): first_hit, a row at a time, up to
+LIMIT elements, and first_assignment, one assignment at a time, past it.
+
 An oracle compiles its question once into a node over element indices.  A
 node is (value, is_lane): a value is an index, or a lane (bytes) holding
 one index per value of the last variable once it depends on that variable.
@@ -105,20 +109,35 @@ def binary(op, x, y):
     return lift(lambda a, b: rows[a][b], f, g), False
 
 
-def first_hit(carrier, nvars, node, mask):
-    """Scan node over every assignment of nvars variables to the carrier
-    (bytes, in scan order), one row per prefix, for the first value the 0/1
-    mask marks: (k * width + j + 1, indices) for the j-th entry of row k,
-    or (width ** nvars, None).  Without variables the row is one index."""
+def first_hit(carrier, names, node, mask, elements):
+    """Scan node over every assignment of names to the carrier (bytes, in
+    scan order), one row per prefix, for the first value the 0/1 mask
+    marks: (k * width + j + 1, {name: element}) for the j-th entry of row
+    k, elements mapping indices back, or (width ** len(names), None).
+    Without names the row is one index."""
     value, is_lane = node
     if callable(value):
         row_at = value
     else:
         row = value if is_lane else bytes((value,))
         row_at = lambda prefix: row
-    prefixes = itertools.product(carrier, repeat=max(nvars - 1, 0))
+    width = len(carrier)
+    prefixes = itertools.product(carrier, repeat=max(len(names) - 1, 0))
     for k, prefix in enumerate(prefixes):
         j = row_at(prefix).translate(mask).find(1)
         if j >= 0:
-            return k * len(carrier) + j + 1, prefix + (carrier[j],)
-    return len(carrier) ** nvars, None
+            return k * width + j + 1, dict(zip(names, map(
+                elements.__getitem__, prefix + (carrier[j],))))
+    return width ** len(names), None
+
+
+def first_assignment(carrier, names, holds):
+    """(explored, {name: element}) for the first assignment of names to
+    the carrier, in canonical order and counted from 1, at which holds is
+    true; (len(carrier) ** len(names), None) when there is none."""
+    combos = itertools.product(carrier, repeat=len(names))
+    for explored, combo in enumerate(combos, start=1):
+        assignment = dict(zip(names, combo))
+        if holds(assignment):
+            return explored, assignment
+    return len(carrier) ** len(names), None

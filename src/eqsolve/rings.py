@@ -336,8 +336,10 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     each value of the last variable at once, as a lane of element indices
     in bytes, through +, * and scale tables built once per ring (see
     _table_scan).  Larger rings evaluate each assignment with
-    eval_ring_expr.  Both give the same verdict, witness and explored
-    count.  Without variables nothing is enumerated and explored is 1.
+    eval_ring_expr (lanes.first_assignment); without an ideal they scan M
+    as M/{0}, whose transversal is every element in canonical order.  Both
+    give the same verdict, witness and explored count.  Without variables
+    nothing is enumerated and explored is 1.
     """
     if rhs is None:
         rhs = ring.zero()
@@ -351,24 +353,13 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     if space > guard:
         raise GuardExceeded(space, guard)
     if n <= lanes.LIMIT:
-        return _table_scan(ring, expr, rhs, ideal, names, space)
-    if not names:
-        carrier = ()
-    elif ideal is not None:
-        carrier = _transversal(ring_elements(ring), ideal.elements, add)
+        explored, witness = _table_scan(ring, expr, rhs, ideal, names)
     else:
-        carrier = ring_elements(ring)
-    stats = SolveStats()
-    for combo in itertools.product(carrier, repeat=len(names)):
-        stats.explored += 1
-        assignment = dict(zip(names, combo))
-        value = eval_ring_expr(expr, assignment, ring)
-        if ideal is not None:
-            if (value - rhs) in ideal:
-                return Decision(True, assignment, stats)
-        elif value == rhs:
-            return Decision(True, assignment, stats)
-    return Decision(False, None, stats)
+        members = (ring.zero(),) if ideal is None else ideal.elements
+        explored, witness = lanes.first_assignment(
+            _transversal(ring_elements(ring), members, add) if names else (),
+            names, lambda a: (eval_ring_expr(expr, a, ring) - rhs) in members)
+    return Decision(witness is not None, witness, SolveStats(explored))
 
 
 def _transversal(elements, members, plus) -> list:
@@ -383,12 +374,13 @@ def _transversal(elements, members, plus) -> list:
     return firsts
 
 
-def _table_scan(ring, expr, rhs, ideal, names, space) -> Decision:
+def _table_scan(ring, expr, rhs, ideal, names):
     """The oracle's lane scan (lanes.first_hit) over element indices: every
     value of the last name at once, for each assignment of the others in
-    scan order, so SAT reports explored = k * width + j + 1 for the j-th
-    entry of row k, and UNSAT the full space.  A 0/1 mask marks the
-    indices of rhs + I (just rhs without an ideal)."""
+    scan order, so SAT reports (k * width + j + 1, witness) for the j-th
+    entry of row k, and UNSAT (the full space, None).  A 0/1 mask marks
+    the indices of rhs + I (just rhs without an ideal); without an ideal
+    the carrier is every index, skipping the transversal of {0}."""
     index, (plus, _), _ = _ring_tables(ring)
     elems = ring_elements(ring)
     target = index[rhs.rows]
@@ -403,9 +395,5 @@ def _table_scan(ring, expr, rhs, ideal, names, space) -> Decision:
         carrier = _transversal(range(len(elems)), members,
                                lambda e, i: plus[e][i])
     lane = bytes(carrier)
-    explored, values = lanes.first_hit(
-        lane, len(names), _lane_node(expr, ring, names, lane), mask)
-    if values is None:
-        return Decision(False, None, SolveStats(space))
-    witness = {name: elems[i] for name, i in zip(names, values)}
-    return Decision(True, witness, SolveStats(explored))
+    return lanes.first_hit(lane, names, _lane_node(expr, ring, names, lane),
+                           mask, elems)

@@ -307,9 +307,19 @@ def test_oracles_on_long_words(ut3_f2):
                 == words_agree_everywhere(ut3_f2, ("x", "y"), ("y", "x")))
 
 
-def test_brute_force_guard(order54):
-    with pytest.raises(GuardExceeded):
-        brute_force_solve(order54, tuple("abcdef"), order54.identity())
+def test_brute_force_guard(order54, ut3_f2):
+    """Both oracles refuse 54^6 assignments at the default guard, before a
+    foreign constant is noticed and before a Cayley table or element list
+    is built or read."""
+    foreign = ut3_f2.identity()
+    before = groups._cayley.cache_info(), element_list.cache_info()
+    for word in (tuple("abcdef"), tuple("abc") + (foreign,) + tuple("def")):
+        for oracle in (brute_force_solve, words_agree_everywhere):
+            with pytest.raises(GuardExceeded) as refused:
+                oracle(order54, word, (order54.identity(),))
+            assert refused.value.space == 54 ** 6
+            assert refused.value.guard == 10 ** 8
+    assert (groups._cayley.cache_info(), element_list.cache_info()) == before
 
 
 def test_words_agree_everywhere(ut3_f2):

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from eqsolve import (element_list, full_pattern, make_domain, make_group,
-                     make_ring, multiply, ring_elements, unitriangular_group)
+from eqsolve import (RNeg, RSum, RVar, element_list, eval_ring_expr,
+                     evaluate_word, expr_variables, full_pattern, make_domain,
+                     make_group, make_ring, multiply, ring_elements,
+                     unitriangular_group, word_variables)
 from eqsolve import groups, lanes, rings
 from eqsolve.rings import RingElement
 
@@ -129,3 +131,50 @@ def test_fold_is_a_balanced_left_to_right_tree():
         return 1 + max(map(depth, tree)) if isinstance(tree, tuple) else 0
 
     assert depth(lanes.fold(pair, range(3000))) == 12  # ceil(log2(3000))
+
+
+def _group_scans(group, left, right):
+    """(table, per-assignment) scans of left = right over the group."""
+    table = groups._first_lane(group, left, right, True, 10 ** 8)
+    names = word_variables(left + right)
+    plain = lanes.first_assignment(element_list(group), names, lambda a: (
+        evaluate_word(group, left, a) == evaluate_word(group, right, a)))
+    return table, plain
+
+
+def _ring_scans(ring, expr, rhs):
+    """(table, per-assignment) scans of expr = rhs over the ring."""
+    names = expr_variables(expr)
+    table = rings._table_scan(ring, expr, rhs, None, names)
+    plain = lanes.first_assignment(ring_elements(ring), names, lambda a: (
+        eval_ring_expr(expr, a, ring) == rhs))
+    return table, plain
+
+
+def test_assignment_scan_matches_table_scan():
+    """lanes.first_assignment gives the table scan's (explored, witness) on
+    hits in the first and the last row and on UNSAT questions, over
+    UT(3,F2) (8 elements) and M(2,Z4) (32 elements)."""
+    group = GROUPS["UT(3,F2)"]
+    elems = element_list(group)
+    c = elems[5]
+    x, y = RVar("x"), RVar("y")
+    ring = RINGS["M(2,Z4)"]
+    relems = ring_elements(ring)
+    e12 = ring.element([[0, 1], [0, 0]])
+    cases = (
+        # x * y = c first holds at x = 1, y = c: row 0, entry 5
+        (_group_scans(group, ("x", "y"), (c,)), True, 6),
+        # x * y = last * y only at x = last: row 7, entry 0
+        (_group_scans(group, ("x", "y"), (elems[-1], "y")), True, 7 * 8 + 1),
+        # products of two squares lie in the centre {1, z}
+        (_group_scans(group, ("x", "x", "y", "y"), (c,)), False, 8 ** 2),
+        (_ring_scans(ring, x + y, relems[9]), True, 10),
+        (_ring_scans(ring, RSum((x, y, RNeg(y))), relems[-1]), True,
+         31 * 32 + 1),
+        # entry (1,2) of x * y is x11 y12 + x12 y22, even
+        (_ring_scans(ring, x * y, e12), False, 32 ** 2))
+    for (table, plain), sat, explored in cases:
+        assert table == plain
+        assert plain[0] == explored
+        assert (plain[1] is not None) == sat

@@ -534,11 +534,9 @@ def _plain_oracle(ring, expr, rhs, ideal=None):
 
 def _table_oracle(ring, expr, rhs, ideal=None):
     """The oracle's table scan, whatever its cost rule would choose."""
-    names = expr_variables(expr)
-    carrier_size = ring.cardinality // (1 if ideal is None else len(ideal))
-    d = rings._table_scan(ring, expr, rhs, ideal, names,
-                          carrier_size ** len(names))
-    return d.sat, d.witness, d.stats.explored
+    explored, witness = rings._table_scan(ring, expr, rhs, ideal,
+                                          expr_variables(expr))
+    return witness is not None, witness, explored
 
 
 def _public_oracle(ring, expr, rhs, ideal=None):
@@ -795,14 +793,29 @@ def _table_calls():
 
 
 def test_table_limit_keeps_large_rings_per_assignment():
-    m3z4 = make_ring(2, 2, 3)
-    assert m3z4.cardinality > lanes.LIMIT
-    c = m3z4.element([[2, 1, 0], [0, 0, 3], [0, 0, 2]])
-    target = m3z4.element([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    before = _table_calls()
-    decision = brute_force_ring_solve(m3z4, X * RConst(c), target)
-    assert _table_calls() == before
-    assert decision.sat == any(x * c == target for x in ring_elements(m3z4))
+    """M(3,Z4) has 4096 elements, past the lane limit: no table is built
+    and each assignment is evaluated in turn, over every element without
+    an ideal (the transversal of {0}) and over the 64 coset
+    representatives of the ideal of E13, with the verdict, witness and
+    explored count of a plain enumeration."""
+    ring = make_ring(2, 2, 3)
+    assert ring.cardinality > lanes.LIMIT
+    e12, e13, e23 = (_unit_matrix(ring, i, j, 1)
+                     for i, j in ((1, 2), (1, 3), (2, 3)))
+    ideal = enumerate_ideal(ring, [e13])
+    assert len(ideal) == 64
+    c = RConst(ring.element([[2, 1, 0], [0, 0, 3], [0, 0, 2]]))
+    cases = ((X * c, e13, None, True, 641), (X * X, e13, None, True, 521),
+             (X * X * X, e13, None, False, 4096),
+             (c * X + X, e12, ideal, True, 33),
+             (c * X + X, e23, ideal, True, 5),
+             (X * X, e12, ideal, False, 64))
+    for expr, rhs, coset, sat, explored in cases:
+        expected = _plain_oracle(ring, expr, rhs, coset)
+        assert (expected[0], expected[2]) == (sat, explored)
+        before = _table_calls()
+        assert _public_oracle(ring, expr, rhs, coset) == expected, expr
+        assert _table_calls() == before
 
 
 def test_large_ring_oracle_without_variables():
