@@ -25,12 +25,11 @@ def _term_key(term):
     return -len(term[0]), term[0]
 
 
-def _render_poly(dom, poly) -> str:
-    """A polynomial's terms in the canonical order, each its encoded
-    coefficient (left out if 1 and followed by a factor) and its factors."""
+def _render_poly(poly) -> str:
+    """A polynomial's terms in the canonical order, each its coefficient
+    (left out if 1 and followed by a factor) and its factors."""
     parts = []
-    for factors, raw in sorted(poly.items(), key=_term_key):
-        coeff = dom.encode(raw)
+    for factors, coeff in sorted(poly.items(), key=_term_key):
         head = () if coeff == 1 and factors else (str(coeff),)
         parts.append("*".join(head + factors))
     return " + ".join(parts) or "0"
@@ -41,8 +40,7 @@ def render_system(system: PolySystem) -> str:
     dom = system.domain
     lines = ["# system over %r: %d constraints, %d variables"
              % (dom, len(system.constraints), len(system.domains))]
-    lines += ["constraint %s = %d" % (_render_poly(dom, c.poly),
-                                      dom.encode(c.target))
+    lines += ["constraint %s = %d" % (_render_poly(c.poly), c.target)
               for c in system.constraints]
     for v in sorted(system.domains):
         values = system.domains[v]
@@ -50,7 +48,7 @@ def render_system(system: PolySystem) -> str:
             lines.append("domain %s = %r" % (v, dom))
         else:
             lines.append("domain %s = {%s}" % (
-                v, ", ".join(str(dom.encode(x)) for x in values)))
+                v, ", ".join(map(str, values))))
     return "\n".join(lines) + "\n"
 
 

@@ -5,11 +5,12 @@ keys.  ModularRing is residue arithmetic mod p^a; PrimeField, GF(p), is the
 same arithmetic mod p as a field, differing from Z_p only in kind and repr.
 FiniteField is GF(p^k) for k >= 2, in a polynomial basis modulo a built-in
 monic irreducible polynomial (orders up to 32), with products, powers and
-inverses read from per-field log/antilog tables.  Every layer computes on
-raw values: a residue int, or a coefficient tuple over GF(p^k).  A domain's
-r* methods are its arithmetic, elements() and units() list its raw values
-in canonical order, encode() gives a raw value's canonical integer (for
-printing and ordering), and coerce() is the one conversion of user input.
+inverses read from per-field log/antilog tables.  Every domain's raw value
+is its canonical integer: a residue, or over GF(p^k) the integer whose
+base-p digits are the polynomial's coefficients, so raws print and order
+as they are.  A domain's r* methods are its arithmetic, elements() and
+units() list its raw values in canonical order, and coerce() is the one
+conversion of user input.
 Square matrices of residues (group elements over GF(p), ring elements over
 Z_{p^a}) multiply, add and scale through kernels compiled once per modulus,
 size and operation (residue_matmul, residue_matadd, residue_matscale).
@@ -63,37 +64,27 @@ _BUILTIN_POLYS = {
 }
 
 
-def _poly_trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+class _IntRaws:
+    """Raw values are the ints 0 .. size - 1, in canonical order."""
 
+    rzero = 0
+    rone = 1
 
-def _poly_rem(a, b, p):
-    """Remainder of a modulo monic b, coefficients in Z_p, lowest degree first."""
-    a = [x % p for x in a]
-    db = len(b) - 1
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _poly_trim(a[:db])
+    @cached_property
+    def _element_tuple(self):
+        return tuple(range(self.size))
 
+    def elements(self):
+        return self._element_tuple
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
+    def __contains__(self, raw) -> bool:   # raw in elements(), no scan
+        return raw in range(self.size)
 
 
 @dataclass(frozen=True)
-class FiniteField:
-    """GF(p^k) for k >= 2; raw values are coefficient tuples."""
+class FiniteField(_IntRaws):
+    """GF(p^k) for k >= 2; the raw value sum c_i p^i is the polynomial
+    sum c_i z^i, its base-p digits c_i the coefficients."""
 
     p: int
     k: int
@@ -109,101 +100,102 @@ class FiniteField:
     def size(self) -> int:
         return self.p ** self.k
 
-    @cached_property
-    def rzero(self):
-        return (0,) * self.k
-
-    @cached_property
-    def rone(self):
-        return (1,) + (0,) * (self.k - 1)
+    def _scaled(self, c, a):
+        """c * a digitwise mod p, for an integer c."""
+        p, total, place = self.p, 0, 1
+        while a:
+            total += c * a % p * place
+            a //= p
+            place *= p
+        return total
 
     def radd(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        p, total, place = self.p, 0, 1
+        while a or b:
+            total += (a + b) % p * place
+            a //= p
+            b //= p
+            place *= p
+        return total
 
     def rneg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self._scaled(-1, a)
 
     @cached_property
     def _log_tables(self):
-        """(log, exp) from a generator g of GF(q)*: log maps each nonzero raw
-        value x to the i in [0, q - 1) with g^i = x, and
-        exp[i] = g^(i mod (q - 1)) for i < 2(q - 1), so that a product of two
-        nonzeros is exp[log[a] + log[b]].  Built once per field, by
-        polynomial arithmetic modulo the defining polynomial."""
-        order, p, k = self.size - 1, self.p, self.k
-        for v in range(2, self.size):
-            g, powers = list(self.decode(v)), [self.rone]
-            while len(powers) < order:
-                rem = _poly_rem(_poly_mul(list(powers[-1]), g, p),
-                                list(self.modpoly), p)
-                if rem == [1]:
+        """(log, exp) from a generator g of GF(q)*: log[x] is the i in
+        [0, q - 1) with g^i = x for each nonzero x (log[0] is None), and
+        exp[i] = g^(i mod (q - 1)) for i < 2(q - 1), so that a product of
+        two nonzeros is exp[log[a] + log[b]].  Built once per field by a
+        shift-and-reduce product modulo the defining polynomial."""
+        p, q = self.p, self.size
+        # z^k = -(the lower terms of modpoly), so a digit c shifted past
+        # z^(k-1) comes back as c * wrap
+        wrap = self._scaled(-1, sum(c * p ** i
+                                    for i, c in enumerate(self.modpoly[:-1])))
+        wraps = [self._scaled(c, wrap) for c in range(p)]
+
+        def times(a, g):   # a * g, Horner over g's digits from the top
+            acc = 0
+            for place in reversed(range(self.k)):
+                top, acc = divmod(acc * p, q)
+                digit = g // p ** place % p
+                acc = self.radd(self.radd(acc, wraps[top]),
+                                self._scaled(digit, a) if digit else 0)
+            return acc
+
+        for g in range(2, q):
+            powers = [1]
+            while len(powers) < q - 1:
+                x = times(powers[-1], g)
+                if x == 1:
                     break
-                powers.append(tuple(rem + [0] * (k - len(rem))))
-            if len(powers) == order:
-                return {x: i for i, x in enumerate(powers)}, powers * 2
+                powers.append(x)
+            if len(powers) == q - 1:
+                log = [None] * q
+                for i, x in enumerate(powers):
+                    log[x] = i
+                return log, powers * 2
         raise DomainError("%r has no multiplicative generator" % self)
 
     def rmul(self, a, b):
-        log, exp = self._log_tables
-        i, j = log.get(a), log.get(b)
-        if i is None or j is None:
-            return self.rzero
-        return exp[i + j]
+        if a and b:
+            log, exp = self._log_tables
+            return exp[log[a] + log[b]]
+        return 0
 
     def rdot(self, xs, ys):
         """Sum of the products xs[i] * ys[i]; zero for empty sequences."""
-        return reduce(self.radd, map(self.rmul, xs, ys), self.rzero)
+        return reduce(self.radd, map(self.rmul, xs, ys), 0)
 
     def rinv(self, a):
-        if a == self.rzero:
+        if not a:
             raise DomainError("zero is not invertible in %s" % self)
         log, exp = self._log_tables
-        return exp[len(log) - log[a]]
+        return exp[self.size - 1 - log[a]]
 
     def rpow(self, a, n: int):
         """a^n for n >= 0, read from the log tables."""
-        if a == self.rzero:
-            return self.rone if n == 0 else self.rzero
+        if not a:
+            return 1 if n == 0 else 0
         log, exp = self._log_tables
-        return exp[log[a] * n % len(log)]
-
-    def encode(self, raw) -> int:
-        total = 0
-        for c in reversed(raw):
-            total = total * self.p + c
-        return total
-
-    def decode(self, value: int):
-        if not 0 <= value < self.size:
-            raise DomainError("value %d out of range for %s" % (value, self))
-        digits = []
-        for _ in range(self.k):
-            digits.append(value % self.p)
-            value //= self.p
-        return tuple(digits)
+        return exp[log[a] * n % (self.size - 1)]
 
     def coerce(self, value):
-        """The raw value of an encoded integer or a coefficient vector."""
+        """The raw value of an int below q or of a coefficient vector."""
         if isinstance(value, int):
-            return self.decode(value)
+            if value not in self:
+                raise DomainError("value %d out of range for %s"
+                                  % (value, self))
+            return value
         if isinstance(value, (tuple, list)):
             if len(value) != self.k:
                 raise DomainError("coefficient vector of length %d expected"
                                   % self.k)
-            return tuple(int(c) % self.p for c in value)
+            return sum(int(c) % self.p * self.p ** i
+                       for i, c in enumerate(value))
         raise DomainError("cannot interpret %r as an element of %s"
                           % (value, self))
-
-    @cached_property
-    def _element_tuple(self):
-        return tuple(self.decode(v) for v in range(self.size))
-
-    def elements(self):
-        return self._element_tuple
-
-    def __contains__(self, raw) -> bool:   # raw in elements(), digitwise
-        return (isinstance(raw, tuple) and len(raw) == self.k
-                and all(c in range(self.p) for c in raw))
 
     def units(self):
         return self._element_tuple[1:]
@@ -213,15 +205,13 @@ class FiniteField:
 
 
 @dataclass(frozen=True)
-class ModularRing:
+class ModularRing(_IntRaws):
     """Z_{p^alpha} with canonical residues; units are residues coprime to p."""
 
     p: int
     alpha: int
 
     kind = "modular"
-    rzero = 0
-    rone = 1
 
     @cached_property
     def size(self) -> int:
@@ -245,25 +235,12 @@ class ModularRing:
         """a^n for n >= 0."""
         return pow(a, n, self.size)
 
-    def encode(self, raw) -> int:
-        return raw
-
     def coerce(self, value):
         """The residue of an integer."""
         if isinstance(value, int):
             return value % self.size
         raise DomainError("cannot interpret %r as an element of %s"
                           % (value, self))
-
-    @cached_property
-    def _element_tuple(self):
-        return tuple(range(self.size))
-
-    def elements(self):
-        return self._element_tuple
-
-    def __contains__(self, raw) -> bool:   # raw in elements(), no scan
-        return raw in range(self.size)
 
     @cached_property
     def _unit_tuple(self):
@@ -313,7 +290,7 @@ def make_domain(p: int, exponent: int = 1, kind: str = "field"):
 
 def subgroup_of_order(domain, d: int) -> tuple:
     """The unique order-d subgroup {x : x^d = 1} of the cyclic group GF(q)*,
-    its raw values in encode order; requires d | q - 1."""
+    its raw values in ascending order; requires d | q - 1."""
     if getattr(domain, "kind", None) != "field":
         raise DomainError("multiplicative subgroups require a field domain")
     q = domain.size
@@ -326,7 +303,7 @@ def subgroup_of_order(domain, d: int) -> tuple:
         roots.add(domain.rpow(x, e))
         if len(roots) == d:
             break
-    members = tuple(sorted(roots, key=domain.encode))
+    members = tuple(sorted(roots))
     if len(members) != d:
         raise DomainError("expected %d solutions of x^%d = 1, found %d"
                           % (d, d, len(members)))

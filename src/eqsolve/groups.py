@@ -113,7 +113,7 @@ class SemipatternGroup:
     @cached_property
     def _matmul(self):
         """The upper triangular residue kernel over a PrimeField, or None
-        over a FiniteField GF(p^k), whose raws are coefficient tuples."""
+        over a FiniteField GF(p^k), whose raws do not multiply as residues."""
         if not isinstance(self.domain, PrimeField):
             return None
         return residue_matmul(self.domain.p, self.m, True)
@@ -129,7 +129,7 @@ class SemipatternGroup:
             elif v not in allowed:
                 raise GroupError(
                     "diagonal entry %d = %d outside its subgroup of order %d"
-                    % (i + 1, self.domain.encode(v), self.orders[i]))
+                    % (i + 1, v, self.orders[i]))
 
     def elements(self):
         """All group elements, in canonical (diagonal, then pattern-slot) order."""
@@ -194,9 +194,8 @@ class GroupElement:
         return hash(self.rows)
 
     def __repr__(self):
-        enc = self.group.domain.encode
         return "[%s]" % ",".join(
-            "[%s]" % ",".join(str(enc(v)) for v in row) for row in self.rows)
+            "[%s]" % ",".join(map(str, row)) for row in self.rows)
 
 
 def make_group(domain, m: int, pattern, orders) -> SemipatternGroup:

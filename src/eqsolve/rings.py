@@ -336,8 +336,8 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     each value of the last variable at once, as a lane of element indices
     in bytes, through +, * and scale tables built once per ring (see
     _table_scan).  Larger rings evaluate each assignment with
-    eval_ring_expr (lanes.first_assignment); without an ideal they scan M
-    as M/{0}, whose transversal is every element in canonical order.  Both
+    eval_ring_expr (lanes.first_assignment); without an ideal they scan
+    the cached ring_elements, every element in canonical order.  Both
     give the same verdict, witness and explored count.  Without variables
     nothing is enumerated and explored is 1.
     """
@@ -356,9 +356,12 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
         explored, witness = _table_scan(ring, expr, rhs, ideal, names)
     else:
         members = (ring.zero(),) if ideal is None else ideal.elements
+        carrier = ring_elements(ring) if names else ()
+        if ideal is not None:
+            carrier = _transversal(carrier, members, add)
         explored, witness = lanes.first_assignment(
-            _transversal(ring_elements(ring), members, add) if names else (),
-            names, lambda a: (eval_ring_expr(expr, a, ring) - rhs) in members)
+            carrier, names,
+            lambda a: (eval_ring_expr(expr, a, ring) - rhs) in members)
     return Decision(witness is not None, witness, SolveStats(explored))
 
 

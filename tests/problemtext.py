@@ -14,11 +14,8 @@ from eqsolve.rings import RConst, RNeg, RProd, RScale, RSum, RVar
 
 
 def _flat(element) -> str:
-    """Row-major entries, each encoded through the element's domain."""
-    structure = (element.group if isinstance(element, GroupElement)
-                 else element.ring)
-    encode = structure.domain.encode
-    return json.dumps([encode(v) for row in element.rows for v in row],
+    """Row-major entries, each its raw value."""
+    return json.dumps([v for row in element.rows for v in row],
                       separators=(",", ","))
 
 

@@ -19,7 +19,7 @@ import json
 import random
 from pathlib import Path
 
-from eqsolve import (GroupElement, RNeg, RSum, brute_force_ring_solve,
+from eqsolve import (RNeg, RSum, brute_force_ring_solve,
                      brute_force_solve, decide_equation, decide_factor_ring,
                      decide_ring_equation, enumerate_ideal,
                      full_pattern, make_domain, make_group, make_ring,
@@ -42,10 +42,7 @@ def _groups():
 
 
 def _value(value):
-    """A group or ring element as its encoded rows."""
-    if isinstance(value, GroupElement):
-        encode = value.group.domain.encode
-        return [[encode(v) for v in row] for row in value.rows]
+    """A group or ring element as its rows of raw values."""
     return [list(row) for row in value.rows]
 
 

@@ -4,9 +4,39 @@ import pytest
 
 from eqsolve import (DomainError, FiniteField, ModularRing, PrimeField,
                      make_domain, subgroup_of_order)
-from eqsolve.domains import (_BUILTIN_POLYS, _poly_mul, _poly_rem,
-                             _poly_trim, residue_matadd, residue_matmul,
+from eqsolve.domains import (_BUILTIN_POLYS, residue_matadd, residue_matmul,
                              residue_matscale)
+
+
+# Coefficient-list polynomial arithmetic over Z_p, lowest degree first: the
+# reference that is_irreducible and the log-table check use.
+
+def _poly_trim(coeffs):
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_rem(a, b, p):
+    """Remainder of a modulo monic b, coefficients in Z_p, lowest degree first."""
+    a = [x % p for x in a]
+    db = len(b) - 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
+    return _poly_trim(a[:db])
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _poly_trim(out)
 
 
 def _monic_polys(p, degree):
@@ -110,7 +140,7 @@ def test_subgroup_examples():
                          + sorted(_BUILTIN_POLYS))
 def test_subgroup_equals_root_scan(q):
     """For every d | q - 1, the order-d subgroup is {x : x^d = 1}, in
-    encode order."""
+    ascending order."""
     p = next(p for p in range(2, q + 1) if q % p == 0)
     k = next(k for k in range(1, q) if p ** k == q)
     d = make_domain(p, k)
@@ -156,21 +186,56 @@ def test_field_axioms_exhaustive(q, exp):
             assert mul(a, d.rinv(a)) == d.rone
 
 
+def _digits(value, p, k):
+    """The k base-p digits of value, lowest first: its coefficient list."""
+    return [value // p ** i % p for i in range(k)]
+
+
+def _from_coeffs(coeffs, p):
+    return sum(c * p ** i for i, c in enumerate(coeffs))
+
+
 @pytest.mark.parametrize("p,k,poly", [(2, 2, None), (2, 5, None),
                                       (3, 3, None), (5, 2, None),
-                                      (3, 5, (1, 2, 0, 0, 0, 1))])
+                                      (3, 5, (1, 2, 0, 0, 0, 1)),
+                                      (2, 3, None), (3, 2, None),
+                                      (2, 4, None),
+                                      (2, 6, (1, 1, 0, 0, 0, 0, 1))])
 def test_log_tables_match_polynomial_arithmetic(p, k, poly):
-    """rmul and rinv read log/antilog tables; they agree with the product
-    modulo the defining polynomial, on built-in and supplied polynomials."""
+    """Int raws agree, through their base-p digits, with coefficient-list
+    arithmetic modulo the defining polynomial: radd, rneg, rmul, rinv,
+    rpow and coerce of coefficient vectors, on built-in and supplied
+    polynomials.  Every pair for q <= 32; past that the first 40 raws
+    against every raw."""
     d = make_domain(p, k) if poly is None else FiniteField(p, k, poly)
+    q, mod = d.size, list(d.modpoly)
+
+    def times(a, b):
+        return _from_coeffs(_poly_rem(_poly_mul(_digits(a, p, k),
+                                                _digits(b, p, k), p),
+                                      mod, p), p)
+
     raws = d.elements()
-    for a, b in itertools.product(raws[:40], raws):
-        rem = _poly_rem(_poly_mul(list(a), list(b), p), list(d.modpoly), p)
-        assert d.rmul(a, b) == tuple(rem + [0] * (k - len(rem)))
-    for a in raws[1:]:
-        assert d.rmul(a, d.rinv(a)) == d.rone
+    assert raws == tuple(range(q))
+    sample = raws if q <= 32 else raws[:40]
+    for a, b in itertools.product(sample, raws):
+        assert d.radd(a, b) == _from_coeffs(
+            [(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))],
+            p), (a, b)
+        assert d.rmul(a, b) == times(a, b), (a, b)
+    for a in sample:
+        digits = _digits(a, p, k)
+        assert d.rneg(a) == _from_coeffs([-c % p for c in digits], p)
+        assert d.coerce(digits) == d.coerce(tuple(digits)) == a
+        assert d.coerce([c + p for c in digits]) == a
+        if a:
+            assert times(a, d.rinv(a)) == 1
+        power = 1
+        for n in range(2 * q + 1):
+            assert d.rpow(a, n) == power, (a, n)
+            power = times(power, a)
     log = d._log_tables[0]
-    assert sorted(log.values()) == list(range(d.size - 1))
+    assert log[0] is None and sorted(log[1:]) == list(range(q - 1))
 
 
 @pytest.mark.parametrize("q,exp", [(2, 1), (3, 1), (4, 2), (5, 1), (7, 1),
@@ -217,14 +282,17 @@ def test_coerce_rejects_what_it_cannot_read():
     assert make_domain(2, 3, "modular").coerce(-1) == 7
 
 
-def test_extension_field_encode_decode_roundtrip():
+def test_extension_field_coerce_takes_ints_and_vectors():
+    """An int below q is its own raw, and its coefficient vector gives the
+    same raw; over GF(9) = GF(3)[z]/(z^2 + 1), z = 3 and z * z = -1 = 2."""
     d = make_domain(3, 2, "field")
     for v in range(9):
-        assert d.encode(d.coerce(v)) == v
-    x = d.coerce(3)
-    assert x == d.coerce((0, 1))  # encoding 3 is the basis element z
-    # z^2 = -1 = 2 for the defining polynomial z^2 + 1
-    assert d.encode(d.rmul(x, x)) == 2
+        assert d.coerce(v) == v
+        assert d.coerce((v % 3, v // 3)) == v
+        assert type(d.coerce([v % 3 + 3, v // 3])) is int
+    z = d.coerce((0, 1))
+    assert z == 3
+    assert d.rmul(z, z) == 2
 
 
 def test_residue_kernels_reject_bad_shapes():

@@ -513,7 +513,7 @@ def test_membership_check_matches_definition(sparse18):
         group._check_membership(((1, 0), (0, 2)))
     with pytest.raises(GroupError, match=r"entry \(2,1\) must be zero"):
         group._check_membership(((1, 0), (3, 1)))
-    # over GF(4) the message encodes the raw coefficient tuple of z
+    # over GF(4) the message prints z's raw value, the integer 2
     gf4 = make_group(f4, 2, ((1, 2),), (1, 1))
     with pytest.raises(GroupError, match="diagonal entry 1 = 2 outside its "
                                          "subgroup of order 1"):

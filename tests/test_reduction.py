@@ -531,6 +531,59 @@ def _check_separator(group, f, g, separator):
     assert evaluate_word(group, f, separator) != evaluate_word(group, g, separator)
 
 
+def _scan_place(group, names, assignment):
+    """1-based place of an assignment in the oracles' canonical scan."""
+    index = {g: i for i, g in enumerate(element_list(group))}
+    place = 0
+    for name in names:
+        place = place * group.order + index[assignment[name]]
+    return place + 1
+
+
+@pytest.mark.parametrize("m,pattern,orders,max_vars", [
+    (3, ((1, 2), (1, 3)), (2, 1, 1), 2),   # 162 elements: the lane oracle
+    (2, ((1, 2),), (8, 4), 1),             # 288 elements: per assignment
+])
+def test_gf9_decisions_match_the_oracles(m, pattern, orders, max_vars):
+    """GF(9) adds digitwise mod 3.  decide_equation agrees with
+    brute_force_solve, and decide_equivalence with words_agree_everywhere,
+    on both oracle branches.  Every witness and separator checks out, and
+    the oracle's is the first in canonical order: its scan place is its
+    explored count, and no later than the reduction's."""
+    group = make_group(make_domain(3, 2), m, pattern, orders)
+    rng = random.Random(9)
+    verdicts = set()
+    for trial in range(24):
+        word = random_word(rng, group, max_len=6, max_vars=max_vars)
+        names = word_variables(word)
+        target = (evaluate_word(group, word,
+                                random_assignment(rng, group, word))
+                  if trial % 2 else random_group_element(rng, group))
+        decision = decide_equation(group, word, target)
+        oracle = brute_force_solve(group, word, target)
+        assert decision.sat == oracle.sat, (word, target)
+        verdicts.add(oracle.sat)
+        if oracle.sat:
+            for witness in (decision.witness, oracle.witness):
+                assert evaluate_word(group, word, witness) == target
+            assert (oracle.stats.explored
+                    == _scan_place(group, names, oracle.witness)
+                    <= _scan_place(group, names, decision.witness))
+        other = (word + ("v1",) + invert_word(group, ("v1",)) if trial % 3 == 0
+                 else random_word(rng, group, max_len=6, max_vars=max_vars))
+        agree, first = words_agree_everywhere(group, word, other)
+        separator = separating_substitution(group, word, other)
+        assert decide_equivalence(group, word, other) == agree
+        assert (separator is None) == agree, (word, other)
+        if not agree:
+            names = word_variables(word + other)
+            for assignment in (first, separator):
+                _check_separator(group, word, other, assignment)
+            assert (_scan_place(group, names, first)
+                    <= _scan_place(group, names, separator))
+    assert verdicts == {True, False}
+
+
 def test_field_slots_occur_at_most_once_per_monomial(group_family):
     """The equivalence normal form cuts only diagonal exponents: it relies on
     every field slot having exponent <= 1 in a symbolic product."""

@@ -183,7 +183,7 @@ def test_entrywise_three_letter_chains(ring_m2z4):
     assert len(sigma) == 1
     grid = monomial_entry_polys(ring_m2z4, sigma[0], expr_variables(word))
     # only the chain 1 -> 2 -> 1 -> 2 survives in the top-right entry
-    assert cli._render_poly(ring_m2z4.domain, grid[0][1]) == \
+    assert cli._render_poly(grid[0][1]) == \
         "2*a[2][1][2]*s[1][2][1]*s[1][2][3]"
     bound = (ring_m2z4.nilpotency_bound - 1)
     for i in range(2):
@@ -816,6 +816,26 @@ def test_table_limit_keeps_large_rings_per_assignment():
         before = _table_calls()
         assert _public_oracle(ring, expr, rhs, coset) == expected, expr
         assert _table_calls() == before
+
+
+def test_large_ring_oracle_without_ideal_builds_no_transversal(monkeypatch):
+    """Past the lane limit and without an ideal, the oracle scans the cached
+    ring_elements as they are: no transversal of {0} is built, and the
+    verdict, witness and explored count are a plain enumeration's."""
+    ring = make_ring(2, 2, 3)
+    e13 = _unit_matrix(ring, 1, 3, 1)
+    c = RConst(ring.element([[2, 1, 0], [0, 0, 3], [0, 0, 2]]))
+
+    def refuse(*args):
+        raise AssertionError("transversal built without an ideal")
+
+    monkeypatch.setattr(rings, "_transversal", refuse)
+    for expr, rhs, explored in ((X * X, ring.zero(), 1), (X * c, e13, 641),
+                                (X * X, e13, 521)):
+        expected = _plain_oracle(ring, expr, rhs)
+        assert expected[2] == explored
+        assert _public_oracle(ring, expr, rhs) == expected, expr
+    assert _public_oracle(ring, X * X, ring.zero())[1] == {"x": ring.zero()}
 
 
 def test_large_ring_oracle_without_variables():

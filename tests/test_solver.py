@@ -441,8 +441,8 @@ def test_every_validation_message_is_kept(lookup):
     """The four malformed-system errors, with or without slot_domains."""
     good = poly(F3, (1, (X,)))
     cases = [
-        ((Constraint(poly(make_domain(2, 2), (2, (X,))), 0),), {X: (0, 1)},
-         r"coefficient \(0, 1\) is not an element of GF\(3\)"),
+        ((Constraint(poly(make_domain(2, 2), (3, (X,))), 0),), {X: (0, 1)},
+         r"coefficient 3 is not an element of GF\(3\)"),
         ((Constraint(good, 3),), {X: (0, 1)}, "target 3 is not an element"),
         ((Constraint(poly(F3, (1, (X, Y))), 0),), {X: (0, 1)},
          "variable y has no domain entry"),
