@@ -71,14 +71,18 @@ class _IntRaws:
     rone = 1
 
     @cached_property
+    def raws(self) -> range:   # `in raws` is `in elements()`, tested in C
+        return range(self.size)
+
+    @cached_property
     def _element_tuple(self):
-        return tuple(range(self.size))
+        return tuple(self.raws)
 
     def elements(self):
         return self._element_tuple
 
-    def __contains__(self, raw) -> bool:   # raw in elements(), no scan
-        return raw in range(self.size)
+    def __contains__(self, raw) -> bool:
+        return raw in self.raws
 
 
 @dataclass(frozen=True)

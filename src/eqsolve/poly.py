@@ -8,7 +8,9 @@ cli.render_system sorts them, into the canonical order.
 slot_grid_sum is the one grid both reductions build: a signed sum of
 products of slot_letter matrices of slots, F - G for a group equation
 between words and the sum of c * monomial less t[k] * a_k for a ring
-question.  The y^d = 1 cut lives in the letters' slots.
+question.  The y^d = 1 cut lives in the letters' slots.  Each row of a
+running product, and of the sum, is one {(column, factor tuple):
+coefficient} dict; the sum's rows are split into entries at the end.
 """
 
 from __future__ import annotations
@@ -46,54 +48,51 @@ def slot_grid_sum(dom, m: int, products) -> list:
     """The sum of scalar * (product of letters, left to right) over the
     (scalar, letters) pairs, as one m x m grid of Polynomials.
 
-    Letters are slot_letter's, with no zero coefficient.  A product starts
-    at its first letter, scaled, and its last letter adds straight into the
-    sum; an empty product is the identity, and a one-letter product adds
-    through the identity.  Each term is added into its output entry as it
-    is formed, deleting sums that cancel, so no entry holds a zero
-    coefficient.  A slot with cut d cuts its variable's exponent below d as
-    the product is formed, from the first letter on: var^d = 1, and
-    var^1 = 1 leaves the constant.
+    Letters are slot_letter's, with no zero coefficient.  A product's rows
+    are {(column, factor tuple): coefficient} dicts; it starts at its first
+    letter, scaled, and its last letter adds straight into the sum's row
+    dicts.  An empty product is the identity, and a one-letter product adds
+    through the identity.  Each term is added into its row as it is formed,
+    deleting sums that cancel, so no entry holds a zero coefficient.  A
+    slot with cut d cuts its variable's exponent below d as the product is
+    formed, from the first letter on: var^d = 1, and var^1 = 1 leaves the
+    constant.
     """
     rzero, rone, radd, rmul = dom.rzero, dom.rone, dom.radd, dom.rmul
     identity = ([[(i, rone, None, None)] for i in range(m)],)
-    total = [[Polynomial() for _ in range(m)] for _ in range(m)]
+    total = [{} for _ in range(m)]
     for scalar, letters in products:
         if scalar == rzero:
             continue
         first, *rest = letters or identity
-        # each row as its nonzero (column, entry) pairs
-        rows = [[(j, {() if var is None or cut == 1 else (var,): c})
+        rows = [{(j, () if var is None or cut == 1 else (var,)): c
                  for j, coeff, var, cut in slots
-                 for c in (rmul(scalar, coeff),) if c != rzero]
+                 for c in (rmul(scalar, coeff),) if c != rzero}
                 for slots in first]
         rest = rest or identity
         for n, letter in enumerate(rest, 1 - len(rest)):
-            outs = [[{} for _ in range(m)] for _ in range(m)] if n else total
-            for row, out in zip(rows, outs):
-                for col, left in row:
+            outs = [{} for _ in range(m)] if n else total
+            for row, acc in zip(rows, outs):
+                for (col, f), c in row.items():
                     for j, coeff, var, cut in letter[col]:
-                        acc = out[j]
-                        for f, c in left.items():
-                            # distinct keys of left stay distinct, also
-                            # where var^cut = 1 drops cut copies of var
-                            if var is not None:
-                                f = (tuple(sorted(f + (var,)))
-                                     if cut is None or f.count(var) < cut - 1
-                                     else tuple(v for v in f if v != var))
-                            if coeff != rone:
-                                c = rmul(c, coeff)
-                                if c == rzero:   # a zero divisor's product
-                                    continue
-                            prev = acc.get(f)
-                            if prev is None:
-                                acc[f] = c
-                            else:
-                                c = radd(prev, c)
-                                if c == rzero:
-                                    del acc[f]
-                                else:
-                                    acc[f] = c
-            rows = [[(j, e) for j, e in enumerate(out) if e] for out in outs]
-    return total
-
+                        # var^cut = 1: a cut-th copy of var drops them all
+                        key = (j, f if var is None
+                               else tuple(sorted(f + (var,)))
+                               if cut is None or f.count(var) < cut - 1
+                               else tuple(v for v in f if v != var))
+                        t = c if coeff == rone else rmul(c, coeff)
+                        if t == rzero:   # a zero divisor's product
+                            continue
+                        prev = acc.get(key)
+                        if prev is not None:
+                            t = radd(prev, t)
+                            if t == rzero:
+                                del acc[key]
+                                continue
+                        acc[key] = t
+            rows = outs
+    grid = [[Polynomial() for _ in range(m)] for _ in range(m)]
+    for row, entries in zip(total, grid):
+        for (j, f), c in row.items():
+            entries[j][f] = c
+    return grid

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from operator import add, getitem, mul
 
 from . import lanes
@@ -180,6 +180,11 @@ class Ideal:
 
     def __len__(self):
         return len(self.elements)
+
+    @cached_property
+    def transversal(self) -> list:
+        """The first ring element, in canonical order, of each coset."""
+        return _transversal(ring_elements(self.ring), self.elements, add)
 
 
 @lru_cache(maxsize=None)
@@ -356,9 +361,8 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
         explored, witness = _table_scan(ring, expr, rhs, ideal, names)
     else:
         members = (ring.zero(),) if ideal is None else ideal.elements
-        carrier = ring_elements(ring) if names else ()
-        if ideal is not None:
-            carrier = _transversal(carrier, members, add)
+        carrier = ((ring_elements(ring) if ideal is None
+                    else ideal.transversal) if names else ())
         explored, witness = lanes.first_assignment(
             carrier, names,
             lambda a: (eval_ring_expr(expr, a, ring) - rhs) in members)

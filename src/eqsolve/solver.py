@@ -77,17 +77,17 @@ class PolySystem:
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
-        dom, domains = self.domain, self.domains
+        domains, raws = self.domains, self.domain.raws
         lookup = self.slot_domains or {}
         occurrences = dict.fromkeys(domains, 0)
         for c in self.constraints:
-            if c.target not in dom:
+            if c.target not in raws:
                 raise SolverError("target %r is not an element of %s"
-                                  % (c.target, dom))
+                                  % (c.target, self.domain))
             for factors, coeff in c.poly.items():
-                if coeff not in dom:
+                if coeff not in raws:
                     raise SolverError("coefficient %r is not an element of %s"
-                                      % (coeff, dom))
+                                      % (coeff, self.domain))
                 for v in factors:
                     count = occurrences.get(v)
                     if count is None:

@@ -245,12 +245,7 @@ def test_first_letter_start_equals_identity_start(group_family):
                     grids.append(want)
                     lengths[len(word)] = lengths.get(len(word), 0) + 1
                 # lhs = rhs: the reference F plus -1 times the reference G
-                want = [[dict(entry) for entry in row] for row in grids[0]]
-                for acc_row, row in zip(want, grids[1]):
-                    for acc, entry in zip(acc_row, row):
-                        merge_terms(acc, [(f, dom.rneg(c))
-                                          for f, c in entry.items()],
-                                    dom.radd, dom.rzero)
+                want = _minus(dom, grids[0], grids[1])
                 assert symbolic_product(group, [
                     (dom.rone, words[0]),
                     (dom.rneg(dom.rone), words[1])]) == want, (lhs, rhs)
@@ -316,6 +311,70 @@ def test_first_letter_start_drops_zero_divisor_products():
             assert [[dict(e.items()) for e in row] for row in got] == want, \
                 (ring, monomials, cosets)
     assert vanished >= 50 and cosets_seen >= 50
+
+
+def _minus(dom, left, right):
+    """The raw grid left - right, sums that cancel deleted."""
+    out = [[dict(entry) for entry in row] for row in left]
+    for acc_row, row in zip(out, right):
+        for acc, entry in zip(acc_row, row):
+            merge_terms(acc, [(f, dom.rneg(c)) for f, c in entry.items()],
+                        dom.radd, dom.rzero)
+    return out
+
+
+def test_long_products_and_cancellation_equal_the_reference(group_family):
+    """Words of 12 to 24 letters over the family, the GF(4) group and a
+    GF(9) group of row orders (4, 2, 1), in the formal and the cut layout:
+    every product equals the reference dict for dict and is in normal
+    form.  F splices g g^-1 into the middle of G, so the terms g forms
+    cancel inside F's product and F - G is the zero grid; F against a
+    second word sharing F's prefix is the reference F - G."""
+    rng = random.Random(4139)
+    f4, f9 = make_domain(2, 2), make_domain(3, 2)
+    extra = (make_group(f4, 3, ((1, 2), (1, 3)), (3, 3, 1)),
+             make_group(f9, 3, ((1, 2), (1, 3)), (4, 2, 1)))
+    moved = cancelled = 0
+    for group in group_family + extra:
+        dom, m = group.domain, group.m
+        identity = scalar_grid(dom, m, dom.rone)
+        minus_one = dom.rneg(dom.rone)
+        for trial in range(8):
+            g_word = random_word(rng, group, max_len=22, min_len=10)
+            k = rng.randint(1, len(g_word) - 1)
+            g = rng.choice(element_list(group))
+            f_word = g_word[:k] + (g, g.inverse()) + g_word[k:]
+            j = rng.randint(1, len(f_word))
+            other = f_word[:j] + random_word(rng, group, max_len=24 - j,
+                                             min_len=max(0, 12 - j))
+            index = {name: n for n, name in enumerate(
+                word_variables(f_word + other), start=1)}
+            for cut in (False, True):
+                fl, gl, hl, head = (symbolic_letters(group, w, index, cut)
+                                    for w in (f_word, g_word, other,
+                                              f_word[:k + 1]))
+                want = {}
+                for name, letters in (("F", fl), ("G", gl), ("H", hl)):
+                    want[name] = reference_product(dom, identity, letters)
+                    got = symbolic_product(group, [(dom.rone, letters)])
+                    assert got == want[name], (group, name, f_word, cut)
+                    for entry in itertools.chain(*got):
+                        _assert_normal_form(dom, entry, (group, f_word))
+                assert want["F"] == want["G"]
+                moved += reference_product(dom, identity, head) != \
+                    reference_product(dom, identity, head[:-1])
+                assert symbolic_product(group, [(dom.rone, fl),
+                                                (minus_one, gl)]) == \
+                    [[{}] * m] * m
+                got = symbolic_product(group, [(dom.rone, fl),
+                                               (minus_one, hl)])
+                assert got == _minus(dom, want["F"], want["H"]), \
+                    (group, f_word, other, cut)
+                for entry in itertools.chain(*got):
+                    _assert_normal_form(dom, entry, (group, f_word, other))
+                cancelled += sum(map(len, itertools.chain(*got))) < sum(
+                    map(len, itertools.chain(*want["F"], *want["H"])))
+    assert moved >= 60 and cancelled >= 30
 
 
 def test_raw_entries_equal_their_sorted_polynomials(group_family):

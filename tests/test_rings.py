@@ -838,6 +838,36 @@ def test_large_ring_oracle_without_ideal_builds_no_transversal(monkeypatch):
     assert _public_oracle(ring, X * X, ring.zero())[1] == {"x": ring.zero()}
 
 
+def test_large_ring_oracle_builds_each_ideals_transversal_once(monkeypatch):
+    """Past the lane limit, the coset representatives of an ideal are built
+    on its first oracle call and kept by the ideal: later calls on the same
+    ideal build none, a new ideal object builds its own, and SAT and UNSAT
+    questions over M(3,Z4) modulo the ideal of E13 keep a plain
+    enumeration's verdict, witness and explored count."""
+    ring = make_ring(2, 2, 3)
+    e12, e13 = _unit_matrix(ring, 1, 2, 1), _unit_matrix(ring, 1, 3, 1)
+    c = RConst(ring.element([[2, 1, 0], [0, 0, 3], [0, 0, 2]]))
+    built = []
+    transversal = rings._transversal
+
+    def counting(*args):
+        built.append(args)
+        return transversal(*args)
+
+    monkeypatch.setattr(rings, "_transversal", counting)
+    ideal = enumerate_ideal(ring, [e13])
+    cases = ((X * X, ring.zero(), True, 1), (c * X + X, e12, True, 33),
+             (X * X, e12, False, 64))
+    for expr, rhs, sat, explored in cases * 2:
+        expected = _plain_oracle(ring, expr, rhs, ideal)
+        assert (expected[0], expected[2]) == (sat, explored)
+        assert _public_oracle(ring, expr, rhs, ideal) == expected, expr
+        assert len(built) == 1
+    again = enumerate_ideal(ring, [e13])
+    assert _public_oracle(ring, X * X, e12, again) == (False, None, 64)
+    assert len(built) == 2
+
+
 def test_large_ring_oracle_without_variables():
     """|M(4,Z8)| is about 2.7e11: a question without variables enumerates
     neither the ring nor coset representatives, with or without the

@@ -7,6 +7,7 @@ import pytest
 from eqsolve import (Constraint, GuardExceeded, PolySystem, SolveRequest,
                      SolverError, make_domain, solve, verify_witness)
 
+from eqsolve.poly import Polynomial
 from naive import solve_naive
 from polyexpr import poly
 
@@ -251,6 +252,33 @@ def test_target_check_does_not_list_the_domain(monkeypatch):
     with pytest.raises(SolverError):
         PolySystem(big, (Constraint(constraint.poly, big.size),),
                    {X: (0, 1)})
+
+
+def test_system_membership_agrees_with_the_domain():
+    """PolySystem accepts a target or coefficient exactly when `in` the
+    domain accepts it: accepted values build the system, and every other
+    value raises SolverError with its message, never TypeError."""
+    odd = (-1, True, False, 1.0, 2.5, None, "a", (), (0,), (0, 1), [0, 1],
+           (1, 0, 1), (0, 3), (0.0, 1))
+    accepted = 0
+    for dom in (make_domain(3, 2, "modular"), F2, make_domain(5),
+                make_domain(2, 2), make_domain(2, 3), make_domain(3, 2),
+                make_domain(1048573)):
+        q = dom.size
+        for value in (0, 1, q - 1, q) + odd:
+            for target, coeff, what in ((value, 1, "target"),
+                                        (0, value, "coefficient")):
+                constraint = Constraint(Polynomial({(X,): coeff}), target)
+                if value in dom:
+                    assert PolySystem(dom, (constraint,), {X: (0, 1)})
+                    accepted += 1
+                    continue
+                message = "%s %r is not an element of %s" % (what, value,
+                                                            dom)
+                with pytest.raises(SolverError) as err:
+                    PolySystem(dom, (constraint,), {X: (0, 1)})
+                assert str(err.value) == message
+    assert accepted == 7 * 2 * 6
 
 
 def test_guard_exceeded():
