@@ -4,11 +4,11 @@ Domains are immutable values, safe to share, hash and use as dictionary
 keys.  ModularRing is residue arithmetic mod p^a; PrimeField, GF(p), is the
 same arithmetic mod p as a field, differing from Z_p only in kind and repr.
 FiniteField is GF(p^k) for k >= 2, in a polynomial basis modulo a built-in
-monic irreducible polynomial (orders up to 32), with products, powers and
-inverses read from per-field log/antilog tables.  Every domain's raw value
-is its canonical integer: a residue, or over GF(p^k) the integer whose
-base-p digits are the polynomial's coefficients, so raws print and order
-as they are.  A domain's r* methods are its arithmetic, elements() and
+monic irreducible polynomial (orders up to 32), with products and powers
+read from per-field log/antilog tables.  Every domain's raw value is its
+canonical integer: a residue, or over GF(p^k) the integer whose base-p
+digits are the polynomial's coefficients, so raws print and order as they
+are.  A domain's r* methods are its arithmetic, elements() and
 units() list its raw values in canonical order, and coerce() is the one
 conversion of user input.
 Square matrices of residues (group elements over GF(p), ring elements over
@@ -71,18 +71,19 @@ class _IntRaws:
     rone = 1
 
     @cached_property
-    def raws(self) -> range:   # `in raws` is `in elements()`, tested in C
-        return range(self.size)
-
-    @cached_property
     def _element_tuple(self):
-        return tuple(self.raws)
+        return tuple(range(self.size))
 
     def elements(self):
         return self._element_tuple
 
     def __contains__(self, raw) -> bool:
-        return raw in self.raws
+        """raw in elements(), without a scan: an int below 2^61 - 1 hashes
+        to itself, and whatever equals it hashes as it does."""
+        try:
+            return 0 <= hash(raw) < self.size and hash(raw) == raw
+        except TypeError:   # unhashable, so equal to no int
+            return False
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,6 @@ class FiniteField(_IntRaws):
         """Sum of the products xs[i] * ys[i]; zero for empty sequences."""
         return reduce(self.radd, map(self.rmul, xs, ys), 0)
 
-    def rinv(self, a):
-        if not a:
-            raise DomainError("zero is not invertible in %s" % self)
-        log, exp = self._log_tables
-        return exp[self.size - 1 - log[a]]
-
     def rpow(self, a, n: int):
         """a^n for n >= 0, read from the log tables."""
         if not a:
@@ -229,11 +224,6 @@ class ModularRing(_IntRaws):
 
     def rmul(self, a, b):
         return (a * b) % self.size
-
-    def rinv(self, a):
-        if a % self.p == 0:
-            raise DomainError("%d is not a unit in %s" % (a, self))
-        return pow(a, -1, self.size)
 
     def rpow(self, a, n: int):
         """a^n for n >= 0."""
@@ -363,14 +353,11 @@ def residue_matmul(n: int, m: int, upper: bool):
 
 
 @lru_cache(maxsize=None)
-def residue_matadd(n: int, m: int, sign: int):
-    """kernel(a, b): a + b (sign 1) or a - b (sign -1) for two m x m
-    matrices of residues mod n, each entry one (a[i][j] +/- b[i][j]) % n."""
-    if sign not in (1, -1):
-        raise DomainError("kernel sign must be 1 or -1, got %r" % (sign,))
-    op = "+" if sign == 1 else "-"
-    return _grid_kernel(n, m, lambda i, j: "(a%d_%d %s b%d_%d) %% %d"
-                        % (i, j, op, i, j, n))
+def residue_matadd(n: int, m: int):
+    """kernel(a, b): a + b for two m x m matrices of residues mod n, each
+    entry one (a[i][j] + b[i][j]) % n."""
+    return _grid_kernel(n, m, lambda i, j: "(a%d_%d + b%d_%d) %% %d"
+                        % (i, j, i, j, n))
 
 
 @lru_cache(maxsize=None)

@@ -31,6 +31,7 @@ from functools import cached_property, lru_cache, partial, reduce
 from . import lanes
 from .domains import (MATRIX_LIMIT, DomainError, PrimeField, residue_matmul,
                       subgroup_of_order)
+from .poly import membership_plan
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
 
@@ -71,8 +72,20 @@ class SemipatternGroup:
                      self.subgroups))
 
     @property
+    @lru_cache(maxsize=None)   # per value, as each parse makes a descriptor
+    def slots(self) -> tuple:
+        """(i, j, coeff, values) per free entry, 0-based, over the identity,
+        in canonical element order: diagonal entry i over row i's subgroup,
+        then each pattern position over the field, every coeff 1."""
+        dom = self.domain
+        return tuple([(i, i, dom.rone, sub)
+                      for i, sub in enumerate(self.subgroups)]
+                     + [(i - 1, j - 1, dom.rone, dom.elements())
+                        for i, j in self.pattern])
+
+    @cached_property
     def order(self) -> int:
-        return (self.domain.size ** len(self.pattern)) * math.prod(self.orders)
+        return math.prod(len(values) for *_, values in self.slots)
 
     def identity(self) -> "GroupElement":
         """The identity matrix; one shared element, as elements are immutable."""
@@ -96,19 +109,8 @@ class SemipatternGroup:
         return GroupElement(self, raw)
 
     @cached_property
-    def _membership_plan(self):
-        """Row-major (i, j, allowed) for every entry the definition
-        constrains: allowed holds the row's diagonal raws, or is None where
-        the entry must be zero (below the diagonal or outside P)."""
-        pat = frozenset(self.pattern)
-        plan = []
-        for i, sub in enumerate(self.subgroups):
-            for j in range(self.m):
-                if i == j:
-                    plan.append((i, j, frozenset(sub)))
-                elif i > j or (i + 1, j + 1) not in pat:
-                    plan.append((i, j, None))
-        return tuple(plan)
+    def _membership_plan(self):   # read on every multiply
+        return membership_plan(self, self.identity().rows)
 
     @cached_property
     def _matmul(self):
@@ -119,32 +121,24 @@ class SemipatternGroup:
         return residue_matmul(self.domain.p, self.m, True)
 
     def _check_membership(self, raw):
-        zero = self.domain.rzero
         for i, j, allowed in self._membership_plan:
             v = raw[i][j]
-            if allowed is None:
-                if v != zero:
+            if v not in allowed:
+                if i != j:
                     raise GroupError(
                         "entry (%d,%d) must be zero" % (i + 1, j + 1))
-            elif v not in allowed:
                 raise GroupError(
                     "diagonal entry %d = %d outside its subgroup of order %d"
                     % (i + 1, v, self.orders[i]))
 
     def elements(self):
-        """All group elements, in canonical (diagonal, then pattern-slot) order."""
-        dom = self.domain
-        zero = dom.rzero
-        slots = list(self.pattern)
-        slot_values = dom.elements()
-        for diag in itertools.product(*self.subgroups):
-            for fill in itertools.product(slot_values, repeat=len(slots)):
-                rows = [[zero] * self.m for _ in range(self.m)]
-                for i in range(self.m):
-                    rows[i][i] = diag[i]
-                for (i, j), v in zip(slots, fill):
-                    rows[i - 1][j - 1] = v
-                yield GroupElement(self, tuple(tuple(r) for r in rows))
+        """All group elements, in canonical (slot) order."""
+        slots, identity = self.slots, self.identity().rows
+        for fill in itertools.product(*(values for *_, values in slots)):
+            rows = [list(row) for row in identity]
+            for (i, j, _, _), v in zip(slots, fill):
+                rows[i][j] = v   # every coeff is 1
+            yield GroupElement(self, tuple(map(tuple, rows)))
 
     def __repr__(self):
         return "SemipatternGroup(q=%d, m=%d, pattern=%s, orders=%s)" % (
@@ -167,22 +161,15 @@ class GroupElement:
         return multiply(self, other)
 
     def inverse(self) -> "GroupElement":
-        """Exact inverse by back substitution; stays in the group."""
-        g = self.group
-        dom = g.domain
-        m = g.m
-        rows = self.rows
-        inv = [[dom.rzero] * m for _ in range(m)]
-        for i in range(m):
-            inv[i][i] = dom.rinv(rows[i][i])
-        for i in range(m - 1, -1, -1):  # rows below i must be ready first
-            for j in range(i + 1, m):
-                acc = dom.rzero
-                for l in range(i + 1, j + 1):
-                    acc = dom.radd(acc, dom.rmul(rows[i][l], inv[l][j]))
-                inv[i][j] = dom.rneg(dom.rmul(dom.rinv(rows[i][i]), acc))
-        result = GroupElement(g, tuple(tuple(r) for r in inv))
-        g._check_membership(result.rows)
+        """g^(E - 1) for E = exponent_bound(group), as g^E is the identity:
+        square and multiply through multiply, which checks membership."""
+        result, power = self.group.identity(), self
+        n = exponent_bound(self.group) - 1
+        while n:
+            if n & 1:
+                result = multiply(result, power)
+            n >>= 1
+            power = multiply(power, power) if n else power
         return result
 
     def __eq__(self, other):

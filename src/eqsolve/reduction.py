@@ -1,11 +1,10 @@
 """Reduction of group word equations to polynomial systems over the field.
 
 Every letter of a word becomes a symbolic upper triangular matrix: constant
-letters carry their entries, and the k-th distinct variable is the identity
-with a diagonal slot y[i][k] per row (over the row's subgroup) and a slot
-x[i][j][k] per pattern position (over the field).  Its record from _unknown
-(layout, letter, slot domains) depends only on the group, k and formal, so
-it is built once per process and shared by every equation.
+letters carry their entries, and the k-th distinct variable is the group's
+generic element, its slots (SemipatternGroup.slots) named y[i][k] on the
+diagonal and x[i][j][k] in P.  Its record from _unknown depends only on
+the group, k and formal, so it is built once per process and shared.
 Multiplying the symbolic letters left to right yields an m x m grid of entry
 polynomials: the diagonal entries are single monomials (products of the y
 slots) and each above-diagonal entry is a sum of products, one per
@@ -73,24 +72,17 @@ def y_variable(i: int, k: int) -> str:
 @lru_cache(maxsize=None)
 def _unknown(group: SemipatternGroup, k: int, formal) -> tuple:
     """Unknown k's record (layout, letter, slot domains), built once per
-    (group, k, formal) and shared by every equation.
-
-    The layout lies over the identity, every coefficient 1: y[i][k] over
-    row i's subgroup on the diagonal, except in a row of order 1 unless
-    formal (y^1 = 1 leaves the identity's 1 there), and x[i][j][k] over
-    the field at each pattern position.  Unless formal, the letter cuts
-    y^d = 1 in each diagonal slot of a row of order d.  The slot domains
-    map each slot variable to its values."""
-    dom = group.domain
-    rone, field = dom.rone, dom.elements()
-    layout = tuple(
-        [(i, i, rone, y_variable(i + 1, k), sub)
-         for i, (sub, d) in enumerate(zip(group.subgroups, group.orders))
-         if formal or d > 1]
-        + [(i - 1, j - 1, rone, x_variable(i, j, k), field)
-           for i, j in group.pattern])
+    (group, k, formal) and shared by every equation.  The layout is the
+    group's slots named y[i][k] and x[i][j][k], less, unless formal, the
+    diagonal slot of a row of order 1 (y^1 = 1 leaves the identity's 1);
+    unless formal, the letter cuts y^d = 1 in each diagonal slot of a row
+    of order d.  The slot domains map each slot variable to its values."""
+    layout = tuple((i, j, coeff, y_variable(i + 1, k) if i == j
+                    else x_variable(i + 1, j + 1, k), values)
+                   for i, j, coeff, values in group.slots
+                   if formal or i != j or len(values) > 1)
     return (layout,
-            slot_letter(dom, group.identity().rows, layout,
+            slot_letter(group.domain, group.identity().rows, layout,
                         None if formal else group.orders),
             {var: values for _, _, _, var, values in layout})
 

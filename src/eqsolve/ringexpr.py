@@ -16,6 +16,7 @@ re-exports every name here.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
@@ -23,6 +24,7 @@ from functools import cached_property, lru_cache, partial, reduce
 from .domains import (MATRIX_LIMIT, ModularRing, exceeds_domain_limit,
                       is_prime, residue_matadd, residue_matmul,
                       residue_matscale)
+from .poly import membership_plan
 
 
 class RingError(ValueError):
@@ -47,27 +49,36 @@ class NilpotentMatrixRing:
         return self.m * self.alpha
 
     @property
+    @lru_cache(maxsize=None)   # per value, as each parse makes a descriptor
+    def slots(self) -> tuple:
+        """(i, j, coeff, values) per free entry, 0-based, over zero, in
+        canonical (row-major) element order: coeff 1 over all of Z_{p^a}
+        above the diagonal; coeff p over range(p^(a-1)) on and below it."""
+        small = tuple(range(self.p ** (self.alpha - 1)))
+        return tuple((i, j, 1, self.domain.elements()) if i < j
+                     else (i, j, self.p, small) for i in range(self.m)
+                     for j in range(self.m) if i < j or self.alpha > 1)
+
+    @cached_property
+    def _membership_plan(self):
+        return membership_plan(self, self.zero().rows)
+
+    @cached_property
     def cardinality(self) -> int:
-        above = self.m * (self.m - 1) // 2
-        on_below = self.m * (self.m + 1) // 2
-        return (self.p ** self.alpha) ** above * (self.p ** (self.alpha - 1)) ** on_below
+        return math.prod(len(values) for *_, values in self.slots)
 
     @cached_property
     def domain(self) -> ModularRing:
         return ModularRing(self.p, self.alpha)
 
-    # the unrolled residue kernels of RingElement's *, +, - and scale
+    # the unrolled residue kernels of RingElement's *, + and scale
     @cached_property
     def _matmul(self):
         return residue_matmul(self.modulus, self.m, False)
 
     @cached_property
     def _matadd(self):
-        return residue_matadd(self.modulus, self.m, 1)
-
-    @cached_property
-    def _matsub(self):
-        return residue_matadd(self.modulus, self.m, -1)
+        return residue_matadd(self.modulus, self.m)
 
     @cached_property
     def _matscale(self):
@@ -78,31 +89,27 @@ class NilpotentMatrixRing:
         return RingElement(self, (row,) * self.m)
 
     def element(self, rows) -> "RingElement":
-        """Build a validated element from an m x m grid of residues."""
+        """Build a validated element from an m x m grid of integers."""
         if len(rows) != self.m or any(len(r) != self.m for r in rows):
             raise RingError("element grid must be %d x %d" % (self.m, self.m))
-        n = self.modulus
-        raw = tuple(tuple(int(v) % n for v in r) for r in rows)
-        for i in range(self.m):
-            for j in range(self.m):
-                if i >= j and raw[i][j] % self.p != 0:
-                    raise RingError(
-                        "entry (%d,%d) = %d must be a multiple of %d"
-                        % (i + 1, j + 1, raw[i][j], self.p))
+        coerce = self.domain.coerce
+        raw = tuple(tuple(map(coerce, r)) for r in rows)
+        for i, j, allowed in self._membership_plan:
+            if raw[i][j] not in allowed:
+                raise RingError(
+                    "entry (%d,%d) = %d must be a multiple of %d"
+                    % (i + 1, j + 1, raw[i][j], self.p))
         return RingElement(self, raw)
 
     def elements(self):
-        """All elements in canonical (row-major slot) order."""
-        n = self.modulus
-        above = tuple(range(n))
-        on_below = tuple(v * self.p for v in range(self.p ** (self.alpha - 1)))
-        slot_ranges = []
-        for i in range(self.m):
-            for j in range(self.m):
-                slot_ranges.append(above if i < j else on_below)
+        """All elements in canonical order: the product of one range per
+        entry, row-major, sliced into rows."""
+        m, rmul = self.m, self.domain.rmul
+        free = {(i, j): tuple(rmul(coeff, v) for v in values)
+                for i, j, coeff, values in self.slots}
+        ranges = [free.get((i, j), (0,)) for i in range(m) for j in range(m)]
         shared = {}  # equal rows share one tuple across the elements
-        m = self.m
-        for combo in itertools.product(*slot_ranges):
+        for combo in itertools.product(*ranges):
             rows = tuple(shared.setdefault(row, row) for row in
                          (combo[i * m:(i + 1) * m] for i in range(m)))
             yield RingElement(self, rows)
@@ -132,7 +139,7 @@ class RingElement:
 
     def __sub__(self, other):
         self._check(other)
-        return RingElement(self.ring, self.ring._matsub(self.rows, other.rows))
+        return self + other.scale(-1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -230,18 +237,18 @@ class RScale(RingExpr):
 
 def fold_expr(expr, ring: NilpotentMatrixRing, ops):
     """Fold an expression tree bottom-up through
-    ops = (var, const, neg, scale, add, mul, zero).
+    ops = (var, const, scale, add, mul, zero).
 
     var(name) and const(element) give the values of the leaves (a bare
-    element is a constant); neg(x) and scale(coeff, x) map a value, add and
-    mul combine the list of a sum's or a product's part values, in order,
-    and zero(ring) is the value of an empty sum.
+    element is a constant); scale(coeff, x) maps a value, a negation being
+    scale(-1, x); add and mul combine the list of a sum's or a product's
+    part values, in order, and zero(ring) is the value of an empty sum.
 
     This is the one place that checks an expression: a constant of another
     ring, an empty product and anything that is not an expression node
     raise RingError.
     """
-    var, const, neg, scale, add, mul, zero = ops
+    var, const, scale, add, mul, zero = ops
     # recursion goes through the module function, not through a nested
     # closure, whose reference cycle would leave every call to the collector
     if isinstance(expr, RVar):
@@ -263,7 +270,7 @@ def fold_expr(expr, ring: NilpotentMatrixRing, ops):
             return zero(ring)
         return add([fold_expr(part, ring, ops) for part in expr.parts])
     if isinstance(expr, RNeg):
-        return neg(fold_expr(expr.part, ring, ops))
+        return scale(-1, fold_expr(expr.part, ring, ops))
     if isinstance(expr, RScale):
         return scale(expr.coeff, fold_expr(expr.part, ring, ops))
     raise RingError("not a ring expression: %r" % (expr,))
@@ -293,7 +300,6 @@ def sigma_expand(expr, ring: NilpotentMatrixRing) -> tuple:
     for coeff, letters in fold_expr(expr, ring, (
             lambda name: [(1, (name,))],
             lambda value: [(1, (value,))],
-            lambda terms: [(-c, letters) for c, letters in terms],
             lambda coeff, terms: [(coeff * c, l) for c, l in terms],
             partial(reduce, operator.add), partial(reduce, mul),
             lambda ring: [])):
@@ -308,7 +314,7 @@ def sigma_expand(expr, ring: NilpotentMatrixRing) -> tuple:
 
 
 # RingElement operations for eval_ring_expr, which adds the variable lookup
-_ELEMENT_OPS = (lambda value: value, operator.neg,
+_ELEMENT_OPS = (lambda value: value,
                 lambda coeff, value: value.scale(coeff),
                 partial(reduce, operator.add), partial(reduce, operator.mul),
                 NilpotentMatrixRing.zero)

@@ -8,13 +8,13 @@ names.  After expansion to a sum of monomials (sigma_expand's
 as products of slot letters into one grid (poly.slot_grid_sum, as group
 words are), whose entries are scalar polynomials in the slot variables.
 Unknown k is the k-th variable in order of first occurrence in the
-expression, as in a group word; its record (_unknown) lays it out over zero
-with s[i][j][k] above the diagonal (full range) and p * a[i][j][k] on and
-below it.  Coefficients are tracked exactly, so any chain accumulating a p-power of
-at least a dies on its own; surviving monomials have at most m*a - 1
-factors.  An equation F = rhs reduces to the m^2 entry constraints over
-Z_{p^a}, decided by solver.SlotSystem as group equations are; over M/I
-it is F - rhs in I, one system over I's coset coordinates as well.
+expression, as in a group word; its record (_unknown) is the ring's generic
+element, its slots named s[i][j][k] and a[i][j][k].  Coefficients are
+tracked exactly, so any chain accumulating a p-power of at least a dies on
+its own; surviving monomials have at most m*a - 1 factors.  An equation
+F = rhs reduces to the m^2 entry constraints over Z_{p^a}, decided by
+solver.SlotSystem as group equations are; over M/I it is F - rhs in I, one
+system over I's coset coordinates as well.
 """
 
 from __future__ import annotations
@@ -59,17 +59,12 @@ def t_variable(k: int) -> str:
 @lru_cache(maxsize=None)
 def _unknown(ring: NilpotentMatrixRing, k: int) -> tuple:
     """Unknown k's record (layout, letter, slot domains), built once per
-    (ring, k).  The layout lies over zero: s[i][j][k] over the whole of
-    Z_{p^a} above the diagonal, and p * a[i][j][k] with a[i][j][k] below
-    p^(a-1) on and below it (no such slots for alpha = 1).  The slot
-    domains map each slot variable to its values."""
-    dom, m = ring.domain, ring.m
-    p = ring.p % ring.modulus
-    small = tuple(range(ring.p ** (ring.alpha - 1)))
-    layout = tuple((i, j, 1, s_variable(i + 1, j + 1, k), dom.elements())
-                   if i < j else (i, j, p, a_variable(i + 1, j + 1, k), small)
-                   for i in range(m) for j in range(m) if i < j or p)
-    return (layout, slot_letter(dom, ring.zero().rows, layout),
+    (ring, k).  The layout is the ring's slots over zero, named
+    s[i][j][k] above the diagonal and a[i][j][k] on and below it.  The
+    slot domains map each slot variable to its values."""
+    layout = tuple((i, j, coeff, (s_variable if i < j else a_variable)(
+        i + 1, j + 1, k), values) for i, j, coeff, values in ring.slots)
+    return (layout, slot_letter(ring.domain, ring.zero().rows, layout),
             {var: values for _, _, _, var, values in layout})
 
 
@@ -189,17 +184,13 @@ class Ideal:
 
 @lru_cache(maxsize=None)
 def _additive_basis(ring: NilpotentMatrixRing) -> tuple:
-    """Elements spanning the ring as an abelian group: E_ij above the
-    diagonal, and p * E_ij on and below it when alpha > 1."""
-    m, p = ring.m, ring.p % ring.modulus
+    """Elements spanning the ring as an abelian group: coeff * E_ij for
+    each of its slots (i, j, coeff, values)."""
     basis = []
-    for i in range(m):
-        for j in range(m):
-            value = 1 if i < j else p
-            if value:
-                rows = [[0] * m for _ in range(m)]
-                rows[i][j] = value
-                basis.append(ring.element(rows))
+    for i, j, coeff, _ in ring.slots:
+        rows = [[0] * ring.m for _ in range(ring.m)]
+        rows[i][j] = coeff
+        basis.append(ring.element(rows))
     return tuple(basis)
 
 
@@ -321,8 +312,7 @@ def _lane_node(expr, ring: NilpotentMatrixRing, names, lane: bytes):
         return lanes.unary(_scale_table(ring, coeff), node)
 
     return fold_expr(expr, ring, (
-        lanes.variables(names, lane).__getitem__, const,
-        partial(scale, -1), scale,
+        lanes.variables(names, lane).__getitem__, const, scale,
         partial(lanes.fold, partial(lanes.binary, plus)),
         partial(lanes.fold, partial(lanes.binary, times)),
         lambda ring: const(ring.zero())))

@@ -77,17 +77,17 @@ class PolySystem:
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
-        domains, raws = self.domains, self.domain.raws
+        domains, dom = self.domains, self.domain
         lookup = self.slot_domains or {}
         occurrences = dict.fromkeys(domains, 0)
         for c in self.constraints:
-            if c.target not in raws:
+            if c.target not in dom:
                 raise SolverError("target %r is not an element of %s"
-                                  % (c.target, self.domain))
+                                  % (c.target, dom))
             for factors, coeff in c.poly.items():
-                if coeff not in raws:
+                if coeff not in dom:
                     raise SolverError("coefficient %r is not an element of %s"
-                                      % (coeff, self.domain))
+                                      % (coeff, dom))
                 for v in factors:
                     count = occurrences.get(v)
                     if count is None:

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import golden_diff
 from eqsolve.cli import _build_parser, main
+from eqsolve.solver import Decision
 
 HERE = Path(__file__).resolve().parent
 PROBLEMS = HERE.parent / "problems"
@@ -191,6 +192,39 @@ def test_recursion_limit_exit_two(monkeypatch):
     assert "cli.cmd_decide" in err
 
 
+def test_deeply_nested_orders_reach_the_recursion_handler(tmp_path):
+    """An orders value nesting 100,000 lists exhausts the recursion limit
+    in the JSON decoder; main reports the layer and exits 2."""
+    path = tmp_path / "deep.prob"
+    path.write_text(UNSAT_GROUP.replace(
+        "orders = [1, 1, 1]", "orders = " + "[" * 100000 + "]" * 100000))
+    code, out, err = run(["decide", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: recursion limit %d exceeded in "
+                   "problemfile._as_list\n" % sys.getrecursionlimit())
+
+
+def test_oracle_disagreement_exit_three(monkeypatch, tmp_path):
+    """An oracle that contradicts the decision ends decide --oracle with
+    exit 3 and the oracle's verdict, on SAT and on UNSAT questions."""
+    import eqsolve.cli
+
+    real = eqsolve.cli._run_oracle
+    monkeypatch.setattr(eqsolve.cli, "_run_oracle",
+                        lambda *args: Decision(not real(*args).sat))
+    unsat = tmp_path / "unsat.prob"
+    unsat.write_text(UNSAT_GROUP)
+    for path, decided, claimed in (
+            (PROBLEMS / "ut3f2_square.prob", "SAT", "UNSAT"),
+            (PROBLEMS / "ring_factor.prob", "SAT", "UNSAT"),
+            (unsat, "UNSAT", "SAT")):
+        code, out, err = run(["decide", str(path), "--oracle"])
+        assert (code, err) == (3, ""), path
+        lines = out.splitlines()
+        assert lines[0] == decided
+        assert lines[-1] == "ORACLE DISAGREES: oracle says %s" % claimed
+
+
 LONG_RING = """
 [ring]
 p = 2
@@ -278,6 +312,17 @@ def test_dump_system_golden_ring():
         code, out, _ = run(["dump-system", str(PROBLEMS / (name + ".prob"))])
         assert code == 0
         assert out == (HERE / "data" / ("dump_%s.txt" % name)).read_text()
+
+
+def test_dump_system_out_writes_the_golden(tmp_path):
+    """dump-system --out PATH writes exactly what dump-system prints, the
+    golden, to PATH, and prints nothing."""
+    for name in ("ut3f2_commute", "ring_factor"):
+        target = tmp_path / (name + ".txt")
+        assert run(["dump-system", str(PROBLEMS / (name + ".prob")),
+                    "--out", str(target)]) == (0, "", "")
+        assert target.read_bytes() == \
+            (HERE / "data" / ("dump_%s.txt" % name)).read_bytes()
 
 
 def test_decide_dump_flag(tmp_path):

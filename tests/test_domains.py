@@ -94,12 +94,6 @@ def test_f3_units_form_full_multiplicative_group():
     assert subgroup_of_order(d, 2) == d.units()
 
 
-def test_z4_inverse_of_three():
-    d = make_domain(2, 2, "modular")
-    assert d.size == 4
-    assert d.rinv(3) == 3  # 3 * 3 = 9 = 1 mod 4
-
-
 def test_non_prime_p_rejected():
     with pytest.raises(DomainError):
         make_domain(4)
@@ -183,7 +177,7 @@ def test_field_axioms_exhaustive(q, exp):
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     for a in elems:
         if a != d.rzero:
-            assert mul(a, d.rinv(a)) == d.rone
+            assert mul(a, d.rpow(a, q - 2)) == d.rone
 
 
 def _digits(value, p, k):
@@ -203,8 +197,8 @@ def _from_coeffs(coeffs, p):
                                       (2, 6, (1, 1, 0, 0, 0, 0, 1))])
 def test_log_tables_match_polynomial_arithmetic(p, k, poly):
     """Int raws agree, through their base-p digits, with coefficient-list
-    arithmetic modulo the defining polynomial: radd, rneg, rmul, rinv,
-    rpow and coerce of coefficient vectors, on built-in and supplied
+    arithmetic modulo the defining polynomial: radd, rneg, rmul, rpow
+    and coerce of coefficient vectors, on built-in and supplied
     polynomials.  Every pair for q <= 32; past that the first 40 raws
     against every raw."""
     d = make_domain(p, k) if poly is None else FiniteField(p, k, poly)
@@ -228,8 +222,6 @@ def test_log_tables_match_polynomial_arithmetic(p, k, poly):
         assert d.rneg(a) == _from_coeffs([-c % p for c in digits], p)
         assert d.coerce(digits) == d.coerce(tuple(digits)) == a
         assert d.coerce([c + p for c in digits]) == a
-        if a:
-            assert times(a, d.rinv(a)) == 1
         power = 1
         for n in range(2 * q + 1):
             assert d.rpow(a, n) == power, (a, n)
@@ -257,10 +249,6 @@ def test_subgroup_closure_and_order(q, exp):
 def test_modular_units_are_coprime_residues():
     d = make_domain(2, 3, "modular")  # Z_8
     assert d.units() == (1, 3, 5, 7)
-    for u in d.units():
-        assert d.rmul(u, d.rinv(u)) == d.rone
-    with pytest.raises(DomainError):
-        d.rinv(2)
 
 
 @pytest.mark.parametrize("d", [make_domain(2, 2), make_domain(3, 2),
@@ -301,8 +289,6 @@ def test_residue_kernels_reject_bad_shapes():
         with pytest.raises(DomainError):
             residue_matmul(n, m, True)
         with pytest.raises(DomainError):
-            residue_matadd(n, m, 1)
+            residue_matadd(n, m)
         with pytest.raises(DomainError):
             residue_matscale(n, m)
-    with pytest.raises(DomainError):
-        residue_matadd(4, 2, 0)

@@ -500,14 +500,19 @@ def test_membership_check_matches_definition(sparse18):
     for group in groups:
         raws = group.domain.elements()
         m = group.m
+        members = set()
         for flat in itertools.product(raws, repeat=m * m):
             raw = tuple(flat[i * m:(i + 1) * m] for i in range(m))
             try:
                 group._check_membership(raw)
                 accepted = True
+                members.add(raw)
             except GroupError:
                 accepted = False
             assert accepted == _member_by_definition(group, raw), raw
+        # the slots enumerate exactly the members, and count them
+        assert members == {e.rows for e in group.elements()}
+        assert len(members) == group.order
     with pytest.raises(GroupError, match="diagonal entry 2 = 2 outside its "
                                          "subgroup of order 2"):
         group._check_membership(((1, 0), (0, 2)))

@@ -13,7 +13,8 @@ from eqsolve import (GuardExceeded, RConst, RNeg, RProd, RingError,
                      expr_variables, make_ring, ring_elements,
                      sigma_expand)
 from eqsolve import cli, lanes, rings, solver
-from eqsolve.domains import residue_matadd, residue_matmul, residue_matscale
+from eqsolve.domains import (DomainError, residue_matadd, residue_matmul,
+                             residue_matscale)
 from eqsolve.rings import RingElement
 from conftest import random_ring_element, random_ring_expr
 from entries import as_expr, monomial_entry_polys
@@ -70,6 +71,46 @@ def test_membership_validation(ring_m2z4):
     assert e.rows == ((2, 3), (0, 2))
 
 
+def test_membership_check_matches_definition():
+    """ring.element accepts exactly the matrices whose entries on and below
+    the diagonal are multiples of p, and names the first other entry in
+    row-major order; the accepted set is what elements() enumerates."""
+    for p, alpha, m in ((2, 1, 2), (2, 2, 2), (3, 2, 2), (2, 1, 3)):
+        ring = make_ring(p, alpha, m)
+        members = set()
+        for flat in itertools.product(range(p ** alpha), repeat=m * m):
+            raw = tuple(flat[i * m:(i + 1) * m] for i in range(m))
+            bad = [(i, j) for i in range(m) for j in range(i + 1)
+                   if raw[i][j] % p]
+            if not bad:
+                assert ring.element(raw).rows == raw
+                members.add(raw)
+                continue
+            i, j = min(bad)
+            with pytest.raises(RingError) as err:
+                ring.element(raw)
+            assert str(err.value) == ("entry (%d,%d) = %d must be a "
+                                      "multiple of %d"
+                                      % (i + 1, j + 1, raw[i][j], p))
+        assert members == {e.rows for e in ring.elements()}
+        assert len(members) == ring.cardinality
+
+
+def test_element_entries_go_through_coerce():
+    """Every int entry, negative or past p^a, reduces mod p^a; a float, a
+    string or None is no entry, wherever it stands."""
+    ring = make_ring(2, 2, 2)
+    assert ring.element([[-2, 7], [6, 4]]).rows == ((2, 3), (2, 0))
+    with pytest.raises(DomainError, match="cannot interpret 2.5"):
+        ring.element([[2.5, "3"], [2.9, 0]])
+    for bad in (2.5, 2.0, "3", None):
+        for i, j in itertools.product(range(2), repeat=2):
+            rows = [[0, 0], [0, 0]]
+            rows[i][j] = bad
+            with pytest.raises(DomainError, match="cannot interpret"):
+                ring.element(rows)
+
+
 def _reference_ops(ring, a, b):
     """a * b, a + b and a - b by plain loops over the entries."""
     m, n = ring.m, ring.modulus
@@ -83,9 +124,10 @@ def _reference_ops(ring, a, b):
 
 
 def test_ring_operations_match_entry_loops():
-    """*, +, -, negation and scaling go through one compiled residue
-    kernel per (modulus, size, operation), shared by every descriptor of
-    the same ring; -a and c*a are checked and then fed back in as inputs."""
+    """*, + and scaling go through one compiled residue kernel per
+    (modulus, size, operation), shared by every descriptor of the same
+    ring, and -, negation through + and scaling; -a and c*a are checked and
+    then fed back in as inputs."""
     residue_matmul.cache_clear()
     residue_matadd.cache_clear()
     residue_matscale.cache_clear()
@@ -114,8 +156,8 @@ def test_ring_operations_match_entry_loops():
         assert (twin.zero() * twin.zero()).rows == ring.zero().rows
     assert residue_matmul.cache_info().misses == len(shapes)
     assert residue_matmul.cache_info().hits == len(shapes)
-    assert residue_matadd.cache_info().misses == 2 * len(shapes)
-    assert residue_matadd.cache_info().currsize == 2 * len(shapes)
+    assert residue_matadd.cache_info().misses == len(shapes)
+    assert residue_matadd.cache_info().currsize == len(shapes)
     assert residue_matscale.cache_info().misses == len(shapes)
 
 
