@@ -13,7 +13,8 @@ units() list its raw values in canonical order, and coerce() is the one
 conversion of user input.
 Square matrices of residues (group elements over GF(p), ring elements over
 Z_{p^a}) multiply, add and scale through kernels compiled once per modulus,
-size and operation (residue_matmul, residue_matadd, residue_matscale).
+size and operation (residue_matmul, residue_matadd, residue_matscale); a
+structure's free entries, its slots, are read through slot_entries.
 """
 
 from __future__ import annotations
@@ -80,10 +81,13 @@ class _IntRaws:
     def __contains__(self, raw) -> bool:
         """raw in elements(), without a scan: an int below 2^61 - 1 hashes
         to itself, and whatever equals it hashes as it does."""
+        if type(raw) is int:
+            return 0 <= raw < self.size
         try:
-            return 0 <= hash(raw) < self.size and hash(raw) == raw
+            h = hash(raw)
         except TypeError:   # unhashable, so equal to no int
             return False
+        return 0 <= h < self.size and h == raw
 
 
 @dataclass(frozen=True)
@@ -366,3 +370,26 @@ def residue_matscale(n: int, m: int):
     integer c, each entry one (a[i][j] * c) % n."""
     return _grid_kernel(n, m, lambda i, j: "(a%d_%d * b) %% %d" % (i, j, n),
                         scalar=True)
+
+
+# -- free entries of a matrix structure ----------------------------------------
+
+def slot_entries(slot):
+    """The raws coeff * v, v in values, that a slot (i, j, coeff, values)
+    puts at its entry, in order: values for coeff 1; otherwise values is a
+    ring's range(p^(a-1)) and coeff p, so the image is a range below p^a."""
+    _, _, c, values = slot
+    return values if c == 1 else range(0, c * len(values), c)
+
+
+@lru_cache(maxsize=None)
+def membership_plan(structure) -> tuple:
+    """Row-major (i, j, allowed) for each entry that no slot leaves free over
+    the whole domain: allowed is its slot's entries (a range or a frozenset,
+    so a test is O(1) in time and size), or {0} where no slot lies.  Cached
+    per descriptor value, as each parse makes a new one."""
+    entries = {slot[:2]: slot_entries(slot) for slot in structure.slots}
+    plan = ((i, j, entries.get((i, j), (0,)))
+            for i in range(structure.m) for j in range(structure.m))
+    return tuple((i, j, a if isinstance(a, range) else frozenset(a))
+                 for i, j, a in plan if len(a) < structure.domain.size)

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
 from . import lanes
-from .domains import (MATRIX_LIMIT, DomainError, PrimeField, residue_matmul,
-                      subgroup_of_order)
-from .poly import membership_plan
+from .domains import (MATRIX_LIMIT, DomainError, PrimeField, membership_plan,
+                      residue_matmul, slot_entries, subgroup_of_order)
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
 
@@ -108,9 +107,7 @@ class SemipatternGroup:
         self._check_membership(raw)
         return GroupElement(self, raw)
 
-    @cached_property
-    def _membership_plan(self):   # read on every multiply
-        return membership_plan(self, self.identity().rows)
+    _membership_plan = cached_property(membership_plan)  # read per multiply
 
     @cached_property
     def _matmul(self):
@@ -134,10 +131,10 @@ class SemipatternGroup:
     def elements(self):
         """All group elements, in canonical (slot) order."""
         slots, identity = self.slots, self.identity().rows
-        for fill in itertools.product(*(values for *_, values in slots)):
+        for fill in itertools.product(*map(slot_entries, slots)):
             rows = [list(row) for row in identity]
             for (i, j, _, _), v in zip(slots, fill):
-                rows[i][j] = v   # every coeff is 1
+                rows[i][j] = v
             yield GroupElement(self, tuple(map(tuple, rows)))
 
     def __repr__(self):

@@ -15,8 +15,6 @@ coefficient} dict; the sum's rows are split into entries at the end.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 class Polynomial(dict):
     """An entry polynomial: the raw {factor tuple: coefficient} dict itself,
@@ -26,22 +24,6 @@ class Polynomial(dict):
 
     def monomial_count(self) -> int:
         return len(self)
-
-
-@lru_cache(maxsize=None)
-def membership_plan(structure, base) -> tuple:
-    """Row-major (i, j, allowed) for each entry that the structure's slots
-    (i, j, coeff, values) over base do not leave free over the domain:
-    allowed holds the entry's slot's coeff * values, or else its base
-    entry.  Cached per descriptor value, as each parse makes a new one."""
-    dom, slots = structure.domain, structure.slots
-    allowed = {(i, j): frozenset(dom.rmul(coeff, v) for v in values)
-               for i, j, coeff, values in slots
-               if coeff != dom.rone or len(values) < dom.size}
-    whole = {(i, j) for i, j, _, _ in slots}.difference(allowed)
-    return tuple((i, j, allowed.get((i, j), frozenset((raw,))))
-                 for i, row in enumerate(base) for j, raw in enumerate(row)
-                 if (i, j) not in whole)
 
 
 # -- slot-grid sums -----------------------------------------------------------

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
 from .domains import (MATRIX_LIMIT, ModularRing, exceeds_domain_limit,
-                      is_prime, residue_matadd, residue_matmul,
-                      residue_matscale)
-from .poly import membership_plan
+                      is_prime, membership_plan, residue_matadd,
+                      residue_matmul, residue_matscale, slot_entries)
 
 
 class RingError(ValueError):
@@ -54,14 +53,12 @@ class NilpotentMatrixRing:
         """(i, j, coeff, values) per free entry, 0-based, over zero, in
         canonical (row-major) element order: coeff 1 over all of Z_{p^a}
         above the diagonal; coeff p over range(p^(a-1)) on and below it."""
-        small = tuple(range(self.p ** (self.alpha - 1)))
+        small = range(self.p ** (self.alpha - 1))
         return tuple((i, j, 1, self.domain.elements()) if i < j
                      else (i, j, self.p, small) for i in range(self.m)
                      for j in range(self.m) if i < j or self.alpha > 1)
 
-    @cached_property
-    def _membership_plan(self):
-        return membership_plan(self, self.zero().rows)
+    _membership_plan = cached_property(membership_plan)
 
     @cached_property
     def cardinality(self) -> int:
@@ -104,9 +101,8 @@ class NilpotentMatrixRing:
     def elements(self):
         """All elements in canonical order: the product of one range per
         entry, row-major, sliced into rows."""
-        m, rmul = self.m, self.domain.rmul
-        free = {(i, j): tuple(rmul(coeff, v) for v in values)
-                for i, j, coeff, values in self.slots}
+        m = self.m
+        free = {slot[:2]: slot_entries(slot) for slot in self.slots}
         ranges = [free.get((i, j), (0,)) for i in range(m) for j in range(m)]
         shared = {}  # equal rows share one tuple across the elements
         for combo in itertools.product(*ranges):

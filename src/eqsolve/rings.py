@@ -186,12 +186,10 @@ class Ideal:
 def _additive_basis(ring: NilpotentMatrixRing) -> tuple:
     """Elements spanning the ring as an abelian group: coeff * E_ij for
     each of its slots (i, j, coeff, values)."""
-    basis = []
-    for i, j, coeff, _ in ring.slots:
-        rows = [[0] * ring.m for _ in range(ring.m)]
-        rows[i][j] = coeff
-        basis.append(ring.element(rows))
-    return tuple(basis)
+    m = ring.m
+    return tuple(ring.element([[coeff if (r, c) == (i, j) else 0
+                                for c in range(m)] for r in range(m)])
+                 for i, j, coeff, _ in ring.slots)
 
 
 def enumerate_ideal(ring: NilpotentMatrixRing, generators,

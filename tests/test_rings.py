@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,29 @@ def test_membership_check_matches_definition():
                                       % (i + 1, j + 1, raw[i][j], p))
         assert members == {e.rows for e in ring.elements()}
         assert len(members) == ring.cardinality
+
+
+def test_membership_check_holds_no_set_of_values():
+    """Checking elements of M(m, Z_{2^20}) allocates under 4 MB in all,
+    the plan included: a set of the 2^19 allowed multiples of 2 for an
+    entry on or below the diagonal would take tens of MB on its own.
+    m = 2 runs first, so such a plan fails there before m = 64."""
+    for m in (2, 64):
+        ring = make_ring(2, 20, m)
+        ring.domain.elements()   # the domain's own values, not the plan's
+        odd = [[0] * m for _ in range(m)]
+        odd[m - 1][0] = 3
+        tracemalloc.start()
+        try:
+            zero = ring.element([[0] * m for _ in range(m)])
+            with pytest.raises(RingError, match="entry \\(%d,1\\) = 3 must be"
+                               % m):
+                ring.element(odd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert zero.rows == ring.zero().rows
+        assert peak < 4 * 2 ** 20, (m, peak)
 
 
 def test_element_entries_go_through_coerce():
