@@ -185,18 +185,20 @@ class FiniteField(_IntRaws):
         return exp[log[a] * n % (self.size - 1)]
 
     def coerce(self, value):
-        """The raw value of an int below q or of a coefficient vector."""
+        """The raw value, an int, of an int below q or of a vector of ints."""
         if isinstance(value, int):
             if value not in self:
                 raise DomainError("value %d out of range for %s"
                                   % (value, self))
-            return value
+            return int(value)
         if isinstance(value, (tuple, list)):
             if len(value) != self.k:
                 raise DomainError("coefficient vector of length %d expected"
                                   % self.k)
-            return sum(int(c) % self.p * self.p ** i
-                       for i, c in enumerate(value))
+            if not all(isinstance(c, int) for c in value):
+                raise DomainError("coefficients must be integers, got %r"
+                                  % (value,))
+            return sum(c % self.p * self.p ** i for i, c in enumerate(value))
         raise DomainError("cannot interpret %r as an element of %s"
                           % (value, self))
 
@@ -382,12 +384,10 @@ def slot_entries(slot):
     return values if c == 1 else range(0, c * len(values), c)
 
 
-@lru_cache(maxsize=None)
 def membership_plan(structure) -> tuple:
     """Row-major (i, j, allowed) for each entry that no slot leaves free over
     the whole domain: allowed is its slot's entries (a range or a frozenset,
-    so a test is O(1) in time and size), or {0} where no slot lies.  Cached
-    per descriptor value, as each parse makes a new one."""
+    so a test is O(1) in time and size), or {0} where no slot lies."""
     entries = {slot[:2]: slot_entries(slot) for slot in structure.slots}
     plan = ((i, j, entries.get((i, j), (0,)))
             for i in range(structure.m) for j in range(structure.m))

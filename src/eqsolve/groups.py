@@ -5,7 +5,8 @@ above-diagonal positions (closed under (i,j),(j,k) -> (i,k), which is exactly
 what makes the unipotent part multiplicatively closed), and per-row
 multiplicative subgroup orders for the diagonal.  Elements are upper
 triangular matrices whose diagonal entry i lies in the row-i subgroup and
-whose entry (i,j) vanishes unless (i,j) is in P.
+whose entry (i,j) vanishes unless (i,j) is in P.  make_group returns one
+descriptor per value, so groups compare by identity.
 
 Words are sequences of letters; a letter is either a constant element or a
 variable name (equal names denote the same unknown).  The brute-force solver
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
@@ -48,13 +50,9 @@ class PatternError(GroupError):
         self.triple = ((i, j), (j, k), (i, k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemipatternGroup:
-    """Validated descriptor of N_P*D; build via make_group().
-
-    The descriptor keys the per-group caches (the oracle's tables, the
-    reduction's unknown layouts), so its hash, which walks the nested
-    subgroup tuples, is computed once."""
+    """Validated descriptor of N_P*D; make_group() builds one per value."""
 
     domain: object
     m: int
@@ -62,16 +60,7 @@ class SemipatternGroup:
     orders: tuple            # diagonal subgroup orders d_1..d_m
     subgroups: tuple         # per row, subgroup_of_order's raw values
 
-    def __hash__(self):
-        return self._hash
-
     @cached_property
-    def _hash(self):
-        return hash((self.domain, self.m, self.pattern, self.orders,
-                     self.subgroups))
-
-    @property
-    @lru_cache(maxsize=None)   # per value, as each parse makes a descriptor
     def slots(self) -> tuple:
         """(i, j, coeff, values) per free entry, 0-based, over the identity,
         in canonical element order: diagonal entry i over row i's subgroup,
@@ -153,7 +142,7 @@ class GroupElement:
 
     def __mul__(self, other):
         if (not isinstance(other, GroupElement)
-                or not _same_group(other.group, self.group)):
+                or other.group is not self.group):
             return NotImplemented
         return multiply(self, other)
 
@@ -170,8 +159,7 @@ class GroupElement:
         return result
 
     def __eq__(self, other):
-        return (isinstance(other, GroupElement)
-                and _same_group(self.group, other.group)
+        return (isinstance(other, GroupElement) and self.group is other.group
                 and self.rows == other.rows)
 
     def __hash__(self):
@@ -182,15 +170,20 @@ class GroupElement:
             "[%s]" % ",".join(map(str, row)) for row in self.rows)
 
 
+_GROUPS = {}   # one descriptor per value, for the life of the process
+
+
 def make_group(domain, m: int, pattern, orders) -> SemipatternGroup:
     """Validate and build a semipattern group descriptor.
 
     The pattern must satisfy the closure condition (i,j),(j,k) in P implies
     (i,k) in P; a violation is reported with the witnessing triple.  Each
-    diagonal order must divide q - 1.
+    diagonal order must divide q - 1.  m, the indices and the orders must
+    be ints (operator.index): a float or a string raises TypeError.
     """
     if getattr(domain, "kind", None) != "field":
         raise GroupError("semipattern groups live over a field domain")
+    m = operator.index(m)
     if m < 1:
         raise GroupError("matrix size must be positive")
     if m > MATRIX_LIMIT:
@@ -198,6 +191,7 @@ def make_group(domain, m: int, pattern, orders) -> SemipatternGroup:
                          % (m, MATRIX_LIMIT))
     pat = set()
     for i, j in pattern:
+        i, j = operator.index(i), operator.index(j)
         if not (1 <= i < j <= m):
             raise GroupError("pattern position (%d,%d) out of range" % (i, j))
         pat.add((i, j))
@@ -211,14 +205,17 @@ def make_group(domain, m: int, pattern, orders) -> SemipatternGroup:
         for k in columns.get(j, ()):
             if (i, k) not in pat:
                 raise PatternError(i, j, k)
-    orders = tuple(int(d) for d in orders)
+    orders = tuple(map(operator.index, orders))
     if len(orders) != m:
         raise GroupError("expected %d diagonal orders, got %d" % (m, len(orders)))
-    try:
-        subgroups = tuple(subgroup_of_order(domain, d) for d in orders)
-    except DomainError as exc:
-        raise GroupError("bad diagonal subgroup order: %s" % exc) from exc
-    return SemipatternGroup(domain, m, positions, orders, subgroups)
+    key = (domain, m, positions, orders)
+    if key not in _GROUPS:
+        try:
+            subgroups = tuple(subgroup_of_order(domain, d) for d in orders)
+        except DomainError as exc:
+            raise GroupError("bad diagonal subgroup order: %s" % exc) from exc
+        _GROUPS[key] = SemipatternGroup(*key, subgroups)
+    return _GROUPS[key]
 
 
 def full_pattern(m: int):
@@ -228,11 +225,6 @@ def full_pattern(m: int):
 def unitriangular_group(domain, m: int) -> SemipatternGroup:
     """UT(m, GF(q)): full pattern, trivial diagonal."""
     return make_group(domain, m, full_pattern(m), (1,) * m)
-
-
-def _same_group(g, h) -> bool:
-    """Group equality, with the usual case of one shared descriptor first."""
-    return g is h or g == h
 
 
 def _product(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -257,7 +249,7 @@ def _product(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Matrix product; validates that the result stays in the group."""
-    if not _same_group(a.group, b.group):
+    if a.group is not b.group:
         raise GroupError("elements of different groups")
     product = _product(a, b)
     a.group._check_membership(product.rows)
@@ -287,13 +279,12 @@ def evaluate_word(group: SemipatternGroup, word, assignment) -> GroupElement:
                 value = assignment[letter]
             except KeyError:
                 raise GroupError("no value for word variable %r" % letter) from None
-            if (not isinstance(value, GroupElement)
-                    or not _same_group(value.group, group)):
+            if not isinstance(value, GroupElement) or value.group is not group:
                 raise GroupError("value for %r is not an element of the group"
                                  % letter)
         else:
             value = letter
-            if not _same_group(value.group, group):
+            if value.group is not group:
                 raise GroupError("constant letter from a different group")
         result = value if result is None else multiply(result, value)
     return group.identity() if result is None else result
@@ -382,7 +373,7 @@ def _first_lane(group, left, right, equal, guard):
     if space > guard:
         raise GuardExceeded(space, guard)
     for letter in left + right:
-        if not isinstance(letter, str) and not _same_group(letter.group, group):
+        if not isinstance(letter, str) and letter.group is not group:
             raise GroupError("constant letter from a different group")
     if names and size <= lanes.LIMIT:
         elems, index, table, inverse = _cayley(group)

@@ -54,7 +54,7 @@ import itertools
 from functools import lru_cache
 
 from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
-                     _same_group, evaluate_word, word_variables)
+                     evaluate_word, word_variables)
 from .poly import slot_grid_sum, slot_letter
 from .solver import Constraint, Decision, SlotSystem
 
@@ -93,7 +93,7 @@ def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
     for letter in word:
         if isinstance(letter, str):
             letters.append(unknowns[letter])
-        elif not _same_group(letter.group, group):
+        elif letter.group is not group:
             raise GroupError("constant letter from a different group")
         else:
             letters.append(slot_letter(group.domain, letter.rows))
@@ -159,7 +159,7 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
         products.append((dom.rneg(dom.rone),
                          _word_letters(group, rhs, letters)))
         targets = ((dom.rzero,) * m,) * m
-    elif not _same_group(rhs.group, group):
+    elif rhs.group is not group:
         raise GroupError("right-hand side from a different group")
     else:
         targets = rhs.rows
@@ -217,8 +217,10 @@ def separating_substitution(group: SemipatternGroup, f, g):
     The first constraint of the reduced system f = g (in row-major upper
     triangle order) whose polynomial is nonzero is made nonzero by greedy
     slot values; slots it does not fix take the identity's entries.  The
-    result is re-checked through evaluate_word.
+    result is re-checked through evaluate_word.  A constant g is the word (g,).
     """
+    if isinstance(g, GroupElement):
+        g = (g,)
     reduced = build_system(group, f, g, formal=False)
     system = reduced.system
     c = next((c for c in system.constraints if c.poly), None)

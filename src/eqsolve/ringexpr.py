@@ -4,7 +4,8 @@ A ring M(m, Z_{p^a}) holds the m x m matrices over Z_{p^a} with every entry
 on or below the main diagonal a multiple of p.  It is nilpotent of class at
 most m*a: along any index chain through a product, each on-or-below-diagonal
 step contributes a factor p and at most m - 1 consecutive strictly-above
-steps can occur, so products of m*a elements vanish.  Expressions are trees
+steps can occur, so products of m*a elements vanish.  make_ring returns one
+descriptor per (p, a, m), so rings compare by identity.  Expressions are trees
 of variables, constants, sums, products, negations and integer multiples.
 fold_expr is the one walk that combines their values and the one place
 that checks them: sigma_expand folds them into sums of monomials with that
@@ -30,9 +31,9 @@ class RingError(ValueError):
     """Invalid ring description, element, or expression."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NilpotentMatrixRing:
-    """Descriptor of the ring; build via make_ring()."""
+    """Descriptor of the ring; make_ring() builds one per value."""
 
     p: int
     alpha: int
@@ -47,8 +48,7 @@ class NilpotentMatrixRing:
         """Every product of this many elements is zero."""
         return self.m * self.alpha
 
-    @property
-    @lru_cache(maxsize=None)   # per value, as each parse makes a descriptor
+    @cached_property
     def slots(self) -> tuple:
         """(i, j, coeff, values) per free entry, 0-based, over zero, in
         canonical (row-major) element order: coeff 1 over all of Z_{p^a}
@@ -124,9 +124,7 @@ class RingElement:
         self.rows = rows
 
     def _check(self, other):
-        # one shared descriptor is the usual case, and cheaper than ==
-        if not isinstance(other, RingElement) or (other.ring is not self.ring
-                                                  and other.ring != self.ring):
+        if not isinstance(other, RingElement) or other.ring is not self.ring:
             raise RingError("elements of different rings")
 
     def __add__(self, other):
@@ -152,7 +150,7 @@ class RingElement:
 
     def __eq__(self, other):
         return (isinstance(other, RingElement)
-                and self.ring == other.ring and self.rows == other.rows)
+                and self.ring is other.ring and self.rows == other.rows)
 
     def __hash__(self):
         return hash(self.rows)
@@ -162,7 +160,13 @@ class RingElement:
             "[%s]" % ",".join(str(v) for v in row) for row in self.rows)
 
 
+_RINGS = {}   # one descriptor per value, for the life of the process
+
+
 def make_ring(p: int, alpha: int, m: int) -> NilpotentMatrixRing:
+    """p, alpha and m must be ints (operator.index): a float or a string
+    raises TypeError."""
+    p, alpha, m = map(operator.index, (p, alpha, m))
     if alpha < 1 or m < 1:
         raise RingError("need alpha >= 1 and m >= 1")
     if m > MATRIX_LIMIT:
@@ -173,7 +177,9 @@ def make_ring(p: int, alpha: int, m: int) -> NilpotentMatrixRing:
                         "domain" % (p, alpha))
     if not is_prime(p):
         raise RingError("p = %d is not prime" % p)
-    return NilpotentMatrixRing(p, alpha, m)
+    if (p, alpha, m) not in _RINGS:
+        _RINGS[p, alpha, m] = NilpotentMatrixRing(p, alpha, m)
+    return _RINGS[p, alpha, m]
 
 
 @lru_cache(maxsize=None)
@@ -251,8 +257,7 @@ def fold_expr(expr, ring: NilpotentMatrixRing, ops):
         return var(expr.name)
     if isinstance(expr, (RConst, RingElement)):
         value = expr.value if isinstance(expr, RConst) else expr
-        if not isinstance(value, RingElement) or (value.ring is not ring
-                                                  and value.ring != ring):
+        if not isinstance(value, RingElement) or value.ring is not ring:
             raise RingError("constant %r is not an element of %s"
                             % (value, ring))
         return const(value)
@@ -324,7 +329,7 @@ def eval_ring_expr(expr, assignment, ring) -> RingElement:
             value = assignment[name]
         except KeyError:
             raise RingError("no value for ring variable %r" % name) from None
-        if not isinstance(value, RingElement) or value.ring != ring:
+        if not isinstance(value, RingElement) or value.ring is not ring:
             raise RingError("value for %r is not an element of %s"
                             % (name, ring))
         return value

@@ -113,7 +113,7 @@ class ReducedRingSystem(SlotSystem):
     def __init__(self, ring: NilpotentMatrixRing, expr, rhs: RingElement,
                  unknowns, entry_polys: list, ideal=None):
         super().__init__(ring.domain, ring.zero().rows, unknowns)
-        if rhs.ring is not ring and rhs.ring != ring:
+        if rhs.ring is not ring:
             raise RingError("right-hand side from a different ring")
         self.ring, self.expr, self.rhs, self.ideal = ring, expr, rhs, ideal
         self.constrain(tuple(
@@ -208,7 +208,7 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
     """
     gens = tuple(generators)
     for g in gens:
-        if not isinstance(g, RingElement) or g.ring != ring:
+        if not isinstance(g, RingElement) or g.ring is not ring:
             raise RingError("generator %r is not an element of %s" % (g, ring))
     basis = _additive_basis(ring)
     closed = {ring.zero()}
@@ -246,7 +246,7 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
     lexicographically first solution, and the ideal element reported is
     expr there.  The guard bounds the space of the slots alone, as over M.
     """
-    if ideal.ring != ring:
+    if ideal.ring is not ring:
         raise RingError("ideal of a different ring")
     reduced = build_ring_system(ring, expr, ring.zero(), ideal)
     space = reduced.system.search_space() // len(ideal)
@@ -336,9 +336,9 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     """
     if rhs is None:
         rhs = ring.zero()
-    if rhs.ring != ring:
+    if rhs.ring is not ring:
         raise RingError("right-hand side from a different ring")
-    if ideal is not None and ideal.ring != ring:
+    if ideal is not None and ideal.ring is not ring:
         raise RingError("ideal of a different ring")
     names = expr_variables(expr)
     n = ring.cardinality

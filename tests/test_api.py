@@ -1,6 +1,7 @@
 """No production code that only tests use: every public name that a module
 of eqsolve defines, and every public member of its classes, is read by
-production code under src/ or perfbench/."""
+production code under src/ or perfbench/.  And no production code builds a
+group or ring descriptor outside the make_* function that interns it."""
 
 import ast
 from collections import Counter
@@ -135,3 +136,31 @@ def test_public_members_are_read_in_production():
     """Exception payloads that callers outside the program read are exempt;
     a member whose name another class's read member shares passes."""
     assert unread_public_members(PACKAGE, _readers()) == []
+
+
+# The one function that builds each descriptor class, from its table of one
+# descriptor per value; descriptors compare by identity, so a descriptor
+# built anywhere else would equal none of the table's.
+BUILDERS = {"SemipatternGroup": "make_group",
+            "NilpotentMatrixRing": "make_ring"}
+
+
+def descriptor_calls(tree):
+    """(class, enclosing function or None) for each call of a BUILDERS
+    class in tree, by bare name or attribute."""
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call) and _read_at(node.func) in BUILDERS:
+            yield _read_at(node.func), function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return set(visit(tree, None))
+
+
+def test_descriptors_are_built_only_by_their_make_function():
+    calls = set()
+    for path in _readers():
+        calls |= descriptor_calls(ast.parse(path.read_text()))
+    assert calls == set(BUILDERS.items())

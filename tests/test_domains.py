@@ -264,10 +264,14 @@ def test_rpow_matches_repeated_products(d):
 
 def test_coerce_rejects_what_it_cannot_read():
     for d, bad in ((make_domain(5), 1.5), (make_domain(2, 2), (1, 0, 1)),
-                   (make_domain(2, 2), 4), (make_domain(2, 2), "1")):
+                   (make_domain(2, 2), 4), (make_domain(2, 2), "1"),
+                   (make_domain(2, 2), (1.5, 0.9)),
+                   (make_domain(3, 2), ("2", "1"))):
         with pytest.raises(DomainError):
             d.coerce(bad)
     assert make_domain(2, 3, "modular").coerce(-1) == 7
+    for d in (make_domain(5), make_domain(2, 2), make_domain(2, 3, "modular")):
+        assert d.coerce(True) == 1 and type(d.coerce(True)) is int
 
 
 def test_extension_field_coerce_takes_ints_and_vectors():

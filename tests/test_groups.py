@@ -440,7 +440,7 @@ def test_multiply_matches_matrix_product(ut3_f2, order54, sparse18):
 def test_identity_and_group_checks(f3, ut3_f2):
     group = make_group(f3, 3, full_pattern(3), (1, 2, 1))
     twin = make_group(f3, 3, full_pattern(3), (1, 2, 1))
-    assert twin is not group and twin == group
+    assert twin is group
     assert group.identity() == group.identity() == twin.identity()
     a, b = element_list(group)[31], element_list(twin)[44]
     product = multiply(a, b)
@@ -451,15 +451,14 @@ def test_identity_and_group_checks(f3, ut3_f2):
 
 
 def test_equal_descriptors_hash_equal_and_share_caches():
-    """Equal groups from separate make_group calls hash equal, so the
-    reduction's unknown records and the oracle's table are built once."""
+    """Equal groups from separate make_group calls are one descriptor, so
+    the reduction's unknown records and the oracle's table are built once."""
     from eqsolve.reduction import _unknown
 
     # a group no other test uses, so that neither cache holds it yet
     group, twin = (make_group(make_domain(5), 2, ((1, 2),), (2, 4))
                    for _ in range(2))
-    assert twin is not group and twin == group
-    assert hash(twin) == hash(group)
+    assert twin is group
     for cache, args in ((_unknown, (1, False)), (groups._cayley, ())):
         before = cache.cache_info()
         built = cache(group, *args)
@@ -469,8 +468,40 @@ def test_equal_descriptors_hash_equal_and_share_caches():
                 after.hits - before.hits) == (1, 1), cache
 
 
+def test_make_group_returns_one_descriptor_per_value():
+    """Equal values give one descriptor, however the pattern and orders are
+    spelled and whichever equal domain carries them; different values give
+    different ones.  A failed call raises the same message each time and
+    stores nothing, and a float or a string raises TypeError."""
+    f5 = make_domain(5)
+    group = make_group(f5, 3, ((1, 2), (1, 3)), (1, 2, 4))
+    assert make_group(make_domain(5), 3, [(1, 3), (1, 2), (1, 3)],
+                      [1, 2, 4]) is group
+    assert make_group(f5, 3, ((True, 2), (1, 3)), (True, 2, 4)) is group
+    others = [make_group(f5, 3, ((1, 2),), (1, 2, 4)),
+              make_group(f5, 3, ((1, 2), (1, 3)), (1, 4, 2)),
+              make_group(f5, 3, full_pattern(3), (1, 2, 4)),
+              make_group(make_domain(3), 3, ((1, 2), (1, 3)), (1, 2, 2))]
+    assert len({id(g) for g in [group] + others}) == 5
+    size = len(groups._GROUPS)
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(GroupError, match="bad diagonal subgroup") as err:
+            make_group(f5, 3, ((1, 2), (1, 3)), (1, 2, 3))
+        messages.add(str(err.value))
+    assert len(messages) == 1 and len(groups._GROUPS) == size
+    for m, pattern, orders in ((2, (), (2.7, 1)), (2, (), ("1", 1)),
+                               (2.0, (), (1, 1)), (2, ((1, 2.0),), (1, 1)),
+                               (2, (), (None, 1))):
+        with pytest.raises(TypeError):
+            make_group(f5, m, pattern, orders)
+    assert len(groups._GROUPS) == size
+    assert make_group(f5, 2, (), (2, 1)).orders == (2, 1)
+
+
 def test_import_loads_no_numpy():
-    """numpy is imported by the table oracles only, not by import eqsolve."""
+    """No module of eqsolve imports numpy: both oracles scan through
+    eqsolve.lanes, in pure Python."""
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys; sys.path.insert(0, %r); import eqsolve; "
              "print('numpy' in sys.modules)" % str(src))

@@ -62,6 +62,11 @@ def test_parse_ring_problem():
     assert set(pf.variables) == {"x", "y"}
 
 
+def test_equal_problems_share_one_structure():
+    assert parse_problem(GROUP_TEXT).group is parse_problem(GROUP_TEXT).group
+    assert parse_problem(RING_TEXT).ring is parse_problem(RING_TEXT).ring
+
+
 @pytest.mark.parametrize("rhs", ["[0, 2, 0, 0]", "[0,2,0,0]",
                                  "[[0, 2], [0, 0]]", "c"])
 def test_ring_rhs_inline_matrix_may_hold_spaces(rhs):

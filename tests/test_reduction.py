@@ -526,6 +526,35 @@ def test_equivalence_exponent_word(ut3_f2, sparse18):
         assert decide_equivalence(group, ("x",) * e, ())
 
 
+def test_equivalence_with_a_constant_right_side(ut3_f2, order54):
+    """A constant right side g is read as the word (g,): over two family
+    groups, decide_equivalence(group, f, g) agrees with
+    words_agree_everywhere(group, f, (g,)) on equivalent and non-equivalent
+    pairs, and every separator separates."""
+    one = ut3_f2.identity()
+    assert decide_equivalence(ut3_f2, (one,), one)
+    assert not decide_equivalence(ut3_f2, ("x",), one)
+    rng = random.Random(36)
+    for group in (ut3_f2, order54):
+        one = group.identity()
+        pairs = [((one,), one), (("x",), one),
+                 (("x",) * exponent_bound(group), one)]
+        for _ in range(8):
+            word = random_word(rng, group, max_len=5, max_vars=2)
+            pairs += [(word, random_group_element(rng, group)),
+                      (word + invert_word(group, word), one)]
+        verdicts = set()
+        for f, g in pairs:
+            agree, _ = words_agree_everywhere(group, f, (g,))
+            assert decide_equivalence(group, f, g) == agree, (f, g)
+            separator = separating_substitution(group, f, g)
+            assert (separator is None) == agree, (f, g)
+            if separator is not None:
+                _check_separator(group, f, (g,), separator)
+            verdicts.add(agree)
+        assert verdicts == {True, False}
+
+
 def _check_separator(group, f, g, separator):
     assert set(separator) == set(word_variables(f + g))
     assert evaluate_word(group, f, separator) != evaluate_word(group, g, separator)

@@ -13,7 +13,7 @@ from eqsolve import (GuardExceeded, RConst, RNeg, RProd, RingError,
                      entrywise_rewrite, enumerate_ideal, eval_ring_expr,
                      expr_variables, make_ring, ring_elements,
                      sigma_expand)
-from eqsolve import cli, lanes, rings, solver
+from eqsolve import cli, lanes, ringexpr, rings, solver
 from eqsolve.domains import (DomainError, residue_matadd, residue_matmul,
                              residue_matscale)
 from eqsolve.rings import RingElement
@@ -152,9 +152,6 @@ def test_ring_operations_match_entry_loops():
     (modulus, size, operation), shared by every descriptor of the same
     ring, and -, negation through + and scaling; -a and c*a are checked and
     then fed back in as inputs."""
-    residue_matmul.cache_clear()
-    residue_matadd.cache_clear()
-    residue_matscale.cache_clear()
     rng = random.Random(23)
     shapes = ((2, 3, 1), (2, 2, 2), (3, 2, 3), (2, 3, 4))  # (p, alpha, m)
     for p, alpha, m in shapes:
@@ -175,14 +172,33 @@ def test_ring_operations_match_entry_loops():
             for x in (-a, a.scale(3)):
                 assert ((x * b).rows, (x + b).rows, (x - b).rows) == \
                     _reference_ops(ring, x.rows, b.rows)
-        twin = make_ring(p, alpha, m)
-        assert twin is not ring
-        assert (twin.zero() * twin.zero()).rows == ring.zero().rows
-    assert residue_matmul.cache_info().misses == len(shapes)
-    assert residue_matmul.cache_info().hits == len(shapes)
-    assert residue_matadd.cache_info().misses == len(shapes)
-    assert residue_matadd.cache_info().currsize == len(shapes)
-    assert residue_matscale.cache_info().misses == len(shapes)
+        assert make_ring(p, alpha, m) is ring
+        assert (ring._matmul, ring._matadd, ring._matscale) == (
+            residue_matmul(n, m, False), residue_matadd(n, m),
+            residue_matscale(n, m))
+
+
+def test_make_ring_returns_one_descriptor_per_value():
+    """Equal (p, alpha, m) give one descriptor and different ones different
+    descriptors; a failed call raises the same message each time and
+    stores nothing, and a float or a string raises TypeError, so no float
+    key can take the slot of an int one."""
+    size = len(ringexpr._RINGS)
+    for args in ((2, 2.0, 2), (2.0, 2, 2), (2, 2, "2"), (None, 2, 2)):
+        with pytest.raises(TypeError):
+            make_ring(*args)
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(RingError, match="not prime") as err:
+            make_ring(4, 1, 2)
+        messages.add(str(err.value))
+    assert len(messages) == 1 and len(ringexpr._RINGS) == size
+    ring = make_ring(2, 2, 2)
+    assert make_ring(2, 2, 2) is ring
+    assert make_ring(2, 1, True) is make_ring(2, 1, 1)
+    assert ring.modulus == 4 and type(ring.modulus) is int
+    keys = ((2, 2, 2), (2, 1, 2), (2, 2, 3), (3, 2, 2))
+    assert len({id(make_ring(*key)) for key in keys}) == len(keys)
 
 
 def test_sigma_of_sigma_is_normal_form(ring_m2z4):
