@@ -13,12 +13,16 @@ units() list its raw values in canonical order, and coerce() is the one
 conversion of user input.
 Square matrices of residues (group elements over GF(p), ring elements over
 Z_{p^a}) multiply, add and scale through kernels compiled once per modulus,
-size and operation (residue_matmul, residue_matadd, residue_matscale); a
-structure's free entries, its slots, are read through slot_entries.
+size and operation (residue_matmul, residue_matadd, residue_matscale).
+MatrixStructure reads a group's or ring's free entries, its slots, through
+slot_entries into its order, base element, membership and enumeration.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
@@ -267,7 +271,10 @@ class PrimeField(ModularRing):
 
 def make_domain(p: int, exponent: int = 1, kind: str = "field"):
     """Build a validated GF(p^exponent) or Z_{p^exponent} domain; an
-    extension field uses the built-in defining polynomial of its order."""
+    extension field uses the built-in defining polynomial of its order.
+    p and exponent must be ints (operator.index): a float or a string
+    raises TypeError."""
+    p, exponent = operator.index(p), operator.index(exponent)
     if exponent < 1:
         raise DomainError("exponent must be positive, got %d" % exponent)
     # before the primality test, whose trial division grows with p
@@ -384,12 +391,70 @@ def slot_entries(slot):
     return values if c == 1 else range(0, c * len(values), c)
 
 
-def membership_plan(structure) -> tuple:
-    """Row-major (i, j, allowed) for each entry that no slot leaves free over
-    the whole domain: allowed is its slot's entries (a range or a frozenset,
-    so a test is O(1) in time and size), or {0} where no slot lies."""
-    entries = {slot[:2]: slot_entries(slot) for slot in structure.slots}
-    plan = ((i, j, entries.get((i, j), (0,)))
-            for i in range(structure.m) for j in range(structure.m))
-    return tuple((i, j, a if isinstance(a, range) else frozenset(a))
-                 for i, j, a in plan if len(a) < structure.domain.size)
+class MatrixStructure:
+    """Everything a matrix structure's slots say, read in one place.  A
+    subclass is a frozen dataclass with m, a domain and slots, one
+    (i, j, coeff, values) per free entry in canonical element order; its
+    class names _element (called with the structure and raw rows) and
+    _error, and _outside(i, j, v) words the error for a raw v at (i, j)."""
+
+    @cached_property
+    def order(self) -> int:
+        return math.prod(len(values) for *_, values in self.slots)
+
+    @cached_property
+    def _base(self):
+        """Every slot at its first entry, 0 elsewhere: a group's identity
+        (each subgroup tuple is sorted, so it starts with 1), a ring's zero."""
+        rows = [[0] * self.m for _ in range(self.m)]
+        for slot in self.slots:
+            rows[slot[0]][slot[1]] = slot_entries(slot)[0]
+        return self._element(self, tuple(map(tuple, rows)))
+
+    @cached_property
+    def _membership_plan(self) -> tuple:
+        """Row-major (i, j, allowed) for each entry that no slot leaves free
+        over the whole domain: allowed is its slot's entries (a range or a
+        frozenset, so a test is O(1) in time and size), or {0} where no
+        slot lies."""
+        entries = {slot[:2]: slot_entries(slot) for slot in self.slots}
+        plan = ((i, j, entries.get((i, j), (0,)))
+                for i in range(self.m) for j in range(self.m))
+        return tuple((i, j, a if isinstance(a, range) else frozenset(a))
+                     for i, j, a in plan if len(a) < self.domain.size)
+
+    def element(self, rows):
+        """Build a validated element from an m x m grid of entries, each
+        anything the domain's coerce() takes."""
+        m = self.m
+        if len(rows) != m or any(len(r) != m for r in rows):
+            raise self._error("element grid must be %d x %d" % (m, m))
+        coerce = self.domain.coerce
+        return self._member(tuple(tuple(map(coerce, r)) for r in rows))
+
+    def _member(self, raw):
+        """The element of raw rows that pass the membership check."""
+        self._check_membership(raw)
+        return self._element(self, raw)
+
+    def _check_membership(self, raw):
+        for i, j, allowed in self._membership_plan:
+            if raw[i][j] not in allowed:
+                raise self._error(self._outside(i, j, raw[i][j]))
+
+    def elements(self):
+        """All elements in canonical (slot) order: each fill of the slots
+        is picked into row-major entries over the base's, and equal rows
+        share one tuple."""
+        m, slots = self.m, self.slots
+        at = {slot[:2]: k for k, slot in enumerate(slots)}
+        base = tuple(itertools.chain(*self._base.rows))
+        # indices into fill + base; the trailing 0 keeps m = 1 a tuple
+        pick = operator.itemgetter(*[at.get(divmod(e, m), len(slots) + e)
+                                     for e in range(m * m)], 0)
+        cuts = [slice(i * m, (i + 1) * m) for i in range(m)]
+        share = {}.setdefault
+        for fill in itertools.product(*map(slot_entries, slots)):
+            entries = pick(fill + base)
+            rows = [entries[cut] for cut in cuts]
+            yield self._element(self, tuple(map(share, rows, rows)))

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
 from . import lanes
-from .domains import (MATRIX_LIMIT, DomainError, PrimeField, membership_plan,
-                      residue_matmul, slot_entries, subgroup_of_order)
+from .domains import (MATRIX_LIMIT, DomainError, MatrixStructure, PrimeField,
+                      residue_matmul, subgroup_of_order)
 from .solver import DEFAULT_GUARD, Decision, GuardExceeded, SolveStats
 
 
@@ -48,87 +48,6 @@ class PatternError(GroupError):
             "pattern not closed: (%d,%d) and (%d,%d) require (%d,%d)"
             % (i, j, j, k, i, k))
         self.triple = ((i, j), (j, k), (i, k))
-
-
-@dataclass(frozen=True, eq=False)
-class SemipatternGroup:
-    """Validated descriptor of N_P*D; make_group() builds one per value."""
-
-    domain: object
-    m: int
-    pattern: tuple           # sorted (i, j) pairs, 1-based, i < j
-    orders: tuple            # diagonal subgroup orders d_1..d_m
-    subgroups: tuple         # per row, subgroup_of_order's raw values
-
-    @cached_property
-    def slots(self) -> tuple:
-        """(i, j, coeff, values) per free entry, 0-based, over the identity,
-        in canonical element order: diagonal entry i over row i's subgroup,
-        then each pattern position over the field, every coeff 1."""
-        dom = self.domain
-        return tuple([(i, i, dom.rone, sub)
-                      for i, sub in enumerate(self.subgroups)]
-                     + [(i - 1, j - 1, dom.rone, dom.elements())
-                        for i, j in self.pattern])
-
-    @cached_property
-    def order(self) -> int:
-        return math.prod(len(values) for *_, values in self.slots)
-
-    def identity(self) -> "GroupElement":
-        """The identity matrix; one shared element, as elements are immutable."""
-        return self._identity
-
-    @cached_property
-    def _identity(self):
-        one, zero = self.domain.rone, self.domain.rzero
-        rows = tuple(tuple(one if i == j else zero for j in range(self.m))
-                     for i in range(self.m))
-        return GroupElement(self, rows)
-
-    def element(self, rows) -> "GroupElement":
-        """Build a validated element from an m x m grid of entries, each
-        anything the domain's coerce() takes."""
-        if len(rows) != self.m or any(len(r) != self.m for r in rows):
-            raise GroupError("element grid must be %d x %d" % (self.m, self.m))
-        coerce = self.domain.coerce
-        raw = tuple(tuple(map(coerce, r)) for r in rows)
-        self._check_membership(raw)
-        return GroupElement(self, raw)
-
-    _membership_plan = cached_property(membership_plan)  # read per multiply
-
-    @cached_property
-    def _matmul(self):
-        """The upper triangular residue kernel over a PrimeField, or None
-        over a FiniteField GF(p^k), whose raws do not multiply as residues."""
-        if not isinstance(self.domain, PrimeField):
-            return None
-        return residue_matmul(self.domain.p, self.m, True)
-
-    def _check_membership(self, raw):
-        for i, j, allowed in self._membership_plan:
-            v = raw[i][j]
-            if v not in allowed:
-                if i != j:
-                    raise GroupError(
-                        "entry (%d,%d) must be zero" % (i + 1, j + 1))
-                raise GroupError(
-                    "diagonal entry %d = %d outside its subgroup of order %d"
-                    % (i + 1, v, self.orders[i]))
-
-    def elements(self):
-        """All group elements, in canonical (slot) order."""
-        slots, identity = self.slots, self.identity().rows
-        for fill in itertools.product(*map(slot_entries, slots)):
-            rows = [list(row) for row in identity]
-            for (i, j, _, _), v in zip(slots, fill):
-                rows[i][j] = v
-            yield GroupElement(self, tuple(map(tuple, rows)))
-
-    def __repr__(self):
-        return "SemipatternGroup(q=%d, m=%d, pattern=%s, orders=%s)" % (
-            self.domain.size, self.m, list(self.pattern), list(self.orders))
 
 
 class GroupElement:
@@ -168,6 +87,52 @@ class GroupElement:
     def __repr__(self):
         return "[%s]" % ",".join(
             "[%s]" % ",".join(map(str, row)) for row in self.rows)
+
+
+@dataclass(frozen=True, eq=False)
+class SemipatternGroup(MatrixStructure):
+    """Validated descriptor of N_P*D; make_group() builds one per value."""
+
+    _element, _error = GroupElement, GroupError
+
+    domain: object
+    m: int
+    pattern: tuple           # sorted (i, j) pairs, 1-based, i < j
+    orders: tuple            # diagonal subgroup orders d_1..d_m
+    subgroups: tuple         # per row, subgroup_of_order's raw values
+
+    @cached_property
+    def slots(self) -> tuple:
+        """(i, j, coeff, values) per free entry, 0-based, over the identity,
+        in canonical element order: diagonal entry i over row i's subgroup,
+        then each pattern position over the field, every coeff 1."""
+        dom = self.domain
+        return tuple([(i, i, dom.rone, sub)
+                      for i, sub in enumerate(self.subgroups)]
+                     + [(i - 1, j - 1, dom.rone, dom.elements())
+                        for i, j in self.pattern])
+
+    def identity(self) -> GroupElement:
+        """The identity matrix; one shared element, as elements are immutable."""
+        return self._base
+
+    @cached_property
+    def _matmul(self):
+        """The upper triangular residue kernel over a PrimeField, or None
+        over a FiniteField GF(p^k), whose raws do not multiply as residues."""
+        if not isinstance(self.domain, PrimeField):
+            return None
+        return residue_matmul(self.domain.p, self.m, True)
+
+    def _outside(self, i, j, v):
+        if i != j:
+            return "entry (%d,%d) must be zero" % (i + 1, j + 1)
+        return ("diagonal entry %d = %d outside its subgroup of order %d"
+                % (i + 1, v, self.orders[i]))
+
+    def __repr__(self):
+        return "SemipatternGroup(q=%d, m=%d, pattern=%s, orders=%s)" % (
+            self.domain.size, self.m, list(self.pattern), list(self.orders))
 
 
 _GROUPS = {}   # one descriptor per value, for the life of the process

@@ -121,12 +121,8 @@ class ReducedSystem(SlotSystem):
 
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: GroupElement}."""
-        group = self.group
-        out = {}
-        for name, rows in self.witness_rows(assignment):
-            group._check_membership(rows)
-            out[name] = GroupElement(group, rows)
-        return out
+        return {name: self.group._member(rows)
+                for name, rows in self.witness_rows(assignment)}
 
     def holds(self, witness) -> bool:
         right = (self.rhs if isinstance(self.rhs, GroupElement)

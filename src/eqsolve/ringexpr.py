@@ -16,102 +16,17 @@ re-exports every name here.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
-from .domains import (MATRIX_LIMIT, ModularRing, exceeds_domain_limit,
-                      is_prime, membership_plan, residue_matadd,
-                      residue_matmul, residue_matscale, slot_entries)
+from .domains import (MATRIX_LIMIT, MatrixStructure, ModularRing,
+                      exceeds_domain_limit, is_prime, residue_matadd,
+                      residue_matmul, residue_matscale)
 
 
 class RingError(ValueError):
     """Invalid ring description, element, or expression."""
-
-
-@dataclass(frozen=True, eq=False)
-class NilpotentMatrixRing:
-    """Descriptor of the ring; make_ring() builds one per value."""
-
-    p: int
-    alpha: int
-    m: int
-
-    @cached_property
-    def modulus(self) -> int:
-        return self.p ** self.alpha
-
-    @property
-    def nilpotency_bound(self) -> int:
-        """Every product of this many elements is zero."""
-        return self.m * self.alpha
-
-    @cached_property
-    def slots(self) -> tuple:
-        """(i, j, coeff, values) per free entry, 0-based, over zero, in
-        canonical (row-major) element order: coeff 1 over all of Z_{p^a}
-        above the diagonal; coeff p over range(p^(a-1)) on and below it."""
-        small = range(self.p ** (self.alpha - 1))
-        return tuple((i, j, 1, self.domain.elements()) if i < j
-                     else (i, j, self.p, small) for i in range(self.m)
-                     for j in range(self.m) if i < j or self.alpha > 1)
-
-    _membership_plan = cached_property(membership_plan)
-
-    @cached_property
-    def cardinality(self) -> int:
-        return math.prod(len(values) for *_, values in self.slots)
-
-    @cached_property
-    def domain(self) -> ModularRing:
-        return ModularRing(self.p, self.alpha)
-
-    # the unrolled residue kernels of RingElement's *, + and scale
-    @cached_property
-    def _matmul(self):
-        return residue_matmul(self.modulus, self.m, False)
-
-    @cached_property
-    def _matadd(self):
-        return residue_matadd(self.modulus, self.m)
-
-    @cached_property
-    def _matscale(self):
-        return residue_matscale(self.modulus, self.m)
-
-    def zero(self) -> "RingElement":
-        row = (0,) * self.m
-        return RingElement(self, (row,) * self.m)
-
-    def element(self, rows) -> "RingElement":
-        """Build a validated element from an m x m grid of integers."""
-        if len(rows) != self.m or any(len(r) != self.m for r in rows):
-            raise RingError("element grid must be %d x %d" % (self.m, self.m))
-        coerce = self.domain.coerce
-        raw = tuple(tuple(map(coerce, r)) for r in rows)
-        for i, j, allowed in self._membership_plan:
-            if raw[i][j] not in allowed:
-                raise RingError(
-                    "entry (%d,%d) = %d must be a multiple of %d"
-                    % (i + 1, j + 1, raw[i][j], self.p))
-        return RingElement(self, raw)
-
-    def elements(self):
-        """All elements in canonical order: the product of one range per
-        entry, row-major, sliced into rows."""
-        m = self.m
-        free = {slot[:2]: slot_entries(slot) for slot in self.slots}
-        ranges = [free.get((i, j), (0,)) for i in range(m) for j in range(m)]
-        shared = {}  # equal rows share one tuple across the elements
-        for combo in itertools.product(*ranges):
-            rows = tuple(shared.setdefault(row, row) for row in
-                         (combo[i * m:(i + 1) * m] for i in range(m)))
-            yield RingElement(self, rows)
-
-    def __repr__(self):
-        return "M(%d, Z(%d))" % (self.m, self.modulus)
 
 
 class RingElement:
@@ -158,6 +73,64 @@ class RingElement:
     def __repr__(self):
         return "[%s]" % ",".join(
             "[%s]" % ",".join(str(v) for v in row) for row in self.rows)
+
+
+@dataclass(frozen=True, eq=False)
+class NilpotentMatrixRing(MatrixStructure):
+    """Descriptor of the ring; make_ring() builds one per value."""
+
+    _element, _error = RingElement, RingError
+
+    p: int
+    alpha: int
+    m: int
+
+    @cached_property
+    def modulus(self) -> int:
+        return self.p ** self.alpha
+
+    @property
+    def nilpotency_bound(self) -> int:
+        """Every product of this many elements is zero."""
+        return self.m * self.alpha
+
+    @cached_property
+    def slots(self) -> tuple:
+        """(i, j, coeff, values) per free entry, 0-based, over zero, in
+        canonical (row-major) element order: coeff 1 over all of Z_{p^a}
+        above the diagonal; coeff p over range(p^(a-1)) on and below it."""
+        small = range(self.p ** (self.alpha - 1))
+        return tuple((i, j, 1, self.domain.elements()) if i < j
+                     else (i, j, self.p, small) for i in range(self.m)
+                     for j in range(self.m) if i < j or self.alpha > 1)
+
+    @cached_property
+    def domain(self) -> ModularRing:
+        return ModularRing(self.p, self.alpha)
+
+    # the unrolled residue kernels of RingElement's *, + and scale
+    @cached_property
+    def _matmul(self):
+        return residue_matmul(self.modulus, self.m, False)
+
+    @cached_property
+    def _matadd(self):
+        return residue_matadd(self.modulus, self.m)
+
+    @cached_property
+    def _matscale(self):
+        return residue_matscale(self.modulus, self.m)
+
+    def zero(self) -> RingElement:
+        """The zero matrix; one shared element, as elements are immutable."""
+        return self._base
+
+    def _outside(self, i, j, v):
+        return "entry (%d,%d) = %d must be a multiple of %d" % (
+            i + 1, j + 1, v, self.p)
+
+    def __repr__(self):
+        return "M(%d, Z(%d))" % (self.m, self.modulus)
 
 
 _RINGS = {}   # one descriptor per value, for the life of the process

@@ -124,8 +124,7 @@ class ReducedRingSystem(SlotSystem):
 
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: RingElement}."""
-        ring = self.ring
-        return {name: ring.element(rows)
+        return {name: self.ring._member(rows)
                 for name, rows in self.witness_rows(assignment)}
 
     def holds(self, witness) -> bool:
@@ -341,7 +340,7 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     if ideal is not None and ideal.ring is not ring:
         raise RingError("ideal of a different ring")
     names = expr_variables(expr)
-    n = ring.cardinality
+    n = ring.order
     space = (n if ideal is None else n // len(ideal)) ** len(names)
     if space > guard:
         raise GuardExceeded(space, guard)

@@ -1,7 +1,8 @@
 """No production code that only tests use: every public name that a module
 of eqsolve defines, and every public member of its classes, is read by
-production code under src/ or perfbench/.  And no production code builds a
-group or ring descriptor outside the make_* function that interns it."""
+production code under src/ or perfbench/.  No production code builds a
+group or ring descriptor outside the make_* function that interns it.  And
+a structure's slots are read in the few scopes that SLOT_READERS names."""
 
 import ast
 from collections import Counter
@@ -164,3 +165,34 @@ def test_descriptors_are_built_only_by_their_make_function():
     for path in _readers():
         calls |= descriptor_calls(ast.parse(path.read_text()))
     assert calls == set(BUILDERS.items())
+
+
+# The scopes that read a structure's slots: MatrixStructure turns them into
+# its order, base element, membership check and enumeration, and the two
+# unknown records and the ring's additive basis lay them out.  slot_entries
+# is read in domains alone.
+SLOT_READERS = {("domains", "MatrixStructure"), ("reduction", "_unknown"),
+                ("rings", "_unknown"), ("rings", "_additive_basis")}
+
+
+def slot_reads(package):
+    """(module, outermost def or class, name) for each loaded .slots
+    attribute and each read of slot_entries in package's modules."""
+    reads = set()
+    for path in sorted(package.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            where = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                name = _read_at(node)
+                if name == "slot_entries" or (
+                        name == "slots" and isinstance(node, ast.Attribute)):
+                    reads.add((path.stem, where, name))
+    return reads
+
+
+def test_slots_are_read_in_one_place():
+    reads = slot_reads(PACKAGE)
+    assert {(module, where) for module, where, name in reads
+            if name == "slots"} - SLOT_READERS == set()
+    assert {module for module, _, name in reads
+            if name == "slot_entries"} == {"domains"}

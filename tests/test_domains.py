@@ -106,6 +106,13 @@ def test_bad_exponent_rejected():
         make_domain(3, 0)
 
 
+@pytest.mark.parametrize("args", [(2, 2.0), (5.0,), ("5",)])
+def test_p_and_exponent_must_be_ints(args):
+    # a float exponent used to build a GF(4) of size 4.0, equal to the real one
+    with pytest.raises(TypeError):
+        make_domain(*args)
+
+
 def test_unsupported_extension_degree_without_polynomial():
     with pytest.raises(DomainError):
         make_domain(2, 6, "field")

@@ -55,7 +55,7 @@ def test_parse_group_problem():
 def test_parse_ring_problem():
     pf = parse_problem(RING_TEXT)
     assert pf.kind == "ring"
-    assert pf.ring.cardinality == 32
+    assert pf.ring.order == 32
     assert len(pf.ideal_generators) == 1
     assert isinstance(pf.constants["c"], RingElement)
     assert pf.rhs == pf.ring.zero()

@@ -26,7 +26,7 @@ X, Y = RVar("x"), RVar("y")
 
 
 def test_m2z2_is_strictly_upper(ring_m2z2):
-    assert ring_m2z2.cardinality == 2
+    assert ring_m2z2.order == 2
     assert len(ring_elements(ring_m2z2)) == 2
     for a, b in itertools.product(ring_elements(ring_m2z2), repeat=2):
         assert (a * b).is_zero()  # nilpotency class 2
@@ -34,12 +34,12 @@ def test_m2z2_is_strictly_upper(ring_m2z2):
 
 def test_m2z4_cardinality(ring_m2z4):
     # one free slot above the diagonal (4 values), three even slots (2 each)
-    assert ring_m2z4.cardinality == 4 * 2 * 2 * 2 == 32
+    assert ring_m2z4.order == 4 * 2 * 2 * 2 == 32
     assert len(ring_elements(ring_m2z4)) == 32
 
 
 def test_m3z3_nilpotency_class_three(ring_m3z3):
-    assert ring_m3z3.cardinality == 27
+    assert ring_m3z3.order == 27
     elems = ring_elements(ring_m3z3)
     assert any(not (a * b).is_zero()
                for a, b in itertools.product(elems, repeat=2))
@@ -94,7 +94,7 @@ def test_membership_check_matches_definition():
                                       "multiple of %d"
                                       % (i + 1, j + 1, raw[i][j], p))
         assert members == {e.rows for e in ring.elements()}
-        assert len(members) == ring.cardinality
+        assert len(members) == ring.order
 
 
 def test_membership_check_holds_no_set_of_values():
@@ -420,7 +420,7 @@ def test_enumerate_ideal_whole_ring(ring_m2z4):
             ring_m2z4.element([[0, 0], [2, 0]]),
             ring_m2z4.element([[0, 0], [0, 2]])]
     ideal = enumerate_ideal(ring_m2z4, gens)
-    assert len(ideal) == ring_m2z4.cardinality
+    assert len(ideal) == ring_m2z4.order
 
 
 def test_enumerate_ideal_two_torsion(ring_m2z4):
@@ -498,7 +498,7 @@ def test_ideal_closes_without_enumerating_the_ring():
     assert len(ideal) == 256
     # a small ideal of a ring far larger than the guard
     big = make_ring(2, 3, 4)
-    assert big.cardinality > rings.IDEAL_GUARD
+    assert big.order > rings.IDEAL_GUARD
     assert len(enumerate_ideal(big, [_unit_matrix(big, 1, 4, 2)])) == 256
 
 
@@ -760,7 +760,7 @@ def test_scale_tables_built_once_per_ring(monkeypatch, ring_m2z4):
 def test_table_oracle_on_a_ring_of_256_elements():
     # rows are bytes: the last index, 255, must survive every translation
     ring = make_ring(2, 9, 1)
-    assert ring.cardinality == lanes.LIMIT == 256
+    assert ring.order == lanes.LIMIT == 256
     elems = ring_elements(ring)
     last, two = elems[-1], elems[1]
     cases = ((X, last), (RNeg(X), elems[1]), (RScale(3, X) + RConst(two), last),
@@ -846,7 +846,7 @@ def test_foreign_constants_rejected_on_every_path(ring_m2z2, ring_m2z4):
 def test_malformed_nodes_rejected_on_every_path(ring_m2z4):
     # an empty product has no meaning; 5 is no ring element
     for ring in (ring_m2z4, make_ring(2, 2, 3)):
-        tables = ring.cardinality <= lanes.LIMIT
+        tables = ring.order <= lanes.LIMIT
         for bad in (RProd(()), RConst(5)):
             for expr in (bad, X + bad):
                 with pytest.raises(RingError):
@@ -881,7 +881,7 @@ def test_table_limit_keeps_large_rings_per_assignment():
     representatives of the ideal of E13, with the verdict, witness and
     explored count of a plain enumeration."""
     ring = make_ring(2, 2, 3)
-    assert ring.cardinality > lanes.LIMIT
+    assert ring.order > lanes.LIMIT
     e12, e13, e23 = (_unit_matrix(ring, i, j, 1)
                      for i, j in ((1, 2), (1, 3), (2, 3)))
     ideal = enumerate_ideal(ring, [e13])
