@@ -15,7 +15,8 @@ Square matrices of residues (group elements over GF(p), ring elements over
 Z_{p^a}) multiply, add and scale through kernels compiled once per modulus,
 size and operation (residue_matmul, residue_matadd, residue_matscale).
 MatrixStructure reads a group's or ring's free entries, its slots, through
-slot_entries into its order, base element, membership and enumeration.
+slot_entries into its order, base element, membership and enumeration,
+and lays them out as the unknowns and letters of both reductions.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+
+from .poly import slot_letter
 
 
 class DomainError(ValueError):
@@ -395,8 +398,12 @@ class MatrixStructure:
     """Everything a matrix structure's slots say, read in one place.  A
     subclass is a frozen dataclass with m, a domain and slots, one
     (i, j, coeff, values) per free entry in canonical element order; its
-    class names _element (called with the structure and raw rows) and
-    _error, and _outside(i, j, v) words the error for a raw v at (i, j)."""
+    class names _element (called with the structure and raw rows), _error
+    and _owner, the attribute by which an element names its structure.
+    _outside(i, j, v) words the error for a raw v at (i, j), and
+    _slot_name(i, j, k) names slot (i, j) of unknown k."""
+
+    _row_orders = None   # per-row diagonal orders d, cut as y^d = 1
 
     @cached_property
     def order(self) -> int:
@@ -437,6 +444,13 @@ class MatrixStructure:
         self._check_membership(raw)
         return self._element(self, raw)
 
+    def _own(self, value, what):
+        """value, if it is an element of this structure; otherwise the
+        structure's error says that what is from a different one."""
+        if getattr(value, self._owner, None) is not self:
+            raise self._error("%s from a different %s" % (what, self._owner))
+        return value
+
     def _check_membership(self, raw):
         for i, j, allowed in self._membership_plan:
             if raw[i][j] not in allowed:
@@ -458,3 +472,27 @@ class MatrixStructure:
             entries = pick(fill + base)
             rows = [entries[cut] for cut in cuts]
             yield self._element(self, tuple(map(share, rows, rows)))
+
+    def unknown(self, k: int, formal=False) -> tuple:
+        """Unknown k's record (layout, letter, slot domains), built once per
+        (structure, k, formal): its slots (i, j, coeff, var, values), var
+        named by _slot_name, less, unless formal, each one-value slot (a
+        group row of order 1 keeps the base's 1); unless formal, the letter
+        cuts y^d = 1 in each diagonal slot of a row of order d (_row_orders).
+        The slot domains map each slot variable to its values."""
+        return self._lay_out(k, bool(formal))
+
+    @lru_cache(maxsize=None)
+    def _lay_out(self, k, formal):
+        layout = tuple((i, j, coeff, self._slot_name(i, j, k), values)
+                       for i, j, coeff, values in self.slots
+                       if formal or len(values) > 1)
+        return (layout, slot_letter(self.domain, self._base.rows, layout,
+                                    None if formal else self._row_orders),
+                {var: values for _, _, _, var, values in layout})
+
+    def letters(self, word, unknown_letters) -> list:
+        """slot_grid_sum's letter per word position: unknown_letters[name]
+        for a name, slot_letter's rows for a constant of this structure."""
+        return [unknown_letters[x] if isinstance(x, str) else slot_letter(
+            self.domain, self._own(x, "constant letter").rows) for x in word]

@@ -93,7 +93,7 @@ class GroupElement:
 class SemipatternGroup(MatrixStructure):
     """Validated descriptor of N_P*D; make_group() builds one per value."""
 
-    _element, _error = GroupElement, GroupError
+    _element, _error, _owner = GroupElement, GroupError, "group"
 
     domain: object
     m: int
@@ -111,6 +111,16 @@ class SemipatternGroup(MatrixStructure):
                       for i, sub in enumerate(self.subgroups)]
                      + [(i - 1, j - 1, dom.rone, dom.elements())
                         for i, j in self.pattern])
+
+    @property
+    def _row_orders(self):
+        return self.orders
+
+    @staticmethod
+    def _slot_name(i, j, k):
+        """y[i][k] on the diagonal, x[i][j][k] above it, 1-based."""
+        return ("y[%d][%d]" % (i + 1, k) if i == j
+                else "x[%d][%d][%d]" % (i + 1, j + 1, k))
 
     def identity(self) -> GroupElement:
         """The identity matrix; one shared element, as elements are immutable."""
@@ -248,9 +258,7 @@ def evaluate_word(group: SemipatternGroup, word, assignment) -> GroupElement:
                 raise GroupError("value for %r is not an element of the group"
                                  % letter)
         else:
-            value = letter
-            if value.group is not group:
-                raise GroupError("constant letter from a different group")
+            value = group._own(letter, "constant letter")
         result = value if result is None else multiply(result, value)
     return group.identity() if result is None else result
 
@@ -338,8 +346,8 @@ def _first_lane(group, left, right, equal, guard):
     if space > guard:
         raise GuardExceeded(space, guard)
     for letter in left + right:
-        if not isinstance(letter, str) and letter.group is not group:
-            raise GroupError("constant letter from a different group")
+        if not isinstance(letter, str):
+            group._own(letter, "constant letter")
     if names and size <= lanes.LIMIT:
         elems, index, table, inverse = _cayley(group)
         lane = bytes(range(size))

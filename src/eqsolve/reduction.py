@@ -1,10 +1,11 @@
 """Reduction of group word equations to polynomial systems over the field.
 
-Every letter of a word becomes a symbolic upper triangular matrix: constant
-letters carry their entries, and the k-th distinct variable is the group's
-generic element, its slots (SemipatternGroup.slots) named y[i][k] on the
-diagonal and x[i][j][k] in P.  Its record from _unknown depends only on
-the group, k and formal, so it is built once per process and shared.
+Every letter of a word becomes a symbolic upper triangular matrix
+(group.letters): constant letters carry their entries, and the k-th
+distinct variable is the group's generic element, its slots
+(SemipatternGroup.slots) named y[i][k] on the diagonal and x[i][j][k] in
+P.  Its record, group.unknown(k, formal), depends only on the group, k and
+formal, so it is built once per process and shared.
 Multiplying the symbolic letters left to right yields an m x m grid of entry
 polynomials: the diagonal entries are single monomials (products of the y
 slots) and each above-diagonal entry is a sum of products, one per
@@ -50,54 +51,10 @@ words.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
-
-from .groups import (DEFAULT_GUARD, GroupElement, GroupError, SemipatternGroup,
+from .groups import (DEFAULT_GUARD, GroupElement, SemipatternGroup,
                      evaluate_word, word_variables)
-from .poly import slot_grid_sum, slot_letter
+from .poly import slot_grid_sum
 from .solver import Constraint, Decision, SlotSystem
-
-
-@lru_cache(maxsize=None)
-def x_variable(i: int, j: int, k: int) -> str:
-    return "x[%d][%d][%d]" % (i, j, k)
-
-
-@lru_cache(maxsize=None)
-def y_variable(i: int, k: int) -> str:
-    return "y[%d][%d]" % (i, k)
-
-
-@lru_cache(maxsize=None)
-def _unknown(group: SemipatternGroup, k: int, formal) -> tuple:
-    """Unknown k's record (layout, letter, slot domains), built once per
-    (group, k, formal) and shared by every equation.  The layout is the
-    group's slots named y[i][k] and x[i][j][k], less, unless formal, the
-    diagonal slot of a row of order 1 (y^1 = 1 leaves the identity's 1);
-    unless formal, the letter cuts y^d = 1 in each diagonal slot of a row
-    of order d.  The slot domains map each slot variable to its values."""
-    layout = tuple((i, j, coeff, y_variable(i + 1, k) if i == j
-                    else x_variable(i + 1, j + 1, k), values)
-                   for i, j, coeff, values in group.slots
-                   if formal or i != j or len(values) > 1)
-    return (layout,
-            slot_letter(group.domain, group.identity().rows, layout,
-                        None if formal else group.orders),
-            {var: values for _, _, _, var, values in layout})
-
-
-def _word_letters(group: SemipatternGroup, word, unknowns) -> list:
-    """Letter per word position: unknowns[name] or a constant's entries."""
-    letters = []
-    for letter in word:
-        if isinstance(letter, str):
-            letters.append(unknowns[letter])
-        elif letter.group is not group:
-            raise GroupError("constant letter from a different group")
-        else:
-            letters.append(slot_letter(group.domain, letter.rows))
-    return letters
 
 
 def symbolic_product(group: SemipatternGroup, products) -> list:
@@ -113,10 +70,15 @@ def symbolic_product(group: SemipatternGroup, products) -> list:
 
 class ReducedSystem(SlotSystem):
     """The system of lhs = rhs (a GroupElement or a word tuple) over the
-    group, whose unknowns are laid out over the identity (_unknown)."""
+    group; its unknowns are the words' variables, laid out by
+    group.unknown.  A constant rhs of another group is refused here,
+    before anything is expanded."""
 
-    def __init__(self, group: SemipatternGroup, lhs: tuple, rhs, unknowns):
-        super().__init__(group.domain, group.identity().rows, unknowns)
+    def __init__(self, group: SemipatternGroup, lhs, rhs, formal=False):
+        letters = lhs + (rhs if isinstance(rhs, tuple)
+                         else (group._own(rhs, "right-hand side"),))
+        # equal variable names share slot variables across the two words
+        super().__init__(group, word_variables(letters), formal)
         self.group, self.lhs, self.rhs = group, lhs, rhs
 
     def assemble_witness(self, assignment) -> dict:
@@ -143,20 +105,14 @@ def build_system(group: SemipatternGroup, lhs, rhs, *,
     lhs = tuple(lhs)
     if not isinstance(rhs, GroupElement):
         rhs = tuple(rhs)
-    words = (lhs, rhs) if isinstance(rhs, tuple) else (lhs,)
-    # equal variable names share slot variables across the two words
-    unknowns = {name: _unknown(group, k, formal) for k, name in
-                enumerate(word_variables(itertools.chain(*words)), start=1)}
-    reduced = ReducedSystem(group, lhs, rhs, unknowns)
-    letters = {name: letter for name, (_, letter, _) in unknowns.items()}
+    reduced = ReducedSystem(group, lhs, rhs, formal)
+    letters = {name: letter for name, (_, letter, _)
+               in reduced.unknowns.items()}
     dom, m = group.domain, group.m
-    products = [(dom.rone, _word_letters(group, lhs, letters))]
+    products = [(dom.rone, group.letters(lhs, letters))]
     if isinstance(rhs, tuple):
-        products.append((dom.rneg(dom.rone),
-                         _word_letters(group, rhs, letters)))
+        products.append((dom.rneg(dom.rone), group.letters(rhs, letters)))
         targets = ((dom.rzero,) * m,) * m
-    elif rhs.group is not group:
-        raise GroupError("right-hand side from a different group")
     else:
         targets = rhs.rows
     grid = symbolic_product(group, products)

@@ -79,7 +79,7 @@ class RingElement:
 class NilpotentMatrixRing(MatrixStructure):
     """Descriptor of the ring; make_ring() builds one per value."""
 
-    _element, _error = RingElement, RingError
+    _element, _error, _owner = RingElement, RingError, "ring"
 
     p: int
     alpha: int
@@ -120,6 +120,21 @@ class NilpotentMatrixRing(MatrixStructure):
     @cached_property
     def _matscale(self):
         return residue_matscale(self.modulus, self.m)
+
+    @staticmethod
+    def _slot_name(i, j, k):
+        """s[i][j][k] above the diagonal, a[i][j][k] on and below it,
+        1-based."""
+        return "%s[%d][%d][%d]" % ("s" if i < j else "a", i + 1, j + 1, k)
+
+    @cached_property
+    def _additive_basis(self) -> tuple:
+        """Elements spanning the ring as an abelian group: coeff * E_ij for
+        each of its slots (i, j, coeff, values)."""
+        m = self.m
+        return tuple(self.element([[coeff if (r, c) == (i, j) else 0
+                                    for c in range(m)] for r in range(m)])
+                     for i, j, coeff, _ in self.slots)
 
     def zero(self) -> RingElement:
         """The zero matrix; one shared element, as elements are immutable."""

@@ -8,8 +8,8 @@ names.  After expansion to a sum of monomials (sigma_expand's
 as products of slot letters into one grid (poly.slot_grid_sum, as group
 words are), whose entries are scalar polynomials in the slot variables.
 Unknown k is the k-th variable in order of first occurrence in the
-expression, as in a group word; its record (_unknown) is the ring's generic
-element, its slots named s[i][j][k] and a[i][j][k].  Coefficients are
+expression, as in a group word; its record, ring.unknown(k), is the ring's
+generic element, its slots named s[i][j][k] and a[i][j][k].  Coefficients are
 tracked exactly, so any chain accumulating a p-power of at least a dies on
 its own; surviving monomials have at most m*a - 1 factors.  An equation
 F = rhs reduces to the m^2 entry constraints over Z_{p^a}, decided by
@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache, partial
 from operator import add, getitem, mul
 
 from . import lanes
-from .poly import slot_grid_sum, slot_letter
+from .poly import slot_grid_sum
 # rings is the public module for every ring name, so it re-exports the
 # structure layer in full
 from .ringexpr import (NilpotentMatrixRing, RConst, RingElement, RingError,
@@ -42,30 +42,8 @@ IDEAL_GUARD = 10 ** 5
 
 
 @lru_cache(maxsize=None)
-def s_variable(i: int, j: int, k: int) -> str:
-    return "s[%d][%d][%d]" % (i, j, k)
-
-
-@lru_cache(maxsize=None)
-def a_variable(i: int, j: int, k: int) -> str:
-    return "a[%d][%d][%d]" % (i, j, k)
-
-
-@lru_cache(maxsize=None)
 def t_variable(k: int) -> str:
     return "t[%d]" % k
-
-
-@lru_cache(maxsize=None)
-def _unknown(ring: NilpotentMatrixRing, k: int) -> tuple:
-    """Unknown k's record (layout, letter, slot domains), built once per
-    (ring, k).  The layout is the ring's slots over zero, named
-    s[i][j][k] above the diagonal and a[i][j][k] on and below it.  The
-    slot domains map each slot variable to its values."""
-    layout = tuple((i, j, coeff, (s_variable if i < j else a_variable)(
-        i + 1, j + 1, k), values) for i, j, coeff, values in ring.slots)
-    return (layout, slot_letter(ring.domain, ring.zero().rows, layout),
-            {var: values for _, _, _, var, values in layout})
 
 
 # -- entrywise rewriting -------------------------------------------------------
@@ -86,15 +64,14 @@ def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
     monomials therefore have at most m*alpha - 1 factors.
     """
     dom = ring.domain
-    unknowns = {name: _unknown(ring, k)[1]
+    unknowns = {name: ring.unknown(k)[1]
                 for k, name in enumerate(names, start=1)}
     products = []
     for coeff, letters in monomials:
         if not letters:
             raise RingError("monomial with no letters")
-        products.append((coeff % ring.modulus, [
-            unknowns[letter] if isinstance(letter, str)
-            else slot_letter(dom, letter.rows) for letter in letters]))
+        products.append((coeff % ring.modulus,
+                         ring.letters(letters, unknowns)))
     minus_one = dom.rneg(dom.rone)
     for k, (a, _) in enumerate(cosets, start=1):
         products.append((minus_one, ([
@@ -106,21 +83,14 @@ def entrywise_rewrite(monomials, ring: NilpotentMatrixRing, names,
 # -- deciding equations --------------------------------------------------------
 
 class ReducedRingSystem(SlotSystem):
-    """The system of expr = rhs over the ring, or over M/I given the ideal:
-    its m^2 entry polynomials (less t[k] * a_k over M/I) equal rhs's entries,
-    and its unknowns are laid out over zero (_unknown)."""
+    """The system of expr = rhs over the ring, or over M/I given the ideal;
+    its unknowns are expr's variables, laid out by ring.unknown.  An rhs of
+    another ring is refused here, before anything is expanded."""
 
-    def __init__(self, ring: NilpotentMatrixRing, expr, rhs: RingElement,
-                 unknowns, entry_polys: list, ideal=None):
-        super().__init__(ring.domain, ring.zero().rows, unknowns)
-        if rhs.ring is not ring:
-            raise RingError("right-hand side from a different ring")
+    def __init__(self, ring: NilpotentMatrixRing, expr, rhs, ideal=None):
+        ring._own(rhs, "right-hand side")
+        super().__init__(ring, expr_variables(expr))
         self.ring, self.expr, self.rhs, self.ideal = ring, expr, rhs, ideal
-        self.constrain(tuple(
-            Constraint(poly, target) for poly, target
-            in zip(itertools.chain(*entry_polys), itertools.chain(*rhs.rows))),
-            {t_variable(k): tuple(range(r)) for k, (_, r)
-             in enumerate(ideal.cosets if ideal else (), start=1)})
 
     def assemble_witness(self, assignment) -> dict:
         """Slot assignment -> {variable name: RingElement}."""
@@ -140,11 +110,15 @@ def build_ring_system(ring: NilpotentMatrixRing, expr, rhs: RingElement,
     Unknowns are numbered by first occurrence in expr, as group words
     number theirs, so a variable that the truncation drops still gets a
     layout and comes back as zero in a witness."""
-    names = expr_variables(expr)
-    return ReducedRingSystem(ring, expr, rhs, {
-        name: _unknown(ring, k) for k, name in enumerate(names, start=1)},
-        entrywise_rewrite(sigma_expand(expr, ring), ring, names,
-                          ideal.cosets if ideal else ()), ideal)
+    reduced = ReducedRingSystem(ring, expr, rhs, ideal)
+    cosets = ideal.cosets if ideal else ()
+    entry_polys = entrywise_rewrite(sigma_expand(expr, ring), ring,
+                                    tuple(reduced.unknowns), cosets)
+    reduced.constrain(map(Constraint, itertools.chain(*entry_polys),
+                          itertools.chain(*rhs.rows)),
+                      {t_variable(k): tuple(range(r))
+                       for k, (_, r) in enumerate(cosets, start=1)})
+    return reduced
 
 
 def decide_ring_equation(ring: NilpotentMatrixRing, expr, rhs=None, *,
@@ -169,9 +143,6 @@ class Ideal:
     def __contains__(self, x) -> bool:
         return x in self.elements
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def __len__(self):
         return len(self.elements)
 
@@ -179,16 +150,6 @@ class Ideal:
     def transversal(self) -> list:
         """The first ring element, in canonical order, of each coset."""
         return _transversal(ring_elements(self.ring), self.elements, add)
-
-
-@lru_cache(maxsize=None)
-def _additive_basis(ring: NilpotentMatrixRing) -> tuple:
-    """Elements spanning the ring as an abelian group: coeff * E_ij for
-    each of its slots (i, j, coeff, values)."""
-    m = ring.m
-    return tuple(ring.element([[coeff if (r, c) == (i, j) else 0
-                                for c in range(m)] for r in range(m)])
-                 for i, j, coeff, _ in ring.slots)
 
 
 def enumerate_ideal(ring: NilpotentMatrixRing, generators,
@@ -209,7 +170,7 @@ def enumerate_ideal(ring: NilpotentMatrixRing, generators,
     for g in gens:
         if not isinstance(g, RingElement) or g.ring is not ring:
             raise RingError("generator %r is not an element of %s" % (g, ring))
-    basis = _additive_basis(ring)
+    basis = ring._additive_basis
     closed = {ring.zero()}
     cosets = []
     work = list(gens)
@@ -261,7 +222,7 @@ def decide_factor_ring(ring: NilpotentMatrixRing, ideal: Ideal, expr, *,
 def _ring_tables(ring: NilpotentMatrixRing):
     """(index by rows, add, mul) over canonical element indices; add and
     mul are lanes.table's (rows, cols).  Addition is closed from the rows
-    of _additive_basis (lanes.closure); each product row is its closure
+    of ring._additive_basis (lanes.closure); each product row is its closure
     parent's plus a basis row, (a + e) * b = a * b + e * b, in one lane
     sum.  So the build costs |basis| * n ring sums and products, not n^2."""
     elems = ring_elements(ring)
@@ -272,7 +233,7 @@ def _ring_tables(ring: NilpotentMatrixRing):
     def row(op, g):
         return bytes(index[op(elems[g], b).rows] for b in elems)
 
-    basis = [index[e.rows] for e in _additive_basis(ring)]
+    basis = [index[e.rows] for e in ring._additive_basis]
     plus, steps = lanes.closure(n, zero, basis, partial(row, add))
     generators = {e: row(mul, e) for e in {e for _, _, e in steps}}
     times = [None] * n
@@ -335,8 +296,7 @@ def brute_force_ring_solve(ring: NilpotentMatrixRing, expr, rhs=None,
     """
     if rhs is None:
         rhs = ring.zero()
-    if rhs.ring is not ring:
-        raise RingError("right-hand side from a different ring")
+    ring._own(rhs, "right-hand side")
     if ideal is not None and ideal.ring is not ring:
         raise RingError("ideal of a different ring")
     names = expr_variables(expr)

@@ -177,25 +177,26 @@ def solve(request: SolveRequest) -> Decision:
 
 
 class SlotSystem:
-    """An equation's system whose unknowns are matrices of slots, and the
-    one path that decides it.
+    """An equation's system over a matrix structure whose unknowns are
+    matrices of slots, and the one path that decides it.
 
-    Each unknown has one record (layout, letter, slot domains), cached per
-    structure by _unknown in reduction and rings.  Its layout lists its
-    slots (i, j, coeff, var, values), 0-based: entry (i, j) of the base
-    matrix (raw rows) is replaced by coeff * var, var ranging over values,
-    and base[i][j] == coeff * values[0], so a slot no constraint reads keeps
-    base's entry, the value the search pins an unread variable to.  Its
-    letter is what the subclass multiplies out, and its slot domains map
-    each var to its values.  A subclass calls constrain() and says how rows
-    become elements (assemble_witness) and if a witness holds.
+    The k-th of names is unknown k, and its record (layout, letter, slot
+    domains) is the structure's cached unknown(k, formal).  Its layout
+    lists its slots (i, j, coeff, var, values), 0-based: entry (i, j) of
+    the structure's base element is replaced by coeff * var, var ranging
+    over values, and base[i][j] == coeff * values[0], so a slot no
+    constraint reads keeps base's entry, the value the search pins an
+    unread variable to.  Its letter is what the subclass multiplies out,
+    and its slot domains map each var to its values.  A subclass calls
+    constrain() and says how rows become elements (assemble_witness) and
+    if a witness holds.
     """
 
-    def __init__(self, domain, base, unknowns):
-        self.domain = domain
-        self.base = base
+    def __init__(self, structure, names, formal=False):
+        self.structure = structure
         # {name: record}, in first-occurrence order
-        self.unknowns = unknowns
+        self.unknowns = {name: structure.unknown(k, formal)
+                         for k, name in enumerate(names, start=1)}
 
     def constrain(self, constraints, scalars=()) -> None:
         """system := constraints over the domains of the slots they read,
@@ -205,14 +206,15 @@ class SlotSystem:
         for _, _, domains in self.unknowns.values():
             values.update(domains)
         values.update(scalars)
-        self.system = PolySystem(self.domain, constraints, {}, values)
+        self.system = PolySystem(self.structure.domain, constraints, {},
+                                 values)
 
     def witness_rows(self, assignment):
         """(name, raw rows) per unknown from a {variable name: raw value}
         assignment; unassigned slots keep base's."""
-        rmul = self.domain.rmul
+        rmul, base = self.structure.domain.rmul, self.structure._base.rows
         for name, (layout, _, _) in self.unknowns.items():
-            rows = [list(row) for row in self.base]
+            rows = [list(row) for row in base]
             for i, j, coeff, var, _ in layout:
                 value = assignment.get(var)
                 if value is not None:

@@ -1,10 +1,12 @@
-"""Counts and per-monomial grids of the reductions' entry polynomials,
-kept apart from eqsolve.
+"""Slot names, counts and per-monomial grids of the reductions' entry
+polynomials, kept apart from eqsolve.
 
-entry_monomial_count() is the binomial law for an entry of an all-variable
-group word; monomial_entry_polys() rewrites one ring monomial on its own,
-which the ring tests compare with a per-addition fold; as_expr() rebuilds
-an expression from sigma_expand's monomials.
+x_variable() and y_variable() spell the slots of a group unknown, and
+s_variable() and a_variable() those of a ring unknown, 1-based, as the
+tests expect them; entry_monomial_count() is the binomial law for an entry
+of an all-variable group word; monomial_entry_polys() rewrites one ring
+monomial on its own, which the ring tests compare with a per-addition fold;
+as_expr() rebuilds an expression from sigma_expand's monomials.
 """
 
 from __future__ import annotations
@@ -13,6 +15,26 @@ import math
 
 from eqsolve.rings import (RConst, RingElement, RProd, RScale, RSum, RVar,
                            entrywise_rewrite)
+
+
+def x_variable(i: int, j: int, k: int) -> str:
+    """Entry (i, j) of group unknown k, above the diagonal."""
+    return "x[%d][%d][%d]" % (i, j, k)
+
+
+def y_variable(i: int, k: int) -> str:
+    """Diagonal entry i of group unknown k."""
+    return "y[%d][%d]" % (i, k)
+
+
+def s_variable(i: int, j: int, k: int) -> str:
+    """Entry (i, j) of ring unknown k, above the diagonal."""
+    return "s[%d][%d][%d]" % (i, j, k)
+
+
+def a_variable(i: int, j: int, k: int) -> str:
+    """Entry (i, j) of ring unknown k, on or below the diagonal."""
+    return "a[%d][%d][%d]" % (i, j, k)
 
 
 def entry_monomial_count(n: int, i: int, j: int) -> int:

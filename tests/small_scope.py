@@ -201,7 +201,8 @@ def check_ring(ring, expressions, ideal=None):
             else:
                 sat = rings.decide_factor_ring(ring, ideal, rings.RSum(
                     (expr, rings.RNeg(rings.RConst(t))))).sat
-                expected = any(index[(t + i).rows] in image for i in ideal)
+                expected = any(index[(t + i).rows] in image
+                               for i in ideal.elements)
             verdicts.append(sat)
             if sat != expected:
                 mismatches.append((ring, terms, t))

@@ -24,7 +24,7 @@ def formal_letter(group, k: int, cut=False) -> list:
     """Unknown k's letter in its formal layout.  With cut, it is built
     through slot_letter with the row orders, so that each diagonal slot
     cuts y^d = 1 and the y slot of an order-1 row becomes the constant."""
-    layout, letter, _ = reduction._unknown(group, k, True)
+    layout, letter, _ = group.unknown(k, True)
     if not cut:
         return letter
     return slot_letter(group.domain, group.identity().rows, layout,
@@ -35,7 +35,7 @@ def symbolic_letters(group, word, var_index, cut=False) -> list:
     """slot_grid_sum letter per word position, variable var_index[name]
     in its formal layout (formal_letter); equal variables share slot
     variables."""
-    return reduction._word_letters(group, word, {
+    return group.letters(word, {
         name: formal_letter(group, k, cut) for name, k in var_index.items()})
 
 

@@ -21,10 +21,10 @@ from eqsolve import (GuardExceeded, brute_force_ring_solve, brute_force_solve,
                      make_ring, ring_elements, sigma_expand,
                      unitriangular_group, word_variables,
                      words_agree_everywhere)
-from eqsolve.reduction import x_variable, y_variable
 from conftest import (random_assignment, random_group_element,
                       random_ring_element, random_ring_expr, random_word)
-from entries import entry_monomial_count, monomial_entry_polys
+from entries import (entry_monomial_count, monomial_entry_polys, x_variable,
+                     y_variable)
 from polyexpr import length, product_length
 from symbolic import entry, evaluate_matrix, symbolic_letters, word_product
 

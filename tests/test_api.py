@@ -168,11 +168,11 @@ def test_descriptors_are_built_only_by_their_make_function():
 
 
 # The scopes that read a structure's slots: MatrixStructure turns them into
-# its order, base element, membership check and enumeration, and the two
-# unknown records and the ring's additive basis lay them out.  slot_entries
+# its order, base element, membership check, enumeration and the unknowns'
+# records, and the ring lays them out as its additive basis.  slot_entries
 # is read in domains alone.
-SLOT_READERS = {("domains", "MatrixStructure"), ("reduction", "_unknown"),
-                ("rings", "_unknown"), ("rings", "_additive_basis")}
+SLOT_READERS = {("domains", "MatrixStructure"),
+                ("ringexpr", "NilpotentMatrixRing")}
 
 
 def slot_reads(package):

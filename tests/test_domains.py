@@ -106,6 +106,11 @@ def test_bad_exponent_rejected():
         make_domain(3, 0)
 
 
+def test_unknown_domain_kind_rejected():
+    with pytest.raises(DomainError, match="unknown domain kind 'x'"):
+        make_domain(2, 1, "x")
+
+
 @pytest.mark.parametrize("args", [(2, 2.0), (5.0,), ("5",)])
 def test_p_and_exponent_must_be_ints(args):
     # a float exponent used to build a GF(4) of size 4.0, equal to the real one

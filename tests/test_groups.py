@@ -90,11 +90,18 @@ def test_bad_pattern_position(f3):
         make_group(f3, 2, ((2, 1),), (1, 1))
 
 
+def test_group_needs_a_field_domain():
+    with pytest.raises(GroupError, match="field domain"):
+        make_group(make_domain(3, 1, "modular"), 2, ((1, 2),), (1, 1))
+
+
 def test_membership_validation(order54):
     with pytest.raises(GroupError):
         elem(order54, (1, 0, 0), (0, 1, 0), (1, 0, 1))  # below diagonal
     with pytest.raises(GroupError):
         elem(order54, (2, 0, 0), (0, 1, 0), (0, 0, 1))  # diagonal outside S_1
+    with pytest.raises(GroupError, match="3 x 3"):
+        order54.element([[1, 0, 0], [0, 1], [0, 0, 1]])   # a ragged grid
 
 
 def test_multiply_identity(order54):
@@ -356,6 +363,8 @@ def test_oracles_reject_constants_from_other_groups(ut3_f2, order54):
         words_agree_everywhere(ut3_f2, ("x", foreign), ("x",))
     with pytest.raises(GroupError):
         words_agree_everywhere(ut3_f2, ("x",), (foreign, "x"))
+    with pytest.raises(GroupError, match="constant letter from a different"):
+        evaluate_word(ut3_f2, ("x", foreign), {"x": ut3_f2.identity()})
 
 
 def _raw_matmul(domain, a, b, m):
@@ -448,21 +457,24 @@ def test_identity_and_group_checks(f3, ut3_f2):
     assert evaluate_word(group, ("x", b), {"x": a}) == product
     with pytest.raises(GroupError):
         multiply(a, ut3_f2.identity())
+    with pytest.raises(TypeError):
+        a * 5
 
 
 def test_equal_descriptors_hash_equal_and_share_caches():
     """Equal groups from separate make_group calls are one descriptor, so
     the reduction's unknown records and the oracle's table are built once."""
-    from eqsolve.reduction import _unknown
+    from eqsolve.domains import MatrixStructure
 
     # a group no other test uses, so that neither cache holds it yet
     group, twin = (make_group(make_domain(5), 2, ((1, 2),), (2, 4))
                    for _ in range(2))
     assert twin is group
-    for cache, args in ((_unknown, (1, False)), (groups._cayley, ())):
+    for build, cache in ((lambda g: g.unknown(1), MatrixStructure._lay_out),
+                         (groups._cayley, groups._cayley)):
         before = cache.cache_info()
-        built = cache(group, *args)
-        assert cache(twin, *args) is built
+        built = build(group)
+        assert build(twin) is built
         after = cache.cache_info()
         assert (after.misses - before.misses,
                 after.hits - before.hits) == (1, 1), cache

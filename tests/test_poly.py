@@ -10,10 +10,10 @@ from eqsolve import (RScale, RVar, build_system, decide_equation,
 from eqsolve import cli, rings
 from eqsolve import poly as poly_module
 from eqsolve.poly import slot_letter
-from eqsolve.reduction import _unknown, _word_letters, x_variable, y_variable
-from eqsolve.rings import a_variable, s_variable, t_variable
+from eqsolve.rings import t_variable
 from conftest import random_ring_expr, random_word
-from entries import monomial_entry_polys
+from entries import (a_variable, monomial_entry_polys, s_variable, x_variable,
+                     y_variable)
 from polyexpr import (EAdd, EConst, EMul, EVar, Polynomial, add, eval_expr,
                       evaluate, length, mul, normalize, poly, product_length,
                       sorted_terms, variable)
@@ -145,13 +145,33 @@ def test_render_stable():
     assert cli._render_poly(Polynomial(F3)) == "0"
 
 
-def test_slot_variables_are_shared_objects():
-    assert x_variable(1, 2, 3) is x_variable(1, 2, 3)
-    assert y_variable(2, 5) is y_variable(2, 5)
-    assert s_variable(1, 2, 1) is s_variable(1, 2, 1)
-    assert a_variable(2, 1, 4) is a_variable(2, 1, 4)
-    assert x_variable(1, 2, 3) == "x[1][2][3]"
-    assert y_variable(2, 5) == "y[2][5]"
+def test_unknown_slots_are_named_as_the_helpers_spell_them(group_family):
+    """Every slot variable of unknown(k, formal) is spelled as the test
+    helpers spell it, in slot order: y[i][k] then x[i][j][k] for a group,
+    less the y slot of each order-1 row unless formal, and s[i][j][k]
+    above the diagonal, a[i][j][k] on and below it, for a ring.  The
+    record is built once per (structure, k, formal)."""
+    f4 = make_domain(2, 2)
+    for group in group_family + (make_group(f4, 3, ((1, 2), (1, 3)),
+                                            (3, 3, 1)),):
+        for k, formal in itertools.product((1, 2, 3), (True, False)):
+            want = [y_variable(i, k) for i, d in enumerate(group.orders, 1)
+                    if formal or d > 1]
+            want += [x_variable(i, j, k) for i, j in group.pattern]
+            layout = group.unknown(k, formal)[0]
+            assert [var for _, _, _, var, _ in layout] == want, (group, k)
+            assert group.unknown(k, formal) is group.unknown(k, formal)
+        assert group.unknown(1) is group.unknown(1, False)
+    # M(2,Z4), M(3,Z2), M(2,Z9)
+    for p, alpha, m in ((2, 2, 2), (2, 1, 3), (3, 2, 2)):
+        ring = make_ring(p, alpha, m)
+        for k, formal in itertools.product((1, 2, 3), (True, False)):
+            want = [(s_variable if i < j else a_variable)(i, j, k)
+                    for i in range(1, m + 1) for j in range(1, m + 1)
+                    if i < j or alpha > 1]
+            layout = ring.unknown(k, formal)[0]
+            assert [var for _, _, _, var, _ in layout] == want, (ring, k)
+        assert ring.unknown(2) is ring.unknown(2, False)
 
 
 def test_variables_mix_as_dict_keys():
@@ -233,9 +253,9 @@ def test_first_letter_start_equals_identity_start(group_family):
             names = word_variables(lhs + rhs)
             for formal, cut in ((True, False), (False, True), (True, True)):
                 unknowns = {name: formal_letter(group, k, cut) if formal
-                            else _unknown(group, k, False)[1]
+                            else group.unknown(k, False)[1]
                             for k, name in enumerate(names, start=1)}
-                words = [_word_letters(group, word, unknowns)
+                words = [group.letters(word, unknowns)
                          for word in (lhs, rhs)]
                 grids = []
                 for word, letters in zip((lhs, rhs), words):
@@ -274,7 +294,7 @@ def test_first_letter_start_drops_zero_divisor_products():
         ring = make_ring(p, alpha, m)
         dom, q = ring.domain, ring.modulus
         names = ("x", "y")
-        unknowns = {name: rings._unknown(ring, k)[1]
+        unknowns = {name: ring.unknown(k)[1]
                     for k, name in enumerate(names, start=1)}
         scalars = [c for c in range(q) if c % p == 0] + [1, q - 1]
 

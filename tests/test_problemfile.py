@@ -118,9 +118,14 @@ def test_unknown_key_rejected():
 
 
 def test_bad_matrix_shape_rejected():
-    bad = GROUP_TEXT.replace("[1,0,1, 0,1,0, 0,0,1]", "[1,0,1]")
-    with pytest.raises(ParseError):
-        parse_problem(bad)
+    for rows, message in (
+            ("[1,0,1]", "expected 9 row-major entries"),
+            ("[[1,0,1], [0,1], [0,0,1]]",
+             "matrix rows must hold 3 integers each")):
+        bad = GROUP_TEXT.replace("[1,0,1, 0,1,0, 0,0,1]", rows)
+        with pytest.raises(ParseError, match=message) as err:
+            parse_problem(bad)
+        assert err.value.line == 9
 
 
 def test_constant_membership_validated():
@@ -147,6 +152,25 @@ def test_missing_rhs_rejected():
                     if not line.startswith("rhs"))
     with pytest.raises(ParseError):
         parse_problem(bad)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("q = 3\n" + GROUP_TEXT, "key outside of any section", 1),
+    (GROUP_TEXT + "[constants]\nd = [1,0,0, 0,1,0, 0,0,1]\n",
+     r"duplicate section \[constants\]", 15),
+    (GROUP_TEXT.replace("c = [", "1c = ["), "'1c' is not an identifier", 9),
+    (GROUP_TEXT.replace("c = [", "I = ["), "'I' is reserved", 9),
+    (GROUP_TEXT.replace("vars = x y", "vars = x c"),
+     "variable 'c' collides with a constant", 12),
+    (GROUP_TEXT.replace("vars = x y", "vars = x I"),
+     "variable 'I' collides with a constant", 12),
+    (RING_TEXT.replace("2*x", "x*2"), "coefficient '2' must lead its term",
+     13),
+])
+def test_misplaced_or_misnamed_entries_rejected(text, message, line):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_problem(text)
+    assert err.value.line == line
 
 
 def test_group_and_ring_both_present_rejected():

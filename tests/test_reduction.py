@@ -12,11 +12,10 @@ from eqsolve import (brute_force_solve, build_system,
                      separating_substitution, unitriangular_group, word_variables,
                      words_agree_everywhere)
 from eqsolve.poly import slot_letter
-from eqsolve.reduction import (_nonzero_point, _unknown, _word_letters,
-                               x_variable, y_variable)
+from eqsolve.reduction import _nonzero_point
 from eqsolve.solver import Constraint
 from conftest import (random_assignment, random_group_element, random_word)
-from entries import entry_monomial_count
+from entries import entry_monomial_count, x_variable, y_variable
 from naive import solve_naive
 from polyexpr import (Polynomial, add, constant, length, mul, neg,
                       product_length, sorted_terms, variable)
@@ -46,7 +45,7 @@ def subgroup_rows(group, ks):
     """{slot: row, 1-based} for the subgroup slots of unknowns ks: the
     diagonal slots of their formal layouts."""
     return {var: i + 1 for k in ks
-            for i, j, _, var, _ in _unknown(group, k, True)[0] if i == j}
+            for i, j, _, var, _ in group.unknown(k, True)[0] if i == j}
 
 
 def slot_assignment(group, word, assignment):
@@ -138,11 +137,11 @@ def _reference_constraints(group, lhs, rhs, formal):
     words = (lhs, rhs) if isinstance(rhs, tuple) else (lhs,)
     base = group.identity().rows
     letters = {name: slot_letter(group.domain, base,
-                                 _unknown(group, k, formal)[0],
+                                 group.unknown(k, formal)[0],
                                  None if formal else group.orders)
                for k, name in enumerate(
                    word_variables(itertools.chain(*words)), start=1)}
-    left, *rest = [word_product(group, _word_letters(group, w, letters))
+    left, *rest = [word_product(group, group.letters(w, letters))
                    for w in words]
     dom = group.domain
     upper = [(i, j) for i in range(group.m) for j in range(i, group.m)]
@@ -174,11 +173,10 @@ def test_build_system_matches_plain_subtraction(group_family):
                     (group, lhs, rhs, formal)
                 alone = build_system(group, lhs, group.identity(),
                                      formal=formal)
-                unknowns = {name: _unknown(group, k, formal)[1]
+                unknowns = {name: group.unknown(k, formal)[1]
                             for k, name in enumerate(
                                 word_variables(lhs), start=1)}
-                product = word_product(
-                    group, _word_letters(group, lhs, unknowns))
+                product = word_product(group, group.letters(lhs, unknowns))
                 assert [dict(c.poly.items())
                         for c in alone.system.constraints] == \
                     [dict(poly.items())
@@ -719,3 +717,32 @@ def test_unknown_whose_slots_cancel_comes_back_identity(group_family):
         decision = decide_equation(group, word, c)
         assert decision.sat
         assert decision.witness == {"x": c, "y": identity}
+
+
+def test_build_system_refuses_foreign_constants_before_expanding(
+        monkeypatch, ut3_f2, order54):
+    """A constant letter or a constant right side of another group is a
+    GroupError.  A foreign right side is named before any letter is laid
+    out or multiplied: with a foreign letter in lhs too, and with the
+    product replaced by a failure, the right side is what is refused."""
+    from eqsolve import GroupError, reduction
+    foreign = order54.identity()
+    for formal in (True, False):
+        with pytest.raises(GroupError, match="constant letter from a "
+                                             "different group"):
+            build_system(ut3_f2, ("x", foreign), ut3_f2.identity(),
+                         formal=formal)
+        with pytest.raises(GroupError, match="constant letter from a "
+                                             "different group"):
+            build_system(ut3_f2, ("x",), (foreign, "x"), formal=formal)
+
+    def expand(*args):
+        raise AssertionError("expanded before the right side was checked")
+
+    monkeypatch.setattr(reduction, "symbolic_product", expand)
+    for formal in (True, False):
+        with pytest.raises(GroupError, match="right-hand side from a "
+                                             "different group"):
+            build_system(ut3_f2, ("x", foreign), foreign, formal=formal)
+    with pytest.raises(GroupError, match="right-hand side"):
+        decide_equation(ut3_f2, ("x",), foreign)

@@ -253,6 +253,63 @@ def test_entrywise_constant(ring_m2z4):
             assert evaluate(ring_m2z4.domain, grid[i][j], {}) == c.rows[i][j]
 
 
+def test_entrywise_rewrite_rejects_foreign_constants_and_empty_monomials(
+        ring_m2z2, ring_m2z4):
+    """A constant of M(2,Z4) is no letter over M(2,Z2), which once gave
+    the grid [[{}, {(): 1}], [{}, {}]]; a monomial needs a letter."""
+    c = ring_m2z4.element([[2, 3], [0, 2]])
+    for monomials, names in ((((1, (c,)),), ()),
+                             (((1, ("x", c)),), ("x",))):
+        with pytest.raises(RingError, match="constant letter from a "
+                                            "different ring"):
+            entrywise_rewrite(monomials, ring_m2z2, names)
+    with pytest.raises(RingError, match="monomial with no letters"):
+        entrywise_rewrite(((1, ()),), ring_m2z4, ())
+
+
+def test_foreign_rhs_refused_before_expanding(monkeypatch, ring_m2z2,
+                                              ring_m2z4):
+    """build_ring_system, and so both deciders and the oracle, refuse a
+    right side of another ring before anything is expanded."""
+    def expand(*args):
+        raise AssertionError("expanded before the right side was checked")
+
+    monkeypatch.setattr(rings, "sigma_expand", expand)
+    monkeypatch.setattr(rings, "entrywise_rewrite", expand)
+    foreign = ring_m2z2.zero()
+    ideal = enumerate_ideal(ring_m2z4, [ring_m2z4.element([[0, 2], [0, 0]])])
+    for coset in (None, ideal):
+        with pytest.raises(RingError, match="right-hand side from a "
+                                            "different ring"):
+            rings.build_ring_system(ring_m2z4, X * Y, foreign, coset)
+    with pytest.raises(RingError, match="right-hand side"):
+        decide_ring_equation(ring_m2z4, X * Y, foreign)
+    with pytest.raises(RingError, match="right-hand side"):
+        brute_force_ring_solve(ring_m2z4, X * Y, foreign)
+
+
+def test_elements_and_values_of_two_rings_do_not_mix(ring_m2z2, ring_m2z4):
+    a, b = ring_m2z4.zero(), ring_m2z2.zero()
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a + 1):
+        with pytest.raises(RingError, match="elements of different rings"):
+            op()
+    with pytest.raises(RingError, match="no value for ring variable 'y'"):
+        eval_ring_expr(X * Y, {"x": a}, ring_m2z4)
+    for value in (b, 0):
+        with pytest.raises(RingError, match="value for 'x' is not an "
+                                            "element of M"):
+            eval_ring_expr(X, {"x": value}, ring_m2z4)
+    for generator in (b, 0):
+        with pytest.raises(RingError, match="generator"):
+            enumerate_ideal(ring_m2z4, [a, generator])
+
+
+def test_expression_operators_build_nodes():
+    assert -X == RNeg(X)
+    assert X - Y == RSum((X, RNeg(Y)))
+    assert X + Y * X == RSum((X, RProd((Y, X))))
+
+
 def test_entrywise_xy_vanishes_in_class_two(ring_m2z2):
     grid = entrywise_rewrite(sigma_expand(X * Y, ring_m2z2), ring_m2z2,
                              expr_variables(X * Y))
@@ -301,7 +358,7 @@ def _fold_monomial(ring, mono, names):
     """Reference for monomial_entry_polys: letter grids of Polynomials
     multiplied with polynomial products and sums, every addition merged,
     zero-filtered and sorted, then scaled by the coefficient."""
-    from eqsolve.rings import a_variable, s_variable
+    from entries import a_variable, s_variable
     dom = ring.domain
     m = ring.m
     zero = Polynomial(dom)
@@ -366,10 +423,12 @@ def test_factor_ring_rejects_ideal_of_another_ring(ring_m2z4, ring_m3z3):
     ideal = enumerate_ideal(ring_m3z3, ())
     with pytest.raises(RingError, match="ideal of a different ring"):
         decide_factor_ring(ring_m2z4, ideal, X * Y)
+    with pytest.raises(RingError, match="ideal of a different ring"):
+        brute_force_ring_solve(ring_m2z4, X * Y, ideal=ideal)
 
 
 def _slot_assignment(ring, assignment, names):
-    from eqsolve.rings import a_variable, s_variable
+    from entries import a_variable, s_variable
     slots = {}
     for k, name in enumerate(names, start=1):
         element = assignment[name]
@@ -844,10 +903,11 @@ def test_foreign_constants_rejected_on_every_path(ring_m2z2, ring_m2z4):
 
 
 def test_malformed_nodes_rejected_on_every_path(ring_m2z4):
-    # an empty product has no meaning; 5 is no ring element
+    # an empty product has no meaning; 5 is no ring element, and a bare 5
+    # no expression
     for ring in (ring_m2z4, make_ring(2, 2, 3)):
         tables = ring.order <= lanes.LIMIT
-        for bad in (RProd(()), RConst(5)):
+        for bad in (RProd(()), RConst(5), 5):
             for expr in (bad, X + bad):
                 with pytest.raises(RingError):
                     eval_ring_expr(expr, {"x": ring.zero()}, ring)
